@@ -216,8 +216,8 @@ pub fn bench_wal_json(cfg: &WalConfig) -> String {
     out.push_str("  \"clock\": \"real\",\n");
     let _ = writeln!(
         out,
-        "  \"workload\": {{\"payload_bytes\": {}, \"append_records\": {}, \
-         \"recovery_objects\": {}}},",
+        "  \"workload\": {{\"storage\": \"mem\", \"payload_bytes\": {}, \
+         \"append_records\": {}, \"recovery_objects\": {}}},",
         cfg.payload_bytes, cfg.append_records, RECOVERY_OBJECTS,
     );
     out.push_str("  \"append\": [\n");

@@ -26,6 +26,28 @@
 //! The [`Topology`] still applies: administrative disconnections are
 //! enforced at the sender *and* receiver, so tests can cut a site off
 //! without tearing sockets down.
+//!
+//! ## Syscalls and wake-ups
+//!
+//! Sockets are `TCP_NODELAY`, so every write is a segment that wakes the
+//! peer. A frame therefore leaves in one vectored write (header and payload
+//! together, the payload never copied) and is read through a 16 KiB buffer
+//! per connection, which takes a header and its payload in one read:
+//!
+//! * `call`: 4 syscalls (a write and a read on each side), 2 hand-overs;
+//! * `cast`: 2 syscalls, 1 hand-over;
+//! * a streamed frame: 1 write and at most 1 read (chunks that arrive
+//!   together are parsed out of one read).
+//!
+//! A payload larger than the buffer costs further reads, straight into its
+//! own allocation: no intermediate copy and no zero-fill.
+//!
+//! Two invariants keep this safe. *Leftover bytes live with the connection*:
+//! the buffer is part of the `Conn` the pool stores and the server loop
+//! owns, so bytes read past one frame start the next frame of the same
+//! socket, and a poisoned connection is dropped buffer and all. *Chunk k is
+//! written before chunk k+1 is produced*: writes are never batched across
+//! `sink` calls, because the caller's fault window waits on chunk 0.
 
 use crate::link::Topology;
 use crate::trace::{NetEvent, NetEventKind, NetTrace};
@@ -34,7 +56,7 @@ use bytes::Bytes;
 use obiwan_util::{Metrics, ObiError, Result, SiteId};
 use obiwan_util::sync::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -44,15 +66,18 @@ use std::time::Duration;
 /// Maximum frame payload accepted (64 MiB).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Size of a connection's read buffer: a frame that fits is read in one
+/// syscall, header and payload together.
+const READ_BUF: usize = 16 << 10;
+
 /// Maps an I/O failure talking to `to` onto the platform error taxonomy:
 /// timeouts become [`ObiError::Timeout`] (the peer may be alive but slow —
-/// retry), everything else [`ObiError::SiteUnreachable`] (give up or wait
-/// for reconnection).
-fn classify_io(kind: std::io::ErrorKind, to: SiteId) -> ObiError {
-    match kind {
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-            ObiError::Timeout { to }
-        }
+/// retry), a frame the framer refused [`ObiError::Decode`], everything else
+/// [`ObiError::SiteUnreachable`] (give up or wait for reconnection).
+fn classify_io(e: &io::Error, to: SiteId) -> ObiError {
+    match e.kind() {
+        ErrorKind::TimedOut | ErrorKind::WouldBlock => ObiError::Timeout { to },
+        ErrorKind::InvalidData => ObiError::Decode(e.to_string()),
         _ => ObiError::SiteUnreachable(to),
     }
 }
@@ -67,6 +92,74 @@ const FRAME_CHUNK: u8 = 2;
 /// Reply-frame kind: the terminal reply closing a streamed exchange.
 const FRAME_DONE: u8 = 3;
 
+/// One end of a connection: the socket and the bytes already read from it
+/// past the current frame. The pool stores these and the server loop owns
+/// one, so leftover bytes never outlive or leave their socket.
+struct Conn {
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            reader: BufReader::with_capacity(READ_BUF, stream),
+        }
+    }
+
+    /// Sends `prefix`, the payload's length and the payload in one vectored
+    /// write (looping only when the socket takes part of it), so the peer
+    /// wakes once per frame and the payload is not copied.
+    fn write_frame(&mut self, prefix: &[u8], payload: &[u8]) -> io::Result<()> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame length exceeds u32"))?;
+        let mut header = [0u8; 10];
+        let header = &mut header[..prefix.len() + 4];
+        header[..prefix.len()].copy_from_slice(prefix);
+        header[prefix.len()..].copy_from_slice(&len.to_be_bytes());
+        let stream = self.reader.get_mut();
+        let mut sent = 0;
+        while sent < header.len() + payload.len() {
+            let wrote = if sent < header.len() {
+                stream.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+            } else {
+                stream.write(&payload[sent - header.len()..])
+            };
+            match wrote {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads one frame whose `N`-byte header ends in the payload's length.
+    /// The header must pass `accept` and the length [`MAX_FRAME`] *before*
+    /// anything is allocated or a payload byte is read (`InvalidData`
+    /// otherwise); the payload is then read into an exact, unzeroed buffer.
+    fn read_frame<const N: usize>(
+        &mut self,
+        accept: impl FnOnce(&[u8; N]) -> bool,
+    ) -> io::Result<([u8; N], Bytes)> {
+        let mut header = [0u8; N];
+        self.reader.read_exact(&mut header)?;
+        let len = u32::from_be_bytes(header[N - 4..].try_into().expect("4-byte slice"));
+        if !accept(&header) || len > MAX_FRAME {
+            let refused = format!("refused frame header {header:02x?}");
+            return Err(io::Error::new(ErrorKind::InvalidData, refused));
+        }
+        let mut payload = Vec::with_capacity(len as usize);
+        let read = (&mut self.reader)
+            .take(u64::from(len))
+            .read_to_end(&mut payload)?;
+        if read < len as usize {
+            return Err(ErrorKind::UnexpectedEof.into());
+        }
+        Ok((header, Bytes::from(payload)))
+    }
+}
+
 struct ListenerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -77,11 +170,26 @@ struct TcpInner {
     addresses: RwLock<HashMap<SiteId, SocketAddr>>,
     handlers: RwLock<HashMap<SiteId, Arc<dyn MessageHandler>>>,
     listeners: Mutex<HashMap<SiteId, ListenerHandle>>,
-    pool: Mutex<HashMap<SiteId, Vec<TcpStream>>>,
+    pool: Mutex<HashMap<SiteId, Vec<Conn>>>,
     topology: RwLock<Topology>,
     trace: NetTrace,
     metrics: Metrics,
     io_timeout: Duration,
+}
+
+impl TcpInner {
+    /// Writes one frame and counts it as sent.
+    fn send(&self, conn: &mut Conn, prefix: &[u8], payload: &[u8]) -> io::Result<()> {
+        conn.write_frame(prefix, payload)?;
+        self.metrics.incr_messages_sent();
+        self.metrics.add_bytes_sent(payload.len() as u64);
+        Ok(())
+    }
+
+    fn count_received(&self, payload: &Bytes) {
+        self.metrics.incr_messages_received();
+        self.metrics.add_bytes_received(payload.len() as u64);
+    }
 }
 
 /// A transport whose frames cross real TCP sockets on the loopback
@@ -208,15 +316,15 @@ impl TcpTransport {
         self.inner.addresses.write().clear();
     }
 
-    fn checkout(&self, to: SiteId) -> Result<TcpStream> {
-        if let Some(stream) = self
+    fn checkout(&self, to: SiteId) -> Result<Conn> {
+        if let Some(conn) = self
             .inner
             .pool
             .lock()
             .get_mut(&to)
             .and_then(|v| v.pop())
         {
-            return Ok(stream);
+            return Ok(conn);
         }
         let addr = self
             .inner
@@ -226,21 +334,21 @@ impl TcpTransport {
             .copied()
             .ok_or(ObiError::SiteUnreachable(to))?;
         let stream = TcpStream::connect_timeout(&addr, self.inner.io_timeout)
-            .map_err(|e| classify_io(e.kind(), to))?;
+            .map_err(|e| classify_io(&e, to))?;
         stream
             .set_nodelay(true)
             .and_then(|()| stream.set_read_timeout(Some(self.inner.io_timeout)))
             .and_then(|()| stream.set_write_timeout(Some(self.inner.io_timeout)))
-            .map_err(|e| classify_io(e.kind(), to))?;
-        Ok(stream)
+            .map_err(|e| classify_io(&e, to))?;
+        Ok(Conn::new(stream))
     }
 
-    fn checkin(&self, to: SiteId, stream: TcpStream) {
+    fn checkin(&self, to: SiteId, conn: Conn) {
         const POOL_PER_PEER: usize = 8;
         let mut pool = self.inner.pool.lock();
         let slot = pool.entry(to).or_default();
         if slot.len() < POOL_PER_PEER {
-            slot.push(stream);
+            slot.push(conn);
         }
     }
 
@@ -260,133 +368,67 @@ impl TcpTransport {
         }
     }
 
-    fn send_frame(
-        &self,
-        stream: &mut TcpStream,
-        kind: u8,
-        from: SiteId,
-        frame: &[u8],
-        to: SiteId,
-    ) -> Result<()> {
+    /// Opens an exchange: takes a connection to `to` and sends the request
+    /// frame on it. A connection whose write failed is dropped, not pooled.
+    fn request(&self, kind: u8, from: SiteId, to: SiteId, frame: &[u8]) -> Result<Conn> {
+        self.check_up(from, to)?;
         if frame.len() as u64 > u64::from(MAX_FRAME) {
             return Err(ObiError::BadArguments(format!(
                 "frame of {} bytes exceeds MAX_FRAME",
                 frame.len()
             )));
         }
-        let mut header = [0u8; 10];
-        header[0] = MAGIC;
-        header[1] = kind;
-        header[2..6].copy_from_slice(&from.as_u32().to_be_bytes());
-        header[6..10].copy_from_slice(&(frame.len() as u32).to_be_bytes());
-        stream
-            .write_all(&header)
-            .and_then(|()| stream.write_all(frame))
-            .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(frame.len() as u64);
-        Ok(())
+        let mut conn = self.checkout(to)?;
+        let [a, b, c, d] = from.as_u32().to_be_bytes();
+        self.inner
+            .send(&mut conn, &[MAGIC, kind, a, b, c, d], frame)
+            .map_err(|e| classify_io(&e, to))?;
+        Ok(conn)
     }
 
-    fn read_reply(&self, stream: &mut TcpStream, to: SiteId) -> Result<Bytes> {
-        let mut len_buf = [0u8; 4];
-        stream
-            .read_exact(&mut len_buf)
-            .map_err(|e| classify_io(e.kind(), to))?;
-        let len = u32::from_be_bytes(len_buf);
-        if len > MAX_FRAME {
-            return Err(ObiError::Decode(format!("reply of {len} bytes exceeds MAX_FRAME")));
-        }
-        let mut payload = vec![0u8; len as usize];
-        stream
-            .read_exact(&mut payload)
-            .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(u64::from(len));
-        Ok(Bytes::from(payload))
-    }
-
-    /// Reads one kind-tagged reply frame of a streamed exchange.
-    fn read_stream_frame(&self, stream: &mut TcpStream, to: SiteId) -> Result<(u8, Bytes)> {
-        let mut header = [0u8; 5];
-        stream
-            .read_exact(&mut header)
-            .map_err(|e| classify_io(e.kind(), to))?;
-        let frame_kind = header[0];
-        if frame_kind != FRAME_CHUNK && frame_kind != FRAME_DONE {
-            return Err(ObiError::Decode(format!(
-                "bad stream frame kind {frame_kind}"
-            )));
-        }
-        let len = u32::from_be_bytes(header[1..5].try_into().expect("4-byte slice"));
-        if len > MAX_FRAME {
-            return Err(ObiError::Decode(format!(
-                "stream frame of {len} bytes exceeds MAX_FRAME"
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        stream
-            .read_exact(&mut payload)
-            .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(u64::from(len));
-        Ok((frame_kind, Bytes::from(payload)))
+    /// Reads one reply frame of an exchange with `to` and counts it. On an
+    /// error the caller drops the poisoned connection instead of pooling it.
+    fn reply<const N: usize>(
+        &self,
+        conn: &mut Conn,
+        to: SiteId,
+        accept: impl FnOnce(&[u8; N]) -> bool,
+    ) -> Result<([u8; N], Bytes)> {
+        let (header, payload) = conn.read_frame(accept).map_err(|e| classify_io(&e, to))?;
+        self.inner.count_received(&payload);
+        Ok((header, payload))
     }
 }
 
-/// Reads one request frame; `Ok(None)` on clean EOF.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<(u8, SiteId, Vec<u8>)>> {
-    let mut header = [0u8; 10];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e)
-            if e.kind() == std::io::ErrorKind::UnexpectedEof
-                || e.kind() == std::io::ErrorKind::ConnectionReset =>
-        {
-            return Ok(None)
-        }
-        Err(e) => return Err(e),
-    }
-    if header[0] != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bad frame magic",
-        ));
-    }
-    let kind = header[1];
-    let from = SiteId::new(u32::from_be_bytes(header[2..6].try_into().unwrap()));
-    let len = u32::from_be_bytes(header[6..10].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(Some((kind, from, payload)))
-}
-
-fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
+/// Serves one accepted connection until it ends: `Err` for a clean EOF, a
+/// broken socket, a refused header or a stalled write, `Ok` when this side
+/// turns the peer away. Either way the connection closes, and whatever else
+/// the peer wrote goes with it; nobody reads the reason.
+fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    // Reads stay blocking (an idle pooled connection is legitimate); writes
+    // time out, or a peer that asks for a large reply and stops reading
+    // would pin this thread forever.
+    stream.set_write_timeout(Some(inner.io_timeout))?;
+    let mut conn = Conn::new(stream);
     loop {
-        let (kind, from, payload) = match read_request(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return,
-        };
+        let (header, payload) = conn.read_frame(|h: &[u8; 10]| h[0] == MAGIC)?;
+        let kind = header[1];
+        let from = SiteId::new(u32::from_be_bytes(
+            header[2..6].try_into().expect("4-byte slice"),
+        ));
         // Administrative disconnection applies at the receiver too.
         if !inner.topology.read().is_up(from, site) {
             // For calls the peer is waiting: answer with a zero-length
             // reply is ambiguous, so just drop the connection; the caller
             // maps the I/O error to unreachable.
-            return;
+            return Ok(());
         }
         let handler = match inner.handlers.read().get(&site).cloned() {
             Some(h) => h,
-            None => return,
+            None => return Ok(()),
         };
-        inner.metrics.incr_messages_received();
-        inner.metrics.add_bytes_received(payload.len() as u64);
+        inner.count_received(&payload);
         inner.trace.record(NetEvent {
             at_nanos: 0,
             from,
@@ -395,57 +437,30 @@ fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) 
             kind: NetEventKind::Delivered,
             is_reply: false,
         });
-        if kind == KIND_STREAM_CALL {
-            // Streamed reply: every chunk goes out as it is produced, then
-            // the terminal `done` frame. A failed write poisons the
-            // connection; remaining frames are skipped and the caller maps
-            // the broken stream to an I/O error and retries.
-            let mut failed = false;
-            let reply = handler.handle_stream(from, Bytes::from(payload), &mut |chunk| {
-                if failed {
-                    return;
-                }
-                if write_stream_frame(&mut stream, FRAME_CHUNK, &chunk).is_err() {
-                    failed = true;
-                } else {
-                    inner.metrics.incr_messages_sent();
-                    inner.metrics.add_bytes_sent(chunk.len() as u64);
-                }
-            });
-            let reply = reply.unwrap_or_default();
-            if failed || write_stream_frame(&mut stream, FRAME_DONE, &reply).is_err() {
-                return;
+        // A failed write below poisons the connection: it is closed, and the
+        // caller maps the broken exchange to an I/O error and retries.
+        match kind {
+            KIND_STREAM_CALL => {
+                // Every chunk goes out as it is produced, then the terminal
+                // `done` frame; after a failed write the rest are skipped.
+                let mut sent = Ok(());
+                let reply = handler.handle_stream(from, payload, &mut |chunk| {
+                    if sent.is_ok() {
+                        sent = inner.send(&mut conn, &[FRAME_CHUNK], &chunk);
+                    }
+                });
+                sent?;
+                inner.send(&mut conn, &[FRAME_DONE], &reply.unwrap_or_default())?;
             }
-            inner.metrics.incr_messages_sent();
-            inner.metrics.add_bytes_sent(reply.len() as u64);
-            continue;
-        }
-        let reply = handler.handle(from, Bytes::from(payload));
-        if kind == KIND_CALL {
-            let reply = reply.unwrap_or_default();
-            let mut len_buf = [0u8; 4];
-            len_buf.copy_from_slice(&(reply.len() as u32).to_be_bytes());
-            if stream
-                .write_all(&len_buf)
-                .and_then(|()| stream.write_all(&reply))
-                .is_err()
-            {
-                return;
+            KIND_CALL => {
+                let reply = handler.handle(from, payload);
+                inner.send(&mut conn, &[], &reply.unwrap_or_default())?;
             }
-            inner.metrics.incr_messages_sent();
-            inner.metrics.add_bytes_sent(reply.len() as u64);
+            _ => {
+                handler.handle(from, payload);
+            }
         }
     }
-}
-
-/// Writes one kind-tagged reply frame of a streamed exchange.
-fn write_stream_frame(stream: &mut TcpStream, frame_kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut header = [0u8; 5];
-    header[0] = frame_kind;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    stream
-        .write_all(&header)
-        .and_then(|()| stream.write_all(payload))
 }
 
 impl Transport for TcpTransport {
@@ -498,16 +513,10 @@ impl Transport for TcpTransport {
     }
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
-        self.check_up(from, to)?;
-        let mut stream = self.checkout(to)?;
-        self.send_frame(&mut stream, KIND_CALL, from, &frame, to)?;
-        match self.read_reply(&mut stream, to) {
-            Ok(reply) => {
-                self.checkin(to, stream);
-                Ok(reply)
-            }
-            Err(e) => Err(e), // poisoned connection is dropped, not pooled
-        }
+        let mut conn = self.request(KIND_CALL, from, to, &frame)?;
+        let (_, reply) = self.reply(&mut conn, to, |_: &[u8; 4]| true)?;
+        self.checkin(to, conn);
+        Ok(reply)
     }
 
     fn call_stream(
@@ -517,26 +526,22 @@ impl Transport for TcpTransport {
         frame: Bytes,
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
-        self.check_up(from, to)?;
-        let mut stream = self.checkout(to)?;
-        self.send_frame(&mut stream, KIND_STREAM_CALL, from, &frame, to)?;
+        let mut conn = self.request(KIND_STREAM_CALL, from, to, &frame)?;
         loop {
-            match self.read_stream_frame(&mut stream, to) {
-                Ok((FRAME_DONE, payload)) => {
-                    self.checkin(to, stream);
-                    return Ok(payload);
-                }
-                Ok((_, payload)) => on_frame(payload),
-                Err(e) => return Err(e), // poisoned connection is dropped
+            let ([frame_kind, ..], payload) = self.reply(&mut conn, to, |h: &[u8; 5]| {
+                matches!(h[0], FRAME_CHUNK | FRAME_DONE)
+            })?;
+            if frame_kind == FRAME_DONE {
+                self.checkin(to, conn);
+                return Ok(payload);
             }
+            on_frame(payload);
         }
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
-        self.check_up(from, to)?;
-        let mut stream = self.checkout(to)?;
-        self.send_frame(&mut stream, KIND_CAST, from, &frame, to)?;
-        self.checkin(to, stream);
+        let conn = self.request(KIND_CAST, from, to, &frame)?;
+        self.checkin(to, conn);
         Ok(())
     }
 
@@ -709,40 +714,28 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frames_are_rejected_locally() {
-        // Construct the error path without allocating 64 MiB: MAX_FRAME is
-        // enforced before any I/O for the send side.
-        let net = TcpTransport::new();
-        net.register(s(2), Arc::new(Echo));
-        // A small frame is fine; the guard is tested at the boundary by
-        // checking the constant is enforced in send_frame (unit-level).
-        assert!(u64::from(MAX_FRAME) < u64::MAX);
-        net.shutdown();
-    }
-
-    #[test]
-    fn io_errors_classify_into_timeout_vs_unreachable() {
-        use std::io::ErrorKind;
+    fn io_errors_classify_into_timeout_decode_or_unreachable() {
         let to = s(3);
-        assert_eq!(
-            classify_io(ErrorKind::TimedOut, to),
-            ObiError::Timeout { to }
-        );
-        assert_eq!(
-            classify_io(ErrorKind::WouldBlock, to),
-            ObiError::Timeout { to }
-        );
+        let classify = |kind: ErrorKind| classify_io(&kind.into(), to);
+        assert_eq!(classify(ErrorKind::TimedOut), ObiError::Timeout { to });
+        assert_eq!(classify(ErrorKind::WouldBlock), ObiError::Timeout { to });
         for kind in [
             ErrorKind::ConnectionRefused,
             ErrorKind::ConnectionReset,
             ErrorKind::BrokenPipe,
             ErrorKind::UnexpectedEof,
         ] {
-            assert_eq!(classify_io(kind, to), ObiError::SiteUnreachable(to));
+            assert_eq!(classify(kind), ObiError::SiteUnreachable(to));
         }
         // Both classifications are retryable connectivity failures.
-        assert!(classify_io(ErrorKind::TimedOut, to).is_connectivity());
-        assert!(classify_io(ErrorKind::BrokenPipe, to).is_connectivity());
+        assert!(classify(ErrorKind::TimedOut).is_connectivity());
+        assert!(classify(ErrorKind::BrokenPipe).is_connectivity());
+        // A frame the framer refused is a protocol error, not an outage.
+        assert!(matches!(
+            classify(ErrorKind::InvalidData),
+            ObiError::Decode(_)
+        ));
+        assert!(!classify(ErrorKind::InvalidData).is_connectivity());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! libraries for well known consistency policies." This crate is that
 //! promised library:
 //!
-//! * [`version`] — [`VersionVector`]s and a Lamport clock, the causality
-//!   vocabulary the policies build on.
 //! * [`policy`] — master-side [`ConsistencyHook`] implementations:
 //!   [`OptimisticDetect`] (first-writer-wins; concurrent write-backs are
 //!   rejected), [`MonotonicVersions`], [`BoundedDivergence`], [`ReadOnly`],
@@ -16,9 +14,6 @@
 //!   arrival).
 //! * [`tracker`] — client-side [`StaleTracker`]: subscribes replicas to
 //!   invalidations and refreshes the stale set on demand.
-//! * [`transaction`] — [`RelaxedTransaction`]: optimistic, disconnection-
-//!   friendly transactions over replicas; commit validates through the
-//!   master's policy and rolls back by refresh on conflict.
 //!
 //! # Examples
 //!
@@ -50,13 +45,9 @@
 
 pub mod policy;
 pub mod tracker;
-pub mod transaction;
-pub mod version;
 
 pub use policy::{BoundedDivergence, MonotonicVersions, OptimisticDetect, ReadOnly};
 pub use tracker::StaleTracker;
-pub use transaction::{RelaxedTransaction, TxnOutcome};
-pub use version::{Causality, LamportClock, VersionVector};
 
 // Re-exported so applications need only this crate for policy work.
 pub use obiwan_core::{AcceptAll, ConsistencyHook};

@@ -24,7 +24,7 @@
 //! | `IProvideRemote` (remote-capable `IProvide`) | the `GetRequest`/`PutRequest` wire messages ([`obiwan_wire::Message`]) |
 //! | `IDemand::setProvider` | the `provider` field of [`ProxyOut`](crate::proxy::ProxyOut) and replica metadata |
 //! | `IDemand::setDemander` | implicit: handles resolve through the space, so the demander needs no back-pointer |
-//! | `IDemandee::demand()` | the fault path inside [`ObiProcess::invoke`] (see `resolve_fault`) |
+//! | `IDemandee::demand()` | `demand_install` in `process.rs`, the one fetch-and-install path every fault, `get`, `refresh` and prefetch goes through, over [`RmiClient::demand`](obiwan_rmi::RmiClient::demand) |
 //! | `IfA`/`IfB`/`IfC` business interfaces | the method set declared in an [`obi_class!`](crate::obi_class) block |
 //! | `updateMember(replica, member)` swizzle | slot replacement in the [`ObjectSpace`](crate::ObjectSpace): the same [`ObjRef`](crate::ObjRef) now resolves to the replica |
 //!

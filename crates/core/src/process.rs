@@ -20,13 +20,12 @@ use crate::hooks::{AcceptAll, ConsistencyHook};
 use crate::object::{ClassRegistry, ObiObject};
 use crate::objref::ObjRef;
 use crate::proxy::{ProxyIn, ProxyOut};
-use crate::replication::{build_batch, build_batch_many, ReplicationMode};
+use crate::replication::{build_batch_many, ReplicationMode};
 use crate::shards::ShardedSpace;
 use crate::space::{GcStats, ObjectEntry, ObjectMeta, ReplicaKind, Resolution, SpaceView};
 use obiwan_net::Transport;
 use obiwan_rmi::{
     BreakerState, Deadline, RemoteRef, RetryPolicy, RmiClient, RmiServer, RmiService,
-    STREAM_CHUNK_OBJECTS,
 };
 use obiwan_store::{state_fingerprint, Durable, RecoveredState};
 use obiwan_util::trace;
@@ -34,7 +33,8 @@ use obiwan_util::{
     Clock, ClusterId, CostModel, LatencyKind, Metrics, ObiError, ObjId, RequestId, Result, SiteId,
 };
 use obiwan_wire::{
-    Decoder, Encoder, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode,
+    Decoder, Encoder, FrontierEdge, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch,
+    ReplicaState, WireMode,
 };
 use obiwan_util::sync::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -322,7 +322,17 @@ fn invoke_inner(
                     )));
                 }
                 shared.metrics.incr_object_faults();
-                resolve_fault(inner, shared, &proxy)?;
+                // Raised inside a method body, which owns the process lock:
+                // it stays held across the network wait, the batch is taken
+                // whole and installs through the `inner` already in hand.
+                let how = Handling {
+                    swizzle: true,
+                    fault: true,
+                    ..Handling::default()
+                };
+                let target = std::slice::from_ref(&proxy.target);
+                let enter: Enter<'_> = &mut |install| install(inner);
+                demand_install(shared, enter, proxy.provider, target, proxy.mode, how)?;
             }
             Resolution::Busy => return Err(ObiError::ReentrantInvocation(target)),
             Resolution::Absent => return Err(ObiError::NoSuchObject(target)),
@@ -346,66 +356,152 @@ fn invoke_inner(
     result
 }
 
-/// Resolves one object fault: demand the next batch from the proxy's
-/// provider and materialize it (paper §2.2 steps 1–6).
+/// How the caller of [`demand_install`] can take the reply. It says only
+/// that; which message goes out is the RMI client's choice.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+enum Take {
+    /// One root, all at once.
+    #[default]
+    Whole,
+    /// One root, possibly in pieces: the piece carrying the root installs
+    /// inline, later ones park for [`ObiProcess::pump_pending_chunks`], so
+    /// the caller waits one chunk's materialization whatever the step.
+    RootThenParked,
+    /// A group of roots merged into one batch, possibly in pieces, each
+    /// installed as it lands: bulk work outside any latency window.
+    GroupInline,
+}
+
+/// What the caller of [`demand_install`] already knows about how the reply
+/// must be handled. The default is the `get`/`refresh` contract: fresh
+/// state taken whole and installed over what is there.
+#[derive(Clone, Copy, Default)]
+struct Handling {
+    /// The budget of the wider operation this demand is part of; `None`
+    /// gives it the RPC policy's per-call default.
+    deadline: Option<Deadline>,
+    take: Take,
+    /// Re-validate every replica on install (see [`materialize_batch`]).
+    guard: bool,
+    /// The targets are proxy-outs the batch overwrites: account the swizzle.
+    swizzle: bool,
+    /// An invocation is blocked on this demand: span it as `obi.fault` and
+    /// record the wait (`fault_nanos`, the `Demand` latency recorder).
+    fault: bool,
+}
+
+/// What one demand brought in.
+#[derive(Default)]
+struct Installed {
+    /// Replicas that passed validation and went live.
+    installed: usize,
+    /// Replicas the reply carried.
+    replicas: usize,
+    /// The cluster generation the provider minted, in cluster mode.
+    cluster: Option<ClusterId>,
+    /// The frontier the reply revealed: that of its last piece, the only
+    /// one to carry any.
+    frontier: Vec<FrontierEdge>,
+}
+
+/// Runs the installer [`demand_install`] hands it on a [`ProcessInner`].
+type Enter<'a> =
+    &'a mut dyn FnMut(&mut dyn FnMut(&mut ProcessInner) -> Result<usize>) -> Result<usize>;
+
+/// The one demand path (paper §2.2 steps 1–6): asks `provider` for the
+/// batch behind `targets`, installs each piece of the reply as it arrives
+/// (or parks it, per [`Take`]), and accounts for the swizzle.
 ///
-/// This variant holds the process lock across the network wait; it serves
-/// *nested* faults (raised inside a method body, which already owns the
-/// lock). Top-level faults go through
-/// [`ObiProcess::resolve_fault_unlocked`], which releases the lock for the
-/// round-trip.
-fn resolve_fault(inner: &mut ProcessInner, shared: &ProcessShared, proxy: &ProxyOut) -> Result<()> {
-    let _span = trace::span(&shared.clock, "obi.fault")
-        .with_site(shared.site)
-        .with_obj(proxy.target);
-    let remote = RemoteRef::new(proxy.target, proxy.provider);
+/// `enter` is the caller's standing with the process lock. A method body
+/// owns it and passes the `inner` it holds: the lock stays held across
+/// the network wait. Everyone else ([`ObiProcess::demand`]) leaves it free
+/// across the wait and re-enters once per piece, so invocations on local
+/// objects from other threads proceed meanwhile.
+fn demand_install(
+    shared: &ProcessShared,
+    enter: Enter<'_>,
+    provider: SiteId,
+    targets: &[ObjId],
+    mode: WireMode,
+    how: Handling,
+) -> Result<Installed> {
+    let _span = how.fault.then(|| {
+        trace::span(&shared.clock, "obi.fault")
+            .with_site(shared.site)
+            .with_obj(targets[0])
+    });
+    let mut brought = Installed::default();
+    // A failed install must not stop a stream mid-flight; the first
+    // failure is kept and reported once the exchange is over.
+    let mut install_err: Option<ObiError> = None;
+    let mut absorb = |index: u32, batch: ReplicaBatch| {
+        brought.replicas += batch.replicas.len();
+        brought.cluster = batch.cluster;
+        if index > 0 && how.take == Take::RootThenParked {
+            let parked = PendingChunk {
+                batch,
+                provider,
+                mode,
+                chunk_index: index,
+            };
+            shared.pending_chunks.lock().push_back(parked);
+            return;
+        }
+        let installed = enter(&mut |inner: &mut ProcessInner| {
+            let installed = materialize_batch(inner, shared, &batch, provider, mode, how.guard)?;
+            if how.swizzle {
+                // The proxy slots were overwritten by replicas: the
+                // swizzle. The old proxy-outs are no longer reachable and
+                // have effectively been reclaimed, once per demand.
+                shared.clock.charge_cpu(shared.costs.swizzle);
+                let reclaimed = if index == 0 { targets.len() } else { 0 };
+                shared.metrics.add_proxies_reclaimed(reclaimed as u64);
+            }
+            Ok(installed)
+        });
+        match installed {
+            Ok(n) => brought.installed += n,
+            Err(e) => {
+                install_err.get_or_insert(e);
+            }
+        }
+        brought.frontier = batch.frontier;
+    };
     let start = shared.clock.virtual_nanos();
-    let batch = shared.client.get(&remote, proxy.mode);
-    let waited = shared.clock.virtual_nanos().saturating_sub(start);
-    shared.metrics.add_fault_nanos(waited);
-    shared
-        .metrics
-        .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
-    let batch = batch?;
-    materialize_batch(inner, shared, &batch, proxy.provider, proxy.mode)?;
-    // The proxy slot was overwritten by the replica: the swizzle. The old
-    // proxy-out is no longer reachable and has effectively been reclaimed.
-    shared.clock.charge_cpu(shared.costs.swizzle);
-    shared.metrics.incr_proxies_reclaimed();
-    Ok(())
+    let in_pieces: Option<&mut dyn FnMut(u32, ReplicaBatch)> = match how.take {
+        Take::Whole => None,
+        Take::RootThenParked | Take::GroupInline => Some(&mut absorb),
+    };
+    let merged = how.take == Take::GroupInline;
+    let whole = shared.client.demand(provider, targets, merged, mode, how.deadline, in_pieces);
+    if how.fault {
+        // The wait ends with the last frame off the wire: pieces installed
+        // while later ones were still in flight are inside it, a reply
+        // that arrived whole is installed after it.
+        let waited = shared.clock.virtual_nanos().saturating_sub(start);
+        shared.metrics.add_fault_nanos(waited);
+        shared
+            .metrics
+            .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
+    }
+    if let Some(batch) = whole? {
+        absorb(0, batch);
+    }
+    install_err.map_or(Ok(brought), Err)
 }
 
 /// Installs a replica batch into the local space: replicas become live
 /// slots, frontier edges become proxy-outs, costs and metrics are charged.
-/// The batch always wins over existing clean replicas (the `get`/`refresh`
-/// contract: the caller asked for fresh state).
-fn materialize_batch(
-    inner: &mut ProcessInner,
-    shared: &ProcessShared,
-    batch: &ReplicaBatch,
-    provider: SiteId,
-    mode: WireMode,
-) -> Result<usize> {
-    materialize_batch_inner(inner, shared, batch, provider, mode, false)
-}
-
-/// Like [`materialize_batch`], but for batches fetched while the process
-/// lock was *dropped*: every replica is re-validated against whatever
-/// happened in the window. Skipped (left untouched) are masters, dirty
+///
+/// Unguarded, the batch always wins over existing clean replicas (the
+/// `get`/`refresh` contract: the caller asked for fresh state). With
+/// `guard`, for batches fetched while the process lock was *dropped*, every
+/// replica is re-validated against whatever happened in the window: dirty
 /// replicas (un-pushed local writes), replicas already at the incoming
 /// version or newer (a concurrent fault won the race), and busy slots (an
-/// invocation owns the object right now).
-fn materialize_batch_guarded(
-    inner: &mut ProcessInner,
-    shared: &ProcessShared,
-    batch: &ReplicaBatch,
-    provider: SiteId,
-    mode: WireMode,
-) -> Result<usize> {
-    materialize_batch_inner(inner, shared, batch, provider, mode, true)
-}
-
-fn materialize_batch_inner(
+/// invocation owns the object right now) are left untouched. Masters are
+/// never overwritten either way.
+fn materialize_batch(
     inner: &mut ProcessInner,
     shared: &ProcessShared,
     batch: &ReplicaBatch,
@@ -904,11 +1000,9 @@ impl ObiProcess {
         if remote.host() == self.shared.site {
             return Ok(ObjRef::new(remote.id()));
         }
-        let batch = self.shared.client.get(remote, mode.to_wire())?;
-        self.with_inner(|inner| {
-            materialize_batch(inner, &self.shared, &batch, remote.host(), mode.to_wire())?;
-            Ok(ObjRef::new(batch.root))
-        })
+        self.demand(remote.host(), &[remote.id()], mode.to_wire(), Handling::default())?;
+        // A one-target batch is rooted at its target.
+        Ok(ObjRef::new(remote.id()))
     }
 
     /// Caps the bytes of replica state this process keeps. When a batch
@@ -1047,7 +1141,7 @@ impl ObiProcess {
         // any of them asked for; cluster/transitive proxies have one-shot
         // semantics a merged batch would change, so they go solo.
         let mut grouped: HashMap<SiteId, (Vec<ObjId>, u32)> = HashMap::new();
-        let mut solo: Vec<ProxyOut> = Vec::new();
+        let mut solo: Vec<(SiteId, Vec<ObjId>, WireMode, Take)> = Vec::new();
         self.with_inner(|_inner| {
             let mut picked = 0usize;
             while picked < want {
@@ -1064,7 +1158,7 @@ impl ObiProcess {
                         slot.0.push(p.target);
                         slot.1 = slot.1.max(own.max(1));
                     }
-                    _ => solo.push(p),
+                    _ => solo.push((p.provider, vec![p.target], p.mode, Take::Whole)),
                 }
             }
             Ok(())
@@ -1078,78 +1172,29 @@ impl ObiProcess {
         // target still honors its proxy's own incremental step.
         let spread = (batch / total).max(1).min(u32::MAX as usize) as u32;
 
+        // Prefetch is bulk work, not a caller-visible latency window, so a
+        // group's batch that arrives in pieces installs each one inline,
+        // pipelined with the provider still slicing the rest.
+        let grouped = grouped.into_iter().map(|(provider, (targets, own_step))| {
+            let mode = WireMode::Incremental { batch: own_step.max(spread) };
+            (provider, targets, mode, Take::GroupInline)
+        });
         let mut inserted = 0usize;
         let mut discovered: Vec<ObjId> = Vec::new();
-        for (provider, (targets, own_step)) in grouped {
-            let step = own_step.max(spread);
-            let mode = WireMode::Incremental { batch: step };
-            let swizzled = targets.len();
-            if step > STREAM_CHUNK_OBJECTS {
-                // Large batches stream: each chunk is absorbed as it lands,
-                // pipelined with the provider still slicing the rest.
-                // Prefetch is bulk work, not a caller-visible latency window,
-                // so chunks install inline rather than parking for a pump.
-                let mut absorb_err: Option<ObiError> = None;
-                self.shared.client.get_many_stream_with_deadline(
-                    provider,
-                    targets,
-                    mode,
-                    Some(deadline),
-                    &mut |index, batch| {
-                        discovered.extend(batch.frontier.iter().map(|e| e.target));
-                        let sw = if index == 0 { swizzled } else { 0 };
-                        match self.absorb_prefetched(&batch, provider, mode, sw) {
-                            Ok(n) => inserted += n,
-                            Err(e) => {
-                                if absorb_err.is_none() {
-                                    absorb_err = Some(e);
-                                }
-                            }
-                        }
-                    },
-                )?;
-                if let Some(e) = absorb_err {
-                    return Err(e);
-                }
-            } else {
-                let reply = self
-                    .shared
-                    .client
-                    .get_many_with_deadline(provider, targets, mode, Some(deadline))?;
-                discovered.extend(reply.frontier.iter().map(|e| e.target));
-                inserted += self.absorb_prefetched(&reply, provider, mode, swizzled)?;
-            }
-        }
-        for proxy in solo {
-            let remote = RemoteRef::new(proxy.target, proxy.provider);
-            let reply = self
-                .shared
-                .client
-                .get_with_deadline(&remote, proxy.mode, Some(deadline))?;
-            discovered.extend(reply.frontier.iter().map(|e| e.target));
-            inserted += self.absorb_prefetched(&reply, proxy.provider, proxy.mode, 1)?;
+        for (provider, targets, mode, take) in grouped.chain(solo) {
+            let how = Handling {
+                deadline: Some(deadline),
+                take,
+                guard: true,
+                swizzle: true,
+                fault: false,
+            };
+            let fetched = self.demand(provider, &targets, mode, how)?;
+            inserted += fetched.installed;
+            discovered.extend(fetched.frontier.iter().map(|e| e.target));
         }
         span.set_value(inserted as u64);
         Ok((inserted, discovered))
-    }
-
-    /// Re-acquires the lock and installs a prefetched batch through the
-    /// guarded materializer; `swizzled` proxies were overwritten.
-    fn absorb_prefetched(
-        &self,
-        batch: &ReplicaBatch,
-        provider: SiteId,
-        mode: WireMode,
-        swizzled: usize,
-    ) -> Result<usize> {
-        self.with_inner(|inner| {
-            let installed = materialize_batch_guarded(inner, &self.shared, batch, provider, mode)?;
-            self.shared.clock.charge_cpu(self.shared.costs.swizzle);
-            self.shared
-                .metrics
-                .add_proxies_reclaimed(swizzled as u64);
-            Ok(installed)
-        })
     }
 
     /// Invokes `method` locally (LMI), transparently resolving object
@@ -1217,96 +1262,34 @@ impl ObiProcess {
                         )));
                     }
                     self.shared.metrics.incr_object_faults();
-                    self.resolve_fault_unlocked(&proxy)?;
+                    // Top-level: only the piece carrying the faulted root
+                    // is installed before this invocation resumes.
+                    let how = Handling {
+                        deadline: Some(self.demand_deadline()),
+                        take: Take::RootThenParked,
+                        guard: true,
+                        swizzle: true,
+                        fault: true,
+                    };
+                    self.demand(proxy.provider, &[proxy.target], proxy.mode, how)?;
                 }
             }
         }
     }
 
-    /// Resolves one top-level fault with the process lock released during
-    /// the network wait. The time blocked on the provider is recorded in
-    /// the `fault_nanos` metric.
-    ///
-    /// Batches larger than [`STREAM_CHUNK_OBJECTS`] arrive as a chunk
-    /// stream ([`resolve_fault_streaming`](Self::resolve_fault_streaming));
-    /// smaller ones keep the cheaper one-shot exchange.
-    fn resolve_fault_unlocked(&self, proxy: &ProxyOut) -> Result<()> {
-        if matches!(proxy.mode, WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS) {
-            return self.resolve_fault_streaming(proxy);
-        }
-        let _span = trace::span(&self.shared.clock, "obi.fault")
-            .with_site(self.shared.site)
-            .with_obj(proxy.target);
-        let remote = RemoteRef::new(proxy.target, proxy.provider);
-        let deadline = self.demand_deadline();
-        let start = self.shared.clock.virtual_nanos();
-        let batch = self
-            .shared
-            .client
-            .get_with_deadline(&remote, proxy.mode, Some(deadline));
-        let waited = self.shared.clock.virtual_nanos().saturating_sub(start);
-        self.shared.metrics.add_fault_nanos(waited);
-        self.shared
-            .metrics
-            .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
-        let batch = batch?;
-        self.with_inner(|inner| {
-            materialize_batch_guarded(inner, &self.shared, &batch, proxy.provider, proxy.mode)?;
-            self.shared.clock.charge_cpu(self.shared.costs.swizzle);
-            self.shared.metrics.incr_proxies_reclaimed();
-            Ok(())
-        })
-    }
-
-    /// Streamed top-level fault resolution: the provider slices the batch
-    /// into chunk frames, and only chunk 0 — which carries the faulted root
-    /// the blocked invocation is waiting on — is materialized inside the
-    /// fault window. Every later chunk is parked in `pending_chunks` as it
-    /// arrives and installed by [`ObiProcess::pump_pending_chunks`] before
-    /// the *next* operation's latency window opens. The caller-visible
-    /// fault cost is thereby one chunk's materialization regardless of the
-    /// batch step — the whole point of the streaming reply protocol.
-    fn resolve_fault_streaming(&self, proxy: &ProxyOut) -> Result<()> {
-        let _span = trace::span(&self.shared.clock, "obi.fault")
-            .with_site(self.shared.site)
-            .with_obj(proxy.target);
-        let deadline = self.demand_deadline();
-        let provider = proxy.provider;
-        let mode = proxy.mode;
-        let start = self.shared.clock.virtual_nanos();
-        let mut inline_result: Result<()> = Ok(());
-        let streamed = self.shared.client.get_many_stream_with_deadline(
-            provider,
-            vec![proxy.target],
-            mode,
-            Some(deadline),
-            &mut |index, batch| {
-                if index == 0 {
-                    // Re-acquire the process lock only for the root's
-                    // chunk; chunk k+1 keeps flowing while this installs.
-                    inline_result = self.with_inner(|inner| {
-                        materialize_batch_guarded(inner, &self.shared, &batch, provider, mode)?;
-                        self.shared.clock.charge_cpu(self.shared.costs.swizzle);
-                        self.shared.metrics.incr_proxies_reclaimed();
-                        Ok(())
-                    });
-                } else {
-                    self.shared.pending_chunks.lock().push_back(PendingChunk {
-                        batch,
-                        provider,
-                        mode,
-                        chunk_index: index,
-                    });
-                }
-            },
-        );
-        let waited = self.shared.clock.virtual_nanos().saturating_sub(start);
-        self.shared.metrics.add_fault_nanos(waited);
-        self.shared
-            .metrics
-            .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
-        streamed?;
-        inline_result
+    /// [`demand_install`] from outside the process lock: the lock is
+    /// dropped for the network wait and re-entered once per piece.
+    fn demand(
+        &self,
+        provider: SiteId,
+        targets: &[ObjId],
+        mode: WireMode,
+        how: Handling,
+    ) -> Result<Installed> {
+        let mut reenter = |install: &mut dyn FnMut(&mut ProcessInner) -> Result<usize>| {
+            self.with_inner(install)
+        };
+        demand_install(&self.shared, &mut reenter, provider, targets, mode, how)
     }
 
     /// Materializes every reply chunk parked by a streamed fault, oldest
@@ -1344,13 +1327,8 @@ impl ObiProcess {
             // swapped, say) drops the chunk: its objects simply fault again
             // later, exactly as if the chunk had been lost on the wire.
             let installed = self.with_inner(|inner| {
-                materialize_batch_guarded(
-                    inner,
-                    &self.shared,
-                    &chunk.batch,
-                    chunk.provider,
-                    chunk.mode,
-                )
+                let PendingChunk { batch, provider, mode, .. } = &chunk;
+                materialize_batch(inner, &self.shared, batch, *provider, *mode, true)
             });
             if installed.is_ok() {
                 pumped += 1;
@@ -1677,22 +1655,9 @@ impl ObiProcess {
                 )),
             }
         })?;
-        let remote = RemoteRef::new(target.id(), provider);
-        let batch = self
-            .shared
-            .client
-            .get(&remote, WireMode::Incremental { batch: 1 })?;
+        let mode = WireMode::Incremental { batch: 1 };
+        self.demand(provider, &[target.id()], mode, Handling::default())?;
         self.shared.metrics.incr_refreshes();
-        self.with_inner(|inner| {
-            materialize_batch(
-                inner,
-                &self.shared,
-                &batch,
-                provider,
-                WireMode::Incremental { batch: 1 },
-            )
-            .map(|_| ())
-        })?;
         // The replica now matches its master: any pending dirty delta in
         // the log is moot.
         if let Some(durable) = self.shared.durable.get() {
@@ -1758,19 +1723,18 @@ impl ObiProcess {
                 )),
             }
         })?;
-        let remote = RemoteRef::new(root, provider);
         let mode = WireMode::Cluster { size: size.max(1) as u32 };
-        let batch = self.shared.client.get(&remote, mode)?;
+        let fetched = self.demand(provider, &[root], mode, Handling::default())?;
         self.shared.metrics.incr_refreshes();
-        let fetched = batch.replicas.len();
-        let new_cluster = batch.cluster.ok_or_else(|| {
+        let new_cluster = fetched.cluster.ok_or_else(|| {
             ObiError::Internal("cluster get returned a non-cluster batch".into())
         })?;
+        // The provider minted a new generation; the old id stops resolving.
         self.with_inner(|inner| {
             inner.cluster_roots.remove(&cluster);
-            materialize_batch(inner, &self.shared, &batch, provider, mode)
+            Ok(())
         })?;
-        Ok((new_cluster, fetched))
+        Ok((new_cluster, fetched.replicas))
     }
 
     /// Subscribes this process to consistency traffic for a replica it
@@ -2127,10 +2091,19 @@ impl ProcessService {
         move || ClusterId::new(site, current)
     }
 
-    /// Shared tail of the `get`/`get_many` handlers: charge provider-side
-    /// marshalling and register proxy-ins so replicas can be individually
+    /// The serve-get fast path: builds the batch straight off the sharded
+    /// space, one shard read at a time, *without* the process lock. Remote
+    /// readers therefore scale with the shard count while local invocations
+    /// keep serializing on the process lock. Charges provider-side
+    /// marshalling and registers proxy-ins so replicas can be individually
     /// updated (one per object) or cluster-updated (root only).
-    fn finish_get(&self, batch: ReplicaBatch) -> Result<ReplicaBatch> {
+    ///
+    /// The one semantic difference from the locked path: a slot owned by an
+    /// in-flight invocation reads as `Busy` (the locked path would have
+    /// waited the invocation out). Callers retry under the process lock on
+    /// any error, which restores exactly the old blocking behavior.
+    fn serve_get_many_fast(&self, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
+        let batch = build_batch_many(&self.shared.space, targets, mode, self.next_cluster())?;
         self.shared
             .clock
             .charge_cpu(self.shared.costs.serialize(batch.state_bytes()));
@@ -2147,25 +2120,6 @@ impl ProcessService {
         }
         drop(exports);
         Ok(batch)
-    }
-
-    /// The serve-get fast path: builds the batch straight off the sharded
-    /// space, one shard read at a time, *without* the process lock. Remote
-    /// readers therefore scale with the shard count while local invocations
-    /// keep serializing on the process lock.
-    ///
-    /// The one semantic difference from the locked path: a slot owned by an
-    /// in-flight invocation reads as `Busy` (the locked path would have
-    /// waited the invocation out). Callers retry under the process lock on
-    /// any error, which restores exactly the old blocking behavior.
-    fn serve_get_fast(&self, target: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
-        let batch = build_batch(&self.shared.space, target, mode, self.next_cluster())?;
-        self.finish_get(batch)
-    }
-
-    fn serve_get_many_fast(&self, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
-        let batch = build_batch_many(&self.shared.space, targets, mode, self.next_cluster())?;
-        self.finish_get(batch)
     }
 }
 
@@ -2234,25 +2188,15 @@ impl RmiService for ProcessService {
         result
     }
 
-    fn get(&self, _from: SiteId, target: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
-        let _span = trace::span(&self.shared.clock, "obi.serve_get")
-            .with_site(self.shared.site)
-            .with_obj(target);
-        match self.serve_get_fast(target, mode) {
-            Ok(batch) => Ok(batch),
-            // A miss may mean a concurrent invocation holds the slot Busy;
-            // the process lock waits every invocation out, then the slot is
-            // live again (or genuinely absent).
-            Err(_) => self.with_inner(|_inner| self.serve_get_fast(target, mode)),
-        }
-    }
-
     fn get_many(&self, _from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
         let _span = trace::span(&self.shared.clock, "obi.serve_get_many")
             .with_site(self.shared.site)
             .with_value(targets.len() as u64);
         match self.serve_get_many_fast(targets, mode) {
             Ok(batch) => Ok(batch),
+            // A miss may mean a concurrent invocation holds the slot Busy;
+            // the process lock waits every invocation out, then the slot is
+            // live again (or genuinely absent).
             Err(_) => self.with_inner(|_inner| self.serve_get_many_fast(targets, mode)),
         }
     }

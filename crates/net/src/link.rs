@@ -1,6 +1,10 @@
-//! Link models and the network topology.
+//! Link models, the network topology, and the one link leg every
+//! in-process transport sends its frames across.
 
-use obiwan_util::{DetRng, SiteId};
+use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use bytes::Bytes;
+use obiwan_util::sync::{Mutex, RwLock};
+use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -322,6 +326,169 @@ impl Topology {
             for &b in group_b {
                 self.set_pair_state_symmetric(a, b, LinkState::Up);
             }
+        }
+    }
+}
+
+/// Which leg of an exchange a frame rides; selects the fault lotteries
+/// drawn for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    /// A request or one-way frame.
+    Request,
+    /// The (terminal) reply frame of a call.
+    Reply,
+    /// One intermediate chunk frame of a streamed reply.
+    Chunk,
+}
+
+/// How one delivered frame arrives: `dup` twice, `hold` after its
+/// successor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Arrival {
+    pub(crate) dup: bool,
+    pub(crate) hold: bool,
+}
+
+/// How a transport passes a leg's modeled delay.
+pub(crate) enum Pace {
+    /// Charged to a virtual clock, which also stamps the trace events.
+    /// Handlers run on the caller's stack, where a request can arrive
+    /// twice: request legs draw the duplicate lottery.
+    Virtual(Clock),
+    /// Slept, scaled by this factor (`0.0` = not at all); trace events go
+    /// unstamped. A request is queued to its receiver thread exactly once,
+    /// so no duplicate lottery is drawn for it.
+    Real(f64),
+}
+
+/// The modeled network under an in-process transport: its links, the
+/// fault-lottery stream, and the counters and event trace every leg feeds.
+pub(crate) struct LinkLayer {
+    pub(crate) topology: RwLock<Topology>,
+    pub(crate) rng: Mutex<DetRng>,
+    pub(crate) trace: NetTrace,
+    pub(crate) metrics: Metrics,
+    pace: Pace,
+}
+
+impl LinkLayer {
+    pub(crate) fn new(topology: Topology, seed: u64, pace: Pace) -> Self {
+        LinkLayer {
+            topology: RwLock::new(topology),
+            rng: Mutex::new(DetRng::new(seed)),
+            trace: NetTrace::new(),
+            metrics: Metrics::new(),
+            pace,
+        }
+    }
+
+    /// Sends one frame of `bytes` across `from -> to`: topology check,
+    /// transfer time and fault lottery (drawn in a fixed order, so seeded
+    /// runs replay), metrics, trace event.
+    pub(crate) fn traverse(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        bytes: usize,
+        leg: Leg,
+    ) -> Result<Arrival> {
+        let event = |kind| {
+            self.trace.record(NetEvent {
+                at_nanos: match &self.pace {
+                    Pace::Virtual(clock) => clock.virtual_nanos(),
+                    Pace::Real(_) => 0,
+                },
+                from,
+                to,
+                bytes,
+                kind,
+                is_reply: leg != Leg::Request,
+            });
+        };
+        let (delay, lost, dup, hold) = {
+            let topology = self.topology.read();
+            if !topology.is_up(from, to) {
+                event(NetEventKind::Refused);
+                return Err(ObiError::Disconnected { from, to });
+            }
+            let link = topology.link(from, to);
+            let mut rng = self.rng.lock();
+            let delay = link.transfer_time(bytes, &mut rng);
+            let (lost, dup, hold) = match leg {
+                Leg::Request => (
+                    link.drops(&mut rng),
+                    matches!(self.pace, Pace::Virtual(_)) && link.duplicates(&mut rng),
+                    false,
+                ),
+                Leg::Reply => (
+                    link.drops(&mut rng) || link.drops_reply(&mut rng),
+                    false,
+                    false,
+                ),
+                Leg::Chunk => (
+                    link.drops(&mut rng) || link.drops_chunk(&mut rng),
+                    link.duplicates_chunk(&mut rng),
+                    link.reorders_chunk(&mut rng),
+                ),
+            };
+            (delay, lost, dup, hold)
+        };
+        match &self.pace {
+            Pace::Virtual(clock) => clock.charge(delay),
+            Pace::Real(scale) if *scale > 0.0 => std::thread::sleep(delay.mul_f64(*scale)),
+            Pace::Real(_) => {}
+        }
+        self.metrics.incr_messages_sent();
+        self.metrics.add_bytes_sent(bytes as u64);
+        if lost {
+            event(NetEventKind::Dropped);
+            return Err(ObiError::MessageLost { from, to });
+        }
+        self.metrics.incr_messages_received();
+        self.metrics.add_bytes_received(bytes as u64);
+        event(NetEventKind::Delivered);
+        Ok(Arrival { dup, hold })
+    }
+}
+
+/// Hands streamed reply chunks to the caller in arrival order. At most one
+/// is held back at a time, delivering after its successor (pairwise
+/// reordering); one whose leg failed is gone, a hole for the terminal frame.
+#[derive(Default)]
+pub(crate) struct ChunkDelivery {
+    held: Option<Bytes>,
+}
+
+impl ChunkDelivery {
+    /// Delivers `chunk` according to the `fate` its [`Leg::Chunk`] drew.
+    pub(crate) fn deliver(
+        &mut self,
+        chunk: Bytes,
+        fate: Result<Arrival>,
+        on_frame: &mut dyn FnMut(Bytes),
+    ) {
+        let Ok(Arrival { dup, hold }) = fate else {
+            return;
+        };
+        if hold {
+            if let Some(prev) = self.held.replace(chunk) {
+                on_frame(prev);
+            }
+        } else {
+            on_frame(chunk.clone());
+            if dup {
+                on_frame(chunk);
+            }
+            self.close(on_frame);
+        }
+    }
+
+    /// Releases a chunk still held when its successor (or the end of the
+    /// stream) arrives: nothing later remains to overtake it.
+    pub(crate) fn close(&mut self, on_frame: &mut dyn FnMut(Bytes)) {
+        if let Some(prev) = self.held.take() {
+            on_frame(prev);
         }
     }
 }

@@ -6,13 +6,13 @@
 //! machines. Link latency can optionally be *slept* (scaled), which is
 //! useful in examples; by default frames move as fast as the threads do.
 
-use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use crate::link::{ChunkDelivery, Leg, LinkLayer, Pace, Topology};
+use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
-use obiwan_util::{DetRng, Metrics, ObiError, Result, SiteId};
-use obiwan_util::sync::{Mutex, RwLock};
+use obiwan_util::{Metrics, ObiError, Result, SiteId};
+use obiwan_util::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -78,13 +78,8 @@ pub struct MemTransport {
 }
 
 struct MemInner {
-    topology: RwLock<Topology>,
+    links: LinkLayer,
     sites: RwLock<HashMap<SiteId, SiteHandle>>,
-    rng: Mutex<DetRng>,
-    trace: NetTrace,
-    metrics: Metrics,
-    /// Fraction of modeled link delay to actually sleep (0.0 = none).
-    delay_scale: f64,
     call_timeout: Duration,
 }
 
@@ -113,14 +108,11 @@ impl MemTransport {
     /// modeled link delays (`0.0` disables sleeping, `1.0` sleeps the full
     /// modeled delay), and a request timeout.
     pub fn with_options(topology: Topology, delay_scale: f64, call_timeout: Duration) -> Self {
+        let pace = Pace::Real(delay_scale.max(0.0));
         MemTransport {
             inner: Arc::new(MemInner {
-                topology: RwLock::new(topology),
+                links: LinkLayer::new(topology, 0xD15C_0CAF_E000_0001, pace),
                 sites: RwLock::new(HashMap::new()),
-                rng: Mutex::new(DetRng::new(0xD15C_0CAF_E000_0001)),
-                trace: NetTrace::new(),
-                metrics: Metrics::new(),
-                delay_scale: delay_scale.max(0.0),
                 call_timeout,
             }),
         }
@@ -128,17 +120,17 @@ impl MemTransport {
 
     /// The event trace (disabled until `set_enabled(true)`).
     pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
+        &self.inner.links.trace
     }
 
     /// Transport-level metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        &self.inner.links.metrics
     }
 
     /// Runs `f` with mutable access to the topology.
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        f(&mut self.inner.links.topology.write())
     }
 
     /// Convenience: disconnect `site` from everyone.
@@ -229,113 +221,6 @@ impl MemTransport {
         }
     }
 
-    /// Computes one leg's modeled delay, samples loss, sleeps if configured.
-    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, is_reply: bool) -> Result<()> {
-        let (delay, lost) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: 0,
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply,
-                });
-                return Err(ObiError::Disconnected { from, to });
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || (is_reply && link.drops_reply(&mut rng)),
-            )
-        };
-        if self.inner.delay_scale > 0.0 {
-            std::thread::sleep(delay.mul_f64(self.inner.delay_scale));
-        }
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply,
-            });
-            return Err(ObiError::MessageLost { from, to });
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply,
-        });
-        Ok(())
-    }
-
-    /// Chunk leg: like [`MemTransport::traverse`] for one streamed reply
-    /// frame, sampling the per-chunk fault knobs. Returns `None` when the
-    /// chunk is lost; on delivery, whether it arrives duplicated and
-    /// whether it is held back past its successor.
-    fn traverse_chunk(&self, from: SiteId, to: SiteId, bytes: usize) -> Option<(bool, bool)> {
-        let (delay, lost, dup, hold) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: 0,
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply: true,
-                });
-                return None;
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || link.drops_chunk(&mut rng),
-                link.duplicates_chunk(&mut rng),
-                link.reorders_chunk(&mut rng),
-            )
-        };
-        if self.inner.delay_scale > 0.0 {
-            std::thread::sleep(delay.mul_f64(self.inner.delay_scale));
-        }
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply: true,
-            });
-            return None;
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply: true,
-        });
-        Some((dup, hold))
-    }
-
     fn sender_for(&self, site: SiteId) -> Result<Sender<Envelope>> {
         self.inner
             .sites
@@ -364,7 +249,7 @@ impl Transport for MemTransport {
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
         let tx = self.sender_for(to)?;
-        self.traverse(from, to, frame.len(), false)?;
+        self.inner.links.traverse(from, to, frame.len(), Leg::Request)?;
         let (reply_tx, reply_rx) = bounded(1);
         tx.send(Envelope::Request {
             from,
@@ -378,7 +263,7 @@ impl Transport for MemTransport {
             .ok_or_else(|| {
                 ObiError::Internal(format!("site {to} produced no reply to a request"))
             })?;
-        self.traverse(to, from, reply.len(), true)?;
+        self.inner.links.traverse(to, from, reply.len(), Leg::Reply)?;
         Ok(reply)
     }
 
@@ -390,7 +275,7 @@ impl Transport for MemTransport {
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
         let tx = self.sender_for(to)?;
-        self.traverse(from, to, frame.len(), false)?;
+        self.inner.links.traverse(from, to, frame.len(), Leg::Request)?;
         let (stream_tx, stream_rx) = unbounded();
         tx.send(Envelope::Stream {
             from,
@@ -400,35 +285,19 @@ impl Transport for MemTransport {
         .map_err(|_| ObiError::SiteUnreachable(to))?;
         // Drain frames as the remote worker produces them: the caller
         // processes chunk k here while the handler builds k+1 over there.
-        let mut held: Option<Bytes> = None;
+        let mut delivery = ChunkDelivery::default();
         loop {
             match stream_rx.recv_timeout(self.inner.call_timeout) {
                 Ok(StreamFrame::Chunk(chunk)) => {
-                    let Some((dup, hold)) = self.traverse_chunk(to, from, chunk.len()) else {
-                        continue; // lost chunk: the hole surfaces at the terminal
-                    };
-                    if hold {
-                        if let Some(prev) = held.replace(chunk) {
-                            on_frame(prev);
-                        }
-                    } else {
-                        on_frame(chunk.clone());
-                        if dup {
-                            on_frame(chunk);
-                        }
-                        if let Some(prev) = held.take() {
-                            on_frame(prev);
-                        }
-                    }
+                    let fate = self.inner.links.traverse(to, from, chunk.len(), Leg::Chunk);
+                    delivery.deliver(chunk, fate, on_frame);
                 }
                 Ok(StreamFrame::Done(out)) => {
-                    if let Some(prev) = held.take() {
-                        on_frame(prev);
-                    }
+                    delivery.close(on_frame);
                     let reply = out.ok_or_else(|| {
                         ObiError::Internal(format!("site {to} produced no reply to a request"))
                     })?;
-                    self.traverse(to, from, reply.len(), true)?;
+                    self.inner.links.traverse(to, from, reply.len(), Leg::Reply)?;
                     return Ok(reply);
                 }
                 Err(_) => return Err(ObiError::SiteUnreachable(to)),
@@ -438,8 +307,8 @@ impl Transport for MemTransport {
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
         let tx = self.sender_for(to)?;
-        match self.traverse(from, to, frame.len(), false) {
-            Ok(()) => {
+        match self.inner.links.traverse(from, to, frame.len(), Leg::Request) {
+            Ok(_) => {
                 tx.send(Envelope::OneWay { from, frame })
                     .map_err(|_| ObiError::SiteUnreachable(to))?;
                 Ok(())
@@ -450,7 +319,8 @@ impl Transport for MemTransport {
     }
 
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool {
-        self.inner.sites.read().contains_key(&to) && self.inner.topology.read().is_up(from, to)
+        self.inner.sites.read().contains_key(&to)
+            && self.inner.links.topology.read().is_up(from, to)
     }
 }
 

@@ -6,8 +6,8 @@
 //! fixed seed, runs are fully deterministic — which is what the figure
 //! harness and the property tests rely on.
 
-use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use crate::link::{Arrival, ChunkDelivery, Leg, LinkLayer, Pace, Topology};
+use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
@@ -33,11 +33,8 @@ pub struct SimTransport {
 
 struct SimInner {
     clock: Clock,
-    topology: RwLock<Topology>,
+    links: LinkLayer,
     handlers: RwLock<HashMap<SiteId, Arc<dyn MessageHandler>>>,
-    rng: Mutex<DetRng>,
-    trace: NetTrace,
-    metrics: Metrics,
     /// Scheduled connectivity changes, kept sorted by due time.
     schedule: Mutex<Vec<(u64, ScheduledChange)>>,
     /// One-way frames held back by a link's reorder lottery; they deliver
@@ -79,12 +76,9 @@ impl SimTransport {
     pub fn with_topology(clock: Clock, topology: Topology) -> Self {
         SimTransport {
             inner: Arc::new(SimInner {
+                links: LinkLayer::new(topology, DEFAULT_SEED, Pace::Virtual(clock.clone())),
                 clock,
-                topology: RwLock::new(topology),
                 handlers: RwLock::new(HashMap::new()),
-                rng: Mutex::new(DetRng::new(DEFAULT_SEED)),
-                trace: NetTrace::new(),
-                metrics: Metrics::new(),
                 schedule: Mutex::new(Vec::new()),
                 held: Mutex::new(VecDeque::new()),
             }),
@@ -93,7 +87,7 @@ impl SimTransport {
 
     /// Replaces the deterministic seed used for jitter and loss sampling.
     pub fn reseed(&self, seed: u64) {
-        *self.inner.rng.lock() = DetRng::new(seed);
+        *self.inner.links.rng.lock() = DetRng::new(seed);
     }
 
     /// The shared clock network time is charged to.
@@ -103,18 +97,18 @@ impl SimTransport {
 
     /// The event trace (disabled until `set_enabled(true)`).
     pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
+        &self.inner.links.trace
     }
 
     /// Transport-level metrics (messages/bytes sent and received).
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        &self.inner.links.metrics
     }
 
     /// Runs `f` with mutable access to the topology (set links, disconnect
     /// sites, create partitions).
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        f(&mut self.inner.links.topology.write())
     }
 
     /// Convenience: disconnect `site` from everyone.
@@ -160,9 +154,9 @@ impl SimTransport {
                 continue;
             };
             // A late one-way frame that the link lost or refused is gone.
-            if let Ok(dup) = self.traverse(from, to, frame.len(), false) {
+            if let Ok(arrival) = self.traverse(from, to, frame.len(), Leg::Request) {
                 handler.handle(from, frame.clone());
-                if dup {
+                if arrival.dup {
                     handler.handle(from, frame);
                 }
             }
@@ -192,7 +186,7 @@ impl SimTransport {
                 }
             };
             let Some(change) = change else { return };
-            let mut topology = self.inner.topology.write();
+            let mut topology = self.inner.links.topology.write();
             match change {
                 ScheduledChange::Disconnect(site) => topology.disconnect(site),
                 ScheduledChange::Reconnect(site) => topology.reconnect(site),
@@ -206,119 +200,17 @@ impl SimTransport {
         }
     }
 
-    /// Charges one leg's transfer time and loss lottery. On delivery,
-    /// returns whether the frame also came in duplicated (request legs
-    /// only: a duplicated reply is invisible to a synchronous caller).
-    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, is_reply: bool) -> Result<bool> {
+    /// Sends one frame across `from -> to`, after due connectivity changes.
+    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, leg: Leg) -> Result<Arrival> {
         self.apply_due_changes();
-        let (delay, lost, dup) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: self.inner.clock.virtual_nanos(),
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply,
-                });
-                return Err(ObiError::Disconnected { from, to });
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || (is_reply && link.drops_reply(&mut rng)),
-                !is_reply && link.duplicates(&mut rng),
-            )
-        };
-        self.inner.clock.charge(delay);
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: self.inner.clock.virtual_nanos(),
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply,
-            });
-            return Err(ObiError::MessageLost { from, to });
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: self.inner.clock.virtual_nanos(),
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply,
-        });
-        Ok(dup)
-    }
-
-    /// Charges one streamed reply chunk's physics and samples its fault
-    /// lottery. Returns `None` when the chunk is lost (or the link went
-    /// down mid-stream); on delivery, whether the chunk arrives duplicated
-    /// and whether it is held back past its successor.
-    fn traverse_chunk(&self, from: SiteId, to: SiteId, bytes: usize) -> Option<(bool, bool)> {
-        self.apply_due_changes();
-        let (delay, lost, dup, hold) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: self.inner.clock.virtual_nanos(),
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply: true,
-                });
-                return None;
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || link.drops_chunk(&mut rng),
-                link.duplicates_chunk(&mut rng),
-                link.reorders_chunk(&mut rng),
-            )
-        };
-        self.inner.clock.charge(delay);
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: self.inner.clock.virtual_nanos(),
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply: true,
-            });
-            return None;
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: self.inner.clock.virtual_nanos(),
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply: true,
-        });
-        Some((dup, hold))
+        self.inner.links.traverse(from, to, bytes, leg)
     }
 
     /// Samples the reorder lottery for a one-way frame `from -> to`.
     fn should_reorder(&self, from: SiteId, to: SiteId) -> bool {
-        let topology = self.inner.topology.read();
+        let topology = self.inner.links.topology.read();
         let link = topology.link(from, to);
-        link.reorders(&mut self.inner.rng.lock())
+        link.reorders(&mut self.inner.links.rng.lock())
     }
 
     fn handler_for(&self, site: SiteId) -> Result<Arc<dyn MessageHandler>> {
@@ -344,8 +236,7 @@ impl Transport for SimTransport {
         let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
         span.set_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
-        let dup = self.traverse(from, to, frame.len(), false)?;
-        if dup {
+        if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
             // The duplicate arrives first and its reply evaporates (the
             // synchronous caller only reads one). A reply-cache server
             // answers both executions identically; a bare handler runs its
@@ -355,7 +246,7 @@ impl Transport for SimTransport {
         let reply = handler.handle(from, frame).ok_or_else(|| {
             ObiError::Internal(format!("site {to} produced no reply to a request"))
         })?;
-        self.traverse(to, from, reply.len(), true)?;
+        self.traverse(to, from, reply.len(), Leg::Reply)?;
         self.flush_reordered();
         Ok(reply)
     }
@@ -370,48 +261,27 @@ impl Transport for SimTransport {
         let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
         span.set_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
-        let dup = self.traverse(from, to, frame.len(), false)?;
-        if dup {
+        if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
             // The duplicated request opens a whole stream whose frames a
             // synchronous caller never reads: they evaporate into a null
             // sink, but the handler still runs — the reply-cache dedup
             // hazard, stream edition.
             let _ = handler.handle_stream(from, frame.clone(), &mut |_| {});
         }
-        // Each chunk rides the reply link with its own fault lottery; at
-        // most one chunk is held back at a time, delivering after its
-        // successor (pairwise reordering, like the one-way `held` queue).
-        let mut held: Option<Bytes> = None;
-        let reply = {
-            let mut sink = |chunk: Bytes| {
-                let Some((dup, hold)) = self.traverse_chunk(to, from, chunk.len()) else {
-                    return; // lost: the hole surfaces at the terminal frame
-                };
-                if hold {
-                    if let Some(prev) = held.replace(chunk) {
-                        on_frame(prev);
-                    }
-                } else {
-                    on_frame(chunk.clone());
-                    if dup {
-                        on_frame(chunk);
-                    }
-                    if let Some(prev) = held.take() {
-                        on_frame(prev);
-                    }
-                }
-            };
-            handler.handle_stream(from, frame, &mut sink)
-        }
-        .ok_or_else(|| {
-            ObiError::Internal(format!("site {to} produced no reply to a request"))
-        })?;
+        // Each chunk rides the reply link with its own fault lottery.
+        let mut delivery = ChunkDelivery::default();
+        let reply = handler
+            .handle_stream(from, frame, &mut |chunk| {
+                let fate = self.traverse(to, from, chunk.len(), Leg::Chunk);
+                delivery.deliver(chunk, fate, on_frame);
+            })
+            .ok_or_else(|| {
+                ObiError::Internal(format!("site {to} produced no reply to a request"))
+            })?;
         // A chunk still held when the stream closes arrives before the
-        // terminal frame (nothing later remains to overtake it).
-        if let Some(prev) = held.take() {
-            on_frame(prev);
-        }
-        self.traverse(to, from, reply.len(), true)?;
+        // terminal frame.
+        delivery.close(on_frame);
+        self.traverse(to, from, reply.len(), Leg::Reply)?;
         self.flush_reordered();
         Ok(reply)
     }
@@ -427,10 +297,10 @@ impl Transport for SimTransport {
             self.inner.held.lock().push_back((from, to, frame));
             return Ok(());
         }
-        match self.traverse(from, to, frame.len(), false) {
-            Ok(dup) => {
+        match self.traverse(from, to, frame.len(), Leg::Request) {
+            Ok(arrival) => {
                 handler.handle(from, frame.clone());
-                if dup {
+                if arrival.dup {
                     handler.handle(from, frame);
                 }
                 self.flush_reordered();
@@ -444,7 +314,8 @@ impl Transport for SimTransport {
 
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool {
         self.apply_due_changes();
-        self.inner.handlers.read().contains_key(&to) && self.inner.topology.read().is_up(from, to)
+        self.inner.handlers.read().contains_key(&to)
+            && self.inner.links.topology.read().is_up(from, to)
     }
 }
 
@@ -455,6 +326,7 @@ const DEFAULT_SEED: u64 = 0x0B1A_57ED_0000_CAFE;
 mod tests {
     use super::*;
     use crate::conditions;
+    use crate::trace::NetEventKind;
     use obiwan_util::{ClockMode, ObjId};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;

@@ -13,14 +13,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Objects per chunk frame on the streaming demand path
-/// ([`RmiClient::get_many_stream`]).
+/// Objects per chunk frame of a streamed demand, and the batch step above
+/// which [`RmiClient::demand`] streams at all.
 ///
 /// Small enough that the first chunk materializes within one link delay of
 /// arriving, large enough that per-frame overhead stays a rounding error on
-/// paper-testbed batches. Callers stream only when a batch exceeds this, so
-/// small batches keep the cheaper one-shot exchange.
-pub const STREAM_CHUNK_OBJECTS: u32 = 8;
+/// paper-testbed batches. Smaller batches keep the cheaper one-shot
+/// exchange.
+const STREAM_CHUNK_OBJECTS: u32 = 8;
+
+/// What one attempt of a call came to (see [`RmiClient::retrying`]).
+enum Attempt<T> {
+    /// The call is over: a reply in hand, or an error retrying cannot help
+    /// (disconnection, refusal, a server-side failure).
+    Done(Result<T>),
+    /// The exchange fell short (a frame lost or timed out, a stream left
+    /// with a hole): retry, or fail with this once the budget is spent.
+    Retry(ObiError),
+}
+
+impl<T> Attempt<T> {
+    /// Classifies a transport outcome: loss and timeouts are retryable,
+    /// anything else surfaces immediately.
+    fn of(sent: Result<T>) -> Self {
+        match sent {
+            Err(e @ (ObiError::MessageLost { .. } | ObiError::Timeout { .. })) => Attempt::Retry(e),
+            done => Attempt::Done(done),
+        }
+    }
+}
 
 /// Issues OBIWAN requests from one site and correlates their replies.
 ///
@@ -178,17 +199,21 @@ impl RmiClient {
         self.round_trip_inner(to, msg, None)
     }
 
-    /// One call under the retry machinery: breaker admission, retries with
-    /// jittered backoff on `MessageLost`/`Timeout`, all bounded by
-    /// `deadline` (or the policy's default budget when `None`).
-    fn round_trip_inner(
+    /// One call under the retry machinery: breaker admission, then
+    /// `attempt` (told how many retries preceded it) re-run with jittered
+    /// backoff while it reports [`Attempt::Retry`], all bounded by
+    /// `deadline` (or the policy's default budget when `None`). One
+    /// finished call is one breaker event and settles `request`, however
+    /// many attempts it took.
+    fn retrying<T>(
         &self,
         to: SiteId,
-        msg: &Message,
+        request: Option<RequestId>,
         deadline: Option<Deadline>,
-    ) -> Result<Message> {
+        attempt: &mut dyn FnMut(u64) -> Attempt<T>,
+    ) -> Result<T> {
         let mut span = trace::span(&self.clock, "rpc.round_trip").with_site(self.site);
-        if let Some(id) = msg.request_id() {
+        if let Some(id) = request {
             span = span.with_req(id);
         }
         let policy = *self.policy.lock();
@@ -199,36 +224,27 @@ impl RmiClient {
             self.metrics.incr_breaker_fast_fails();
             return Err(ObiError::SiteUnreachable(to));
         }
-        let frame = msg.encode();
         self.clock.charge_cpu(self.costs.rmi_dispatch);
-        self.clock.charge_cpu(self.costs.serialize(frame.len()));
-        let mut attempt = 0u64;
+        let mut retries = 0u64;
         let mut backoff = policy.base_backoff;
         let outcome = loop {
-            self.metrics.add_bytes_sent(frame.len() as u64);
-            match self.transport.call(self.site, to, frame.clone()) {
-                Ok(reply) => break Ok(reply),
-                Err(e @ (ObiError::MessageLost { .. } | ObiError::Timeout { .. })) => {
-                    if attempt >= policy.max_retries {
-                        break Err(e);
-                    }
-                    if deadline.expired(&self.clock) {
-                        break Err(ObiError::Timeout { to });
-                    }
-                    attempt += 1;
-                    self.metrics.incr_rpc_retries();
-                    backoff = policy.next_backoff(backoff, &mut self.backoff_rng.lock());
-                    self.backoff_sleep(backoff.min(deadline.remaining(&self.clock)));
-                }
-                // Anything else (disconnection, refusal, server error)
-                // surfaces immediately: retrying cannot help.
-                Err(e) => break Err(e),
+            let shortfall = match attempt(retries) {
+                Attempt::Done(result) => break result,
+                Attempt::Retry(e) => e,
+            };
+            if retries >= policy.max_retries {
+                break Err(shortfall);
             }
+            if deadline.expired(&self.clock) {
+                break Err(ObiError::Timeout { to });
+            }
+            retries += 1;
+            self.metrics.incr_rpc_retries();
+            backoff = policy.next_backoff(backoff, &mut self.backoff_rng.lock());
+            self.backoff_sleep(backoff.min(deadline.remaining(&self.clock)));
         };
         // The span's value is the number of retries this call needed.
-        span.set_value(attempt);
-        // Call-level accounting: one finished call is one breaker event,
-        // however many attempts it took.
+        span.set_value(retries);
         match &outcome {
             Ok(_) => self.breaker.on_success(to),
             Err(e) if e.is_connectivity() => self.breaker.on_failure(to, self.now_nanos()),
@@ -236,10 +252,28 @@ impl RmiClient {
         }
         // The id is settled either way — this client never resends it —
         // so the server may prune its cached reply.
-        if let Some(id) = msg.request_id() {
+        if let Some(id) = request {
             self.settle(to, id);
         }
-        let reply = outcome?;
+        outcome
+    }
+
+    /// The one-shot exchange: `msg` out (marshalled once, re-sent per
+    /// attempt), one reply frame back.
+    fn round_trip_inner(
+        &self,
+        to: SiteId,
+        msg: &Message,
+        deadline: Option<Deadline>,
+    ) -> Result<Message> {
+        let frame = msg.encode();
+        let reply = self.retrying(to, msg.request_id(), deadline, &mut |retries| {
+            if retries == 0 {
+                self.clock.charge_cpu(self.costs.serialize(frame.len()));
+            }
+            self.metrics.add_bytes_sent(frame.len() as u64);
+            Attempt::of(self.transport.call(self.site, to, frame.clone()))
+        })?;
         self.clock.charge_cpu(self.costs.serialize(reply.len()));
         self.metrics.add_bytes_received(reply.len() as u64);
         Message::decode(&reply)
@@ -301,140 +335,95 @@ impl RmiClient {
         }
     }
 
-    /// `get(mode)`: demand a replica batch rooted at the referenced object.
-    pub fn get(&self, target: &RemoteRef, mode: WireMode) -> Result<ReplicaBatch> {
-        self.get_with_deadline(target, mode, None)
-    }
-
-    /// [`RmiClient::get`] under an explicit deadline budget (`None` uses
-    /// the policy default) — how the demand pipeline threads one budget
-    /// through a whole prefetch sweep.
-    pub fn get_with_deadline(
-        &self,
-        target: &RemoteRef,
-        mode: WireMode,
-        deadline: Option<Deadline>,
-    ) -> Result<ReplicaBatch> {
-        let request = self.next_request();
-        self.metrics.incr_demand_round_trips();
-        let reply = self.round_trip_inner(
-            target.host(),
-            &Message::GetRequest {
-                request,
-                target: target.id(),
-                mode,
-            },
-            deadline,
-        )?;
-        match reply {
-            Message::GetReply { request: id, result } => {
-                self.check_correlation(request, Some(id))?;
-                result
-            }
-            other => Err(unexpected("GetReply", &other)),
-        }
-    }
-
-    /// Batched `get`: demand one merged replica batch covering every object
-    /// in `targets` hosted at `host`. Costs a single round-trip regardless
-    /// of how many targets there are — the point of the demand pipeline.
-    /// Idempotent, so lost messages are retried like `get`.
-    pub fn get_many(
-        &self,
-        host: SiteId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
-    ) -> Result<ReplicaBatch> {
-        self.get_many_with_deadline(host, targets, mode, None)
-    }
-
-    /// [`RmiClient::get_many`] under an explicit deadline budget (`None`
-    /// uses the policy default).
-    pub fn get_many_with_deadline(
-        &self,
-        host: SiteId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
-        deadline: Option<Deadline>,
-    ) -> Result<ReplicaBatch> {
-        let request = self.next_request();
-        self.metrics.incr_demand_round_trips();
-        let reply = self.round_trip_inner(
-            host,
-            &Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            },
-            deadline,
-        )?;
-        match reply {
-            Message::GetManyReply { request: id, result } => {
-                self.check_correlation(request, Some(id))?;
-                result
-            }
-            other => Err(unexpected("GetManyReply", &other)),
-        }
-    }
-
-    /// Streaming `get_many`: the provider's merged batch arrives as a
-    /// sequence of chunk frames, each delivered to `on_chunk` (in chunk
-    /// order, exactly once) as it comes off the wire — so the caller can
-    /// materialize chunk *k* while chunk *k + 1* is still in flight.
+    /// The demand entry point (`IDemandee::demand`, paper §2.2): asks `host`
+    /// for the replica batch behind `targets` and picks the exchange.
     ///
-    /// Costs one demand round-trip however many chunks (and resumes) the
-    /// stream takes. Individual chunks lost, duplicated, or reordered by
-    /// the transport are reassembled here: out-of-order chunks park in a
-    /// bounded buffer, duplicates are dropped, and a stream whose terminal
-    /// frame reveals holes (or never arrives) is *resumed* — the same
-    /// request id is re-sent with `resume_from` at the reassembly frontier,
-    /// so the provider re-streams only the missing suffix.
-    pub fn get_many_stream(
+    /// A caller that can take the batch in pieces passes `on_chunk`. An
+    /// incremental batch above `STREAM_CHUNK_OBJECTS` (8) per target then
+    /// arrives as a stream of chunk frames, each handed to `on_chunk` (in
+    /// chunk order, exactly once) as it comes off the wire, so chunk *k*
+    /// materializes while chunk *k + 1* is in flight; `Ok(None)` is
+    /// returned. Every other demand is one request and one reply frame,
+    /// returned whole as `Ok(Some(batch))`: a lone target travels as a
+    /// `GetRequest` unless it is to be `merged` like a group, a group as
+    /// one `GetManyRequest`.
+    ///
+    /// Either way it is one demand round-trip under one request id, one
+    /// retry budget (`deadline`, or the policy default) and one breaker
+    /// event. Stream chunks lost, duplicated or reordered in transit are
+    /// reassembled here: out-of-order chunks park, duplicates drop, and a
+    /// stream whose terminal reveals holes (or never arrives) is *resumed*
+    /// under the same request id with `resume_from` at the reassembly
+    /// frontier, so the provider re-streams only the missing suffix.
+    pub fn demand(
         &self,
         host: SiteId,
-        targets: Vec<ObjId>,
+        targets: &[ObjId],
+        merged: bool,
         mode: WireMode,
-        on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
-    ) -> Result<()> {
-        self.get_many_stream_with_deadline(host, targets, mode, None, on_chunk)
+        deadline: Option<Deadline>,
+        on_chunk: Option<&mut dyn FnMut(u32, ReplicaBatch)>,
+    ) -> Result<Option<ReplicaBatch>> {
+        let request = self.next_request();
+        self.metrics.incr_demand_round_trips();
+        let large = matches!(mode, WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS);
+        if let Some(on_chunk) = on_chunk.filter(|_| large) {
+            self.demand_stream(host, request, targets, mode, deadline, on_chunk)?;
+            return Ok(None);
+        }
+        let (id, result) = match targets {
+            &[target] if !merged => {
+                let msg = Message::GetRequest {
+                    request,
+                    target,
+                    mode,
+                };
+                match self.round_trip_inner(host, &msg, deadline)? {
+                    Message::GetReply { request, result } => (request, result),
+                    other => return Err(unexpected("GetReply", &other)),
+                }
+            }
+            _ => {
+                let msg = Message::GetManyRequest {
+                    request,
+                    targets: targets.to_vec(),
+                    mode,
+                };
+                match self.round_trip_inner(host, &msg, deadline)? {
+                    Message::GetManyReply { request, result } => (request, result),
+                    other => return Err(unexpected("GetManyReply", &other)),
+                }
+            }
+        };
+        self.check_correlation(request, Some(id))?;
+        result.map(Some)
     }
 
-    /// [`RmiClient::get_many_stream`] under an explicit deadline budget
-    /// (`None` uses the policy default) bounding the whole stream,
-    /// resumes included.
-    pub fn get_many_stream_with_deadline(
+    /// The streamed exchange behind [`RmiClient::demand`]: each attempt
+    /// sends one `GetManyStreamRequest` (marshalled per attempt, since
+    /// `resume_from` moves) and drains chunk frames until the terminal.
+    fn demand_stream(
         &self,
         host: SiteId,
-        targets: Vec<ObjId>,
+        request: RequestId,
+        targets: &[ObjId],
         mode: WireMode,
         deadline: Option<Deadline>,
         on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
     ) -> Result<()> {
-        let request = self.next_request();
-        self.metrics.incr_demand_round_trips();
-        let mut span = trace::span(&self.clock, "rpc.round_trip")
-            .with_site(self.site)
-            .with_req(request);
-        let policy = *self.policy.lock();
-        let deadline =
-            deadline.unwrap_or_else(|| Deadline::after(&self.clock, policy.call_budget));
-        if !self.breaker.admit(host, self.now_nanos()) {
-            self.metrics.incr_breaker_fast_fails();
-            return Err(ObiError::SiteUnreachable(host));
-        }
-        self.clock.charge_cpu(self.costs.rmi_dispatch);
-        // Reassembly state lives *outside* the attempt loop: chunks already
+        // Reassembly state lives *outside* the attempts: chunks already
         // delivered stay delivered across resumes, and `next_expected` is
         // exactly the `resume_from` a retry asks the provider for.
         let mut next_expected: u32 = 0;
         let mut parked: std::collections::BTreeMap<u32, ReplicaBatch> =
             std::collections::BTreeMap::new();
-        let mut attempt = 0u64;
-        let mut backoff = policy.base_backoff;
-        let outcome = loop {
+        self.retrying(host, Some(request), deadline, &mut |retries| {
+            if retries > 0 {
+                self.metrics.incr_stream_resumes();
+            }
             let frame = Message::GetManyStreamRequest {
                 request,
-                targets: targets.clone(),
+                targets: targets.to_vec(),
                 mode,
                 chunk: STREAM_CHUNK_OBJECTS,
                 resume_from: next_expected,
@@ -442,7 +431,7 @@ impl RmiClient {
             .encode();
             self.clock.charge_cpu(self.costs.serialize(frame.len()));
             self.metrics.add_bytes_sent(frame.len() as u64);
-            let call = self.transport.call_stream(self.site, host, frame, &mut |raw| {
+            let sent = self.transport.call_stream(self.site, host, frame, &mut |raw| {
                 self.metrics.add_bytes_received(raw.len() as u64);
                 self.clock.charge_cpu(self.costs.serialize(raw.len()));
                 let Ok(Message::GetManyChunk {
@@ -476,73 +465,45 @@ impl RmiClient {
                     on_chunk(index, batch);
                 }
             });
-            let failure = match call {
-                Ok(reply) => {
-                    self.clock.charge_cpu(self.costs.serialize(reply.len()));
-                    self.metrics.add_bytes_received(reply.len() as u64);
-                    match Message::decode(&reply) {
-                        Ok(Message::GetManyDone {
-                            request: id,
-                            total_chunks,
-                            result,
-                        }) => {
-                            if let Err(e) = self.check_correlation(request, Some(id)) {
-                                break Err(e);
-                            }
-                            match result {
-                                Ok(()) if next_expected >= total_chunks => break Ok(()),
-                                // Lost chunks left a hole below the
-                                // terminal's count: resume, don't restart.
-                                Ok(()) => None,
-                                Err(e) => break Err(e),
-                            }
-                        }
-                        // A transport with no streaming path degrades to the
-                        // one-shot merged reply: accept it as the whole
-                        // stream in one implicit chunk.
-                        Ok(Message::GetManyReply { request: id, result })
-                            if next_expected == 0 =>
-                        {
-                            if let Err(e) = self.check_correlation(request, Some(id)) {
-                                break Err(e);
-                            }
-                            match result {
-                                Ok(batch) => {
-                                    self.metrics.incr_demand_chunks();
-                                    on_chunk(0, batch);
-                                    break Ok(());
-                                }
-                                Err(e) => break Err(e),
-                            }
-                        }
-                        Ok(other) => break Err(unexpected("GetManyDone", &other)),
-                        Err(e) => break Err(e),
-                    }
-                }
-                Err(e @ (ObiError::MessageLost { .. } | ObiError::Timeout { .. })) => Some(e),
-                Err(e) => break Err(e),
+            let reply = match sent {
+                Ok(reply) => reply,
+                Err(e) => return Attempt::of(Err(e)),
             };
-            if attempt >= policy.max_retries {
-                break Err(failure
-                    .unwrap_or(ObiError::Timeout { to: host }));
+            self.clock.charge_cpu(self.costs.serialize(reply.len()));
+            self.metrics.add_bytes_received(reply.len() as u64);
+            // How many chunks the provider says the stream holds.
+            let total_chunks = match Message::decode(&reply) {
+                Ok(Message::GetManyDone {
+                    request: id,
+                    total_chunks,
+                    result,
+                }) => self
+                    .check_correlation(request, Some(id))
+                    .and(result)
+                    .map(|()| total_chunks),
+                // A transport with no streaming path degrades to the
+                // one-shot merged reply: accept it as the whole stream in
+                // one implicit chunk, with nothing further to wait for.
+                Ok(Message::GetManyReply { request: id, result }) if next_expected == 0 => self
+                    .check_correlation(request, Some(id))
+                    .and(result)
+                    .map(|batch| {
+                        self.metrics.incr_demand_chunks();
+                        on_chunk(0, batch);
+                        0
+                    }),
+                Ok(other) => Err(unexpected("GetManyDone", &other)),
+                Err(e) => Err(e),
+            };
+            match total_chunks {
+                // Lost chunks left a hole below the terminal's count:
+                // resume, don't restart.
+                Ok(total) if next_expected < total => {
+                    Attempt::Retry(ObiError::Timeout { to: host })
+                }
+                done => Attempt::Done(done.map(|_| ())),
             }
-            if deadline.expired(&self.clock) {
-                break Err(ObiError::Timeout { to: host });
-            }
-            attempt += 1;
-            self.metrics.incr_rpc_retries();
-            self.metrics.incr_stream_resumes();
-            backoff = policy.next_backoff(backoff, &mut self.backoff_rng.lock());
-            self.backoff_sleep(backoff.min(deadline.remaining(&self.clock)));
-        };
-        span.set_value(attempt);
-        match &outcome {
-            Ok(_) => self.breaker.on_success(host),
-            Err(e) if e.is_connectivity() => self.breaker.on_failure(host, self.now_nanos()),
-            Err(_) => {}
-        }
-        self.settle(host, request);
-        outcome
+        })
     }
 
     /// `put`: send replica state back to the master site.
@@ -799,8 +760,10 @@ mod tests {
     #[test]
     fn unsupported_get_surfaces_server_error() {
         let (client, _net, _clock) = rig();
-        let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
-        let err = client.get(&target, WireMode::Transitive).unwrap_err();
+        let target = ObjId::new(SiteId::new(2), 1);
+        let err = client
+            .demand(SiteId::new(2), &[target], false, WireMode::Transitive, None, None)
+            .unwrap_err();
         assert!(matches!(err, ObiError::NoSuchObject(_)));
     }
 
@@ -1048,6 +1011,8 @@ mod retry_tests {
         (client, net, svc)
     }
 
+    /// A piecewise demand of one `objects_expected`-object batch (above
+    /// `STREAM_CHUNK_OBJECTS`, so the client streams it).
     fn collect_chunks(
         client: &RmiClient,
         objects_expected: usize,
@@ -1055,25 +1020,28 @@ mod retry_tests {
         let mut indices = Vec::new();
         let mut ids = Vec::new();
         let mut frontier_edges = 0usize;
-        client
-            .get_many_stream(
+        let whole = client
+            .demand(
                 SiteId::new(2),
-                vec![ObjId::new(SiteId::new(2), 1)],
+                &[ObjId::new(SiteId::new(2), 1)],
+                false,
                 WireMode::Incremental {
                     batch: objects_expected as u32,
                 },
-                &mut |index, batch| {
+                None,
+                Some(&mut |index, batch| {
                     indices.push(index);
                     ids.extend(batch.replicas.iter().map(|r| r.id.local()));
                     frontier_edges += batch.frontier.len();
-                },
+                }),
             )
             .expect("stream should complete");
+        assert!(whole.is_none(), "a streamed batch arrives through on_chunk only");
         (indices, ids, frontier_edges)
     }
 
     #[test]
-    fn streamed_get_many_delivers_every_chunk_in_order_for_one_round_trip() {
+    fn streamed_demand_delivers_every_chunk_in_order_for_one_round_trip() {
         let (client, _net, svc) = stream_rig(20, LinkModel::ideal(), 5);
         let (indices, ids, frontier_edges) = collect_chunks(&client, 20);
         assert_eq!(indices, vec![0, 1, 2], "20 objects at 8/chunk is 3 chunks");
@@ -1087,7 +1055,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_resumes_across_chunk_loss_without_double_delivery() {
+    fn streamed_demand_resumes_across_chunk_loss_without_double_delivery() {
         let (client, _net, svc) = stream_rig(
             64,
             LinkModel::ideal().with_chunk_loss(0.3),
@@ -1115,7 +1083,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_survives_chunk_duplication_and_reordering() {
+    fn streamed_demand_survives_chunk_duplication_and_reordering() {
         let (client, _net, _svc) = stream_rig(
             40,
             LinkModel::ideal()
@@ -1130,7 +1098,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_degrades_to_one_shot_on_plain_handlers() {
+    fn streamed_demand_degrades_to_one_shot_on_plain_handlers() {
         let (client, net, svc) = stream_rig(20, LinkModel::ideal(), 5);
         // Re-register site 2 behind a closure handler: its default
         // `handle_stream` never streams, so the server pump answers the
@@ -1148,20 +1116,107 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_surfaces_provider_errors() {
+    fn streamed_demand_surfaces_provider_errors() {
         let (client, net, _svc) = stream_rig(4, LinkModel::ideal(), 5);
         // A provider with no objects behind an EchoService: `get_many`
         // reports NoSuchObject through the stream terminal.
         net.register(SiteId::new(3), Arc::new(RmiServer::new(Arc::new(EchoService))));
         let err = client
-            .get_many_stream(
+            .demand(
                 SiteId::new(3),
-                vec![ObjId::new(SiteId::new(3), 1)],
-                WireMode::Incremental { batch: 4 },
-                &mut |_, _| panic!("no chunks on a failed stream"),
+                &[ObjId::new(SiteId::new(3), 1)],
+                true,
+                WireMode::Incremental { batch: 20 },
+                None,
+                Some(&mut |_, _| panic!("no chunks on a failed stream")),
             )
             .unwrap_err();
         assert!(matches!(err, ObiError::NoSuchObject(_)));
+    }
+
+    /// The exchange the client picks: a stream only for a piecewise caller
+    /// above the chunk size; otherwise one request frame, `GetRequest` for
+    /// a lone target and `GetManyRequest` for a merged group, the reply
+    /// returned whole.
+    #[test]
+    fn demand_streams_only_piecewise_batches_above_the_chunk_size() {
+        let (client, net, svc) = stream_rig(20, LinkModel::ideal(), 5);
+        let target = [ObjId::new(SiteId::new(2), 1)];
+        let big = WireMode::Incremental { batch: 20 };
+        let small = WireMode::Incremental { batch: STREAM_CHUNK_OBJECTS };
+        let piecewise = |merged, mode| {
+            let mut chunks = 0;
+            let whole = client
+                .demand(SiteId::new(2), &target, merged, mode, None, Some(&mut |_, _| chunks += 1))
+                .unwrap();
+            (whole.map(|b| b.replicas.len()), chunks)
+        };
+        assert_eq!(piecewise(false, big), (None, 3));
+        assert_eq!(piecewise(true, big), (None, 3));
+        assert_eq!(piecewise(false, small), (Some(20), 0));
+        assert_eq!(piecewise(true, small), (Some(20), 0));
+        assert_eq!(piecewise(false, WireMode::Transitive), (Some(20), 0));
+        // No callback, no stream, whatever the step.
+        let whole = client.demand(SiteId::new(2), &target, false, big, None, None);
+        assert_eq!(whole.unwrap().map(|b| b.replicas.len()), Some(20));
+        let snap = client.metrics().snapshot();
+        assert_eq!(snap.demand_round_trips, 6);
+        assert_eq!(snap.demand_chunks, 6);
+        assert_eq!(svc.calls.load(Ordering::Relaxed), 6);
+        // Two streams of 3 chunks + terminal, four one-shot replies.
+        assert_eq!(net.metrics().snapshot().messages_sent, 6 + 2 * 4 + 4);
+    }
+
+    /// The retry engine is shared, so a streamed demand is one breaker
+    /// event exactly like an `invoke`: the same number of failed calls
+    /// opens the breaker, after which both fast-fail without a frame.
+    #[test]
+    fn streamed_demand_against_a_dead_peer_opens_the_breaker_like_invoke() {
+        let threshold = CircuitBreaker::default().config().failure_threshold;
+        let policy = RetryPolicy {
+            max_retries: 1,
+            call_budget: Duration::from_millis(100),
+            ..RetryPolicy::default()
+        };
+        let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
+        let stream = |client: &RmiClient| {
+            client.demand(
+                SiteId::new(2),
+                &[target.id()],
+                false,
+                WireMode::Incremental { batch: 20 },
+                None,
+                Some(&mut |_, _| panic!("a dead peer delivers no chunk")),
+            )
+        };
+
+        let (invoker, _net, _svc) = stream_rig(20, LinkModel::ideal().with_loss(1.0), 5);
+        invoker.set_rpc_policy(policy);
+        let mut invokes_to_open = 0;
+        while invoker.breaker_state(SiteId::new(2)) != BreakerState::Open {
+            assert!(invoker.invoke(&target, "m", ObiValue::Null).is_err());
+            invokes_to_open += 1;
+        }
+        assert_eq!(invokes_to_open, threshold);
+
+        let (streamer, net, svc) = stream_rig(20, LinkModel::ideal().with_loss(1.0), 5);
+        streamer.set_rpc_policy(policy);
+        for _ in 0..invokes_to_open {
+            assert_ne!(streamer.breaker_state(SiteId::new(2)), BreakerState::Open);
+            assert!(matches!(stream(&streamer), Err(ObiError::MessageLost { .. })));
+        }
+        assert_eq!(streamer.breaker_state(SiteId::new(2)), BreakerState::Open);
+        let snap = streamer.metrics().snapshot();
+        assert_eq!(snap.rpc_retries, threshold, "one retry per failed call");
+        assert_eq!(snap.stream_resumes, snap.rpc_retries);
+
+        // Open breaker: immediate SiteUnreachable, no frame sent.
+        let frames_before = net.metrics().snapshot().messages_sent;
+        let err = stream(&streamer).unwrap_err();
+        assert!(matches!(err, ObiError::SiteUnreachable(s) if s == SiteId::new(2)));
+        assert_eq!(net.metrics().snapshot().messages_sent, frames_before);
+        assert_eq!(streamer.metrics().snapshot().breaker_fast_fails, 1);
+        assert_eq!(svc.calls.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -595,6 +595,16 @@ impl HorizonTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ReplyCache {
+        /// Duplicates currently parked on `id`'s in-flight slot: lets a
+        /// test (here or in `server.rs`) hold the executor back until a
+        /// duplicate has provably parked.
+        pub(crate) fn waiters_on(&self, id: RequestId) -> usize {
+            let inner = self.inner.lock();
+            inner.pending.get(&(id.origin(), id.seq())).map_or(0, |slot| slot.waiters.len())
+        }
+    }
     use obiwan_util::ClockMode;
 
     fn s(n: u32) -> SiteId {

@@ -4,9 +4,10 @@ use crate::fault::{Admit, ReplyCache};
 use crate::service::RmiService;
 use bytes::Bytes;
 use obiwan_net::MessageHandler;
-use obiwan_util::trace;
-use obiwan_util::{Clock, ClockMode, Metrics, ObjId, RequestId, SiteId};
+use obiwan_util::trace::{self, SpanGuard};
+use obiwan_util::{Clock, ClockMode, Metrics, ObiError, ObjId, RequestId, SiteId};
 use obiwan_wire::{Message, ObiValue, ReplicaBatch, WireMode};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,12 +96,63 @@ impl RmiServer {
         &self.replies
     }
 
-    /// Reaps pending slots older than [`RmiServer::PENDING_REAP_AGE`].
-    /// Piggy-backed on frame arrival so an idle server costs nothing.
-    fn reap_abandoned_slots(&self, now_nanos: u64) {
+    /// The one admission gate every request passes: asks the [`ReplyCache`]
+    /// whether this worker executes the id, answers from the cache, or
+    /// parks on a concurrent execution of it. Under worker-pool dispatch
+    /// two copies of one request can race; `begin` admits exactly one
+    /// executor per id and parks the rest: mutating requests stay
+    /// exactly-once.
+    ///
+    /// `Continue(slot)`: run the request, then [`publish`](Self::publish)
+    /// to `slot` (`None` runs uncached). `Break(frame)`: answer with
+    /// `frame`, nothing runs. A cached reply is replayed only when it is
+    /// the whole answer (`replay_cached`); a hit counts as a cached reply
+    /// and marks the span 1 either way.
+    fn admit(
+        &self,
+        from: SiteId,
+        request: Option<RequestId>,
+        replay_cached: bool,
+        span: &mut SpanGuard,
+    ) -> ControlFlow<Bytes, Option<RequestId>> {
+        let now_nanos = self.clock.elapsed().as_nanos() as u64;
+        // Reap slots older than `PENDING_REAP_AGE` first, piggy-backed on
+        // frame arrival so an idle server costs nothing.
         let reaped = self.replies.reap_pending(now_nanos, Self::PENDING_REAP_AGE);
         if reaped > 0 {
             self.metrics.add_pending_slots_reaped(reaped as u64);
+        }
+        // Only cache under ids the sender itself issued: a relayed or
+        // spoofed origin must not let one site poison another's retry
+        // slots.
+        let Some(id) = request.filter(|id| id.origin() == from) else {
+            return ControlFlow::Continue(None);
+        };
+        let elided = match self.replies.begin(id, now_nanos) {
+            Admit::Execute => return ControlFlow::Continue(Some(id)),
+            Admit::Cached(cached) if replay_cached => ControlFlow::Break(cached),
+            Admit::Cached(_) => ControlFlow::Continue(None),
+            Admit::Wait(rx) => match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
+                // A concurrent worker executed the same id: its reply.
+                Ok(Some(frame)) => ControlFlow::Break(frame),
+                // It ran the request but produced no reply frame; answer
+                // with the same generic error it did, without re-running.
+                Ok(None) => return ControlFlow::Break(no_reply(id)),
+                // It vanished without publishing (handler panic): degrade
+                // to executing ourselves, uncached.
+                Err(_) => return ControlFlow::Continue(None),
+            },
+        };
+        self.metrics.incr_cached_replies();
+        span.set_value(1);
+        elided
+    }
+
+    /// Completes the reply-cache slot [`RmiServer::admit`] handed out, if
+    /// it handed one out, waking any duplicates parked on it.
+    fn publish(&self, slot: Option<RequestId>, reply: Option<Bytes>) {
+        if let Some(id) = slot {
+            self.replies.complete(id, reply);
         }
     }
 
@@ -121,20 +173,17 @@ impl RmiServer {
                 mode,
             } => Some(Message::GetReply {
                 request,
-                result: self.service.get(from, target, mode),
-            }),
-            Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            } => Some(Message::GetManyReply {
-                request,
-                result: self.service.get_many(from, &targets, mode),
+                result: self.service.get_many(from, &[target], mode),
             }),
             // A stream request arriving through the one-shot pump (a
             // transport without a streaming path) degrades to the merged
             // reply; the client accepts it as a single implicit chunk.
-            Message::GetManyStreamRequest {
+            Message::GetManyRequest {
+                request,
+                targets,
+                mode,
+            }
+            | Message::GetManyStreamRequest {
                 request,
                 targets,
                 mode,
@@ -233,44 +282,14 @@ impl RmiServer {
         sink: &mut dyn FnMut(Bytes),
     ) -> Bytes {
         let mut span = trace::span(&self.clock, "rpc.handle").with_req(request);
-        let now_nanos = self.clock.elapsed().as_nanos() as u64;
-        self.reap_abandoned_slots(now_nanos);
-        let cache_key = Some(request).filter(|id| id.origin() == from);
-        let mut executor = false;
-        if let Some(id) = cache_key {
-            match self.replies.begin(id, now_nanos) {
-                Admit::Execute => executor = true,
-                // Already answered once: count the elided execution, then
-                // stream afresh anyway (see above — the resume needs live
-                // chunks, which the cache deliberately does not hold).
-                Admit::Cached(_) => {
-                    self.metrics.incr_cached_replies();
-                    span.set_value(1);
-                }
-                Admit::Wait(rx) => match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
-                    // A concurrent duplicate parks for the executor's
-                    // terminal and answers with it, chunkless: the client
-                    // that cares will resume and hit the Cached arm above.
-                    Ok(Some(frame)) => {
-                        self.metrics.incr_cached_replies();
-                        span.set_value(1);
-                        return frame;
-                    }
-                    Ok(None) => {
-                        return Message::Ack {
-                            request,
-                            result: Err(obiwan_util::ObiError::Internal(
-                                "request produced no reply".into(),
-                            )),
-                        }
-                        .encode();
-                    }
-                    // Executor vanished (handler panic): run it ourselves,
-                    // uncached.
-                    Err(_) => {}
-                },
-            }
-        }
+        // An id already answered streams afresh anyway, uncached (see above:
+        // a resume needs live chunks, which the cache deliberately does not
+        // hold). A concurrent duplicate answers with the executor's
+        // terminal, chunkless: the client that cares will resume.
+        let slot = match self.admit(from, Some(request), false, &mut span) {
+            ControlFlow::Continue(slot) => slot,
+            ControlFlow::Break(frame) => return frame,
+        };
         let per_chunk = chunk.max(1) as usize;
         let terminal = match self.service.get_many(from, targets, mode) {
             Ok(batch) => {
@@ -280,37 +299,27 @@ impl RmiServer {
                     frontier,
                     cluster,
                 } = batch;
-                let mut slices: Vec<ReplicaBatch> = replicas
-                    .chunks(per_chunk)
-                    .map(|s| ReplicaBatch {
+                // Slice by moving: the batch is ours, so no replica is
+                // cloned. An empty batch still streams one (empty) chunk so
+                // the frontier, which rides on the last, has a frame.
+                let total_chunks = replicas.len().div_ceil(per_chunk).max(1) as u32;
+                let mut replicas = replicas.into_iter();
+                let mut frontier = frontier;
+                for index in 0..total_chunks {
+                    let last = index + 1 == total_chunks;
+                    let batch = ReplicaBatch {
                         root,
-                        replicas: s.to_vec(),
-                        frontier: Vec::new(),
+                        replicas: replicas.by_ref().take(per_chunk).collect(),
+                        frontier: if last { std::mem::take(&mut frontier) } else { Vec::new() },
                         cluster,
-                    })
-                    .collect();
-                // An empty batch still streams one (empty) chunk so the
-                // frontier below has a frame to ride on.
-                if slices.is_empty() {
-                    slices.push(ReplicaBatch {
-                        root,
-                        replicas: Vec::new(),
-                        frontier: Vec::new(),
-                        cluster,
-                    });
-                }
-                let total_chunks = slices.len() as u32;
-                if let Some(last) = slices.last_mut() {
-                    last.frontier = frontier;
-                }
-                for (index, batch) in slices.into_iter().enumerate() {
-                    if (index as u32) < resume_from {
+                    };
+                    if index < resume_from {
                         continue;
                     }
                     sink(
                         Message::GetManyChunk {
                             request,
-                            chunk_index: index as u32,
+                            chunk_index: index,
                             total_hint: total_chunks,
                             batch,
                         }
@@ -330,11 +339,7 @@ impl RmiServer {
             },
         };
         let frame = terminal.encode();
-        if executor {
-            if let Some(id) = cache_key {
-                self.replies.complete(id, Some(frame.clone()));
-            }
-        }
+        self.publish(slot, Some(frame.clone()));
         frame
     }
 }
@@ -376,94 +381,21 @@ impl MessageHandler for RmiServer {
                 if let Some(id) = request {
                     span = span.with_req(id);
                 }
-                // Only cache under ids the sender itself issued: a relayed
-                // or spoofed origin must not let one site poison another's
-                // retry slots.
-                let cache_key = request.filter(|id| id.origin() == from);
-                let now_nanos = self.clock.elapsed().as_nanos() as u64;
-                self.reap_abandoned_slots(now_nanos);
-                // Under worker-pool dispatch two copies of one request can
-                // race; `begin` admits exactly one executor per id and
-                // parks the rest, so mutating requests stay exactly-once.
-                let mut executor = false;
-                if let Some(id) = cache_key {
-                    match self.replies.begin(id, now_nanos) {
-                        Admit::Execute => executor = true,
-                        Admit::Cached(cached) => {
-                            self.metrics.incr_cached_replies();
-                            // Value 1 marks a reply served from the cache
-                            // (an elided re-execution).
-                            span.set_value(1);
-                            return Some(cached);
-                        }
-                        Admit::Wait(rx) => {
-                            match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
-                                Ok(Some(frame)) => {
-                                    self.metrics.incr_cached_replies();
-                                    span.set_value(1);
-                                    return Some(frame);
-                                }
-                                // The executor ran the request but produced
-                                // no reply frame; answer with the same
-                                // generic error it did, without re-running.
-                                Ok(None) => {
-                                    return request.map(|request| {
-                                        Message::Ack {
-                                            request,
-                                            result: Err(obiwan_util::ObiError::Internal(
-                                                "request produced no reply".into(),
-                                            )),
-                                        }
-                                        .encode()
-                                    });
-                                }
-                                // The executing worker vanished without
-                                // publishing (handler panic): degrade to
-                                // executing ourselves, uncached.
-                                Err(_) => {}
-                            }
-                        }
-                    }
-                }
-                match self.dispatch(from, msg) {
-                    Some(reply) => {
-                        let frame = reply.encode();
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, Some(frame.clone()));
-                            }
-                        }
-                        Some(frame)
-                    }
+                let slot = match self.admit(from, request, true, &mut span) {
+                    ControlFlow::Continue(slot) => slot,
+                    ControlFlow::Break(frame) => return Some(frame),
+                };
+                let reply = self.dispatch(from, msg).map(|reply| reply.encode());
+                // One-way frames (and stray replies, which do carry a
+                // request id) publish `None`, releasing the in-flight slot
+                // if we took it.
+                self.publish(slot, reply.clone());
+                match reply {
                     // A request must always be answered; if dispatch produced
                     // nothing (cannot happen for well-formed requests), send
                     // a generic error rather than stalling the caller.
-                    None if is_request => {
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, None);
-                            }
-                        }
-                        request.map(|request| {
-                            Message::Ack {
-                                request,
-                                result: Err(obiwan_util::ObiError::Internal(
-                                    "request produced no reply".into(),
-                                )),
-                            }
-                            .encode()
-                        })
-                    }
-                    // One-way frames (and stray replies, which do carry a
-                    // request id): release the in-flight slot if we took it.
-                    None => {
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, None);
-                            }
-                        }
-                        None
-                    }
+                    None if is_request => request.map(no_reply),
+                    reply => reply,
                 }
             }
             Err(e) => {
@@ -482,6 +414,16 @@ impl MessageHandler for RmiServer {
             }
         }
     }
+}
+
+/// The generic error answering a request whose handler produced no reply
+/// frame.
+fn no_reply(request: RequestId) -> Bytes {
+    Message::Ack {
+        request,
+        result: Err(ObiError::Internal("request produced no reply".into())),
+    }
+    .encode()
 }
 
 /// Convenience: a server answering only `Ping` and echoing `Invoke` args,
@@ -954,6 +896,63 @@ mod tests {
         assert_eq!(svc.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
         // Only the terminal was cached: one entry however many chunks flowed.
         assert_eq!(s.replies().len(), 1);
+    }
+
+    /// The stream edition of `concurrent_duplicates_execute_exactly_once`:
+    /// a duplicate of a stream request arriving while the first copy is
+    /// still executing parks on the in-flight slot and answers with the
+    /// executor's terminal, chunkless, without running the service.
+    #[test]
+    fn concurrent_stream_duplicate_parks_and_takes_the_executors_terminal() {
+        /// `get_many` announces it is running, then waits to be released.
+        struct GatedService {
+            inner: BatchService,
+            entered: crossbeam::channel::Sender<()>,
+            release: crossbeam::channel::Receiver<()>,
+        }
+        impl crate::service::RmiService for GatedService {
+            fn get_many(
+                &self,
+                from: SiteId,
+                targets: &[ObjId],
+                mode: WireMode,
+            ) -> obiwan_util::Result<ReplicaBatch> {
+                self.entered.send(()).unwrap();
+                self.release.recv().unwrap();
+                self.inner.get_many(from, targets, mode)
+            }
+        }
+        let (entered_tx, entered_rx) = crossbeam::channel::bounded(1);
+        let (release_tx, release_rx) = crossbeam::channel::bounded(1);
+        let svc = Arc::new(GatedService {
+            inner: BatchService::new(20),
+            entered: entered_tx,
+            release: release_rx,
+        });
+        let s = RmiServer::new(svc.clone());
+        let id = RequestId::new(SiteId::new(1), 1);
+        let ((exec_chunks, exec_terminal), (dup_chunks, dup_terminal)) =
+            std::thread::scope(|scope| {
+                let executor = scope.spawn(|| collect_stream(&s, stream_frame(1, 8, 0)));
+                entered_rx.recv().unwrap();
+                // The executor is inside the service, its slot in flight.
+                let duplicate = scope.spawn(|| collect_stream(&s, stream_frame(1, 8, 0)));
+                while s.replies().waiters_on(id) == 0 {
+                    std::thread::yield_now();
+                }
+                release_tx.send(()).unwrap();
+                (executor.join().unwrap(), duplicate.join().unwrap())
+            });
+        assert_eq!(exec_chunks.len(), 3);
+        assert!(dup_chunks.is_empty(), "the parked duplicate streams nothing");
+        assert!(matches!(
+            dup_terminal,
+            Message::GetManyDone { total_chunks: 3, result: Ok(()), .. }
+        ));
+        assert_eq!(dup_terminal, exec_terminal);
+        assert_eq!(svc.inner.calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(s.metrics().snapshot().cached_replies, 1);
+        assert_eq!(s.replies().pending_len(), 0);
     }
 
     #[test]

@@ -18,17 +18,11 @@ pub trait RmiService: Send + Sync {
         Err(ObiError::NoSuchObject(target))
     }
 
-    /// `IProvideRemote::get(mode)` — produce a replica batch rooted at
-    /// `target`.
-    fn get(&self, from: SiteId, target: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
-        let _ = (from, mode);
-        Err(ObiError::NoSuchObject(target))
-    }
-
-    /// Batched `get`: one merged replica batch covering every live object
-    /// in `targets`, so N frontier faults cost a single round-trip. The
-    /// default falls back to "first target unknown" so services that never
-    /// export objects keep working unchanged.
+    /// `IProvideRemote::get(mode)` — one merged replica batch covering
+    /// every live object in `targets`, so N frontier faults cost a single
+    /// round-trip; a plain `get` is the one-target case. The default falls
+    /// back to "first target unknown" so services that never export
+    /// objects keep working unchanged.
     fn get_many(&self, from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
         let _ = (from, mode);
         match targets.first() {
@@ -117,7 +111,7 @@ mod tests {
             Err(ObiError::NoSuchObject(_))
         ));
         assert!(matches!(
-            s.get(from, obj, WireMode::Transitive),
+            s.get_many(from, &[obj], WireMode::Transitive),
             Err(ObiError::NoSuchObject(_))
         ));
         assert_eq!(s.put(from, vec![]).unwrap(), vec![]);

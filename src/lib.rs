@@ -16,8 +16,8 @@
 //!   threaded in-memory transport, and real loopback TCP sockets.
 //! * [`wire`] — the binary serialization layer (Java-serialization stand-in).
 //! * [`consistency`] — pluggable consistency policies (the paper's "hooks"):
-//!   version vectors, last-writer-wins, invalidation, update propagation,
-//!   relaxed transactions.
+//!   last-writer-wins, first-writer-wins, bounded divergence, and
+//!   client-side invalidation tracking.
 //! * [`mobility`] — connectivity management, hoarding, disconnected operation
 //!   logs with reintegration, and mobile agents.
 //! * [`store`] — the durability layer: a CRC-framed write-ahead log with

@@ -27,7 +27,7 @@ use obiwan_net::Transport;
 use obiwan_rmi::{
     BreakerState, Deadline, RemoteRef, RetryPolicy, RmiClient, RmiServer, RmiService,
 };
-use obiwan_store::{state_fingerprint, Durable, RecoveredState};
+use obiwan_store::{state_fingerprint, Durable, PendingPut, RecoveredState};
 use obiwan_util::trace;
 use obiwan_util::{
     Clock, ClusterId, CostModel, LatencyKind, Metrics, ObiError, ObjId, RequestId, Result, SiteId,
@@ -44,6 +44,13 @@ use std::time::Duration;
 
 /// Maximum nested invocation depth, bounding distributed recursion.
 const MAX_INVOKE_DEPTH: usize = 256;
+
+/// Most puts [`ObiProcess::put_many`] makes durable and sends as one
+/// group. Well under `ReplyCache::DEFAULT_CAPACITY`, so the master still
+/// holds every reply of a group a crash makes the client replay; and the
+/// bound on request ids reserved but not yet settled, which hold the
+/// client's `HorizonTracker` back.
+const PUT_GROUP: usize = 64;
 
 /// Outcome of [`ObiProcess::refresh_or_stale`]: whether the replica was
 /// re-fetched from its master or intentionally left stale because the
@@ -156,6 +163,18 @@ struct PendingChunk {
     mode: WireMode,
     /// Position in its stream, carried into the `obi.pump_chunk` span.
     chunk_index: u32,
+}
+
+/// One put readied by `ObiProcess::put_plan`.
+struct PlannedPut {
+    provider: SiteId,
+    /// The replica's state as snapshotted: what the put carries.
+    entry: ReplicaState,
+    /// Names `entry`'s state: what the intent covers, and what the replica
+    /// must still hold at the ack to come out clean.
+    fingerprint: u64,
+    /// With durability attached, the id the put's durable intent names.
+    request: Option<RequestId>,
 }
 
 struct ProcessShared {
@@ -1382,139 +1401,237 @@ impl ObiProcess {
     /// * [`ObiError::NotReplicated`] / [`ObiError::BadArguments`] — no such
     ///   local replica / target is a master.
     pub fn put(&self, target: ObjRef) -> Result<u64> {
-        self.pump_pending_chunks();
-        let _span = trace::span(&self.shared.clock, "obi.put")
-            .with_site(self.shared.site)
-            .with_obj(target.id());
-        let start = self.shared.clock.virtual_nanos();
-        let result = self.put_inner(target);
-        self.shared.metrics.record_latency(
-            LatencyKind::Put,
-            Duration::from_nanos(self.shared.clock.virtual_nanos().saturating_sub(start)),
-        );
-        result
+        let (_, outcome) = self
+            .put_many(&[target])
+            .pop()
+            .expect("put_many reports every target");
+        outcome
     }
 
-    fn put_inner(&self, target: ObjRef) -> Result<u64> {
-        match self.put_once(target) {
-            // The addressed site no longer masters the object — mastership
-            // was handed off and the reply names the successor. The old
-            // request id is spent there (`put_once` already abandoned the
-            // intent: the redirect is cached under it), so re-point the
-            // replica's provider and retry once with a fresh id.
-            Err(ObiError::MovedMaster { to, .. }) => {
-                self.shared.metrics.incr_moved_master_redirects();
-                self.with_inner(|_inner| {
-                    self.shared.space.update_meta(target.id(), |meta| {
-                        if let ReplicaKind::Replica { provider } = &mut meta.kind {
-                            *provider = to;
-                        }
-                    });
-                    Ok(())
-                })?;
-                self.put_once(target)
+    /// Writes each of `targets` back to its master, reporting every
+    /// object's outcome (the master version that accepted it, or why not —
+    /// see [`ObiProcess::put`]) in `targets` order. One object's failure
+    /// does not stop the others, except that once a master proves
+    /// unreachable the objects of later groups mastered there are reported
+    /// [`ObiError::SiteUnreachable`] unsent.
+    ///
+    /// The write-back proceeds in groups of at most `PUT_GROUP` (64). With
+    /// durability attached, a group's put intents — object, request id,
+    /// state fingerprint — become durable with one log write and one sync,
+    /// and only then do its `PutRequest`s leave, one per object under the
+    /// ids the intents name. A crash at any point replays the unconfirmed
+    /// puts under those same ids, and the master's reply cache deduplicates
+    /// the ones that had landed: exactly-once across restarts, at one sync
+    /// per group instead of one per object.
+    pub fn put_many(&self, targets: &[ObjRef]) -> Vec<(ObjId, Result<u64>)> {
+        self.pump_pending_chunks();
+        let mut outcomes = Vec::with_capacity(targets.len());
+        let mut unreachable = Vec::new();
+        for group in targets.chunks(PUT_GROUP) {
+            let mut last_confirmed = None;
+            for (&target, planned) in group.iter().zip(self.put_plan(group, &unreachable)) {
+                let id = target.id();
+                let _span = trace::span(&self.shared.clock, "obi.put")
+                    .with_site(self.shared.site)
+                    .with_obj(id);
+                let start = self.shared.clock.virtual_nanos();
+                let mut provider = planned.as_ref().ok().map(|put| put.provider);
+                let mut outcome = planned.and_then(|put| self.put_send(put));
+                if let Err(ObiError::MovedMaster { to, .. }) = outcome {
+                    self.shared.metrics.incr_moved_master_redirects();
+                    provider = Some(to);
+                    outcome = self.put_redirected(target, to);
+                }
+                self.shared.metrics.record_latency(
+                    LatencyKind::Put,
+                    Duration::from_nanos(self.shared.clock.virtual_nanos().saturating_sub(start)),
+                );
+                match &outcome {
+                    Ok(_) => last_confirmed = Some(outcomes.len()),
+                    Err(e) if e.is_connectivity() => unreachable.extend(provider),
+                    Err(_) => {}
+                }
+                outcomes.push((id, outcome));
             }
-            other => other,
+            // Refresh the persisted client watermark once per group that
+            // confirmed anything: recovery restores the request counter and
+            // reply horizon from it. Like the confirmations it is not
+            // forced — losing it costs a replayed put or a wider seq skip,
+            // never a wrong one.
+            if let (Some(last), Some(durable)) = (last_confirmed, self.shared.durable.get()) {
+                if let Err(e) = durable.log_client_state(
+                    self.shared.client.request_seq(),
+                    self.shared.client.horizon_tracker().horizon(),
+                ) {
+                    outcomes[last].1 = Err(e);
+                }
+            }
+        }
+        outcomes
+    }
+
+    /// The addressed site no longer masters `target` — mastership was handed
+    /// off and the reply named the successor `to`. The old request id is
+    /// spent there (`put_send` already abandoned the intent: the redirect is
+    /// cached under it), so re-point the replica's provider and put once
+    /// more under a fresh id.
+    fn put_redirected(&self, target: ObjRef, to: SiteId) -> Result<u64> {
+        self.with_inner(|_inner| {
+            self.shared.space.update_meta(target.id(), |meta| {
+                if let ReplicaKind::Replica { provider } = &mut meta.kind {
+                    *provider = to;
+                }
+            });
+            Ok(())
+        })?;
+        let put = self
+            .put_plan(&[target], &[])
+            .pop()
+            .expect("put_plan plans every target")?;
+        self.put_send(put)
+    }
+
+    /// Readies one group of puts: snapshots each replica's state under one
+    /// entry of the process lock and, with durability attached, makes every
+    /// put's intent durable before any of them can leave (recovery
+    /// invariant 2 in `obiwan-store`). Objects mastered at an `unreachable`
+    /// site are not planned.
+    fn put_plan(&self, targets: &[ObjRef], unreachable: &[SiteId]) -> Vec<Result<PlannedPut>> {
+        let space = &self.shared.space;
+        let snapshot = self.with_inner(|_inner| {
+            let plan = |id: ObjId| {
+                let meta = space.meta(id).ok_or(ObiError::NotReplicated(id))?;
+                let ReplicaKind::Replica { provider } = meta.kind else {
+                    return Err(ObiError::BadArguments(
+                        "put applies to replicas, not masters".into(),
+                    ));
+                };
+                if meta.cluster.is_some() {
+                    return Err(ObiError::ClusterMember(id));
+                }
+                if unreachable.contains(&provider) {
+                    return Err(ObiError::SiteUnreachable(provider));
+                }
+                let entry = replica_state_of(space, id)?;
+                let fingerprint = state_fingerprint(&entry);
+                Ok(PlannedPut {
+                    provider,
+                    entry,
+                    fingerprint,
+                    request: None,
+                })
+            };
+            Ok(targets.iter().map(|t| plan(t.id())).collect::<Vec<_>>())
+        });
+        let mut plans = match snapshot {
+            Ok(plans) => plans,
+            Err(e) => return targets.iter().map(|_| Err(e.clone())).collect(),
+        };
+        let Some(durable) = self.shared.durable.get() else {
+            return plans;
+        };
+        let client = &self.shared.client;
+        let mut fresh = Vec::new();
+        let mut replaced = Vec::new();
+        for put in plans.iter_mut().flatten() {
+            let id = put.entry.id;
+            let pending = durable.pending_put(id);
+            let seq = match pending {
+                // Replay of the exact state the intent covered (crash
+                // recovery, or a retry after a connectivity failure):
+                // reuse the logged id so the master dedupes it.
+                Some(pending) if pending.fingerprint == put.fingerprint => pending.seq,
+                // No intent, or one for a state the replica has since left.
+                // That one's seq may already be spent at the master (the
+                // old state applied, the reply lost), and reusing it would
+                // serve the cached ack WITHOUT applying this state —
+                // silently dropping it. `log_put_intents` retires it and
+                // covers the current state under a fresh id.
+                _ => {
+                    let seq = client.reserve_request().seq();
+                    let fingerprint = put.fingerprint;
+                    fresh.push((id, PendingPut { seq, fingerprint }));
+                    replaced.extend(pending.map(|stale| (put.provider, stale.seq)));
+                    seq
+                }
+            };
+            put.request = Some(RequestId::new(self.shared.site, seq));
+        }
+        // (Bound first so the `wal-intent-lifecycle` lint sees the match as
+        // this function's exit: the intents leave with `plans`, whose sender
+        // retires each.)
+        let logged = durable.log_put_intents(&fresh);
+        match logged {
+            Ok(()) => {
+                for (provider, seq) in replaced {
+                    client.settle(provider, RequestId::new(self.shared.site, seq));
+                }
+                plans
+            }
+            // The log is failing: nothing of this group leaves.
+            Err(e) => plans
+                .into_iter()
+                .map(|put| put.and_then(|_| Err(e.clone())))
+                .collect(),
         }
     }
 
-    fn put_once(&self, target: ObjRef) -> Result<u64> {
-        let (provider, entry) = self.with_inner(|_inner| {
-            let meta = self
-                .shared
-                .space
-                .meta(target.id())
-                .ok_or(ObiError::NotReplicated(target.id()))?;
-            let ReplicaKind::Replica { provider } = meta.kind else {
-                return Err(ObiError::BadArguments(
-                    "put applies to replicas, not masters".into(),
-                ));
-            };
-            if meta.cluster.is_some() {
-                return Err(ObiError::ClusterMember(target.id()));
-            }
-            let entry = replica_state_of(&self.shared.space, target.id())?;
-            Ok((provider, entry))
-        })?;
+    /// Sends one planned put and settles it: the ack is logged, and the
+    /// replica is clean again if it still holds the state that was sent.
+    fn put_send(&self, put: PlannedPut) -> Result<u64> {
+        let PlannedPut {
+            provider,
+            entry,
+            fingerprint,
+            request,
+        } = put;
+        let id = entry.id;
+        let durable = self.shared.durable.get();
         self.shared
             .clock
             .charge_cpu(self.shared.costs.serialize(entry.state.len()));
-        // With durability attached, the put intent (object + request seq +
-        // state fingerprint) is forced to the log *before* the RPC leaves.
-        // A crash after this point replays the put under the same request
-        // id, and the master's reply cache deduplicates it — exactly-once
-        // across restarts.
-        let fingerprint = state_fingerprint(&entry);
-        let request = match self.shared.durable.get() {
-            Some(durable) => {
-                let seq = match durable.pending_put(target.id()) {
-                    // Replay of the exact state the intent covered (crash
-                    // recovery, or a retry after a connectivity failure):
-                    // reuse the logged id so the master dedupes it.
-                    Some(pending) if pending.fingerprint == fingerprint => pending.seq,
-                    // The replica was mutated again after the intent was
-                    // logged. Its seq may already be spent at the master
-                    // (the old state applied, the reply lost), and reusing
-                    // it would serve the cached ack WITHOUT applying this
-                    // state — silently dropping it. Retire the stale
-                    // intent and cover the current state with a fresh one.
-                    Some(_) => {
-                        durable.log_put_abandoned(target.id())?;
-                        let request = self.shared.client.reserve_request();
-                        durable.log_put_intent(target.id(), request.seq(), fingerprint)?;
-                        request.seq()
-                    }
-                    None => {
-                        let request = self.shared.client.reserve_request();
-                        durable.log_put_intent(target.id(), request.seq(), fingerprint)?;
-                        request.seq()
-                    }
-                };
-                Some(RequestId::new(self.shared.site, seq))
-            }
-            None => None,
+        let sent = match request {
+            Some(request) => self.shared.client.put_with_request(provider, vec![entry], request),
+            None => self.shared.client.put(provider, vec![entry]),
         };
-        let versions = match request {
-            Some(request) => {
-                match self.shared.client.put_with_request(provider, vec![entry], request) {
-                    Ok(versions) => versions,
-                    Err(e) => {
-                        // A definitive (non-connectivity) rejection means the
-                        // master processed this request and cached the error
-                        // reply — the intent's seq is spent, and reusing it
-                        // on a later put would replay the cached rejection.
-                        // Connectivity failures keep the intent: the reply is
-                        // unknown, so the retry must dedupe under the same id.
-                        if !e.is_connectivity() {
-                            if let Some(durable) = self.shared.durable.get() {
-                                durable.log_put_abandoned(target.id())?;
-                            }
-                        }
-                        return Err(e);
-                    }
-                }
+        // A put under a durable intent settles its request id only here,
+        // once the log holds the record that retires the intent: until then
+        // a crash replays the id, and the master must still hold its reply.
+        let retired = |logged: Result<()>| {
+            logged?;
+            if let Some(request) = request {
+                self.shared.client.settle(provider, request);
             }
-            None => self.shared.client.put(provider, vec![entry])?,
+            Ok(())
+        };
+        let versions = match sent {
+            Ok(versions) => versions,
+            Err(e) => {
+                // A definitive (non-connectivity) rejection means the
+                // master processed this request and cached the error
+                // reply — the intent's seq is spent, and reusing it on a
+                // later put would replay the cached rejection.
+                // Connectivity failures keep the intent: the reply is
+                // unknown, so the retry must dedupe under the same id.
+                if let (false, Some(durable)) = (e.is_connectivity(), durable) {
+                    retired(durable.log_put_abandoned(id))?;
+                }
+                return Err(e);
+            }
         };
         let &(_, version) = versions
             .first()
             .ok_or_else(|| ObiError::Internal("empty put reply".into()))?;
-        if let Some(durable) = self.shared.durable.get() {
-            durable.log_confirm(target.id(), version, fingerprint)?;
-            // Refresh the persisted client watermark alongside: recovery
-            // restores the request counter and reply horizon from it.
-            durable.log_client_state(
-                self.shared.client.request_seq(),
-                self.shared.client.horizon_tracker().horizon(),
-            )?;
+        if let Some(durable) = durable {
+            retired(durable.log_confirm(id, version, fingerprint))?;
         }
         self.with_inner(|_inner| {
             // The ack covers exactly the state we serialized. Clear dirty
             // only if the replica still holds that state — a mutation that
             // raced the RPC must stay dirty, or it would never be pushed.
-            let unchanged = replica_state_of(&self.shared.space, target.id())
+            let unchanged = replica_state_of(&self.shared.space, id)
                 .is_ok_and(|now| state_fingerprint(&now) == fingerprint);
-            self.shared.space.update_meta(target.id(), |meta| {
+            self.shared.space.update_meta(id, |meta| {
                 meta.version = version;
                 if unchanged {
                     meta.dirty = false;
@@ -1592,7 +1709,10 @@ impl ObiProcess {
     }
 
     /// Writes every dirty replica back to its master; returns how many
-    /// objects were pushed. Dirty cluster members are pushed cluster-wise.
+    /// objects were pushed. Plain replicas go through
+    /// [`put_many`](ObiProcess::put_many) — all of them are attempted before
+    /// the first failure, if any, is returned — and dirty cluster members
+    /// are pushed cluster-wise after them.
     pub fn put_all_dirty(&self) -> Result<usize> {
         self.pump_pending_chunks();
         let (dirty_plain, dirty_clusters) = self.with_inner(|_inner| {
@@ -1615,8 +1735,8 @@ impl ObiProcess {
             Ok((plain, clusters))
         })?;
         let mut pushed = 0;
-        for r in dirty_plain {
-            self.put(r)?;
+        for (_, outcome) in self.put_many(&dirty_plain) {
+            outcome?;
             pushed += 1;
         }
         for c in dirty_clusters {

@@ -55,9 +55,10 @@ pub const ACQUIRE_METHODS: &[&str] =
     &["lock", "try_lock", "read", "write", "try_read", "try_write"];
 
 /// Method names that overwhelmingly resolve to std/vendored types; never
-/// resolved as workspace calls. `append` is deliberately absent: the WAL
-/// mirror path flows through `Mirror`-adjacent `append` methods and must
-/// stay visible to the lock graph.
+/// resolved as workspace calls. `append`, `replace` and `truncate` are
+/// deliberately absent: they are `Storage` methods, the WAL and compaction
+/// call them under the `Durable` and `Wal` locks, and those paths must stay
+/// visible to the lock graph.
 const METHOD_STOPLIST: &[&str] = &[
     "get", "get_mut", "insert", "remove", "push", "pop", "len", "is_empty",
     "clone", "contains", "contains_key", "iter", "iter_mut", "into_iter",
@@ -70,13 +71,13 @@ const METHOD_STOPLIST: &[&str] = &[
     "sort", "sort_by", "sort_by_key", "sort_unstable", "dedup", "retain",
     "extend", "drain", "clear", "entry", "or_insert", "or_insert_with",
     "or_default", "keys", "values", "values_mut", "split", "splitn", "join",
-    "trim", "starts_with", "ends_with", "replace", "chars", "bytes", "lines",
+    "trim", "starts_with", "ends_with", "chars", "bytes", "lines",
     "parse", "fmt", "eq", "ne", "cmp", "partial_cmp", "hash", "default",
     "new", "with_capacity", "clone_from", "min_by_key", "max_by_key",
     "load", "store", "fetch_add", "fetch_sub", "compare_exchange", "swap",
     "wrapping_add", "saturating_add", "saturating_sub", "checked_add",
     "checked_sub", "abs", "pow", "position", "last", "first", "front",
-    "back", "push_back", "push_front", "pop_back", "pop_front", "truncate",
+    "back", "push_back", "push_front", "pop_back", "pop_front",
     "resize", "reserve", "copy_from_slice", "windows", "chunks", "concat",
     "flatten", "flat_map", "cloned", "copied", "step_by", "min_by", "max_by",
 ];

@@ -16,7 +16,7 @@
 //! | `error-variant-coverage`     | every `ObiError` variant is constructed somewhere    |
 //! | `no-unwrap-on-lock-or-decode`| no `unwrap()`/`expect()` on lock or decode results outside tests |
 //! | `lock-order-cycle`           | no A→B/B→A lock-class inversion anywhere in the static lock-order graph |
-//! | `wal-intent-lifecycle`       | every path past `log_put_intent` retires the intent or hands the seq upward |
+//! | `wal-intent-lifecycle`       | every path past `log_put_intent(s)` retires the intent (each listed one) or hands the seq(s) upward |
 //! | `allow-without-rationale`    | every `lint:allow` carries a rationale after the `(rule)` closer |
 //!
 //! A finding on line `N` is suppressed when line `N` or `N-1` carries a
@@ -613,11 +613,14 @@ const WAL_IO_TOKENS: &[&str] = &[
     ".log_dirty(",
     ".log_op(",
     ".log_put_intent(",
+    ".log_put_intents(",
     ".log_put_abandoned(",
     ".log_confirm(",
     ".log_clean(",
     ".log_client_state(",
     "wal.append(",
+    "wal.append_frames(",
+    "wal.append_batch(",
     "wal.sync(",
     "wal.commit(",
     "storage.append(",

@@ -21,13 +21,22 @@
 //!   tail) — error exits deliberately keep the intent pending so recovery
 //!   can replay or abandon it with full knowledge.
 //!
-//! The definition of `log_put_intent` itself is exempt, as is test code.
+//! `log_put_intents` is the group form: one call opens an obligation for
+//! every id it lists. A single retire call cannot discharge those, so for a
+//! group intent a retire only counts from inside a `for`/`while`/`loop`
+//! body (textually again: the block that follows the keyword; a retire in
+//! an iterator closure is not recognised). Handing the list upward and
+//! `Err`-shaped exits are sanctioned as for one intent.
+//!
+//! The definitions of `log_put_intent` and `log_put_intents` themselves are
+//! exempt, as is test code.
 
 use crate::callgraph::Unit;
 use crate::lexer::Kind;
 use crate::{Diagnostic, RULE_WAL_INTENT_LIFECYCLE};
 
 const INTENT: &str = "log_put_intent";
+const GROUP_INTENT: &str = "log_put_intents";
 const RETIRE: &[&str] = &[
     "log_confirm",
     "log_put_abandoned",
@@ -44,7 +53,7 @@ pub fn check(units: &[Unit]) -> Vec<Diagnostic> {
             continue;
         }
         for f in &u.model.fns {
-            if f.in_test || f.name == INTENT {
+            if f.in_test || f.name == INTENT || f.name == GROUP_INTENT {
                 continue;
             }
             check_fn(u, f, &mut diags);
@@ -63,29 +72,37 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
     let start = sig.partition_point(|&k| k <= f.body.0);
     let end = sig.partition_point(|&k| k < f.body.1); // one past the last body token
 
-    // Collect intent calls, retire mentions, `return`s, and the tail
-    // expression (tokens after the last body-depth-0 `;`).
+    // Collect intent calls, retire mentions (and whether each sits in a
+    // loop body), `return`s, and the tail expression (tokens after the last
+    // body-depth-0 `;`).
     let mut intents: Vec<usize> = Vec::new();
-    let mut retires: Vec<usize> = Vec::new();
+    let mut retires: Vec<(usize, bool)> = Vec::new();
     let mut returns: Vec<usize> = Vec::new();
-    let mut depth = 0i32;
+    // One entry per open block: whether a loop keyword introduced it.
+    let mut blocks: Vec<bool> = Vec::new();
+    let mut loop_pending = false;
     let mut last_top_semi: Option<usize> = None;
     for p in start..end {
         let t = txt(p);
         match u.tokens[sig[p]].kind {
             Kind::Punct => match t {
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                ";" if depth == 0 => last_top_semi = Some(p),
+                "{" => blocks.push(std::mem::take(&mut loop_pending)),
+                "}" => {
+                    blocks.pop();
+                }
+                ";" if blocks.is_empty() => last_top_semi = Some(p),
                 _ => {}
             },
             Kind::Ident => {
-                if t == INTENT && sig.get(p + 1).map(|&k| u.tokens[k].text(src)) == Some("(") {
+                let called = sig.get(p + 1).map(|&k| u.tokens[k].text(src)) == Some("(");
+                if (t == INTENT || t == GROUP_INTENT) && called {
                     intents.push(p);
                 } else if RETIRE.contains(&t) {
-                    retires.push(p);
+                    retires.push((p, blocks.contains(&true)));
                 } else if t == "return" {
                     returns.push(p);
+                } else if matches!(t, "for" | "while" | "loop") {
+                    loop_pending = true;
                 }
             }
             _ => {}
@@ -97,6 +114,14 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
     let tail_start = last_top_semi.map(|p| p + 1).unwrap_or(start);
 
     for &ip in &intents {
+        // What can retire this intent: any retire call for a single one,
+        // only a retire per loop iteration for a group.
+        let group = txt(ip) == GROUP_INTENT;
+        let retired_between = |from: usize, to: usize| {
+            retires
+                .iter()
+                .any(|&(q, in_loop)| q > from && q < to && (in_loop || !group))
+        };
         // The intent call's argument identifiers: returning any of them
         // upward counts as handing off the pending seq.
         let close = matching_paren(u, ip + 1, end);
@@ -109,25 +134,25 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
 
         // Exit 1: every `return` after the intent's statement.
         for &rp in returns.iter().filter(|&&rp| rp > stmt_end) {
-            if retires.iter().any(|&q| q > ip && q < rp) {
+            if retired_between(ip, rp) {
                 continue;
             }
             let expr_end = (rp..end).find(|&p| txt(p) == ";").unwrap_or(end);
             if sanctioned_expr(u, rp + 1, expr_end, &args) {
                 continue;
             }
-            diags.push(flag(u, f, line(ip), line(rp)));
+            diags.push(flag(u, f, txt(ip), line(ip), line(rp)));
         }
 
         // Exit 2: falling off the end of the body.
-        if retires.iter().any(|&q| q > ip) {
+        if retired_between(ip, end) {
             continue;
         }
         if tail_start > stmt_end && sanctioned_expr(u, tail_start, end, &args) {
             continue;
         }
         let end_line = u.tokens[f.body.1.min(u.tokens.len() - 1)].line;
-        diags.push(flag(u, f, line(ip), end_line));
+        diags.push(flag(u, f, txt(ip), line(ip), end_line));
     }
 }
 
@@ -164,15 +189,26 @@ fn matching_paren(u: &Unit, open: usize, end: usize) -> usize {
     end.min(u.sig.len().saturating_sub(1))
 }
 
-fn flag(u: &Unit, f: &crate::model::FnItem, intent_line: u32, exit_line: u32) -> Diagnostic {
+fn flag(
+    u: &Unit,
+    f: &crate::model::FnItem,
+    intent: &str,
+    intent_line: u32,
+    exit_line: u32,
+) -> Diagnostic {
+    let (retire, handoff) = if intent == GROUP_INTENT {
+        ("a `log_confirm`/`log_put_abandoned` per listed id", "the pending seqs")
+    } else {
+        ("`log_confirm`/`log_put_abandoned`", "the pending seq")
+    };
     Diagnostic {
         file: u.rel.clone(),
         line: intent_line as usize,
         rule: RULE_WAL_INTENT_LIFECYCLE,
         message: format!(
-            "`log_put_intent` at {}:{} can reach the exit of `{}` at {}:{} \
-             without `log_confirm`/`log_put_abandoned` and without returning \
-             the pending seq; a crash there leaks an unretired intent",
+            "`{intent}` at {}:{} can reach the exit of `{}` at {}:{} \
+             without {retire} and without returning {handoff}; a crash \
+             there leaks an unretired intent",
             u.rel, intent_line, f.name, u.rel, exit_line
         ),
     }

@@ -1054,6 +1054,95 @@ pub fn hands_off(d: &Durable, id: ObjId, state: Frame) -> PendingPut {
 }
 
 #[test]
+fn a_group_of_intents_needs_a_retire_per_id_or_a_handoff() {
+    let f = lib(
+        "crates/demo/src/lib.rs",
+        r#"
+pub fn forgets(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    send_all(group);
+    Status::Done
+}
+
+pub fn confirms_one(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    send_all(group);
+    d.log_confirm(group[0].seq);
+    Status::Done
+}
+
+pub fn returns_early(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    if throttled() {
+        return Status::Busy;
+    }
+    for put in group {
+        d.log_confirm(put.seq);
+    }
+    Status::Done
+}
+"#,
+    );
+    let diags = check(&[f]);
+    assert_eq!(rules_fired(&diags), vec![RULE_WAL_INTENT_LIFECYCLE; 3]);
+    assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 9, 16]);
+    assert!(diags[0].message.contains("per listed id"), "{}", diags[0].message);
+}
+
+#[test]
+fn group_retires_in_a_loop_err_exits_and_handoffs_are_sanctioned() {
+    let f = lib(
+        "crates/demo/src/lib.rs",
+        r#"
+pub fn confirms_each(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    for put in group {
+        if send(put) {
+            d.log_confirm(put.seq);
+        } else {
+            d.log_put_abandoned(put.seq);
+        }
+    }
+    Status::Done
+}
+
+pub fn drains(d: &Durable, mut group: Vec<Put>) {
+    d.log_put_intents(&seqs_of(&group));
+    while let Some(put) = group.pop() {
+        d.log_confirm(put.seq);
+    }
+}
+
+pub fn errs(d: &Durable, group: &[Put]) -> Result<Status, WalError> {
+    d.log_put_intents(&seqs_of(group))?;
+    if oversized(group) {
+        return Err(WalError::Oversized);
+    }
+    for put in group {
+        d.log_confirm(put.seq);
+    }
+    Ok(Status::Done)
+}
+
+pub fn hands_off(d: &Durable, group: Vec<Put>) -> Vec<Put> {
+    d.log_put_intents(&seqs_of(&group));
+    group
+}
+
+impl Durable {
+    pub fn log_put_intents(&self, intents: &[(ObjId, u64)]) {
+        self.wal.append_batch(intents)
+    }
+    pub fn log_put_intent(&self, id: ObjId, seq: u64) {
+        self.log_put_intents(&[(id, seq)])
+    }
+}
+"#,
+    );
+    assert!(check(&[f]).is_empty());
+}
+
+#[test]
 fn intent_definition_and_test_code_are_exempt_from_lifecycle() {
     let f = lib(
         "crates/demo/src/lib.rs",

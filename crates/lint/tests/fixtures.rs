@@ -76,7 +76,17 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         stdout.contains("crates/demo/src/intent.rs:13: [wal-intent-lifecycle]"),
         "missing early-return intent diagnostic in:\n{stdout}"
     );
-    assert!(stdout.contains("11 violation(s)"), "count in:\n{stdout}");
+    // The group form: a list of intents nobody retires, and one retired
+    // for a single id only.
+    assert!(
+        stdout.contains("crates/demo/src/intent.rs:25: [wal-intent-lifecycle]"),
+        "missing unretired-group diagnostic in:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/demo/src/intent.rs:31: [wal-intent-lifecycle]"),
+        "missing retired-one-of-a-group diagnostic in:\n{stdout}"
+    );
+    assert!(stdout.contains("13 violation(s)"), "count in:\n{stdout}");
 }
 
 #[test]

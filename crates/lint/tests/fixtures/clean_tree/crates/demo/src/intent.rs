@@ -1,7 +1,8 @@
 //! Compliant `wal-intent-lifecycle` shapes: confirm on the happy path,
 //! abandon on failure, `Err`-shaped early exits (recovery replays or
 //! abandons a pending intent with full knowledge), and handing the pending
-//! put upward so the caller inherits the retirement obligation.
+//! put upward so the caller inherits the retirement obligation. A group of
+//! intents is retired id by id in a loop, or handed upward whole.
 
 pub fn put_confirms(d: &Durable, id: ObjId, state: Frame) -> Status {
     let seq = d.log_put_intent(id, state.frame_bytes());
@@ -32,4 +33,21 @@ pub fn put_propagates_errors(d: &Durable, id: ObjId, state: Frame) -> Result<Sta
 pub fn put_hands_off(d: &Durable, id: ObjId, state: Frame) -> PendingPut {
     let seq = d.log_put_intent(id, state.frame_bytes());
     PendingPut { id, seq }
+}
+
+pub fn put_group_confirms_each(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    for put in group {
+        if send(put) {
+            d.log_confirm(put.seq);
+        } else {
+            d.log_put_abandoned(put.seq);
+        }
+    }
+    Status::Done
+}
+
+pub fn put_group_hands_off(d: &Durable, group: Vec<Put>) -> Vec<Put> {
+    d.log_put_intents(&seqs_of(&group));
+    group
 }

@@ -180,26 +180,23 @@ impl DisconnectedSession {
         self.log.is_empty()
     }
 
-    /// Pushes every dirty touched replica back to its master, one by one,
-    /// classifying each outcome. Conflicted and unreachable replicas stay
+    /// Pushes every dirty touched replica back to its master as one grouped
+    /// write-back ([`ObiProcess::put_many`]: with durability attached, one
+    /// log sync per group of puts rather than one per object), classifying
+    /// each object's outcome. Conflicted and unreachable replicas stay
     /// dirty; the session can reintegrate again later (successful pushes
     /// drop out of the dirty set by themselves).
     pub fn reintegrate(&self, process: &ObiProcess) -> ReintegrationReport {
         let mut pass = trace::span(process.clock(), "session.reintegrate")
             .with_site(process.site());
-        let mut report = ReintegrationReport::default();
-        for &id in &self.touched {
-            let r = ObjRef::new(id);
-            let Some(meta) = process.meta_of(r) else {
-                continue;
-            };
-            if !meta.dirty {
-                continue;
-            }
-            let _push = trace::span(process.clock(), "session.push")
-                .with_site(process.site())
-                .with_obj(id);
-            let outcome = match process.put(r) {
+        let dirty: Vec<ObjRef> = self
+            .touched
+            .iter()
+            .map(|&id| ObjRef::new(id))
+            .filter(|&r| process.meta_of(r).is_some_and(|meta| meta.dirty))
+            .collect();
+        let outcomes = process.put_many(&dirty).into_iter().map(|(id, put)| {
+            let outcome = match put {
                 Ok(version) => ReintegrationOutcome::Pushed(version),
                 Err(e) if e.is_connectivity() => ReintegrationOutcome::Unreachable,
                 Err(ObiError::UpdateRejected { reason, .. }) => {
@@ -207,14 +204,18 @@ impl DisconnectedSession {
                 }
                 Err(e) => ReintegrationOutcome::Conflict(e.to_string()),
             };
-            report.outcomes.push((id, outcome));
-        }
+            (id, outcome)
+        });
+        let report = ReintegrationReport {
+            outcomes: outcomes.collect(),
+        };
         pass.set_value(report.pushed() as u64);
         if let Some(durable) = process.durability() {
-            if report.is_clean() && !report.outcomes.is_empty() {
-                // Everything pushed: the op log and pending-put markers are
-                // spent. Fold the WAL down so a later crash replays only
-                // live state.
+            if report.is_clean() {
+                // Everything pushed — in this pass, or before a crash that
+                // the session was resumed after: the op log and pending-put
+                // markers are spent. Fold the WAL down so a later crash
+                // replays only live state.
                 let _ = durable.reset_session();
             } else {
                 let _ = durable.commit();

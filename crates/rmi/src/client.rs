@@ -173,6 +173,8 @@ impl RmiClient {
     /// layer reserves the id, logs a put intent under it, and only then
     /// sends via [`RmiClient::put_with_request`] — so a crash-and-replay
     /// reuses the same id and the server's reply cache deduplicates it.
+    /// The id stays unsettled, holding the acknowledgement horizon back,
+    /// until the caller passes it to [`RmiClient::settle`].
     pub fn reserve_request(&self) -> RequestId {
         self.next_request()
     }
@@ -196,19 +198,20 @@ impl RmiClient {
     }
 
     fn round_trip(&self, to: SiteId, msg: &Message) -> Result<Message> {
-        self.round_trip_inner(to, msg, None)
+        self.round_trip_inner(to, msg, None, true)
     }
 
     /// One call under the retry machinery: breaker admission, then
     /// `attempt` (told how many retries preceded it) re-run with jittered
     /// backoff while it reports [`Attempt::Retry`], all bounded by
     /// `deadline` (or the policy's default budget when `None`). One
-    /// finished call is one breaker event and settles `request`, however
-    /// many attempts it took.
+    /// finished call is one breaker event and, when `settles`, settles
+    /// `request`, however many attempts it took.
     fn retrying<T>(
         &self,
         to: SiteId,
         request: Option<RequestId>,
+        settles: bool,
         deadline: Option<Deadline>,
         attempt: &mut dyn FnMut(u64) -> Attempt<T>,
     ) -> Result<T> {
@@ -252,7 +255,7 @@ impl RmiClient {
         }
         // The id is settled either way — this client never resends it —
         // so the server may prune its cached reply.
-        if let Some(id) = request {
+        if let Some(id) = request.filter(|_| settles) {
             self.settle(to, id);
         }
         outcome
@@ -265,9 +268,10 @@ impl RmiClient {
         to: SiteId,
         msg: &Message,
         deadline: Option<Deadline>,
+        settles: bool,
     ) -> Result<Message> {
         let frame = msg.encode();
-        let reply = self.retrying(to, msg.request_id(), deadline, &mut |retries| {
+        let reply = self.retrying(to, msg.request_id(), settles, deadline, &mut |retries| {
             if retries == 0 {
                 self.clock.charge_cpu(self.costs.serialize(frame.len()));
             }
@@ -288,10 +292,12 @@ impl RmiClient {
         }
     }
 
-    /// Records `id` as settled and, when an announcement is due, tells the
-    /// peer how far it may prune its reply cache. Best-effort: a lost
-    /// announcement only delays pruning (LRU bounds the cache anyway).
-    fn settle(&self, to: SiteId, id: RequestId) {
+    /// Records `id` as settled — never to be sent again — and, when an
+    /// announcement is due, tells the peer how far it may prune its reply
+    /// cache. Best-effort: a lost announcement only delays pruning (LRU
+    /// bounds the cache anyway). Every call settles its own id when it
+    /// ends, except [`RmiClient::put_with_request`], whose caller does.
+    pub fn settle(&self, to: SiteId, id: RequestId) {
         if let Some(up_to) = self.horizon.settle(id.seq()) {
             let _ = self
                 .transport
@@ -378,7 +384,7 @@ impl RmiClient {
                     target,
                     mode,
                 };
-                match self.round_trip_inner(host, &msg, deadline)? {
+                match self.round_trip_inner(host, &msg, deadline, true)? {
                     Message::GetReply { request, result } => (request, result),
                     other => return Err(unexpected("GetReply", &other)),
                 }
@@ -389,7 +395,7 @@ impl RmiClient {
                     targets: targets.to_vec(),
                     mode,
                 };
-                match self.round_trip_inner(host, &msg, deadline)? {
+                match self.round_trip_inner(host, &msg, deadline, true)? {
                     Message::GetManyReply { request, result } => (request, result),
                     other => return Err(unexpected("GetManyReply", &other)),
                 }
@@ -417,7 +423,7 @@ impl RmiClient {
         let mut next_expected: u32 = 0;
         let mut parked: std::collections::BTreeMap<u32, ReplicaBatch> =
             std::collections::BTreeMap::new();
-        self.retrying(host, Some(request), deadline, &mut |retries| {
+        self.retrying(host, Some(request), true, deadline, &mut |retries| {
             if retries > 0 {
                 self.metrics.incr_stream_resumes();
             }
@@ -508,7 +514,7 @@ impl RmiClient {
 
     /// `put`: send replica state back to the master site.
     pub fn put(&self, host: SiteId, entries: Vec<ReplicaState>) -> Result<Vec<(ObjId, u64)>> {
-        self.put_with_request(host, entries, self.next_request())
+        self.put_inner(host, entries, self.next_request(), true)
     }
 
     /// `put` under a caller-chosen request id (from
@@ -516,15 +522,30 @@ impl RmiClient {
     /// put-intent record). Sending the same id twice is how crash-replay
     /// achieves exactly-once: the server's reply cache answers the second
     /// send from the cache instead of re-applying.
+    ///
+    /// Because the id may be sent again — a retry after a connectivity
+    /// failure, a replay after a crash that lost the confirmation — the call
+    /// does not settle it. The caller does ([`RmiClient::settle`]) once the
+    /// intent is retired in its log; until then the server keeps the reply.
     pub fn put_with_request(
         &self,
         host: SiteId,
         entries: Vec<ReplicaState>,
         request: RequestId,
     ) -> Result<Vec<(ObjId, u64)>> {
+        self.put_inner(host, entries, request, false)
+    }
+
+    fn put_inner(
+        &self,
+        host: SiteId,
+        entries: Vec<ReplicaState>,
+        request: RequestId,
+        settles: bool,
+    ) -> Result<Vec<(ObjId, u64)>> {
         self.metrics.incr_puts();
-        let reply = self.round_trip(host, &Message::PutRequest { request, entries })?;
-        match reply {
+        let msg = Message::PutRequest { request, entries };
+        match self.round_trip_inner(host, &msg, None, settles)? {
             Message::PutReply { request: id, result } => {
                 self.check_correlation(request, Some(id))?;
                 result

@@ -18,20 +18,39 @@
 //!    re-demanded from its master, so losing it costs a round trip, not
 //!    data. The recovered state therefore contains exactly the replicas
 //!    whose local updates had not reached their masters.
-//! 2. **Put intents are durable before the RPC leaves, and a seq is only
+//! 2. **A put's intent is durable before its RPC leaves, and a seq is only
 //!    ever reused for the exact state it covered.** A `PutIntent` record
 //!    carries the request sequence number the `put` will use plus a
-//!    fingerprint of the state it sends; it is fsynced before the message
-//!    is sent. Replaying reintegration after a crash reuses that sequence
-//!    number *only while the replica still holds that state*, so the
-//!    master's ReplyCache either serves the cached reply (the put had been
-//!    applied) or admits it as new — applied exactly once either way. If
-//!    the replica was mutated again before the retry (offline edits after
-//!    a recovered intent, or between a connectivity failure and the next
-//!    push), the old seq may already be spent at the master with the OLD
-//!    state: reusing it would serve the cached ack without applying the
-//!    new state, silently dropping it. The put path instead retires the
-//!    stale intent (`PutAbandoned`) and logs a fresh one.
+//!    fingerprint of the state it sends. A write-back goes out in groups
+//!    (`ObiProcess::put_many`, at most 64 puts; one `put` is the group of
+//!    one): the group's states are snapshotted, its intents are appended
+//!    as one batch and made durable with one sync
+//!    ([`Durable::log_put_intents`]), and only then do its RPCs leave, one
+//!    per object, each carrying the snapshotted state its intent names. So
+//!    every RPC is preceded by the sync that covers its intent, and what a
+//!    group adds is one crash window: up to a group's worth of durable
+//!    intents whose RPC never left, which the master simply admits as new
+//!    when they are replayed. Replaying reintegration after a crash reuses
+//!    an intent's sequence number *only while the replica still holds that
+//!    state*, so the master's ReplyCache either serves the cached reply
+//!    (the put had been applied) or admits it as new — applied exactly once
+//!    either way. If the replica was mutated again before the retry
+//!    (offline edits after a recovered intent, or between a connectivity
+//!    failure and the next push), the old seq may already be spent at the
+//!    master with the OLD state: reusing it would serve the cached ack
+//!    without applying the new state, silently dropping it. The put path
+//!    instead retires the stale intent (`PutAbandoned`, in the batch of the
+//!    intent that replaces it) and logs a fresh one.
+//!
+//!    `PutConfirmed` and `ClientState` records are *not* forced. A lost
+//!    confirmation replays its put under the intent's id, which the reply
+//!    cache absorbs: the put path settles a put's request id — the signal
+//!    that lets the master prune the reply — only after the record that
+//!    retires the intent has been appended. A lost watermark only widens
+//!    the skip of invariant 3. (A power failure, unlike a process kill,
+//!    can drop an appended-but-unsynced confirmation after the reply was
+//!    pruned; the replayed put then carries the same state a second time,
+//!    which a version-checking master rejects as a conflict.)
 //! 3. **Recovered request sequence numbers never collide with pre-crash
 //!    ones.** Requests other than puts (demands, refreshes) consume
 //!    sequence numbers without logging them, so recovery advances the
@@ -43,7 +62,7 @@
 
 use crate::record::{state_fingerprint, WalRecord};
 use crate::storage::Storage;
-use crate::wal::{self, Wal, WalOptions, WalStats};
+use crate::wal::{self, Frames, Wal, WalOptions, WalStats};
 use obiwan_util::sync::Mutex;
 use obiwan_util::{ObjId, Result, SiteId};
 use obiwan_wire::{ObiValue, ReplicaState};
@@ -160,10 +179,10 @@ struct Mirror {
 }
 
 impl Mirror {
-    fn apply(&mut self, record: &WalRecord) {
+    fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::ObjectDelta { provider, state } => {
-                self.dirty.insert(state.id, (*provider, state.clone()));
+                self.dirty.insert(state.id, (provider, state));
             }
             WalRecord::Op {
                 target,
@@ -171,52 +190,46 @@ impl Mirror {
                 args,
                 succeeded,
             } => self.ops.push(RecoveredOp {
-                target: *target,
-                method: method.clone(),
-                args: args.clone(),
-                succeeded: *succeeded,
+                target,
+                method,
+                args,
+                succeeded,
             }),
             WalRecord::PutIntent { id, seq, fingerprint } => {
-                self.pending_puts.insert(
-                    *id,
-                    PendingPut {
-                        seq: *seq,
-                        fingerprint: *fingerprint,
-                    },
-                );
-                self.max_seen_seq = self.max_seen_seq.max(*seq);
+                self.pending_puts.insert(id, PendingPut { seq, fingerprint });
+                self.max_seen_seq = self.max_seen_seq.max(seq);
             }
             WalRecord::PutConfirmed { id, fingerprint, .. } => {
-                self.pending_puts.remove(id);
+                self.pending_puts.remove(&id);
                 // The ack covers one exact state. A delta that no longer
                 // fingerprints to it was logged by a mutation racing the
                 // RPC — that state is still unsent and must stay
                 // recoverable.
                 if self
                     .dirty
-                    .get(id)
-                    .is_some_and(|(_, s)| state_fingerprint(s) == *fingerprint)
+                    .get(&id)
+                    .is_some_and(|(_, s)| state_fingerprint(s) == fingerprint)
                 {
-                    self.dirty.remove(id);
+                    self.dirty.remove(&id);
                 }
             }
             WalRecord::PutAbandoned { id } => {
                 // The seq is spent (the master cached a rejection for it)
                 // but the state was NOT applied: keep the dirty delta.
-                self.pending_puts.remove(id);
+                self.pending_puts.remove(&id);
             }
             WalRecord::Clean { id } => {
-                self.dirty.remove(id);
+                self.dirty.remove(&id);
             }
             WalRecord::ClientState { next_seq, horizon } => {
-                self.client = Some((*next_seq, *horizon));
+                self.client = Some((next_seq, horizon));
                 self.max_seen_seq = self.max_seen_seq.max(next_seq.saturating_sub(1));
             }
             WalRecord::HandoffIntent { root, successor } => {
-                self.handoffs.insert(*root, (*successor, false));
+                self.handoffs.insert(root, (successor, false));
             }
             WalRecord::HandoffComplete { root } => {
-                if let Some(entry) = self.handoffs.get_mut(root) {
+                if let Some(entry) = self.handoffs.get_mut(&root) {
                     entry.1 = true;
                 }
             }
@@ -287,8 +300,10 @@ impl Durable {
         let (wal_records, truncated) =
             wal::replay_decoded(storage.as_ref(), WAL_FILE, WalRecord::decode)?;
 
+        let blank = snap_records.is_empty() && wal_records.is_empty();
+        let wal_record_count = wal_records.len() as u64;
         let mut mirror = Mirror::default();
-        for r in snap_records.iter().chain(wal_records.iter()) {
+        for r in snap_records.into_iter().chain(wal_records) {
             mirror.apply(r);
         }
 
@@ -300,7 +315,7 @@ impl Durable {
         // cache would answer brand-new requests with stale cached replies.
         // So any non-empty log forces a fresh seq epoch; only a genuinely
         // blank store keeps the natural counter.
-        let next_request_seq = if snap_records.is_empty() && wal_records.is_empty() {
+        let next_request_seq = if blank {
             0 // nothing persisted: a fresh site keeps its natural counter
         } else {
             logged_next_seq.max(mirror.max_seen_seq + 1) + SEQ_EPOCH_SKIP
@@ -314,7 +329,7 @@ impl Durable {
             horizon,
             handoffs: mirror.handoffs.clone(),
             truncated_bytes: truncated,
-            wal_records: wal_records.len() as u64,
+            wal_records: wal_record_count,
         };
 
         let durable = Arc::new(Durable {
@@ -359,13 +374,34 @@ impl Durable {
         })
     }
 
-    /// Logs the intent to send a `put` for `id` as request `seq` carrying
-    /// the state fingerprinted by `fingerprint`, then forces the record
-    /// durable. Must return `Ok` before the RPC leaves (recovery
-    /// invariant 2).
+    /// Logs the intents of one write-back group — each id about to be put
+    /// as request `seq`, carrying the state its `fingerprint` names — and
+    /// makes all of them durable with one write and one sync. Must return
+    /// `Ok` before the first of those RPCs leaves (recovery invariant 2).
+    ///
+    /// An id that still has a pending intent is listed because its state
+    /// changed since: that intent is retired (`PutAbandoned`) in the same
+    /// batch, ahead of the one that replaces it.
+    pub fn log_put_intents(&self, intents: &[(ObjId, PendingPut)]) -> Result<()> {
+        let mut mirror = self.mirror.lock();
+        let mut records = Vec::with_capacity(intents.len());
+        for &(id, PendingPut { seq, fingerprint }) in intents {
+            if mirror.pending_puts.contains_key(&id) {
+                records.push(WalRecord::PutAbandoned { id });
+            }
+            records.push(WalRecord::PutIntent { id, seq, fingerprint });
+        }
+        let mut frames = Frames::new();
+        for record in &records {
+            record.frame_into(&mut frames);
+        }
+        self.wal.append_batch(&frames)?;
+        self.applied_locked(&mut mirror, records)
+    }
+
+    /// The one-intent group of [`log_put_intents`](Durable::log_put_intents).
     pub fn log_put_intent(&self, id: ObjId, seq: u64, fingerprint: u64) -> Result<()> {
-        self.log(WalRecord::PutIntent { id, seq, fingerprint })?;
-        self.wal.commit()
+        self.log_put_intents(&[(id, PendingPut { seq, fingerprint })])
     }
 
     /// Logs that the put for `id` was acknowledged at `version`;
@@ -457,9 +493,13 @@ impl Durable {
 
     /// Drops the journaled op log and pending-put markers after a completed
     /// reintegration, then compacts. Dirty-object deltas survive (objects
-    /// that conflicted are still dirty).
+    /// that conflicted are still dirty). With neither ops nor markers in
+    /// the log there is no session to drop, and the call only commits.
     pub fn reset_session(&self) -> Result<()> {
         let mut mirror = self.mirror.lock();
+        if mirror.ops.is_empty() && mirror.pending_puts.is_empty() {
+            return self.wal.commit();
+        }
         mirror.ops.clear();
         mirror.pending_puts.clear();
         self.compact_locked(&mut mirror)
@@ -490,9 +530,23 @@ impl Durable {
     /// re-entrant, so paths that inspect the mirror before logging go
     /// through here).
     fn log_locked(&self, mirror: &mut Mirror, record: WalRecord) -> Result<()> {
-        self.wal.append(&record.encode())?;
-        mirror.apply(&record);
-        mirror.records_since_compact += 1;
+        let mut frames = Frames::new();
+        record.frame_into(&mut frames);
+        self.wal.append_frames(&frames)?;
+        self.applied_locked(mirror, [record])
+    }
+
+    /// Folds records the WAL now holds into the mirror, compacting once
+    /// enough have accumulated.
+    fn applied_locked(
+        &self,
+        mirror: &mut Mirror,
+        records: impl IntoIterator<Item = WalRecord>,
+    ) -> Result<()> {
+        for record in records {
+            mirror.apply(record);
+            mirror.records_since_compact += 1;
+        }
         if self.compact_every > 0 && mirror.records_since_compact >= self.compact_every {
             self.compact_locked(mirror)?;
         }
@@ -500,18 +554,14 @@ impl Durable {
     }
 
     fn compact_locked(&self, mirror: &mut Mirror) -> Result<()> {
-        let mut bytes = Vec::new();
+        let mut frames = Frames::new();
         for record in mirror.snapshot_records() {
-            let payload = record.encode();
-            let len = payload.len() as u32;
-            bytes.extend_from_slice(&len.to_le_bytes());
-            bytes.extend_from_slice(&obiwan_wire::crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
+            record.frame_into(&mut frames);
         }
         // Snapshot becomes durable before the WAL is dropped; a crash
         // between the two replays both (snapshot then stale WAL), which is
         // idempotent because later records supersede earlier ones.
-        self.storage.replace(SNAP_FILE, &bytes)?;
+        self.storage.replace(SNAP_FILE, frames.as_bytes())?;
         self.wal.reset()?;
         mirror.records_since_compact = 0;
         Ok(())
@@ -633,6 +683,28 @@ mod tests {
         let (provider, state) = &recovered.dirty[&oid(2, 5)];
         assert_eq!(*provider, SiteId::new(2));
         assert_eq!(state.version, 10);
+    }
+
+    #[test]
+    fn a_group_of_intents_is_one_sync_and_retires_the_intents_it_replaces() {
+        let mem = Arc::new(MemStorage::new());
+        let (d, _) = open(&mem); // group commit 4
+        d.log_put_intent(oid(2, 1), 10, 0x111).unwrap();
+        let (syncs, appends) = (mem.sync_count(), d.wal_stats().appends());
+        // Ten intents; the first replaces the pending one, whose state moved on.
+        let group: Vec<(ObjId, PendingPut)> = (1..=10)
+            .map(|n| (oid(2, n), PendingPut { seq: 19 + n, fingerprint: 0x222 + n }))
+            .collect();
+        d.log_put_intents(&group).unwrap();
+        assert_eq!(mem.sync_count(), syncs + 1, "ten records at group commit 4");
+        assert_eq!(d.wal_stats().appends(), appends + 11, "ten intents, one PutAbandoned");
+        assert_eq!(d.pending_put(oid(2, 1)), Some(group[0].1));
+        // Every intent is durable when the call returns: a crash that keeps
+        // only synced bytes recovers all ten.
+        mem.crash_keeping(WAL_FILE, mem.synced_len(WAL_FILE));
+        let (_d, recovered) = open(&mem);
+        assert_eq!(recovered.pending_puts, group.into_iter().collect());
+        assert!(recovered.next_request_seq > 29);
     }
 
     #[test]

@@ -28,4 +28,4 @@ pub use durable::{
 };
 pub use record::{state_fingerprint, WalRecord};
 pub use storage::{FileStorage, MemStorage, Storage};
-pub use wal::{replay, Replay, Wal, WalOptions, WalStats};
+pub use wal::{replay, Frames, Replay, Wal, WalOptions, WalStats};

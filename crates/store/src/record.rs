@@ -13,9 +13,10 @@
 //! * [`WalRecord::Op`] — one journaled `DisconnectedSession` invocation.
 //! * [`WalRecord::PutIntent`] — "about to send `put` for `id` as request
 //!   `seq`, carrying the state whose fingerprint is `fingerprint`".
-//!   Written and fsynced *before* the RPC leaves, so a replayed
-//!   reintegration reuses the same request id and the server's ReplyCache
-//!   deduplicates it (exactly-once). The fingerprint ties the seq to the
+//!   Written and fsynced — with the other intents of its write-back group,
+//!   in one batch — *before* the RPC leaves, so a replayed reintegration
+//!   reuses the same request id and the server's ReplyCache deduplicates
+//!   it (exactly-once). The fingerprint ties the seq to the
 //!   exact state it covered: a retry whose state has since changed must
 //!   NOT reuse the seq (the cached reply would ack without applying), so
 //!   the put path retires the stale intent and takes a fresh one.
@@ -33,6 +34,7 @@
 //! * [`WalRecord::ClientState`] — RMI client watermark: next request
 //!   sequence number and the settled reply horizon.
 
+use crate::wal::Frames;
 use bytes::Bytes;
 use obiwan_util::{ObiError, ObjId, Result, SiteId};
 use obiwan_wire::{crc32, Decoder, Encoder, ObiValue, ReplicaState};
@@ -93,6 +95,18 @@ impl WalRecord {
     /// Encodes this record to a WAL frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
+        self.encode_into(&mut enc);
+        enc.into_vec()
+    }
+
+    /// Frames this record as the next one of `frames`, encoding it in place
+    /// behind its header.
+    pub fn frame_into(&self, frames: &mut Frames) {
+        frames.push_with(|enc| self.encode_into(enc));
+    }
+
+    /// Writes this record's frame payload at the end of `enc`.
+    pub fn encode_into(&self, enc: &mut Encoder) {
         match self {
             WalRecord::ObjectDelta { provider, state } => {
                 enc.put_u8(0);
@@ -152,7 +166,6 @@ impl WalRecord {
                 enc.put_obj_id(*root);
             }
         }
-        enc.finish().to_vec()
     }
 
     /// Decodes a WAL frame payload. A CRC-valid payload that fails here is

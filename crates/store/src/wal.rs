@@ -19,8 +19,11 @@
 //! `fsync` dominates append cost, so the log batches it: appends buffer up
 //! to [`WalOptions::group_commit`] records and one [`Storage::sync`] makes
 //! the whole batch durable. [`Wal::commit`] forces the sync early — callers
-//! use it before externally-visible actions (e.g. sending a `put` whose
-//! intent record must be durable first).
+//! use it before externally-visible actions. A caller with several records
+//! that must *all* be durable before it acts (the put intents of one
+//! write-back group) hands them to [`Wal::append_batch`] as one [`Frames`]:
+//! one write and one sync, where the same records through [`Wal::append`]
+//! would sync every `group_commit`-th of them.
 //!
 //! # Torn tails
 //!
@@ -35,7 +38,7 @@
 use crate::storage::Storage;
 use obiwan_util::sync::Mutex;
 use obiwan_util::{ObiError, Result};
-use obiwan_wire::crc32;
+use obiwan_wire::{crc32, Encoder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,6 +82,68 @@ impl WalStats {
     }
 }
 
+/// Framed records laid end to end, ready to be written in one piece. The
+/// only way to build the bytes a [`Wal`] (or a snapshot) holds, so the
+/// record count always matches them and every header is valid.
+#[derive(Debug, Default)]
+pub struct Frames {
+    bytes: Vec<u8>,
+    records: usize,
+}
+
+impl Frames {
+    pub fn new() -> Self {
+        Frames::default()
+    }
+
+    /// Frames `payload` as the next record.
+    pub fn push(&mut self, payload: &[u8]) {
+        self.bytes.reserve(FRAME_HEADER + payload.len());
+        let at = self.open();
+        self.bytes.extend_from_slice(payload);
+        self.seal(at);
+    }
+
+    /// Frames whatever `encode` writes as the next record. The payload is
+    /// encoded in place behind its header, which is filled in afterwards,
+    /// so a record is written once and never copied.
+    pub fn push_with(&mut self, encode: impl FnOnce(&mut Encoder)) {
+        let at = self.open();
+        let mut enc = Encoder::over(std::mem::take(&mut self.bytes));
+        encode(&mut enc);
+        self.bytes = enc.into_vec();
+        self.seal(at);
+    }
+
+    /// Records framed so far.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// The frames, concatenated.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Reserves the next frame's header and returns its offset.
+    fn open(&mut self) -> usize {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; FRAME_HEADER]);
+        at
+    }
+
+    /// Completes the frame opened at `at`: everything behind its header is
+    /// the payload.
+    fn seal(&mut self, at: usize) {
+        let payload = &self.bytes[at + FRAME_HEADER..];
+        let len = u32::try_from(payload.len()).expect("WAL payload exceeds u32::MAX");
+        let crc = crc32(payload);
+        self.bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.bytes[at + 4..at + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        self.records += 1;
+    }
+}
+
 struct WalState {
     /// Records appended since the last sync.
     unsynced: usize,
@@ -112,16 +177,37 @@ impl Wal {
     ///
     /// [`commit`]: Wal::commit
     pub fn append(&self, payload: &[u8]) -> Result<()> {
-        let frame = frame(payload);
+        let mut frames = Frames::new();
+        frames.push(payload);
+        self.append_frames(&frames)
+    }
+
+    /// Appends already-framed records under the same rule as [`append`]:
+    /// one write, and a sync once [`WalOptions::group_commit`] records
+    /// have accumulated.
+    ///
+    /// [`append`]: Wal::append
+    pub fn append_frames(&self, frames: &Frames) -> Result<()> {
         let mut state = self.state.lock();
-        self.storage.append(&self.name, &frame)?;
-        self.stats.appends.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        state.unsynced += 1;
+        self.write_locked(&mut state, frames)?;
         if state.unsynced >= self.opts.group_commit.max(1) {
             self.sync_locked(&mut state)?;
         }
         Ok(())
+    }
+
+    /// Appends `frames` and makes them durable before returning: one write
+    /// and one sync however many records they hold (and whatever
+    /// [`WalOptions::group_commit`] says), covering any records still
+    /// buffered before them too. For callers whose next step is externally
+    /// visible for every record of the batch at once.
+    pub fn append_batch(&self, frames: &Frames) -> Result<()> {
+        if frames.records() == 0 {
+            return Ok(());
+        }
+        let mut state = self.state.lock();
+        self.write_locked(&mut state, frames)?;
+        self.sync_locked(&mut state)
     }
 
     /// Forces any buffered records to stable storage. No-op when the tail
@@ -156,6 +242,14 @@ impl Wal {
         &self.stats
     }
 
+    fn write_locked(&self, state: &mut WalState, frames: &Frames) -> Result<()> {
+        self.storage.append(&self.name, frames.as_bytes())?;
+        self.stats.appends.fetch_add(frames.records() as u64, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(frames.as_bytes().len() as u64, Ordering::Relaxed);
+        state.unsynced += frames.records();
+        Ok(())
+    }
+
     fn sync_locked(&self, state: &mut WalState) -> Result<()> {
         self.storage.sync(&self.name)?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
@@ -164,14 +258,14 @@ impl Wal {
     }
 }
 
-/// Encodes one frame: header + payload.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("WAL payload exceeds u32::MAX");
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// The payload of the intact frame at the start of `bytes`, or `None` when
+/// what is there is short, overruns `bytes` or fails its checksum: torn.
+fn first_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let payload = bytes.get(FRAME_HEADER..FRAME_HEADER.checked_add(len)?)?;
+    (crc32(payload) == crc).then_some(payload)
 }
 
 /// Outcome of scanning a log on recovery.
@@ -186,45 +280,34 @@ pub struct Replay {
 /// Scans the log named `name`, truncating any torn tail in place, and
 /// returns the intact record payloads in append order.
 pub fn replay(storage: &dyn Storage, name: &str) -> Result<Replay> {
-    let bytes = storage.read(name)?;
-    let mut off = 0usize;
-    let mut payloads = Vec::new();
-    while bytes.len() - off >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-        let start = off + FRAME_HEADER;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-            break; // length field overruns the file: torn
-        };
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            break; // payload damaged: torn
-        }
-        payloads.push(payload.to_vec());
-        off = end;
-    }
-    let truncated = (bytes.len() - off) as u64;
-    if truncated > 0 {
-        storage.truncate(name, off as u64)?;
-    }
+    let (payloads, truncated) = replay_decoded(storage, name, |payload| Ok(payload.to_vec()))?;
     Ok(Replay { payloads, truncated })
 }
 
-/// Like [`replay`] but decodes each payload with `f`, failing fast on a
-/// CRC-valid record that does not decode (version skew, not a torn tail).
+/// Like [`replay`] but decodes each payload with `f`, straight from the
+/// file's bytes, failing fast on a CRC-valid record that does not decode
+/// (version skew, not a torn tail).
 pub fn replay_decoded<T>(
     storage: &dyn Storage,
     name: &str,
     mut f: impl FnMut(&[u8]) -> Result<T>,
 ) -> Result<(Vec<T>, u64)> {
-    let replay = replay(storage, name)?;
-    let mut out = Vec::with_capacity(replay.payloads.len());
-    for (i, payload) in replay.payloads.iter().enumerate() {
-        out.push(f(payload).map_err(|e| {
+    let bytes = storage.read(name)?;
+    let mut off = 0usize;
+    let mut out = Vec::new();
+    while let Some(payload) = first_frame(&bytes[off..]) {
+        let record = f(payload).map_err(|e| {
+            let i = out.len();
             ObiError::Storage(format!("record {i} of `{name}` is undecodable: {e}"))
-        })?);
+        })?;
+        out.push(record);
+        off += FRAME_HEADER + payload.len();
     }
-    Ok((out, replay.truncated))
+    let truncated = (bytes.len() - off) as u64;
+    if truncated > 0 {
+        storage.truncate(name, off as u64)?;
+    }
+    Ok((out, truncated))
 }
 
 #[cfg(test)]
@@ -272,6 +355,83 @@ mod tests {
         assert_eq!(wal.stats().syncs(), 3);
         wal.commit().unwrap();
         assert_eq!(wal.stats().syncs(), 3, "commit with clean tail is a no-op");
+    }
+
+    fn frames_of(payloads: &[&[u8]]) -> Frames {
+        let mut frames = Frames::new();
+        for payload in payloads {
+            frames.push(payload);
+        }
+        frames
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_one_sync_whatever_the_group_size() {
+        let mem = Arc::new(MemStorage::new());
+        let wal = wal_over(&mem, 8);
+        // Two records already buffered: the batch's sync covers them too.
+        wal.append(b"a").unwrap();
+        wal.append(b"b").unwrap();
+        let payloads: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 5]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        wal.append_batch(&frames_of(&refs)).unwrap();
+        assert_eq!(wal.stats().syncs(), 1, "64 records through `append` would be 8 syncs");
+        assert_eq!(mem.sync_count(), 1);
+        assert_eq!(wal.stats().appends(), 66);
+        assert_eq!(wal.stats().bytes(), wal.len().unwrap());
+        assert_eq!(mem.synced_len("wal"), wal.len().unwrap(), "nothing left unsynced");
+        // The group-commit count starts over after the batch.
+        for _ in 0..7 {
+            wal.append(b"r").unwrap();
+        }
+        assert_eq!(wal.stats().syncs(), 1);
+        wal.append(b"r").unwrap();
+        assert_eq!(wal.stats().syncs(), 2);
+        let replay = replay(mem.as_ref(), "wal").unwrap();
+        assert_eq!(replay.payloads.len(), 74);
+        assert_eq!(replay.payloads[2..66], payloads[..]);
+        // An empty batch has nothing to make durable.
+        wal.append_batch(&Frames::new()).unwrap();
+        assert_eq!((wal.stats().syncs(), wal.stats().appends()), (2, 74));
+    }
+
+    #[test]
+    fn a_torn_batch_recovers_a_record_prefix_of_it() {
+        let mem = Arc::new(MemStorage::new());
+        let wal = wal_over(&mem, 8);
+        wal.append(b"before").unwrap();
+        let base = wal.len().unwrap();
+        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; (i as usize + 1) * 3]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        wal.append_batch(&frames_of(&refs)).unwrap();
+        let original = mem.read("wal").unwrap();
+        let mut boundary = base;
+        let boundaries: Vec<u64> = payloads
+            .iter()
+            .map(|p| {
+                boundary += (FRAME_HEADER + p.len()) as u64;
+                boundary
+            })
+            .collect();
+        for keep in base..=original.len() as u64 {
+            mem.replace("wal", &original).unwrap();
+            mem.crash_keeping("wal", keep);
+            let replay = replay(mem.as_ref(), "wal").unwrap();
+            let whole = boundaries.iter().filter(|&&b| b <= keep).count();
+            assert_eq!(replay.payloads.len(), 1 + whole, "keep={keep}");
+            assert_eq!(replay.payloads[1..], payloads[..whole], "keep={keep}");
+        }
+    }
+
+    #[test]
+    fn frames_encoded_in_place_equal_frames_of_the_same_payloads() {
+        let mut in_place = Frames::new();
+        in_place.push_with(|enc| enc.put_str("first"));
+        in_place.push_with(|_| {});
+        in_place.push_with(|enc| enc.put_varint(300));
+        assert_eq!(in_place.records(), 3);
+        let copied = frames_of(&[b"\x05first", b"", &[0xAC, 0x02]]);
+        assert_eq!(in_place.as_bytes(), copied.as_bytes());
     }
 
     #[test]
@@ -341,5 +501,14 @@ mod tests {
         mem.fail_after(0);
         let err = wal.append(b"doomed").unwrap_err();
         assert!(matches!(err, ObiError::Storage(_)), "{err}");
+        let err = wal.append_batch(&frames_of(&[b"doomed", b"too"])).unwrap_err();
+        assert!(matches!(err, ObiError::Storage(_)), "{err}");
+        // A batch that is written but cannot be synced is not durable, and
+        // says so.
+        mem.heal();
+        mem.fail_after(1);
+        let err = wal.append_batch(&frames_of(&[b"written"])).unwrap_err();
+        assert!(matches!(err, ObiError::Storage(_)), "{err}");
+        assert_eq!(wal.stats().syncs(), 0);
     }
 }

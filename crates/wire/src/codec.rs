@@ -62,6 +62,12 @@ impl Encoder {
         Encoder { buf: BytesMut::with_capacity(cap) }
     }
 
+    /// Continues encoding at the end of `buf`, whose bytes are kept: lets
+    /// a caller lay several encodings (or its own framing) into one buffer.
+    pub fn over(buf: Vec<u8>) -> Self {
+        Encoder { buf: BytesMut::from(buf) }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -75,6 +81,12 @@ impl Encoder {
     /// Consumes the encoder, returning the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// Consumes the encoder, returning its buffer without the shared
+    /// wrapper [`finish`](Encoder::finish) puts around it.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into()
     }
 
     /// Writes a raw byte.

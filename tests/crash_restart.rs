@@ -14,11 +14,14 @@
 
 use obiwan::core::demo::Counter;
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy};
-use obiwan::mobility::session::DisconnectedSession;
+use obiwan::mobility::session::{DisconnectedSession, ReintegrationReport};
 use obiwan::net::LinkModel;
-use obiwan::store::{Durable, DurableOptions, MemStorage, Storage, SEQ_EPOCH_SKIP, WAL_FILE};
+use obiwan::store::{
+    Durable, DurableOptions, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP, WAL_FILE,
+};
 use obiwan::util::SiteId;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn set_link(world: &ObiWorld, a: SiteId, b: SiteId, model: LinkModel) {
@@ -493,6 +496,431 @@ fn rpc_heavy_life_is_checkpointed_every_n_confirmed_rpcs() {
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+// -- grouped write-back -------------------------------------------------------
+
+/// Counters enough for a write-back of more than two groups (`put_many`
+/// makes 64 put intents durable per sync).
+const FLEET: usize = 130;
+
+/// What a [`KillAt`] storage unwinds its process with.
+struct Killed;
+
+/// Keeps the `Killed` unwinds of the sweeps off stderr; every other panic
+/// still reaches the default hook.
+fn silence_kills() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<Killed>() {
+                default(info);
+            }
+        }));
+    });
+}
+
+/// A [`MemStorage`] that kills its process the moment the WAL reaches
+/// `limit` bytes: the append that gets there is cut at `limit` and the
+/// caller unwinds with [`Killed`], so nothing it would have done next —
+/// a sync, an RPC — happens. Unlike cutting back the log of a run that
+/// finished, the master is left holding exactly the puts that had reached
+/// it when the log was that long.
+struct KillAt {
+    mem: Arc<MemStorage>,
+    limit: AtomicU64,
+    /// The WAL's length, tracked here so that appends take no storage lock
+    /// the library itself would not.
+    wal_len: AtomicU64,
+    /// Where each frame appended to the WAL ended.
+    frame_ends: std::sync::Mutex<Vec<u64>>,
+}
+
+impl Storage for KillAt {
+    fn read(&self, name: &str) -> obiwan::util::Result<Vec<u8>> {
+        self.mem.read(name)
+    }
+    fn len(&self, name: &str) -> obiwan::util::Result<u64> {
+        self.mem.len(name)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
+        if name != WAL_FILE {
+            return self.mem.append(name, bytes);
+        }
+        let len = self.wal_len.load(Ordering::Relaxed);
+        let room = self.limit.load(Ordering::Relaxed).saturating_sub(len);
+        let fits = (bytes.len() as u64).min(room);
+        self.mem.append(name, &bytes[..fits as usize])?;
+        self.wal_len.store(len + fits, Ordering::Relaxed);
+        if fits == room {
+            std::panic::panic_any(Killed);
+        }
+        let mut frame_ends = self.frame_ends.lock().unwrap();
+        let mut at = 0;
+        while at < bytes.len() {
+            let payload = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            at += 8 + payload as usize;
+            frame_ends.push(len + at as u64);
+        }
+        Ok(())
+    }
+    fn sync(&self, name: &str) -> obiwan::util::Result<()> {
+        self.mem.sync(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> obiwan::util::Result<()> {
+        if name == WAL_FILE {
+            self.wal_len.fetch_min(len, Ordering::Relaxed);
+        }
+        self.mem.truncate(name, len)
+    }
+    fn replace(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
+        self.mem.replace(name, bytes)
+    }
+}
+
+/// [`FLEET`] counters mastered at the server, each replicated at a durable
+/// client and incremented once offline: a write-back waiting to happen.
+struct Fleet {
+    world: ObiWorld,
+    client: SiteId,
+    server: SiteId,
+    masters: Vec<ObjRef>,
+    replicas: Vec<ObjRef>,
+    storage: Arc<KillAt>,
+    session: DisconnectedSession,
+    /// Every master's version before any write-back.
+    base_version: u64,
+}
+
+fn build_fleet() -> Fleet {
+    let mut world = ObiWorld::loopback();
+    let client = world.add_site("pda");
+    let server = world.add_site("server");
+    let mut masters = Vec::with_capacity(FLEET);
+    let mut replicas = Vec::with_capacity(FLEET);
+    for _ in 0..FLEET {
+        let master = world.site(server).create(Counter::new(0));
+        let remote = world.site(server).export_anonymous(master).unwrap();
+        masters.push(master);
+        replicas.push(
+            world
+                .site(client)
+                .get(&remote, ReplicationMode::incremental(1))
+                .unwrap(),
+        );
+    }
+    let base_version = world.site(server).meta_of(masters[0]).unwrap().version;
+    let storage = Arc::new(KillAt {
+        mem: Arc::new(MemStorage::new()),
+        limit: AtomicU64::new(u64::MAX),
+        wal_len: AtomicU64::new(0),
+        frame_ends: Default::default(),
+    });
+    let (durable, recovered) =
+        Durable::open(storage.clone() as Arc<dyn Storage>, DurableOptions::default()).unwrap();
+    assert!(recovered.is_empty());
+    world.site(client).attach_durability(durable);
+    world.disconnect(client);
+    let mut session = DisconnectedSession::new();
+    for &replica in &replicas {
+        session
+            .invoke(world.site(client), replica, "add", ObiValue::I64(1))
+            .unwrap();
+    }
+    world.site(client).durability().unwrap().commit().unwrap();
+    world.reconnect(client);
+    Fleet {
+        world,
+        client,
+        server,
+        masters,
+        replicas,
+        storage,
+        session,
+        base_version,
+    }
+}
+
+impl Fleet {
+    fn durable(&self) -> Arc<Durable> {
+        self.world.site(self.client).durability().unwrap().clone()
+    }
+
+    fn reintegrate(&self) -> ReintegrationReport {
+        self.session.reintegrate(self.world.site(self.client))
+    }
+
+    /// Reintegrates until the WAL reaches `limit` bytes and the process is
+    /// killed there.
+    fn reintegrate_until_killed_at(&self, limit: u64) {
+        silence_kills();
+        self.storage.limit.store(limit, Ordering::Relaxed);
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.reintegrate()));
+        self.storage.limit.store(u64::MAX, Ordering::Relaxed);
+        match killed {
+            Ok(report) => panic!("limit={limit}: the write-back ran to its end: {report:?}"),
+            Err(payload) if payload.is::<Killed>() => {}
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// Brings a fresh client process up over the first `keep` bytes of the
+    /// dead one's WAL and resumes its session.
+    fn restart_keeping(&mut self, keep: u64) {
+        self.storage.mem.crash_keeping(WAL_FILE, keep);
+        self.storage.wal_len.fetch_min(keep, Ordering::Relaxed);
+        self.world.restart_site(self.client);
+        let (durable, recovered) = Durable::open(
+            self.storage.clone() as Arc<dyn Storage>,
+            DurableOptions::default(),
+        )
+        .unwrap();
+        let process = self.world.site(self.client);
+        process.attach_durability(durable);
+        let restored = process.recover_from(&recovered).unwrap();
+        assert_eq!(restored, recovered.dirty.len(), "every dirty replica restores");
+        self.session = DisconnectedSession::resume(&recovered);
+    }
+
+    fn master_version(&self, i: usize) -> u64 {
+        let meta = self.world.site(self.server).meta_of(self.masters[i]);
+        meta.unwrap().version
+    }
+
+    fn master_value(&self, i: usize) -> ObiValue {
+        self.world
+            .site(self.server)
+            .invoke(self.masters[i], "read", ObiValue::Null)
+            .unwrap()
+    }
+
+    /// Version continuity: every master took its counter's one offline
+    /// increment in exactly one put.
+    fn assert_every_put_applied_exactly_once(&self, context: &str) {
+        for i in 0..FLEET {
+            assert_eq!(self.master_value(i), ObiValue::I64(1), "{context}: master {i}");
+            assert_eq!(
+                self.master_version(i),
+                self.base_version + 1,
+                "{context}: master {i} applied its put more or less than once"
+            );
+        }
+    }
+
+    /// What a restart now would find in the log.
+    fn log_contents(&self) -> RecoveredState {
+        let storage = self.storage.clone() as Arc<dyn Storage>;
+        Durable::open(storage, DurableOptions::default()).unwrap().1
+    }
+
+    fn pending_intents(&self) -> usize {
+        let durable = self.durable();
+        let pending = |r: &&ObjRef| durable.pending_put(r.id()).is_some();
+        self.replicas.iter().filter(pending).count()
+    }
+}
+
+/// Maps the fleet's write-back from a run nobody kills: the WAL length it
+/// starts at, and where each frame it appends ends.
+fn write_back_map() -> &'static (u64, Vec<u64>) {
+    static MAP: std::sync::OnceLock<(u64, Vec<u64>)> = std::sync::OnceLock::new();
+    MAP.get_or_init(|| {
+        let fleet = build_fleet();
+        let start = fleet.durable().wal_len().unwrap();
+        let report = fleet.reintegrate();
+        assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
+        fleet.assert_every_put_applied_exactly_once("unkilled");
+        let mut frame_ends = std::mem::take(&mut *fleet.storage.frame_ends.lock().unwrap());
+        frame_ends.retain(|&end| end > start);
+        (start, frame_ends)
+    })
+}
+
+/// The process is killed at *every* WAL length the grouped write-back
+/// passes through — inside a group's batch of intents, after the batch but
+/// before its sync and first RPC, inside or after any confirmation, so
+/// between any two RPCs of a group and between groups. Whatever had left
+/// by then, the restarted site's next pass completes the write-back with
+/// every put applied exactly once.
+#[test]
+fn a_kill_at_every_wal_offset_of_a_grouped_write_back_applies_each_put_exactly_once() {
+    let (start, frame_ends) = write_back_map();
+    assert_eq!(frame_ends.len(), 2 * FLEET + FLEET.div_ceil(64));
+    let (start, peak) = (*start, *frame_ends.last().unwrap());
+    // Kills inside one frame all tear the same record, and the WAL's own
+    // sweeps tear records byte by byte. So a debug build — tier 1 — kills
+    // on either side of every frame's end; a release build — CI's chaos
+    // job — at every byte.
+    let limits: Vec<u64> = if cfg!(debug_assertions) {
+        let mut around: Vec<u64> = frame_ends.iter().flat_map(|&end| [end - 1, end, end + 1]).collect();
+        around.insert(0, start);
+        around.retain(|limit| (start..=peak).contains(limit));
+        around.dedup();
+        around
+    } else {
+        (start..=peak).collect()
+    };
+    let mut replayed = 0u64;
+    for limit in limits {
+        let mut fleet = build_fleet();
+        fleet.reintegrate_until_killed_at(limit);
+        fleet.restart_keeping(limit);
+        let cached_before = fleet.world.site(fleet.server).metrics().snapshot().cached_replies;
+        let report = fleet.reintegrate();
+        assert!(report.is_clean(), "limit={limit}: {report:?}");
+        fleet.assert_every_put_applied_exactly_once(&format!("limit={limit}"));
+        let left = fleet.log_contents();
+        assert!(
+            left.dirty.is_empty() && left.ops.is_empty() && left.pending_puts.is_empty(),
+            "limit={limit}: the log still holds {} dirty, {} ops, {} pending puts",
+            left.dirty.len(),
+            left.ops.len(),
+            left.pending_puts.len()
+        );
+        replayed +=
+            fleet.world.site(fleet.server).metrics().snapshot().cached_replies - cached_before;
+    }
+    assert!(
+        replayed > 0,
+        "some kill must fall between a put's arrival and its confirmation"
+    );
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// One sync per group of intents, not one per put: three groups' batches,
+/// the 133 unforced confirmations and watermarks at eight to a sync, and
+/// the snapshot that closes a clean session.
+#[test]
+fn a_grouped_write_back_syncs_once_per_group_of_intents() {
+    let fleet = build_fleet();
+    let syncs_before = fleet.storage.mem.sync_count();
+    let appends_before = fleet.durable().wal_stats().appends();
+    let report = fleet.reintegrate();
+    assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
+    let syncs = fleet.storage.mem.sync_count() - syncs_before;
+    let groups = FLEET.div_ceil(64) as u64;
+    let unforced = FLEET as u64 + groups;
+    assert!(
+        syncs <= groups + unforced.div_ceil(8) + 1,
+        "{syncs} syncs for {FLEET} puts"
+    );
+    assert_eq!(
+        fleet.durable().wal_stats().appends() - appends_before,
+        2 * FLEET as u64 + groups,
+        "an intent and a confirmation per put, a watermark per group"
+    );
+}
+
+/// The link starts losing replies part-way through the first group. The
+/// pass leaves that group's unanswered intents pending and plans no further
+/// group for the unreachable master; the next pass sends exactly those
+/// requests again, so the master answers the ones it had applied from its
+/// reply cache, and only the objects never planned take new ids.
+#[test]
+fn a_pass_that_goes_unreachable_mid_group_leaves_one_groups_intents_and_reuses_them() {
+    use obiwan::core::BreakerConfig;
+    let fleet = build_fleet();
+    fleet.world.transport().reseed(11);
+    set_link(
+        &fleet.world,
+        fleet.client,
+        fleet.server,
+        LinkModel::ideal().with_reply_loss(0.4),
+    );
+    fleet.world.site(fleet.client).set_rpc_policy(RetryPolicy {
+        max_retries: 0,
+        ..RetryPolicy::default()
+    });
+    let report = fleet.reintegrate();
+    let unreachable = report.outcomes.len() - report.pushed();
+    assert_eq!(report.outcomes.len(), FLEET);
+    assert!(report.pushed() > 0 && unreachable > FLEET - 64, "{report:?}");
+    assert!(report.conflicts().is_empty(), "{report:?}");
+    let pending = fleet.pending_intents();
+    assert!(pending > 0 && pending <= 64, "{pending} intents left pending");
+    assert_eq!(
+        pending + report.pushed(),
+        64,
+        "only the first group was planned: its puts were acked or are pending"
+    );
+    // Applied at the master, but the ack never arrived.
+    let landed = (0..FLEET)
+        .filter(|&i| fleet.master_version(i) > fleet.base_version)
+        .count()
+        - report.pushed();
+    assert!(landed > 0 && landed <= pending);
+    let next_seq_before = fleet.log_contents().next_request_seq;
+
+    set_link(&fleet.world, fleet.client, fleet.server, LinkModel::ideal());
+    fleet
+        .world
+        .site(fleet.client)
+        .clock()
+        .charge(BreakerConfig::default().cooldown);
+    let cached_before = fleet.world.site(fleet.server).metrics().snapshot().cached_replies;
+    let report = fleet.reintegrate();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.pushed(), unreachable);
+    assert_eq!(
+        fleet.world.site(fleet.server).metrics().snapshot().cached_replies - cached_before,
+        landed as u64,
+        "every put that had landed is answered from the reply cache"
+    );
+    assert_eq!(
+        fleet.log_contents().next_request_seq - next_seq_before,
+        (unreachable - pending) as u64,
+        "the pending intents kept their ids; only never-planned puts reserved new ones"
+    );
+    fleet.assert_every_put_applied_exactly_once("after the second pass");
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// A replica mutated after its group was snapshotted but before its own put
+/// is acked: the ack covers the snapshotted state only, so the replica
+/// stays dirty, and the next pass pushes the newer state under a fresh id.
+#[test]
+fn a_replica_mutated_between_the_group_snapshot_and_its_ack_stays_dirty() {
+    use obiwan::net::Transport;
+    use obiwan::wire::Message;
+    let fleet = build_fleet();
+    let late = fleet.replicas[5];
+    // The first put request to reach the server finds the client mutating
+    // replica 5 — whose own put is still to come, carrying the old state.
+    let server = fleet.world.site(fleet.server).message_handler();
+    let client = fleet.world.site(fleet.client).clone();
+    let mutated = std::sync::atomic::AtomicBool::new(false);
+    fleet.world.transport().register(
+        fleet.server,
+        Arc::new(move |from: SiteId, frame: bytes::Bytes| {
+            let is_put = matches!(Message::decode(&frame), Ok(Message::PutRequest { .. }));
+            if is_put && !mutated.swap(true, Ordering::Relaxed) {
+                client.invoke(late, "add", ObiValue::I64(10)).unwrap();
+            }
+            server.handle(from, frame)
+        }),
+    );
+    let report = fleet.reintegrate();
+    assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
+    assert_eq!(fleet.master_value(5), ObiValue::I64(1), "the snapshotted state was sent");
+    let meta = fleet.world.site(fleet.client).meta_of(late).unwrap();
+    assert!(meta.dirty, "the ack did not cover the newer state");
+    assert!(fleet.durable().pending_put(late.id()).is_none(), "the sent state's intent is settled");
+    let left = fleet.log_contents();
+    assert_eq!(left.dirty.keys().collect::<Vec<_>>(), [&late.id()], "and it is still durable");
+    let next_seq_before = left.next_request_seq;
+
+    let report = fleet.reintegrate();
+    assert_eq!(report.outcomes.len(), 1, "{report:?}");
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(fleet.master_value(5), ObiValue::I64(11));
+    assert_eq!(fleet.master_version(5), fleet.base_version + 2);
+    assert_eq!(fleet.log_contents().next_request_seq, next_seq_before + 1, "one fresh id");
+    assert!(!fleet.world.site(fleet.client).meta_of(late).unwrap().dirty);
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 /// Case count mirrors tests/chaos.rs: 48 by default, `PROPTEST_CASES` in CI.
 fn configured_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -569,6 +997,49 @@ proptest! {
             prop_assert!(again.outcomes.is_empty(), "dirty state must drain: {:?}", again);
         }
         prop_assert_eq!(rig.master_value(), value);
+        obiwan::util::sync::assert_no_lock_order_violations();
+        obiwan::util::sync::assert_observed_edges_in_static_graph();
+    }
+
+    /// The same dimension over a grouped write-back: killed anywhere in it,
+    /// and restarted over either everything it had written (a SIGKILL) or
+    /// only what it had synced (a power loss). Confirmations are not
+    /// forced, so a power loss can take one whose request id the master
+    /// has since been told to forget; that put goes out again, and as in
+    /// the property above only `OptimisticDetect` keeps the master from
+    /// applying it twice — as a conflict, which only a power loss may
+    /// produce.
+    #[test]
+    fn random_kills_of_a_grouped_write_back_recover_exactly_once(
+        kill_pct in 0u64..=100,
+        power_loss in proptest::bool::ANY,
+    ) {
+        let mut fleet = build_fleet();
+        fleet.world
+            .site(fleet.server)
+            .set_policy(Box::new(obiwan::consistency::OptimisticDetect::new()));
+        let (start, frame_ends) = write_back_map();
+        let limit = start + (frame_ends.last().unwrap() - start) * kill_pct / 100;
+        fleet.reintegrate_until_killed_at(limit);
+        let keep = if power_loss { fleet.storage.mem.synced_len(WAL_FILE) } else { limit };
+        fleet.restart_keeping(keep);
+        let report = fleet.reintegrate();
+        prop_assert!(
+            power_loss || report.is_clean(),
+            "limit {}, keep {}: {:?}", limit, keep, report
+        );
+        for (_, outcome) in &report.outcomes {
+            prop_assert!(
+                !matches!(outcome, obiwan::mobility::session::ReintegrationOutcome::Unreachable),
+                "reconnected reintegration must reach the master"
+            );
+        }
+        fleet.assert_every_put_applied_exactly_once(&format!("limit {limit}, keep {keep}"));
+        // A second pass converges: nothing left but the conflicts, which
+        // stay rejected until the application resolves them.
+        let again = fleet.reintegrate();
+        prop_assert_eq!(again.conflicts(), report.conflicts());
+        prop_assert_eq!(again.outcomes.len(), report.conflicts().len());
         obiwan::util::sync::assert_no_lock_order_violations();
         obiwan::util::sync::assert_observed_edges_in_static_graph();
     }

@@ -602,7 +602,7 @@ fn materialize_batch(
 /// deltas to the durability log — *after* releasing the process lock: the
 /// append can trigger a group fsync, and a stalled disk must slow this one
 /// caller, not every invocation on the site.
-#[must_use = "the dirty list must be logged via log_dirty_deltas after the lock drops"]
+#[must_use = "the dirty list must be logged (log_dirty_deltas, log_journaled_op) after the lock drops"]
 fn finish_invocation(
     inner: &mut ProcessInner,
     shared: &ProcessShared,
@@ -636,10 +636,24 @@ fn finish_invocation(
     dirtied
 }
 
-/// Appends each replica's serialized state to the durability log (when one
-/// is attached). Called with the process lock and every shard guard
-/// released: the state is re-read under a fresh short guard, and the WAL
-/// append (which can trigger a group fsync) happens guard-free.
+/// The serialized state of each replica in `dirtied`, with its provider:
+/// what the durability log holds for a replica that went dirty. Called
+/// with the process lock and every shard guard released: each state is
+/// re-read under a fresh short guard that is gone again before the state
+/// is yielded, so whatever the caller appends, it appends guard-free.
+fn dirty_states<'a>(
+    shared: &'a ProcessShared,
+    dirtied: &'a [(ObjId, SiteId)],
+) -> impl Iterator<Item = (SiteId, ReplicaState)> + 'a {
+    dirtied
+        .iter()
+        .filter_map(|&(id, provider)| Some((provider, replica_state_of(&shared.space, id).ok()?)))
+}
+
+/// Appends each dirtied replica's state to the durability log (when one is
+/// attached) as a bare `ObjectDelta`: the write-through of an invocation
+/// that no session journals. The WAL append (which can trigger a group
+/// fsync) happens with no lock of this process held.
 ///
 /// Best-effort by design: the in-memory replica is the source of truth and
 /// stays dirty, so a failed append costs durability of this delta, not
@@ -652,11 +666,29 @@ fn log_dirty_deltas(shared: &ProcessShared, dirtied: &[(ObjId, SiteId)]) {
     let Some(durable) = shared.durable.get() else {
         return;
     };
-    for &(id, provider) in dirtied {
-        if let Ok(state) = replica_state_of(&shared.space, id) {
-            let _ = durable.log_dirty(provider, state);
-        }
+    for (provider, state) in dirty_states(shared, dirtied) {
+        let _ = durable.log_dirty(provider, state);
     }
+}
+
+/// Appends one journaled invocation to the durability log (when one is
+/// attached): the op and the state of every replica it dirtied, as **one**
+/// record, so a crash keeps both or neither. Same locking and best-effort
+/// contract as [`log_dirty_deltas`], whose place it takes: a journaled
+/// invocation never also writes a bare delta.
+fn log_journaled_op(
+    shared: &ProcessShared,
+    target: ObjId,
+    method: &str,
+    args: &ObiValue,
+    succeeded: bool,
+    dirtied: &[(ObjId, SiteId)],
+) {
+    let Some(durable) = shared.durable.get() else {
+        return;
+    };
+    let deltas: Vec<(SiteId, ReplicaState)> = dirty_states(shared, dirtied).collect();
+    let _ = durable.log_op(target, method, std::slice::from_ref(args), succeeded, deltas);
 }
 
 /// Queues invalidations/pushes for every subscriber of `id` except
@@ -1227,6 +1259,36 @@ impl ObiProcess {
     /// proceed while this one waits on the provider. Nested faults — raised
     /// inside a method body, which owns the lock — still resolve under it.
     pub fn invoke(&self, target: ObjRef, method: &str, args: ObiValue) -> Result<ObiValue> {
+        self.invoke_logged(target, method, &args, false)
+    }
+
+    /// [`invoke`](ObiProcess::invoke) for a disconnected session's journal:
+    /// with durability attached, the invocation is written to the log as
+    /// **one** record — the op (target, method, arguments, whether it
+    /// succeeded) together with the state of every replica it dirtied —
+    /// where `invoke` writes the states alone. Every exit writes exactly
+    /// that one record, an object fault that cannot resolve while
+    /// disconnected included (`succeeded: false`, nothing dirtied). With no
+    /// durability attached this *is* `invoke`.
+    pub fn invoke_journaled(
+        &self,
+        target: ObjRef,
+        method: &str,
+        args: &ObiValue,
+    ) -> Result<ObiValue> {
+        self.invoke_logged(target, method, args, true)
+    }
+
+    /// The body of [`invoke`](ObiProcess::invoke) and
+    /// [`invoke_journaled`](ObiProcess::invoke_journaled), which differ
+    /// only in the record the durability log gets once the lock is free.
+    fn invoke_logged(
+        &self,
+        target: ObjRef,
+        method: &str,
+        args: &ObiValue,
+        journal: bool,
+    ) -> Result<ObiValue> {
         // Install chunks parked by an earlier streamed fault *before* this
         // invocation's latency window opens: their cost is real but must
         // not land in the caller-visible tail.
@@ -1235,7 +1297,13 @@ impl ObiProcess {
             .with_site(self.shared.site)
             .with_obj(target.id());
         let start = self.shared.clock.virtual_nanos();
-        let result = self.invoke_resolving(target, method, args);
+        let mut dirtied: Vec<(ObjId, SiteId)> = Vec::new();
+        let result = self.invoke_resolving(target, method, args, &mut dirtied);
+        if journal {
+            log_journaled_op(&self.shared, target.id(), method, args, result.is_ok(), &dirtied);
+        } else {
+            log_dirty_deltas(&self.shared, &dirtied);
+        }
         self.shared.metrics.record_latency(
             LatencyKind::Invoke,
             Duration::from_nanos(self.shared.clock.virtual_nanos().saturating_sub(start)),
@@ -1243,13 +1311,20 @@ impl ObiProcess {
         result
     }
 
-    /// The fault-resolving LMI loop behind [`ObiProcess::invoke`].
-    fn invoke_resolving(&self, target: ObjRef, method: &str, args: ObiValue) -> Result<ObiValue> {
+    /// The fault-resolving LMI loop behind [`ObiProcess::invoke`]. Leaves
+    /// in `dirtied` the replicas the invocation dirtied, for the caller to
+    /// log now that the process lock is free again.
+    fn invoke_resolving(
+        &self,
+        target: ObjRef,
+        method: &str,
+        args: &ObiValue,
+        dirtied: &mut Vec<(ObjId, SiteId)>,
+    ) -> Result<ObiValue> {
         // Bounded like invoke_inner's fault loop: a budget that evicts the
         // freshly faulted object must degrade to an error, not a livelock.
         let mut attempts = 0;
         loop {
-            let mut dirtied: Vec<(ObjId, SiteId)> = Vec::new();
             let outcome = self.with_inner(|inner| {
                 Ok(match self.shared.space.resolve(target.id()) {
                     Resolution::Proxy(proxy) => InvokeOutcome::Fault(proxy),
@@ -1260,16 +1335,15 @@ impl ObiProcess {
                             &self.shared,
                             target.id(),
                             method,
-                            &args,
+                            args,
                             &mut modified,
                             0,
                         );
-                        dirtied = finish_invocation(inner, &self.shared, &modified);
+                        *dirtied = finish_invocation(inner, &self.shared, &modified);
                         InvokeOutcome::Done(result)
                     }
                 })
             })?;
-            log_dirty_deltas(&self.shared, &dirtied);
             match outcome {
                 InvokeOutcome::Done(result) => return result,
                 InvokeOutcome::Fault(proxy) => {

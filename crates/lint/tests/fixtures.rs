@@ -52,6 +52,12 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         stdout.contains("crates/demo/src/lib.rs:34: [no-io-under-shard-guard]"),
         "missing same-statement io diagnostic in:\n{stdout}"
     );
+    // A journaled op whose deltas are built, and logged, under the guard
+    // they were read under.
+    assert!(
+        stdout.contains("crates/demo/src/lib.rs:46: [no-io-under-shard-guard]"),
+        "missing journal-under-guard diagnostic in:\n{stdout}"
+    );
     // The bare allow suppresses its guard-across-transport finding but is
     // itself flagged by the audit rule.
     assert!(
@@ -86,7 +92,7 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         stdout.contains("crates/demo/src/intent.rs:31: [wal-intent-lifecycle]"),
         "missing retired-one-of-a-group diagnostic in:\n{stdout}"
     );
-    assert!(stdout.contains("13 violation(s)"), "count in:\n{stdout}");
+    assert!(stdout.contains("14 violation(s)"), "count in:\n{stdout}");
 }
 
 #[test]

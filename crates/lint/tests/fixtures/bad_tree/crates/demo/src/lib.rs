@@ -39,3 +39,9 @@ pub fn bare_allow_without_reason(s: &Service) {
     // lint:allow(guard-across-transport)
     s.transport.call(1, 2, guard.frame());
 }
+
+pub fn journal_op_under_shard_guard(s: &Space, d: &Durable, a: ObjId, args: &[Value]) {
+    let g = s.shard(a).read();
+    let deltas = vec![(g.provider(), g.state())];
+    d.log_op(a, "add", args, true, deltas);
+}

@@ -41,3 +41,11 @@ pub fn vec_append_under_shard_guard(s: &Space, a: ObjId, out: &mut Vec<ObjId>) {
     let mut batch = g.touched_ids();
     out.append(&mut batch);
 }
+
+pub fn journal_op_outside_the_shard_guard(s: &Space, d: &Durable, a: ObjId, args: &[Value]) {
+    let deltas = {
+        let g = s.shard(a).read();
+        vec![(g.provider(), g.state())]
+    };
+    d.log_op(a, "add", args, true, deltas);
+}

@@ -99,9 +99,9 @@ impl DisconnectedSession {
 
     /// Rebuilds a session from state recovered after a crash (see
     /// `obiwan-store`): the journaled op log is restored, and every
-    /// recovered dirty replica counts as touched — even one whose op
-    /// records were lost in the torn tail — so the next
-    /// [`reintegrate`](DisconnectedSession::reintegrate) pushes it.
+    /// recovered dirty replica counts as touched — even one no recovered
+    /// op names, dirtied by an invocation outside any session — so the
+    /// next [`reintegrate`](DisconnectedSession::reintegrate) pushes it.
     pub fn resume(recovered: &RecoveredState) -> Self {
         let mut session = DisconnectedSession::new();
         for op in &recovered.ops {
@@ -124,9 +124,14 @@ impl DisconnectedSession {
     /// Invokes a method through the session, journaling it.
     ///
     /// With durability attached to `process`, the journal entry is also
-    /// written through to the log, after the invocation (whose own dirty
-    /// delta lands first, so a crash between the two leaves the delta —
-    /// pushable state — rather than an op with no state).
+    /// written through to the log, by the invocation itself
+    /// ([`ObiProcess::invoke_journaled`]): one record holding the op and
+    /// the state of every replica it dirtied. A crash therefore keeps an
+    /// operation and its effect or neither, and the journal a resumed
+    /// session replays ([`resolve_replay_local`]) always accounts for
+    /// exactly the dirty state recovered beside it.
+    ///
+    /// [`resolve_replay_local`]: DisconnectedSession::resolve_replay_local
     ///
     /// # Errors
     ///
@@ -139,15 +144,7 @@ impl DisconnectedSession {
         method: &str,
         args: ObiValue,
     ) -> Result<ObiValue> {
-        let result = process.invoke(target, method, args.clone());
-        if let Some(durable) = process.durability() {
-            let _ = durable.log_op(
-                target.id(),
-                method,
-                std::slice::from_ref(&args),
-                result.is_ok(),
-            );
-        }
+        let result = process.invoke_journaled(target, method, &args);
         self.log.push(LoggedOp {
             target: target.id(),
             method: method.to_owned(),
@@ -502,5 +499,192 @@ mod tests {
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed.touched(), vec![replica.id()]);
         assert_eq!(resumed.log()[0].args, ObiValue::I64(4));
+    }
+
+    // -- one record per journaled invocation ----------------------------------
+
+    use obiwan_store::{Durable, DurableOptions, MemStorage, Storage, WalRecord, WAL_FILE};
+    use std::sync::Arc;
+
+    /// [`rig`] with a fresh in-memory durability log attached to the client.
+    fn durable_rig() -> (ObiWorld, SiteId, ObjRef, Arc<MemStorage>, Arc<Durable>) {
+        let (world, s1, _s2, _master, replica) = rig();
+        let (mem, durable) = attach_log(&world, s1);
+        (world, s1, replica, mem, durable)
+    }
+
+    fn attach_log(world: &ObiWorld, site: SiteId) -> (Arc<MemStorage>, Arc<Durable>) {
+        let mem = Arc::new(MemStorage::new());
+        let (durable, recovered) =
+            Durable::open(mem.clone() as Arc<dyn Storage>, DurableOptions::default()).unwrap();
+        assert!(recovered.is_empty());
+        world.site(site).attach_durability(durable.clone());
+        (mem, durable)
+    }
+
+    /// Every record the WAL holds, synced or not.
+    fn wal_records(mem: &MemStorage) -> Vec<WalRecord> {
+        let replay = obiwan_store::replay(mem, WAL_FILE).unwrap();
+        assert_eq!(replay.truncated, 0);
+        replay
+            .payloads
+            .iter()
+            .map(|p| WalRecord::decode(p).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn sixteen_journaled_ops_are_sixteen_appends_and_two_syncs() {
+        let (world, s1, replica, mem, durable) = durable_rig(); // group commit 8
+        world.disconnect(s1);
+        let mut session = DisconnectedSession::new();
+        for i in 0..16 {
+            session
+                .invoke(world.site(s1), replica, "add", ObiValue::I64(i))
+                .unwrap();
+        }
+        assert_eq!(durable.wal_stats().appends(), 16, "one record per op");
+        assert_eq!(durable.wal_stats().syncs(), 2);
+        assert_eq!(mem.sync_count(), 2);
+        for (i, record) in wal_records(&mem).into_iter().enumerate() {
+            let WalRecord::Op { args, succeeded, deltas, .. } = record else {
+                panic!("record {i} is not an op: {record:?}");
+            };
+            assert_eq!(args, vec![ObiValue::I64(i as i64)]);
+            assert!(succeeded);
+            assert_eq!(deltas.len(), 1, "the op carries the state it produced");
+            assert_eq!(deltas[0].1.id, replica.id());
+        }
+    }
+
+    #[test]
+    fn a_failed_op_is_journaled_without_a_delta_and_dirties_nothing() {
+        use obiwan_core::demo::LinkedItem;
+        let mut world = ObiWorld::loopback();
+        let s1 = world.add_site("pda");
+        let s2 = world.add_site("server");
+        let tail = world.site(s2).create(LinkedItem::new(2, "tail"));
+        let head = world.site(s2).create(LinkedItem::with_next(1, "head", tail));
+        world.site(s2).export(head, "head").unwrap();
+        let remote = world.site(s1).lookup("head").unwrap();
+        let root = world
+            .site(s1)
+            .get(&remote, ReplicationMode::incremental(1))
+            .unwrap();
+        let (mem, durable) = attach_log(&world, s1);
+        world.disconnect(s1);
+        let mut session = DisconnectedSession::new();
+        // A method the class does not have, and a fault on the
+        // not-yet-replicated tail that cannot resolve while disconnected.
+        assert!(session
+            .invoke(world.site(s1), root, "no_such_method", ObiValue::Null)
+            .is_err());
+        let err = session
+            .invoke(world.site(s1), tail, "set_value", ObiValue::I64(9))
+            .unwrap_err();
+        assert!(err.is_connectivity(), "{err}");
+        assert_eq!(durable.wal_stats().appends(), 2, "every exit writes its one record");
+        for record in wal_records(&mem) {
+            assert!(
+                matches!(&record, WalRecord::Op { succeeded: false, deltas, .. } if deltas.is_empty()),
+                "{record:?}"
+            );
+        }
+        assert!(!world.site(s1).meta_of(root).unwrap().dirty);
+        assert!(session.touched().is_empty());
+        durable.commit().unwrap();
+        let (_d, recovered) =
+            Durable::open(mem as Arc<dyn Storage>, DurableOptions::default()).unwrap();
+        assert_eq!(recovered.ops.len(), 2);
+        assert!(recovered.dirty.is_empty());
+        assert!(DisconnectedSession::resume(&recovered).touched().is_empty());
+    }
+
+    obiwan_core::obi_class! {
+        /// Gives from its own balance to a peer counter: one invocation
+        /// that mutates two objects, the second through the context.
+        pub class Purse {
+            fields {
+                balance: i64,
+                peer: Option<ObjRef>,
+            }
+            mutating {
+                fn give(this, ctx, args) {
+                    let amount = args.as_i64().unwrap_or(0);
+                    this.balance -= amount;
+                    if let Some(peer) = this.peer {
+                        ctx.invoke(peer, "add", &ObiValue::I64(amount))?;
+                    }
+                    Ok(ObiValue::I64(this.balance))
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_invocation_that_mutates_two_replicas_logs_one_record_with_both_deltas() {
+        let mut world = ObiWorld::loopback();
+        Purse::register(world.registry());
+        let s1 = world.add_site("pda");
+        let s2 = world.add_site("server");
+        let counter = world.site(s2).create(Counter::new(0));
+        let purse = world.site(s2).create(Purse::from_fields(10, Some(counter)));
+        world.site(s2).export(purse, "purse").unwrap();
+        let remote = world.site(s1).lookup("purse").unwrap();
+        let purse = world
+            .site(s1)
+            .get(&remote, ReplicationMode::transitive())
+            .unwrap();
+        let (mem, durable) = attach_log(&world, s1);
+        world.disconnect(s1);
+        let mut session = DisconnectedSession::new();
+        let left = session
+            .invoke(world.site(s1), purse, "give", ObiValue::I64(3))
+            .unwrap();
+        assert_eq!(left, ObiValue::I64(7));
+        assert_eq!(durable.wal_stats().appends(), 1);
+        let records = wal_records(&mem);
+        let [WalRecord::Op { target, deltas, succeeded: true, .. }] = &records[..] else {
+            panic!("not one successful op: {records:?}");
+        };
+        assert_eq!(*target, purse.id());
+        let mut dirtied: Vec<ObjId> = deltas.iter().map(|(_, state)| state.id).collect();
+        dirtied.sort();
+        let mut expected = vec![purse.id(), counter.id()];
+        expected.sort();
+        assert_eq!(dirtied, expected);
+        assert!(deltas.iter().all(|(provider, _)| *provider == s2));
+        durable.commit().unwrap();
+        let (_d, recovered) =
+            Durable::open(mem as Arc<dyn Storage>, DurableOptions::default()).unwrap();
+        assert_eq!(recovered.dirty.len(), 2);
+        assert_eq!(recovered.ops.len(), 1);
+    }
+
+    #[test]
+    fn without_durability_a_session_invocation_is_a_plain_invocation() {
+        // Two identical rigs, neither with a log: one driven through a
+        // session, one through `ObiProcess::invoke` directly.
+        let (journaled, j1, _, _, j_replica) = rig();
+        let (plain, p1, _, _, p_replica) = rig();
+        assert!(journaled.site(j1).durability().is_none());
+        let mut session = DisconnectedSession::new();
+        let calls = [("add", ObiValue::I64(4)), ("no_such_method", ObiValue::Null), ("read", ObiValue::Null)];
+        for (method, args) in calls {
+            assert_eq!(
+                session.invoke(journaled.site(j1), j_replica, method, args.clone()),
+                plain.site(p1).invoke(p_replica, method, args),
+                "{method}"
+            );
+        }
+        assert_eq!(session.len(), 3);
+        assert_eq!(
+            journaled.site(j1).meta_of(j_replica),
+            plain.site(p1).meta_of(p_replica)
+        );
+        assert_eq!(
+            journaled.site(j1).metrics().snapshot(),
+            plain.site(p1).metrics().snapshot()
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! The [`Durable`] write-through wrapper and crash recovery.
 //!
-//! One `Durable` instance backs one site. The process and the mobility
-//! layer call `log_*` methods at each state transition that must survive a
-//! crash; the wrapper appends a [`WalRecord`] to the WAL and mirrors the
+//! One `Durable` instance backs one site. The process calls `log_*`
+//! methods at each state transition that must survive a crash (the
+//! mobility layer only closes a session: `reset_session`, `commit`); the
+//! wrapper appends a [`WalRecord`] to the WAL and mirrors the
 //! resulting durable state in memory so periodic [`Durable::compact`]
 //! passes can fold the log into a snapshot.
 //!
@@ -60,7 +61,7 @@
 //!    A record lost from the tail means the corresponding state change is
 //!    re-done (a put retried, an op re-journaled) — never half-applied.
 
-use crate::record::{state_fingerprint, WalRecord};
+use crate::record::{encode_op, state_fingerprint, WalRecord};
 use crate::storage::Storage;
 use crate::wal::{self, Frames, Wal, WalOptions, WalStats};
 use obiwan_util::sync::Mutex;
@@ -189,12 +190,21 @@ impl Mirror {
                 method,
                 args,
                 succeeded,
-            } => self.ops.push(RecoveredOp {
-                target,
-                method,
-                args,
-                succeeded,
-            }),
+                deltas,
+            } => {
+                // The states an invocation dirtied and its journal entry
+                // enter the mirror in one step, as they entered the log in
+                // one record.
+                for (provider, state) in deltas {
+                    self.dirty.insert(state.id, (provider, state));
+                }
+                self.ops.push(RecoveredOp {
+                    target,
+                    method,
+                    args,
+                    succeeded,
+                });
+            }
             WalRecord::PutIntent { id, seq, fingerprint } => {
                 self.pending_puts.insert(id, PendingPut { seq, fingerprint });
                 self.max_seen_seq = self.max_seen_seq.max(seq);
@@ -261,6 +271,8 @@ impl Mirror {
                 method: op.method.clone(),
                 args: op.args.clone(),
                 succeeded: op.succeeded,
+                // Their states are the `ObjectDelta`s above.
+                deltas: Vec::new(),
             });
         }
         for (root, (successor, complete)) in &self.handoffs {
@@ -295,17 +307,11 @@ impl Durable {
     ) -> Result<(Arc<Durable>, RecoveredState)> {
         // Snapshot first (it is never torn: `replace` is atomic), then the
         // WAL tail appended since that snapshot.
-        let (snap_records, _) =
-            wal::replay_decoded(storage.as_ref(), SNAP_FILE, WalRecord::decode)?;
-        let (wal_records, truncated) =
-            wal::replay_decoded(storage.as_ref(), WAL_FILE, WalRecord::decode)?;
-
-        let blank = snap_records.is_empty() && wal_records.is_empty();
-        let wal_record_count = wal_records.len() as u64;
         let mut mirror = Mirror::default();
-        for r in snap_records.into_iter().chain(wal_records) {
-            mirror.apply(r);
-        }
+        let mut fold = |payload: &[u8]| WalRecord::decode(payload).map(|r| mirror.apply(r));
+        let (snap_records, _) = wal::replay_decoded(storage.as_ref(), SNAP_FILE, &mut fold)?;
+        let (wal_records, truncated) = wal::replay_decoded(storage.as_ref(), WAL_FILE, &mut fold)?;
+        let blank = snap_records == 0 && wal_records == 0;
 
         let (logged_next_seq, horizon) = mirror.client.unwrap_or((0, 0));
         // Any surviving history means a previous process life issued RPCs,
@@ -329,7 +335,7 @@ impl Durable {
             horizon,
             handoffs: mirror.handoffs.clone(),
             truncated_bytes: truncated,
-            wal_records: wal_record_count,
+            wal_records,
         };
 
         let durable = Arc::new(Durable {
@@ -358,20 +364,33 @@ impl Durable {
         self.log(WalRecord::ObjectDelta { provider, state })
     }
 
-    /// Journals one disconnected-session invocation.
+    /// Journals one disconnected-session invocation together with the
+    /// replicas it dirtied (`(provider, state)` each): one record, so a
+    /// crash keeps the op and its states or neither. The record is encoded
+    /// from the borrowed arguments; only what the mirror keeps is owned.
+    ///
+    /// Like [`log_dirty`](Durable::log_dirty), never under a shard guard:
+    /// read the states first, release the stripe, then call this.
     pub fn log_op(
         &self,
         target: ObjId,
         method: &str,
         args: &[ObiValue],
         succeeded: bool,
+        deltas: Vec<(SiteId, ReplicaState)>,
     ) -> Result<()> {
-        self.log(WalRecord::Op {
+        let mut frames = Frames::new();
+        frames.push_with(|enc| encode_op(enc, target, method, args, succeeded, &deltas));
+        let mut mirror = self.mirror.lock();
+        self.wal.append_frames(&frames)?;
+        let record = WalRecord::Op {
             target,
             method: method.to_string(),
             args: args.to_vec(),
             succeeded,
-        })
+            deltas,
+        };
+        self.applied_locked(&mut mirror, [record])
     }
 
     /// Logs the intents of one write-back group — each id about to be put
@@ -765,8 +784,8 @@ mod tests {
         {
             let (d, _) = open(&mem);
             d.log_client_state(40, 32).unwrap();
-            d.log_op(oid(2, 5), "add", &[ObiValue::I64(1)], true).unwrap();
-            d.log_op(oid(2, 5), "add", &[ObiValue::I64(2)], false).unwrap();
+            d.log_op(oid(2, 5), "add", &[ObiValue::I64(1)], true, vec![]).unwrap();
+            d.log_op(oid(2, 5), "add", &[ObiValue::I64(2)], false, vec![]).unwrap();
             d.commit().unwrap();
         }
         let (_d, recovered) = open(&mem);
@@ -778,6 +797,129 @@ mod tests {
     }
 
     #[test]
+    fn a_journaled_op_and_the_states_it_dirtied_are_one_record() {
+        let mem = Arc::new(MemStorage::new());
+        let (d, _) = open(&mem);
+        d.log_op(oid(2, 5), "add", &[ObiValue::I64(1)], true, vec![]).unwrap();
+        d.commit().unwrap();
+        let before = mem.len(WAL_FILE).unwrap();
+        let deltas = vec![(SiteId::new(2), rs(2, 5, 10, 0xAA)), (SiteId::new(3), rs(3, 8, 2, 0xBB))];
+        d.log_op(oid(2, 5), "move_to", &[ObiValue::I64(2)], true, deltas).unwrap();
+        assert_eq!(d.wal_stats().appends(), 2, "one record, whatever it dirtied");
+        d.commit().unwrap();
+        let full = mem.read(WAL_FILE).unwrap();
+        // Torn anywhere, the second op and both its states are lost
+        // together; whole, they are recovered together.
+        for keep in before..=full.len() as u64 {
+            mem.replace(WAL_FILE, &full).unwrap();
+            mem.crash_keeping(WAL_FILE, keep);
+            let (_d, recovered) = open(&mem);
+            let whole = keep == full.len() as u64;
+            assert_eq!(recovered.ops.len(), 1 + usize::from(whole), "keep={keep}");
+            assert_eq!(recovered.dirty.len(), 2 * usize::from(whole), "keep={keep}");
+        }
+        let (_d, recovered) = open(&mem);
+        assert_eq!(recovered.ops[1].method, "move_to");
+        assert_eq!(recovered.dirty[&oid(2, 5)], (SiteId::new(2), rs(2, 5, 10, 0xAA)));
+        assert_eq!(recovered.dirty[&oid(3, 8)], (SiteId::new(3), rs(3, 8, 2, 0xBB)));
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A snapshot and a WAL tail exactly as the commit before `Op` carried
+    /// deltas wrote them (bare `ObjectDelta`s, delta-less `Op`s): watermark,
+    /// two deltas, two ops and a put intent, compacted; then a delta, its
+    /// op and a failed op in the WAL.
+    const PARENT_SNAP: &str = "030000009b95b99f052820\
+        120000002ced6df60002020507436f756e7465720a04aaaaaaaa\
+        13000000967ba9a6000303ac0207436f756e7465720704bbbbbbbb\
+        0e00000045fc48ae0203ac0229d3e0a7e9cf9cffb101\
+        0b0000008f44d6bd0102050361646401030801\
+        0d000000bb431c930103ac02037365740105017801";
+    const PARENT_WAL: &str = "120000002dfa0c330002020507436f756e7465720a04cccccccc\
+        0b000000c6ff146c0102050361646401030101\
+        15000000d2cb57270102090e6e6f5f737563685f6d6574686f64010000";
+    /// The snapshot that commit wrote for the state the two files hold.
+    const PARENT_RESNAP: &str = "030000009b95b99f052820\
+        120000002dfa0c330002020507436f756e7465720a04cccccccc\
+        13000000967ba9a6000303ac0207436f756e7465720704bbbbbbbb\
+        0e00000045fc48ae0203ac0229d3e0a7e9cf9cffb101\
+        0b0000008f44d6bd0102050361646401030801\
+        0d000000bb431c930103ac02037365740105017801\
+        0b000000c6ff146c0102050361646401030101\
+        15000000d2cb57270102090e6e6f5f737563685f6d6574686f64010000";
+
+    #[test]
+    fn a_log_in_the_format_before_op_deltas_recovers_unchanged() {
+        let mem = Arc::new(MemStorage::new());
+        mem.replace(SNAP_FILE, &unhex(PARENT_SNAP)).unwrap();
+        mem.replace(WAL_FILE, &unhex(PARENT_WAL)).unwrap();
+        let (d, recovered) = open(&mem);
+        assert_eq!(recovered.truncated_bytes, 0);
+        assert_eq!(recovered.wal_records, 3);
+        let dirty: Vec<_> = recovered.dirty.values().cloned().collect();
+        assert_eq!(
+            dirty,
+            vec![(SiteId::new(2), rs(2, 5, 10, 0xCC)), (SiteId::new(3), rs(3, 300, 7, 0xBB))]
+        );
+        let op = |target, method: &str, arg, succeeded| RecoveredOp {
+            target,
+            method: method.into(),
+            args: vec![arg],
+            succeeded,
+        };
+        assert_eq!(
+            recovered.ops,
+            vec![
+                op(oid(2, 5), "add", ObiValue::I64(4), true),
+                op(oid(3, 300), "set", ObiValue::Str("x".into()), true),
+                op(oid(2, 5), "add", ObiValue::I64(-1), true),
+                op(oid(2, 9), "no_such_method", ObiValue::Null, false),
+            ]
+        );
+        let pending = PendingPut {
+            seq: 41,
+            fingerprint: state_fingerprint(&rs(3, 300, 7, 0xBB)),
+        };
+        assert_eq!(recovered.pending_puts, [(oid(3, 300), pending)].into());
+        assert_eq!(recovered.next_request_seq, 42 + SEQ_EPOCH_SKIP);
+        assert_eq!(recovered.horizon, 32);
+        assert!(recovered.handoffs.is_empty());
+        // And the snapshot of that state is, byte for byte, the one the
+        // older commit wrote: ops in a snapshot carry no deltas.
+        d.compact().unwrap();
+        assert_eq!(mem.read(SNAP_FILE).unwrap(), unhex(PARENT_RESNAP));
+    }
+
+    #[test]
+    fn a_snapshot_holds_each_state_once_however_it_was_logged() {
+        // The same history through one record per op, and through a bare
+        // delta followed by a delta-less op, folds to the same snapshot.
+        let snapshot_of = |combined: bool| {
+            let mem = Arc::new(MemStorage::new());
+            let (d, _) = open(&mem);
+            for i in 0..3u64 {
+                let delta = (SiteId::new(2), rs(2, 5, 10, i as u8));
+                let args = [ObiValue::I64(i as i64)];
+                if combined {
+                    d.log_op(oid(2, 5), "add", &args, true, vec![delta]).unwrap();
+                } else {
+                    d.log_dirty(delta.0, delta.1).unwrap();
+                    d.log_op(oid(2, 5), "add", &args, true, vec![]).unwrap();
+                }
+            }
+            d.compact().unwrap();
+            mem.read(SNAP_FILE).unwrap()
+        };
+        assert_eq!(snapshot_of(true), snapshot_of(false));
+    }
+
+    #[test]
     fn compaction_preserves_recovery_and_shrinks_the_wal() {
         let mem = Arc::new(MemStorage::new());
         {
@@ -785,7 +927,7 @@ mod tests {
             for i in 0..50 {
                 d.log_dirty(SiteId::new(2), rs(2, 5, 10 + i, i as u8)).unwrap();
             }
-            d.log_op(oid(2, 5), "add", &[], true).unwrap();
+            d.log_op(oid(2, 5), "add", &[], true, vec![]).unwrap();
             d.log_client_state(9, 4).unwrap();
             let before = d.wal_len().unwrap();
             d.compact().unwrap();
@@ -871,7 +1013,7 @@ mod tests {
         {
             let (d, _) = open(&mem);
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
-            d.log_op(oid(2, 5), "add", &[], true).unwrap();
+            d.log_op(oid(2, 5), "add", &[], true, vec![]).unwrap();
             d.log_put_intent(oid(2, 5), 3, state_fingerprint(&rs(2, 5, 10, 0xAA)))
                 .unwrap();
             d.reset_session().unwrap();

@@ -9,8 +9,21 @@
 //!
 //! * [`WalRecord::ObjectDelta`] — the serialized state of a replica that
 //!   went dirty (an incremental delta in the log-structured sense: later
-//!   deltas for the same object supersede earlier ones).
-//! * [`WalRecord::Op`] — one journaled `DisconnectedSession` invocation.
+//!   deltas for the same object supersede earlier ones). Written bare by
+//!   an invocation *outside* a session on a site with durability attached
+//!   (`ObiProcess::invoke`, an invocation served over RMI), and by
+//!   snapshots, which hold every dirty replica as one.
+//! * [`WalRecord::Op`] — one journaled `DisconnectedSession` invocation,
+//!   *with* the deltas of whatever it dirtied (`deltas`, one
+//!   `ObjectDelta`'s worth each). The op and the states it produced are
+//!   one event, so they are one record and one frame: a tear anywhere
+//!   loses both or neither, and a recovered journal always accounts for
+//!   exactly the dirty state recovered beside it. The deltas are encoded
+//!   after `succeeded` and left out when there are none — an invocation
+//!   that dirtied nothing (read-only, or failed before it mutated), an
+//!   `Op` in a snapshot (whose states travel as `ObjectDelta`s), and every
+//!   `Op` written before the field existed — so older logs decode
+//!   unchanged.
 //! * [`WalRecord::PutIntent`] — "about to send `put` for `id` as request
 //!   `seq`, carrying the state whose fingerprint is `fingerprint`".
 //!   Written and fsynced — with the other intents of its write-back group,
@@ -59,12 +72,15 @@ pub enum WalRecord {
         provider: SiteId,
         state: ReplicaState,
     },
-    /// One journaled disconnected-session invocation.
+    /// One journaled disconnected-session invocation and the replicas it
+    /// dirtied: `(provider, state)` each, exactly what an `ObjectDelta`
+    /// holds.
     Op {
         target: ObjId,
         method: String,
         args: Vec<ObiValue>,
         succeeded: bool,
+        deltas: Vec<(SiteId, ReplicaState)>,
     },
     /// A `put` for `id` is about to be sent as request `seq`, carrying the
     /// state fingerprinted by `fingerprint` (see [`state_fingerprint`]).
@@ -110,27 +126,15 @@ impl WalRecord {
         match self {
             WalRecord::ObjectDelta { provider, state } => {
                 enc.put_u8(0);
-                enc.put_site(*provider);
-                enc.put_obj_id(state.id);
-                enc.put_str(&state.class);
-                enc.put_varint(state.version);
-                enc.put_bytes(&state.state);
+                put_delta(enc, *provider, state);
             }
             WalRecord::Op {
                 target,
                 method,
                 args,
                 succeeded,
-            } => {
-                enc.put_u8(1);
-                enc.put_obj_id(*target);
-                enc.put_str(method);
-                enc.put_varint(args.len() as u64);
-                for a in args {
-                    enc.put_value(a);
-                }
-                enc.put_u8(u8::from(*succeeded));
-            }
+                deltas,
+            } => encode_op(enc, *target, method, args, *succeeded, deltas),
             WalRecord::PutIntent { id, seq, fingerprint } => {
                 enc.put_u8(2);
                 enc.put_obj_id(*id);
@@ -174,20 +178,8 @@ impl WalRecord {
         let mut dec = Decoder::new(payload);
         let record = match dec.take_u8()? {
             0 => {
-                let provider = dec.take_site()?;
-                let id = dec.take_obj_id()?;
-                let class = dec.take_str()?;
-                let version = dec.take_varint()?;
-                let state = Bytes::copy_from_slice(dec.take_bytes_ref()?);
-                WalRecord::ObjectDelta {
-                    provider,
-                    state: ReplicaState {
-                        id,
-                        class,
-                        version,
-                        state,
-                    },
-                }
+                let (provider, state) = take_delta(&mut dec)?;
+                WalRecord::ObjectDelta { provider, state }
             }
             1 => {
                 let target = dec.take_obj_id()?;
@@ -198,11 +190,18 @@ impl WalRecord {
                     args.push(dec.take_value()?);
                 }
                 let succeeded = dec.take_u8()? != 0;
+                // The payload ending here is the delta-less form.
+                let n = if dec.is_exhausted() { 0 } else { dec.take_varint()? as usize };
+                let mut deltas = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    deltas.push(take_delta(&mut dec)?);
+                }
                 WalRecord::Op {
                     target,
                     method,
                     args,
                     succeeded,
+                    deltas,
                 }
             }
             2 => WalRecord::PutIntent {
@@ -240,6 +239,60 @@ impl WalRecord {
     }
 }
 
+/// Writes an [`WalRecord::Op`] payload from borrowed parts, so the caller
+/// that journals an invocation ([`crate::Durable::log_op`]) encodes it
+/// without first building an owned record.
+pub(crate) fn encode_op(
+    enc: &mut Encoder,
+    target: ObjId,
+    method: &str,
+    args: &[ObiValue],
+    succeeded: bool,
+    deltas: &[(SiteId, ReplicaState)],
+) {
+    enc.put_u8(1);
+    enc.put_obj_id(target);
+    enc.put_str(method);
+    enc.put_varint(args.len() as u64);
+    for a in args {
+        enc.put_value(a);
+    }
+    enc.put_u8(u8::from(succeeded));
+    if !deltas.is_empty() {
+        enc.put_varint(deltas.len() as u64);
+        for (provider, state) in deltas {
+            put_delta(enc, *provider, state);
+        }
+    }
+}
+
+/// The fields of one delta: the body of an `ObjectDelta`, and one element
+/// of an `Op`'s delta list.
+fn put_delta(enc: &mut Encoder, provider: SiteId, state: &ReplicaState) {
+    enc.put_site(provider);
+    enc.put_obj_id(state.id);
+    enc.put_str(&state.class);
+    enc.put_varint(state.version);
+    enc.put_bytes(&state.state);
+}
+
+fn take_delta(dec: &mut Decoder<'_>) -> Result<(SiteId, ReplicaState)> {
+    let provider = dec.take_site()?;
+    let id = dec.take_obj_id()?;
+    let class = dec.take_str()?;
+    let version = dec.take_varint()?;
+    let state = Bytes::copy_from_slice(dec.take_bytes_ref()?);
+    Ok((
+        provider,
+        ReplicaState {
+            id,
+            class,
+            version,
+            state,
+        },
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,12 +318,14 @@ mod tests {
                 method: "add".into(),
                 args: vec![ObiValue::I64(5), ObiValue::Str("x".into())],
                 succeeded: true,
+                deltas: vec![],
             },
             WalRecord::Op {
                 target: oid(1, 1),
                 method: "fail".into(),
                 args: vec![],
                 succeeded: false,
+                deltas: vec![],
             },
             WalRecord::PutIntent { id: oid(3, 7), seq: 19, fingerprint: 0xDEAD_BEEF },
             WalRecord::PutConfirmed { id: oid(3, 7), version: 43, fingerprint: 0xDEAD_BEEF },
@@ -286,6 +341,55 @@ mod tests {
         for r in records {
             let bytes = r.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), r, "{r:?}");
+        }
+    }
+
+    fn delta(site: u32, n: u64, byte: u8) -> (SiteId, ReplicaState) {
+        let state = ReplicaState {
+            id: oid(site, n),
+            class: "Counter".into(),
+            version: 300 + n,
+            state: Bytes::from(vec![byte; 5]),
+        };
+        (SiteId::new(site), state)
+    }
+
+    fn op_with(deltas: Vec<(SiteId, ReplicaState)>) -> WalRecord {
+        WalRecord::Op {
+            target: oid(3, 7),
+            method: "add".into(),
+            args: vec![ObiValue::I64(5)],
+            succeeded: true,
+            deltas,
+        }
+    }
+
+    #[test]
+    fn an_op_round_trips_with_no_one_and_two_deltas() {
+        let bare = op_with(vec![]).encode();
+        for deltas in [vec![], vec![delta(3, 7, 0xAA)], vec![delta(3, 7, 0xAA), delta(4, 9, 0xBB)]] {
+            let record = op_with(deltas.clone());
+            let bytes = record.encode();
+            assert_eq!(WalRecord::decode(&bytes).unwrap(), record);
+            // The deltas follow the delta-less form, which is what the
+            // parent wrote: nothing before them moved.
+            assert_eq!(bytes[..bare.len()], bare[..]);
+            assert_eq!(bytes.len() == bare.len(), deltas.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_op_cut_inside_its_delta_list_is_a_decode_error() {
+        let bare = op_with(vec![]).encode();
+        let full = op_with(vec![delta(3, 7, 0xAA), delta(4, 9, 0xBB)]).encode();
+        for cut in 0..full.len() {
+            let decoded = WalRecord::decode(&full[..cut]);
+            if cut == bare.len() {
+                // Exactly after `succeeded`: the delta-less record.
+                assert_eq!(decoded.unwrap(), op_with(vec![]));
+            } else {
+                assert!(matches!(decoded, Err(ObiError::Decode(_))), "cut={cut}: {decoded:?}");
+            }
         }
     }
 

@@ -280,34 +280,39 @@ pub struct Replay {
 /// Scans the log named `name`, truncating any torn tail in place, and
 /// returns the intact record payloads in append order.
 pub fn replay(storage: &dyn Storage, name: &str) -> Result<Replay> {
-    let (payloads, truncated) = replay_decoded(storage, name, |payload| Ok(payload.to_vec()))?;
+    let mut payloads = Vec::new();
+    let (_, truncated) = replay_decoded(storage, name, |payload| {
+        payloads.push(payload.to_vec());
+        Ok(())
+    })?;
     Ok(Replay { payloads, truncated })
 }
 
-/// Like [`replay`] but decodes each payload with `f`, straight from the
-/// file's bytes, failing fast on a CRC-valid record that does not decode
-/// (version skew, not a torn tail).
-pub fn replay_decoded<T>(
+/// Like [`replay`] but hands each intact payload to `f` as it is found,
+/// straight from the file's bytes, so the caller folds records into its
+/// own state without a vector of them in between. Fails fast on a
+/// CRC-valid record `f` rejects (version skew, not a torn tail). Returns
+/// how many records `f` took and how many bytes the torn tail lost.
+pub fn replay_decoded(
     storage: &dyn Storage,
     name: &str,
-    mut f: impl FnMut(&[u8]) -> Result<T>,
-) -> Result<(Vec<T>, u64)> {
+    mut f: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<(u64, u64)> {
     let bytes = storage.read(name)?;
     let mut off = 0usize;
-    let mut out = Vec::new();
+    let mut records = 0u64;
     while let Some(payload) = first_frame(&bytes[off..]) {
-        let record = f(payload).map_err(|e| {
-            let i = out.len();
-            ObiError::Storage(format!("record {i} of `{name}` is undecodable: {e}"))
+        f(payload).map_err(|e| {
+            ObiError::Storage(format!("record {records} of `{name}` is undecodable: {e}"))
         })?;
-        out.push(record);
+        records += 1;
         off += FRAME_HEADER + payload.len();
     }
     let truncated = (bytes.len() - off) as u64;
     if truncated > 0 {
         storage.truncate(name, off as u64)?;
     }
-    Ok((out, truncated))
+    Ok((records, truncated))
 }
 
 #[cfg(test)]

@@ -1,18 +1,13 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run -p obiwan-bench --bin figures -- [e1|fig4|fig5|fig6|verify|bench|scale|churn|wal|all]
+//! cargo run -p obiwan-bench --bin figures -- [e1|fig4|fig5|fig6|verify|bench|churn|all]
 //! ```
 //!
 //! `bench` writes the machine-readable perf trajectory (`BENCH_demand.json`
 //! and `BENCH_rpc.json`) into the current directory instead of printing.
-//! `scale` writes `BENCH_scale.json` (many-site worker-pool sweep, real
-//! wall-clock time); `scale smoke` runs the reduced CI-sized world.
-//! `wal` writes `BENCH_wal.json` (WAL append throughput vs group-commit
-//! size and recovery time vs log length); `wal smoke` runs the reduced
-//! sweep. `churn` writes `BENCH_churn.json` (live join + mastership
-//! handoff under loss, virtual time); `churn smoke` runs the CI-sized
-//! world.
+//! `churn` writes `BENCH_churn.json` (live join + mastership handoff under
+//! loss, virtual time); `churn smoke` runs the CI-sized world.
 //!
 //! All numbers are deterministic virtual-time milliseconds on the
 //! paper-testbed model (10 Mb/s LAN, LMI ≈ 2 µs, RMI ≈ 2.8 ms).
@@ -221,22 +216,6 @@ fn main() {
                 println!("wrote {}", p.display());
             }
         }
-        "scale" => {
-            let cfg = match std::env::args().nth(2).as_deref() {
-                Some("smoke") => obiwan_bench::ScaleConfig::smoke(),
-                _ => obiwan_bench::ScaleConfig::full(),
-            };
-            println!(
-                "scale: {} sites, {} objects, {} ops/point, workers {:?} (real time)",
-                cfg.sites(),
-                cfg.objects(),
-                cfg.ops_per_point(),
-                cfg.workers
-            );
-            let cwd = std::env::current_dir().expect("cwd");
-            let path = obiwan_bench::write_scale_file(&cwd, &cfg).expect("write BENCH_scale.json");
-            println!("wrote {}", path.display());
-        }
         "churn" => {
             let cfg = match std::env::args().nth(2).as_deref() {
                 Some("smoke") => obiwan_bench::ChurnConfig::smoke(),
@@ -251,19 +230,6 @@ fn main() {
             );
             let cwd = std::env::current_dir().expect("cwd");
             let path = obiwan_bench::write_churn_file(&cwd, &cfg).expect("write BENCH_churn.json");
-            println!("wrote {}", path.display());
-        }
-        "wal" => {
-            let cfg = match std::env::args().nth(2).as_deref() {
-                Some("smoke") => obiwan_bench::WalConfig::smoke(),
-                _ => obiwan_bench::WalConfig::full(),
-            };
-            println!(
-                "wal: {} appends x group_commit {:?}, recovery sweep {:?} (real time)",
-                cfg.append_records, cfg.group_commits, cfg.recovery_lens
-            );
-            let cwd = std::env::current_dir().expect("cwd");
-            let path = obiwan_bench::write_wal_file(&cwd, &cfg).expect("write BENCH_wal.json");
             println!("wrote {}", path.display());
         }
         "all" => {
@@ -284,7 +250,7 @@ fn main() {
             ok = print_verify();
         }
         other => {
-            eprintln!("unknown experiment `{other}`; expected e1|fig4|fig5|fig6|e6|e7|csv|verify|bench|scale|churn|wal|all");
+            eprintln!("unknown experiment `{other}`; expected e1|fig4|fig5|fig6|e6|e7|csv|verify|bench|churn|all");
             std::process::exit(2);
         }
     }

@@ -7,7 +7,8 @@
 //! paper's qualitative conclusions hold on this implementation.
 //!
 //! Run `cargo run -p obiwan-bench --bin figures -- all` to print every
-//! table, or see the Criterion benches for real-CPU microbenchmarks.
+//! table. This crate is the virtual-clock instrument; real-CPU cost is
+//! measured by `obiwan-perf` (`crates/perf`) and nowhere else.
 //!
 //! Experiments run in deterministic virtual time
 //! ([`ClockMode::VirtualOnly`](obiwan_util::ClockMode)): network physics
@@ -20,8 +21,6 @@ pub mod churn;
 pub mod emit;
 pub mod experiments;
 pub mod report;
-pub mod scale;
-pub mod wal;
 pub mod workload;
 
 pub use emit::{
@@ -30,11 +29,6 @@ pub use emit::{
 };
 pub use churn::{
     bench_churn_json, churn_bench, write_churn_file, ChurnConfig, ChurnReport, ChurnTick,
-};
-pub use scale::{bench_scale_json, scale_bench, write_scale_file, ScaleConfig, ScalePoint};
-pub use wal::{
-    append_bench, bench_wal_json, recovery_bench, write_wal_file, AppendPoint, RecoveryPoint,
-    WalConfig,
 };
 pub use experiments::{
     e1_constants, e6_prefetch, e7_latency_distributions, fig4, fig5_series, fig6_series,

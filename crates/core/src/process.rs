@@ -1,9 +1,8 @@
 //! The per-site OBIWAN runtime: [`ObiProcess`] and its service endpoint.
 //!
-//! An `ObiProcess` ties together one [`crate::space::ObjectSpace`], one
-//! [`RmiClient`], the proxy-in table for objects it
-//! provides, and a [`ConsistencyHook`]. Its public API is the programmer's
-//! view of OBIWAN:
+//! An `ObiProcess` ties together one [`ShardedSpace`], one [`RmiClient`],
+//! the proxy-in table for objects it provides, and a [`ConsistencyHook`].
+//! Its public API is the programmer's view of OBIWAN:
 //!
 //! * [`create`](ObiProcess::create) / [`export`](ObiProcess::export) /
 //!   [`lookup`](ObiProcess::lookup) — publish and find objects;
@@ -1059,7 +1058,7 @@ impl ObiProcess {
     /// Caps the bytes of replica state this process keeps. When a batch
     /// pushes past the budget, least-recently-used clean replicas revert to
     /// proxy-outs and fault back in on next use (see
-    /// [`crate::space::ObjectSpace::evict_replicas_to`]). `None` disables the budget.
+    /// [`ShardedSpace::evict_replicas_to`]). `None` disables the budget.
     ///
     /// This serves the paper's "info-appliances with limited memory"
     /// scenario (§2.1): small devices can walk graphs far larger than their
@@ -1700,18 +1699,7 @@ impl ObiProcess {
             retired(durable.log_confirm(id, version, fingerprint))?;
         }
         self.with_inner(|_inner| {
-            // The ack covers exactly the state we serialized. Clear dirty
-            // only if the replica still holds that state — a mutation that
-            // raced the RPC must stay dirty, or it would never be pushed.
-            let unchanged = replica_state_of(&self.shared.space, id)
-                .is_ok_and(|now| state_fingerprint(&now) == fingerprint);
-            self.shared.space.update_meta(id, |meta| {
-                meta.version = version;
-                if unchanged {
-                    meta.dirty = false;
-                }
-                meta.stale = false;
-            });
+            settle_acked(&self.shared.space, id, version, Some(fingerprint));
             Ok(())
         })?;
         Ok(version)
@@ -1765,17 +1753,7 @@ impl ObiProcess {
         }
         self.with_inner(|_inner| {
             for &(id, version) in &versions {
-                // As in `put_inner`: only the state the ack covered is
-                // clean; a member mutated during the RPC stays dirty.
-                let unchanged = replica_state_of(&self.shared.space, id)
-                    .is_ok_and(|now| Some(state_fingerprint(&now)) == sent.get(&id).copied());
-                self.shared.space.update_meta(id, |meta| {
-                    meta.version = version;
-                    if unchanged {
-                        meta.dirty = false;
-                    }
-                    meta.stale = false;
-                });
+                settle_acked(&self.shared.space, id, version, sent.get(&id).copied());
             }
             Ok(())
         })?;
@@ -2040,7 +2018,7 @@ impl ObiProcess {
     }
 
     /// Runs the space's mark-and-sweep (see
-    /// [`crate::space::ObjectSpace::collect_garbage`]); reclaimed proxies are counted in
+    /// [`ShardedSpace::collect_garbage`]); reclaimed proxies are counted in
     /// this process's metrics.
     pub fn collect_garbage(&self, collect_replicas: bool) -> GcStats {
         self.with_inner(|_inner| {
@@ -2241,6 +2219,24 @@ fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<ReplicaState> {
             enc.finish()
         },
     })
+}
+
+/// Applies a put's ack to the replica it was sent from (call under the
+/// process lock). The ack covers exactly the state that was serialized,
+/// whose fingerprint is `sent`: the replica takes the master's `version`
+/// and is no longer stale, but it is clean again only if it still holds
+/// that state — a mutation that raced the RPC must stay dirty, or it would
+/// never be pushed.
+fn settle_acked(space: &ShardedSpace, id: ObjId, version: u64, sent: Option<u64>) {
+    let unchanged =
+        replica_state_of(space, id).is_ok_and(|now| Some(state_fingerprint(&now)) == sent);
+    space.update_meta(id, |meta| {
+        meta.version = version;
+        if unchanged {
+            meta.dirty = false;
+        }
+        meta.stale = false;
+    });
 }
 
 // ---------------------------------------------------------------------------

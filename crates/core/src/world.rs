@@ -91,8 +91,8 @@ impl ObiWorld {
         )
     }
 
-    /// Like [`ObiWorld::paper_testbed`] but with real CPU time (for
-    /// Criterion benches): network stays virtual, compute is measured.
+    /// Like [`ObiWorld::paper_testbed`] but with real CPU time: network
+    /// stays virtual, compute is measured.
     pub fn hybrid_testbed() -> Self {
         ObiWorld::new(
             ClockMode::Hybrid,

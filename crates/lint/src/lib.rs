@@ -200,8 +200,9 @@ pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Builds the static lock-order graph for `files` (the `LOCK_GRAPH.json`
-/// payload; see [`lockgraph`]).
+/// Builds the static lock-order graph for `files`: what the runtime
+/// lockcheck cross-check compares against, and (through
+/// [`lockgraph::LockGraph::to_json`]) the `LOCK_GRAPH.json` payload.
 pub fn lock_graph(files: &[SourceFile]) -> lockgraph::LockGraph {
     lockgraph::build(&parse_units(files))
 }

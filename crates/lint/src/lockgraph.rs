@@ -9,10 +9,14 @@
 //! * the `lock-order-cycle` rule: if class α acquires before class β on one
 //!   path and β before α on another, that is a potential AB/BA deadlock,
 //!   reported at lint time with every witness site;
-//! * `LOCK_GRAPH.json`: the exported site/edge list that CI cross-checks
-//!   against the *runtime* lockcheck detector — every edge the instrumented
-//!   chaos suites observe must be a subset of this graph, which keeps the
-//!   static analysis honest about coverage.
+//! * the runtime ⊆ static cross-check: `obiwan-util` (with its `lockcheck`
+//!   feature) builds this graph in-process from the checked-out sources and
+//!   requires every `file:line` edge the instrumented chaos suites observe
+//!   to be in it, which keeps the static analysis honest about coverage;
+//! * `LOCK_GRAPH.json`: the committed class-level export a reviewer reads
+//!   ([`LockGraph::to_json`]) — lock classes and `class -> class` edges,
+//!   no file names or line numbers, so it changes only when the locking
+//!   structure does.
 //!
 //! ## Mechanisms (all over-approximations, never under)
 //!
@@ -52,17 +56,19 @@
 //!   lock-update-return fn (`CircuitBreaker::admit`) releases before any
 //!   foreign callback can run.
 //!
-//! Lock *classes* (used for cycle detection only; the JSON subset check
-//! matches raw file:line sites) are named from the receiver chain:
+//! Lock *classes* (cycle detection and the JSON export; the runtime subset
+//! check matches raw file:line sites) are named from the receiver chain:
 //! `self.exports.read()` inside `impl ObiProcess` → `ObiProcess::exports`;
-//! a local/parameter receiver gets a function-scoped class. Same-class
+//! a local/parameter receiver gets a function-scoped class named by crate
+//! and fn (`core::demand_install::shared.pending_chunks`), never by file,
+//! so moving a fn between files of one crate renames nothing. Same-class
 //! edges are exempt from the cycle rule — ordering within an indexed family
 //! (shard stripes) is `single-shard-guard`'s business.
 
 use crate::callgraph::{self, CallGraph, FnId, Qualifier, Unit, ACQUIRE_METHODS};
 use crate::lexer::Kind;
 use crate::{Diagnostic, RULE_LOCK_ORDER_CYCLE};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One static acquisition site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,19 +98,18 @@ pub struct LockGraph {
 /// harness artifacts, and no instrumented test executes them) and
 /// `crates/lint` (no locks; its fixtures embed lock-shaped code in string
 /// literals) are linted by the other rules but excluded from the graph.
-fn is_lib_rel(rel: &str) -> bool {
+pub fn is_lib_rel(rel: &str) -> bool {
     ((rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/"))
         && !rel.starts_with("crates/bench/")
         && !rel.starts_with("crates/lint/")
 }
 
-/// `crates/util/src/sync.rs` → `util/sync`: the stem used to scope classes
-/// of non-`self` receivers.
-fn class_stem(rel: &str) -> String {
+/// `crates/util/src/sync.rs` → `util`; the root package's `src/…` →
+/// `obiwan`: the crate name that scopes classes of non-`self` receivers.
+fn crate_of(rel: &str) -> &str {
     rel.strip_prefix("crates/")
-        .unwrap_or(rel)
-        .trim_end_matches(".rs")
-        .replace("/src/", "/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("obiwan")
 }
 
 pub fn build(units: &[Unit]) -> LockGraph {
@@ -337,8 +342,7 @@ impl<'a> Builder<'a> {
             return None;
         }
         let chain = receiver_chain(u, p - 1);
-        let stem = class_stem(&u.rel);
-        let class = classify(&chain, f.impl_type.as_deref(), &f.name, &stem);
+        let class = classify(&chain, f.impl_type.as_deref(), &f.name, crate_of(&u.rel));
         let blocking = !name.starts_with("try_");
         let key = (u.rel.clone(), t.line, class.clone());
         if let Some(&s) = self.intern.get(&key) {
@@ -848,18 +852,18 @@ fn receiver_chain(u: &Unit, dot: usize) -> Vec<String> {
     segs
 }
 
-fn classify(chain: &[String], impl_type: Option<&str>, fn_name: &str, stem: &str) -> String {
+fn classify(chain: &[String], impl_type: Option<&str>, fn_name: &str, krate: &str) -> String {
     match chain.first().map(String::as_str) {
         Some("self") => {
-            let owner = impl_type.unwrap_or(stem);
+            let owner = impl_type.unwrap_or(krate);
             if chain.len() == 1 {
                 owner.to_string()
             } else {
                 format!("{owner}::{}", chain[1..].join("."))
             }
         }
-        Some(_) => format!("{stem}::{fn_name}::{}", chain.join(".")),
-        None => format!("{stem}::{fn_name}::<expr>"),
+        Some(_) => format!("{krate}::{fn_name}::{}", chain.join(".")),
+        None => format!("{krate}::{fn_name}::<expr>"),
     }
 }
 
@@ -937,42 +941,26 @@ impl LockGraph {
         diags
     }
 
-    /// Deterministic JSON export (hand-written — the workspace vendors no
-    /// serde). One site/edge object per line so tests can consume it with
-    /// plain string extraction.
+    /// Deterministic class-level JSON export (hand-written — the workspace
+    /// vendors no serde): the sorted lock classes and the sorted distinct
+    /// `class -> class` edges, one per line. Sites are left out on purpose:
+    /// a shifted line or a moved file is not a change to the locking
+    /// structure, so it must not be a change to the committed file.
     pub fn to_json(&self) -> String {
-        let mut site_lines: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"site\": \"{}:{}\", \"class\": \"{}\", \"blocking\": {}}}",
-                    s.file, s.line, s.class, s.blocking
-                )
-            })
-            .collect();
-        site_lines.sort();
-        let edge_lines: Vec<String> = self
+        let classes: BTreeSet<&str> = self.sites.iter().map(|s| s.class.as_str()).collect();
+        let edges: BTreeSet<String> = self
             .edges
             .iter()
-            .map(|&(f, t)| {
-                format!(
-                    "    {{\"edge\": \"{}:{} -> {}:{}\", \"from_class\": \"{}\", \"to_class\": \"{}\"}}",
-                    self.sites[f].file,
-                    self.sites[f].line,
-                    self.sites[t].file,
-                    self.sites[t].line,
-                    self.sites[f].class,
-                    self.sites[t].class
-                )
-            })
+            .map(|&(f, t)| format!("{} -> {}", self.sites[f].class, self.sites[t].class))
             .collect();
-        let mut out = String::new();
-        out.push_str("{\n  \"sites\": [\n");
-        out.push_str(&site_lines.join(",\n"));
-        out.push_str("\n  ],\n  \"edges\": [\n");
-        out.push_str(&edge_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        fn lines<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+            let quoted: Vec<String> = items.into_iter().map(|i| format!("    \"{i}\"")).collect();
+            quoted.join(",\n")
+        }
+        format!(
+            "{{\n  \"classes\": [\n{}\n  ],\n  \"edges\": [\n{}\n  ]\n}}\n",
+            lines(classes),
+            lines(edges),
+        )
     }
 }

@@ -945,7 +945,7 @@ impl Sp {
 }
 
 #[test]
-fn lock_graph_export_contains_sites_and_edges() {
+fn lock_graph_has_file_line_sites_and_a_class_level_export() {
     let f = lib(
         "crates/demo/src/lib.rs",
         r#"impl R {
@@ -962,15 +962,75 @@ fn lock_graph_export_contains_sites_and_edges() {
 "#,
     );
     let g = lock_graph(&[f]);
-    assert_eq!(g.sites.len(), 2);
     assert_eq!(g.edges.len(), 1);
-    let json = g.to_json();
-    assert!(
-        json.contains("\"edge\": \"crates/demo/src/lib.rs:3 -> crates/demo/src/lib.rs:9\""),
-        "unexpected export:\n{json}"
+    let site = |i: usize| (g.sites[i].file.as_str(), g.sites[i].line);
+    let (held, acquired) = g.edges[0];
+    assert_eq!(site(held), ("crates/demo/src/lib.rs", 3));
+    assert_eq!(site(acquired), ("crates/demo/src/lib.rs", 9));
+    assert_eq!(
+        g.to_json(),
+        "{\n  \"classes\": [\n    \"R::data\",\n    \"R::meta\"\n  ],\n  \
+         \"edges\": [\n    \"R::meta -> R::data\"\n  ]\n}\n"
     );
-    assert!(json.contains("\"class\": \"R::meta\""));
-    assert!(json.contains("\"class\": \"R::data\""));
+}
+
+/// The committed export is class-level, so an edit that only shifts lines
+/// leaves it byte-identical while the sites the runtime cross-check matches
+/// (rebuilt from the same sources in the same process) move with the text.
+#[test]
+fn shifting_lines_moves_sites_but_not_the_class_level_export() {
+    let tree = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/clean_tree");
+    let mut files = scan_workspace(&tree).expect("scan fixture tree");
+    let before = lock_graph(&files);
+    assert!(!before.edges.is_empty(), "fixture tree has lock edges");
+
+    let locks = files
+        .iter_mut()
+        .find(|f| f.path == "crates/demo/src/locks.rs")
+        .expect("fixture has locks.rs");
+    locks.text = format!("\n//! A doc comment that shifts every line.\n{}", locks.text);
+    let after = lock_graph(&files);
+
+    assert_eq!(before.to_json(), after.to_json());
+    let lines = |g: &lockgraph::LockGraph| -> Vec<u32> {
+        let mut l: Vec<u32> = g
+            .sites
+            .iter()
+            .filter(|s| s.file == "crates/demo/src/locks.rs")
+            .map(|s| s.line)
+            .collect();
+        l.sort_unstable();
+        l
+    };
+    let shifted: Vec<u32> = lines(&before).iter().map(|l| l + 2).collect();
+    assert_eq!(lines(&after), shifted);
+}
+
+/// Free-fn lock classes are named by crate and fn, never by file, so moving
+/// a fn to a sibling file of the same crate is not a change to the export.
+#[test]
+fn moving_a_free_fn_between_files_of_a_crate_keeps_the_export() {
+    let drain = r#"
+pub fn drain(shared: &Shared) {
+    let inbox = shared.inbox.lock();
+    shared.exports.read().notify(&inbox);
+}
+"#;
+    let here = lock_graph(&[
+        lib("crates/demo/src/process.rs", drain),
+        lib("crates/demo/src/serve.rs", ""),
+    ]);
+    let there = lock_graph(&[
+        lib("crates/demo/src/process.rs", ""),
+        lib("crates/demo/src/serve.rs", drain),
+    ]);
+    let export = here.to_json();
+    assert!(
+        export.contains("\"demo::drain::shared.inbox -> demo::drain::shared.exports\""),
+        "unexpected export:\n{export}"
+    );
+    assert_eq!(export, there.to_json());
+    assert_ne!(here.sites[0].file, there.sites[0].file);
 }
 
 // -- wal-intent-lifecycle ----------------------------------------------------

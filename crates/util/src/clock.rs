@@ -8,7 +8,8 @@
 //!   costs are charged from a [`CostModel`]; identical runs yield identical
 //!   timings. Used by tests and by the figure-regeneration harness.
 //! * [`ClockMode::Hybrid`] — CPU time is real wall-clock time, network time
-//!   is charged virtually from the link model. Used by Criterion benches
+//!   is charged virtually from the link model. Used over the real
+//!   transports (`obiwan-perf`, the TCP and threaded-memory test stacks),
 //!   where real serialization/dispatch cost matters.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -235,8 +235,8 @@ pub fn violations() -> Vec<Violation> {
 /// deduplicated.
 ///
 /// `Location::file()` yields workspace-relative paths for workspace code,
-/// the same `file:line` site form the static lock graph exported by
-/// `obiwan-lint --emit-lock-graph` uses — which is what lets
+/// the same `file:line` site form `obiwan-lint`'s static lock graph keys
+/// its sites by — which is what lets
 /// [`crate::sync::assert_observed_edges_in_static_graph`] compare the two
 /// records with plain string equality.
 pub fn observed_edges() -> Vec<(String, String)> {

@@ -42,20 +42,19 @@ pub fn assert_no_lock_order_violations() {
 }
 
 /// Asserts every held → acquired lock edge the runtime detector has
-/// observed between *library* sites appears in the committed static lock
-/// graph (`LOCK_GRAPH.json` at the workspace root, exported by
-/// `obiwan-lint --emit-lock-graph`).
+/// observed between *library* sites appears in the static lock graph
+/// `obiwan-lint` computes from the checked-out sources (once per process).
 ///
 /// This is the runtime ⊆ static cross-check: the static analysis claims to
 /// over-approximate every ordering the library can exhibit, and the chaos /
-/// integration suites end by holding it to that claim. Two edge families
-/// are exempt by construction:
+/// integration suites end by holding it to that claim. Both sides read the
+/// same source tree, so no committed `file:line` list can go stale. Two
+/// edge families are exempt by construction:
 ///
 /// * edges with either site outside the statically analyzed scope — test
-///   binaries and benches create their own locks (including deliberately
-///   seeded inversions in `tests/lockcheck_detector.rs`), and the graph
-///   only covers `crates/*/src` and `src/`, minus `crates/bench` and
-///   `crates/lint` (see `is_lib_rel` in the lint crate);
+///   binaries create their own locks (including deliberately seeded
+///   inversions in `tests/lockcheck_detector.rs`), and the graph
+///   only covers what `obiwan_lint::lockgraph::is_lib_rel` admits;
 /// * same-site edges — one textual site acquiring two sibling locks (the
 ///   [`lock_many`] loop). The static graph records the site but never a
 ///   self-edge, so these only require the site itself to be known.
@@ -64,69 +63,45 @@ pub fn assert_no_lock_order_violations() {
 /// [`lockcheck_enabled`] is true; otherwise no edges were recorded and it
 /// trivially passes.
 pub fn assert_observed_edges_in_static_graph() {
-    let observed = crate::lockcheck::observed_edges();
-    if observed.is_empty() {
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../LOCK_GRAPH.json");
-    let graph = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {path}: {e}; regenerate with \
-             `cargo run -p obiwan-lint -- --emit-lock-graph LOCK_GRAPH.json`"
-        )
-    });
+    #[cfg(feature = "lockcheck")]
+    {
+        use obiwan_lint::lockgraph::is_lib_rel;
+        use std::collections::HashSet;
 
-    // The export is one `{"site": "file:line", ...}` / `{"edge": "a -> b",
-    // ...}` object per line precisely so consumers can use plain string
-    // extraction instead of a vendored JSON parser.
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = &line[line.find(&format!("\"{key}\": \""))? + key.len() + 5..];
-        rest.split('"').next()
-    }
-    let mut sites = std::collections::HashSet::new();
-    let mut edges = std::collections::HashSet::new();
-    for line in graph.lines() {
-        if let Some(s) = field(line, "site") {
-            sites.insert(s.to_string());
-        }
-        if let Some(e) = field(line, "edge") {
-            edges.insert(e.to_string());
-        }
-    }
+        // Held → acquired pairs of `file:line` sites, the form
+        // `lockcheck::observed_edges` reports; every known site is also
+        // paired with itself, which is what a same-site edge needs.
+        static GRAPH: std::sync::OnceLock<HashSet<(String, String)>> = std::sync::OnceLock::new();
+        let graph = GRAPH.get_or_init(|| {
+            let root = obiwan_lint::default_root();
+            let files = obiwan_lint::scan_workspace(&root)
+                .unwrap_or_else(|e| panic!("cannot scan {}: {e}", root.display()));
+            let graph = obiwan_lint::lock_graph(&files);
+            let site = |i: usize| format!("{}:{}", graph.sites[i].file, graph.sites[i].line);
+            let known = (0..graph.sites.len()).map(|i| (site(i), site(i)));
+            let edges = graph
+                .edges
+                .iter()
+                .map(|&(held, acquired)| (site(held), site(acquired)));
+            known.chain(edges).collect()
+        });
 
-    // Mirrors `is_lib_rel` in `crates/lint/src/lockgraph.rs`.
-    fn in_static_scope(site: &str) -> bool {
-        let file = site.rsplit_once(':').map_or(site, |(f, _)| f);
-        ((file.starts_with("crates/") && file.contains("/src/")) || file.starts_with("src/"))
-            && !file.starts_with("crates/bench/")
-            && !file.starts_with("crates/lint/")
-    }
-
-    let mut missing = Vec::new();
-    for (held, acquired) in observed {
-        if !in_static_scope(&held) || !in_static_scope(&acquired) {
-            continue;
+        let in_scope =
+            |site: &str| is_lib_rel(site.rsplit_once(':').map_or(site, |(file, _)| file));
+        let missing: Vec<String> = crate::lockcheck::observed_edges()
+            .into_iter()
+            .filter(|(held, acquired)| in_scope(held) && in_scope(acquired))
+            .filter(|edge| !graph.contains(edge))
+            .map(|(held, acquired)| format!("{held} -> {acquired}"))
+            .collect();
+        if !missing.is_empty() {
+            panic!(
+                "{} runtime lock edge(s) missing from the static graph of the sources \
+                 under test: the static analysis lost an edge (fix crates/lint)\n  {}",
+                missing.len(),
+                missing.join("\n  ")
+            );
         }
-        if held == acquired {
-            if !sites.contains(&held) {
-                missing.push(format!("{held} (same-site sibling acquisition, site unknown)"));
-            }
-            continue;
-        }
-        let key = format!("{held} -> {acquired}");
-        if !edges.contains(&key) {
-            missing.push(key);
-        }
-    }
-    if !missing.is_empty() {
-        panic!(
-            "{} runtime lock edge(s) missing from the static graph ({path}):\n  {}\n\
-             either the static analysis lost an edge (fix crates/lint) or the \
-             committed graph is stale (regenerate with \
-             `cargo run -p obiwan-lint -- --emit-lock-graph LOCK_GRAPH.json`)",
-            missing.len(),
-            missing.join("\n  ")
-        );
     }
 }
 

@@ -1,23 +1,39 @@
 //! The batched demand pipeline versus demand-by-demand faulting.
 //!
-//! Measures the real-CPU cost of replicating a 64-object list, and — in
-//! both bench and `--test` mode — asserts the headline property of the
-//! pipeline: walking the list after `prefetch_batched(batch = 8)` costs at
-//! least 4× fewer network round-trips than faulting every node on demand,
-//! and a wide fan-out demands all of its frontier in one `GetMany`.
+//! Asserts the headline property of the pipeline as *counts*: walking a
+//! 64-object list after `prefetch_batched(batch = 8)` costs at least 4×
+//! fewer network round-trips than faulting every node on demand, and a wide
+//! fan-out demands all of its frontier in one `GetMany`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use obiwan_bench::workload::payload_list;
-use obiwan_bench::ListWorkload;
-use obiwan_core::demo::LinkedItem;
-use obiwan_core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
+use obiwan::core::demo::{LinkedItem, PayloadNode};
+use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
+use obiwan::rmi::RemoteRef;
+use obiwan::util::SiteId;
 
 const LIST: usize = 64;
 const SIZE: usize = 64;
 const BATCH: usize = 8;
 
-fn walk_all(w: &ListWorkload, root: ObjRef) {
-    let site = w.world.site(w.consumer);
+/// The paper's list workload: `LIST` payload nodes of `SIZE` bytes created
+/// at the provider S2, the head exported and looked up from the consumer S1.
+fn payload_list() -> (ObiWorld, SiteId, RemoteRef) {
+    let mut world = ObiWorld::paper_testbed();
+    let consumer = world.add_site("S1");
+    let provider = world.add_site("S2");
+    let mut next = None;
+    for i in (0..LIST).rev() {
+        let mut node = PayloadNode::sized(i as i64, SIZE);
+        node.set_next(next);
+        next = Some(world.site(provider).create(node));
+    }
+    let head = next.expect("LIST > 0");
+    world.site(provider).export(head, "list").unwrap();
+    let head = world.site(consumer).lookup("list").unwrap();
+    (world, consumer, head)
+}
+
+fn walk_all(world: &ObiWorld, consumer: SiteId, root: ObjRef) {
+    let site = world.site(consumer);
     let mut cur = root;
     loop {
         let out = site.invoke(cur, "touch", ObiValue::Null).unwrap();
@@ -29,32 +45,31 @@ fn walk_all(w: &ListWorkload, root: ObjRef) {
 }
 
 /// Round-trips spent replicating and walking the whole list on demand.
-fn round_trips_demand(w: &ListWorkload) -> u64 {
-    let site = w.world.site(w.consumer);
+fn round_trips_demand() -> u64 {
+    let (world, consumer, head) = payload_list();
+    let site = world.site(consumer);
     let before = site.metrics().snapshot();
-    let root = site
-        .get(&w.head, ReplicationMode::incremental(1))
-        .unwrap();
-    walk_all(w, root);
+    let root = site.get(&head, ReplicationMode::incremental(1)).unwrap();
+    walk_all(&world, consumer, root);
     site.metrics().snapshot().since(&before).demand_round_trips
 }
 
 /// Round-trips spent with the batched pipeline: one demand for the head,
 /// then `prefetch_batched` pulling `BATCH` objects per `GetMany`.
-fn round_trips_batched(w: &ListWorkload) -> u64 {
-    let site = w.world.site(w.consumer);
+fn round_trips_batched() -> u64 {
+    let (world, consumer, head) = payload_list();
+    let site = world.site(consumer);
     let before = site.metrics().snapshot();
-    let root = site
-        .get(&w.head, ReplicationMode::incremental(1))
-        .unwrap();
+    let root = site.get(&head, ReplicationMode::incremental(1)).unwrap();
     site.prefetch_batched(root, LIST, BATCH).unwrap();
-    walk_all(w, root);
+    walk_all(&world, consumer, root);
     site.metrics().snapshot().since(&before).demand_round_trips
 }
 
-fn assert_round_trip_reduction() {
-    let demand = round_trips_demand(&payload_list(LIST, SIZE));
-    let batched = round_trips_batched(&payload_list(LIST, SIZE));
+#[test]
+fn batched_walk_takes_at_least_4x_fewer_round_trips() {
+    let demand = round_trips_demand();
+    let batched = round_trips_batched();
     assert!(demand >= LIST as u64, "demand walk took {demand} RTs");
     assert!(
         batched * 4 <= demand,
@@ -65,7 +80,8 @@ fn assert_round_trip_reduction() {
 
 /// A root with `fan` children on the provider: the whole frontier must be
 /// demanded in ONE `GetMany` round-trip instead of `fan`.
-fn assert_wide_fanout_is_one_round_trip() {
+#[test]
+fn wide_fanout_is_one_round_trip() {
     let fan = 8usize;
     let mut world = ObiWorld::paper_testbed();
     let consumer = world.add_site("S1");
@@ -98,30 +114,3 @@ fn assert_wide_fanout_is_one_round_trip() {
     assert_eq!(fetched, fan, "prefetch fetched {fetched} of {fan}");
     assert_eq!(spent, 1, "{fan}-wide frontier took {spent} round-trips");
 }
-
-fn bench_demand_pipeline(c: &mut Criterion) {
-    // The correctness/efficiency contract holds in --test mode too.
-    assert_round_trip_reduction();
-    assert_wide_fanout_is_one_round_trip();
-
-    let mut group = c.benchmark_group("demand_pipeline_64");
-    group.sample_size(10);
-    group.bench_function("demand_by_demand", |b| {
-        b.iter_batched(
-            || payload_list(LIST, SIZE),
-            |w| round_trips_demand(&w),
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("batched_8", |b| {
-        b.iter_batched(
-            || payload_list(LIST, SIZE),
-            |w| round_trips_batched(&w),
-            BatchSize::PerIteration,
-        )
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_demand_pipeline);
-criterion_main!(benches);

@@ -19,7 +19,8 @@
 //!
 //! * [`process`] — [`ObiProcess`], the per-site runtime, and [`InvokeCtx`];
 //! * [`world`] — [`ObiWorld`], a ready-made simulated network of sites;
-//! * [`space`] — the object table ([`ObjectSpace`], slots, metadata, GC);
+//! * [`shards`] — the object table ([`ShardedSpace`]: resolution, eviction, GC);
+//! * [`space`] — what the table holds (slots, metadata, resolutions);
 //! * [`replication`] — [`ReplicationMode`] and provider-side batch building;
 //! * [`proxy`] — proxy-out / proxy-in data structures;
 //! * [`object`] — the [`ObiObject`] trait and [`ClassRegistry`];
@@ -80,7 +81,7 @@ pub use objref::ObjRef;
 pub use process::{Freshness, InvokeCtx, ObiProcess};
 pub use replication::ReplicationMode;
 pub use shards::ShardedSpace;
-pub use space::{GcStats, ObjectMeta, ObjectSpace, ReplicaKind, Resolution, SpaceView};
+pub use space::{GcStats, ObjectMeta, ReplicaKind, Resolution};
 pub use world::{ObiWorld, NAME_SERVER_SITE};
 
 // Re-exports used by the `obi_class!` macro expansion and by downstream

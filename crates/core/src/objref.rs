@@ -9,7 +9,7 @@ use std::fmt;
 /// and is later *swizzled* (`updateMember`) to point directly at `B'`. In
 /// Rust, arbitrary cyclic direct references are not expressible, so an
 /// `ObjRef` is a stable handle (the target's [`ObjId`]) resolved through the
-/// local [`ObjectSpace`](crate::space::ObjectSpace) on each use. Swizzling
+/// local [`ShardedSpace`](crate::shards::ShardedSpace) on each use. Swizzling
 /// becomes a slot replacement: the same handle that used to resolve to a
 /// proxy-out resolves to the replica afterwards, with no per-field rewrite.
 ///

@@ -12,7 +12,7 @@
 //! | replica `A'`, `B'`, `C'` | a live slot with [`ReplicaKind::Replica`](crate::ReplicaKind) metadata |
 //! | `AProxyIn` "registered in a name server" | [`ObiProcess::export`] + the world's [`NameServer`](obiwan_rmi::NameServer) |
 //! | remote reference to `AProxyIn` | [`RemoteRef`](obiwan_rmi::RemoteRef), from [`ObiProcess::lookup`] |
-//! | `BProxyOut` standing in for `B` | a [`ProxyOut`](crate::proxy::ProxyOut) slot in the [`ObjectSpace`](crate::ObjectSpace) |
+//! | `BProxyOut` standing in for `B` | a [`ProxyOut`](crate::proxy::ProxyOut) slot in the [`ShardedSpace`](crate::ShardedSpace) |
 //! | stubs and skeletons "created by the underlying virtual machine" | [`RmiClient`](obiwan_rmi::RmiClient) / [`RmiServer`](obiwan_rmi::RmiServer) over a [`Transport`](obiwan_net::Transport) |
 //!
 //! ## §2 Interfaces (Figure 1 sidebar, Figure 3)
@@ -24,9 +24,9 @@
 //! | `IProvideRemote` (remote-capable `IProvide`) | the `GetRequest`/`PutRequest` wire messages ([`obiwan_wire::Message`]) |
 //! | `IDemand::setProvider` | the `provider` field of [`ProxyOut`](crate::proxy::ProxyOut) and replica metadata |
 //! | `IDemand::setDemander` | implicit: handles resolve through the space, so the demander needs no back-pointer |
-//! | `IDemandee::demand()` | `demand_install` in `process.rs`, the one fetch-and-install path every fault, `get`, `refresh` and prefetch goes through, over [`RmiClient::demand`](obiwan_rmi::RmiClient::demand) |
+//! | `IDemandee::demand()` | `demand_install` in `process/demand.rs`, the one fetch-and-install path every fault, `get`, `refresh` and prefetch goes through, over [`RmiClient::demand`](obiwan_rmi::RmiClient::demand) |
 //! | `IfA`/`IfB`/`IfC` business interfaces | the method set declared in an [`obi_class!`](crate::obi_class) block |
-//! | `updateMember(replica, member)` swizzle | slot replacement in the [`ObjectSpace`](crate::ObjectSpace): the same [`ObjRef`](crate::ObjRef) now resolves to the replica |
+//! | `updateMember(replica, member)` swizzle | slot replacement in the [`ShardedSpace`](crate::ShardedSpace): the same [`ObjRef`](crate::ObjRef) now resolves to the replica |
 //!
 //! ## §2.1 / §2.2 Mechanisms
 //!

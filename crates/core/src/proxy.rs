@@ -11,7 +11,7 @@
 //! swizzle, after which "further invocations … will be normal direct
 //! invocations with no indirection at all", and the proxy-out "is no longer
 //! reachable … and will be reclaimed by the garbage collector"
-//! (see [`crate::space::ObjectSpace::collect_garbage`]).
+//! (see [`crate::shards::ShardedSpace::collect_garbage`]).
 
 use obiwan_util::{ClusterId, ObjId, SiteId};
 use obiwan_wire::WireMode;

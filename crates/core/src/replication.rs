@@ -1,9 +1,10 @@
 //! Provider-side replication: building replica batches (paper §2.2, §4.3).
 
-use crate::space::{Resolution, SpaceView};
+use crate::shards::ShardedSpace;
+use crate::space::Resolution;
 use obiwan_util::{ClusterId, ObiError, ObjId, Result};
 use obiwan_wire::{Encoder, FrontierEdge, ReplicaBatch, ReplicaState, WireMode};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 /// The application-facing replication mode (the `mode` argument of
 /// `IProvideRemote::get(mode)`).
@@ -93,34 +94,37 @@ impl Default for ReplicationMode {
     }
 }
 
-/// Builds the replica batch answering `get(root, mode)` against a provider's
-/// object space.
-///
-/// The traversal is breadth-first from `root` over live objects, stopping at
-/// the mode's step size. Frontier edges (references leaving the batch) are
-/// reported so the requester can create proxy-outs; in cluster mode the
-/// caller supplies a fresh [`ClusterId`] via `next_cluster` and all frontier
-/// proxies will share one pair.
+/// The wire form of live object `id` as it stands: class, version and
+/// encoded state. The one place a [`ReplicaState`] is made from an object
+/// (a `get` reply, a `put`, a pushed update, a handoff, a logged delta all
+/// carry what this returns).
 ///
 /// # Errors
 ///
-/// [`ObiError::NoSuchObject`] when `root` is not a live object here (this
-/// site cannot *provide* objects it only holds proxies for).
-pub fn build_batch<S: SpaceView>(
-    space: &S,
-    root: ObjId,
-    mode: WireMode,
-    next_cluster: impl FnOnce() -> ClusterId,
-) -> Result<ReplicaBatch> {
-    build_batch_many(space, &[root], mode, next_cluster)
+/// [`ObiError::NoSuchObject`] when absent/proxy,
+/// [`ObiError::ReentrantInvocation`] when busy.
+pub(crate) fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<ReplicaState> {
+    space.with_object(id, |o, m| ReplicaState {
+        id,
+        class: o.class_name().to_owned(),
+        version: m.version,
+        state: {
+            let mut enc = Encoder::new();
+            enc.put_value(&o.state());
+            enc.finish()
+        },
+    })
 }
 
 /// Builds one merged replica batch rooted at every live object in `targets`
-/// — the provider side of `get_many` (the batched demand pipeline).
+/// — the provider side of `get` and `get_many` (paper §2.2, §4.3).
 ///
-/// The traversal is a multi-source BFS seeded with all live targets, so the
-/// roots are materialized first (in request order) before any of their
-/// referents. The step limit scales with the number of live roots: a
+/// The traversal is a multi-source BFS over live objects seeded with all
+/// live targets, so the roots are materialized first (in request order)
+/// before any of their referents. Frontier edges (references leaving the
+/// batch) are reported so the requester can create proxy-outs; in cluster
+/// mode `next_cluster` supplies the fresh [`ClusterId`] all of them share.
+/// The step limit scales with the number of live roots: a
 /// `get_many` of N targets in `Incremental { batch }` mode yields up to
 /// `N × batch` objects, exactly what N separate `get`s would have, in one
 /// round-trip. Targets this site cannot provide (proxies, absent ids) are
@@ -128,10 +132,11 @@ pub fn build_batch<S: SpaceView>(
 ///
 /// # Errors
 ///
-/// [`ObiError::NoSuchObject`] when *no* target is a live object here (the
-/// id reported is the first target, or a nil id for an empty request).
-pub fn build_batch_many<S: SpaceView>(
-    space: &S,
+/// [`ObiError::NoSuchObject`] when *no* target is a live object here: this
+/// site cannot *provide* objects it only holds proxies for (the id
+/// reported is the first target, or a nil id for an empty request).
+pub fn build_batch_many(
+    space: &ShardedSpace,
     targets: &[ObjId],
     mode: WireMode,
     next_cluster: impl FnOnce() -> ClusterId,
@@ -157,7 +162,7 @@ pub fn build_batch_many<S: SpaceView>(
         .map_or(usize::MAX, |step| step.saturating_mul(live.len()));
 
     let mut included: Vec<ObjId> = Vec::new();
-    let mut queue: std::collections::VecDeque<ObjId> = live.into_iter().collect();
+    let mut queue: VecDeque<ObjId> = live.into_iter().collect();
 
     // BFS over objects this site can actually provide.
     while let Some(id) = queue.pop_front() {
@@ -183,41 +188,27 @@ pub fn build_batch_many<S: SpaceView>(
     let materialized: HashSet<ObjId> = included.iter().copied().collect();
     let mut frontier: Vec<FrontierEdge> = Vec::new();
     let mut frontier_seen: HashSet<ObjId> = HashSet::new();
-    let mut add_frontier = |space: &S, target: ObjId, out: &mut Vec<FrontierEdge>| {
-        if frontier_seen.insert(target) {
+    for id in &included {
+        let refs = space.with_object(*id, |o, _| o.refs())?;
+        for r in refs {
+            let target = r.id();
+            if materialized.contains(&target) || !frontier_seen.insert(target) {
+                continue;
+            }
             let class = match space.resolve(target) {
                 Resolution::Object(_) | Resolution::Busy => space
                     .with_object(target, |o, _| o.class_name().to_owned())
                     .unwrap_or_default(),
                 Resolution::Proxy(p) => p.class,
-                Resolution::Absent => return, // dangling reference: skip
+                Resolution::Absent => continue, // dangling reference: skip
             };
-            out.push(FrontierEdge { target, class });
-        }
-    };
-    for id in &included {
-        let refs = space.with_object(*id, |o, _| o.refs())?;
-        for r in refs {
-            let target = r.id();
-            if !materialized.contains(&target) {
-                add_frontier(space, target, &mut frontier);
-            }
+            frontier.push(FrontierEdge { target, class });
         }
     }
 
     let mut replicas = Vec::with_capacity(included.len());
     for id in &included {
-        let state = space.with_object(*id, |o, m| ReplicaState {
-            id: *id,
-            class: o.class_name().to_owned(),
-            version: m.version,
-            state: {
-                let mut enc = Encoder::new();
-                enc.put_value(&o.state());
-                enc.finish()
-            },
-        })?;
-        replicas.push(state);
+        replicas.push(replica_state_of(space, *id)?);
     }
 
     let cluster = if mode.is_cluster() {
@@ -239,11 +230,10 @@ mod tests {
     use super::*;
     use crate::demo::LinkedItem;
     use crate::objref::ObjRef;
-    use crate::space::ObjectSpace;
     use obiwan_util::SiteId;
 
-    fn list_space(n: usize) -> (ObjectSpace, Vec<ObjRef>) {
-        let mut space = ObjectSpace::new(SiteId::new(2));
+    fn list_space(n: usize) -> (ShardedSpace, Vec<ObjRef>) {
+        let space = ShardedSpace::new(SiteId::new(2));
         let mut refs: Vec<ObjRef> = Vec::new();
         let mut next: Option<ObjRef> = None;
         for i in (0..n).rev() {
@@ -263,15 +253,15 @@ mod tests {
         ClusterId::new(SiteId::new(2), 1)
     }
 
+    /// The single-root batch: what a plain `get(root, mode)` is served.
+    fn build_batch(space: &ShardedSpace, root: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
+        build_batch_many(space, &[root], mode, cid)
+    }
+
     #[test]
     fn incremental_batch_takes_exactly_n_with_one_frontier_edge() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(
-            &space,
-            refs[0].id(),
-            WireMode::Incremental { batch: 3 },
-            cid,
-        )
+        let batch = build_batch(&space, refs[0].id(), WireMode::Incremental { batch: 3 })
         .unwrap();
         assert_eq!(batch.replicas.len(), 3);
         assert_eq!(batch.root, refs[0].id());
@@ -285,12 +275,7 @@ mod tests {
     #[test]
     fn batch_larger_than_graph_has_empty_frontier() {
         let (space, refs) = list_space(4);
-        let batch = build_batch(
-            &space,
-            refs[0].id(),
-            WireMode::Incremental { batch: 100 },
-            cid,
-        )
+        let batch = build_batch(&space, refs[0].id(), WireMode::Incremental { batch: 100 })
         .unwrap();
         assert_eq!(batch.replicas.len(), 4);
         assert!(batch.frontier.is_empty());
@@ -299,7 +284,7 @@ mod tests {
     #[test]
     fn transitive_takes_everything() {
         let (space, refs) = list_space(50);
-        let batch = build_batch(&space, refs[0].id(), WireMode::Transitive, cid).unwrap();
+        let batch = build_batch(&space, refs[0].id(), WireMode::Transitive).unwrap();
         assert_eq!(batch.replicas.len(), 50);
         assert!(batch.frontier.is_empty());
     }
@@ -307,7 +292,7 @@ mod tests {
     #[test]
     fn cluster_mode_stamps_cluster_id() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(&space, refs[0].id(), WireMode::Cluster { size: 4 }, cid).unwrap();
+        let batch = build_batch(&space, refs[0].id(), WireMode::Cluster { size: 4 }).unwrap();
         assert_eq!(batch.replicas.len(), 4);
         assert_eq!(batch.cluster, Some(cid()));
         assert_eq!(batch.frontier.len(), 1);
@@ -316,12 +301,7 @@ mod tests {
     #[test]
     fn mid_list_root_serves_the_suffix() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(
-            &space,
-            refs[7].id(),
-            WireMode::Incremental { batch: 5 },
-            cid,
-        )
+        let batch = build_batch(&space, refs[7].id(), WireMode::Incremental { batch: 5 })
         .unwrap();
         // Only 3 objects remain from index 7.
         assert_eq!(batch.replicas.len(), 3);
@@ -330,14 +310,9 @@ mod tests {
 
     #[test]
     fn versions_travel_with_replicas() {
-        let (mut space, refs) = list_space(2);
-        space.meta_mut(refs[0].id()).unwrap().version = 9;
-        let batch = build_batch(
-            &space,
-            refs[0].id(),
-            WireMode::Incremental { batch: 1 },
-            cid,
-        )
+        let (space, refs) = list_space(2);
+        assert!(space.update_meta(refs[0].id(), |m| m.version = 9));
+        let batch = build_batch(&space, refs[0].id(), WireMode::Incremental { batch: 1 })
         .unwrap();
         assert_eq!(batch.replicas[0].version, 9);
     }
@@ -347,17 +322,17 @@ mod tests {
         let (space, _) = list_space(2);
         let ghost = ObjId::new(SiteId::new(9), 9);
         assert!(matches!(
-            build_batch(&space, ghost, WireMode::Transitive, cid),
+            build_batch(&space, ghost, WireMode::Transitive),
             Err(ObiError::NoSuchObject(_))
         ));
     }
 
     #[test]
     fn dangling_references_are_skipped_in_frontier() {
-        let mut space = ObjectSpace::new(SiteId::new(2));
+        let space = ShardedSpace::new(SiteId::new(2));
         let ghost = ObjRef::new(ObjId::new(SiteId::new(9), 77));
         let head = space.create(Box::new(LinkedItem::with_next(1, "h", ghost)));
-        let batch = build_batch(&space, head.id(), WireMode::Incremental { batch: 1 }, cid).unwrap();
+        let batch = build_batch(&space, head.id(), WireMode::Incremental { batch: 1 }).unwrap();
         assert!(batch.frontier.is_empty());
     }
 
@@ -451,7 +426,7 @@ mod tests {
     #[test]
     fn branching_graph_bfs_order() {
         // root -> (a, b); a -> c. BFS with batch 3 = root, a, b; frontier = c.
-        let mut space = ObjectSpace::new(SiteId::new(2));
+        let space = ShardedSpace::new(SiteId::new(2));
         let c = space.create(Box::new(LinkedItem::new(3, "c")));
         let a = space.create(Box::new(LinkedItem::with_next(1, "a", c)));
         let b = space.create(Box::new(LinkedItem::new(2, "b")));
@@ -459,7 +434,7 @@ mod tests {
         root_item.set_next(Some(a));
         root_item.set_extra(vec![b]);
         let root = space.create(Box::new(root_item));
-        let batch = build_batch(&space, root.id(), WireMode::Incremental { batch: 3 }, cid).unwrap();
+        let batch = build_batch(&space, root.id(), WireMode::Incremental { batch: 3 }).unwrap();
         let ids: Vec<ObjId> = batch.replicas.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![root.id(), a.id(), b.id()]);
         assert_eq!(batch.frontier.len(), 1);

@@ -1,5 +1,12 @@
-//! The striped object table: [`crate::space::ObjectSpace`] semantics behind per-shard
-//! locks.
+//! The per-process object table, striped behind per-shard locks.
+//!
+//! Each OBIWAN process holds its objects in a [`ShardedSpace`]: a table from
+//! [`ObjId`] to [`Slot`]s. A slot holds either a live object (master or
+//! replica), a [`ProxyOut`] awaiting its first fault, or a `Busy` marker
+//! while the object is taken out for a method invocation. Resolution
+//! through the table is what makes swizzling cheap: replacing a proxy slot
+//! with a replica slot instantly redirects every reference in every
+//! object, because references are handles resolved on use.
 //!
 //! [`ShardedSpace`] splits the slot table into N shards keyed by a
 //! deterministic hash of the [`ObjId`], each behind its own
@@ -19,17 +26,17 @@
 //!   [`obiwan_util::sync::lock_many`], the one sanctioned multi-guard path,
 //!   which also acquires in index order.
 //!
-//! Observational equivalence with the unsharded [`crate::space::ObjectSpace`] is a tested
-//! property (`tests/sharded_equivalence.rs`): for any single-threaded op
-//! sequence both tables report the same resolutions, demand batches,
-//! frontier pops, eviction choices and GC stats. The global frontier FIFO is
-//! preserved across shards by stamping each queue entry with a process-wide
-//! monotone counter and merge-sorting candidates by stamp.
+//! Striping is observationally invisible, a tested property
+//! (`tests/sharded_equivalence.rs`): for any single-threaded op sequence
+//! this table at 1–16 stripes and a flat single-map reference kept under
+//! `tests/` report the same resolutions, metadata, object states, eviction
+//! choices and GC stats. Two counters stay global for that (local-id
+//! allocation and the LRU tick), both atomics.
 
 use crate::object::ObiObject;
 use crate::objref::ObjRef;
 use crate::proxy::ProxyOut;
-use crate::space::{GcStats, ObjectEntry, ObjectMeta, ReplicaKind, Resolution, Slot, SpaceView};
+use crate::space::{GcStats, ObjectEntry, ObjectMeta, ReplicaKind, Resolution, Slot};
 use obiwan_util::sync::{lock_many, RwLock};
 use obiwan_util::{ObiError, ObjId, Result, SiteId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -38,42 +45,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Default stripe count; a power of two so the hash mix spreads evenly.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// One stripe of the table: its slots plus the shard-local slices of the
-/// frontier index and root set.
+/// One stripe of the table: its slots plus the shard-local slice of the
+/// root set.
+#[derive(Default)]
 struct Shard {
     slots: HashMap<ObjId, Slot>,
-    /// Frontier entries as `(global stamp, id)`, oldest stamp first.
-    /// Like the unsharded queue it may hold stale ids, cleaned lazily.
-    frontier_queue: VecDeque<(u64, ObjId)>,
-    /// Authoritative frontier membership for ids hashing to this shard.
-    frontier_set: HashSet<ObjId>,
     /// GC roots hashing to this shard.
     roots: HashSet<ObjId>,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            slots: HashMap::new(),
-            frontier_queue: VecDeque::new(),
-            frontier_set: HashSet::new(),
-            roots: HashSet::new(),
-        }
-    }
-}
-
 /// The sharded object table hosted by one process.
 ///
-/// API parity with [`crate::space::ObjectSpace`], except every method takes
-/// `&self` (interior mutability via the shard locks) and metadata mutation
-/// goes through [`ShardedSpace::update_meta`] instead of a `meta_mut`
-/// borrow.
+/// Every method takes `&self` (interior mutability via the shard locks);
+/// metadata mutation goes through [`ShardedSpace::update_meta`].
 pub struct ShardedSpace {
     site: SiteId,
     shards: Vec<RwLock<Shard>>,
     next_local: AtomicU64,
     use_tick: AtomicU64,
-    frontier_stamp: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedSpace {
@@ -97,10 +86,9 @@ impl ShardedSpace {
     pub fn with_shards(site: SiteId, shards: usize) -> Self {
         ShardedSpace {
             site,
-            shards: (0..shards.max(1)).map(|_| RwLock::new(Shard::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
             next_local: AtomicU64::new(1),
             use_tick: AtomicU64::new(1),
-            frontier_stamp: AtomicU64::new(0),
         }
     }
 
@@ -130,10 +118,6 @@ impl ShardedSpace {
         self.use_tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn next_stamp(&self) -> u64 {
-        self.frontier_stamp.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Number of slots (objects + proxies + busy markers).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().slots.len()).sum()
@@ -161,9 +145,7 @@ impl ShardedSpace {
     pub fn insert_object(&self, mut entry: ObjectEntry) {
         entry.meta.last_used = self.bump_tick();
         let id = entry.meta.id;
-        let mut g = self.shard(id).write();
-        g.frontier_set.remove(&id);
-        g.slots.insert(id, Slot::Object(entry));
+        self.shard(id).write().slots.insert(id, Slot::Object(entry));
     }
 
     /// Marks `id` as just-used (freshens it against LRU eviction) without
@@ -183,126 +165,9 @@ impl ShardedSpace {
         match g.slots.get(&id) {
             Some(Slot::Object(_)) | Some(Slot::Busy(_)) => {}
             _ => {
-                if g.frontier_set.insert(id) {
-                    let stamp = self.next_stamp();
-                    g.frontier_queue.push_back((stamp, id));
-                }
                 g.slots.insert(id, Slot::Proxy(proxy));
             }
         }
-    }
-
-    /// Number of proxy-out slots currently indexed as demand candidates.
-    pub fn frontier_len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().frontier_set.len()).sum()
-    }
-
-    /// Up to `max` frontier proxies, globally oldest first, rotating through
-    /// the frontier exactly like the unsharded queue.
-    ///
-    /// Two passes, never holding more than one shard lock: pass one
-    /// snapshots every queue entry shard by shard (index order) and
-    /// merge-sorts by stamp to reconstruct the global FIFO; pass two applies
-    /// the resulting rotations and lazy cleanups, again one shard at a time
-    /// in index order.
-    pub fn frontier_candidates(&self, max: usize) -> Vec<ProxyOut> {
-        struct Entry {
-            stamp: u64,
-            id: ObjId,
-            shard: usize,
-            indexed: bool,
-            live: Option<ProxyOut>,
-        }
-        let mut entries: Vec<Entry> = Vec::new();
-        for (si, shard) in self.shards.iter().enumerate() {
-            let g = shard.read();
-            for &(stamp, id) in &g.frontier_queue {
-                let indexed = g.frontier_set.contains(&id);
-                let live = match g.slots.get(&id) {
-                    Some(Slot::Proxy(p)) if indexed => Some(p.clone()),
-                    _ => None,
-                };
-                entries.push(Entry {
-                    stamp,
-                    id,
-                    shard: si,
-                    indexed,
-                    live,
-                });
-            }
-        }
-        entries.sort_unstable_by_key(|e| e.stamp);
-
-        // Replay the unsharded algorithm over the merged virtual queue.
-        let mut out: Vec<ProxyOut> = Vec::new();
-        // Entries to delete outright, per shard: (stamp, id).
-        let mut drops: Vec<Vec<(u64, ObjId)>> = vec![Vec::new(); self.shards.len()];
-        // Ids to drop from the frontier set (slot no longer a proxy).
-        let mut deindex: Vec<Vec<ObjId>> = vec![Vec::new(); self.shards.len()];
-        // Entries to rotate to the back, in pop order: (shard, stamp, id).
-        let mut rotate: Vec<(usize, u64, ObjId)> = Vec::new();
-        for e in &entries {
-            if out.len() >= max {
-                break;
-            }
-            if !e.indexed {
-                drops[e.shard].push((e.stamp, e.id));
-                continue;
-            }
-            match &e.live {
-                Some(p) => {
-                    if out.iter().all(|c| c.target != e.id) {
-                        out.push(p.clone());
-                        rotate.push((e.shard, e.stamp, e.id));
-                    } else {
-                        // Duplicate queue entry: keep exactly one.
-                        drops[e.shard].push((e.stamp, e.id));
-                    }
-                }
-                None => {
-                    drops[e.shard].push((e.stamp, e.id));
-                    deindex[e.shard].push(e.id);
-                }
-            }
-        }
-        // Fresh stamps in pop order keep the rotated entries' relative
-        // order at the back of the global FIFO.
-        let restamped: Vec<(usize, u64, ObjId, u64)> = rotate
-            .into_iter()
-            .map(|(shard, stamp, id)| (shard, stamp, id, self.next_stamp()))
-            .collect();
-
-        for (si, shard) in self.shards.iter().enumerate() {
-            let needs_write = !drops[si].is_empty()
-                || !deindex[si].is_empty()
-                || restamped.iter().any(|&(s, ..)| s == si);
-            if !needs_write {
-                continue;
-            }
-            let mut g = shard.write();
-            for id in &deindex[si] {
-                g.frontier_set.remove(id);
-            }
-            g.frontier_queue
-                .retain(|entry| !drops[si].contains(entry));
-            for &(s, old_stamp, id, new_stamp) in &restamped {
-                if s != si {
-                    continue;
-                }
-                // Re-validate under the write lock: a concurrent caller may
-                // have rotated or removed the entry since pass one.
-                let mut found = false;
-                g.frontier_queue.retain(|&entry| {
-                    let hit = entry == (old_stamp, id);
-                    found |= hit;
-                    !hit
-                });
-                if found && g.frontier_set.contains(&id) {
-                    g.frontier_queue.push_back((new_stamp, id));
-                }
-            }
-        }
-        out
     }
 
     /// What does `id` currently resolve to?
@@ -385,9 +250,7 @@ impl ShardedSpace {
 
     /// Removes a slot entirely, returning whether it existed.
     pub fn remove(&self, id: ObjId) -> bool {
-        let mut g = self.shard(id).write();
-        g.frontier_set.remove(&id);
-        g.slots.remove(&id).is_some()
+        self.shard(id).write().slots.remove(&id).is_some()
     }
 
     /// Marks `id` as a GC root (exported, name-bound, or application-held).
@@ -449,7 +312,11 @@ impl ShardedSpace {
             .sum()
     }
 
-    /// Approximate bytes of serialized state held by *replica* slots.
+    /// Approximate bytes of serialized state held by *replica* slots
+    /// (masters and proxies are not counted: only replicas can be shed).
+    ///
+    /// This re-encodes state and is O(total replica bytes); it is meant for
+    /// opt-in budget enforcement, not hot paths.
     pub fn replica_bytes(&self) -> usize {
         self.shards
             .iter()
@@ -469,10 +336,20 @@ impl ShardedSpace {
     }
 
     /// Evicts least-recently-used replicas until replica state fits in
-    /// `budget` bytes. Same policy as the unsharded table (never masters,
-    /// dirty replicas, roots, busy slots, cluster members, or `protect`
-    /// entries); holds every shard via `lock_many` for a consistent global
-    /// LRU order.
+    /// `budget` bytes — the memory-pressure story for "info-appliances with
+    /// limited memory" (§2.1).
+    ///
+    /// Eviction is the inverse of a fault: the replica's slot reverts to a
+    /// proxy-out pointing at its provider, so the handle graph stays closed
+    /// and the object simply faults back in on next use. Never evicted:
+    /// masters, dirty replicas (un-pushed work), roots, busy slots, and
+    /// cluster members (their identity lives in the shared cluster pair).
+    ///
+    /// `protect` lists ids that must survive this round regardless of
+    /// recency (e.g. the object a fault just materialized); pinned and
+    /// protected state can therefore keep the space above budget: the
+    /// budget is best effort, never a correctness constraint. Holds every
+    /// shard via `lock_many` for a consistent global LRU order.
     ///
     /// Returns `(replicas evicted, bytes freed)`.
     pub fn evict_replicas_to(&self, budget: usize, protect: &[ObjId]) -> (usize, usize) {
@@ -515,10 +392,6 @@ impl ShardedSpace {
                 continue;
             };
             let class = e.object.class_name().to_owned();
-            if g.frontier_set.insert(id) {
-                let stamp = self.next_stamp();
-                g.frontier_queue.push_back((stamp, id));
-            }
             g.slots.insert(
                 id,
                 Slot::Proxy(ProxyOut::new(
@@ -535,14 +408,25 @@ impl ShardedSpace {
         (evicted, freed)
     }
 
-    /// Mark-and-sweep over the handle graph; same seeds and sweep policy as
-    /// the unsharded table. Holds every shard via `lock_many` so the marked
+    /// Mark-and-sweep over the handle graph (the stand-in for the JVM GC
+    /// the paper leans on to reclaim dead proxy-outs).
+    ///
+    /// Marking starts from the root set, all masters, and every busy slot;
+    /// it follows the `refs()` of live objects. Unreachable proxies are
+    /// always collected. Unreachable *clean* replicas are collected only
+    /// when `collect_replicas` is set (dirty replicas hold un-pushed work
+    /// and always survive). Holds every shard via `lock_many` so the marked
     /// set is a consistent snapshot.
     pub fn collect_garbage(&self, collect_replicas: bool) -> GcStats {
         let mut guards = lock_many(&self.shards);
         let mut marked: HashSet<ObjId> = HashSet::new();
         let mut queue: VecDeque<ObjId> = VecDeque::new();
 
+        // Seeds are exactly the slots guaranteed to survive the sweep:
+        // everything they reference must survive too, or the handle graph
+        // would dangle. In particular, when clean replicas are retained
+        // (`!collect_replicas`) they must seed marking, otherwise their
+        // frontier proxies would be swept out from under them.
         for g in guards.iter() {
             for (&id, slot) in &g.slots {
                 let is_seed = match slot {
@@ -601,30 +485,8 @@ impl ShardedSpace {
                     }
                 }
             });
-            let slots = &shard.slots;
-            shard
-                .frontier_set
-                .retain(|id| matches!(slots.get(id), Some(Slot::Proxy(_))));
         }
         stats
-    }
-}
-
-impl SpaceView for ShardedSpace {
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn resolve(&self, id: ObjId) -> Resolution {
-        ShardedSpace::resolve(self, id)
-    }
-
-    fn with_object<R>(
-        &self,
-        id: ObjId,
-        f: impl FnOnce(&dyn ObiObject, &ObjectMeta) -> R,
-    ) -> Result<R> {
-        ShardedSpace::with_object(self, id, f)
     }
 }
 
@@ -651,20 +513,102 @@ mod tests {
         )
     }
 
+    fn replica(id: ObjId, v: i64, version: u64) -> ObjectEntry {
+        ObjectEntry {
+            object: boxed(v),
+            meta: ObjectMeta::replica(id, SiteId::new(2), version),
+        }
+    }
+
+    #[test]
+    fn create_assigns_fresh_local_ids() {
+        let s = space();
+        let a = s.create(boxed(1));
+        let b = s.create(boxed(2));
+        assert_ne!(a, b);
+        assert_eq!(a.id().site(), SiteId::new(1));
+        assert_eq!(s.len(), 2);
+        assert!(matches!(s.resolve(a.id()), Resolution::Object(m) if m.kind.is_master()));
+    }
+
     #[test]
     fn create_take_restore_cycle() {
         let s = space();
         let a = s.create(boxed(1));
-        assert_eq!(a.id().site(), SiteId::new(1));
         let entry = s.take_object(a.id()).unwrap();
         assert!(matches!(s.resolve(a.id()), Resolution::Busy));
+        // Metadata still readable while busy.
         assert_eq!(s.meta(a.id()).unwrap().version, 1);
+        // Double-take is re-entrancy.
         assert!(matches!(
             s.take_object(a.id()),
             Err(ObiError::ReentrantInvocation(_))
         ));
         s.restore_object(entry);
         assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
+    }
+
+    #[test]
+    fn taking_absent_or_proxy_fails() {
+        let s = space();
+        let ghost = ObjId::new(SiteId::new(9), 9);
+        assert!(matches!(
+            s.take_object(ghost),
+            Err(ObiError::NoSuchObject(_))
+        ));
+        s.insert_proxy(proxy(ghost));
+        assert!(matches!(
+            s.take_object(ghost),
+            Err(ObiError::NoSuchObject(_))
+        ));
+        assert!(matches!(s.resolve(ghost), Resolution::Proxy(_)));
+    }
+
+    #[test]
+    fn proxies_never_downgrade_live_objects() {
+        let s = space();
+        let a = s.create(boxed(1));
+        s.insert_proxy(proxy(a.id()));
+        assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
+    }
+
+    #[test]
+    fn replica_insert_overwrites_proxy_slot() {
+        // This is the swizzle: same handle, new resolution.
+        let s = space();
+        let id = ObjId::new(SiteId::new(2), 5);
+        s.insert_proxy(proxy(id));
+        s.insert_object(replica(id, 5, 3));
+        match s.resolve(id) {
+            Resolution::Object(m) => {
+                assert_eq!(m.version, 3);
+                assert!(!m.kind.is_master());
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(s.proxy_count(), 0);
+    }
+
+    #[test]
+    fn with_object_gives_read_access() {
+        let s = space();
+        let a = s.create(boxed(42));
+        let class = s.with_object(a.id(), |o, m| {
+            assert_eq!(m.version, 1);
+            o.class_name().to_string()
+        });
+        assert_eq!(class.unwrap(), "LinkedItem");
+    }
+
+    #[test]
+    fn roots_toggle() {
+        let s = space();
+        let a = s.create(boxed(1));
+        assert!(!s.is_root(a.id()));
+        s.add_root(a.id());
+        assert!(s.is_root(a.id()));
+        s.remove_root(a.id());
+        assert!(!s.is_root(a.id()));
     }
 
     #[test]
@@ -679,72 +623,25 @@ mod tests {
     }
 
     #[test]
-    fn frontier_rotates_globally_oldest_first_across_shards() {
-        let s = space();
-        let ids: Vec<ObjId> = (1..=6).map(|i| ObjId::new(SiteId::new(2), i)).collect();
-        for &id in &ids {
-            s.insert_proxy(proxy(id));
-        }
-        assert_eq!(s.frontier_len(), 6);
-        let first = s.frontier_candidates(3);
-        assert_eq!(
-            first.iter().map(|p| p.target).collect::<Vec<_>>(),
-            &ids[0..3]
-        );
-        let second = s.frontier_candidates(3);
-        assert_eq!(
-            second.iter().map(|p| p.target).collect::<Vec<_>>(),
-            &ids[3..6]
-        );
-        // Third call wraps back to the rotated entries, still in order.
-        let third = s.frontier_candidates(3);
-        assert_eq!(
-            third.iter().map(|p| p.target).collect::<Vec<_>>(),
-            &ids[0..3]
-        );
-    }
-
-    #[test]
-    fn materialization_leaves_the_frontier() {
-        let s = space();
-        let id = ObjId::new(SiteId::new(2), 5);
-        s.insert_proxy(proxy(id));
-        assert_eq!(s.frontier_len(), 1);
-        s.insert_object(ObjectEntry {
-            object: boxed(5),
-            meta: ObjectMeta::replica(id, SiteId::new(2), 3),
-        });
-        assert_eq!(s.frontier_len(), 0);
-        assert!(s.frontier_candidates(10).is_empty());
-        assert!(matches!(s.resolve(id), Resolution::Object(m) if m.version == 3));
-    }
-
-    #[test]
-    fn eviction_is_globally_lru_and_feeds_the_frontier() {
+    fn eviction_is_globally_lru_and_leaves_a_proxy() {
         let s = space();
         let a = ObjId::new(SiteId::new(2), 1);
         let b = ObjId::new(SiteId::new(2), 2);
-        s.insert_object(ObjectEntry {
-            object: boxed(1),
-            meta: ObjectMeta::replica(a, SiteId::new(2), 1),
-        });
-        s.insert_object(ObjectEntry {
-            object: boxed(2),
-            meta: ObjectMeta::replica(b, SiteId::new(2), 1),
-        });
+        s.insert_object(replica(a, 1, 1));
+        s.insert_object(replica(b, 2, 1));
         s.touch(a); // b is now the LRU entry
         let before = s.replica_bytes();
         let (evicted, freed) = s.evict_replicas_to(before - 1, &[]);
         assert_eq!(evicted, 1);
         assert!(freed > 0);
-        assert!(matches!(s.resolve(b), Resolution::Proxy(_)));
+        assert!(matches!(s.resolve(b), Resolution::Proxy(p) if p.provider == SiteId::new(2)));
         assert!(matches!(s.resolve(a), Resolution::Object(_)));
-        assert_eq!(s.frontier_candidates(1)[0].target, b);
     }
 
     #[test]
-    fn gc_matches_unsharded_policy() {
+    fn gc_reclaims_unreachable_proxies_only() {
         let s = space();
+        // head -> tail chain; head is a root. A stray proxy is unreachable.
         let tail = s.create(boxed(2));
         let head = s.create(Box::new(LinkedItem::with_next(1, "h", tail)));
         s.add_root(head.id());
@@ -752,9 +649,55 @@ mod tests {
         s.insert_proxy(proxy(stray));
         let stats = s.collect_garbage(false);
         assert_eq!(stats.proxies_reclaimed, 1);
+        assert_eq!(stats.replicas_reclaimed, 0);
         assert_eq!(stats.live, 2);
         assert!(matches!(s.resolve(stray), Resolution::Absent));
-        assert_eq!(s.frontier_len(), 0);
+        assert!(matches!(s.resolve(tail.id()), Resolution::Object(_)));
+    }
+
+    #[test]
+    fn gc_keeps_reachable_proxies() {
+        let s = space();
+        let remote = ObjId::new(SiteId::new(2), 3);
+        // A rooted master references a proxy.
+        let holder = s.create(Box::new(LinkedItem::with_next(
+            1,
+            "holder",
+            ObjRef::new(remote),
+        )));
+        s.add_root(holder.id());
+        s.insert_proxy(proxy(remote));
+        let stats = s.collect_garbage(false);
+        assert_eq!(stats.proxies_reclaimed, 0);
+        assert!(matches!(s.resolve(remote), Resolution::Proxy(_)));
+        assert_eq!(stats.live, 2);
+    }
+
+    #[test]
+    fn gc_replica_policy() {
+        let s = space();
+        let id_clean = ObjId::new(SiteId::new(2), 1);
+        let id_dirty = ObjId::new(SiteId::new(2), 2);
+        s.insert_object(replica(id_clean, 1, 1));
+        s.insert_object(replica(id_dirty, 2, 1));
+        assert!(s.update_meta(id_dirty, |m| m.dirty = true));
+        // Without collect_replicas both survive.
+        let stats = s.collect_garbage(false);
+        assert_eq!(stats.replicas_reclaimed, 0);
+        // With it, only the clean unreachable one goes.
+        let stats = s.collect_garbage(true);
+        assert_eq!(stats.replicas_reclaimed, 1);
+        assert!(matches!(s.resolve(id_clean), Resolution::Absent));
+        assert!(matches!(s.resolve(id_dirty), Resolution::Object(_)));
+    }
+
+    #[test]
+    fn masters_always_survive_gc() {
+        let s = space();
+        let a = s.create(boxed(1)); // unreferenced, not a root
+        let stats = s.collect_garbage(true);
+        assert_eq!(stats.live, 1);
+        assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
     }
 
     #[test]

@@ -1,19 +1,11 @@
-//! The per-process object space.
-//!
-//! Each OBIWAN process holds its objects in an [`ObjectSpace`]: a table from
-//! [`ObjId`] to [`Slot`]s. A slot holds either a live object (master or
-//! replica), a [`ProxyOut`] awaiting its first fault, or a `Busy` marker
-//! while the object is taken out for a method invocation.
-//!
-//! Resolution through the table is what makes swizzling cheap: replacing a
-//! proxy slot with a replica slot instantly redirects every reference in
-//! every object, because references are handles resolved on use.
+//! What the per-process object table holds: [`Slot`]s, the
+//! [`ObjectMeta`] every live object carries, and the [`Resolution`] a
+//! handle comes back as. The table itself is
+//! [`ShardedSpace`](crate::shards::ShardedSpace).
 
 use crate::object::ObiObject;
-use crate::objref::ObjRef;
 use crate::proxy::ProxyOut;
-use obiwan_util::{ClusterId, ObiError, ObjId, Result, SiteId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use obiwan_util::{ClusterId, ObjId, SiteId};
 
 /// Whether a live object is the master copy or a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +118,8 @@ pub enum Resolution {
     Absent,
 }
 
-/// Statistics returned by [`ObjectSpace::collect_garbage`].
+/// Statistics returned by
+/// [`ShardedSpace::collect_garbage`](crate::shards::ShardedSpace::collect_garbage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcStats {
     /// Proxy-out slots reclaimed.
@@ -135,752 +128,4 @@ pub struct GcStats {
     pub replicas_reclaimed: usize,
     /// Slots that survived.
     pub live: usize,
-}
-
-/// Read-only view of an object table, as batch building needs it.
-///
-/// Implemented by [`ObjectSpace`] (the single-table reference
-/// implementation) and by [`ShardedSpace`](crate::shards::ShardedSpace)
-/// (the striped production table), so the provider-side batch builder in
-/// [`crate::replication`] works against either without holding more than
-/// one shard lock at a time.
-pub trait SpaceView {
-    /// The owning site.
-    fn site(&self) -> SiteId;
-
-    /// What does `id` currently resolve to?
-    fn resolve(&self, id: ObjId) -> Resolution;
-
-    /// Read-only access to a live object.
-    ///
-    /// # Errors
-    ///
-    /// [`ObiError::NoSuchObject`] when absent/proxy,
-    /// [`ObiError::ReentrantInvocation`] when busy.
-    fn with_object<R>(
-        &self,
-        id: ObjId,
-        f: impl FnOnce(&dyn ObiObject, &ObjectMeta) -> R,
-    ) -> Result<R>;
-}
-
-impl SpaceView for ObjectSpace {
-    fn site(&self) -> SiteId {
-        ObjectSpace::site(self)
-    }
-
-    fn resolve(&self, id: ObjId) -> Resolution {
-        ObjectSpace::resolve(self, id)
-    }
-
-    fn with_object<R>(
-        &self,
-        id: ObjId,
-        f: impl FnOnce(&dyn ObiObject, &ObjectMeta) -> R,
-    ) -> Result<R> {
-        ObjectSpace::with_object(self, id, f)
-    }
-}
-
-/// The table of objects hosted by one process.
-pub struct ObjectSpace {
-    site: SiteId,
-    next_local: u64,
-    use_tick: u64,
-    slots: HashMap<ObjId, Slot>,
-    roots: HashSet<ObjId>,
-    /// Frontier index: every id currently holding a proxy-out slot, in
-    /// insertion order. `frontier_queue` may hold stale ids (cleaned lazily
-    /// on pop); `frontier_set` is the authoritative membership, so prefetch
-    /// finds demand candidates in O(1) instead of scanning the whole table.
-    frontier_queue: VecDeque<ObjId>,
-    frontier_set: HashSet<ObjId>,
-}
-
-impl std::fmt::Debug for ObjectSpace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObjectSpace")
-            .field("site", &self.site)
-            .field("slots", &self.slots.len())
-            .field("roots", &self.roots.len())
-            .finish()
-    }
-}
-
-impl ObjectSpace {
-    /// Creates an empty space owned by `site`.
-    pub fn new(site: SiteId) -> Self {
-        ObjectSpace {
-            site,
-            next_local: 1,
-            use_tick: 1,
-            slots: HashMap::new(),
-            roots: HashSet::new(),
-            frontier_queue: VecDeque::new(),
-            frontier_set: HashSet::new(),
-        }
-    }
-
-    /// The owning site.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// Number of slots (objects + proxies + busy markers).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the space holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Creates a new master object, assigning it a fresh id.
-    pub fn create(&mut self, object: Box<dyn ObiObject>) -> ObjRef {
-        let id = ObjId::new(self.site, self.next_local);
-        self.next_local += 1;
-        let mut meta = ObjectMeta::master(id);
-        meta.last_used = self.bump_tick();
-        self.slots.insert(id, Slot::Object(ObjectEntry { object, meta }));
-        ObjRef::new(id)
-    }
-
-    fn bump_tick(&mut self) -> u64 {
-        self.use_tick += 1;
-        self.use_tick
-    }
-
-    /// Inserts (or replaces) a live object under an explicit id — used when
-    /// materializing replicas.
-    pub fn insert_object(&mut self, mut entry: ObjectEntry) {
-        entry.meta.last_used = self.bump_tick();
-        let id = entry.meta.id;
-        self.frontier_set.remove(&id);
-        self.slots.insert(id, Slot::Object(entry));
-    }
-
-    /// Marks `id` as just-used (freshens it against LRU eviction) without
-    /// invoking it.
-    pub fn touch(&mut self, id: ObjId) {
-        let tick = self.bump_tick();
-        if let Some(Slot::Object(entry)) = self.slots.get_mut(&id) {
-            entry.meta.last_used = tick;
-        }
-    }
-
-    /// Inserts a proxy-out slot for a frontier edge. Existing live objects
-    /// are never downgraded to proxies; the insert is skipped.
-    pub fn insert_proxy(&mut self, proxy: ProxyOut) {
-        match self.slots.get(&proxy.target) {
-            Some(Slot::Object(_)) | Some(Slot::Busy(_)) => {}
-            _ => {
-                self.index_frontier(proxy.target);
-                self.slots.insert(proxy.target, Slot::Proxy(proxy));
-            }
-        }
-    }
-
-    fn index_frontier(&mut self, id: ObjId) {
-        if self.frontier_set.insert(id) {
-            self.frontier_queue.push_back(id);
-        }
-    }
-
-    /// Number of proxy-out slots currently indexed as demand candidates.
-    pub fn frontier_len(&self) -> usize {
-        self.frontier_set.len()
-    }
-
-    /// Up to `max` frontier proxies, oldest first, in O(max) — the feed of
-    /// the batched prefetch path. Returned proxies stay in the index (they
-    /// leave it when a replica materializes over the slot); repeated calls
-    /// rotate through the frontier rather than re-returning the same ids.
-    pub fn frontier_candidates(&mut self, max: usize) -> Vec<ProxyOut> {
-        let mut out: Vec<ProxyOut> = Vec::new();
-        let mut budget = self.frontier_queue.len();
-        while out.len() < max && budget > 0 {
-            budget -= 1;
-            let Some(id) = self.frontier_queue.pop_front() else {
-                break;
-            };
-            if !self.frontier_set.contains(&id) {
-                continue; // lazily dropped: slot was materialized or removed
-            }
-            match self.slots.get(&id) {
-                Some(Slot::Proxy(p)) => {
-                    // Duplicate queue entries can appear after re-insertion;
-                    // keep exactly one.
-                    if out.iter().all(|c| c.target != id) {
-                        out.push(p.clone());
-                        self.frontier_queue.push_back(id);
-                    }
-                }
-                _ => {
-                    self.frontier_set.remove(&id);
-                }
-            }
-        }
-        out
-    }
-
-    /// What does `id` currently resolve to?
-    pub fn resolve(&self, id: ObjId) -> Resolution {
-        match self.slots.get(&id) {
-            Some(Slot::Object(entry)) => Resolution::Object(entry.meta.clone()),
-            Some(Slot::Proxy(p)) => Resolution::Proxy(p.clone()),
-            Some(Slot::Busy(_)) => Resolution::Busy,
-            None => Resolution::Absent,
-        }
-    }
-
-    /// Metadata of a live or busy object.
-    pub fn meta(&self, id: ObjId) -> Option<&ObjectMeta> {
-        match self.slots.get(&id) {
-            Some(Slot::Object(entry)) => Some(&entry.meta),
-            Some(Slot::Busy(meta)) => Some(meta),
-            _ => None,
-        }
-    }
-
-    /// Mutable metadata of a live object (not busy ones: their meta is
-    /// carried by the taken entry).
-    pub fn meta_mut(&mut self, id: ObjId) -> Option<&mut ObjectMeta> {
-        match self.slots.get_mut(&id) {
-            Some(Slot::Object(entry)) => Some(&mut entry.meta),
-            _ => None,
-        }
-    }
-
-    /// Takes a live object out for invocation, leaving a `Busy` marker.
-    ///
-    /// # Errors
-    ///
-    /// * [`ObiError::ReentrantInvocation`] if the object is already out.
-    /// * [`ObiError::NoSuchObject`] if the id is absent or a proxy.
-    pub fn take_object(&mut self, id: ObjId) -> Result<ObjectEntry> {
-        let tick = self.bump_tick();
-        match self.slots.get_mut(&id) {
-            Some(Slot::Object(entry)) => {
-                entry.meta.last_used = tick;
-                let meta = entry.meta.clone();
-                match self.slots.insert(id, Slot::Busy(meta)) {
-                    Some(Slot::Object(entry)) => Ok(entry),
-                    _ => unreachable!("slot changed between get and insert"),
-                }
-            }
-            Some(Slot::Busy(_)) => Err(ObiError::ReentrantInvocation(id)),
-            _ => Err(ObiError::NoSuchObject(id)),
-        }
-    }
-
-    /// Returns an object taken with [`ObjectSpace::take_object`].
-    pub fn restore_object(&mut self, entry: ObjectEntry) {
-        self.slots.insert(entry.meta.id, Slot::Object(entry));
-    }
-
-    /// Read-only access to a live object.
-    ///
-    /// # Errors
-    ///
-    /// [`ObiError::NoSuchObject`] when absent/proxy,
-    /// [`ObiError::ReentrantInvocation`] when busy.
-    pub fn with_object<R>(
-        &self,
-        id: ObjId,
-        f: impl FnOnce(&dyn ObiObject, &ObjectMeta) -> R,
-    ) -> Result<R> {
-        match self.slots.get(&id) {
-            Some(Slot::Object(entry)) => Ok(f(entry.object.as_ref(), &entry.meta)),
-            Some(Slot::Busy(_)) => Err(ObiError::ReentrantInvocation(id)),
-            _ => Err(ObiError::NoSuchObject(id)),
-        }
-    }
-
-    /// Removes a slot entirely, returning whether it existed.
-    pub fn remove(&mut self, id: ObjId) -> bool {
-        self.frontier_set.remove(&id);
-        self.slots.remove(&id).is_some()
-    }
-
-    /// Marks `id` as a GC root (exported, name-bound, or application-held).
-    pub fn add_root(&mut self, id: ObjId) {
-        self.roots.insert(id);
-    }
-
-    /// Unmarks a GC root.
-    pub fn remove_root(&mut self, id: ObjId) {
-        self.roots.remove(&id);
-    }
-
-    /// True when `id` is a root.
-    pub fn is_root(&self, id: ObjId) -> bool {
-        self.roots.contains(&id)
-    }
-
-    /// Ids of all live objects (masters and replicas), unordered.
-    pub fn object_ids(&self) -> Vec<ObjId> {
-        self.slots
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Object(_) | Slot::Busy(_)))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Ids of all proxy-out slots, unordered.
-    pub fn proxy_ids(&self) -> Vec<ObjId> {
-        self.slots
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Proxy(_)))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Number of live proxy-out slots.
-    pub fn proxy_count(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| matches!(s, Slot::Proxy(_)))
-            .count()
-    }
-
-    /// Approximate bytes of serialized state held by *replica* slots
-    /// (masters and proxies are not counted: only replicas can be shed).
-    ///
-    /// This re-encodes state and is O(total replica bytes); it is meant for
-    /// opt-in budget enforcement, not hot paths.
-    pub fn replica_bytes(&self) -> usize {
-        self.slots
-            .values()
-            .filter_map(|s| match s {
-                Slot::Object(e) if !e.meta.kind.is_master() => Some(e.object.payload_size()),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Evicts least-recently-used replicas until replica state fits in
-    /// `budget` bytes — the memory-pressure story for "info-appliances with
-    /// limited memory" (§2.1).
-    ///
-    /// Eviction is the inverse of a fault: the replica's slot reverts to a
-    /// proxy-out pointing at its provider, so the handle graph stays closed
-    /// and the object simply faults back in on next use. Never evicted:
-    /// masters, dirty replicas (un-pushed work), roots, busy slots, and
-    /// cluster members (their identity lives in the shared cluster pair).
-    ///
-    /// `protect` lists ids that must survive this round regardless of
-    /// recency (e.g. the object a fault just materialized); pinned and
-    /// protected state can therefore keep the space above budget â the
-    /// budget is best effort, never a correctness constraint.
-    ///
-    /// Returns `(replicas evicted, bytes freed)`.
-    pub fn evict_replicas_to(&mut self, budget: usize, protect: &[ObjId]) -> (usize, usize) {
-        let mut total = 0usize;
-        let mut candidates: Vec<(u64, ObjId, usize)> = Vec::new();
-        for (&id, slot) in &self.slots {
-            if let Slot::Object(e) = slot {
-                if e.meta.kind.is_master() {
-                    continue;
-                }
-                let bytes = e.object.payload_size();
-                total += bytes;
-                let evictable = !e.meta.dirty
-                    && e.meta.cluster.is_none()
-                    && !self.roots.contains(&id)
-                    && !protect.contains(&id);
-                if evictable {
-                    candidates.push((e.meta.last_used, id, bytes));
-                }
-            }
-        }
-        if total <= budget {
-            return (0, 0);
-        }
-        candidates.sort_unstable_by_key(|(used, id, _)| (*used, *id));
-        let mut evicted = 0usize;
-        let mut freed = 0usize;
-        for (_, id, bytes) in candidates {
-            if total <= budget {
-                break;
-            }
-            let Some(Slot::Object(e)) = self.slots.get(&id) else {
-                continue;
-            };
-            let ReplicaKind::Replica { provider } = e.meta.kind else {
-                continue;
-            };
-            let class = e.object.class_name().to_owned();
-            self.index_frontier(id);
-            self.slots.insert(
-                id,
-                Slot::Proxy(ProxyOut::new(
-                    id,
-                    class,
-                    provider,
-                    obiwan_wire::WireMode::Incremental { batch: 1 },
-                )),
-            );
-            total -= bytes;
-            freed += bytes;
-            evicted += 1;
-        }
-        (evicted, freed)
-    }
-
-    /// Mark-and-sweep over the handle graph (the stand-in for the JVM GC
-    /// the paper leans on to reclaim dead proxy-outs).
-    ///
-    /// Marking starts from the root set, all masters, and every busy slot;
-    /// it follows the `refs()` of live objects. Unreachable proxies are
-    /// always collected. Unreachable *clean* replicas are collected only
-    /// when `collect_replicas` is set (dirty replicas hold un-pushed work
-    /// and always survive).
-    pub fn collect_garbage(&mut self, collect_replicas: bool) -> GcStats {
-        let mut marked: HashSet<ObjId> = HashSet::new();
-        let mut queue: VecDeque<ObjId> = VecDeque::new();
-
-        // Seeds are exactly the slots guaranteed to survive the sweep:
-        // everything they reference must survive too, or the handle graph
-        // would dangle. In particular, when clean replicas are retained
-        // (`!collect_replicas`) they must seed marking, otherwise their
-        // frontier proxies would be swept out from under them.
-        for (&id, slot) in &self.slots {
-            let is_seed = match slot {
-                Slot::Busy(_) => true,
-                Slot::Object(e) => {
-                    e.meta.kind.is_master()
-                        || e.meta.dirty
-                        || self.roots.contains(&id)
-                        || !collect_replicas
-                }
-                Slot::Proxy(_) => self.roots.contains(&id),
-            };
-            if is_seed {
-                queue.push_back(id);
-            }
-        }
-
-        while let Some(id) = queue.pop_front() {
-            if !marked.insert(id) {
-                continue;
-            }
-            if let Some(Slot::Object(entry)) = self.slots.get(&id) {
-                for r in entry.object.refs() {
-                    if !marked.contains(&r.id()) {
-                        queue.push_back(r.id());
-                    }
-                }
-            }
-        }
-
-        let mut stats = GcStats::default();
-        self.slots.retain(|id, slot| {
-            if marked.contains(id) {
-                stats.live += 1;
-                return true;
-            }
-            match slot {
-                Slot::Proxy(_) => {
-                    stats.proxies_reclaimed += 1;
-                    false
-                }
-                Slot::Object(entry)
-                    if collect_replicas
-                        && !entry.meta.kind.is_master()
-                        && !entry.meta.dirty =>
-                {
-                    stats.replicas_reclaimed += 1;
-                    false
-                }
-                _ => {
-                    stats.live += 1;
-                    true
-                }
-            }
-        });
-        let slots = &self.slots;
-        self.frontier_set
-            .retain(|id| matches!(slots.get(id), Some(Slot::Proxy(_))));
-        stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::demo::LinkedItem;
-    use obiwan_wire::WireMode;
-
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(SiteId::new(1))
-    }
-
-    fn boxed(v: i64) -> Box<dyn ObiObject> {
-        Box::new(LinkedItem::new(v, "t"))
-    }
-
-    #[test]
-    fn create_assigns_fresh_local_ids() {
-        let mut s = space();
-        let a = s.create(boxed(1));
-        let b = s.create(boxed(2));
-        assert_ne!(a, b);
-        assert_eq!(a.id().site(), SiteId::new(1));
-        assert_eq!(s.len(), 2);
-        assert!(matches!(s.resolve(a.id()), Resolution::Object(m) if m.kind.is_master()));
-    }
-
-    #[test]
-    fn take_and_restore_cycle() {
-        let mut s = space();
-        let a = s.create(boxed(1));
-        let entry = s.take_object(a.id()).unwrap();
-        assert!(matches!(s.resolve(a.id()), Resolution::Busy));
-        // Metadata still readable while busy.
-        assert_eq!(s.meta(a.id()).unwrap().version, 1);
-        // Double-take is re-entrancy.
-        assert!(matches!(
-            s.take_object(a.id()),
-            Err(ObiError::ReentrantInvocation(_))
-        ));
-        s.restore_object(entry);
-        assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
-    }
-
-    #[test]
-    fn taking_absent_or_proxy_fails() {
-        let mut s = space();
-        let ghost = ObjId::new(SiteId::new(9), 9);
-        assert!(matches!(
-            s.take_object(ghost),
-            Err(ObiError::NoSuchObject(_))
-        ));
-        s.insert_proxy(ProxyOut::new(
-            ghost,
-            "LinkedItem",
-            SiteId::new(9),
-            WireMode::Incremental { batch: 1 },
-        ));
-        assert!(matches!(
-            s.take_object(ghost),
-            Err(ObiError::NoSuchObject(_))
-        ));
-        assert!(matches!(s.resolve(ghost), Resolution::Proxy(_)));
-    }
-
-    #[test]
-    fn proxies_never_downgrade_live_objects() {
-        let mut s = space();
-        let a = s.create(boxed(1));
-        s.insert_proxy(ProxyOut::new(
-            a.id(),
-            "LinkedItem",
-            SiteId::new(2),
-            WireMode::Transitive,
-        ));
-        assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
-    }
-
-    #[test]
-    fn replica_insert_overwrites_proxy_slot() {
-        // This is the swizzle: same handle, new resolution.
-        let mut s = space();
-        let id = ObjId::new(SiteId::new(2), 5);
-        s.insert_proxy(ProxyOut::new(
-            id,
-            "LinkedItem",
-            SiteId::new(2),
-            WireMode::Incremental { batch: 1 },
-        ));
-        s.insert_object(ObjectEntry {
-            object: boxed(5),
-            meta: ObjectMeta::replica(id, SiteId::new(2), 3),
-        });
-        match s.resolve(id) {
-            Resolution::Object(m) => {
-                assert_eq!(m.version, 3);
-                assert!(!m.kind.is_master());
-            }
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(s.proxy_count(), 0);
-    }
-
-    #[test]
-    fn gc_reclaims_unreachable_proxies_only() {
-        let mut s = space();
-        // head -> tail chain; head is a root. A stray proxy is unreachable.
-        let tail = s.create(boxed(2));
-        let head = s.create(Box::new(LinkedItem::with_next(1, "h", tail)));
-        s.add_root(head.id());
-        let stray = ObjId::new(SiteId::new(7), 1);
-        s.insert_proxy(ProxyOut::new(
-            stray,
-            "LinkedItem",
-            SiteId::new(7),
-            WireMode::Incremental { batch: 1 },
-        ));
-        let stats = s.collect_garbage(false);
-        assert_eq!(stats.proxies_reclaimed, 1);
-        assert_eq!(stats.replicas_reclaimed, 0);
-        assert!(matches!(s.resolve(stray), Resolution::Absent));
-        assert!(matches!(s.resolve(tail.id()), Resolution::Object(_)));
-    }
-
-    #[test]
-    fn gc_keeps_reachable_proxies() {
-        let mut s = space();
-        let remote = ObjId::new(SiteId::new(2), 3);
-        // A replica (dirty, so it survives) references a proxy.
-        let holder = s.create(Box::new(LinkedItem::with_next(
-            1,
-            "holder",
-            ObjRef::new(remote),
-        )));
-        s.add_root(holder.id());
-        s.insert_proxy(ProxyOut::new(
-            remote,
-            "LinkedItem",
-            SiteId::new(2),
-            WireMode::Incremental { batch: 1 },
-        ));
-        let stats = s.collect_garbage(false);
-        assert_eq!(stats.proxies_reclaimed, 0);
-        assert!(matches!(s.resolve(remote), Resolution::Proxy(_)));
-        assert_eq!(stats.live, 2);
-    }
-
-    #[test]
-    fn gc_replica_policy() {
-        let mut s = space();
-        let id_clean = ObjId::new(SiteId::new(2), 1);
-        let id_dirty = ObjId::new(SiteId::new(2), 2);
-        s.insert_object(ObjectEntry {
-            object: boxed(1),
-            meta: ObjectMeta::replica(id_clean, SiteId::new(2), 1),
-        });
-        let mut dirty_meta = ObjectMeta::replica(id_dirty, SiteId::new(2), 1);
-        dirty_meta.dirty = true;
-        s.insert_object(ObjectEntry {
-            object: boxed(2),
-            meta: dirty_meta,
-        });
-        // Without collect_replicas both survive.
-        let stats = s.collect_garbage(false);
-        assert_eq!(stats.replicas_reclaimed, 0);
-        // With it, only the clean unreachable one goes.
-        let stats = s.collect_garbage(true);
-        assert_eq!(stats.replicas_reclaimed, 1);
-        assert!(matches!(s.resolve(id_clean), Resolution::Absent));
-        assert!(matches!(s.resolve(id_dirty), Resolution::Object(_)));
-    }
-
-    #[test]
-    fn masters_always_survive_gc() {
-        let mut s = space();
-        let a = s.create(boxed(1)); // unreferenced, not a root
-        let stats = s.collect_garbage(true);
-        assert_eq!(stats.live, 1);
-        assert!(matches!(s.resolve(a.id()), Resolution::Object(_)));
-    }
-
-    #[test]
-    fn with_object_gives_read_access() {
-        let mut s = space();
-        let a = s.create(boxed(42));
-        let class = s.with_object(a.id(), |o, m| {
-            assert_eq!(m.version, 1);
-            o.class_name().to_string()
-        });
-        assert_eq!(class.unwrap(), "LinkedItem");
-    }
-
-    fn proxy(id: ObjId) -> ProxyOut {
-        ProxyOut::new(
-            id,
-            "LinkedItem",
-            SiteId::new(2),
-            WireMode::Incremental { batch: 1 },
-        )
-    }
-
-    #[test]
-    fn frontier_index_tracks_proxy_lifecycle() {
-        let mut s = space();
-        let a = ObjId::new(SiteId::new(2), 1);
-        let b = ObjId::new(SiteId::new(2), 2);
-        s.insert_proxy(proxy(a));
-        s.insert_proxy(proxy(b));
-        s.insert_proxy(proxy(a)); // duplicate insert does not double-count
-        assert_eq!(s.frontier_len(), 2);
-        // Materializing a replica over a proxy slot removes it from the
-        // index; removing a slot does too.
-        s.insert_object(ObjectEntry {
-            object: boxed(1),
-            meta: ObjectMeta::replica(a, SiteId::new(2), 1),
-        });
-        assert_eq!(s.frontier_len(), 1);
-        s.remove(b);
-        assert_eq!(s.frontier_len(), 0);
-        assert!(s.frontier_candidates(10).is_empty());
-    }
-
-    #[test]
-    fn frontier_candidates_are_oldest_first_and_rotate() {
-        let mut s = space();
-        let ids: Vec<ObjId> = (1..=4).map(|i| ObjId::new(SiteId::new(2), i)).collect();
-        for &id in &ids {
-            s.insert_proxy(proxy(id));
-        }
-        let first = s.frontier_candidates(2);
-        assert_eq!(
-            first.iter().map(|p| p.target).collect::<Vec<_>>(),
-            vec![ids[0], ids[1]]
-        );
-        // Candidates stay indexed but rotate to the back, so the next call
-        // surfaces the others.
-        let second = s.frontier_candidates(2);
-        assert_eq!(
-            second.iter().map(|p| p.target).collect::<Vec<_>>(),
-            vec![ids[2], ids[3]]
-        );
-        assert_eq!(s.frontier_len(), 4);
-    }
-
-    #[test]
-    fn eviction_feeds_the_frontier_index() {
-        let mut s = space();
-        let id = ObjId::new(SiteId::new(2), 7);
-        s.insert_object(ObjectEntry {
-            object: boxed(7),
-            meta: ObjectMeta::replica(id, SiteId::new(2), 1),
-        });
-        assert_eq!(s.frontier_len(), 0);
-        let (evicted, _) = s.evict_replicas_to(0, &[]);
-        assert_eq!(evicted, 1);
-        assert_eq!(s.frontier_len(), 1);
-        assert_eq!(s.frontier_candidates(1)[0].target, id);
-    }
-
-    #[test]
-    fn gc_sweeps_the_frontier_index() {
-        let mut s = space();
-        let stray = ObjId::new(SiteId::new(7), 1);
-        s.insert_proxy(proxy(stray));
-        assert_eq!(s.frontier_len(), 1);
-        s.collect_garbage(false);
-        assert_eq!(s.frontier_len(), 0);
-    }
-
-    #[test]
-    fn roots_toggle() {
-        let mut s = space();
-        let a = s.create(boxed(1));
-        assert!(!s.is_root(a.id()));
-        s.add_root(a.id());
-        assert!(s.is_root(a.id()));
-        s.remove_root(a.id());
-        assert!(!s.is_root(a.id()));
-    }
 }

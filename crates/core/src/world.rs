@@ -91,16 +91,6 @@ impl ObiWorld {
         )
     }
 
-    /// Like [`ObiWorld::paper_testbed`] but with real CPU time: network
-    /// stays virtual, compute is measured.
-    pub fn hybrid_testbed() -> Self {
-        ObiWorld::new(
-            ClockMode::Hybrid,
-            conditions::paper_lan(),
-            CostModel::paper_testbed(),
-        )
-    }
-
     /// A free world: zero network cost, zero modeled CPU cost. Useful in
     /// tests that assert protocol behaviour rather than timing.
     pub fn loopback() -> Self {
@@ -301,7 +291,6 @@ mod tests {
             ObiWorld::paper_testbed().clock().mode(),
             ClockMode::VirtualOnly
         );
-        assert_eq!(ObiWorld::hybrid_testbed().clock().mode(), ClockMode::Hybrid);
         // Loopback charges nothing for a lookup; the paper testbed does.
         let mut free = ObiWorld::loopback();
         let s = free.add_site("s");

@@ -106,15 +106,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries, tight budget: surface the first failure.
-    pub fn fail_fast() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            call_budget: Duration::from_secs(1),
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Next backoff sleep using *decorrelated jitter*: uniform in
     /// `[base, 3 * prev]`, clamped to `max_backoff`. Growing the window
     /// from the previous *sampled* sleep (rather than the attempt count)

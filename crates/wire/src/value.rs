@@ -88,14 +88,6 @@ impl ObiValue {
         }
     }
 
-    /// Returns the contained list, if this is a `List`.
-    pub fn as_list(&self) -> Option<&[ObiValue]> {
-        match self {
-            ObiValue::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// Returns the contained object reference, if this is a `Ref`.
     pub fn as_ref_id(&self) -> Option<ObjId> {
         match self {

@@ -1,21 +1,24 @@
-//! Observational equivalence of the striped production table and the
-//! single-table reference implementation.
+//! Observational equivalence of the striped production table and a flat
+//! single-map reference.
 //!
-//! [`ShardedSpace`] reimplements every [`ObjectSpace`] operation over 1–16
-//! independently locked stripes with shard-local frontier queues; nothing
-//! about striping may leak into behavior. This property test drives both
-//! tables through arbitrary operation sequences — creates, replica and
-//! proxy inserts, touches, removals, root edits, metadata updates,
-//! busy-slot round trips, frontier drains, GC, and LRU eviction — and
-//! demands identical observations at every step and identical final state,
-//! including the demand batches the provider-side builder derives from
-//! each (the consumer-visible surface of the whole table).
+//! [`ShardedSpace`] spreads the object table over 1–16 independently
+//! locked stripes; nothing about striping may leak into behavior.
+//! [`FlatSpace`] (`tests/flat_space/`) is the table the product ran before
+//! it was striped: one `HashMap`, `&mut self`, sharing the slot types with
+//! `shards.rs` and none of its code. This property test drives both
+//! through arbitrary operation sequences — creates, replica and proxy
+//! inserts, touches, removals, root edits, metadata updates, busy-slot
+//! round trips, GC, and LRU eviction — and demands identical observations
+//! at every step and identical final state: every id's resolution,
+//! metadata, class and serialized state.
 
+mod flat_space;
+
+use flat_space::FlatSpace;
 use obiwan::core::demo::Counter;
 use obiwan::core::proxy::ProxyOut;
-use obiwan::core::replication::build_batch_many;
-use obiwan::core::space::{ObjectEntry, ObjectMeta, ObjectSpace};
-use obiwan::core::ShardedSpace;
+use obiwan::core::space::{ObjectEntry, ObjectMeta};
+use obiwan::core::{ObiObject, ShardedSpace};
 use obiwan::util::{ClusterId, ObjId, SiteId};
 use obiwan::wire::WireMode;
 use proptest::prelude::*;
@@ -47,9 +50,6 @@ enum Op {
     JoinCluster(u64),
     /// Take a live object out (Busy slot) and put it straight back.
     TakeRestore(u64),
-    /// Pop up to `max` demand candidates; both must return the same
-    /// proxies in the same (stamp) order.
-    DrainFrontier(usize),
     /// Garbage-collect, optionally reclaiming clean replicas.
     Gc(bool),
     /// Evict clean replicas down to a byte budget.
@@ -78,7 +78,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..24).prop_map(Op::MarkDirty),
         (0u64..24).prop_map(Op::JoinCluster),
         (0u64..24).prop_map(Op::TakeRestore),
-        (0usize..6).prop_map(Op::DrainFrontier),
         proptest::bool::ANY.prop_map(Op::Gc),
         (0usize..2048).prop_map(Op::Evict),
     ]
@@ -106,7 +105,7 @@ fn replica_entry(k: u64, v: i64) -> ObjectEntry {
 
 /// Applies one op to both tables, asserting their immediate observations
 /// agree.
-fn apply(sharded: &ShardedSpace, flat: &mut ObjectSpace, op: &Op) {
+fn apply(sharded: &ShardedSpace, flat: &mut FlatSpace, op: &Op) {
     match op {
         Op::Create(v) => {
             let a = sharded.create(Box::new(Counter::new(*v)));
@@ -177,13 +176,6 @@ fn apply(sharded: &ShardedSpace, flat: &mut ObjectSpace, op: &Op) {
                 (a, b) => panic!("take_object diverged on {id}: {a:?} vs {b:?}"),
             }
         }
-        Op::DrainFrontier(max) => {
-            assert_eq!(
-                sharded.frontier_candidates(*max),
-                flat.frontier_candidates(*max),
-                "frontier order must match the unsharded FIFO"
-            );
-        }
         Op::Gc(replicas) => {
             assert_eq!(
                 sharded.collect_garbage(*replicas),
@@ -205,11 +197,10 @@ fn prop_assert_eq_ids(a: ObjId, b: ObjId) {
 }
 
 /// Every observation the rest of the platform can make of a table.
-fn assert_same_state(sharded: &ShardedSpace, flat: &ObjectSpace) {
+fn assert_same_state(sharded: &ShardedSpace, flat: &FlatSpace) {
     assert_eq!(sharded.site(), flat.site());
     assert_eq!(sharded.len(), flat.len());
     assert_eq!(sharded.is_empty(), flat.is_empty());
-    assert_eq!(sharded.frontier_len(), flat.frontier_len());
     assert_eq!(sharded.proxy_count(), flat.proxy_count());
     assert_eq!(sharded.replica_bytes(), flat.replica_bytes());
 
@@ -234,25 +225,14 @@ fn assert_same_state(sharded: &ShardedSpace, flat: &ObjectSpace) {
             "meta({id})"
         );
         assert_eq!(sharded.is_root(id), flat.is_root(id), "is_root({id})");
-    }
-}
-
-/// The provider-side batch builder works against the [`SpaceView`] trait;
-/// a consumer demanding through either table must receive identical
-/// replica batches for every mode.
-fn assert_same_batches(sharded: &ShardedSpace, flat: &ObjectSpace) {
-    let targets: Vec<ObjId> = (0..IDS * 2).map(pick).collect();
-    for mode in [
-        WireMode::Incremental { batch: 3 },
-        WireMode::Cluster { size: 4 },
-        WireMode::Transitive,
-    ] {
-        let a = build_batch_many(sharded, &targets, mode, || ClusterId::new(SITE, 77));
-        let b = build_batch_many(flat, &targets, mode, || ClusterId::new(SITE, 77));
-        match (a, b) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "batch for {mode:?}"),
+        // What each table hands a reader of the object itself.
+        let seen = |o: &dyn ObiObject, m: &ObjectMeta| {
+            (o.class_name().to_owned(), o.state(), o.refs(), m.clone())
+        };
+        match (sharded.with_object(id, seen), flat.with_object(id, seen)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "with_object({id})"),
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => panic!("batch building diverged for {mode:?}: {a:?} vs {b:?}"),
+            (a, b) => panic!("with_object({id}) diverged: {a:?} vs {b:?}"),
         }
     }
 }
@@ -266,17 +246,10 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..50),
     ) {
         let sharded = ShardedSpace::with_shards(SITE, shards);
-        let mut flat = ObjectSpace::new(SITE);
+        let mut flat = FlatSpace::new(SITE);
         for op in &ops {
             apply(&sharded, &mut flat, op);
         }
         assert_same_state(&sharded, &flat);
-        assert_same_batches(&sharded, &flat);
-        // Drain what is left of the frontier: the rotation bookkeeping
-        // (stamps, lazy cleanup) must have stayed in lockstep too.
-        prop_assert_eq!(
-            sharded.frontier_candidates(usize::MAX),
-            flat.frontier_candidates(usize::MAX)
-        );
     }
 }

@@ -50,12 +50,6 @@ impl StaleTracker {
         Ok(())
     }
 
-    /// Stops tracking `target` (the subscription at the master is left in
-    /// place; invalidations simply stop being acted on).
-    pub fn untrack(&mut self, target: ObjRef) {
-        self.tracked.remove(&target.id());
-    }
-
     /// Number of tracked replicas.
     pub fn len(&self) -> usize {
         self.tracked.len()
@@ -155,21 +149,6 @@ mod tests {
         world.reconnect(s2);
         let report = tracker.refresh_stale(world.site(s1));
         assert_eq!(report.refreshed, vec![replica.id()]);
-    }
-
-    #[test]
-    fn untrack_stops_sweeping() {
-        let (world, s1, s2, master, replica) = rig();
-        let mut tracker = StaleTracker::new();
-        tracker.track(world.site(s1), replica).unwrap();
-        tracker.untrack(replica);
-        assert!(tracker.is_empty());
-        world.site(s2).invoke(master, "incr", ObiValue::Null).unwrap();
-        world.pump();
-        let report = tracker.refresh_stale(world.site(s1));
-        assert!(report.refreshed.is_empty());
-        // The replica itself is still stale — just unmanaged.
-        assert!(world.site(s1).meta_of(replica).unwrap().stale);
     }
 
     #[test]

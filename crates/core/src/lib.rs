@@ -87,7 +87,6 @@ pub use world::{ObiWorld, NAME_SERVER_SITE};
 // Re-exports used by the `obi_class!` macro expansion and by downstream
 // crates wanting a one-stop import.
 pub use obiwan_rmi::{BreakerConfig, BreakerState, Deadline, RetryPolicy};
-pub use obiwan_store::{Durable, DurableOptions, RecoveredState};
 pub use obiwan_util::{ObiError, Result};
 pub use obiwan_wire::{JoinInfo, ObiValue};
 

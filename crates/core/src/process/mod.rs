@@ -527,11 +527,6 @@ impl ObiProcess {
         self.shared.client.set_rpc_policy(policy);
     }
 
-    /// The RPC retry policy currently in force.
-    pub fn rpc_policy(&self) -> RetryPolicy {
-        self.shared.client.rpc_policy()
-    }
-
     // -- inspection -----------------------------------------------------------
 
     /// What `target` currently resolves to in this process.

@@ -82,11 +82,6 @@ impl ProxyIn {
         }
     }
 
-    /// Removes a site's subscription.
-    pub fn unsubscribe(&mut self, site: SiteId) {
-        self.subscribers.retain(|s| s.site != site);
-    }
-
     /// Current subscribers.
     pub fn subscribers(&self) -> &[Subscriber] {
         &self.subscribers
@@ -132,15 +127,6 @@ mod tests {
         pin.subscribe(s(3), false);
         assert_eq!(pin.subscribers().len(), 2);
         assert!(pin.subscribers()[0].push);
-    }
-
-    #[test]
-    fn unsubscribe_removes_only_that_site() {
-        let mut pin = ProxyIn::new();
-        pin.subscribe(s(1), false);
-        pin.subscribe(s(2), true);
-        pin.unsubscribe(s(1));
-        assert_eq!(pin.subscribers(), &[Subscriber { site: s(2), push: true }]);
     }
 
     #[test]

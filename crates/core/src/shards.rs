@@ -43,7 +43,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default stripe count; a power of two so the hash mix spreads evenly.
-pub const DEFAULT_SHARDS: usize = 16;
+const DEFAULT_SHARDS: usize = 16;
 
 /// One stripe of the table: its slots plus the shard-local slice of the
 /// root set.
@@ -76,7 +76,7 @@ impl std::fmt::Debug for ShardedSpace {
 }
 
 impl ShardedSpace {
-    /// Creates an empty space owned by `site` with [`DEFAULT_SHARDS`]
+    /// Creates an empty space owned by `site` with `DEFAULT_SHARDS` (16)
     /// stripes.
     pub fn new(site: SiteId) -> Self {
         Self::with_shards(site, DEFAULT_SHARDS)
@@ -95,11 +95,6 @@ impl ShardedSpace {
     /// The owning site.
     pub fn site(&self) -> SiteId {
         self.site
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The stripe `id` hashes to. Deterministic (not `RandomState`), so two
@@ -617,7 +612,7 @@ mod tests {
         for i in 0..100 {
             let id = ObjId::new(SiteId::new(i % 7), u64::from(i));
             let idx = s.shard_index(id);
-            assert!(idx < s.shard_count());
+            assert!(idx < s.shards.len());
             assert_eq!(idx, s.shard_index(id));
         }
     }

@@ -220,11 +220,6 @@ impl ObiWorld {
         &self.registry
     }
 
-    /// The cost model in force.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
     /// Disconnects a site from the network (mobility: loss of coverage or a
     /// voluntary disconnection).
     pub fn disconnect(&self, site: SiteId) {

@@ -20,11 +20,14 @@
 //! Two cuts keep the over-approximation from collapsing the workspace into
 //! one giant strongly-connected component:
 //!
-//! * **transport cut** — calls named `call`/`cast`/`send`/`recv`/`handle`
-//!   are never followed. The `guard-across-transport` rule guarantees no
-//!   lock guard is live across those boundaries, so lock-order propagation
-//!   through them is unnecessary — and following them would tie every
-//!   client fn to every server handler.
+//! * **transport cut** — calls named on [`TRANSPORT_CUT`] are never
+//!   followed. The `guard-across-transport` row of `guardrules`,
+//!   which reads the same list, guarantees no guard of the calling fn is
+//!   live across those boundaries, so lock-order propagation through them
+//!   is unnecessary — and following them would tie every client fn to
+//!   every server handler. (The row sees a fn's own guards; the one
+//!   by-design hold by a *caller*, the nested fault under the process lock,
+//!   is documented in DESIGN.md §4b.)
 //! * **std-method stoplist** — common collection/iterator method names
 //!   (`get`, `insert`, `len`, `push`, …) are not resolved as method calls,
 //!   because they nearly always hit `std` types, not workspace impls.
@@ -37,8 +40,11 @@ use crate::model::{self, FileModel};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Method names that mark a transport boundary; never followed (see module
-/// docs — justified by the `guard-across-transport` invariant).
+/// Method names that mark a transport boundary — a blocking round trip, a
+/// one-way send, or a frame handed to arbitrary handler code. The one list:
+/// the call graph never follows them, and the `guard-across-transport` row
+/// (the invariant that justifies not following them) flags a guard held at
+/// one.
 pub const TRANSPORT_CUT: &[&str] = &[
     "call",
     "cast",
@@ -49,8 +55,9 @@ pub const TRANSPORT_CUT: &[&str] = &[
     "handle_stream",
 ];
 
-/// Lock-acquisition method names; these are acquire *events*, not calls to
-/// resolve (the lock graph consumes them directly).
+/// Lock-acquisition method names (with empty parens: `file.read(&mut buf)`
+/// is I/O). The one list: these are the walk's acquire *events*, not calls
+/// to resolve.
 pub const ACQUIRE_METHODS: &[&str] =
     &["lock", "try_lock", "read", "write", "try_read", "try_write"];
 
@@ -112,10 +119,8 @@ impl Unit {
 /// Global function id: (unit index, fn index within the unit's model).
 pub type FnId = (usize, usize);
 
-/// The workspace call graph.
+/// The workspace's fn definitions by name: what a call resolves against.
 pub struct CallGraph {
-    /// `callees[fid]` = resolved workspace callees, deduped.
-    pub callees: HashMap<FnId, Vec<FnId>>,
     /// fn name → every workspace definition of that name.
     pub by_name: HashMap<String, Vec<FnId>>,
 }
@@ -128,30 +133,7 @@ impl CallGraph {
                 by_name.entry(f.name.clone()).or_default().push((ui, fi));
             }
         }
-
-        let mut callees: HashMap<FnId, Vec<FnId>> = HashMap::new();
-        for (ui, unit) in units.iter().enumerate() {
-            for (fi, f) in unit.model.fns.iter().enumerate() {
-                let mut out: Vec<FnId> = Vec::new();
-                for call in calls_in_range(unit, f.body.0, f.body.1) {
-                    if let Some(targets) = by_name.get(call.name) {
-                        for t in filter_targets(
-                            units,
-                            ui,
-                            f.impl_type.as_deref(),
-                            &call.qualifier,
-                            targets,
-                        ) {
-                            if !out.contains(&t) {
-                                out.push(t);
-                            }
-                        }
-                    }
-                }
-                callees.insert((ui, fi), out);
-            }
-        }
-        CallGraph { callees, by_name }
+        CallGraph { by_name }
     }
 }
 
@@ -304,7 +286,7 @@ pub fn calls_in_range<'a>(unit: &'a Unit, lo: usize, hi: usize) -> Vec<CallSite<
 /// position `p`. `self.name(` → `SelfRecv`; `a.b.name(` → `Named("b")`;
 /// `x().name(` → `Named("x()")`; `Type::name(` → `Named("Type")`;
 /// anything else → `None`.
-fn qualifier_at(unit: &Unit, p: usize) -> Qualifier {
+pub(crate) fn qualifier_at(unit: &Unit, p: usize) -> Qualifier {
     let src = unit.src.as_str();
     let sig = &unit.sig;
     let txt = |q: usize| unit.tokens[sig[q]].text(src);

@@ -2,36 +2,39 @@
 //!
 //! The compiler cannot see OBIWAN's cross-cutting invariants — that no lock
 //! guard is held across a transport boundary, that every wire tag can make a
-//! round trip, that every counter and error variant the platform registers is
-//! actually exercised. This crate is a lightweight line/token scanner (no
-//! dependencies, no rustc plumbing) that enforces them:
+//! round trip, that every counter the platform registers is actually
+//! exercised. This crate is a lightweight token scanner (no dependencies,
+//! no rustc plumbing) that enforces them:
 //!
 //! | rule id                      | invariant                                            |
 //! |------------------------------|------------------------------------------------------|
-//! | `guard-across-transport`     | no lock guard live across `.call`/`.cast`/`.send`/`.recv`/`.handle` |
-//! | `single-shard-guard`         | no function holds two shard guards except via `lock_pair`/`lock_many` |
+//! | `guard-across-transport`     | no guard of a fn's own live across `.call`/`.cast`/`.send`/`.recv`/`.handle` |
+//! | `single-shard-guard`         | no shard guard acquired while another is held, except via `lock_pair`/`lock_many` |
 //! | `no-io-under-shard-guard`    | no WAL append/fsync/`log_*` call while a shard guard is held |
 //! | `wire-tag-coverage`          | every `Message` variant has encode + decode arms and a roundtrip test |
 //! | `metrics-coverage`           | every counter in `util::metrics` is incremented somewhere |
-//! | `error-variant-coverage`     | every `ObiError` variant is constructed somewhere    |
-//! | `no-unwrap-on-lock-or-decode`| no `unwrap()`/`expect()` on lock or decode results outside tests |
+//! | `no-unwrap-on-lock-or-decode`| no `unwrap()`/`expect()` on a decode result outside tests (the lock half is the compiler's) |
 //! | `lock-order-cycle`           | no A→B/B→A lock-class inversion anywhere in the static lock-order graph |
 //! | `wal-intent-lifecycle`       | every path past `log_put_intent(s)` retires the intent (each listed one) or hands the seq(s) upward |
 //! | `allow-without-rationale`    | every `lint:allow` carries a rationale after the `(rule)` closer |
+//!
+//! DESIGN.md §4b has, per rule, what it has been seen to catch in product
+//! code and what the compiler already rejects (the reach ledger).
 //!
 //! A finding on line `N` is suppressed when line `N` or `N-1` carries a
 //! `// lint:allow(<rule-id>)` comment. Allows are per-rule, never blanket,
 //! and must state *why* (enforced by `allow-without-rationale`).
 //!
-//! Since the token-stream port, the crate is layered (see DESIGN.md §4f):
-//! [`lexer`] produces a lossless token stream (strings/comments/char
-//! literals decided once, correctly), [`model`] recovers fn bodies, impl
-//! blocks and test regions, [`callgraph`] resolves calls by name across the
-//! workspace, and [`lockgraph`]/[`lifecycle`] run the two interprocedural
-//! analyses on top. The per-line rules consume [`lexer::masked_lines`],
-//! which kills the string/comment false-positive class the old `sanitize()`
-//! line heuristics were prone to (e.g. tokens inside multi-line string
-//! literals, which plain strings *can* be in Rust).
+//! The crate is layered (see DESIGN.md §4f): [`lexer`] produces a lossless
+//! token stream (strings/comments/char literals decided once, correctly),
+//! [`model`] recovers fn bodies, impl blocks and test regions, [`callgraph`]
+//! resolves calls by name across the workspace and owns the one vocabulary
+//! of acquire and transport method names, [`lockgraph`] walks each fn body
+//! once for the guards held at every acquisition and call — the lock-order
+//! graph and the three guard rules (rows of `guardrules`) both read that
+//! walk — and [`lifecycle`] checks the WAL intent protocol. The coverage
+//! rules read tokens too; only `metrics-coverage` (a macro's entry list)
+//! and the decode-unwrap check still consume [`lexer::masked_lines`].
 
 use std::fmt;
 use std::fs;
@@ -39,6 +42,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub mod callgraph;
+mod guardrules;
 pub mod lexer;
 pub mod lifecycle;
 pub mod lockgraph;
@@ -52,34 +56,10 @@ pub const RULE_SINGLE_SHARD_GUARD: &str = "single-shard-guard";
 pub const RULE_NO_IO_UNDER_SHARD_GUARD: &str = "no-io-under-shard-guard";
 pub const RULE_WIRE_TAG_COVERAGE: &str = "wire-tag-coverage";
 pub const RULE_METRICS_COVERAGE: &str = "metrics-coverage";
-pub const RULE_ERROR_VARIANT_COVERAGE: &str = "error-variant-coverage";
 pub const RULE_NO_UNWRAP: &str = "no-unwrap-on-lock-or-decode";
 pub const RULE_LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
 pub const RULE_WAL_INTENT_LIFECYCLE: &str = "wal-intent-lifecycle";
 pub const RULE_ALLOW_AUDIT: &str = "allow-without-rationale";
-
-/// Method-call tokens that acquire a lock guard. Empty parens are part of
-/// the token so `stream.write_all(..)` or `file.read(&mut buf)` never match.
-const ACQUIRE_TOKENS: &[&str] = &[
-    ".lock()",
-    ".try_lock()",
-    ".read()",
-    ".write()",
-    ".try_read()",
-    ".try_write()",
-];
-
-/// Method-call tokens that cross a transport / dispatch boundary: a blocking
-/// round trip, a one-way send, or handing a frame to arbitrary handler code.
-const TRANSPORT_TOKENS: &[&str] = &[
-    ".call(",
-    ".cast(",
-    ".send(",
-    ".recv(",
-    ".handle(",
-    ".call_stream(",
-    ".handle_stream(",
-];
 
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,6 +148,17 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
     Ok(())
 }
 
+/// What one pass over the workspace yields: the findings of every rule
+/// (`lint:allow`-suppressed ones dropped, ordered by file and line) and the
+/// static lock-order graph the guard rules were read off.
+pub struct Analysis {
+    pub diagnostics: Vec<Diagnostic>,
+    /// What the runtime lockcheck cross-check compares against, and
+    /// (through [`lockgraph::LockGraph::to_json`]) the `LOCK_GRAPH.json`
+    /// payload.
+    pub lock_graph: lockgraph::LockGraph,
+}
+
 /// Parses every file once into the shared token/model representation the
 /// rules consume.
 fn parse_units(files: &[SourceFile]) -> Vec<Unit> {
@@ -177,40 +168,36 @@ fn parse_units(files: &[SourceFile]) -> Vec<Unit> {
         .collect()
 }
 
-/// Runs every rule over `files`, drops `lint:allow`-suppressed findings, and
-/// returns the rest ordered by (file, line).
-pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
+/// Lexes and models every file once and runs every rule over the result.
+pub fn analyze(files: &[SourceFile]) -> Analysis {
     let units = parse_units(files);
     let prepared: Vec<Prepared> = units.iter().map(Prepared::new).collect();
-    let mut diags = Vec::new();
+    let (lock_graph, mut diags) = lockgraph::build(&units);
     for p in &prepared {
-        diags.extend(guard_across_transport(p));
-        diags.extend(single_shard_guard(p));
-        diags.extend(no_io_under_shard_guard(p));
-        diags.extend(no_unwrap_on_lock_or_decode(p));
+        diags.extend(no_unwrap_on_decode(p));
         diags.extend(allow_without_rationale(p));
     }
     diags.extend(wire_tag_coverage(&prepared));
     diags.extend(metrics_coverage(&prepared));
-    diags.extend(error_variant_coverage(&prepared));
-    diags.extend(lockgraph::build(&units).cycle_diagnostics());
+    diags.extend(lock_graph.cycle_diagnostics());
     diags.extend(lifecycle::check(&units));
     diags.retain(|d| !is_allowed(&prepared, d));
     diags.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    diags
+    Analysis {
+        diagnostics: diags,
+        lock_graph,
+    }
 }
 
-/// Builds the static lock-order graph for `files`: what the runtime
-/// lockcheck cross-check compares against, and (through
-/// [`lockgraph::LockGraph::to_json`]) the `LOCK_GRAPH.json` payload.
+/// The findings of [`analyze`].
+pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
+    analyze(files).diagnostics
+}
+
+/// The lock graph alone (what [`analyze`] also returns), for a caller such
+/// as the runtime cross-check that wants no rule findings.
 pub fn lock_graph(files: &[SourceFile]) -> lockgraph::LockGraph {
-    lockgraph::build(&parse_units(files))
-}
-
-/// Convenience: scan + check.
-pub fn run(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let files = scan_workspace(root)?;
-    Ok(check(&files))
+    lockgraph::build(&parse_units(files)).0
 }
 
 /// Returns the workspace root the binary should analyze by default:
@@ -241,7 +228,8 @@ struct Allow {
 /// A file plus its literal-masked lines, test mask, and extracted allows —
 /// the view the per-line rules consume. Derived entirely from the [`lexer`]
 /// token stream and the [`model`] item model.
-struct Prepared {
+struct Prepared<'a> {
+    unit: &'a Unit,
     path: String,
     /// Lines with comments and string/char literal contents blanked out
     /// (line structure preserved; see [`lexer::masked_lines`]).
@@ -252,8 +240,8 @@ struct Prepared {
     allows: Vec<Allow>,
 }
 
-impl Prepared {
-    fn new(unit: &Unit) -> Self {
+impl<'a> Prepared<'a> {
+    fn new(unit: &'a Unit) -> Self {
         let code = lexer::masked_lines(&unit.src, &unit.tokens);
         let mut in_test_mod = vec![false; code.len()];
         let mut mark = |a: u32, b: u32| {
@@ -276,6 +264,7 @@ impl Prepared {
             }
         }
         Prepared {
+            unit,
             path: unit.rel.clone(),
             code,
             in_test_mod,
@@ -283,10 +272,8 @@ impl Prepared {
         }
     }
 
-    /// Whether guard/unwrap rules apply to this file at this line: library
+    /// Whether the unwrap rule applies to this file at this line: library
     /// source (`crates/*/src`, `src/`) outside `#[cfg(test)]` modules.
-    /// Integration tests, examples and benches may hold locks however their
-    /// assertions need.
     fn is_lib_code(&self, line_idx: usize) -> bool {
         let lib = (self.path.starts_with("crates/") && self.path.contains("/src/"))
             || self.path.starts_with("src/");
@@ -333,25 +320,9 @@ fn extract_allows(src: &str, tokens: &[lexer::Token]) -> Vec<Allow> {
     out
 }
 
-fn brace_delta(code_line: &str) -> i32 {
-    let mut d = 0;
-    for c in code_line.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
-}
-
-fn find_token(line: &str, tokens: &[&'static str]) -> Option<&'static str> {
-    tokens.iter().copied().find(|t| line.contains(t))
-}
-
 /// `lint:allow(rule)` in a comment on the diagnostic's line or the line
 /// above suppresses it.
-fn is_allowed(prepared: &[Prepared], d: &Diagnostic) -> bool {
+fn is_allowed(prepared: &[Prepared<'_>], d: &Diagnostic) -> bool {
     prepared.iter().find(|p| p.path == d.file).is_some_and(|p| {
         p.allows
             .iter()
@@ -365,7 +336,7 @@ fn is_allowed(prepared: &[Prepared], d: &Diagnostic) -> bool {
 
 /// Every `lint:allow` is a hole in an invariant; a hole with no explanation
 /// cannot be audited. Text after the `(rule)` closer is the rationale.
-fn allow_without_rationale(p: &Prepared) -> Vec<Diagnostic> {
+fn allow_without_rationale(p: &Prepared<'_>) -> Vec<Diagnostic> {
     p.allows
         .iter()
         .filter(|a| !a.has_rationale)
@@ -383,347 +354,17 @@ fn allow_without_rationale(p: &Prepared) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: guard-across-transport
-// ---------------------------------------------------------------------------
-
-/// A lock guard bound by a simple `let` statement, live until its scope
-/// closes or it is explicitly dropped.
-struct LiveGuard {
-    name: String,
-    bound_at: usize, // 1-based line
-    depth: i32,
-}
-
-fn guard_across_transport(p: &Prepared) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut depth: i32 = 0;
-    let mut live: Vec<LiveGuard> = Vec::new();
-    let mut i = 0;
-    while i < p.code.len() {
-        let line = &p.code[i];
-        if !p.is_lib_code(i) {
-            depth += brace_delta(line);
-            i += 1;
-            continue;
-        }
-
-        // Same-expression hazard: a guard temporary created in the very
-        // expression that crosses the boundary outlives the whole statement.
-        if let (Some(acq), Some(tr)) = (
-            find_token(line, ACQUIRE_TOKENS),
-            find_token(line, TRANSPORT_TOKENS),
-        ) {
-            diags.push(Diagnostic {
-                file: p.path.clone(),
-                line: i + 1,
-                rule: RULE_GUARD_ACROSS_TRANSPORT,
-                message: format!(
-                    "lock guard (`{acq}`) and transport call (`{tr}`) in the same \
-                     statement: the guard temporary is held across the boundary"
-                ),
-            });
-        } else if let Some(tr) = find_token(line, TRANSPORT_TOKENS) {
-            for g in &live {
-                diags.push(Diagnostic {
-                    file: p.path.clone(),
-                    line: i + 1,
-                    rule: RULE_GUARD_ACROSS_TRANSPORT,
-                    message: format!(
-                        "transport call (`{tr}`) while lock guard `{}` (bound on \
-                         line {}) is held",
-                        g.name, g.bound_at
-                    ),
-                });
-            }
-        }
-
-        // Guard bindings: `let g = foo.lock();` possibly wrapped over
-        // multiple lines. Join until the statement's `;` (give up at `{`,
-        // which means a closure/block initializer this scanner won't model).
-        if let Some(stmt_end) = let_statement_end(&p.code, i) {
-            let joined: String = p.code[i..=stmt_end].join(" ");
-            if let Some((name, bound_line)) = guard_binding(&joined, i) {
-                live.push(LiveGuard {
-                    name,
-                    bound_at: bound_line + 1,
-                    depth,
-                });
-            }
-            // Note: no skip past stmt_end — intermediate lines still get
-            // depth-tracked below, one per loop iteration.
-        }
-
-        // Explicit early release.
-        live.retain(|g| !line.contains(&format!("drop({})", g.name)));
-
-        depth += brace_delta(line);
-        live.retain(|g| depth >= g.depth);
-        i += 1;
-    }
-    diags
-}
-
-/// If line `i` starts a `let` statement, returns the index of the line where
-/// the statement's `;` appears (same line for the common case). Returns
-/// `None` when the statement opens a block before terminating.
-fn let_statement_end(code: &[String], i: usize) -> Option<usize> {
-    let first = code[i].trim_start();
-    if !(first.starts_with("let ") || first.starts_with("let(")) {
-        return None;
-    }
-    for (j, line) in code.iter().enumerate().skip(i).take(8) {
-        let semi = line.find(';');
-        let brace = line.find('{');
-        match (semi, brace) {
-            (Some(s), Some(b)) if b < s => return None,
-            (Some(_), _) => return Some(j),
-            (None, Some(_)) => return None,
-            (None, None) => {}
-        }
-    }
-    None
-}
-
-/// If `joined` is a `let <ident> = <expr ending in an acquire call>;`
-/// statement, returns the bound name. A leading `*` after `=` is a deref
-/// copy, not a guard; destructuring patterns are skipped (conservative).
-fn guard_binding(joined: &str, line_idx: usize) -> Option<(String, usize)> {
-    let s = joined.trim();
-    let rest = s.strip_prefix("let ")?;
-    let (pat, init) = rest.split_once('=')?;
-    let init = init.trim();
-    if init.starts_with('*') {
-        return None;
-    }
-    let body = init.strip_suffix(';')?.trim_end();
-    let body = body.strip_suffix('?').unwrap_or(body).trim_end();
-    if !ACQUIRE_TOKENS.iter().any(|t| body.ends_with(t)) {
-        return None;
-    }
-    let mut pat = pat.trim();
-    if let Some((p, _ty)) = pat.split_once(':') {
-        pat = p.trim();
-    }
-    let pat = pat.strip_prefix("mut ").unwrap_or(pat);
-    let simple = !pat.is_empty()
-        && pat
-            .chars()
-            .all(|c| c.is_alphanumeric() || c == '_');
-    simple.then(|| (pat.to_string(), line_idx))
-}
-
-// ---------------------------------------------------------------------------
-// Rule: single-shard-guard
-// ---------------------------------------------------------------------------
-
-/// Expression tokens that reach into the striped object space: the
-/// per-shard accessor and direct indexing of the stripe array.
-const SHARD_SOURCE_TOKENS: &[&str] = &[".shard(", ".shards["];
-
-/// The sanctioned multi-shard acquisition paths. Both sort by stripe index
-/// before locking, so they cannot deadlock against each other; ad-hoc
-/// second acquisitions lock in textual order and can.
-const MULTI_SHARD_OK_TOKENS: &[&str] = &["lock_pair(", "lock_many("];
-
-/// Shard stripes are leaf locks ordered by index: holding one while taking
-/// another inverts the order whenever the two ids hash the other way
-/// around. Any section needing two stripes must go through
-/// [`MULTI_SHARD_OK_TOKENS`], which sort first.
-fn single_shard_guard(p: &Prepared) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut depth: i32 = 0;
-    let mut live: Vec<LiveGuard> = Vec::new();
-    let mut i = 0;
-    while i < p.code.len() {
-        let line = &p.code[i];
-        if !p.is_lib_code(i) {
-            depth += brace_delta(line);
-            i += 1;
-            continue;
-        }
-        if !MULTI_SHARD_OK_TOKENS.iter().any(|t| line.contains(t)) {
-            // Shard acquisitions on this line: a shard source feeding an
-            // acquire call. Counting both tokens keeps `self.shards.len()`
-            // (no acquire) and `other.read()` (no shard source) out.
-            let sources: usize = SHARD_SOURCE_TOKENS
-                .iter()
-                .map(|t| line.matches(t).count())
-                .sum();
-            let acquires: usize = ACQUIRE_TOKENS
-                .iter()
-                .map(|t| line.matches(t).count())
-                .sum();
-            let here = sources.min(acquires);
-            if here >= 2 {
-                diags.push(Diagnostic {
-                    file: p.path.clone(),
-                    line: i + 1,
-                    rule: RULE_SINGLE_SHARD_GUARD,
-                    message: "two shard guards acquired in one statement lock in \
-                              textual order, not stripe order; use `lock_pair`/\
-                              `lock_many` for multi-shard sections"
-                        .to_string(),
-                });
-            } else if here == 1 {
-                for g in &live {
-                    diags.push(Diagnostic {
-                        file: p.path.clone(),
-                        line: i + 1,
-                        rule: RULE_SINGLE_SHARD_GUARD,
-                        message: format!(
-                            "shard guard acquired while shard guard `{}` (bound \
-                             on line {}) is still held; use `lock_pair`/\
-                             `lock_many` for multi-shard sections",
-                            g.name, g.bound_at
-                        ),
-                    });
-                }
-            }
-            // Track let-bound shard guards, mirroring guard-across-transport.
-            if let Some(stmt_end) = let_statement_end(&p.code, i) {
-                let joined: String = p.code[i..=stmt_end].join(" ");
-                if SHARD_SOURCE_TOKENS.iter().any(|t| joined.contains(t)) {
-                    if let Some((name, bound_line)) = guard_binding(&joined, i) {
-                        live.push(LiveGuard {
-                            name,
-                            bound_at: bound_line + 1,
-                            depth,
-                        });
-                    }
-                }
-            }
-        }
-        live.retain(|g| !line.contains(&format!("drop({})", g.name)));
-        depth += brace_delta(line);
-        live.retain(|g| depth >= g.depth);
-        i += 1;
-    }
-    diags
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-io-under-shard-guard
-// ---------------------------------------------------------------------------
-
-/// Method-call tokens that reach the durability layer: the `Durable::log_*`
-/// write-through hooks (names unambiguous enough to match on any receiver)
-/// plus raw append/sync/commit calls qualified by a WAL/storage/durability
-/// receiver — a bare `.append(` would flag every `Vec::append` under a
-/// shard guard.
-const WAL_IO_TOKENS: &[&str] = &[
-    ".log_dirty(",
-    ".log_op(",
-    ".log_put_intent(",
-    ".log_put_intents(",
-    ".log_put_abandoned(",
-    ".log_confirm(",
-    ".log_clean(",
-    ".log_client_state(",
-    "wal.append(",
-    "wal.append_frames(",
-    "wal.append_batch(",
-    "wal.sync(",
-    "wal.commit(",
-    "storage.append(",
-    "storage.sync(",
-    "durable.commit(",
-];
-
-/// Storage latency must never sit inside a shard critical section: a WAL
-/// append can fsync (group commit), and a stalled disk would then stall
-/// every invocation hashing to that stripe. The durability hooks read
-/// object state under a short guard of their own and log *after* it is
-/// released; this rule keeps that discipline from eroding.
-fn no_io_under_shard_guard(p: &Prepared) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut depth: i32 = 0;
-    let mut live: Vec<LiveGuard> = Vec::new();
-    let mut i = 0;
-    while i < p.code.len() {
-        let line = &p.code[i];
-        if !p.is_lib_code(i) {
-            depth += brace_delta(line);
-            i += 1;
-            continue;
-        }
-        let shard_acquire = SHARD_SOURCE_TOKENS.iter().any(|t| line.contains(t))
-            && find_token(line, ACQUIRE_TOKENS).is_some();
-        if let Some(io) = find_token(line, WAL_IO_TOKENS) {
-            // Same-statement hazard: the guard temporary created in the
-            // expression feeding the IO call outlives the whole statement.
-            if shard_acquire {
-                diags.push(Diagnostic {
-                    file: p.path.clone(),
-                    line: i + 1,
-                    rule: RULE_NO_IO_UNDER_SHARD_GUARD,
-                    message: format!(
-                        "durability call (`{io}`) and shard guard acquisition \
-                         in the same statement: the guard temporary is held \
-                         across the storage I/O"
-                    ),
-                });
-            } else {
-                for g in &live {
-                    diags.push(Diagnostic {
-                        file: p.path.clone(),
-                        line: i + 1,
-                        rule: RULE_NO_IO_UNDER_SHARD_GUARD,
-                        message: format!(
-                            "durability call (`{io}`) while shard guard `{}` \
-                             (bound on line {}) is held; copy the state out, \
-                             release the stripe, then log",
-                            g.name, g.bound_at
-                        ),
-                    });
-                }
-            }
-        }
-        // Track let-bound shard guards, mirroring single-shard-guard.
-        if let Some(stmt_end) = let_statement_end(&p.code, i) {
-            let joined: String = p.code[i..=stmt_end].join(" ");
-            if SHARD_SOURCE_TOKENS.iter().any(|t| joined.contains(t)) {
-                if let Some((name, bound_line)) = guard_binding(&joined, i) {
-                    live.push(LiveGuard {
-                        name,
-                        bound_at: bound_line + 1,
-                        depth,
-                    });
-                }
-            }
-        }
-        live.retain(|g| !line.contains(&format!("drop({})", g.name)));
-        depth += brace_delta(line);
-        live.retain(|g| depth >= g.depth);
-        i += 1;
-    }
-    diags
-}
-
-// ---------------------------------------------------------------------------
 // Rule: no-unwrap-on-lock-or-decode
 // ---------------------------------------------------------------------------
 
-fn no_unwrap_on_lock_or_decode(p: &Prepared) -> Vec<Diagnostic> {
+/// The rule id still says `lock-or-decode`; its lock half went with the
+/// reach ledger (DESIGN.md §4b): `.lock()`/`.read()`/`.write()` return a
+/// guard on both facades, so an `unwrap` there does not compile.
+fn no_unwrap_on_decode(p: &Prepared<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (i, line) in p.code.iter().enumerate() {
         if !p.is_lib_code(i) {
             continue;
-        }
-        for acq in ACQUIRE_TOKENS {
-            for bad in [".unwrap()", ".expect("] {
-                if line.contains(&format!("{acq}{bad}")) {
-                    diags.push(Diagnostic {
-                        file: p.path.clone(),
-                        line: i + 1,
-                        rule: RULE_NO_UNWRAP,
-                        message: format!(
-                            "`{bad}` directly on a lock acquisition (`{acq}`): \
-                             the facade locks never fail, and std locks must \
-                             not panic on poison outside tests"
-                        ),
-                    });
-                }
-            }
         }
         if let Some(pos) = line.find("decode(").or_else(|| line.find("decode_inner(")) {
             let tail = &line[pos..];
@@ -751,11 +392,11 @@ fn no_unwrap_on_lock_or_decode(p: &Prepared) -> Vec<Diagnostic> {
 
 const MESSAGE_RS: &str = "crates/wire/src/message.rs";
 
-fn wire_tag_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
+fn wire_tag_coverage(prepared: &[Prepared<'_>]) -> Vec<Diagnostic> {
     let Some(msg) = prepared.iter().find(|p| p.path == MESSAGE_RS) else {
         return Vec::new();
     };
-    let variants = enum_variants(msg, "pub enum Message");
+    let variants = enum_variants(msg.unit, "Message");
     if variants.is_empty() {
         return vec![Diagnostic {
             file: msg.path.clone(),
@@ -764,40 +405,38 @@ fn wire_tag_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
             message: "could not locate `pub enum Message` variants".into(),
         }];
     }
-    // `pub fn encode(` pins Message's own encoder: the file also contains
-    // private `fn encode` helpers on WireMode/NameOp/ReplicaBatch and a
-    // `pub fn encoded_size_hint`.
-    let encode = fn_body_text(msg, "pub fn encode(");
-    let decode = fn_body_text(msg, "fn decode_inner(");
+    // `Message`'s own codec: the file also has `fn encode` helpers on
+    // WireMode/NameOp/ReplicaBatch.
+    let body_of = |name: &str| {
+        let body = msg
+            .unit
+            .model
+            .fns
+            .iter()
+            .find(|f| f.name == name && f.impl_type.as_deref() == Some("Message"))
+            .map_or((0, 0), |f| f.body);
+        move |k: usize| body.0 < k && k < body.1
+    };
+    let (encode, decode) = (body_of("encode"), body_of("decode_inner"));
     // Roundtrip coverage: the variant appears in message.rs's own test
     // module or in any integration-test file.
-    let mut test_text = String::new();
-    for (i, line) in msg.code.iter().enumerate() {
-        if msg.in_test_mod[i] {
-            test_text.push_str(line);
-            test_text.push('\n');
-        }
-    }
-    for p in prepared {
-        if p.path.starts_with("tests/") {
-            for line in &p.code {
-                test_text.push_str(line);
-                test_text.push('\n');
-            }
-        }
-    }
+    let in_tests = |k: usize| msg.in_test_mod[msg.unit.tokens[k].line as usize - 1];
 
     let mut diags = Vec::new();
     for (name, line) in &variants {
-        let token = format!("Message::{name}");
         let mut missing = Vec::new();
-        if !contains_token(&encode, &token) {
+        if !names_variant(msg.unit, &encode, "Message", name) {
             missing.push("an encode arm");
         }
-        if !contains_token(&decode, &token) {
+        if !names_variant(msg.unit, &decode, "Message", name) {
             missing.push("a decode arm");
         }
-        if !contains_token(&test_text, &token) {
+        let tested = names_variant(msg.unit, &in_tests, "Message", name)
+            || prepared
+                .iter()
+                .filter(|p| p.path.starts_with("tests/"))
+                .any(|p| names_variant(p.unit, &|_| true, "Message", name));
+        if !tested {
             missing.push("a roundtrip test");
         }
         if !missing.is_empty() {
@@ -815,81 +454,48 @@ fn wire_tag_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Collects `(variant, 1-based line)` for a braced enum, skipping
-/// attributes, doc comments, and nested struct-variant fields.
-fn enum_variants(p: &Prepared, header: &str) -> Vec<(String, usize)> {
-    let Some(start) = p.code.iter().position(|l| l.contains(header)) else {
+/// Collects `(variant, 1-based line)` of `enum <name> { … }`: the
+/// identifier that opens each comma-separated item at nesting depth 1, so
+/// attributes and struct-variant fields are passed over.
+fn enum_variants(u: &Unit, name: &str) -> Vec<(String, usize)> {
+    let tok = |q: usize| &u.tokens[u.sig[q]];
+    let txt = |q: usize| tok(q).text(&u.src);
+    let Some(open) = (2..u.sig.len()).find(|&q| txt(q) == "{" && txt(q - 1) == name && txt(q - 2) == "enum")
+    else {
         return Vec::new();
     };
     let mut variants = Vec::new();
-    let mut depth = 0i32;
-    for (i, line) in p.code.iter().enumerate().skip(start) {
-        if i > start && depth <= 0 {
+    let mut depth = 0usize;
+    let mut item_start = true;
+    for q in open..u.sig.len() {
+        match txt(q) {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => depth -= 1,
+            "," if depth == 1 => item_start = true,
+            _ if depth == 1 && item_start && tok(q).kind == lexer::Kind::Ident => {
+                variants.push((txt(q).to_string(), tok(q).line as usize));
+                item_start = false;
+            }
+            _ => {}
+        }
+        if depth == 0 {
             break;
         }
-        if i > start && depth == 1 {
-            let t = line.trim();
-            let ident: String = t
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if ident
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_uppercase())
-            {
-                variants.push((ident, i + 1));
-            }
-        }
-        depth += brace_delta(line);
     }
     variants
 }
 
-/// The sanitized text of the first function whose signature contains
-/// `header`, from its opening brace to the matching close.
-fn fn_body_text(p: &Prepared, header: &str) -> String {
-    let Some(start) = p
-        .code
-        .iter()
-        .position(|l| l.contains(header) && !l.trim_start().starts_with("//"))
-    else {
-        return String::new();
-    };
-    let mut out = String::new();
-    let mut depth = 0i32;
-    let mut opened = false;
-    for line in p.code.iter().skip(start) {
-        out.push_str(line);
-        out.push('\n');
-        depth += brace_delta(line);
-        if line.contains('{') {
-            opened = true;
-        }
-        if opened && depth <= 0 {
-            break;
-        }
-    }
-    out
-}
-
-/// True when `token` occurs in `text` not followed by an identifier char
-/// (so `Message::Get` does not match `Message::GetMany`).
-fn contains_token(text: &str, token: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(token) {
-        let end = from + pos + token.len();
-        let boundary = text[end..]
-            .chars()
-            .next()
-            .map(|c| !(c.is_alphanumeric() || c == '_'))
-            .unwrap_or(true);
-        if boundary {
-            return true;
-        }
-        from = end;
-    }
-    false
+/// True when the path `ty::variant` occurs in `u` at a token index `within`
+/// admits (whole identifiers, so `Message::Get` is not `Message::GetMany`).
+fn names_variant(u: &Unit, within: &dyn Fn(usize) -> bool, ty: &str, variant: &str) -> bool {
+    let txt = |q: usize| u.tokens[u.sig[q]].text(&u.src);
+    (3..u.sig.len()).any(|q| {
+        txt(q) == variant
+            && txt(q - 1) == ":"
+            && txt(q - 2) == ":"
+            && txt(q - 3) == ty
+            && within(u.sig[q])
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -898,7 +504,7 @@ fn contains_token(text: &str, token: &str) -> bool {
 
 const METRICS_RS: &str = "crates/util/src/metrics.rs";
 
-fn metrics_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
+fn metrics_coverage(prepared: &[Prepared<'_>]) -> Vec<Diagnostic> {
     let Some(metrics) = prepared.iter().find(|p| p.path == METRICS_RS) else {
         return Vec::new();
     };
@@ -1016,39 +622,6 @@ fn is_ident(s: &str) -> bool {
     !s.is_empty()
         && s.chars().all(|c| c.is_alphanumeric() || c == '_')
         && !s.chars().next().unwrap_or('0').is_ascii_digit()
-}
-
-// ---------------------------------------------------------------------------
-// Rule: error-variant-coverage
-// ---------------------------------------------------------------------------
-
-const ERROR_RS: &str = "crates/util/src/error.rs";
-
-fn error_variant_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
-    let Some(err) = prepared.iter().find(|p| p.path == ERROR_RS) else {
-        return Vec::new();
-    };
-    let variants = enum_variants(err, "pub enum ObiError");
-    let mut diags = Vec::new();
-    for (name, line) in &variants {
-        let token = format!("ObiError::{name}");
-        let used = prepared.iter().any(|p| {
-            p.path != ERROR_RS
-                && p.code.iter().any(|l| contains_token(l, &token))
-        });
-        if !used {
-            diags.push(Diagnostic {
-                file: err.path.clone(),
-                line: *line,
-                rule: RULE_ERROR_VARIANT_COVERAGE,
-                message: format!(
-                    "error variant `{name}` is declared but never constructed \
-                     or matched outside error.rs"
-                ),
-            });
-        }
-    }
-    diags
 }
 
 #[cfg(test)]

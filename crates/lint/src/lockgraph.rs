@@ -1,32 +1,40 @@
-//! Static lock-order graph.
+//! Static lock-order graph, and the one walk that tracks held guards.
 //!
 //! For every function in library code (`crates/*/src`, `src/`, outside test
 //! modules) this pass extracts each `util::sync` Mutex/RwLock/shard-guard
-//! acquisition site, propagates held-sets through the name-based call graph,
-//! and records every ordered pair *"site A's guard was held while site B
-//! acquired"* as a static edge. Two consumers:
+//! acquisition site and walks the body once, token by token, keeping the
+//! set of guards held at each point (`Builder::walk`, the only place in
+//! the crate that does). The walk reports two events — *acquired(site,
+//! held)* and *called(name, held)* — and everything that needs to know
+//! "which guards are live here" is a consumer of them:
 //!
-//! * the `lock-order-cycle` rule: if class α acquires before class β on one
-//!   path and β before α on another, that is a potential AB/BA deadlock,
-//!   reported at lint time with every witness site;
-//! * the runtime ⊆ static cross-check: `obiwan-util` (with its `lockcheck`
-//!   feature) builds this graph in-process from the checked-out sources and
-//!   requires every `file:line` edge the instrumented chaos suites observe
-//!   to be in it, which keeps the static analysis honest about coverage;
-//! * `LOCK_GRAPH.json`: the committed class-level export a reviewer reads
-//!   ([`LockGraph::to_json`]) — lock classes and `class -> class` edges,
-//!   no file names or line numbers, so it changes only when the locking
-//!   structure does.
+//! * the lock-order edges: every ordered pair *"site A's guard was held
+//!   while site B acquired"*, directly or through a resolved callee's
+//!   transitive acquisitions. The `lock-order-cycle` rule reads them (class
+//!   α before β on one path and β before α on another is a potential AB/BA
+//!   deadlock, reported with every witness site); so does the runtime ⊆
+//!   static cross-check (`obiwan-util`, with its `lockcheck` feature,
+//!   builds this graph in-process from the checked-out sources and requires
+//!   every `file:line` edge the instrumented chaos suites observe to be in
+//!   it); so does `LOCK_GRAPH.json`, the committed class-level export a
+//!   reviewer reads ([`LockGraph::to_json`]: lock classes and `class ->
+//!   class` edges, no file names or line numbers, so it changes only when
+//!   the locking structure does);
+//! * the fn summaries of the first pass (own sites, callees, escaping
+//!   guards), which the second pass needs of every callee;
+//! * the three guard rules, one table row each (`guardrules`).
 //!
-//! ## Mechanisms (all over-approximations, never under)
+//! ## Mechanisms (over-approximations, except where a hold provably ends)
 //!
 //! * **direct edges** — let-bound guards are held until their scope closes
-//!   (`drop()` is not modeled), but only when the acquisition is
-//!   *chain-terminal*: `let g = m.lock();` binds the guard, while
-//!   `let n = m.lock().len();` binds a `usize` and drops the guard at the
-//!   `;`. Statement temporaries are held until the `;`;
-//!   temporaries feeding an `if`/`while`/`match` head are extended through
-//!   the block (match scrutinees really do live that long).
+//!   or a `drop(name)` in the binding's own block (one in a nested block
+//!   may not run on every path, so it releases nothing), but only when the
+//!   acquisition is *chain-terminal*: `let g = m.lock();` binds the guard,
+//!   while `let n = m.lock().len();` binds a `usize` and `let v =
+//!   *m.lock();` a copy, and both drop the guard at the `;`. Statement
+//!   temporaries are held until the `;`; temporaries feeding an
+//!   `if`/`while`/`match` head are extended through the block (match
+//!   scrutinees really do live that long).
 //! * **call edges** — at a resolved call, every held site gains an edge to
 //!   every *transitive* acquisition site of the callee (TA, computed by
 //!   fixpoint over the call graph, cut at transport boundaries).
@@ -35,6 +43,7 @@
 //! * **callback over-approximation** — for `f(|x| { … })`, `f`'s TA is
 //!   treated as held while the closure body's acquisitions are walked, so
 //!   `with_inner(|g| …)`-style wrappers produce the edges the runtime sees.
+//!   Such a guard is *lent* to the closure, not the walked fn's own.
 //!
 //! Precision refinements (each one removed a family of false cycles during
 //! calibration against the real workspace, which ends at zero findings):
@@ -66,6 +75,7 @@
 //! (shard stripes) is `single-shard-guard`'s business.
 
 use crate::callgraph::{self, CallGraph, FnId, Qualifier, Unit, ACQUIRE_METHODS};
+use crate::guardrules::{self, Boundary};
 use crate::lexer::Kind;
 use crate::{Diagnostic, RULE_LOCK_ORDER_CYCLE};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -83,6 +93,10 @@ pub struct Site {
     /// `false` for `try_*` acquisitions (the runtime detector gives them no
     /// inbound edge, but they do join the held set).
     pub blocking: bool,
+    /// The receiver ends in the striped object table's accessor
+    /// (`….shard(id)`) or its stripe array (`….shards[i]`): a shard-class
+    /// lock, which is what two of the guard rules are about.
+    pub shard: bool,
 }
 
 /// The computed graph: interned sites plus held→acquired edges (indices
@@ -92,12 +106,13 @@ pub struct LockGraph {
     pub edges: Vec<(usize, usize)>,
 }
 
-/// True for files whose code is subject to the analysis: the runtime
-/// library crates. `crates/bench` (scenario harnesses that drive every
-/// transport from one thread — their cross-transport "held" sets are
-/// harness artifacts, and no instrumented test executes them) and
-/// `crates/lint` (no locks; its fixtures embed lock-shaped code in string
-/// literals) are linted by the other rules but excluded from the graph.
+/// True for files whose code is subject to the walk, and so to the graph
+/// and the guard rules: the runtime library crates. `crates/bench` (scenario
+/// harnesses that drive every transport from one thread — their
+/// cross-transport "held" sets are harness artifacts, no instrumented test
+/// executes them, and they take no lock of their own) and `crates/lint` (no
+/// locks; its fixtures embed lock-shaped code in string literals) are
+/// linted by the other rules only.
 pub fn is_lib_rel(rel: &str) -> bool {
     ((rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/"))
         && !rel.starts_with("crates/bench/")
@@ -112,14 +127,80 @@ fn crate_of(rel: &str) -> &str {
         .unwrap_or("obiwan")
 }
 
-pub fn build(units: &[Unit]) -> LockGraph {
+/// Builds the graph and, from the same walk, the findings of the three
+/// guard rules (`guardrules`).
+pub fn build(units: &[Unit]) -> (LockGraph, Vec<Diagnostic>) {
     Builder::new(units).run()
 }
 
-/// One statement-scoped acquisition during the held-set walk:
-/// `(site, promote, hold, expire)` — see the comment at `stmt` in
-/// [`Builder::walk`] for what each flag means.
-type StmtSite = (usize, bool, bool, Option<usize>);
+/// A guard the walk counts as held where an event happens.
+#[derive(Clone, Copy)]
+pub(crate) struct Hold<'a> {
+    pub site: usize,
+    /// The `let` binding that owns the guard, when its pattern is one plain
+    /// identifier: what `drop(name)` releases and what a diagnostic quotes.
+    pub name: Option<&'a str>,
+    /// A temporary of the statement in progress, not yet bound to anything.
+    pub temp: bool,
+    /// Not this fn's guard: a callee may hold it around the closure being
+    /// walked (the callback over-approximation).
+    pub lent: bool,
+}
+
+/// One statement-scoped acquisition during the walk, with two liveness
+/// flags and an expiry:
+///
+/// * `promote` — a `let` binds this guard (the acquisition is
+///   *chain-terminal*: its `)` directly precedes the statement's `;`,
+///   modulo one `?` — `let v = m.lock().len();` binds a usize, not the
+///   guard — and, for a call, the callee returns a guard);
+/// * `hold` — the site stays visibly held inside a control-flow block
+///   opened by this statement. True for direct acquisitions (match
+///   scrutinee temporaries live through the arms) but for calls only when a
+///   guard comes back: `if self.breaker.admit(p) {` has released the
+///   breaker lock before the block runs;
+/// * `expire` — token index past which the entry is gone. A
+///   non-guard-returning callee's locks are released when the call returns,
+///   i.e. at its closing `)`: in `self.registry.decode(x).and(create(y))`,
+///   `decode`'s internal read lock is not held during `create`. Such an
+///   entry is *lent*: it only matters inside a closure argument.
+#[derive(Clone, Copy)]
+struct Temp {
+    site: usize,
+    promote: bool,
+    hold: bool,
+    expire: Option<usize>,
+}
+
+impl Temp {
+    fn as_hold<'a>(&self, name: Option<&'a str>, temp: bool) -> Hold<'a> {
+        Hold {
+            site: self.site,
+            name,
+            temp,
+            lent: self.expire.is_some(),
+        }
+    }
+}
+
+/// A guard-rule boundary call whose argument list is still open: a guard
+/// temporary created inside it is alive when the call runs.
+struct OpenCall<'a> {
+    boundary: Boundary<'a>,
+    line: u32,
+    close: usize,
+}
+
+/// What the walk knows about the statement in progress.
+#[derive(Default)]
+struct Stmt<'a> {
+    temps: Vec<Temp>,
+    /// Boundary calls whose `(` has not closed yet.
+    open: Vec<OpenCall<'a>>,
+    /// `Some(name)` while the statement is a `let` that can bind a guard
+    /// (`name` when its pattern is one identifier).
+    binds: Option<Option<&'a str>>,
+}
 
 struct Builder<'a> {
     units: &'a [Unit],
@@ -130,6 +211,13 @@ struct Builder<'a> {
     sites: Vec<Site>,
     intern: HashMap<(String, u32, String), usize>,
     edges: HashSet<(usize, usize)>,
+    /// Per analyzed fn, from the summarizing walk: the acquisition sites of
+    /// its own body and its resolved callees. Both leave out nested fn
+    /// bodies (charged to the nested fn) and `spawn(…)` closures (they run
+    /// on another thread: the spawning fn does not synchronously acquire
+    /// what the spawned thread acquires).
+    own: Vec<Vec<usize>>,
+    callees: Vec<Vec<usize>>,
     /// Sites whose guard can still be held when a callee re-enters caller
     /// code through a callback: the guard escapes its own statement
     /// (let-bound, or alive when a block opens) *and* its fn can actually
@@ -139,6 +227,8 @@ struct Builder<'a> {
     /// `CircuitBreaker::admit` that locks, updates and returns plain data
     /// can never hold its guard while someone else's callback runs.
     escaping: HashSet<usize>,
+    /// Guard-rule findings, one per boundary crossed with a guard held.
+    diags: Vec<Diagnostic>,
 }
 
 impl<'a> Builder<'a> {
@@ -163,66 +253,28 @@ impl<'a> Builder<'a> {
         Builder {
             units,
             graph,
+            own: vec![Vec::new(); fns.len()],
+            callees: vec![Vec::new(); fns.len()],
             fns,
             index,
             sites: Vec::new(),
             intern: HashMap::new(),
             edges: HashSet::new(),
             escaping: HashSet::new(),
+            diags: Vec::new(),
         }
     }
 
-    fn run(mut self) -> LockGraph {
-        // Pass A: intern every acquisition site, collect per-fn own-sets.
-        let own: Vec<Vec<usize>> = (0..self.fns.len())
-            .map(|i| self.own_sites(i))
-            .collect();
-
-        // Pass A2: which guards escape their own statement (see `escaping`).
+    fn run(mut self) -> (LockGraph, Vec<Diagnostic>) {
+        // First walk: intern every acquisition site and summarize each fn
+        // (own sites, callees, which guards escape their statement).
         for i in 0..self.fns.len() {
-            self.escape_pass(i);
+            self.walk(i, None);
         }
 
-        // Pass B: transitive acquisition sets by fixpoint. Callee lists are
-        // recomputed here rather than taken from the call graph because TA
-        // must exclude calls made inside nested fn bodies (charged to the
-        // nested fn) and inside `spawn(…)` closures (they run on another
-        // thread — the spawning fn does not synchronously acquire what the
-        // spawned thread acquires).
-        let callees: Vec<Vec<usize>> = (0..self.fns.len())
-            .map(|i| {
-                let (u, f) = self.unit_of(i);
-                let nested = self.nested_ranges(i);
-                let spawns = spawn_ranges(u, f.body.0, f.body.1);
-                let mut out: Vec<usize> = Vec::new();
-                for call in callgraph::calls_in_range(u, f.body.0, f.body.1) {
-                    let skipped = nested
-                        .iter()
-                        .chain(spawns.iter())
-                        .any(|&(a, b)| call.token >= a && call.token <= b);
-                    if skipped {
-                        continue;
-                    }
-                    if let Some(targets) = self.graph.by_name.get(call.name) {
-                        for t in callgraph::filter_targets(
-                            self.units,
-                            self.fns[i].0,
-                            f.impl_type.as_deref(),
-                            &call.qualifier,
-                            targets,
-                        ) {
-                            if let Some(&j) = self.index.get(&t) {
-                                if !out.contains(&j) {
-                                    out.push(j);
-                                }
-                            }
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        let mut ta: Vec<HashSet<usize>> = own
+        // Transitive acquisition sets by fixpoint over the summaries.
+        let mut ta: Vec<HashSet<usize>> = self
+            .own
             .iter()
             .map(|o| o.iter().copied().collect())
             .collect();
@@ -231,7 +283,7 @@ impl<'a> Builder<'a> {
             changed = false;
             for i in 0..ta.len() {
                 let mut add: Vec<usize> = Vec::new();
-                for &c in &callees[i] {
+                for &c in &self.callees[i] {
                     if c == i {
                         continue;
                     }
@@ -248,9 +300,10 @@ impl<'a> Builder<'a> {
             }
         }
 
-        // Pass C: the per-fn walk generating edges.
+        // Second walk: the same walk, now with every callee's acquisitions
+        // known, generating edges and guard-rule findings.
         for i in 0..self.fns.len() {
-            self.walk(i, &ta);
+            self.walk(i, Some(&ta));
         }
 
         let mut edges: Vec<(usize, usize)> = self.edges.into_iter().collect();
@@ -259,10 +312,15 @@ impl<'a> Builder<'a> {
             let kb = (&self.sites[b.0].file, self.sites[b.0].line, &self.sites[b.1].file, self.sites[b.1].line);
             ka.cmp(&kb)
         });
-        LockGraph {
+        self.diags
+            .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+        self.diags
+            .dedup_by(|a, b| (&a.file, a.line, a.rule) == (&b.file, b.line, b.rule));
+        let graph = LockGraph {
             sites: self.sites,
             edges,
-        }
+        };
+        (graph, self.diags)
     }
 
     fn unit_of(&self, i: usize) -> (&'a Unit, &'a crate::model::FnItem) {
@@ -283,36 +341,6 @@ impl<'a> Builder<'a> {
             .filter(|&(gi, g)| gi != fi && g.body.0 > f.body.0 && g.body.1 <= f.body.1)
             .map(|(_, g)| g.body)
             .collect()
-    }
-
-    /// Acquisition sites of fn `i`'s own body — excluding nested fn bodies
-    /// and `spawn(…)` closures (another thread's acquisitions are not part
-    /// of this fn's synchronous TA; the walk still edges them internally).
-    fn own_sites(&mut self, i: usize) -> Vec<usize> {
-        let (u, f) = self.unit_of(i);
-        let nested = self.nested_ranges(i);
-        let spawns = spawn_ranges(u, f.body.0, f.body.1);
-        let sig = &u.sig;
-        let mut out = Vec::new();
-        let mut p = sig.partition_point(|&k| k <= f.body.0);
-        while p < sig.len() && sig[p] < f.body.1 {
-            let k = sig[p];
-            if nested
-                .iter()
-                .chain(spawns.iter())
-                .any(|&(a, b)| k >= a && k <= b)
-            {
-                p += 1;
-                continue;
-            }
-            if let Some(site) = self.acquire_at(self.fns[i], p) {
-                if !out.contains(&site) {
-                    out.push(site);
-                }
-            }
-            p += 1;
-        }
-        out
     }
 
     /// If `sig[p]` is a lock-acquisition method call (`.lock()`, `.read()`,
@@ -354,15 +382,12 @@ impl<'a> Builder<'a> {
             line: t.line,
             class,
             blocking,
+            shard: matches!(chain.last().map(String::as_str), Some("shard()" | "shards[]")),
         });
         self.intern.insert(key, s);
         Some(s)
     }
 
-    /// Pass A2 body: a simplified walk marking sites whose guard escapes
-    /// its own statement — chain-terminal `let`-bound acquisitions, and
-    /// acquisitions still live when a block opens (match scrutinees;
-    /// `if`-head temps are over-approximated the same way).
     /// Whether fn `i`'s body contains a bare call (no receiver or path
     /// qualifier) that resolves to no workspace free fn — the shape of a
     /// closure or fn-parameter invocation (`f(…)`, `sink(…)`, `drop(g)`).
@@ -393,85 +418,6 @@ impl<'a> Builder<'a> {
             })
     }
 
-    fn escape_pass(&mut self, i: usize) {
-        let id = self.fns[i];
-        let (u, f) = self.unit_of(i);
-        // Gate: a guard escapes to callback scope only if this fn can still
-        // be holding it while foreign code runs — it returns the guard
-        // (`enter`, `lock_many`) or invokes a closure/fn parameter itself
-        // (`with_inner`'s `f(…)`). A fn that locks, updates and returns
-        // plain data (`CircuitBreaker::admit`) releases before any callback
-        // elsewhere can observe it, however the guard is bound locally.
-        if !f.returns_guard && !self.invokes_callback(i) {
-            return;
-        }
-        let (body0, body1) = f.body;
-        let nested = self.nested_ranges(i);
-        let sig_len = u.sig.len();
-        let mut stmt: Vec<(usize, bool)> = Vec::new();
-        let mut saved: Vec<(Vec<(usize, bool)>, bool)> = Vec::new();
-        let mut stmt_is_let = false;
-        let mut new_stmt = true;
-        let mut p = u.sig.partition_point(|&k| k <= body0);
-        while p < sig_len {
-            let (u, _) = self.unit_of(i);
-            let k = u.sig[p];
-            if k >= body1 {
-                break;
-            }
-            if nested.iter().any(|&(a, b)| k >= a && k <= b) {
-                p += 1;
-                continue;
-            }
-            let t = &u.tokens[k];
-            let txt = t.text(&u.src);
-            if new_stmt {
-                stmt_is_let = txt == "let";
-                new_stmt = false;
-            }
-            match t.kind {
-                Kind::Punct => match txt {
-                    "{" => {
-                        for &(s, _) in &stmt {
-                            self.escaping.insert(s);
-                        }
-                        saved.push((std::mem::take(&mut stmt), stmt_is_let));
-                        stmt_is_let = false;
-                        new_stmt = true;
-                    }
-                    "}" => {
-                        if let Some((s, l)) = saved.pop() {
-                            stmt = s;
-                            stmt_is_let = l;
-                        }
-                        new_stmt = true;
-                    }
-                    ";" => {
-                        if stmt_is_let {
-                            for &(s, term) in &stmt {
-                                if term {
-                                    self.escaping.insert(s);
-                                }
-                            }
-                        }
-                        stmt.clear();
-                        stmt_is_let = false;
-                        new_stmt = true;
-                    }
-                    _ => {}
-                },
-                Kind::Ident => {
-                    if let Some(site) = self.acquire_at(id, p) {
-                        let (u, _) = self.unit_of(i);
-                        stmt.push((site, chain_terminal(u, p + 2)));
-                    }
-                }
-                _ => {}
-            }
-            p += 1;
-        }
-    }
-
     /// With `LINT_DEBUG_EDGES=1`, prints each edge as it is created along
     /// with the fn whose walk created it — the triage tool for
     /// over-approximation hunting.
@@ -487,11 +433,35 @@ impl<'a> Builder<'a> {
         );
     }
 
-    fn walk(&mut self, i: usize, ta: &[HashSet<usize>]) {
+    /// Reports the guard-rule rows `boundary` crosses with `held` live.
+    fn guard_rows(&mut self, u: &Unit, line: u32, boundary: &Boundary<'_>, held: &[Hold<'_>]) {
+        for row in guardrules::crossed(boundary) {
+            self.diags
+                .extend(guardrules::finding(row, &self.sites, &u.rel, line, boundary, held));
+        }
+    }
+
+    /// The one held-set walk of fn `i`'s body. It runs twice: first with
+    /// `ta` absent, when all it can know is the fn's own acquisitions, and
+    /// it summarizes them (`own`, `callees`, `escaping`); then with every
+    /// fn's transitive acquisition set, when it reports its two events,
+    /// *acquired(site, held)* and *called(name, held)*, to the lock-order
+    /// edges and the guard-rule rows.
+    fn walk(&mut self, i: usize, ta: Option<&[HashSet<usize>]>) {
         let id = self.fns[i];
         let (u, f) = self.unit_of(i);
         let (body0, body1) = f.body;
         let nested = self.nested_ranges(i);
+        let src = u.src.as_str();
+        let text_at = |q: usize| u.sig.get(q).map_or("", |&k| u.tokens[k].text(src));
+        // Gate for `escaping`: a guard escapes to callback scope only if
+        // this fn can still be holding it while foreign code runs — it
+        // returns the guard (`enter`, `lock_many`) or invokes a closure/fn
+        // parameter itself (`with_inner`'s `f(…)`). A fn that locks,
+        // updates and returns plain data (`CircuitBreaker::admit`) releases
+        // before any callback elsewhere can observe it, however the guard
+        // is bound locally.
+        let surfaces = ta.is_none() && (f.returns_guard || self.invokes_callback(i));
 
         // Resolved call sites in this body, keyed by the callee-name token.
         // Resolution applies the same receiver-qualifier pruning the call
@@ -516,39 +486,20 @@ impl<'a> Builder<'a> {
         }
 
         let sig_len = u.sig.len();
-        // Scope stack: held sites per enclosing block, with a `barrier`
+        // Scope stack: held guards per enclosing block, with a `barrier`
         // flag for `spawn(…)` closure bodies — the spawned thread starts
         // with an empty held set, so `held()` ignores everything below the
         // last barrier.
-        let mut scopes: Vec<(Vec<usize>, bool)> = vec![(Vec::new(), false)];
+        let mut scopes: Vec<(Vec<Hold<'a>>, bool)> = vec![(Vec::new(), false)];
         // Statement state saved at each `{` and restored at its `}` — an
         // inner block's `;`s must not clear the outer statement's
         // temporaries (`let g = match m.lock() { … };`).
-        let mut saved: Vec<(Vec<StmtSite>, bool)> = Vec::new();
-        // Per-statement held sites, each with two liveness flags and an
-        // expiry:
-        //
-        // * `promote` — a `let` binds this guard (the acquisition is
-        //   *chain-terminal*: its `)` directly precedes the statement's
-        //   `;`, modulo one `?` — `let v = m.lock().len();` binds a usize,
-        //   not the guard — and, for a call, the callee returns a guard);
-        // * `hold` — the site stays visibly held inside a control-flow
-        //   block opened by this statement. True for direct acquisitions
-        //   (match scrutinee temporaries live through the arms) but for
-        //   calls only when a guard comes back: `if self.breaker.admit(p) {`
-        //   has released the breaker lock before the block runs;
-        // * `expire` — token index past which the entry is gone. A
-        //   non-guard-returning callee's locks are released when the call
-        //   returns, i.e. at its closing `)`: in
-        //   `self.registry.decode(x).and(create(y))`, `decode`'s internal
-        //   read lock is not held during `create`.
-        let mut stmt: Vec<StmtSite> = Vec::new();
-        let mut stmt_is_let = false;
+        let mut saved: Vec<Stmt<'a>> = Vec::new();
+        let mut stmt = Stmt::default();
         let mut new_stmt = true;
 
         let mut p = u.sig.partition_point(|&k| k <= body0);
         while p < sig_len {
-            let (u, _) = self.unit_of(i);
             let k = u.sig[p];
             if k >= body1 {
                 break;
@@ -557,11 +508,12 @@ impl<'a> Builder<'a> {
                 p += 1;
                 continue;
             }
-            stmt.retain(|&(_, _, _, expire)| expire.is_none_or(|x| k <= x));
+            stmt.temps.retain(|t| t.expire.is_none_or(|x| k <= x));
+            stmt.open.retain(|c| k <= c.close);
             let t = &u.tokens[k];
-            let txt = t.text(&u.src);
+            let txt = t.text(src);
             if new_stmt {
-                stmt_is_let = txt == "let";
+                stmt.binds = (txt == "let").then(|| let_binding(u, p)).flatten();
                 new_stmt = false;
             }
             match t.kind {
@@ -577,105 +529,148 @@ impl<'a> Builder<'a> {
                         // barrier scope.
                         let closure = p
                             .checked_sub(1)
-                            .map(|q| u.tokens[u.sig[q]].text(&u.src))
+                            .map(text_at)
                             .is_some_and(|prev| prev == "|" || prev == "move");
                         let barrier = closure && is_spawn_closure_open(u, p);
-                        let sites = if barrier {
+                        if surfaces {
+                            self.escaping.extend(stmt.temps.iter().map(|t| t.site));
+                        }
+                        let holds = if barrier {
                             Vec::new()
                         } else {
-                            stmt.iter()
-                                .filter(|&&(_, _, hold, _)| closure || hold)
-                                .map(|&(s, _, _, _)| s)
+                            stmt.temps
+                                .iter()
+                                .filter(|t| closure || t.hold)
+                                .map(|t| t.as_hold(None, false))
                                 .collect()
                         };
-                        scopes.push((sites, barrier));
-                        saved.push((std::mem::take(&mut stmt), stmt_is_let));
-                        stmt_is_let = false;
+                        scopes.push((holds, barrier));
+                        saved.push(std::mem::take(&mut stmt));
                         new_stmt = true;
                     }
                     "}" => {
                         if scopes.len() > 1 {
                             scopes.pop();
                         }
-                        if let Some((s, l)) = saved.pop() {
-                            stmt = s;
-                            stmt_is_let = l;
+                        if let Some(outer) = saved.pop() {
+                            stmt = outer;
                         }
                         new_stmt = true;
                     }
                     ";" => {
-                        if stmt_is_let {
-                            if let Some((top, _)) = scopes.last_mut() {
-                                top.extend(
-                                    stmt.iter()
-                                        .filter(|&&(_, promote, _, _)| promote)
-                                        .map(|&(s, _, _, _)| s),
-                                );
+                        if let (Some(name), Some((top, _))) = (stmt.binds, scopes.last_mut()) {
+                            let bound = stmt.temps.iter().filter(|t| t.promote);
+                            if surfaces {
+                                self.escaping.extend(bound.clone().map(|t| t.site));
                             }
+                            top.extend(bound.map(|t| t.as_hold(name, false)));
                         }
-                        stmt.clear();
-                        stmt_is_let = false;
+                        stmt = Stmt::default();
                         new_stmt = true;
                     }
                     _ => {}
                 },
                 Kind::Ident => {
+                    let calls = text_at(p + 1) == "(";
+                    let prev = p.checked_sub(1).map(text_at);
+                    let spawned = scopes.iter().any(|&(_, barrier)| barrier);
                     if let Some(site) = self.acquire_at(id, p) {
-                        let (u, f) = self.unit_of(i);
-                        let term = chain_terminal(u, p + 2);
-                        for h in held(&scopes, &stmt) {
-                            if h != site && self.sites[site].blocking {
-                                self.debug_edge(h, site, &u.rel, &f.name, "acquire");
-                                self.edges.insert((h, site));
-                            }
-                        }
-                        stmt.push((site, term, true, None));
-                    } else if let Some(targets) = call_map.get(&k) {
-                        let mut union: Vec<usize> = Vec::new();
-                        for &tgt in targets {
-                            for &s in &ta[tgt] {
-                                if !union.contains(&s) {
-                                    union.push(s);
+                        let now = held(&scopes, &stmt.temps);
+                        let temp = Temp {
+                            site,
+                            promote: chain_terminal(u, p + 2),
+                            hold: true,
+                            expire: None,
+                        };
+                        if ta.is_some() {
+                            for h in &now {
+                                if h.site != site && self.sites[site].blocking {
+                                    self.debug_edge(h.site, site, &u.rel, &f.name, "acquire");
+                                    self.edges.insert((h.site, site));
                                 }
                             }
+                            if self.sites[site].shard {
+                                self.guard_rows(u, t.line, &Boundary::ShardAcquire, &now);
+                            }
+                            for c in &stmt.open {
+                                self.guard_rows(u, c.line, &c.boundary, &[temp.as_hold(None, true)]);
+                            }
+                        } else if !spawned && !self.own[i].contains(&site) {
+                            self.own[i].push(site);
                         }
-                        let (u, _) = self.unit_of(i);
-                        // A call's acquisitions outlive its own statement
-                        // only when the callee hands a guard back (`enter`,
-                        // `lock_pair`, …) — a data-returning callee's locks
-                        // are released by the time the `let` binds.
-                        let rg = targets.iter().any(|&t| {
-                            let (ui, fi) = self.fns[t];
-                            self.units[ui].model.fns[fi].returns_guard
-                        });
-                        let close = matching_close(u, p + 1);
-                        let term = rg && close.is_some_and(|c| chain_terminal(u, c));
-                        let expire = if rg {
-                            None
-                        } else {
-                            close.map(|c| u.sig[c])
+                        stmt.temps.push(temp);
+                    } else if txt == "drop" && calls && prev != Some(".") && text_at(p + 3) == ")" {
+                        // `drop(g)` of a guard bound in this very block ends
+                        // the hold. One in a nested block may not run on
+                        // every path, so the guard stays held past it.
+                        if let Some((top, _)) = scopes.last_mut() {
+                            top.retain(|h| h.name != Some(text_at(p + 2)));
+                        }
+                    } else if let (true, Some(ta)) = (calls && prev != Some("fn"), ta) {
+                        let boundary = Boundary::Call {
+                            name: txt,
+                            method: prev == Some("."),
+                            receiver: callgraph::qualifier_at(u, p),
                         };
-                        for &s in &union {
-                            if self.sites[s].blocking {
-                                for h in held(&scopes, &stmt) {
-                                    if h != s {
-                                        let (u, f) = self.unit_of(i);
-                                        self.debug_edge(h, s, &u.rel, &f.name, txt);
-                                        self.edges.insert((h, s));
+                        let close = matching_close(u, p + 1);
+                        let now = held(&scopes, &stmt.temps);
+                        if guardrules::crossed(&boundary).next().is_some() {
+                            self.guard_rows(u, t.line, &boundary, &now);
+                            if let Some(c) = close {
+                                stmt.open.push(OpenCall { boundary, line: t.line, close: u.sig[c] });
+                            }
+                        }
+                        if let Some(targets) = call_map.get(&k) {
+                            let mut union: Vec<usize> = Vec::new();
+                            for &tgt in targets {
+                                for &s in &ta[tgt] {
+                                    if !union.contains(&s) {
+                                        union.push(s);
                                     }
                                 }
                             }
+                            // A call's acquisitions outlive its own
+                            // statement only when the callee hands a guard
+                            // back (`enter`, `lock_pair`, …) — a
+                            // data-returning callee's locks are released by
+                            // the time the `let` binds.
+                            let rg = targets.iter().any(|&t| {
+                                let (ui, fi) = self.fns[t];
+                                self.units[ui].model.fns[fi].returns_guard
+                            });
+                            let term = rg && close.is_some_and(|c| chain_terminal(u, c));
+                            let expire = if rg {
+                                None
+                            } else {
+                                close.map(|c| u.sig[c])
+                            };
+                            for &s in &union {
+                                if self.sites[s].blocking {
+                                    for h in &now {
+                                        if h.site != s {
+                                            self.debug_edge(h.site, s, &u.rel, &f.name, txt);
+                                            self.edges.insert((h.site, s));
+                                        }
+                                    }
+                                }
+                            }
+                            // Only escaping guards can still be held when
+                            // the callee re-enters this fn's code through a
+                            // callback argument; the edge loop above already
+                            // covered the callee's internal temps.
+                            stmt.temps.extend(
+                                union
+                                    .into_iter()
+                                    .filter(|&s| rg || self.escaping.contains(&s))
+                                    .map(|site| Temp { site, promote: term, hold: rg, expire }),
+                            );
                         }
-                        // Only escaping guards can still be held when the
-                        // callee re-enters this fn's code through a
-                        // callback argument; the edge loop above already
-                        // covered the callee's internal temps.
-                        stmt.extend(
-                            union
-                                .into_iter()
-                                .filter(|&s| rg || self.escaping.contains(&s))
-                                .map(|s| (s, term, rg, expire)),
-                        );
+                    } else if let (Some(targets), false) = (call_map.get(&k), spawned) {
+                        for &t in targets {
+                            if !self.callees[i].contains(&t) {
+                                self.callees[i].push(t);
+                            }
+                        }
                     }
                 }
                 _ => {}
@@ -685,43 +680,36 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// All currently-held sites: every enclosing scope plus the statement in
+/// All currently-held guards: every enclosing scope plus the statement in
 /// progress (a guard temporary is held for the rest of its own statement
 /// whether or not it ends up bound).
-fn held(
-    scopes: &[(Vec<usize>, bool)],
-    stmt: &[(usize, bool, bool, Option<usize>)],
-) -> Vec<usize> {
+fn held<'a>(scopes: &[(Vec<Hold<'a>>, bool)], stmt: &[Temp]) -> Vec<Hold<'a>> {
     let start = scopes
         .iter()
         .rposition(|&(_, barrier)| barrier)
         .unwrap_or(0);
     scopes[start..]
         .iter()
-        .flat_map(|(sites, _)| sites)
+        .flat_map(|(holds, _)| holds)
         .copied()
-        .chain(stmt.iter().map(|&(s, _, _, _)| s))
+        .chain(stmt.iter().map(|t| t.as_hold(None, true)))
         .collect()
 }
 
-/// Token-index ranges (inclusive) of closure bodies passed directly to a
-/// `spawn(…)` call inside `body0..body1`. These run on another thread: the
-/// spawning fn neither holds its guards across them nor transitively
-/// "acquires" what they acquire.
-fn spawn_ranges(u: &Unit, body0: usize, body1: usize) -> Vec<(usize, usize)> {
+/// For the `let` at sig position `p`: `None` when the initializer is a
+/// deref copy (`let v = *m.lock();` binds the value, and the guard dies at
+/// the `;`), otherwise the bound name if the pattern is one identifier.
+fn let_binding(u: &Unit, p: usize) -> Option<Option<&str>> {
     let src = u.src.as_str();
-    let sig = &u.sig;
-    let mut out = Vec::new();
-    let mut p = sig.partition_point(|&k| k <= body0);
-    while p < sig.len() && sig[p] < body1 {
-        if u.tokens[sig[p]].text(src) == "{" && is_spawn_closure_open(u, p) {
-            if let Some(c) = crate::model::matching_brace(src, &u.tokens, sig, p) {
-                out.push((sig[p], sig[c]));
-            }
-        }
-        p += 1;
-    }
-    out
+    let tok = |q: usize| u.sig.get(q).map(|&k| &u.tokens[k]);
+    let txt = |q: usize| tok(q).map_or("", |t| t.text(src));
+    let q = if txt(p + 1) == "mut" { p + 2 } else { p + 1 };
+    let name = (tok(q).is_some_and(|t| t.kind == Kind::Ident) && matches!(txt(q + 1), "=" | ":"))
+        .then(|| txt(q));
+    let eq = (q..u.sig.len())
+        .take_while(|&r| txt(r) != ";")
+        .find(|&r| txt(r) == "=");
+    eq.is_none_or(|r| txt(r + 1) != "*").then_some(name)
 }
 
 /// True when the `{` at sig position `p` opens a closure passed directly to

@@ -29,10 +29,6 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         "missing guard diagnostic in:\n{stdout}"
     );
     assert!(
-        stdout.contains("crates/demo/src/lib.rs:11: [no-unwrap-on-lock-or-decode]"),
-        "missing lock-unwrap diagnostic in:\n{stdout}"
-    );
-    assert!(
         stdout.contains("crates/demo/src/lib.rs:15: [no-unwrap-on-lock-or-decode]"),
         "missing decode-expect diagnostic in:\n{stdout}"
     );
@@ -92,7 +88,7 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         stdout.contains("crates/demo/src/intent.rs:31: [wal-intent-lifecycle]"),
         "missing retired-one-of-a-group diagnostic in:\n{stdout}"
     );
-    assert!(stdout.contains("14 violation(s)"), "count in:\n{stdout}");
+    assert!(stdout.contains("13 violation(s)"), "count in:\n{stdout}");
 }
 
 #[test]

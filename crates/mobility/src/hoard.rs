@@ -104,11 +104,6 @@ impl Hoarder {
         Hoarder { profile }
     }
 
-    /// The configured profile.
-    pub fn profile(&self) -> &HoardProfile {
-        &self.profile
-    }
-
     /// Looks up and replicates every profile entry into `process`.
     ///
     /// Failures are per-entry: one unreachable graph does not abort the

@@ -221,12 +221,6 @@ impl DisconnectedSession {
         report
     }
 
-    /// Resolves a conflicted object by discarding the local state (refresh
-    /// from the master).
-    pub fn resolve_take_remote(&self, process: &ObiProcess, id: ObjId) -> Result<()> {
-        process.refresh(ObjRef::new(id))
-    }
-
     /// Resolves a conflicted object by forcing the local state onto the
     /// master: refresh the base version, re-apply the journaled operations
     /// for that object, then put.
@@ -364,9 +358,8 @@ mod tests {
         world.site(s2).invoke(master, "add", ObiValue::I64(100)).unwrap();
         let report = session.reintegrate(world.site(s1));
         assert_eq!(report.conflicts(), vec![replica.id()]);
-        session
-            .resolve_take_remote(world.site(s1), replica.id())
-            .unwrap();
+        // Taking the remote side of a conflict is a plain `refresh`.
+        world.site(s1).refresh(replica).unwrap();
         let v = world.site(s1).invoke(replica, "read", ObiValue::Null).unwrap();
         assert_eq!(v, ObiValue::I64(100));
         assert!(!world.site(s1).meta_of(replica).unwrap().dirty);
@@ -436,9 +429,7 @@ mod tests {
         world.disconnect(s1);
         // Conflict resolution needs the master; offline it must fail
         // without touching the dirty local state.
-        let err = session
-            .resolve_take_remote(world.site(s1), replica.id())
-            .unwrap_err();
+        let err = world.site(s1).refresh(replica).unwrap_err();
         assert!(err.is_connectivity(), "{err}");
         assert!(world.site(s1).meta_of(replica).unwrap().dirty);
         let v = world.site(s1).invoke(replica, "read", ObiValue::Null).unwrap();

@@ -16,11 +16,6 @@ pub fn paper_lan() -> LinkModel {
     LinkModel::new(Duration::from_micros(1000), 10_000_000)
 }
 
-/// A modern switched LAN: 1 Gb/s, 50 µs one-way.
-pub fn modern_lan() -> LinkModel {
-    LinkModel::new(Duration::from_micros(50), 1_000_000_000)
-}
-
 /// 802.11b-era Wi-Fi: 5 Mb/s effective, 3 ms one-way, light jitter and loss.
 pub fn wifi() -> LinkModel {
     LinkModel::new(Duration::from_millis(3), 5_000_000)
@@ -62,12 +57,10 @@ mod tests {
         let mut rng = DetRng::new(1);
         let frame = 256usize;
         let lo = loopback().transfer_time(frame, &mut rng);
-        let ml = modern_lan().transfer_time(frame, &mut rng);
         let pl = paper_lan().transfer_time(frame, &mut rng);
         let wa = wan().transfer_time(frame, &mut rng);
         let gp = gprs().transfer_time(frame, &mut rng);
-        assert!(lo < ml);
-        assert!(ml < pl);
+        assert!(lo < pl);
         assert!(pl < wa);
         assert!(wa < gp);
     }

@@ -19,8 +19,6 @@
 //!   runs under real concurrency.
 //! * [`tcp`] — [`TcpTransport`], real loopback TCP sockets with a
 //!   per-destination connection pool: the genuinely distributed substrate.
-//! * [`trace`] — an optional in-memory event trace of every delivery, drop
-//!   and refusal, for tests and debugging.
 //!
 //! # Examples
 //!
@@ -54,12 +52,10 @@ pub mod link;
 pub mod mem;
 pub mod sim;
 pub mod tcp;
-pub mod trace;
 pub mod transport;
 
 pub use link::{LinkModel, LinkState, Topology};
 pub use mem::MemTransport;
 pub use sim::{ScheduledChange, SimTransport};
 pub use tcp::TcpTransport;
-pub use trace::{NetEvent, NetEventKind, NetTrace, PairStats, TraceSummary};
 pub use transport::{MessageHandler, Transport};

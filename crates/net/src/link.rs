@@ -1,7 +1,6 @@
 //! Link models, the network topology, and the one link leg every
 //! in-process transport sends its frames across.
 
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
 use bytes::Bytes;
 use obiwan_util::sync::{Mutex, RwLock};
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
@@ -236,11 +235,6 @@ impl Topology {
         }
     }
 
-    /// The model used for pairs without an override.
-    pub fn default_link(&self) -> &LinkModel {
-        &self.default_link
-    }
-
     /// Overrides the link model for the ordered pair `from -> to`.
     pub fn set_link(&mut self, from: SiteId, to: SiteId, link: LinkModel) {
         self.overrides.insert((from, to), link);
@@ -284,11 +278,6 @@ impl Topology {
     /// Reconnects a previously disconnected site.
     pub fn reconnect(&mut self, site: SiteId) {
         self.down_sites.remove(&site);
-    }
-
-    /// True when the site is administratively disconnected.
-    pub fn is_disconnected(&self, site: SiteId) -> bool {
-        self.down_sites.contains_key(&site)
     }
 
     /// True when a frame may flow `from -> to` right now.
@@ -352,22 +341,21 @@ pub(crate) struct Arrival {
 
 /// How a transport passes a leg's modeled delay.
 pub(crate) enum Pace {
-    /// Charged to a virtual clock, which also stamps the trace events.
+    /// Charged to a virtual clock.
     /// Handlers run on the caller's stack, where a request can arrive
     /// twice: request legs draw the duplicate lottery.
     Virtual(Clock),
-    /// Slept, scaled by this factor (`0.0` = not at all); trace events go
-    /// unstamped. A request is queued to its receiver thread exactly once,
-    /// so no duplicate lottery is drawn for it.
+    /// Slept, scaled by this factor (`0.0` = not at all). A request is
+    /// queued to its receiver thread exactly once, so no duplicate lottery
+    /// is drawn for it.
     Real(f64),
 }
 
 /// The modeled network under an in-process transport: its links, the
-/// fault-lottery stream, and the counters and event trace every leg feeds.
+/// fault-lottery stream, and the counters every leg feeds.
 pub(crate) struct LinkLayer {
     pub(crate) topology: RwLock<Topology>,
     pub(crate) rng: Mutex<DetRng>,
-    pub(crate) trace: NetTrace,
     pub(crate) metrics: Metrics,
     pace: Pace,
 }
@@ -377,7 +365,6 @@ impl LinkLayer {
         LinkLayer {
             topology: RwLock::new(topology),
             rng: Mutex::new(DetRng::new(seed)),
-            trace: NetTrace::new(),
             metrics: Metrics::new(),
             pace,
         }
@@ -385,7 +372,7 @@ impl LinkLayer {
 
     /// Sends one frame of `bytes` across `from -> to`: topology check,
     /// transfer time and fault lottery (drawn in a fixed order, so seeded
-    /// runs replay), metrics, trace event.
+    /// runs replay), metrics.
     pub(crate) fn traverse(
         &self,
         from: SiteId,
@@ -393,23 +380,9 @@ impl LinkLayer {
         bytes: usize,
         leg: Leg,
     ) -> Result<Arrival> {
-        let event = |kind| {
-            self.trace.record(NetEvent {
-                at_nanos: match &self.pace {
-                    Pace::Virtual(clock) => clock.virtual_nanos(),
-                    Pace::Real(_) => 0,
-                },
-                from,
-                to,
-                bytes,
-                kind,
-                is_reply: leg != Leg::Request,
-            });
-        };
         let (delay, lost, dup, hold) = {
             let topology = self.topology.read();
             if !topology.is_up(from, to) {
-                event(NetEventKind::Refused);
                 return Err(ObiError::Disconnected { from, to });
             }
             let link = topology.link(from, to);
@@ -442,12 +415,10 @@ impl LinkLayer {
         self.metrics.incr_messages_sent();
         self.metrics.add_bytes_sent(bytes as u64);
         if lost {
-            event(NetEventKind::Dropped);
             return Err(ObiError::MessageLost { from, to });
         }
         self.metrics.incr_messages_received();
         self.metrics.add_bytes_received(bytes as u64);
-        event(NetEventKind::Delivered);
         Ok(Arrival { dup, hold })
     }
 }
@@ -560,7 +531,7 @@ mod tests {
         t.set_link(s(1), s(2), fast.clone());
         assert_eq!(t.link(s(1), s(2)), &fast);
         // Reverse direction still uses the default.
-        assert_eq!(t.link(s(2), s(1)), t.default_link());
+        assert_eq!(t.link(s(2), s(1)), &LinkModel::ideal());
     }
 
     #[test]
@@ -579,7 +550,6 @@ mod tests {
         t.disconnect(s(2));
         assert!(!t.is_up(s(1), s(2)));
         assert!(!t.is_up(s(2), s(1)));
-        assert!(t.is_disconnected(s(2)));
         // Unrelated pairs unaffected.
         assert!(t.is_up(s(1), s(3)));
         t.reconnect(s(2));

@@ -7,7 +7,6 @@
 //! useful in examples; by default frames move as fast as the threads do.
 
 use crate::link::{ChunkDelivery, Leg, LinkLayer, Pace, Topology};
-use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
@@ -116,11 +115,6 @@ impl MemTransport {
                 call_timeout,
             }),
         }
-    }
-
-    /// The event trace (disabled until `set_enabled(true)`).
-    pub fn trace(&self) -> &NetTrace {
-        &self.inner.links.trace
     }
 
     /// Transport-level metrics.

@@ -7,7 +7,6 @@
 //! harness and the property tests rely on.
 
 use crate::link::{Arrival, ChunkDelivery, Leg, LinkLayer, Pace, Topology};
-use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
@@ -93,11 +92,6 @@ impl SimTransport {
     /// The shared clock network time is charged to.
     pub fn clock(&self) -> &Clock {
         &self.inner.clock
-    }
-
-    /// The event trace (disabled until `set_enabled(true)`).
-    pub fn trace(&self) -> &NetTrace {
-        &self.inner.links.trace
     }
 
     /// Transport-level metrics (messages/bytes sent and received).
@@ -326,7 +320,6 @@ const DEFAULT_SEED: u64 = 0x0B1A_57ED_0000_CAFE;
 mod tests {
     use super::*;
     use crate::conditions;
-    use crate::trace::NetEventKind;
     use obiwan_util::{ClockMode, ObjId};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -504,20 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_request_and_reply_legs() {
-        let net = transport();
-        net.trace().set_enabled(true);
-        net.register(s(2), Arc::new(Echo));
-        net.call(s(1), s(2), Bytes::from_static(b"abc")).unwrap();
-        let events = net.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(!events[0].is_reply);
-        assert!(events[1].is_reply);
-        assert_eq!(events[0].bytes, 3);
-        assert_eq!(events[0].kind, NetEventKind::Delivered);
-    }
-
-    #[test]
     fn metrics_count_messages_and_bytes() {
         let net = transport();
         net.register(s(2), Arc::new(Echo));
@@ -525,6 +504,9 @@ mod tests {
         let snap = net.metrics().snapshot();
         assert_eq!(snap.messages_sent, 2); // request + reply legs
         assert_eq!(snap.bytes_sent, 20);
+        // ... and both were delivered, not dropped.
+        assert_eq!(snap.messages_received, 2);
+        assert_eq!(snap.bytes_received, 20);
     }
 
     #[test]

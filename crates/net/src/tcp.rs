@@ -50,7 +50,6 @@
 //! `sink` calls, because the caller's fault window waits on chunk 0.
 
 use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use obiwan_util::{Metrics, ObiError, Result, SiteId};
@@ -172,7 +171,6 @@ struct TcpInner {
     listeners: Mutex<HashMap<SiteId, ListenerHandle>>,
     pool: Mutex<HashMap<SiteId, Vec<Conn>>>,
     topology: RwLock<Topology>,
-    trace: NetTrace,
     metrics: Metrics,
     io_timeout: Duration,
 }
@@ -249,7 +247,6 @@ impl TcpTransport {
                 listeners: Mutex::new(HashMap::new()),
                 pool: Mutex::new(HashMap::new()),
                 topology: RwLock::new(Topology::default()),
-                trace: NetTrace::new(),
                 metrics: Metrics::new(),
                 io_timeout,
             }),
@@ -266,11 +263,6 @@ impl TcpTransport {
     /// process and its address is distributed out of band).
     pub fn add_peer(&self, site: SiteId, addr: SocketAddr) {
         self.inner.addresses.write().insert(site, addr);
-    }
-
-    /// The event trace (disabled until `set_enabled(true)`).
-    pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
     }
 
     /// Transport-level metrics.
@@ -356,14 +348,6 @@ impl TcpTransport {
         if self.inner.topology.read().is_up(from, to) {
             Ok(())
         } else {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes: 0,
-                kind: NetEventKind::Refused,
-                is_reply: false,
-            });
             Err(ObiError::Disconnected { from, to })
         }
     }
@@ -429,14 +413,6 @@ fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Re
             None => return Ok(()),
         };
         inner.count_received(&payload);
-        inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to: site,
-            bytes: payload.len(),
-            kind: NetEventKind::Delivered,
-            is_reply: false,
-        });
         // A failed write below poisons the connection: it is closed, and the
         // caller maps the broken exchange to an I/O error and retries.
         match kind {

@@ -155,16 +155,6 @@ impl RmiClient {
         &self.metrics
     }
 
-    /// The cost model used to charge modeled CPU time.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
-    /// True when this site can currently reach `to`.
-    pub fn is_reachable(&self, to: SiteId) -> bool {
-        self.transport.is_reachable(self.site, to)
-    }
-
     fn next_request(&self) -> RequestId {
         RequestId::new(self.site, self.seq.fetch_add(1, Ordering::Relaxed))
     }
@@ -775,7 +765,6 @@ mod tests {
         let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
         let err = client.invoke(&target, "m", ObiValue::Null).unwrap_err();
         assert!(err.is_connectivity());
-        assert!(!client.is_reachable(SiteId::new(2)));
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an absolute clock reading.
-    pub const fn at_nanos(at_nanos: u64) -> Self {
-        Deadline { at_nanos }
-    }
-
     /// The absolute clock reading of this deadline.
     pub const fn nanos(self) -> u64 {
         self.at_nanos

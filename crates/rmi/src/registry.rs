@@ -47,8 +47,8 @@ impl NameServer {
     ///
     /// # Errors
     ///
-    /// [`ObiError::NameAlreadyBound`] when the name is taken; use
-    /// [`NameServer::rebind`] to overwrite.
+    /// [`ObiError::NameAlreadyBound`] when the name is taken; `unbind` it
+    /// first to overwrite.
     pub fn bind(&self, name: &str, target: ObjId) -> Result<()> {
         let mut b = self.bindings.write();
         if b.contains_key(name) {
@@ -56,12 +56,6 @@ impl NameServer {
         }
         b.insert(name.to_owned(), target);
         Ok(())
-    }
-
-    /// Binds `name` to `target`, replacing any existing binding. Returns the
-    /// previous target, if any.
-    pub fn rebind(&self, name: &str, target: ObjId) -> Option<ObjId> {
-        self.bindings.write().insert(name.to_owned(), target)
     }
 
     /// Resolves `name`.
@@ -209,15 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn double_bind_is_rejected_but_rebind_overwrites() {
+    fn double_bind_is_rejected() {
         let ns = NameServer::new();
         ns.bind("a", oid(1)).unwrap();
         assert!(matches!(
             ns.bind("a", oid(2)),
             Err(ObiError::NameAlreadyBound(_))
         ));
-        assert_eq!(ns.rebind("a", oid(2)), Some(oid(1)));
-        assert_eq!(ns.lookup("a").unwrap(), oid(2));
+        assert_eq!(ns.lookup("a").unwrap(), oid(1));
     }
 
     #[test]

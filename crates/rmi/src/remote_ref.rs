@@ -47,12 +47,6 @@ impl RemoteRef {
     pub const fn host(self) -> SiteId {
         self.host
     }
-
-    /// Returns a copy re-homed to a different host (used when a replica
-    /// holder re-exports an object, e.g. a mobile agent's luggage).
-    pub const fn rehosted(self, host: SiteId) -> Self {
-        RemoteRef { id: self.id, host }
-    }
 }
 
 impl fmt::Display for RemoteRef {
@@ -77,14 +71,6 @@ mod tests {
         let r: RemoteRef = id.into();
         assert_eq!(r.id(), id);
         assert_eq!(r.host(), SiteId::new(3));
-    }
-
-    #[test]
-    fn rehosting_changes_host_only() {
-        let id = ObjId::new(SiteId::new(3), 9);
-        let r = RemoteRef::to_master(id).rehosted(SiteId::new(8));
-        assert_eq!(r.id(), id);
-        assert_eq!(r.host(), SiteId::new(8));
     }
 
     #[test]

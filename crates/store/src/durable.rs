@@ -464,11 +464,6 @@ impl Durable {
         self.wal.commit()
     }
 
-    /// Handoffs recorded so far: root → (successor, completed).
-    pub fn handoffs(&self) -> BTreeMap<ObjId, (SiteId, bool)> {
-        self.mirror.lock().handoffs.clone()
-    }
-
     /// Logs the RMI client watermark (request counter + reply horizon).
     pub fn log_client_state(&self, next_seq: u64, horizon: u64) -> Result<()> {
         self.log(WalRecord::ClientState { next_seq, horizon })
@@ -1041,7 +1036,6 @@ mod tests {
         {
             let (d, _) = open(&mem);
             d.log_handoff_complete(oid(1, 7)).unwrap();
-            assert_eq!(d.handoffs().get(&oid(1, 7)), Some(&(SiteId::new(4), true)));
             // Completion must survive snapshot folding too.
             d.compact().unwrap();
         }

@@ -3,7 +3,7 @@
 //! OBIWAN objects live in per-process *object spaces*; an [`ObjId`] is
 //! globally unique because it couples the [`SiteId`] of the process that
 //! created the object with a site-local counter. Replicas of the same master
-//! object share the master's [`ObjId`] but carry their own [`ReplicaId`].
+//! object share the master's [`ObjId`]; a site holds at most one.
 
 use std::fmt;
 
@@ -88,39 +88,6 @@ impl ObjId {
 impl fmt::Display for ObjId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.site, self.local)
-    }
-}
-
-/// Identifier of one replica of an object on one site.
-///
-/// The pair (object, holder site) uniquely names a replica because a site
-/// holds at most one replica of a given object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ReplicaId {
-    object: ObjId,
-    holder: SiteId,
-}
-
-impl ReplicaId {
-    /// Creates a replica id for `object` held at `holder`.
-    pub const fn new(object: ObjId, holder: SiteId) -> Self {
-        ReplicaId { object, holder }
-    }
-
-    /// The master object this replica copies.
-    pub const fn object(self) -> ObjId {
-        self.object
-    }
-
-    /// The site holding this replica.
-    pub const fn holder(self) -> SiteId {
-        self.holder
-    }
-}
-
-impl fmt::Display for ReplicaId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.object, self.holder)
     }
 }
 
@@ -219,15 +186,6 @@ mod tests {
             }
         }
         assert_eq!(set.len(), 16);
-    }
-
-    #[test]
-    fn replica_id_carries_holder() {
-        let obj = ObjId::new(SiteId::new(2), 1);
-        let r = ReplicaId::new(obj, SiteId::new(1));
-        assert_eq!(r.object(), obj);
-        assert_eq!(r.holder(), SiteId::new(1));
-        assert_eq!(r.to_string(), "S2/1@S1");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod trace;
 pub use clock::{Clock, ClockMode, CostModel};
 pub use error::{ObiError, Result};
 pub use histogram::Histogram;
-pub use ids::{ClusterId, ObjId, ReplicaId, RequestId, SiteId};
+pub use ids::{ClusterId, ObjId, RequestId, SiteId};
 pub use metrics::{LatencyKind, LatencySnapshot, Metrics, MetricsSnapshot};
 pub use rng::DetRng;
 pub use trace::{SpanEvent, SpanGuard};

@@ -1,5 +1,5 @@
 //! Message-economy assertions: exactly the frames the protocol needs cross
-//! the wire, no more — verified through the transport trace.
+//! the wire, no more — counted by a handler decorator at each site.
 
 use bytes::Bytes;
 use obiwan::core::demo::{LinkedItem, PayloadNode};
@@ -7,6 +7,7 @@ use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
 use obiwan::net::{MessageHandler, Transport};
 use obiwan::util::SiteId;
 use obiwan::wire::Message;
+use std::sync::{Arc, Mutex};
 
 fn list_world(n: usize, size: usize) -> (ObiWorld, SiteId, SiteId, Vec<ObjRef>) {
     let mut world = ObiWorld::loopback();
@@ -36,11 +37,99 @@ fn walk(world: &ObiWorld, site: SiteId, mut cur: ObjRef) {
     }
 }
 
+/// What one tapped site saw: every frame that reached its handler, every
+/// frame its handler sent back (replies, stream chunks, stream terminals),
+/// and the demand-family message tag of each of those, in order.
+#[derive(Default)]
+struct Traffic {
+    received: usize,
+    replied: usize,
+    reply_bytes: usize,
+    demand_tags: Vec<&'static str>,
+}
+
+/// Decorates a site's handler, recording its [`Traffic`].
+struct Tap {
+    inner: Arc<dyn MessageHandler>,
+    seen: Arc<Mutex<Traffic>>,
+}
+
+impl Tap {
+    /// Puts a tap in front of `site`'s handler, from now on.
+    fn on(world: &ObiWorld, site: SiteId) -> Arc<Mutex<Traffic>> {
+        let seen = Arc::new(Mutex::new(Traffic::default()));
+        world.transport().register(
+            site,
+            Arc::new(Tap {
+                inner: world.site(site).message_handler(),
+                seen: seen.clone(),
+            }),
+        );
+        seen
+    }
+
+    fn note(&self, frame: &Bytes, reply: bool) {
+        let mut seen = self.seen.lock().unwrap();
+        if reply {
+            seen.replied += 1;
+            seen.reply_bytes += frame.len();
+        } else {
+            seen.received += 1;
+        }
+        seen.demand_tags.push(match Message::decode(frame) {
+            Ok(Message::GetRequest { .. }) => "GetRequest",
+            Ok(Message::GetManyRequest { .. }) => "GetManyRequest",
+            Ok(Message::GetManyStreamRequest { .. }) => "GetManyStreamRequest",
+            Ok(Message::GetManyChunk { .. }) => "GetManyChunk",
+            Ok(Message::GetManyDone { .. }) => "GetManyDone",
+            _ => return,
+        });
+    }
+}
+
+impl MessageHandler for Tap {
+    fn handle(&self, from: SiteId, frame: Bytes) -> Option<Bytes> {
+        self.note(&frame, false);
+        let reply = self.inner.handle(from, frame);
+        if let Some(r) = &reply {
+            self.note(r, true);
+        }
+        reply
+    }
+
+    fn handle_stream(
+        &self,
+        from: SiteId,
+        frame: Bytes,
+        sink: &mut dyn FnMut(Bytes),
+    ) -> Option<Bytes> {
+        self.note(&frame, false);
+        let terminal = self.inner.handle_stream(from, frame, &mut |chunk| {
+            self.note(&chunk, true);
+            sink(chunk);
+        });
+        if let Some(t) = &terminal {
+            self.note(t, true);
+        }
+        terminal
+    }
+}
+
+/// `(received, replied)` of a tapped site.
+fn frames(seen: &Mutex<Traffic>) -> (usize, usize) {
+    let seen = seen.lock().unwrap();
+    (seen.received, seen.replied)
+}
+
+fn reply_bytes(seen: &Mutex<Traffic>) -> usize {
+    seen.lock().unwrap().reply_bytes
+}
+
 #[test]
 fn incremental_walk_sends_exactly_one_get_per_batch() {
-    let (world, s1, s2, refs) = list_world(20, 64);
+    let (world, s1, s2, _refs) = list_world(20, 64);
     let remote = world.site(s1).lookup("list").unwrap();
-    world.transport().trace().set_enabled(true);
+    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
 
     let root = world
         .site(s1)
@@ -48,28 +137,26 @@ fn incremental_walk_sends_exactly_one_get_per_batch() {
         .unwrap();
     walk(&world, s1, root);
 
-    let summary = world.transport().trace().summary();
     // 20 objects in steps of 5: 1 initial get + 3 faults = 4 request
     // frames S1→S2 and 4 reply frames S2→S1. Nothing else crossed.
-    assert_eq!(summary.pair(s1, s2).delivered, 4);
-    assert_eq!(summary.pair(s2, s1).delivered, 4);
-    assert_eq!(summary.total_delivered(), 8);
-    let _ = refs;
+    assert_eq!(frames(&at_s2), (4, 4));
+    assert_eq!(frames(&at_s1), (0, 0));
 }
 
 #[test]
 fn local_invocations_are_wire_silent() {
-    let (world, s1, _s2, _refs) = list_world(5, 64);
+    let (world, s1, s2, _refs) = list_world(5, 64);
     let remote = world.site(s1).lookup("list").unwrap();
     let root = world
         .site(s1)
         .get(&remote, ReplicationMode::transitive())
         .unwrap();
-    world.transport().trace().set_enabled(true);
+    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
     for _ in 0..100 {
         world.site(s1).invoke(root, "touch", ObiValue::Null).unwrap();
     }
-    assert_eq!(world.transport().trace().summary().total_delivered(), 0);
+    assert_eq!(frames(&at_s1), (0, 0));
+    assert_eq!(frames(&at_s2), (0, 0));
 }
 
 #[test]
@@ -79,12 +166,12 @@ fn replica_bytes_scale_with_payload_size() {
     let measure = |size: usize| {
         let (world, s1, s2, _refs) = list_world(10, size);
         let remote = world.site(s1).lookup("list").unwrap();
-        world.transport().trace().set_enabled(true);
+        let at_s2 = Tap::on(&world, s2);
         world
             .site(s1)
             .get(&remote, ReplicationMode::transitive())
             .unwrap();
-        world.transport().trace().summary().pair(s2, s1).bytes
+        reply_bytes(&at_s2)
     };
     let small = measure(64);
     let large = measure(4096);
@@ -100,11 +187,10 @@ fn put_costs_one_round_trip() {
         .get(&remote, ReplicationMode::incremental(1))
         .unwrap();
     world.site(s1).invoke(root, "set_index", ObiValue::I64(5)).unwrap();
-    world.transport().trace().set_enabled(true);
+    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
     world.site(s1).put(root).unwrap();
-    let summary = world.transport().trace().summary();
-    assert_eq!(summary.pair(s1, s2).delivered, 1);
-    assert_eq!(summary.pair(s2, s1).delivered, 1);
+    assert_eq!(frames(&at_s2), (1, 1));
+    assert_eq!(frames(&at_s1), (0, 0));
 }
 
 #[test]
@@ -116,7 +202,7 @@ fn invalidations_are_single_one_way_frames() {
         .get(&remote, ReplicationMode::incremental(1))
         .unwrap();
     world.site(s1).subscribe(root, false).unwrap();
-    world.transport().trace().set_enabled(true);
+    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
     // One master mutation = one invocation (local at S2) + one invalidate
     // frame S2→S1, with no reply leg.
     world
@@ -124,54 +210,8 @@ fn invalidations_are_single_one_way_frames() {
         .invoke(refs[0], "set_index", ObiValue::I64(9))
         .unwrap();
     world.pump();
-    let summary = world.transport().trace().summary();
-    assert_eq!(summary.pair(s2, s1).delivered, 1);
-    assert_eq!(summary.pair(s1, s2).delivered, 0);
-}
-
-/// Records the demand-family message tag of every frame a site receives
-/// (and, for a streamed exchange, of every frame it sends back).
-struct Tap {
-    inner: std::sync::Arc<dyn MessageHandler>,
-    log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
-}
-
-impl Tap {
-    fn note(&self, frame: &Bytes) {
-        let tag = match Message::decode(frame) {
-            Ok(Message::GetRequest { .. }) => "GetRequest",
-            Ok(Message::GetManyRequest { .. }) => "GetManyRequest",
-            Ok(Message::GetManyStreamRequest { .. }) => "GetManyStreamRequest",
-            Ok(Message::GetManyChunk { .. }) => "GetManyChunk",
-            Ok(Message::GetManyDone { .. }) => "GetManyDone",
-            _ => return,
-        };
-        self.log.lock().unwrap().push(tag);
-    }
-}
-
-impl MessageHandler for Tap {
-    fn handle(&self, from: SiteId, frame: Bytes) -> Option<Bytes> {
-        self.note(&frame);
-        self.inner.handle(from, frame)
-    }
-
-    fn handle_stream(
-        &self,
-        from: SiteId,
-        frame: Bytes,
-        sink: &mut dyn FnMut(Bytes),
-    ) -> Option<Bytes> {
-        self.note(&frame);
-        let terminal = self.inner.handle_stream(from, frame, &mut |chunk| {
-            self.note(&chunk);
-            sink(chunk);
-        });
-        if let Some(t) = &terminal {
-            self.note(t);
-        }
-        terminal
-    }
+    assert_eq!(frames(&at_s1), (1, 0));
+    assert_eq!(frames(&at_s2), (0, 0));
 }
 
 /// A `LinkedItem` list of `n` at S2 with S2's handler tapped; returns the
@@ -191,15 +231,8 @@ fn tapped_list(n: usize) -> (ObiWorld, SiteId, Vec<ObjRef>, impl Fn() -> Vec<&'s
     }
     refs.reverse();
     world.site(s2).export(refs[0], "list").unwrap();
-    let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    world.transport().register(
-        s2,
-        std::sync::Arc::new(Tap {
-            inner: world.site(s2).message_handler(),
-            log: log.clone(),
-        }),
-    );
-    let take = move || std::mem::take(&mut *log.lock().unwrap());
+    let seen = Tap::on(&world, s2);
+    let take = move || std::mem::take(&mut seen.lock().unwrap().demand_tags);
     (world, s1, refs, take)
 }
 

@@ -88,16 +88,31 @@ pub use world::{ObiWorld, NAME_SERVER_SITE};
 // crates wanting a one-stop import.
 pub use obiwan_rmi::{BreakerConfig, BreakerState, Deadline, RetryPolicy};
 pub use obiwan_util::{ObiError, Result};
-pub use obiwan_wire::{JoinInfo, ObiValue};
+pub use obiwan_wire::{Decoder, Encoder, JoinInfo, ObiValue};
 
 /// Implemented by `obi_class!`-generated types: materialization from
 /// serialized state.
 pub trait DecodableObject: Sized {
-    /// Restores an instance from the state map produced by
-    /// [`ObiObject::state`].
+    /// Reads an instance from the state map [`ObiObject::encode_state`]
+    /// writes, field by field, borrowing each key from the input. Fields may
+    /// come in any order; of a repeated key the first counts, and a key the
+    /// class lacks is skipped.
     ///
     /// # Errors
     ///
-    /// [`ObiError::Decode`] when fields are missing or mis-shaped.
-    fn decode_state(state: &ObiValue) -> Result<Self>;
+    /// [`ObiError::Decode`] when a field is missing or mis-shaped, or the
+    /// input is malformed or cut short.
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self>;
+
+    /// Restores an instance from the value tree [`ObiObject::state`]
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_from`](DecodableObject::decode_from).
+    fn decode_state(state: &ObiValue) -> Result<Self> {
+        let mut enc = Encoder::new();
+        enc.put_value(state);
+        Self::decode_from(&mut Decoder::new(&enc.finish()))
+    }
 }

@@ -6,7 +6,12 @@
 //! expansion time instead: the programmer declares fields and methods, and
 //! the macro generates the struct, constructors, the full
 //! [`ObiObject`](crate::ObiObject) implementation (state serialization,
-//! out-edge enumeration, dynamic dispatch) and a registry hook.
+//! out-edge enumeration, dynamic dispatch), the matching
+//! [`DecodableObject`](crate::DecodableObject) decoder and a registry hook.
+//!
+//! The state codec is typed: `encode_state` writes each field straight into
+//! a tagged map and `decode_from` reads it back field by field, borrowing
+//! the keys; neither builds an [`ObiValue`](crate::ObiValue) tree.
 //!
 //! ```
 //! use obiwan_core::{obi_class, ObjRef, ObiValue, ClassRegistry};
@@ -78,9 +83,8 @@ macro_rules! obi_class {
             pub fn register(registry: &$crate::ClassRegistry) {
                 registry.register(
                     Self::CLASS,
-                    ::std::sync::Arc::new(|state| {
-                        let decoded =
-                            <$name as $crate::DecodableObject>::decode_state(state)?;
+                    ::std::sync::Arc::new(|dec: &mut $crate::Decoder<'_>| {
+                        let decoded = <$name as $crate::DecodableObject>::decode_from(dec)?;
                         Ok(Box::new(decoded) as Box<dyn $crate::ObiObject>)
                     }),
                 );
@@ -88,13 +92,28 @@ macro_rules! obi_class {
         }
 
         impl $crate::DecodableObject for $name {
-            fn decode_state(state: &$crate::ObiValue) -> $crate::Result<Self> {
+            fn decode_from(dec: &mut $crate::Decoder<'_>) -> $crate::Result<Self> {
+                $( let mut $fname: ::std::option::Option<$fty> = None; )*
+                for _ in 0..dec.take_map_header()? {
+                    match dec.take_str_ref()? {
+                        $(
+                            key if key == stringify!($fname) && $fname.is_none() => {
+                                $fname = Some(
+                                    <$fty as $crate::value_fields::FieldValue>::take(dec)?,
+                                );
+                            }
+                        )*
+                        // A key this class lacks, or a repeat (the first wins).
+                        _ => {
+                            dec.take_value()?;
+                        }
+                    }
+                }
                 Ok(Self {
                     $(
-                        $fname: $crate::value_fields::field_from_map::<$fty>(
-                            state,
-                            stringify!($fname),
-                        )?,
+                        $fname: $fname.ok_or_else(|| $crate::ObiError::Decode(
+                            ::std::format!("missing field `{}`", stringify!($fname)),
+                        ))?,
                     )*
                 })
             }
@@ -105,15 +124,13 @@ macro_rules! obi_class {
                 Self::CLASS
             }
 
-            fn state(&self) -> $crate::ObiValue {
-                $crate::ObiValue::Map(vec![
-                    $(
-                        (
-                            stringify!($fname).to_owned(),
-                            $crate::value_fields::FieldValue::to_value(&self.$fname),
-                        ),
-                    )*
-                ])
+            fn encode_state(&self, enc: &mut $crate::Encoder) {
+                let fields: &[&str] = &[$( stringify!($fname) ),*];
+                enc.put_map_header(fields.len());
+                $(
+                    enc.put_str(stringify!($fname));
+                    $crate::value_fields::FieldValue::put(&self.$fname, enc);
+                )*
             }
 
             fn refs(&self) -> Vec<$crate::ObjRef> {

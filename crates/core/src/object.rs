@@ -9,7 +9,7 @@
 use crate::objref::ObjRef;
 use crate::process::InvokeCtx;
 use obiwan_util::{ObiError, Result};
-use obiwan_wire::{Encoder, ObiValue};
+use obiwan_wire::{Decoder, Encoder, ObiValue};
 use obiwan_util::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,8 +18,8 @@ use std::sync::Arc;
 ///
 /// The contract mirrors what `obicomp` generated for Java classes:
 ///
-/// * [`state`](ObiObject::state) / a registered decode function — the
-///   serialization pair (Java serialization's role);
+/// * [`encode_state`](ObiObject::encode_state) / a registered
+///   [`DecodeFn`] — the serialization pair (Java serialization's role);
 /// * [`refs`](ObiObject::refs) — the out-edges, which drive incremental
 ///   graph replication;
 /// * [`invoke`](ObiObject::invoke) — dynamic dispatch, because objects may
@@ -30,8 +30,21 @@ pub trait ObiObject: Send + Sync {
     /// receiving site.
     fn class_name(&self) -> &'static str;
 
-    /// A serializable snapshot of the object's fields.
-    fn state(&self) -> ObiValue;
+    /// Writes the object's fields at the end of `enc`, as one tagged map of
+    /// field name to field value. This is the object's wire state: what a
+    /// `get` reply, a `put`, a push, a handoff and a logged delta carry.
+    fn encode_state(&self, enc: &mut Encoder);
+
+    /// The object's fields as a value tree: what
+    /// [`encode_state`](ObiObject::encode_state) writes, read back. For
+    /// inspection; nothing on the wire builds it.
+    fn state(&self) -> ObiValue {
+        let mut enc = Encoder::new();
+        self.encode_state(&mut enc);
+        Decoder::new(&enc.finish())
+            .take_value()
+            .expect("encode_state writes one tagged value")
+    }
 
     /// Every object reference held in this object's fields, in field order.
     fn refs(&self) -> Vec<ObjRef>;
@@ -51,16 +64,17 @@ pub trait ObiObject: Send + Sync {
 
     /// Size in bytes of the serialized state; used for cost accounting.
     ///
-    /// The default encodes [`state`](ObiObject::state) and measures it.
+    /// The default encodes the state and measures it.
     fn payload_size(&self) -> usize {
         let mut enc = Encoder::new();
-        enc.put_value(&self.state());
+        self.encode_state(&mut enc);
         enc.len()
     }
 }
 
-/// A function materializing an object from its serialized state.
-pub type DecodeFn = Arc<dyn Fn(&ObiValue) -> Result<Box<dyn ObiObject>> + Send + Sync>;
+/// A function materializing an object from its serialized state: it reads
+/// one state, as [`ObiObject::encode_state`] wrote it, off the decoder.
+pub type DecodeFn = Arc<dyn Fn(&mut Decoder<'_>) -> Result<Box<dyn ObiObject>> + Send + Sync>;
 
 /// Maps class names to decode functions — each site's "classpath".
 ///
@@ -106,20 +120,40 @@ impl ClassRegistry {
         self.classes.read().contains_key(class)
     }
 
-    /// Materializes an object of `class` from `state`.
+    /// Materializes an object of `class` from the value tree `state` (what
+    /// [`ObiObject::state`] returns).
     ///
     /// # Errors
     ///
     /// [`ObiError::Decode`] when the class is unknown or the state does not
     /// match the class's fields.
     pub fn decode(&self, class: &str, state: &ObiValue) -> Result<Box<dyn ObiObject>> {
+        let mut enc = Encoder::new();
+        enc.put_value(state);
+        self.decode_exact(class, &enc.finish())
+    }
+
+    /// Materializes an object of `class` from its encoded state (what
+    /// [`ObiObject::encode_state`] writes), which it must consume exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`ObiError::Decode`] when the class is unknown, the state does not
+    /// match the class's fields, or bytes are left over after it.
+    pub fn decode_exact(&self, class: &str, state: &[u8]) -> Result<Box<dyn ObiObject>> {
         let decode = self
             .classes
             .read()
             .get(class)
             .cloned()
             .ok_or_else(|| ObiError::Decode(format!("unknown class `{class}`")))?;
-        decode(state)
+        let mut dec = Decoder::new(state);
+        let object = decode(&mut dec)?;
+        let left = dec.remaining();
+        if left > 0 {
+            return Err(ObiError::Decode(format!("{left} trailing bytes after a `{class}` state")));
+        }
+        Ok(object)
     }
 
     /// Number of registered classes.
@@ -162,6 +196,22 @@ mod tests {
             Ok(_) => panic!("decoded an unknown class"),
         };
         assert!(matches!(err, ObiError::Decode(_)));
+    }
+
+    #[test]
+    fn decode_exact_rejects_trailing_bytes_and_unknown_classes() {
+        let reg = ClassRegistry::new();
+        Counter::register(&reg);
+        let mut enc = Encoder::new();
+        Counter::new(3).encode_state(&mut enc);
+        let exact = enc.finish();
+        let decoded = reg.decode_exact("Counter", &exact).unwrap();
+        assert_eq!(decoded.state(), Counter::new(3).state());
+        let mut long = exact.to_vec();
+        long.push(0);
+        let err = reg.decode_exact("Counter", &long).map(|_| ()).unwrap_err();
+        assert_eq!(err, ObiError::Decode("1 trailing bytes after a `Counter` state".into()));
+        assert!(reg.decode_exact("Ghost", &exact).is_err());
     }
 
     #[test]

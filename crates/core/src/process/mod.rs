@@ -55,7 +55,7 @@ use obiwan_rmi::{BreakerState, RemoteRef, RetryPolicy, RmiClient, RmiServer};
 use obiwan_store::{Durable, RecoveredState};
 use obiwan_util::sync::{Mutex, MutexGuard, RwLock};
 use obiwan_util::{Clock, ClusterId, CostModel, Metrics, ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{Decoder, ObiValue, ReplicaState};
+use obiwan_wire::{ObiValue, ReplicaState};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -224,13 +224,17 @@ impl ProcessShared {
     }
 
     /// Makes `state` the live object under `meta`: wire state →
-    /// [`ClassRegistry::decode`] → [`ShardedSpace::insert_object`]. The one
-    /// way serialized state becomes an object of this process, whoever sent
-    /// it (a demanded batch, a recovered log, a pushed update, a `put`, a
-    /// handoff); what each of them charges and counts stays with the caller.
+    /// [`ClassRegistry::decode_exact`] → [`ShardedSpace::insert_object`].
+    /// The one way serialized state becomes an object of this process,
+    /// whoever sent it (a demanded batch, a recovered log, a pushed update,
+    /// a `put`, a handoff); what each of them charges and counts stays with
+    /// the caller. The state is decoded straight into the object, which
+    /// copies its byte fields out of it: `state` may be a view of a frame,
+    /// and the installed object keeps nothing of that frame alive. A state
+    /// that does not decode exactly, trailing bytes included, installs
+    /// nothing.
     fn install_state(&self, state: &ReplicaState, meta: ObjectMeta) -> Result<()> {
-        let value = Decoder::new(&state.state).take_value()?;
-        let object = self.registry.decode(&state.class, &value)?;
+        let object = self.registry.decode_exact(&state.class, &state.state)?;
         self.space.insert_object(ObjectEntry { object, meta });
         Ok(())
     }
@@ -634,7 +638,60 @@ mod testing {
 mod tests {
     use super::*;
     use crate::replication::ReplicationMode;
+    use crate::world::ObiWorld;
+    use bytes::Bytes;
+    use obiwan_wire::{Encoder, Message};
     use testing::list_world;
+
+    crate::obi_class! {
+        /// A payload that can say where its bytes live.
+        pub class Whereabouts {
+            fields {
+                payload: Bytes,
+            }
+            methods {
+                fn address(this, _ctx, _args) {
+                    Ok(ObiValue::I64(this.payload.as_ptr() as i64))
+                }
+            }
+        }
+    }
+
+    /// The consumer's one copy: a state decoded off a frame is a view of
+    /// it, and the replica installed from that view owns its bytes.
+    #[test]
+    fn an_installed_replica_does_not_point_into_its_frame() {
+        let mut world = ObiWorld::loopback();
+        let s1 = world.add_site("S1");
+        Whereabouts::register(world.registry());
+        let provider = SiteId::new(9);
+        let id = ObjId::new(provider, 1);
+        let mut enc = Encoder::new();
+        Whereabouts::from_fields(Bytes::from(vec![5u8; 64])).encode_state(&mut enc);
+        let frame = Message::UpdatePush {
+            entries: vec![ReplicaState {
+                id,
+                class: Whereabouts::CLASS.into(),
+                version: 1,
+                state: enc.finish(),
+            }],
+        }
+        .encode();
+        let Ok(Message::UpdatePush { entries }) = Message::decode(&frame) else {
+            panic!("not a push");
+        };
+        let inside = |at: usize| {
+            let start = frame.as_ptr() as usize;
+            (start..start + frame.len()).contains(&at)
+        };
+        assert!(inside(entries[0].state.as_ptr() as usize), "the state is a view");
+        let site = world.site(s1);
+        site.shared
+            .install_state(&entries[0], ObjectMeta::replica(id, provider, 1))
+            .unwrap();
+        let at = site.invoke(ObjRef::new(id), "address", ObiValue::Null).unwrap();
+        assert!(!inside(at.as_i64().unwrap() as usize), "the replica pins its frame");
+    }
 
     #[test]
     fn gc_reclaims_proxies_after_walk() {

@@ -367,6 +367,80 @@ mod tests {
         assert!(!world.site(s1).meta_of(root).unwrap().stale);
     }
 
+    /// `LinkedItem { value: 99, .. }`'s state for `id`, with `junk` bytes
+    /// after it.
+    fn state_with_junk(id: ObjId, version: u64, junk: &[u8]) -> ReplicaState {
+        use crate::object::ObiObject;
+        let mut enc = obiwan_wire::Encoder::new();
+        crate::demo::LinkedItem::new(99, "n0").encode_state(&mut enc);
+        let mut state = enc.into_vec();
+        state.extend_from_slice(junk);
+        ReplicaState {
+            id,
+            class: "LinkedItem".into(),
+            version,
+            state: state.into(),
+        }
+    }
+
+    #[test]
+    fn a_put_whose_state_has_trailing_bytes_is_a_decode_error_and_installs_nothing() {
+        let (world, s1, s2, refs) = list_world(1);
+        let before = world.site(s2).meta_of(refs[0]).unwrap().version;
+        let put = |junk: &[u8]| {
+            let frame = obiwan_wire::Message::PutRequest {
+                request: obiwan_util::RequestId::new(s1, 7 + junk.len() as u64),
+                entries: vec![state_with_junk(refs[0].id(), before, junk)],
+            }
+            .encode();
+            let reply = world.site(s2).message_handler().handle(s1, frame).unwrap();
+            match obiwan_wire::Message::decode(&reply).unwrap() {
+                obiwan_wire::Message::PutReply { result, .. } => result,
+                other => panic!("not a put reply: {other:?}"),
+            }
+        };
+        assert!(matches!(put(&[0]), Err(ObiError::Decode(_))));
+        let value = world.site(s2).invoke(refs[0], "value", ObiValue::Null).unwrap();
+        assert_eq!(value, ObiValue::I64(0), "nothing was installed");
+        assert_eq!(world.site(s2).meta_of(refs[0]).unwrap().version, before);
+        // The same put without the junk byte applies.
+        assert_eq!(put(&[]).unwrap(), vec![(refs[0].id(), before + 1)]);
+        let value = world.site(s2).invoke(refs[0], "value", ObiValue::Null).unwrap();
+        assert_eq!(value, ObiValue::I64(99));
+    }
+
+    #[test]
+    fn a_push_whose_state_has_trailing_bytes_installs_nothing() {
+        let (world, s1, s2, _refs) = list_world(1);
+        let remote = world.site(s1).lookup("head").unwrap();
+        let root = world
+            .site(s1)
+            .get(&remote, ReplicationMode::incremental(1))
+            .unwrap();
+        let before = world.site(s1).meta_of(root).unwrap();
+        let push = |junk: &[u8]| {
+            let entry = state_with_junk(root.id(), before.version + 1, junk);
+            let frame = obiwan_wire::Message::UpdatePush {
+                entries: vec![entry],
+            }
+            .encode();
+            assert!(world.site(s1).message_handler().handle(s2, frame).is_none());
+        };
+        // What the push handler drops: a decode error.
+        let entry = state_with_junk(root.id(), before.version + 1, &[0]);
+        let err = world.site(s1).shared.install_state(&entry, before.clone()).unwrap_err();
+        assert!(matches!(err, ObiError::Decode(_)), "{err}");
+        push(&[0]);
+        let value = world.site(s1).invoke(root, "value", ObiValue::Null).unwrap();
+        assert_eq!(value, ObiValue::I64(0), "nothing was installed");
+        assert_eq!(world.site(s1).meta_of(root).unwrap().version, before.version);
+        // The same push without the junk byte lands.
+        push(&[]);
+        let value = world.site(s1).invoke(root, "value", ObiValue::Null).unwrap();
+        assert_eq!(value, ObiValue::I64(99));
+        assert_eq!(world.site(s1).meta_of(root).unwrap().version, before.version + 1);
+    }
+
     #[test]
     fn pushed_updates_do_not_clobber_dirty_replicas() {
         let (world, s1, s2, refs) = list_world(1);

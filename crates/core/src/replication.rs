@@ -104,15 +104,16 @@ impl Default for ReplicationMode {
 /// [`ObiError::NoSuchObject`] when absent/proxy,
 /// [`ObiError::ReentrantInvocation`] when busy.
 pub(crate) fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<ReplicaState> {
-    space.with_object(id, |o, m| ReplicaState {
-        id,
-        class: o.class_name().to_owned(),
-        version: m.version,
-        state: {
-            let mut enc = Encoder::new();
-            enc.put_value(&o.state());
-            enc.finish()
-        },
+    space.with_object(id, |o, m| {
+        // Enough for a small object in one allocation.
+        let mut enc = Encoder::with_capacity(128);
+        o.encode_state(&mut enc);
+        ReplicaState {
+            id,
+            class: o.class_name().to_owned(),
+            version: m.version,
+            state: enc.finish(),
+        }
     })
 }
 
@@ -129,6 +130,11 @@ pub(crate) fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<Replic
 /// `N × batch` objects, exactly what N separate `get`s would have, in one
 /// round-trip. Targets this site cannot provide (proxies, absent ids) are
 /// silently skipped; the reply's `root` is the first live target.
+///
+/// Each included object is read once, under one shard guard: its refs,
+/// class, version and encoded state together. The states of a batch lie
+/// end to end in one buffer, and each [`ReplicaState`] holds a view of its
+/// own part of it.
 ///
 /// # Errors
 ///
@@ -161,18 +167,26 @@ pub fn build_batch_many(
         .objects_per_step()
         .map_or(usize::MAX, |step| step.saturating_mul(live.len()));
 
-    let mut included: Vec<ObjId> = Vec::new();
+    // Per included object, in BFS order: id, class, version and where its
+    // state ends in `states`. Its out-edges go on the end of `edges`.
+    let mut included: Vec<(ObjId, &'static str, u64, usize)> = Vec::new();
+    let mut states = Encoder::with_capacity(4096);
+    let mut edges: Vec<ObjId> = Vec::new();
     let mut queue: VecDeque<ObjId> = live.into_iter().collect();
 
     // BFS over objects this site can actually provide.
     while let Some(id) = queue.pop_front() {
-        included.push(id);
+        let first_edge = edges.len();
+        let (class, version) = space.with_object(id, |o, m| {
+            o.encode_state(&mut states);
+            edges.extend(o.refs().iter().map(|r| r.id()));
+            (o.class_name(), m.version)
+        })?;
+        included.push((id, class, version, states.len()));
         if included.len() >= limit {
             break;
         }
-        let refs = space.with_object(id, |o, _| o.refs())?;
-        for r in refs {
-            let target = r.id();
+        for &target in &edges[first_edge..] {
             if included_set.contains(&target) {
                 continue;
             }
@@ -185,31 +199,39 @@ pub fn build_batch_many(
 
     // Remaining queue entries were admitted but not materialized; they are
     // frontier, together with edges out of materialized objects.
-    let materialized: HashSet<ObjId> = included.iter().copied().collect();
+    let queued: HashSet<ObjId> = queue.into_iter().collect();
     let mut frontier: Vec<FrontierEdge> = Vec::new();
     let mut frontier_seen: HashSet<ObjId> = HashSet::new();
-    for id in &included {
-        let refs = space.with_object(*id, |o, _| o.refs())?;
-        for r in refs {
-            let target = r.id();
-            if materialized.contains(&target) || !frontier_seen.insert(target) {
-                continue;
-            }
-            let class = match space.resolve(target) {
-                Resolution::Object(_) | Resolution::Busy => space
-                    .with_object(target, |o, _| o.class_name().to_owned())
-                    .unwrap_or_default(),
-                Resolution::Proxy(p) => p.class,
-                Resolution::Absent => continue, // dangling reference: skip
-            };
-            frontier.push(FrontierEdge { target, class });
+    for &target in &edges {
+        let materialized = included_set.contains(&target) && !queued.contains(&target);
+        if materialized || !frontier_seen.insert(target) {
+            continue;
         }
+        let class = match space.resolve(target) {
+            Resolution::Object(_) | Resolution::Busy => space
+                .with_object(target, |o, _| o.class_name().to_owned())
+                .unwrap_or_default(),
+            Resolution::Proxy(p) => p.class,
+            Resolution::Absent => continue, // dangling reference: skip
+        };
+        frontier.push(FrontierEdge { target, class });
     }
 
-    let mut replicas = Vec::with_capacity(included.len());
-    for id in &included {
-        replicas.push(replica_state_of(space, *id)?);
-    }
+    let states = states.finish();
+    let mut start = 0;
+    let replicas = included
+        .into_iter()
+        .map(|(id, class, version, end)| {
+            let state = states.slice(start..end);
+            start = end;
+            ReplicaState {
+                id,
+                class: class.to_owned(),
+                version,
+                state,
+            }
+        })
+        .collect();
 
     let cluster = if mode.is_cluster() {
         Some(next_cluster())
@@ -421,6 +443,21 @@ mod tests {
             build_batch_many(&space, &[], WireMode::Transitive, cid),
             Err(ObiError::NoSuchObject(_))
         ));
+    }
+
+    #[test]
+    fn batch_states_are_views_of_one_buffer_and_match_each_object() {
+        let (space, refs) = list_space(5);
+        let batch = build_batch(&space, refs[0].id(), WireMode::Incremental { batch: 4 }).unwrap();
+        assert_eq!(batch.replicas.len(), 4);
+        for (r, pair) in batch.replicas.iter().zip(batch.replicas.windows(2)) {
+            let alone = replica_state_of(&space, r.id).unwrap();
+            assert_eq!(*r, alone);
+            // The next state starts where this one ends.
+            assert_eq!(r.state.as_ptr_range().end, pair[1].state.as_ptr());
+        }
+        let last = batch.replicas.last().unwrap();
+        assert_eq!(*last, replica_state_of(&space, last.id).unwrap());
     }
 
     #[test]

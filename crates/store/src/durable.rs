@@ -613,6 +613,66 @@ mod tests {
         .unwrap()
     }
 
+    /// A [`MemStorage`] that notes where each buffer it reads out lives.
+    #[derive(Default)]
+    struct ReadSpy {
+        mem: MemStorage,
+        reads: Mutex<Vec<std::ops::Range<usize>>>,
+    }
+
+    impl Storage for ReadSpy {
+        fn read(&self, name: &str) -> Result<Vec<u8>> {
+            let data = self.mem.read(name)?;
+            let start = data.as_ptr() as usize;
+            self.reads.lock().push(start..start + data.len());
+            Ok(data)
+        }
+        fn len(&self, name: &str) -> Result<u64> {
+            self.mem.len(name)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.mem.append(name, bytes)
+        }
+        fn sync(&self, name: &str) -> Result<()> {
+            self.mem.sync(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> Result<()> {
+            self.mem.truncate(name, len)
+        }
+        fn replace(&self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.mem.replace(name, bytes)
+        }
+    }
+
+    /// A recovered state is a copy: it never pins the buffer the log was
+    /// read into (the wire decodes states as views of their frame; the log
+    /// must not).
+    #[test]
+    fn recovered_states_do_not_point_into_the_log_buffer() {
+        let spy = Arc::new(ReadSpy::default());
+        let storage = spy.clone() as Arc<dyn Storage>;
+        let opts = DurableOptions {
+            group_commit: 1,
+            compact_every: 0,
+            checkpoint_every_rpcs: 0,
+        };
+        {
+            let (d, _) = Durable::open(storage.clone(), opts.clone()).unwrap();
+            d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
+            d.log_dirty(SiteId::new(2), rs(2, 6, 11, 0xBB)).unwrap();
+            d.commit().unwrap();
+        }
+        spy.reads.lock().clear();
+        let (_d, recovered) = Durable::open(storage, opts).unwrap();
+        assert_eq!(recovered.dirty.len(), 2);
+        let reads = spy.reads.lock().clone();
+        assert!(reads.iter().any(|r| r.len() > 8), "the log was read: {reads:?}");
+        for (_, state) in recovered.dirty.values() {
+            let at = state.state.as_ptr() as usize;
+            assert!(!reads.iter().any(|r| r.contains(&at)), "{:?} points into the log", state.id);
+        }
+    }
+
     #[test]
     fn fresh_log_recovers_empty() {
         let mem = Arc::new(MemStorage::new());

@@ -91,11 +91,16 @@ impl Encoder {
 
     /// Writes a raw byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
+        self.buf.put_u8(v);
     }
 
     /// Writes an unsigned LEB128 varint.
     pub fn put_varint(&mut self, mut v: u64) {
+        // Tags, lengths of small fields and most ids: one byte.
+        if v < 0x80 {
+            self.buf.put_u8(v as u8);
+            return;
+        }
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -166,24 +171,19 @@ impl Encoder {
                 self.put_u8(TAG_F64);
                 self.put_f64(*x);
             }
-            ObiValue::Str(s) => {
-                self.put_u8(TAG_STR);
-                self.put_str(s);
-            }
+            ObiValue::Str(s) => self.put_tagged_str(s),
             ObiValue::Bytes(b) => {
                 self.put_u8(TAG_BYTES);
                 self.put_bytes(b);
             }
             ObiValue::List(items) => {
-                self.put_u8(TAG_LIST);
-                self.put_varint(items.len() as u64);
+                self.put_list_header(items.len());
                 for item in items {
                     self.put_value(item);
                 }
             }
             ObiValue::Map(entries) => {
-                self.put_u8(TAG_MAP);
-                self.put_varint(entries.len() as u64);
+                self.put_map_header(entries.len());
                 for (k, item) in entries {
                     self.put_str(k);
                     self.put_value(item);
@@ -194,6 +194,28 @@ impl Encoder {
                 self.put_obj_id(*id);
             }
         }
+    }
+
+    /// Writes what [`put_value`](Encoder::put_value) writes for an
+    /// `ObiValue::Str(s)`, without the owned `String`.
+    pub fn put_tagged_str(&mut self, s: &str) {
+        self.put_u8(TAG_STR);
+        self.put_str(s);
+    }
+
+    /// Writes the head of what [`put_value`](Encoder::put_value) writes for
+    /// an `ObiValue::List` of `len` items, which the caller then writes.
+    pub fn put_list_header(&mut self, len: usize) {
+        self.put_u8(TAG_LIST);
+        self.put_varint(len as u64);
+    }
+
+    /// Writes the head of what [`put_value`](Encoder::put_value) writes for
+    /// an `ObiValue::Map` of `len` entries, which the caller then writes:
+    /// each a [`put_str`](Encoder::put_str) key and a tagged value.
+    pub fn put_map_header(&mut self, len: usize) {
+        self.put_u8(TAG_MAP);
+        self.put_varint(len as u64);
     }
 
     /// Writes a platform error (see [`Decoder::take_error`]).
@@ -344,6 +366,13 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Reads an unsigned varint that must fit a `u32`: a larger one is an
+    /// [`ObiError::Decode`], never truncated.
+    pub fn take_u32(&mut self) -> Result<u32> {
+        let v = self.take_varint()?;
+        u32::try_from(v).map_err(|_| Self::err(format!("{v} does not fit a u32")))
+    }
+
     /// Reads a zig-zag-encoded signed varint.
     pub fn take_i64(&mut self) -> Result<i64> {
         let v = self.take_varint()?;
@@ -406,10 +435,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a site identifier.
     pub fn take_site(&mut self) -> Result<SiteId> {
-        let raw = self.take_varint()?;
-        u32::try_from(raw)
-            .map(SiteId::new)
-            .map_err(|_| Self::err("site id out of range"))
+        self.take_u32().map(SiteId::new)
     }
 
     /// Reads an object identifier.
@@ -464,6 +490,32 @@ impl<'a> Decoder<'a> {
             TAG_REF => Ok(ObiValue::Ref(self.take_obj_id()?)),
             tag => Err(Self::err(format!("unknown value tag {tag}"))),
         }
+    }
+
+    /// Reads the head [`Encoder::put_list_header`] writes: the item count.
+    pub fn take_list_header(&mut self) -> Result<usize> {
+        self.take_header(TAG_LIST, "list")
+    }
+
+    /// Reads the head [`Encoder::put_map_header`] writes: the entry count.
+    pub fn take_map_header(&mut self) -> Result<usize> {
+        self.take_header(TAG_MAP, "map")
+    }
+
+    fn take_header(&mut self, tag: u8, kind: &str) -> Result<usize> {
+        if self.data.get(self.pos) != Some(&tag) {
+            let got = self.take_value()?;
+            return Err(Self::err(format!("expected {kind}, got {}", got.kind())));
+        }
+        self.pos += 1;
+        self.take_len()
+    }
+
+    /// Consumes a tagged `Null` if one is next, and says whether it did.
+    pub fn take_null(&mut self) -> bool {
+        let null = self.data.get(self.pos) == Some(&TAG_NULL);
+        self.pos += usize::from(null);
+        null
     }
 
     /// Reads a platform error written by [`Encoder::put_error`].
@@ -690,6 +742,61 @@ mod tests {
         let end = frame + b.len();
         assert!((frame..end).contains(&(s.as_ptr() as usize)));
         assert!((frame..end).contains(&(raw.as_ptr() as usize)));
+    }
+
+    #[test]
+    fn u32_reads_reject_what_does_not_fit() {
+        for v in [0u64, 127, 128, u64::from(u32::MAX)] {
+            let mut enc = Encoder::new();
+            enc.put_varint(v);
+            assert_eq!(u64::from(Decoder::new(&enc.finish()).take_u32().unwrap()), v);
+        }
+        for v in [u64::from(u32::MAX) + 1, (1 << 32) + 8, u64::MAX] {
+            let mut enc = Encoder::new();
+            enc.put_varint(v);
+            let err = Decoder::new(&enc.finish()).take_u32().unwrap_err();
+            assert!(matches!(err, ObiError::Decode(_)), "{v}: {err}");
+        }
+    }
+
+    #[test]
+    fn headers_and_tagged_strings_write_what_put_value_writes() {
+        let mut typed = Encoder::new();
+        typed.put_map_header(2);
+        typed.put_str("k");
+        typed.put_tagged_str("v");
+        typed.put_str("l");
+        typed.put_list_header(1);
+        typed.put_value(&ObiValue::Null);
+        let mut tree = Encoder::new();
+        tree.put_value(&ObiValue::Map(vec![
+            ("k".into(), ObiValue::Str("v".into())),
+            ("l".into(), ObiValue::List(vec![ObiValue::Null])),
+        ]));
+        let bytes = typed.finish();
+        assert_eq!(bytes, tree.finish());
+
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.take_map_header().unwrap(), 2);
+        assert_eq!(dec.take_str_ref().unwrap(), "k");
+        assert!(!dec.take_null());
+        assert_eq!(dec.take_value().unwrap(), ObiValue::Str("v".into()));
+        assert_eq!(dec.take_str_ref().unwrap(), "l");
+        assert_eq!(dec.take_list_header().unwrap(), 1);
+        assert!(dec.take_null());
+        assert!(dec.is_exhausted());
+        assert!(!dec.take_null(), "nothing left to take");
+    }
+
+    #[test]
+    fn a_header_of_the_wrong_kind_is_a_decode_error() {
+        let mut enc = Encoder::new();
+        enc.put_value(&ObiValue::I64(3));
+        let b = enc.finish();
+        let err = Decoder::new(&b).take_map_header().unwrap_err();
+        assert_eq!(err, ObiError::Decode("expected map, got i64".into()));
+        assert!(Decoder::new(&b).take_list_header().is_err());
+        assert!(Decoder::new(&[]).take_map_header().is_err());
     }
 
     #[test]

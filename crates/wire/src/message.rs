@@ -7,7 +7,8 @@
 //!
 //! Messages encode to a tagged binary frame via [`Message::encode`] and are
 //! restored with [`Message::decode`]; the pair is the identity on all valid
-//! messages.
+//! messages. Decoding copies nothing it can share: every
+//! [`ReplicaState::state`] of a decoded message is a view of its frame.
 
 use crate::codec::{Decoder, Encoder};
 use crate::value::ObiValue;
@@ -54,10 +55,10 @@ impl WireMode {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(match dec.take_u8()? {
             0 => WireMode::Incremental {
-                batch: dec.take_varint()? as u32,
+                batch: dec.take_u32()?,
             },
             1 => WireMode::Cluster {
-                size: dec.take_varint()? as u32,
+                size: dec.take_u32()?,
             },
             2 => WireMode::Transitive,
             tag => return Err(ObiError::Decode(format!("unknown mode tag {tag}"))),
@@ -74,7 +75,8 @@ pub struct ReplicaState {
     pub class: String,
     /// Master version at serialization time (monotonic per object).
     pub version: u64,
-    /// Field state as produced by the object's own `encode`.
+    /// Field state as produced by the object's own `encode_state`. Decoded
+    /// off the wire, a view of the frame it arrived in.
     pub state: Bytes,
 }
 
@@ -86,19 +88,29 @@ impl ReplicaState {
         enc.put_bytes(&self.state);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+    /// Reads one state out of `frame`, which `dec` reads: the state bytes
+    /// stay where they are and the result holds a view of them.
+    fn decode(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Self> {
         let id = dec.take_obj_id()?;
-        // Borrow class and state from the frame: UTF-8 is validated in
-        // place and only the final owned copies are allocated.
         let class = dec.take_str_ref()?.to_owned();
         let version = dec.take_varint()?;
-        let state = Bytes::copy_from_slice(dec.take_bytes_ref()?);
+        let state = frame.slice_ref(dec.take_bytes_ref()?);
         Ok(ReplicaState {
             id,
             class,
             version,
             state,
         })
+    }
+
+    /// A count-prefixed list of states (a put, a push, a handoff, a batch).
+    fn decode_all(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Vec<Self>> {
+        let n = dec.take_varint()? as usize;
+        let mut states = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            states.push(ReplicaState::decode(dec, frame)?);
+        }
+        Ok(states)
     }
 }
 
@@ -165,13 +177,9 @@ impl ReplicaBatch {
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+    fn decode(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Self> {
         let root = dec.take_obj_id()?;
-        let n = dec.take_varint()? as usize;
-        let mut replicas = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            replicas.push(ReplicaState::decode(dec)?);
-        }
+        let replicas = ReplicaState::decode_all(dec, frame)?;
         let m = dec.take_varint()? as usize;
         let mut frontier = Vec::with_capacity(m.min(4096));
         for _ in 0..m {
@@ -773,15 +781,17 @@ impl Message {
         enc.finish()
     }
 
-    /// Deserializes a frame produced by [`Message::encode`].
+    /// Deserializes a frame produced by [`Message::encode`]. Replica
+    /// states come out as views of `frame`, not copies: whoever keeps one
+    /// keeps the frame's allocation alive.
     ///
     /// # Errors
     ///
     /// Returns [`ObiError::Decode`] on any malformed input, including
     /// trailing garbage after a valid message.
-    pub fn decode(frame: &[u8]) -> Result<Message> {
+    pub fn decode(frame: &Bytes) -> Result<Message> {
         let mut dec = Decoder::new(frame);
-        let msg = Self::decode_inner(&mut dec)?;
+        let msg = Self::decode_inner(&mut dec, frame)?;
         if !dec.is_exhausted() {
             return Err(ObiError::Decode(format!(
                 "{} trailing bytes after message",
@@ -791,7 +801,7 @@ impl Message {
         Ok(msg)
     }
 
-    fn decode_inner(dec: &mut Decoder<'_>) -> Result<Message> {
+    fn decode_inner(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Message> {
         Ok(match dec.take_u8()? {
             MSG_INVOKE_REQ => Message::InvokeRequest {
                 request: dec.take_request_id()?,
@@ -811,7 +821,7 @@ impl Message {
             MSG_GET_REP => {
                 let request = dec.take_request_id()?;
                 let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec)?),
+                    0 => Ok(ReplicaBatch::decode(dec, frame)?),
                     1 => Err(dec.take_error()?),
                     tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
                 };
@@ -834,7 +844,7 @@ impl Message {
             MSG_GET_MANY_REP => {
                 let request = dec.take_request_id()?;
                 let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec)?),
+                    0 => Ok(ReplicaBatch::decode(dec, frame)?),
                     1 => Err(dec.take_error()?),
                     tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
                 };
@@ -848,8 +858,8 @@ impl Message {
                     targets.push(dec.take_obj_id()?);
                 }
                 let mode = WireMode::decode(dec)?;
-                let chunk = dec.take_varint()? as u32;
-                let resume_from = dec.take_varint()? as u32;
+                let chunk = dec.take_u32()?;
+                let resume_from = dec.take_u32()?;
                 Message::GetManyStreamRequest {
                     request,
                     targets,
@@ -860,13 +870,13 @@ impl Message {
             }
             MSG_GET_MANY_CHUNK => Message::GetManyChunk {
                 request: dec.take_request_id()?,
-                chunk_index: dec.take_varint()? as u32,
-                total_hint: dec.take_varint()? as u32,
-                batch: ReplicaBatch::decode(dec)?,
+                chunk_index: dec.take_u32()?,
+                total_hint: dec.take_u32()?,
+                batch: ReplicaBatch::decode(dec, frame)?,
             },
             MSG_GET_MANY_DONE => {
                 let request = dec.take_request_id()?;
-                let total_chunks = dec.take_varint()? as u32;
+                let total_chunks = dec.take_u32()?;
                 let result = match dec.take_u8()? {
                     0 => Ok(()),
                     1 => Err(dec.take_error()?),
@@ -878,15 +888,10 @@ impl Message {
                     result,
                 }
             }
-            MSG_PUT_REQ => {
-                let request = dec.take_request_id()?;
-                let n = dec.take_varint()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(ReplicaState::decode(dec)?);
-                }
-                Message::PutRequest { request, entries }
-            }
+            MSG_PUT_REQ => Message::PutRequest {
+                request: dec.take_request_id()?,
+                entries: ReplicaState::decode_all(dec, frame)?,
+            },
             MSG_PUT_REP => {
                 let request = dec.take_request_id()?;
                 let result = match dec.take_u8()? {
@@ -930,14 +935,9 @@ impl Message {
                 }
                 Message::Invalidate { objects }
             }
-            MSG_UPDATE_PUSH => {
-                let n = dec.take_varint()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(ReplicaState::decode(dec)?);
-                }
-                Message::UpdatePush { entries }
-            }
+            MSG_UPDATE_PUSH => Message::UpdatePush {
+                entries: ReplicaState::decode_all(dec, frame)?,
+            },
             MSG_PING => Message::Ping {
                 request: dec.take_request_id()?,
             },
@@ -959,20 +959,11 @@ impl Message {
                 };
                 Message::JoinAck { request, result }
             }
-            MSG_HANDOFF_REQ => {
-                let request = dec.take_request_id()?;
-                let root = dec.take_obj_id()?;
-                let n = dec.take_varint()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(ReplicaState::decode(dec)?);
-                }
-                Message::HandoffRequest {
-                    request,
-                    root,
-                    entries,
-                }
-            }
+            MSG_HANDOFF_REQ => Message::HandoffRequest {
+                request: dec.take_request_id()?,
+                root: dec.take_obj_id()?,
+                entries: ReplicaState::decode_all(dec, frame)?,
+            },
             MSG_HANDOFF_ACK => {
                 let request = dec.take_request_id()?;
                 let result = match dec.take_u8()? {
@@ -1273,7 +1264,7 @@ mod tests {
             let frame = msg.encode();
             for cut in 0..frame.len() {
                 assert!(
-                    Message::decode(&frame[..cut]).is_err(),
+                    Message::decode(&frame.slice(..cut)).is_err(),
                     "{msg:?} decoded from truncated frame of {cut} bytes"
                 );
             }
@@ -1284,7 +1275,7 @@ mod tests {
     fn trailing_garbage_is_rejected() {
         let mut frame = Message::Ping { request: rid(1) }.encode().to_vec();
         frame.push(0xAB);
-        assert!(Message::decode(&frame).is_err());
+        assert!(Message::decode(&Bytes::from(frame)).is_err());
     }
 
     #[test]
@@ -1362,7 +1353,127 @@ mod tests {
 
     #[test]
     fn unknown_message_tag_is_rejected() {
-        assert!(Message::decode(&[0xF0]).is_err());
-        assert!(Message::decode(&[]).is_err());
+        assert!(Message::decode(&Bytes::from_static(&[0xF0])).is_err());
+        assert!(Message::decode(&Bytes::new()).is_err());
+    }
+
+    /// `message`'s frame with the one-byte varint at `at` (which must read
+    /// `expect`) replaced by `value`.
+    fn with_varint_at(message: &Message, at: usize, expect: u8, value: u64) -> Bytes {
+        let frame = message.encode();
+        assert_eq!(frame[at], expect, "the field under test moved");
+        let mut enc = Encoder::new();
+        enc.put_varint(value);
+        let mut out = frame[..at].to_vec();
+        out.extend_from_slice(&enc.finish());
+        out.extend_from_slice(&frame[at + 1..]);
+        Bytes::from(out)
+    }
+
+    /// Sets the u32 field at byte `at` of `message`'s frame (one varint
+    /// byte, `value`) to `2^32 + 8`: a decode error, not an `8`.
+    fn assert_u32_field_rejects(message: Message, at: usize, value: u32) {
+        // The same splice with the field's own value decodes unchanged.
+        let same = with_varint_at(&message, at, value as u8, u64::from(value));
+        assert_eq!(Message::decode(&same).unwrap(), message);
+        let hostile = with_varint_at(&message, at, value as u8, (1 << 32) + 8);
+        match Message::decode(&hostile) {
+            Err(ObiError::Decode(_)) => {}
+            other => panic!("2^32 + 8 decoded as {other:?}"),
+        }
+    }
+
+    // Offsets: `[tag, origin, seq]` heads every message below, an `oid`
+    // is two bytes, and a mode tag one.
+
+    fn get(mode: WireMode) -> Message {
+        Message::GetRequest {
+            request: rid(3),
+            target: oid(1),
+            mode,
+        }
+    }
+
+    #[test]
+    fn incremental_batch_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(get(WireMode::Incremental { batch: 10 }), 6, 10);
+    }
+
+    #[test]
+    fn cluster_size_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(get(WireMode::Cluster { size: 100 }), 6, 100);
+    }
+
+    fn stream(chunk: u32, resume_from: u32) -> Message {
+        Message::GetManyStreamRequest {
+            request: rid(9),
+            targets: vec![],
+            mode: WireMode::Transitive,
+            chunk,
+            resume_from,
+        }
+    }
+
+    #[test]
+    fn stream_chunk_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(stream(5, 0), 5, 5);
+    }
+
+    #[test]
+    fn stream_resume_from_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(stream(5, 7), 6, 7);
+    }
+
+    fn chunk() -> Message {
+        Message::GetManyChunk {
+            request: rid(9),
+            chunk_index: 2,
+            total_hint: 5,
+            batch: sample_batch(),
+        }
+    }
+
+    #[test]
+    fn chunk_index_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(chunk(), 3, 2);
+    }
+
+    #[test]
+    fn chunk_total_hint_above_u32_is_a_decode_error() {
+        assert_u32_field_rejects(chunk(), 4, 5);
+    }
+
+    #[test]
+    fn done_total_chunks_above_u32_is_a_decode_error() {
+        let done = Message::GetManyDone {
+            request: rid(9),
+            total_chunks: 5,
+            result: Ok(()),
+        };
+        assert_u32_field_rejects(done, 3, 5);
+    }
+
+    #[test]
+    fn decoded_states_are_views_of_the_frame() {
+        let frame = Message::GetManyChunk {
+            request: rid(9),
+            chunk_index: 0,
+            total_hint: 1,
+            batch: sample_batch(),
+        }
+        .encode();
+        let Message::GetManyChunk { batch, .. } = Message::decode(&frame).unwrap() else {
+            panic!("not a chunk");
+        };
+        let start = frame.as_ptr() as usize;
+        for r in &batch.replicas {
+            let at = r.state.as_ptr() as usize;
+            assert!(start <= at && at + r.state.len() <= start + frame.len());
+        }
+        assert_eq!(batch, sample_batch());
+        // A state outlives the message and the frame handle it came from.
+        let state = batch.replicas[0].state.clone();
+        drop((batch, frame));
+        assert_eq!(state, sample_state(1).state);
     }
 }

@@ -202,6 +202,7 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         // Whatever happens, it must be Ok or Err — never a panic.
+        let bytes = Bytes::from(bytes);
         let _ = Message::decode(&bytes);
         let _ = Decoder::new(&bytes).take_value();
         let _ = Decoder::new(&bytes).take_error();
@@ -220,7 +221,7 @@ proptest! {
         let mut frame = Vec::with_capacity(payload.len() + 1);
         frame.push(tag);
         frame.extend_from_slice(&payload);
-        if let Err(e) = Message::decode(&frame) {
+        if let Err(e) = Message::decode(&Bytes::from(frame)) {
             prop_assert!(
                 matches!(e, ObiError::Decode(_)),
                 "malformed frame yielded non-Decode error: {e:?}"
@@ -233,7 +234,7 @@ proptest! {
         let frame = m.encode();
         let cut = ((frame.len() as f64) * cut_frac) as usize;
         if cut < frame.len() {
-            prop_assert!(Message::decode(&frame[..cut]).is_err());
+            prop_assert!(Message::decode(&frame.slice(..cut)).is_err());
         }
     }
 
@@ -265,7 +266,7 @@ proptest! {
 #[test]
 fn every_bare_tag_byte_fails_with_a_decode_error() {
     for tag in 0u8..=255 {
-        match Message::decode(&[tag]) {
+        match Message::decode(&Bytes::copy_from_slice(&[tag])) {
             Ok(m) => panic!("bare tag {tag} decoded to {m:?}"),
             Err(ObiError::Decode(_)) => {}
             Err(e) => panic!("bare tag {tag} yielded non-Decode error {e:?}"),

@@ -4,12 +4,12 @@
 use super::invoke::{finish_invocation, invoke_inner, log_dirty_deltas};
 use super::update::queue_notifications;
 use super::{Notice, ObiProcess, ProcessInner, ProcessShared};
-use crate::replication::build_batch_many;
+use crate::replication::write_batch_many;
 use crate::space::{ObjectMeta, ReplicaKind, Resolution};
 use obiwan_rmi::RmiService;
 use obiwan_util::trace;
 use obiwan_util::{ClusterId, ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode};
+use obiwan_wire::{NameOp, ObiValue, ReplicaState, WireMode, WrittenBatch};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -26,26 +26,30 @@ impl ProcessService {
         move || ClusterId::new(site, current)
     }
 
-    /// The serve-get fast path: builds the batch straight off the sharded
-    /// space, one shard read at a time, *without* the process lock. Remote
-    /// readers therefore scale with the shard count while local invocations
-    /// keep serializing on the process lock. Charges provider-side
-    /// marshalling and registers proxy-ins so replicas can be individually
-    /// updated (one per object) or cluster-updated (root only).
+    /// The serve-get fast path: writes the batch straight off the sharded
+    /// space into its reply frames, one shard read at a time, *without* the
+    /// process lock. Remote readers therefore scale with the shard count
+    /// while local invocations keep serializing on the process lock.
+    /// Charges provider-side marshalling and registers proxy-ins so
+    /// replicas can be individually updated (one per object) or
+    /// cluster-updated (root only).
     ///
     /// The one semantic difference from the locked path: a slot owned by an
     /// in-flight invocation reads as `Busy` (the locked path would have
     /// waited the invocation out). Callers retry under the process lock on
     /// any error, which restores exactly the old blocking behavior.
-    fn serve_get_many_fast(&self, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
-        let batch = build_batch_many(&self.shared.space, targets, mode, self.next_cluster())?;
+    fn serve_get_many_fast(
+        &self,
+        targets: &[ObjId],
+        mode: WireMode,
+        per_chunk: usize,
+    ) -> Result<WrittenBatch> {
+        let (batch, exported) =
+            write_batch_many(&self.shared.space, targets, mode, self.next_cluster(), per_chunk)?;
         self.shared
             .clock
             .charge_cpu(self.shared.costs.serialize(batch.state_bytes()));
-        match batch.cluster {
-            Some(_) => self.shared.export_all([batch.root]),
-            None => self.shared.export_all(batch.replicas.iter().map(|r| r.id)),
-        }
+        self.shared.export_all(exported);
         Ok(batch)
     }
 }
@@ -69,16 +73,24 @@ impl RmiService for ProcessService {
         result
     }
 
-    fn get_many(&self, _from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
+    fn get_many(
+        &self,
+        _from: SiteId,
+        targets: &[ObjId],
+        mode: WireMode,
+        per_chunk: usize,
+    ) -> Result<WrittenBatch> {
         let _span = trace::span(&self.shared.clock, "obi.serve_get_many")
             .with_site(self.shared.site)
             .with_value(targets.len() as u64);
-        match self.serve_get_many_fast(targets, mode) {
+        match self.serve_get_many_fast(targets, mode, per_chunk) {
             Ok(batch) => Ok(batch),
             // A miss may mean a concurrent invocation holds the slot Busy;
             // the process lock waits every invocation out, then the slot is
             // live again (or genuinely absent).
-            Err(_) => self.shared.with_inner(|_inner| self.serve_get_many_fast(targets, mode)),
+            Err(_) => self
+                .shared
+                .with_inner(|_inner| self.serve_get_many_fast(targets, mode, per_chunk)),
         }
     }
 

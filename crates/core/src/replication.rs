@@ -1,9 +1,12 @@
 //! Provider-side replication: building replica batches (paper §2.2, §4.3).
 
+use crate::object::ObiObject;
 use crate::shards::ShardedSpace;
-use crate::space::Resolution;
+use crate::space::{ObjectMeta, Resolution};
 use obiwan_util::{ClusterId, ObiError, ObjId, Result};
-use obiwan_wire::{Encoder, FrontierEdge, ReplicaBatch, ReplicaState, WireMode};
+use obiwan_wire::{
+    BatchWriter, Encoder, FrontierEdge, ReplicaBatch, ReplicaState, WireMode, WrittenBatch,
+};
 use std::collections::{HashSet, VecDeque};
 
 /// The application-facing replication mode (the `mode` argument of
@@ -96,8 +99,8 @@ impl Default for ReplicationMode {
 
 /// The wire form of live object `id` as it stands: class, version and
 /// encoded state. The one place a [`ReplicaState`] is made from an object
-/// (a `get` reply, a `put`, a pushed update, a handoff, a logged delta all
-/// carry what this returns).
+/// (a `put`, a pushed update, a handoff and a logged delta carry what this
+/// returns; a `get` reply makes none, see [`write_batch_many`]).
 ///
 /// # Errors
 ///
@@ -131,10 +134,10 @@ pub(crate) fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<Replic
 /// round-trip. Targets this site cannot provide (proxies, absent ids) are
 /// silently skipped; the reply's `root` is the first live target.
 ///
-/// Each included object is read once, under one shard guard: its refs,
-/// class, version and encoded state together. The states of a batch lie
-/// end to end in one buffer, and each [`ReplicaState`] holds a view of its
-/// own part of it.
+/// The states of a batch lie end to end in one buffer, and each
+/// [`ReplicaState`] holds a view of its own part of it. A site serving a
+/// `get` does not build this: it writes the same traversal straight into
+/// its reply frames ([`obiwan_wire::BatchWriter`]).
 ///
 /// # Errors
 ///
@@ -147,6 +150,70 @@ pub fn build_batch_many(
     mode: WireMode,
     next_cluster: impl FnOnce() -> ClusterId,
 ) -> Result<ReplicaBatch> {
+    // Per included object, in BFS order: its class, version and where its
+    // state ends in `states`.
+    let mut written: Vec<(&'static str, u64, usize)> = Vec::new();
+    let mut states = Encoder::with_capacity(4096);
+    let walk = traverse(space, targets, mode, next_cluster, |o, m| {
+        o.encode_state(&mut states);
+        written.push((o.class_name(), m.version, states.len()));
+    })?;
+    let (states, mut start) = (states.finish(), 0);
+    let replicas = walk.ids.iter().zip(written).map(|(&id, (class, version, end))| {
+        let state = states.slice(start..end);
+        start = end;
+        ReplicaState { id, class: class.to_owned(), version, state }
+    });
+    Ok(ReplicaBatch {
+        root: walk.root,
+        replicas: replicas.collect(),
+        frontier: walk.frontier,
+        cluster: walk.cluster,
+    })
+}
+
+/// The serve path's [`build_batch_many`], failing as it does: the same batch
+/// written straight into its reply frames, `per_chunk` replicas to a frame,
+/// and the ids the provider must export (every replica, or a cluster's
+/// root). No [`ReplicaState`] is made.
+pub(crate) fn write_batch_many(
+    space: &ShardedSpace,
+    targets: &[ObjId],
+    mode: WireMode,
+    next_cluster: impl FnOnce() -> ClusterId,
+    per_chunk: usize,
+) -> Result<(WrittenBatch, Vec<ObjId>)> {
+    let mut writer = BatchWriter::new(per_chunk);
+    let walk = traverse(space, targets, mode, next_cluster, |o, m| {
+        writer.push(m.id, o.class_name(), m.version, |enc| o.encode_state(enc));
+    })?;
+    let batch = writer.finish(walk.root, &walk.frontier, walk.cluster);
+    let exported = match walk.cluster {
+        Some(_) => vec![walk.root],
+        None => walk.ids,
+    };
+    Ok((batch, exported))
+}
+
+/// What [`traverse`] found besides the objects it visited: the first live
+/// target, every included id in BFS order, the frontier and the cluster.
+struct Traversal {
+    root: ObjId,
+    ids: Vec<ObjId>,
+    frontier: Vec<FrontierEdge>,
+    cluster: Option<ClusterId>,
+}
+
+/// The one BFS behind a batch (see [`build_batch_many`]): hands `visit`
+/// each included object and its metadata in BFS order, under the shard
+/// guard it takes the object's refs in, the one time the object is read.
+fn traverse(
+    space: &ShardedSpace,
+    targets: &[ObjId],
+    mode: WireMode,
+    next_cluster: impl FnOnce() -> ClusterId,
+    mut visit: impl FnMut(&dyn ObiObject, &ObjectMeta),
+) -> Result<Traversal> {
     let mut included_set: HashSet<ObjId> = HashSet::new();
     let live: Vec<ObjId> = targets
         .iter()
@@ -167,23 +234,20 @@ pub fn build_batch_many(
         .objects_per_step()
         .map_or(usize::MAX, |step| step.saturating_mul(live.len()));
 
-    // Per included object, in BFS order: id, class, version and where its
-    // state ends in `states`. Its out-edges go on the end of `edges`.
-    let mut included: Vec<(ObjId, &'static str, u64, usize)> = Vec::new();
-    let mut states = Encoder::with_capacity(4096);
+    // Each included object's out-edges go on the end of `edges`.
+    let mut ids: Vec<ObjId> = Vec::new();
     let mut edges: Vec<ObjId> = Vec::new();
     let mut queue: VecDeque<ObjId> = live.into_iter().collect();
 
     // BFS over objects this site can actually provide.
     while let Some(id) = queue.pop_front() {
         let first_edge = edges.len();
-        let (class, version) = space.with_object(id, |o, m| {
-            o.encode_state(&mut states);
+        space.with_object(id, |o, m| {
+            visit(o, m);
             edges.extend(o.refs().iter().map(|r| r.id()));
-            (o.class_name(), m.version)
         })?;
-        included.push((id, class, version, states.len()));
-        if included.len() >= limit {
+        ids.push(id);
+        if ids.len() >= limit {
             break;
         }
         for &target in &edges[first_edge..] {
@@ -217,31 +281,15 @@ pub fn build_batch_many(
         frontier.push(FrontierEdge { target, class });
     }
 
-    let states = states.finish();
-    let mut start = 0;
-    let replicas = included
-        .into_iter()
-        .map(|(id, class, version, end)| {
-            let state = states.slice(start..end);
-            start = end;
-            ReplicaState {
-                id,
-                class: class.to_owned(),
-                version,
-                state,
-            }
-        })
-        .collect();
-
     let cluster = if mode.is_cluster() {
         Some(next_cluster())
     } else {
         None
     };
 
-    Ok(ReplicaBatch {
+    Ok(Traversal {
         root,
-        replicas,
+        ids,
         frontier,
         cluster,
     })
@@ -476,5 +524,202 @@ mod tests {
         assert_eq!(ids, vec![root.id(), a.id(), b.id()]);
         assert_eq!(batch.frontier.len(), 1);
         assert_eq!(batch.frontier[0].target, c.id());
+    }
+}
+
+/// The serve path's writer pinned to the encoder: every frame
+/// [`write_batch_many`] writes is what `Message::encode` makes of the batch
+/// [`build_batch_many`] collects, cut into `per_chunk`-replica chunks.
+#[cfg(test)]
+mod frames {
+    use super::*;
+    use crate::demo::LinkedItem;
+    use crate::objref::ObjRef;
+    use crate::proxy::ProxyOut;
+    use crate::space::ObjectEntry;
+    use bytes::Bytes;
+    use obiwan_util::{RequestId, SiteId};
+    use obiwan_wire::Message;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The largest site id: the provider's, so every id in a header is wide.
+    const SITE: SiteId = SiteId::new(u32::MAX);
+
+    /// State lengths on either side of the two- and three-byte length
+    /// prefixes (and one small one).
+    const STATE_LENS: [usize; 5] = [3, 127, 128, 16_383, 16_384];
+
+    /// Where a generated reference points: the `i`th object (modulo their
+    /// number, so back edges make cycles), a proxy-out, or nothing.
+    #[derive(Debug, Clone, Copy)]
+    enum Edge {
+        Object(usize),
+        Proxy(u64),
+        Dangling(u64),
+    }
+
+    fn edge() -> impl Strategy<Value = Edge> {
+        prop_oneof![
+            (0usize..12).prop_map(Edge::Object),
+            (0usize..12).prop_map(Edge::Object),
+            (0usize..12).prop_map(Edge::Object),
+            (0u64..3).prop_map(Edge::Proxy),
+            (0u64..3).prop_map(Edge::Dangling),
+        ]
+    }
+
+    fn mode() -> impl Strategy<Value = WireMode> {
+        prop_oneof![
+            (1u32..12).prop_map(|batch| WireMode::Incremental { batch }),
+            (1u32..6).prop_map(|size| WireMode::Cluster { size }),
+            Just(WireMode::Transitive),
+        ]
+    }
+
+    /// One generated object: its `next` edge, its extra edges and an index
+    /// into [`STATE_LENS`].
+    type Node = ((bool, Edge), Vec<Edge>, usize);
+
+    fn id_of(edge: Edge, objects: usize) -> ObjId {
+        match edge {
+            Edge::Object(i) => ObjId::new(SITE, u64::MAX - (i % objects) as u64),
+            Edge::Proxy(j) => ObjId::new(SiteId::new(7), 100 + j),
+            Edge::Dangling(j) => ObjId::new(SiteId::new(9), 200 + j),
+        }
+    }
+
+    fn state_len(item: &LinkedItem) -> usize {
+        let mut enc = Encoder::new();
+        item.encode_state(&mut enc);
+        enc.len()
+    }
+
+    /// A `LinkedItem` whose state is `len` bytes, when a label length
+    /// lands on it exactly (every length in [`STATE_LENS`] but the small
+    /// one), or has the empty label.
+    fn item(value: i64, len: usize, next: Option<ObjRef>, extra: Vec<ObjRef>) -> LinkedItem {
+        let build = |label: usize| {
+            let mut item = LinkedItem::new(value, "x".repeat(label));
+            item.set_next(next);
+            item.set_extra(extra.clone());
+            item
+        };
+        // The empty label's state, less the label's one-byte length prefix.
+        let base = state_len(&build(0)) - 1;
+        (1..=3)
+            .map(|prefix| build(len.saturating_sub(base + prefix)))
+            .find(|item| state_len(item) == len)
+            .unwrap_or_else(|| build(0))
+    }
+
+    /// Objects with the widest ids and versions, three proxy-outs, and the
+    /// references `nodes` describes.
+    fn space_of(nodes: &[Node]) -> ShardedSpace {
+        let space = ShardedSpace::new(SITE);
+        for j in 0..3 {
+            let target = id_of(Edge::Proxy(j), 1);
+            space.insert_proxy(ProxyOut::new(target, "Remote", SiteId::new(7), WireMode::Transitive));
+        }
+        let at = |edge| ObjRef::new(id_of(edge, nodes.len()));
+        for (i, ((has_next, next), extra, len)) in nodes.iter().enumerate() {
+            let len = STATE_LENS[*len];
+            let object = item(i as i64, len, has_next.then(|| at(*next)), extra.iter().map(|&e| at(e)).collect());
+            assert!(len < 100 || state_len(&object) == len, "no label gives a {len}-byte state");
+            let mut meta = ObjectMeta::master(id_of(Edge::Object(i), nodes.len()));
+            meta.version = u64::MAX - i as u64;
+            space.insert_object(ObjectEntry {
+                object: Box::new(object),
+                meta,
+            });
+        }
+        space
+    }
+
+    /// The reference frames: the collected batch cut into
+    /// `per_chunk`-replica chunks (at least one), the frontier on the last
+    /// and the cluster id on all, each encoded as a message.
+    fn sliced(batch: &ReplicaBatch, per_chunk: usize, request: RequestId) -> Vec<Bytes> {
+        let total = batch.replicas.len().div_ceil(per_chunk).max(1);
+        (0..total)
+            .map(|i| {
+                let last = i + 1 == total;
+                let replicas = batch.replicas.iter().skip(i * per_chunk).take(per_chunk);
+                Message::GetManyChunk {
+                    request,
+                    chunk_index: i as u32,
+                    total_hint: total as u32,
+                    batch: ReplicaBatch {
+                        root: batch.root,
+                        replicas: replicas.cloned().collect(),
+                        frontier: if last { batch.frontier.clone() } else { Vec::new() },
+                        cluster: batch.cluster,
+                    },
+                }
+                .encode()
+            })
+            .collect()
+    }
+
+    /// Writes the batch `roots` demand of the graph `nodes` describe at
+    /// every chunk size from 1 to 9 and in one frame, and holds each frame
+    /// to the collected batch, encoded.
+    fn assert_frames_match(nodes: &[Node], roots: &[Edge], mode: WireMode, seq: u64) {
+        let space = space_of(nodes);
+        let targets: Vec<ObjId> = roots.iter().map(|&e| id_of(e, nodes.len())).collect();
+        let request = RequestId::new(SITE, seq);
+        let cid = || ClusterId::new(SITE, u64::MAX);
+        let write = |per_chunk| write_batch_many(&space, &targets, mode, cid, per_chunk);
+        let oracle = match (build_batch_many(&space, &targets, mode, cid), write(1)) {
+            (Ok(oracle), Ok(_)) => oracle,
+            (Err(collected), Err(written)) => return assert_eq!(collected, written),
+            (collected, written) => panic!("the collectors disagree: {collected:?} / {written:?}"),
+        };
+        let exported = match oracle.cluster {
+            Some(_) => vec![oracle.root],
+            None => oracle.replicas.iter().map(|r| r.id).collect(),
+        };
+        let state_bytes: usize = oracle.replicas.iter().map(|r| r.state.len()).sum();
+        let resumed = 1 + (seq % 9) as usize;
+        for per_chunk in 1..=9 {
+            let (written, ids) = write(per_chunk).unwrap();
+            assert_eq!(ids, exported);
+            assert_eq!(written.state_bytes(), state_bytes);
+            let want = sliced(&oracle, per_chunk, request);
+            assert_eq!(written.chunk_count() as usize, want.len());
+            let got: Vec<Bytes> = written.into_chunks(request, 0).collect();
+            assert_eq!(got, want, "{per_chunk} per chunk");
+            if per_chunk == resumed {
+                let from = (seq % (want.len() as u64 + 2)) as u32;
+                let (written, _) = write(per_chunk).unwrap();
+                let got: Vec<Bytes> = written.into_chunks(request, from).collect();
+                assert_eq!(got, want[want.len().min(from as usize)..], "resumed at {from}");
+            }
+            // No replica at all: one empty chunk, carrying the frontier.
+            let empty = ReplicaBatch { replicas: Vec::new(), ..oracle.clone() };
+            let written = BatchWriter::new(per_chunk).finish(empty.root, &empty.frontier, empty.cluster);
+            let got: Vec<Bytes> = written.into_chunks(request, 0).collect();
+            assert_eq!(got, sliced(&empty, per_chunk, request));
+        }
+        let (one, _) = write(usize::MAX).unwrap();
+        let get = Message::GetReply { request, result: Ok(oracle.clone()) };
+        assert_eq!(one.into_reply(request, false), get.encode());
+        let (one, _) = write(usize::MAX).unwrap();
+        let get_many = Message::GetManyReply { request, result: Ok(oracle) };
+        assert_eq!(one.into_reply(request, true), get_many.encode());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_frame_written_is_the_collected_batch_encoded(
+            nodes in vec(((any::<bool>(), edge()), vec(edge(), 0..3), 0usize..5), 1..12),
+            roots in vec(edge(), 0..4),
+            mode in mode(),
+            seq in prop_oneof![Just(u64::MAX), any::<u64>()],
+        ) {
+            assert_frames_match(&nodes, &roots, mode, seq);
+        }
     }
 }

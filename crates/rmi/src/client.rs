@@ -22,6 +22,45 @@ use std::time::Duration;
 /// exchange.
 const STREAM_CHUNK_OBJECTS: u32 = 8;
 
+/// The client's half of one streamed demand: chunks in, in any order and
+/// any number of times; the contiguous prefix out, in order and once each.
+/// It outlives the attempts, so `next_expected` is what a resume asks for.
+/// A provider serves at most its step times its live roots, so it owes at
+/// most `bound` = max(1, ⌈`batch` × `targets` / `STREAM_CHUNK_OBJECTS`⌉)
+/// chunks: an index past that counts as lost and is never parked.
+struct Reassembly<T> {
+    next_expected: u32,
+    bound: u32,
+    parked: std::collections::BTreeMap<u32, T>,
+}
+
+impl<T> Reassembly<T> {
+    fn new(batch: u32, targets: usize) -> Self {
+        let objects = u64::from(batch).saturating_mul(targets as u64);
+        let owed = objects.div_ceil(u64::from(STREAM_CHUNK_OBJECTS));
+        Reassembly {
+            next_expected: 0,
+            bound: owed.clamp(1, u64::from(u32::MAX)) as u32,
+            parked: std::collections::BTreeMap::new(),
+        }
+    }
+
+    /// Takes chunk `index` and hands `deliver` each chunk that is now next
+    /// in order. A chunk already delivered or parked (a duplicate) or past
+    /// the bound is dropped.
+    fn accept(&mut self, index: u32, chunk: T, mut deliver: impl FnMut(u32, T)) {
+        if index < self.next_expected || index >= self.bound || self.parked.contains_key(&index) {
+            return;
+        }
+        self.parked.insert(index, chunk);
+        while let Some(chunk) = self.parked.remove(&self.next_expected) {
+            let index = self.next_expected;
+            self.next_expected += 1;
+            deliver(index, chunk);
+        }
+    }
+}
+
 /// What one attempt of a call came to (see [`RmiClient::retrying`]).
 enum Attempt<T> {
     /// The call is over: a reply in hand, or an error retrying cannot help
@@ -362,9 +401,12 @@ impl RmiClient {
     ) -> Result<Option<ReplicaBatch>> {
         let request = self.next_request();
         self.metrics.incr_demand_round_trips();
-        let large = matches!(mode, WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS);
-        if let Some(on_chunk) = on_chunk.filter(|_| large) {
-            self.demand_stream(host, request, targets, mode, deadline, on_chunk)?;
+        let streamed = match mode {
+            WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS => Some(batch),
+            _ => None,
+        };
+        if let (Some(batch), Some(on_chunk)) = (streamed, on_chunk) {
+            self.demand_stream(host, request, targets, batch, deadline, on_chunk)?;
             return Ok(None);
         }
         let (id, result) = match targets {
@@ -395,24 +437,23 @@ impl RmiClient {
         result.map(Some)
     }
 
-    /// The streamed exchange behind [`RmiClient::demand`]: each attempt
-    /// sends one `GetManyStreamRequest` (marshalled per attempt, since
-    /// `resume_from` moves) and drains chunk frames until the terminal.
+    /// The streamed exchange behind [`RmiClient::demand`], of `batch`
+    /// objects per target: each attempt sends one `GetManyStreamRequest`
+    /// (marshalled per attempt, since `resume_from` moves) and drains chunk
+    /// frames until the terminal.
     fn demand_stream(
         &self,
         host: SiteId,
         request: RequestId,
         targets: &[ObjId],
-        mode: WireMode,
+        batch: u32,
         deadline: Option<Deadline>,
         on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
     ) -> Result<()> {
-        // Reassembly state lives *outside* the attempts: chunks already
-        // delivered stay delivered across resumes, and `next_expected` is
-        // exactly the `resume_from` a retry asks the provider for.
-        let mut next_expected: u32 = 0;
-        let mut parked: std::collections::BTreeMap<u32, ReplicaBatch> =
-            std::collections::BTreeMap::new();
+        // Reassembly lives *outside* the attempts: chunks already delivered
+        // stay delivered across resumes, and its `next_expected` is exactly
+        // the `resume_from` a retry asks the provider for.
+        let mut chunks = Reassembly::new(batch, targets.len());
         self.retrying(host, Some(request), true, deadline, &mut |retries| {
             if retries > 0 {
                 self.metrics.incr_stream_resumes();
@@ -420,9 +461,9 @@ impl RmiClient {
             let frame = Message::GetManyStreamRequest {
                 request,
                 targets: targets.to_vec(),
-                mode,
+                mode: WireMode::Incremental { batch },
                 chunk: STREAM_CHUNK_OBJECTS,
-                resume_from: next_expected,
+                resume_from: chunks.next_expected,
             }
             .encode();
             self.clock.charge_cpu(self.costs.serialize(frame.len()));
@@ -441,25 +482,18 @@ impl RmiClient {
                     // hole surfaces at the terminal and the resume heals it.
                     return;
                 };
-                if id != request
-                    || chunk_index < next_expected
-                    || parked.contains_key(&chunk_index)
-                {
-                    // Stray correlation or duplicate delivery: drop.
+                if id != request {
+                    // Stray correlation: drop.
                     return;
                 }
-                parked.insert(chunk_index, batch);
-                // Deliver the now-contiguous prefix in order.
-                while let Some(batch) = parked.remove(&next_expected) {
-                    let index = next_expected;
-                    next_expected += 1;
+                chunks.accept(chunk_index, batch, |index, batch| {
                     self.metrics.incr_demand_chunks();
                     let mut chunk_span = trace::span(&self.clock, "rpc.chunk")
                         .with_site(self.site)
                         .with_req(request);
                     chunk_span.set_value(index as u64);
                     on_chunk(index, batch);
-                }
+                });
             });
             let reply = match sent {
                 Ok(reply) => reply,
@@ -480,7 +514,7 @@ impl RmiClient {
                 // A transport with no streaming path degrades to the
                 // one-shot merged reply: accept it as the whole stream in
                 // one implicit chunk, with nothing further to wait for.
-                Ok(Message::GetManyReply { request: id, result }) if next_expected == 0 => self
+                Ok(Message::GetManyReply { request: id, result }) if chunks.next_expected == 0 => self
                     .check_correlation(request, Some(id))
                     .and(result)
                     .map(|batch| {
@@ -494,7 +528,7 @@ impl RmiClient {
             match total_chunks {
                 // Lost chunks left a hole below the terminal's count:
                 // resume, don't restart.
-                Ok(total) if next_expected < total => {
+                Ok(total) if chunks.next_expected < total => {
                     Attempt::Retry(ObiError::Timeout { to: host })
                 }
                 done => Attempt::Done(done.map(|_| ())),
@@ -777,6 +811,56 @@ mod tests {
         assert!(matches!(err, ObiError::NoSuchObject(_)));
     }
 
+    /// Feeds `arrivals` to `chunks`, returning what it delivered, in order.
+    fn deliver(chunks: &mut Reassembly<char>, arrivals: &[(u32, char)]) -> Vec<(u32, char)> {
+        let mut out = Vec::new();
+        for &(index, chunk) in arrivals {
+            chunks.accept(index, chunk, |index, chunk| out.push((index, chunk)));
+        }
+        out
+    }
+
+    #[test]
+    fn reassembly_is_owed_the_chunks_of_step_times_targets() {
+        assert_eq!(Reassembly::<char>::new(20, 2).bound, 5);
+        assert_eq!(Reassembly::<char>::new(9, 1).bound, 2);
+        assert_eq!(Reassembly::<char>::new(16, 1).bound, 2);
+        assert_eq!(Reassembly::<char>::new(9, 0).bound, 1);
+        assert_eq!(Reassembly::<char>::new(u32::MAX, usize::MAX).bound, u32::MAX);
+    }
+
+    #[test]
+    fn reassembly_never_parks_a_chunk_past_the_bound() {
+        let mut chunks = Reassembly::new(16, 1);
+        assert!(deliver(&mut chunks, &[(2, 'x'), (u32::MAX, 'y'), (7, 'z')]).is_empty());
+        assert!(chunks.parked.is_empty(), "out-of-bound chunks count as lost");
+        assert_eq!(deliver(&mut chunks, &[(1, 'b'), (0, 'a')]), [(0, 'a'), (1, 'b')]);
+        assert_eq!(deliver(&mut chunks, &[(2, 'c')]), []);
+        assert_eq!(chunks.next_expected, 2);
+    }
+
+    #[test]
+    fn reassembly_delivers_a_duplicated_chunk_once() {
+        let mut chunks = Reassembly::new(32, 1);
+        let arrivals = [(0, 'a'), (0, 'A'), (2, 'c'), (2, 'C'), (1, 'b'), (1, 'B'), (0, 'a')];
+        assert_eq!(deliver(&mut chunks, &arrivals), [(0, 'a'), (1, 'b'), (2, 'c')]);
+        assert!(chunks.parked.is_empty());
+    }
+
+    #[test]
+    fn reassembly_delivers_reordered_chunks_in_order() {
+        let mut chunks = Reassembly::new(40, 1);
+        assert_eq!(deliver(&mut chunks, &[(3, 'd'), (1, 'b'), (4, 'e')]), []);
+        assert_eq!(chunks.parked.len(), 3);
+        assert_eq!(deliver(&mut chunks, &[(0, 'a')]), [(0, 'a'), (1, 'b')]);
+        assert_eq!(chunks.next_expected, 2);
+        assert_eq!(
+            deliver(&mut chunks, &[(2, 'c')]),
+            [(2, 'c'), (3, 'd'), (4, 'e')]
+        );
+        assert!(chunks.parked.is_empty());
+    }
+
     #[test]
     fn request_ids_are_unique_per_client() {
         let (client, _net, _clock) = rig();
@@ -980,24 +1064,19 @@ mod retry_tests {
             _from: SiteId,
             targets: &[ObjId],
             _mode: WireMode,
-        ) -> Result<ReplicaBatch> {
+            per_chunk: usize,
+        ) -> Result<obiwan_wire::WrittenBatch> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            Ok(ReplicaBatch {
-                root: targets[0],
-                replicas: (0..self.objects)
-                    .map(|i| ReplicaState {
-                        id: ObjId::new(SiteId::new(2), i as u64 + 1),
-                        class: "Node".into(),
-                        version: 1,
-                        state: bytes::Bytes::from_static(b"s"),
-                    })
-                    .collect(),
-                frontier: vec![obiwan_wire::FrontierEdge {
-                    target: ObjId::new(SiteId::new(2), 900),
-                    class: "Node".into(),
-                }],
-                cluster: None,
-            })
+            let mut writer = obiwan_wire::BatchWriter::new(per_chunk);
+            for i in 0..self.objects {
+                let id = ObjId::new(SiteId::new(2), i as u64 + 1);
+                writer.push(id, "Node", 1, |enc| enc.put_u8(b's'));
+            }
+            let frontier = [obiwan_wire::FrontierEdge {
+                target: ObjId::new(SiteId::new(2), 900),
+                class: "Node".into(),
+            }];
+            Ok(writer.finish(targets[0], &frontier, None))
         }
     }
 

@@ -6,10 +6,13 @@ use bytes::Bytes;
 use obiwan_net::MessageHandler;
 use obiwan_util::trace::{self, SpanGuard};
 use obiwan_util::{Clock, ClockMode, Metrics, ObiError, ObjId, RequestId, SiteId};
-use obiwan_wire::{Message, ObiValue, ReplicaBatch, WireMode};
+use obiwan_wire::{Message, ObiValue, WireMode};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Replicas per frame when a `get` is answered in one reply frame.
+const ONE_FRAME: usize = usize::MAX;
 
 /// Decodes incoming frames, dispatches them to an [`RmiService`], and
 /// encodes the reply — the skeleton side of every OBIWAN interaction.
@@ -156,25 +159,34 @@ impl RmiServer {
         }
     }
 
-    fn dispatch(&self, from: SiteId, msg: Message) -> Option<Message> {
-        match msg {
+    /// Runs one decoded frame and returns its encoded reply, if it has one.
+    /// A batch served to a `get` is written into its reply frame by the
+    /// service; only an error reply goes through [`Message::encode`].
+    fn dispatch(&self, from: SiteId, msg: Message) -> Option<Bytes> {
+        let reply = match msg {
             Message::InvokeRequest {
                 request,
                 target,
                 method,
                 args,
-            } => Some(Message::InvokeReply {
+            } => Message::InvokeReply {
                 request,
                 result: self.service.invoke(from, target, &method, args),
-            }),
+            },
             Message::GetRequest {
                 request,
                 target,
                 mode,
-            } => Some(Message::GetReply {
-                request,
-                result: self.service.get_many(from, &[target], mode),
-            }),
+            } => {
+                return Some(match self.service.get_many(from, &[target], mode, ONE_FRAME) {
+                    Ok(batch) => batch.into_reply(request, false),
+                    Err(e) => Message::GetReply {
+                        request,
+                        result: Err(e),
+                    }
+                    .encode(),
+                })
+            }
             // A stream request arriving through the one-shot pump (a
             // transport without a streaming path) degrades to the merged
             // reply; the client accepts it as a single implicit chunk.
@@ -188,57 +200,63 @@ impl RmiServer {
                 targets,
                 mode,
                 ..
-            } => Some(Message::GetManyReply {
-                request,
-                result: self.service.get_many(from, &targets, mode),
-            }),
-            Message::PutRequest { request, entries } => Some(Message::PutReply {
+            } => {
+                return Some(match self.service.get_many(from, &targets, mode, ONE_FRAME) {
+                    Ok(batch) => batch.into_reply(request, true),
+                    Err(e) => Message::GetManyReply {
+                        request,
+                        result: Err(e),
+                    }
+                    .encode(),
+                })
+            }
+            Message::PutRequest { request, entries } => Message::PutReply {
                 request,
                 result: self.service.put(from, entries),
-            }),
-            Message::NameRequest { request, op } => Some(Message::NameReply {
+            },
+            Message::NameRequest { request, op } => Message::NameReply {
                 request,
                 result: self.service.name_op(from, op),
-            }),
+            },
             Message::Subscribe {
                 request,
                 object,
                 push,
-            } => Some(Message::Ack {
+            } => Message::Ack {
                 request,
                 result: self.service.subscribe(from, object, push),
-            }),
-            Message::Ping { request } => Some(Message::Pong { request }),
+            },
+            Message::Ping { request } => Message::Pong { request },
             // Membership: the joiner's identity is the transport-level
             // `from` (like `Ping`), so a relayed frame cannot enroll a
             // third party.
-            Message::JoinRequest { request } => Some(Message::JoinAck {
+            Message::JoinRequest { request } => Message::JoinAck {
                 request,
                 result: self.service.join(from),
-            }),
+            },
             Message::HandoffRequest {
                 request,
                 root,
                 entries,
-            } => Some(Message::HandoffAck {
+            } => Message::HandoffAck {
                 request,
                 result: self.service.handoff(from, root, entries),
-            }),
+            },
             Message::Leave { site } => {
                 self.service.leave_notice(from, site);
-                None
+                return None;
             }
             Message::Invalidate { objects } => {
                 self.service.invalidate(from, objects);
-                None
+                return None;
             }
             Message::UpdatePush { entries } => {
                 self.service.update_push(from, entries);
-                None
+                return None;
             }
             // Handled (cache pruning) in `handle` before dispatch; the arm
             // keeps the match exhaustive.
-            Message::AckHorizon { .. } => None,
+            Message::AckHorizon { .. } => return None,
             // Replies arriving here are protocol violations; the synchronous
             // transports never produce them, so drop silently.
             Message::InvokeReply { .. }
@@ -251,13 +269,15 @@ impl RmiServer {
             | Message::Ack { .. }
             | Message::Pong { .. }
             | Message::JoinAck { .. }
-            | Message::HandoffAck { .. } => None,
-        }
+            | Message::HandoffAck { .. } => return None,
+        };
+        Some(reply.encode())
     }
 
-    /// Executes one streamed `get_many`: slices the merged batch into
-    /// [`Message::GetManyChunk`] frames pushed through `sink` (skipping
-    /// indices below `resume_from`), and returns the encoded
+    /// Executes one streamed `get_many`: the service writes the merged
+    /// batch into `chunk`-replica frames, this stamps each one's
+    /// [`Message::GetManyChunk`] header and pushes it through `sink`
+    /// (skipping indices below `resume_from`), and returns the encoded
     /// [`Message::GetManyDone`] terminal.
     ///
     /// The [`RmiService::get_many`] call releases every shard guard before
@@ -265,7 +285,7 @@ impl RmiServer {
     /// Only the *terminal* frame enters the [`ReplyCache`] — caching whole
     /// batches per request id would multiply the cache's footprint by the
     /// batch size. A retransmitted or resumed request id therefore
-    /// re-executes the (read-only) `get_many` and re-slices fresh chunks:
+    /// re-executes the (read-only) `get_many` and writes fresh chunks:
     /// sound because the client's version-guarded materialization makes
     /// chunk re-delivery idempotent, and necessary so a resume actually
     /// receives the suffix it is missing rather than a chunkless cached
@@ -290,41 +310,13 @@ impl RmiServer {
             ControlFlow::Continue(slot) => slot,
             ControlFlow::Break(frame) => return frame,
         };
-        let per_chunk = chunk.max(1) as usize;
-        let terminal = match self.service.get_many(from, targets, mode) {
+        let terminal = match self.service.get_many(from, targets, mode, chunk as usize) {
             Ok(batch) => {
-                let ReplicaBatch {
-                    root,
-                    replicas,
-                    frontier,
-                    cluster,
-                } = batch;
-                // Slice by moving: the batch is ours, so no replica is
-                // cloned. An empty batch still streams one (empty) chunk so
-                // the frontier, which rides on the last, has a frame.
-                let total_chunks = replicas.len().div_ceil(per_chunk).max(1) as u32;
-                let mut replicas = replicas.into_iter();
-                let mut frontier = frontier;
-                for index in 0..total_chunks {
-                    let last = index + 1 == total_chunks;
-                    let batch = ReplicaBatch {
-                        root,
-                        replicas: replicas.by_ref().take(per_chunk).collect(),
-                        frontier: if last { std::mem::take(&mut frontier) } else { Vec::new() },
-                        cluster,
-                    };
-                    if index < resume_from {
-                        continue;
-                    }
-                    sink(
-                        Message::GetManyChunk {
-                            request,
-                            chunk_index: index,
-                            total_hint: total_chunks,
-                            batch,
-                        }
-                        .encode(),
-                    );
+                // An empty batch is still one (empty) chunk, so the
+                // frontier, which rides on the last, has a frame.
+                let total_chunks = batch.chunk_count();
+                for frame in batch.into_chunks(request, resume_from) {
+                    sink(frame);
                 }
                 Message::GetManyDone {
                     request,
@@ -385,7 +377,7 @@ impl MessageHandler for RmiServer {
                     ControlFlow::Continue(slot) => slot,
                     ControlFlow::Break(frame) => return Some(frame),
                 };
-                let reply = self.dispatch(from, msg).map(|reply| reply.encode());
+                let reply = self.dispatch(from, msg);
                 // One-way frames (and stray replies, which do carry a
                 // request id) publish `None`, releasing the in-flight slot
                 // if we took it.
@@ -447,6 +439,7 @@ impl RmiService for EchoService {
 mod tests {
     use super::*;
     use obiwan_util::{ObjId, RequestId};
+    use obiwan_wire::{BatchWriter, FrontierEdge, WrittenBatch};
 
     fn server() -> RmiServer {
         RmiServer::new(Arc::new(EchoService))
@@ -783,32 +776,21 @@ mod tests {
             _from: SiteId,
             targets: &[ObjId],
             _mode: WireMode,
-        ) -> obiwan_util::Result<ReplicaBatch> {
+            per_chunk: usize,
+        ) -> obiwan_util::Result<WrittenBatch> {
             self.calls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let root = targets.first().copied().unwrap_or_else(oid);
-            Ok(ReplicaBatch {
-                root,
-                replicas: (0..self.objects)
-                    .map(|i| obiwan_wire::ReplicaState {
-                        id: ObjId::new(SiteId::new(2), i as u64 + 1),
-                        class: "Node".into(),
-                        version: 1,
-                        state: Bytes::from_static(b"s"),
-                    })
-                    .collect(),
-                frontier: vec![
-                    obiwan_wire::FrontierEdge {
-                        target: ObjId::new(SiteId::new(2), 900),
-                        class: "Node".into(),
-                    },
-                    obiwan_wire::FrontierEdge {
-                        target: ObjId::new(SiteId::new(2), 901),
-                        class: "Node".into(),
-                    },
-                ],
-                cluster: None,
-            })
+            let mut writer = BatchWriter::new(per_chunk);
+            for i in 0..self.objects {
+                let id = ObjId::new(SiteId::new(2), i as u64 + 1);
+                writer.push(id, "Node", 1, |enc| enc.put_u8(b's'));
+            }
+            let frontier = [900, 901].map(|local| FrontierEdge {
+                target: ObjId::new(SiteId::new(2), local),
+                class: "Node".into(),
+            });
+            Ok(writer.finish(root, &frontier, None))
         }
     }
 
@@ -916,10 +898,11 @@ mod tests {
                 from: SiteId,
                 targets: &[ObjId],
                 mode: WireMode,
-            ) -> obiwan_util::Result<ReplicaBatch> {
+                per_chunk: usize,
+            ) -> obiwan_util::Result<WrittenBatch> {
                 self.entered.send(()).unwrap();
                 self.release.recv().unwrap();
-                self.inner.get_many(from, targets, mode)
+                self.inner.get_many(from, targets, mode, per_chunk)
             }
         }
         let (entered_tx, entered_rx) = crossbeam::channel::bounded(1);

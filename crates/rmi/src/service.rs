@@ -1,7 +1,7 @@
 //! The skeleton-side dispatch interface.
 
 use obiwan_util::{ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{JoinInfo, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode};
+use obiwan_wire::{JoinInfo, NameOp, ObiValue, ReplicaState, WireMode, WrittenBatch};
 
 /// What a site must implement to receive OBIWAN traffic.
 ///
@@ -20,11 +20,20 @@ pub trait RmiService: Send + Sync {
 
     /// `IProvideRemote::get(mode)` — one merged replica batch covering
     /// every live object in `targets`, so N frontier faults cost a single
-    /// round-trip; a plain `get` is the one-target case. The default falls
-    /// back to "first target unknown" so services that never export
+    /// round-trip; a plain `get` is the one-target case. The batch comes
+    /// back written into its reply frames, `per_chunk` replicas to a frame
+    /// (`usize::MAX` for a one-frame reply), for the server to stamp and
+    /// send (see [`BatchWriter`](obiwan_wire::BatchWriter)). The default
+    /// falls back to "first target unknown" so services that never export
     /// objects keep working unchanged.
-    fn get_many(&self, from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
-        let _ = (from, mode);
+    fn get_many(
+        &self,
+        from: SiteId,
+        targets: &[ObjId],
+        mode: WireMode,
+        per_chunk: usize,
+    ) -> Result<WrittenBatch> {
+        let _ = (from, mode, per_chunk);
         match targets.first() {
             Some(&t) => Err(ObiError::NoSuchObject(t)),
             None => Err(ObiError::BadArguments("get_many with no targets".into())),
@@ -111,7 +120,7 @@ mod tests {
             Err(ObiError::NoSuchObject(_))
         ));
         assert!(matches!(
-            s.get_many(from, &[obj], WireMode::Transitive),
+            s.get_many(from, &[obj], WireMode::Transitive, usize::MAX),
             Err(ObiError::NoSuchObject(_))
         ));
         assert_eq!(s.put(from, vec![]).unwrap(), vec![]);

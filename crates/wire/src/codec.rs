@@ -28,6 +28,27 @@ const TAG_REF: u8 = 9;
 /// adversarial or corrupt length prefixes allocating unbounded memory.
 const MAX_LEN: u64 = 1 << 28;
 
+/// The longest varint: a `u64` in 7-bit groups.
+pub(crate) const MAX_VARINT: usize = 10;
+
+/// Bytes [`Encoder::put_varint`] writes for `v`.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Writes `v` as [`Encoder::put_varint`] would at the front of `out`, which
+/// must hold [`varint_len`]`(v)` bytes, and returns how many it wrote.
+pub(crate) fn write_varint(out: &mut [u8], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = (v & 0x7f) as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
 /// A growable buffer that serializes OBIWAN primitives.
 ///
 /// # Examples
@@ -95,21 +116,15 @@ impl Encoder {
     }
 
     /// Writes an unsigned LEB128 varint.
-    pub fn put_varint(&mut self, mut v: u64) {
+    pub fn put_varint(&mut self, v: u64) {
         // Tags, lengths of small fields and most ids: one byte.
         if v < 0x80 {
             self.buf.put_u8(v as u8);
             return;
         }
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.put_u8(byte);
-                return;
-            }
-            self.put_u8(byte | 0x80);
-        }
+        let mut bytes = [0u8; MAX_VARINT];
+        let n = write_varint(&mut bytes, v);
+        self.buf.extend_from_slice(&bytes[..n]);
     }
 
     /// Writes a zig-zag-encoded signed varint.
@@ -578,10 +593,11 @@ mod tests {
 
     #[test]
     fn varint_edge_values_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        for v in [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut enc = Encoder::new();
             enc.put_varint(v);
             let b = enc.finish();
+            assert_eq!(varint_len(v), b.len(), "{v}");
             assert_eq!(Decoder::new(&b).take_varint().unwrap(), v);
         }
     }

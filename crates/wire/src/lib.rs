@@ -12,6 +12,9 @@
 //! * [`message`] — every protocol message exchanged between sites:
 //!   invocations, replica batches (`get`), updates (`put`), name-server
 //!   operations, invalidations and update pushes.
+//! * [`batch`] — the provider's side of a `get`: replicas written straight
+//!   into their reply frames ([`BatchWriter`]), byte for byte what
+//!   [`Message::encode`] writes for the same batch.
 //!
 //! All message types round-trip exactly (`encode` then `decode` is the
 //! identity); this invariant is enforced by unit tests and property tests.
@@ -32,11 +35,13 @@
 //! # }
 //! ```
 
+pub mod batch;
 pub mod codec;
 pub mod crc;
 pub mod message;
 pub mod value;
 
+pub use batch::{BatchWriter, WrittenBatch};
 pub use codec::{Decoder, Encoder};
 pub use crc::crc32;
 pub use message::{

@@ -80,11 +80,36 @@ pub struct ReplicaState {
     pub state: Bytes,
 }
 
+/// What precedes a replica's length-prefixed state on the wire.
+pub(crate) fn put_replica_head(enc: &mut Encoder, id: ObjId, class: &str, version: u64) {
+    enc.put_obj_id(id);
+    enc.put_str(class);
+    enc.put_varint(version);
+}
+
+/// What follows a batch's replicas on the wire: the frontier, then the
+/// cluster flag and id.
+pub(crate) fn put_batch_tail(
+    enc: &mut Encoder,
+    frontier: &[FrontierEdge],
+    cluster: Option<ClusterId>,
+) {
+    enc.put_varint(frontier.len() as u64);
+    for f in frontier {
+        f.encode(enc);
+    }
+    match cluster {
+        None => enc.put_u8(0),
+        Some(c) => {
+            enc.put_u8(1);
+            enc.put_cluster_id(c);
+        }
+    }
+}
+
 impl ReplicaState {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_obj_id(self.id);
-        enc.put_str(&self.class);
-        enc.put_varint(self.version);
+        put_replica_head(enc, self.id, &self.class, self.version);
         enc.put_bytes(&self.state);
     }
 
@@ -153,28 +178,13 @@ pub struct ReplicaBatch {
 }
 
 impl ReplicaBatch {
-    /// Total serialized object-state bytes in the batch (excluding framing).
-    pub fn state_bytes(&self) -> usize {
-        self.replicas.iter().map(|r| r.state.len()).sum()
-    }
-
     fn encode(&self, enc: &mut Encoder) {
         enc.put_obj_id(self.root);
         enc.put_varint(self.replicas.len() as u64);
         for r in &self.replicas {
             r.encode(enc);
         }
-        enc.put_varint(self.frontier.len() as u64);
-        for f in &self.frontier {
-            f.encode(enc);
-        }
-        match self.cluster {
-            None => enc.put_u8(0),
-            Some(c) => {
-                enc.put_u8(1);
-                enc.put_cluster_id(c);
-            }
-        }
+        put_batch_tail(enc, &self.frontier, self.cluster);
     }
 
     fn decode(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Self> {
@@ -466,7 +476,7 @@ pub enum Message {
 const MSG_INVOKE_REQ: u8 = 1;
 const MSG_INVOKE_REP: u8 = 2;
 const MSG_GET_REQ: u8 = 3;
-const MSG_GET_REP: u8 = 4;
+pub(crate) const MSG_GET_REP: u8 = 4;
 const MSG_PUT_REQ: u8 = 5;
 const MSG_PUT_REP: u8 = 6;
 const MSG_NAME_REQ: u8 = 7;
@@ -478,10 +488,10 @@ const MSG_UPDATE_PUSH: u8 = 12;
 const MSG_PING: u8 = 13;
 const MSG_PONG: u8 = 14;
 const MSG_GET_MANY_REQ: u8 = 15;
-const MSG_GET_MANY_REP: u8 = 16;
+pub(crate) const MSG_GET_MANY_REP: u8 = 16;
 const MSG_ACK_HORIZON: u8 = 17;
 const MSG_GET_MANY_STREAM_REQ: u8 = 18;
-const MSG_GET_MANY_CHUNK: u8 = 19;
+pub(crate) const MSG_GET_MANY_CHUNK: u8 = 19;
 const MSG_GET_MANY_DONE: u8 = 20;
 const MSG_JOIN_REQ: u8 = 21;
 const MSG_JOIN_ACK: u8 = 22;
@@ -1343,12 +1353,6 @@ mod tests {
         let leave = Message::Leave { site: SiteId::new(3) };
         assert!(!leave.is_request());
         assert_eq!(leave.request_id(), None);
-    }
-
-    #[test]
-    fn batch_state_bytes_sums_replica_payloads() {
-        let batch = sample_batch();
-        assert_eq!(batch.state_bytes(), 32);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `obiwan-lint`: project-specific invariant checks for the OBIWAN workspace.
 //!
 //! The compiler cannot see OBIWAN's cross-cutting invariants — that no lock
-//! guard is held across a transport boundary, that every wire tag can make a
-//! round trip, that every counter the platform registers is actually
+//! guard is held across a transport boundary, that lock classes are taken in
+//! one order, that every counter the platform registers is actually
 //! exercised. This crate is a lightweight token scanner (no dependencies,
 //! no rustc plumbing) that enforces them:
 //!
@@ -11,7 +11,6 @@
 //! | `guard-across-transport`     | no guard of a fn's own live across `.call`/`.cast`/`.send`/`.recv`/`.handle` |
 //! | `single-shard-guard`         | no shard guard acquired while another is held, except via `lock_pair`/`lock_many` |
 //! | `no-io-under-shard-guard`    | no WAL append/fsync/`log_*` call while a shard guard is held |
-//! | `wire-tag-coverage`          | every `Message` variant has encode + decode arms and a roundtrip test |
 //! | `metrics-coverage`           | every counter in `util::metrics` is incremented somewhere |
 //! | `no-unwrap-on-lock-or-decode`| no `unwrap()`/`expect()` on a decode result outside tests (the lock half is the compiler's) |
 //! | `lock-order-cycle`           | no A→B/B→A lock-class inversion anywhere in the static lock-order graph |
@@ -32,9 +31,9 @@
 //! of acquire and transport method names, [`lockgraph`] walks each fn body
 //! once for the guards held at every acquisition and call — the lock-order
 //! graph and the three guard rules (rows of `guardrules`) both read that
-//! walk — and [`lifecycle`] checks the WAL intent protocol. The coverage
-//! rules read tokens too; only `metrics-coverage` (a macro's entry list)
-//! and the decode-unwrap check still consume [`lexer::masked_lines`].
+//! walk — and [`lifecycle`] checks the WAL intent protocol.
+//! `metrics-coverage` (a macro's entry list) and the decode-unwrap check
+//! read [`lexer::masked_lines`].
 
 use std::fmt;
 use std::fs;
@@ -54,7 +53,6 @@ use callgraph::Unit;
 pub const RULE_GUARD_ACROSS_TRANSPORT: &str = "guard-across-transport";
 pub const RULE_SINGLE_SHARD_GUARD: &str = "single-shard-guard";
 pub const RULE_NO_IO_UNDER_SHARD_GUARD: &str = "no-io-under-shard-guard";
-pub const RULE_WIRE_TAG_COVERAGE: &str = "wire-tag-coverage";
 pub const RULE_METRICS_COVERAGE: &str = "metrics-coverage";
 pub const RULE_NO_UNWRAP: &str = "no-unwrap-on-lock-or-decode";
 pub const RULE_LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
@@ -177,7 +175,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         diags.extend(no_unwrap_on_decode(p));
         diags.extend(allow_without_rationale(p));
     }
-    diags.extend(wire_tag_coverage(&prepared));
     diags.extend(metrics_coverage(&prepared));
     diags.extend(lock_graph.cycle_diagnostics());
     diags.extend(lifecycle::check(&units));
@@ -228,8 +225,7 @@ struct Allow {
 /// A file plus its literal-masked lines, test mask, and extracted allows —
 /// the view the per-line rules consume. Derived entirely from the [`lexer`]
 /// token stream and the [`model`] item model.
-struct Prepared<'a> {
-    unit: &'a Unit,
+struct Prepared {
     path: String,
     /// Lines with comments and string/char literal contents blanked out
     /// (line structure preserved; see [`lexer::masked_lines`]).
@@ -240,8 +236,8 @@ struct Prepared<'a> {
     allows: Vec<Allow>,
 }
 
-impl<'a> Prepared<'a> {
-    fn new(unit: &'a Unit) -> Self {
+impl Prepared {
+    fn new(unit: &Unit) -> Self {
         let code = lexer::masked_lines(&unit.src, &unit.tokens);
         let mut in_test_mod = vec![false; code.len()];
         let mut mark = |a: u32, b: u32| {
@@ -264,7 +260,6 @@ impl<'a> Prepared<'a> {
             }
         }
         Prepared {
-            unit,
             path: unit.rel.clone(),
             code,
             in_test_mod,
@@ -322,7 +317,7 @@ fn extract_allows(src: &str, tokens: &[lexer::Token]) -> Vec<Allow> {
 
 /// `lint:allow(rule)` in a comment on the diagnostic's line or the line
 /// above suppresses it.
-fn is_allowed(prepared: &[Prepared<'_>], d: &Diagnostic) -> bool {
+fn is_allowed(prepared: &[Prepared], d: &Diagnostic) -> bool {
     prepared.iter().find(|p| p.path == d.file).is_some_and(|p| {
         p.allows
             .iter()
@@ -336,7 +331,7 @@ fn is_allowed(prepared: &[Prepared<'_>], d: &Diagnostic) -> bool {
 
 /// Every `lint:allow` is a hole in an invariant; a hole with no explanation
 /// cannot be audited. Text after the `(rule)` closer is the rationale.
-fn allow_without_rationale(p: &Prepared<'_>) -> Vec<Diagnostic> {
+fn allow_without_rationale(p: &Prepared) -> Vec<Diagnostic> {
     p.allows
         .iter()
         .filter(|a| !a.has_rationale)
@@ -360,13 +355,13 @@ fn allow_without_rationale(p: &Prepared<'_>) -> Vec<Diagnostic> {
 /// The rule id still says `lock-or-decode`; its lock half went with the
 /// reach ledger (DESIGN.md §4b): `.lock()`/`.read()`/`.write()` return a
 /// guard on both facades, so an `unwrap` there does not compile.
-fn no_unwrap_on_decode(p: &Prepared<'_>) -> Vec<Diagnostic> {
+fn no_unwrap_on_decode(p: &Prepared) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (i, line) in p.code.iter().enumerate() {
         if !p.is_lib_code(i) {
             continue;
         }
-        if let Some(pos) = line.find("decode(").or_else(|| line.find("decode_inner(")) {
+        if let Some(pos) = line.find("decode(").or_else(|| line.find("read_field(")) {
             let tail = &line[pos..];
             for bad in [".unwrap()", ".expect("] {
                 if tail.contains(bad) {
@@ -387,124 +382,12 @@ fn no_unwrap_on_decode(p: &Prepared<'_>) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: wire-tag-coverage
-// ---------------------------------------------------------------------------
-
-const MESSAGE_RS: &str = "crates/wire/src/message.rs";
-
-fn wire_tag_coverage(prepared: &[Prepared<'_>]) -> Vec<Diagnostic> {
-    let Some(msg) = prepared.iter().find(|p| p.path == MESSAGE_RS) else {
-        return Vec::new();
-    };
-    let variants = enum_variants(msg.unit, "Message");
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            file: msg.path.clone(),
-            line: 1,
-            rule: RULE_WIRE_TAG_COVERAGE,
-            message: "could not locate `pub enum Message` variants".into(),
-        }];
-    }
-    // `Message`'s own codec: the file also has `fn encode` helpers on
-    // WireMode/NameOp/ReplicaBatch.
-    let body_of = |name: &str| {
-        let body = msg
-            .unit
-            .model
-            .fns
-            .iter()
-            .find(|f| f.name == name && f.impl_type.as_deref() == Some("Message"))
-            .map_or((0, 0), |f| f.body);
-        move |k: usize| body.0 < k && k < body.1
-    };
-    let (encode, decode) = (body_of("encode"), body_of("decode_inner"));
-    // Roundtrip coverage: the variant appears in message.rs's own test
-    // module or in any integration-test file.
-    let in_tests = |k: usize| msg.in_test_mod[msg.unit.tokens[k].line as usize - 1];
-
-    let mut diags = Vec::new();
-    for (name, line) in &variants {
-        let mut missing = Vec::new();
-        if !names_variant(msg.unit, &encode, "Message", name) {
-            missing.push("an encode arm");
-        }
-        if !names_variant(msg.unit, &decode, "Message", name) {
-            missing.push("a decode arm");
-        }
-        let tested = names_variant(msg.unit, &in_tests, "Message", name)
-            || prepared
-                .iter()
-                .filter(|p| p.path.starts_with("tests/"))
-                .any(|p| names_variant(p.unit, &|_| true, "Message", name));
-        if !tested {
-            missing.push("a roundtrip test");
-        }
-        if !missing.is_empty() {
-            diags.push(Diagnostic {
-                file: msg.path.clone(),
-                line: *line,
-                rule: RULE_WIRE_TAG_COVERAGE,
-                message: format!(
-                    "wire variant `{name}` is missing {}",
-                    missing.join(" and ")
-                ),
-            });
-        }
-    }
-    diags
-}
-
-/// Collects `(variant, 1-based line)` of `enum <name> { … }`: the
-/// identifier that opens each comma-separated item at nesting depth 1, so
-/// attributes and struct-variant fields are passed over.
-fn enum_variants(u: &Unit, name: &str) -> Vec<(String, usize)> {
-    let tok = |q: usize| &u.tokens[u.sig[q]];
-    let txt = |q: usize| tok(q).text(&u.src);
-    let Some(open) = (2..u.sig.len()).find(|&q| txt(q) == "{" && txt(q - 1) == name && txt(q - 2) == "enum")
-    else {
-        return Vec::new();
-    };
-    let mut variants = Vec::new();
-    let mut depth = 0usize;
-    let mut item_start = true;
-    for q in open..u.sig.len() {
-        match txt(q) {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => depth -= 1,
-            "," if depth == 1 => item_start = true,
-            _ if depth == 1 && item_start && tok(q).kind == lexer::Kind::Ident => {
-                variants.push((txt(q).to_string(), tok(q).line as usize));
-                item_start = false;
-            }
-            _ => {}
-        }
-        if depth == 0 {
-            break;
-        }
-    }
-    variants
-}
-
-/// True when the path `ty::variant` occurs in `u` at a token index `within`
-/// admits (whole identifiers, so `Message::Get` is not `Message::GetMany`).
-fn names_variant(u: &Unit, within: &dyn Fn(usize) -> bool, ty: &str, variant: &str) -> bool {
-    let txt = |q: usize| u.tokens[u.sig[q]].text(&u.src);
-    (3..u.sig.len()).any(|q| {
-        txt(q) == variant
-            && txt(q - 1) == ":"
-            && txt(q - 2) == ":"
-            && txt(q - 3) == ty
-            && within(u.sig[q])
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Rule: metrics-coverage
 // ---------------------------------------------------------------------------
 
 const METRICS_RS: &str = "crates/util/src/metrics.rs";
 
-fn metrics_coverage(prepared: &[Prepared<'_>]) -> Vec<Diagnostic> {
+fn metrics_coverage(prepared: &[Prepared]) -> Vec<Diagnostic> {
     let Some(metrics) = prepared.iter().find(|p| p.path == METRICS_RS) else {
         return Vec::new();
     };

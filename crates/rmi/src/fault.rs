@@ -316,7 +316,8 @@ pub enum Admit {
 /// A hit means the request was already executed: the cached reply is
 /// retransmitted and the handler is *not* run again — the mechanism that
 /// upgrades client retries from at-most-once to exactly-once. Eviction is
-/// LRU on lookup/insert order; clients additionally prune their own
+/// LRU on [`begin`](ReplyCache::begin)/[`complete`](ReplyCache::complete)
+/// order; clients additionally prune their own
 /// settled prefix via [`ReplyCache::ack_horizon`].
 #[derive(Debug)]
 pub struct ReplyCache {
@@ -337,37 +338,6 @@ impl ReplyCache {
                 pending: HashMap::new(),
                 stamp: 0,
             }),
-        }
-    }
-
-    /// Looks up the cached reply for `id`, refreshing its LRU stamp.
-    pub fn lookup(&self, id: RequestId) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        let entry = inner.entries.get_mut(&(id.origin(), id.seq()))?;
-        entry.stamp = stamp;
-        Some(entry.frame.clone())
-    }
-
-    /// Remembers `frame` as the reply for `id`, evicting the least
-    /// recently used entry when full.
-    pub fn insert(&self, id: RequestId, frame: Bytes) {
-        let mut inner = self.inner.lock();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner
-            .entries
-            .insert((id.origin(), id.seq()), CachedReply { frame, stamp });
-        if inner.entries.len() > self.capacity {
-            if let Some(oldest) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                inner.entries.remove(&oldest);
-            }
         }
     }
 
@@ -702,37 +672,58 @@ mod tests {
         assert!(br.admit(s(2), 0));
     }
 
+    /// Caches `frame` as the reply to `id` the one way the server does:
+    /// admitted, executed, completed.
+    fn answer(cache: &ReplyCache, id: RequestId, frame: &'static [u8]) {
+        assert!(matches!(cache.begin(id, 0), Admit::Execute), "{id:?} already admitted");
+        cache.complete(id, Some(Bytes::from_static(frame)));
+    }
+
+    /// The cached reply to `id`, if any, as a retransmission sees it
+    /// (refreshing its LRU stamp). A miss is admitted and completed with
+    /// no reply, which caches nothing.
+    fn cached(cache: &ReplyCache, id: RequestId) -> Option<Bytes> {
+        match cache.begin(id, 0) {
+            Admit::Cached(frame) => Some(frame),
+            Admit::Execute => {
+                cache.complete(id, None);
+                None
+            }
+            Admit::Wait(_) => panic!("{id:?} is in flight"),
+        }
+    }
+
     #[test]
     fn reply_cache_hits_and_lru_evicts() {
         let cache = ReplyCache::new(2);
         let id = |n| RequestId::new(s(1), n);
-        cache.insert(id(1), Bytes::from_static(b"one"));
-        cache.insert(id(2), Bytes::from_static(b"two"));
+        answer(&cache, id(1), b"one");
+        answer(&cache, id(2), b"two");
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(cache.lookup(id(1)).unwrap(), Bytes::from_static(b"one"));
-        cache.insert(id(3), Bytes::from_static(b"three"));
+        assert_eq!(cached(&cache, id(1)).unwrap(), Bytes::from_static(b"one"));
+        answer(&cache, id(3), b"three");
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(id(2)).is_none());
-        assert!(cache.lookup(id(1)).is_some());
-        assert!(cache.lookup(id(3)).is_some());
+        assert!(cached(&cache, id(2)).is_none());
+        assert!(cached(&cache, id(1)).is_some());
+        assert!(cached(&cache, id(3)).is_some());
     }
 
     #[test]
     fn reply_cache_ack_horizon_prunes_only_that_origin() {
         let cache = ReplyCache::new(16);
-        cache.insert(RequestId::new(s(1), 1), Bytes::from_static(b"a"));
-        cache.insert(RequestId::new(s(1), 2), Bytes::from_static(b"b"));
-        cache.insert(RequestId::new(s(1), 5), Bytes::from_static(b"c"));
-        cache.insert(RequestId::new(s(9), 2), Bytes::from_static(b"d"));
+        answer(&cache, RequestId::new(s(1), 1), b"a");
+        answer(&cache, RequestId::new(s(1), 2), b"b");
+        answer(&cache, RequestId::new(s(1), 5), b"c");
+        answer(&cache, RequestId::new(s(9), 2), b"d");
         cache.ack_horizon(s(1), 2);
-        assert!(cache.lookup(RequestId::new(s(1), 1)).is_none());
-        assert!(cache.lookup(RequestId::new(s(1), 2)).is_none());
-        assert!(cache.lookup(RequestId::new(s(1), 5)).is_some());
-        assert!(cache.lookup(RequestId::new(s(9), 2)).is_some());
+        assert!(cached(&cache, RequestId::new(s(1), 1)).is_none());
+        assert!(cached(&cache, RequestId::new(s(1), 2)).is_none());
+        assert!(cached(&cache, RequestId::new(s(1), 5)).is_some());
+        assert!(cached(&cache, RequestId::new(s(9), 2)).is_some());
     }
 
     /// Audit: a client that *never* sends `AckHorizon` must not grow the
-    /// cache past its LRU bound — `insert` evicts on every overflow, so
+    /// cache past its LRU bound — `complete` evicts on every overflow, so
     /// sustained one-sided traffic (and traffic from many origins at once)
     /// stays within capacity without any cooperation from the client.
     #[test]
@@ -740,7 +731,7 @@ mod tests {
         let capacity = 8;
         let cache = ReplyCache::new(capacity);
         for seq in 1..=10_000u64 {
-            cache.insert(RequestId::new(s(1), seq), Bytes::from_static(b"r"));
+            answer(&cache, RequestId::new(s(1), seq), b"r");
             assert!(
                 cache.len() <= capacity,
                 "cache grew to {} after {seq} unacked inserts",
@@ -749,13 +740,13 @@ mod tests {
         }
         // Only the most recent window survives.
         assert_eq!(cache.len(), capacity);
-        assert!(cache.lookup(RequestId::new(s(1), 1)).is_none());
-        assert!(cache.lookup(RequestId::new(s(1), 10_000)).is_some());
+        assert!(cached(&cache, RequestId::new(s(1), 1)).is_none());
+        assert!(cached(&cache, RequestId::new(s(1), 10_000)).is_some());
         // Many silent origins interleaved: the bound is global, not
         // per-origin.
         for seq in 1..=1_000u64 {
             for origin in 2..=5u32 {
-                cache.insert(RequestId::new(s(origin), seq), Bytes::from_static(b"r"));
+                answer(&cache, RequestId::new(s(origin), seq), b"r");
             }
             assert!(cache.len() <= capacity);
         }

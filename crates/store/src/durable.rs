@@ -61,7 +61,7 @@
 //!    A record lost from the tail means the corresponding state change is
 //!    re-done (a put retried, an op re-journaled) — never half-applied.
 
-use crate::record::{encode_op, state_fingerprint, WalRecord};
+use crate::record::{state_fingerprint, WalRecord};
 use crate::storage::Storage;
 use crate::wal::{self, Frames, Wal, WalOptions, WalStats};
 use obiwan_util::sync::Mutex;
@@ -366,8 +366,7 @@ impl Durable {
 
     /// Journals one disconnected-session invocation together with the
     /// replicas it dirtied (`(provider, state)` each): one record, so a
-    /// crash keeps the op and its states or neither. The record is encoded
-    /// from the borrowed arguments; only what the mirror keeps is owned.
+    /// crash keeps the op and its states or neither.
     ///
     /// Like [`log_dirty`](Durable::log_dirty), never under a shard guard:
     /// read the states first, release the stripe, then call this.
@@ -379,18 +378,13 @@ impl Durable {
         succeeded: bool,
         deltas: Vec<(SiteId, ReplicaState)>,
     ) -> Result<()> {
-        let mut frames = Frames::new();
-        frames.push_with(|enc| encode_op(enc, target, method, args, succeeded, &deltas));
-        let mut mirror = self.mirror.lock();
-        self.wal.append_frames(&frames)?;
-        let record = WalRecord::Op {
+        self.log(WalRecord::Op {
             target,
             method: method.to_string(),
             args: args.to_vec(),
             succeeded,
             deltas,
-        };
-        self.applied_locked(&mut mirror, [record])
+        })
     }
 
     /// Logs the intents of one write-back group — each id about to be put

@@ -2,8 +2,9 @@
 //!
 //! Each [`WalRecord`] is one logical durability event; it encodes to the
 //! payload bytes of one [`crate::wal`] frame using the `obiwan-wire`
-//! codec (tag byte + fields). Snapshots use the same record vocabulary,
-//! so there is exactly one decode path for both files.
+//! codec (tag byte + fields), from the one layout the `wire_layout!` block
+//! below declares. Snapshots use the same record vocabulary, so there is
+//! exactly one decode path for both files.
 //!
 //! The record set mirrors what a mobile site must not lose across a crash:
 //!
@@ -48,9 +49,8 @@
 //!   sequence number and the settled reply horizon.
 
 use crate::wal::Frames;
-use bytes::Bytes;
-use obiwan_util::{ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{crc32, Decoder, Encoder, ObiValue, ReplicaState};
+use obiwan_util::{ObjId, Result, SiteId};
+use obiwan_wire::{crc32, Decoder, Encoder, Field, ObiValue, ReplicaState};
 
 /// Fingerprint of the serialized state a put carries: CRC of the state
 /// bytes in the high word, length/version mixed into the low word. Two
@@ -107,195 +107,48 @@ pub enum WalRecord {
     HandoffComplete { root: ObjId },
 }
 
+obiwan_wire::wire_layout! {
+    enum WalRecord {
+        ObjectDelta = 0 { provider, state },
+        Op = 1 { target, method, args, succeeded; deltas },
+        PutIntent = 2 { id, seq, fingerprint },
+        PutConfirmed = 3 { id, version, fingerprint },
+        Clean = 4 { id },
+        ClientState = 5 { next_seq, horizon },
+        PutAbandoned = 6 { id },
+        HandoffIntent = 7 { root, successor },
+        HandoffComplete = 8 { root },
+    }
+}
+
 impl WalRecord {
     /// Encodes this record to a WAL frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        self.encode_into(&mut enc);
+        self.write_field(&mut enc);
         enc.into_vec()
     }
 
     /// Frames this record as the next one of `frames`, encoding it in place
     /// behind its header.
     pub fn frame_into(&self, frames: &mut Frames) {
-        frames.push_with(|enc| self.encode_into(enc));
-    }
-
-    /// Writes this record's frame payload at the end of `enc`.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            WalRecord::ObjectDelta { provider, state } => {
-                enc.put_u8(0);
-                put_delta(enc, *provider, state);
-            }
-            WalRecord::Op {
-                target,
-                method,
-                args,
-                succeeded,
-                deltas,
-            } => encode_op(enc, *target, method, args, *succeeded, deltas),
-            WalRecord::PutIntent { id, seq, fingerprint } => {
-                enc.put_u8(2);
-                enc.put_obj_id(*id);
-                enc.put_varint(*seq);
-                enc.put_varint(*fingerprint);
-            }
-            WalRecord::PutConfirmed { id, version, fingerprint } => {
-                enc.put_u8(3);
-                enc.put_obj_id(*id);
-                enc.put_varint(*version);
-                enc.put_varint(*fingerprint);
-            }
-            WalRecord::Clean { id } => {
-                enc.put_u8(4);
-                enc.put_obj_id(*id);
-            }
-            WalRecord::ClientState { next_seq, horizon } => {
-                enc.put_u8(5);
-                enc.put_varint(*next_seq);
-                enc.put_varint(*horizon);
-            }
-            WalRecord::PutAbandoned { id } => {
-                enc.put_u8(6);
-                enc.put_obj_id(*id);
-            }
-            WalRecord::HandoffIntent { root, successor } => {
-                enc.put_u8(7);
-                enc.put_obj_id(*root);
-                enc.put_site(*successor);
-            }
-            WalRecord::HandoffComplete { root } => {
-                enc.put_u8(8);
-                enc.put_obj_id(*root);
-            }
-        }
+        frames.push_with(|enc| self.write_field(enc));
     }
 
     /// Decodes a WAL frame payload. A CRC-valid payload that fails here is
     /// format skew, not a torn tail, and recovery reports it as an error.
+    /// States are copied out of `payload`, so a recovered replica never
+    /// pins the log's read buffer.
     pub fn decode(payload: &[u8]) -> Result<WalRecord> {
-        let mut dec = Decoder::new(payload);
-        let record = match dec.take_u8()? {
-            0 => {
-                let (provider, state) = take_delta(&mut dec)?;
-                WalRecord::ObjectDelta { provider, state }
-            }
-            1 => {
-                let target = dec.take_obj_id()?;
-                let method = dec.take_str()?;
-                let n = dec.take_varint()? as usize;
-                let mut args = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    args.push(dec.take_value()?);
-                }
-                let succeeded = dec.take_u8()? != 0;
-                // The payload ending here is the delta-less form.
-                let n = if dec.is_exhausted() { 0 } else { dec.take_varint()? as usize };
-                let mut deltas = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    deltas.push(take_delta(&mut dec)?);
-                }
-                WalRecord::Op {
-                    target,
-                    method,
-                    args,
-                    succeeded,
-                    deltas,
-                }
-            }
-            2 => WalRecord::PutIntent {
-                id: dec.take_obj_id()?,
-                seq: dec.take_varint()?,
-                fingerprint: dec.take_varint()?,
-            },
-            3 => WalRecord::PutConfirmed {
-                id: dec.take_obj_id()?,
-                version: dec.take_varint()?,
-                fingerprint: dec.take_varint()?,
-            },
-            4 => WalRecord::Clean {
-                id: dec.take_obj_id()?,
-            },
-            5 => WalRecord::ClientState {
-                next_seq: dec.take_varint()?,
-                horizon: dec.take_varint()?,
-            },
-            6 => WalRecord::PutAbandoned {
-                id: dec.take_obj_id()?,
-            },
-            7 => WalRecord::HandoffIntent {
-                root: dec.take_obj_id()?,
-                successor: dec.take_site()?,
-            },
-            8 => WalRecord::HandoffComplete {
-                root: dec.take_obj_id()?,
-            },
-            tag => {
-                return Err(ObiError::Decode(format!("unknown WAL record tag {tag}")))
-            }
-        };
-        Ok(record)
+        WalRecord::read_field(&mut Decoder::new(payload))
     }
-}
-
-/// Writes an [`WalRecord::Op`] payload from borrowed parts, so the caller
-/// that journals an invocation ([`crate::Durable::log_op`]) encodes it
-/// without first building an owned record.
-pub(crate) fn encode_op(
-    enc: &mut Encoder,
-    target: ObjId,
-    method: &str,
-    args: &[ObiValue],
-    succeeded: bool,
-    deltas: &[(SiteId, ReplicaState)],
-) {
-    enc.put_u8(1);
-    enc.put_obj_id(target);
-    enc.put_str(method);
-    enc.put_varint(args.len() as u64);
-    for a in args {
-        enc.put_value(a);
-    }
-    enc.put_u8(u8::from(succeeded));
-    if !deltas.is_empty() {
-        enc.put_varint(deltas.len() as u64);
-        for (provider, state) in deltas {
-            put_delta(enc, *provider, state);
-        }
-    }
-}
-
-/// The fields of one delta: the body of an `ObjectDelta`, and one element
-/// of an `Op`'s delta list.
-fn put_delta(enc: &mut Encoder, provider: SiteId, state: &ReplicaState) {
-    enc.put_site(provider);
-    enc.put_obj_id(state.id);
-    enc.put_str(&state.class);
-    enc.put_varint(state.version);
-    enc.put_bytes(&state.state);
-}
-
-fn take_delta(dec: &mut Decoder<'_>) -> Result<(SiteId, ReplicaState)> {
-    let provider = dec.take_site()?;
-    let id = dec.take_obj_id()?;
-    let class = dec.take_str()?;
-    let version = dec.take_varint()?;
-    let state = Bytes::copy_from_slice(dec.take_bytes_ref()?);
-    Ok((
-        provider,
-        ReplicaState {
-            id,
-            class,
-            version,
-            state,
-        },
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use obiwan_util::ObiError;
 
     fn oid(site: u32, n: u64) -> ObjId {
         ObjId::new(SiteId::new(site), n)

@@ -47,8 +47,6 @@ pub enum ObiError {
     /// The object has no local replica and the caller asked for local-only
     /// resolution (e.g. while disconnected).
     NotReplicated(ObjId),
-    /// A replica was created from a master that has since been retracted.
-    StaleProvider(ObjId),
     /// The addressed site no longer masters `object`: mastership was handed
     /// off to `to`. Definitive for the request as addressed (the old master
     /// will never apply it), but retryable against the new master — the put
@@ -96,7 +94,6 @@ impl fmt::Display for ObiError {
                 write!(f, "object {o} is a cluster member and cannot be individually updated")
             }
             ObiError::NotReplicated(o) => write!(f, "object {o} has no local replica"),
-            ObiError::StaleProvider(o) => write!(f, "provider for {o} is stale"),
             ObiError::MovedMaster { object, to } => {
                 write!(f, "mastership of {object} moved to site {to}")
             }

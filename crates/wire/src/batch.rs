@@ -5,8 +5,8 @@
 //! into the same chunks.
 
 use crate::codec::{varint_len, write_varint, Encoder, MAX_VARINT};
-use crate::message::{put_batch_tail, put_replica_head, FrontierEdge};
-use crate::message::{MSG_GET_MANY_CHUNK, MSG_GET_MANY_REP, MSG_GET_REP};
+use crate::field::Field;
+use crate::message::{FrontierEdge, MSG_GET_MANY_CHUNK, MSG_GET_MANY_REP, MSG_GET_REP};
 use bytes::Bytes;
 use obiwan_util::{ClusterId, ObjId, RequestId};
 
@@ -80,7 +80,11 @@ impl BatchWriter {
         let chunk = self.open_chunk();
         let start = chunk.buf.len();
         let mut enc = Encoder::over(std::mem::take(&mut chunk.buf));
-        put_replica_head(&mut enc, id, class, version);
+        // A `ReplicaState` up to its state: the state's own length prefix
+        // can only be written once the state is.
+        id.write_field(&mut enc);
+        class.write_field(&mut enc);
+        version.write_field(&mut enc);
         let prefix = enc.len();
         (0..guess).for_each(|_| enc.put_u8(0));
         state(&mut enc);
@@ -137,7 +141,10 @@ impl BatchWriter {
         let last = self.chunks.len() - 1;
         for (i, chunk) in self.chunks.iter_mut().enumerate() {
             let mut enc = Encoder::over(std::mem::take(&mut chunk.buf));
-            put_batch_tail(&mut enc, if i == last { frontier } else { &[] }, cluster);
+            // A `ReplicaBatch` after its replicas.
+            let frontier = if i == last { frontier } else { &[] };
+            frontier.write_field(&mut enc);
+            cluster.write_field(&mut enc);
             chunk.buf = enc.into_vec();
         }
         WrittenBatch { root, chunks: self.chunks, state_bytes: self.state_bytes }
@@ -258,7 +265,8 @@ mod tests {
         assert!(enc.len() <= HEADROOM);
         assert_eq!(TRAILER, {
             let mut tail = Encoder::new();
-            put_batch_tail(&mut tail, &[], Some(ClusterId::new(MAX_SITE, u64::MAX)));
+            <[FrontierEdge]>::write_field(&[], &mut tail);
+            Some(ClusterId::new(MAX_SITE, u64::MAX)).write_field(&mut tail);
             tail.len()
         });
     }

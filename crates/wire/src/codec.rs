@@ -232,99 +232,6 @@ impl Encoder {
         self.put_u8(TAG_MAP);
         self.put_varint(len as u64);
     }
-
-    /// Writes a platform error (see [`Decoder::take_error`]).
-    pub fn put_error(&mut self, e: &ObiError) {
-        match e {
-            ObiError::SiteUnreachable(s) => {
-                self.put_u8(0);
-                self.put_site(*s);
-            }
-            ObiError::Disconnected { from, to } => {
-                self.put_u8(1);
-                self.put_site(*from);
-                self.put_site(*to);
-            }
-            ObiError::MessageLost { from, to } => {
-                self.put_u8(2);
-                self.put_site(*from);
-                self.put_site(*to);
-            }
-            ObiError::Timeout { to } => {
-                self.put_u8(16);
-                self.put_site(*to);
-            }
-            ObiError::NoSuchObject(o) => {
-                self.put_u8(3);
-                self.put_obj_id(*o);
-            }
-            ObiError::NoSuchMethod { object, method } => {
-                self.put_u8(4);
-                self.put_obj_id(*object);
-                self.put_str(method);
-            }
-            ObiError::NameNotBound(n) => {
-                self.put_u8(5);
-                self.put_str(n);
-            }
-            ObiError::NameAlreadyBound(n) => {
-                self.put_u8(6);
-                self.put_str(n);
-            }
-            ObiError::ReentrantInvocation(o) => {
-                self.put_u8(7);
-                self.put_obj_id(*o);
-            }
-            ObiError::Decode(m) => {
-                self.put_u8(8);
-                self.put_str(m);
-            }
-            ObiError::BadArguments(m) => {
-                self.put_u8(9);
-                self.put_str(m);
-            }
-            ObiError::UpdateRejected { object, reason } => {
-                self.put_u8(10);
-                self.put_obj_id(*object);
-                self.put_str(reason);
-            }
-            ObiError::ClusterMember(o) => {
-                self.put_u8(11);
-                self.put_obj_id(*o);
-            }
-            ObiError::NotReplicated(o) => {
-                self.put_u8(12);
-                self.put_obj_id(*o);
-            }
-            ObiError::StaleProvider(o) => {
-                self.put_u8(13);
-                self.put_obj_id(*o);
-            }
-            ObiError::Application(m) => {
-                self.put_u8(14);
-                self.put_str(m);
-            }
-            ObiError::Internal(m) => {
-                self.put_u8(15);
-                self.put_str(m);
-            }
-            ObiError::Storage(m) => {
-                self.put_u8(17);
-                self.put_str(m);
-            }
-            ObiError::MovedMaster { object, to } => {
-                self.put_u8(18);
-                self.put_obj_id(*object);
-                self.put_site(*to);
-            }
-            other => {
-                // `ObiError` is non_exhaustive; future variants degrade to an
-                // internal error carrying their rendering.
-                self.put_u8(15);
-                self.put_str(&other.to_string());
-            }
-        }
-    }
 }
 
 /// A cursor that deserializes OBIWAN primitives.
@@ -332,12 +239,21 @@ impl Encoder {
 pub struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
+    /// The frame `data` is, for a decoder made by
+    /// [`over_frame`](Decoder::over_frame).
+    pub(crate) frame: Option<&'a Bytes>,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder over `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        Decoder { data, pos: 0 }
+        Decoder { data, pos: 0, frame: None }
+    }
+
+    /// Creates a decoder over `frame` whose `Bytes` fields
+    /// ([`Field`](crate::Field)) are views of it, not copies.
+    pub fn over_frame(frame: &'a Bytes) -> Self {
+        Decoder { data: frame, pos: 0, frame: Some(frame) }
     }
 
     /// Bytes not yet consumed.
@@ -414,7 +330,7 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    fn take_len(&mut self) -> Result<usize> {
+    pub(crate) fn take_len(&mut self) -> Result<usize> {
         let len = self.take_varint()?;
         if len > MAX_LEN {
             return Err(Self::err(format!("length {len} exceeds limit")));
@@ -532,49 +448,6 @@ impl<'a> Decoder<'a> {
         self.pos += usize::from(null);
         null
     }
-
-    /// Reads a platform error written by [`Encoder::put_error`].
-    pub fn take_error(&mut self) -> Result<ObiError> {
-        Ok(match self.take_u8()? {
-            0 => ObiError::SiteUnreachable(self.take_site()?),
-            1 => ObiError::Disconnected {
-                from: self.take_site()?,
-                to: self.take_site()?,
-            },
-            2 => ObiError::MessageLost {
-                from: self.take_site()?,
-                to: self.take_site()?,
-            },
-            3 => ObiError::NoSuchObject(self.take_obj_id()?),
-            4 => ObiError::NoSuchMethod {
-                object: self.take_obj_id()?,
-                method: self.take_str()?,
-            },
-            5 => ObiError::NameNotBound(self.take_str()?),
-            6 => ObiError::NameAlreadyBound(self.take_str()?),
-            7 => ObiError::ReentrantInvocation(self.take_obj_id()?),
-            8 => ObiError::Decode(self.take_str()?),
-            9 => ObiError::BadArguments(self.take_str()?),
-            10 => ObiError::UpdateRejected {
-                object: self.take_obj_id()?,
-                reason: self.take_str()?,
-            },
-            11 => ObiError::ClusterMember(self.take_obj_id()?),
-            12 => ObiError::NotReplicated(self.take_obj_id()?),
-            13 => ObiError::StaleProvider(self.take_obj_id()?),
-            14 => ObiError::Application(self.take_str()?),
-            15 => ObiError::Internal(self.take_str()?),
-            16 => ObiError::Timeout {
-                to: self.take_site()?,
-            },
-            17 => ObiError::Storage(self.take_str()?),
-            18 => ObiError::MovedMaster {
-                object: self.take_obj_id()?,
-                to: self.take_site()?,
-            },
-            tag => return Err(Self::err(format!("unknown error tag {tag}"))),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -663,40 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn all_errors_roundtrip() {
-        let s1 = SiteId::new(1);
-        let s2 = SiteId::new(2);
-        let o = ObjId::new(s2, 4);
-        let errors = vec![
-            ObiError::SiteUnreachable(s1),
-            ObiError::Disconnected { from: s1, to: s2 },
-            ObiError::MessageLost { from: s1, to: s2 },
-            ObiError::NoSuchObject(o),
-            ObiError::NoSuchMethod { object: o, method: "m".into() },
-            ObiError::NameNotBound("n".into()),
-            ObiError::NameAlreadyBound("n".into()),
-            ObiError::ReentrantInvocation(o),
-            ObiError::Decode("d".into()),
-            ObiError::BadArguments("b".into()),
-            ObiError::UpdateRejected { object: o, reason: "r".into() },
-            ObiError::ClusterMember(o),
-            ObiError::NotReplicated(o),
-            ObiError::StaleProvider(o),
-            ObiError::Application("a".into()),
-            ObiError::Internal("i".into()),
-            ObiError::Timeout { to: s2 },
-            ObiError::Storage("wal append failed".into()),
-            ObiError::MovedMaster { object: o, to: s2 },
-        ];
-        for e in errors {
-            let mut enc = Encoder::new();
-            enc.put_error(&e);
-            let b = enc.finish();
-            assert_eq!(Decoder::new(&b).take_error().unwrap(), e);
-        }
-    }
-
-    #[test]
     fn truncated_input_errors_cleanly() {
         let mut enc = Encoder::new();
         enc.put_value(&ObiValue::Str("hello world".into()));
@@ -711,8 +550,6 @@ mod tests {
     fn unknown_tags_are_rejected() {
         let mut dec = Decoder::new(&[200]);
         assert!(matches!(dec.take_value(), Err(ObiError::Decode(_))));
-        let mut dec = Decoder::new(&[200]);
-        assert!(matches!(dec.take_error(), Err(ObiError::Decode(_))));
     }
 
     #[test]

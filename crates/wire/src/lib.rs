@@ -9,9 +9,12 @@
 //!   arguments, results and object field state.
 //! * [`codec`] — a compact, self-describing binary [`Encoder`]/[`Decoder`]
 //!   (varint lengths, little-endian scalars).
+//! * [`field`] — [`Field`], how one field is written and read, and
+//!   [`wire_layout!`], which declares a type's layout once and derives both
+//!   its writer and its reader from that declaration.
 //! * [`message`] — every protocol message exchanged between sites:
 //!   invocations, replica batches (`get`), updates (`put`), name-server
-//!   operations, invalidations and update pushes.
+//!   operations, invalidations and update pushes, each one layout line.
 //! * [`batch`] — the provider's side of a `get`: replicas written straight
 //!   into their reply frames ([`BatchWriter`]), byte for byte what
 //!   [`Message::encode`] writes for the same batch.
@@ -38,12 +41,14 @@
 pub mod batch;
 pub mod codec;
 pub mod crc;
+pub mod field;
 pub mod message;
 pub mod value;
 
 pub use batch::{BatchWriter, WrittenBatch};
 pub use codec::{Decoder, Encoder};
 pub use crc::crc32;
+pub use field::Field;
 pub use message::{
     FrontierEdge, JoinInfo, Message, NameOp, ReplicaBatch, ReplicaState, WireMode,
 };

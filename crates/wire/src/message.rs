@@ -7,10 +7,15 @@
 //!
 //! Messages encode to a tagged binary frame via [`Message::encode`] and are
 //! restored with [`Message::decode`]; the pair is the identity on all valid
-//! messages. Decoding copies nothing it can share: every
-//! [`ReplicaState::state`] of a decoded message is a view of its frame.
+//! messages. Each type's layout is declared once, in the [`wire_layout!`]
+//! block below, and both directions are derived from it. Decoding copies
+//! nothing it can share: every [`ReplicaState::state`] of a decoded message
+//! is a view of its frame.
+//!
+//! [`wire_layout!`]: crate::wire_layout
 
 use crate::codec::{Decoder, Encoder};
+use crate::field::Field;
 use crate::value::ObiValue;
 use bytes::Bytes;
 use obiwan_util::{ClusterId, ObiError, ObjId, RequestId, Result, SiteId};
@@ -37,35 +42,6 @@ pub enum WireMode {
     Transitive,
 }
 
-impl WireMode {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            WireMode::Incremental { batch } => {
-                enc.put_u8(0);
-                enc.put_varint(u64::from(*batch));
-            }
-            WireMode::Cluster { size } => {
-                enc.put_u8(1);
-                enc.put_varint(u64::from(*size));
-            }
-            WireMode::Transitive => enc.put_u8(2),
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.take_u8()? {
-            0 => WireMode::Incremental {
-                batch: dec.take_u32()?,
-            },
-            1 => WireMode::Cluster {
-                size: dec.take_u32()?,
-            },
-            2 => WireMode::Transitive,
-            tag => return Err(ObiError::Decode(format!("unknown mode tag {tag}"))),
-        })
-    }
-}
-
 /// The serialized state of one object replica.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaState {
@@ -80,65 +56,6 @@ pub struct ReplicaState {
     pub state: Bytes,
 }
 
-/// What precedes a replica's length-prefixed state on the wire.
-pub(crate) fn put_replica_head(enc: &mut Encoder, id: ObjId, class: &str, version: u64) {
-    enc.put_obj_id(id);
-    enc.put_str(class);
-    enc.put_varint(version);
-}
-
-/// What follows a batch's replicas on the wire: the frontier, then the
-/// cluster flag and id.
-pub(crate) fn put_batch_tail(
-    enc: &mut Encoder,
-    frontier: &[FrontierEdge],
-    cluster: Option<ClusterId>,
-) {
-    enc.put_varint(frontier.len() as u64);
-    for f in frontier {
-        f.encode(enc);
-    }
-    match cluster {
-        None => enc.put_u8(0),
-        Some(c) => {
-            enc.put_u8(1);
-            enc.put_cluster_id(c);
-        }
-    }
-}
-
-impl ReplicaState {
-    fn encode(&self, enc: &mut Encoder) {
-        put_replica_head(enc, self.id, &self.class, self.version);
-        enc.put_bytes(&self.state);
-    }
-
-    /// Reads one state out of `frame`, which `dec` reads: the state bytes
-    /// stay where they are and the result holds a view of them.
-    fn decode(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Self> {
-        let id = dec.take_obj_id()?;
-        let class = dec.take_str_ref()?.to_owned();
-        let version = dec.take_varint()?;
-        let state = frame.slice_ref(dec.take_bytes_ref()?);
-        Ok(ReplicaState {
-            id,
-            class,
-            version,
-            state,
-        })
-    }
-
-    /// A count-prefixed list of states (a put, a push, a handoff, a batch).
-    fn decode_all(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Vec<Self>> {
-        let n = dec.take_varint()? as usize;
-        let mut states = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            states.push(ReplicaState::decode(dec, frame)?);
-        }
-        Ok(states)
-    }
-}
-
 /// An out-edge of a replica batch pointing at an object that was *not*
 /// included: the receiver must create a proxy-out for it (paper §2.2 step 3).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,19 +64,6 @@ pub struct FrontierEdge {
     pub target: ObjId,
     /// Its class name (so faulting can be validated early).
     pub class: String,
-}
-
-impl FrontierEdge {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_obj_id(self.target);
-        enc.put_str(&self.class);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let target = dec.take_obj_id()?;
-        let class = dec.take_str_ref()?.to_owned();
-        Ok(FrontierEdge { target, class })
-    }
 }
 
 /// The payload of a successful `get`: replicas plus the frontier of
@@ -177,38 +81,6 @@ pub struct ReplicaBatch {
     pub cluster: Option<ClusterId>,
 }
 
-impl ReplicaBatch {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_obj_id(self.root);
-        enc.put_varint(self.replicas.len() as u64);
-        for r in &self.replicas {
-            r.encode(enc);
-        }
-        put_batch_tail(enc, &self.frontier, self.cluster);
-    }
-
-    fn decode(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Self> {
-        let root = dec.take_obj_id()?;
-        let replicas = ReplicaState::decode_all(dec, frame)?;
-        let m = dec.take_varint()? as usize;
-        let mut frontier = Vec::with_capacity(m.min(4096));
-        for _ in 0..m {
-            frontier.push(FrontierEdge::decode(dec)?);
-        }
-        let cluster = match dec.take_u8()? {
-            0 => None,
-            1 => Some(dec.take_cluster_id()?),
-            tag => return Err(ObiError::Decode(format!("bad cluster flag {tag}"))),
-        };
-        Ok(ReplicaBatch {
-            root,
-            replicas,
-            frontier,
-            cluster,
-        })
-    }
-}
-
 /// What a joiner learns from the name-server site when it enters a live
 /// world: the current peer roster and every bound name, so it can bootstrap
 /// replicas through the ordinary incremental/cluster demand pipeline while
@@ -219,36 +91,6 @@ pub struct JoinInfo {
     pub peers: Vec<SiteId>,
     /// Current name bindings (`name -> exported root`), in name order.
     pub names: Vec<(String, ObjId)>,
-}
-
-impl JoinInfo {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_varint(self.peers.len() as u64);
-        for p in &self.peers {
-            enc.put_site(*p);
-        }
-        enc.put_varint(self.names.len() as u64);
-        for (name, target) in &self.names {
-            enc.put_str(name);
-            enc.put_obj_id(*target);
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        let n = dec.take_varint()? as usize;
-        let mut peers = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            peers.push(dec.take_site()?);
-        }
-        let m = dec.take_varint()? as usize;
-        let mut names = Vec::with_capacity(m.min(4096));
-        for _ in 0..m {
-            let name = dec.take_str()?;
-            let target = dec.take_obj_id()?;
-            names.push((name, target));
-        }
-        Ok(JoinInfo { peers, names })
-    }
 }
 
 /// A name-server operation (the paper's registration of `AProxyIn` in a name
@@ -263,65 +105,6 @@ pub enum NameOp {
     Unbind { name: String },
     /// Enumerate all bound names.
     List,
-}
-
-impl NameOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            NameOp::Bind { name, target } => {
-                enc.put_u8(0);
-                enc.put_str(name);
-                enc.put_obj_id(*target);
-            }
-            NameOp::Lookup { name } => {
-                enc.put_u8(1);
-                enc.put_str(name);
-            }
-            NameOp::Unbind { name } => {
-                enc.put_u8(2);
-                enc.put_str(name);
-            }
-            NameOp::List => enc.put_u8(3),
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match dec.take_u8()? {
-            0 => NameOp::Bind {
-                name: dec.take_str()?,
-                target: dec.take_obj_id()?,
-            },
-            1 => NameOp::Lookup {
-                name: dec.take_str()?,
-            },
-            2 => NameOp::Unbind {
-                name: dec.take_str()?,
-            },
-            3 => NameOp::List,
-            tag => return Err(ObiError::Decode(format!("unknown name op {tag}"))),
-        })
-    }
-}
-
-fn encode_result_value(enc: &mut Encoder, r: &std::result::Result<ObiValue, ObiError>) {
-    match r {
-        Ok(v) => {
-            enc.put_u8(0);
-            enc.put_value(v);
-        }
-        Err(e) => {
-            enc.put_u8(1);
-            enc.put_error(e);
-        }
-    }
-}
-
-fn decode_result_value(dec: &mut Decoder<'_>) -> Result<std::result::Result<ObiValue, ObiError>> {
-    Ok(match dec.take_u8()? {
-        0 => Ok(dec.take_value()?),
-        1 => Err(dec.take_error()?),
-        tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-    })
 }
 
 /// A protocol message.
@@ -473,31 +256,55 @@ pub enum Message {
     Leave { site: SiteId },
 }
 
-const MSG_INVOKE_REQ: u8 = 1;
-const MSG_INVOKE_REP: u8 = 2;
-const MSG_GET_REQ: u8 = 3;
+/// The tags of the replies the batch writer stamps itself.
 pub(crate) const MSG_GET_REP: u8 = 4;
-const MSG_PUT_REQ: u8 = 5;
-const MSG_PUT_REP: u8 = 6;
-const MSG_NAME_REQ: u8 = 7;
-const MSG_NAME_REP: u8 = 8;
-const MSG_SUBSCRIBE: u8 = 9;
-const MSG_ACK: u8 = 10;
-const MSG_INVALIDATE: u8 = 11;
-const MSG_UPDATE_PUSH: u8 = 12;
-const MSG_PING: u8 = 13;
-const MSG_PONG: u8 = 14;
-const MSG_GET_MANY_REQ: u8 = 15;
 pub(crate) const MSG_GET_MANY_REP: u8 = 16;
-const MSG_ACK_HORIZON: u8 = 17;
-const MSG_GET_MANY_STREAM_REQ: u8 = 18;
 pub(crate) const MSG_GET_MANY_CHUNK: u8 = 19;
-const MSG_GET_MANY_DONE: u8 = 20;
-const MSG_JOIN_REQ: u8 = 21;
-const MSG_JOIN_ACK: u8 = 22;
-const MSG_HANDOFF_REQ: u8 = 23;
-const MSG_HANDOFF_ACK: u8 = 24;
-const MSG_LEAVE: u8 = 25;
+
+crate::wire_layout! {
+    enum WireMode {
+        Incremental = 0 { batch },
+        Cluster = 1 { size },
+        Transitive = 2 {},
+    }
+    struct ReplicaState { id, class, version, state }
+    struct FrontierEdge { target, class }
+    struct ReplicaBatch { root, replicas, frontier, cluster }
+    struct JoinInfo { peers, names }
+    enum NameOp {
+        Bind = 0 { name, target },
+        Lookup = 1 { name },
+        Unbind = 2 { name },
+        List = 3 {},
+    }
+    enum Message {
+        InvokeRequest = 1 { request, target, method, args },
+        InvokeReply = 2 { request, result },
+        GetRequest = 3 { request, target, mode },
+        GetReply = MSG_GET_REP { request, result },
+        PutRequest = 5 { request, entries },
+        PutReply = 6 { request, result },
+        NameRequest = 7 { request, op },
+        NameReply = 8 { request, result },
+        Subscribe = 9 { request, object, push },
+        Ack = 10 { request, result },
+        Invalidate = 11 { objects },
+        UpdatePush = 12 { entries },
+        Ping = 13 { request },
+        Pong = 14 { request },
+        GetManyRequest = 15 { request, targets, mode },
+        GetManyReply = MSG_GET_MANY_REP { request, result },
+        AckHorizon = 17 { up_to },
+        GetManyStreamRequest = 18 { request, targets, mode, chunk, resume_from },
+        GetManyChunk = MSG_GET_MANY_CHUNK { request, chunk_index, total_hint, batch },
+        GetManyDone = 20 { request, total_chunks, result },
+        JoinRequest = 21 { request },
+        JoinAck = 22 { request, result },
+        HandoffRequest = 23 { request, root, entries },
+        HandoffAck = 24 { request, result },
+        Leave = 25 { site },
+    }
+}
 
 /// Approximate frame size of a batch, used to pre-size encoders so hot
 /// replies do not grow their buffer repeatedly.
@@ -547,247 +354,7 @@ impl Message {
     /// Serializes the message to a self-contained frame.
     pub fn encode(&self) -> Bytes {
         let mut enc = Encoder::with_capacity(self.encoded_size_hint());
-        match self {
-            Message::InvokeRequest {
-                request,
-                target,
-                method,
-                args,
-            } => {
-                enc.put_u8(MSG_INVOKE_REQ);
-                enc.put_request_id(*request);
-                enc.put_obj_id(*target);
-                enc.put_str(method);
-                enc.put_value(args);
-            }
-            Message::InvokeReply { request, result } => {
-                enc.put_u8(MSG_INVOKE_REP);
-                enc.put_request_id(*request);
-                encode_result_value(&mut enc, result);
-            }
-            Message::GetRequest {
-                request,
-                target,
-                mode,
-            } => {
-                enc.put_u8(MSG_GET_REQ);
-                enc.put_request_id(*request);
-                enc.put_obj_id(*target);
-                mode.encode(&mut enc);
-            }
-            Message::GetReply { request, result } => {
-                enc.put_u8(MSG_GET_REP);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(batch) => {
-                        enc.put_u8(0);
-                        batch.encode(&mut enc);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            } => {
-                enc.put_u8(MSG_GET_MANY_REQ);
-                enc.put_request_id(*request);
-                enc.put_varint(targets.len() as u64);
-                for t in targets {
-                    enc.put_obj_id(*t);
-                }
-                mode.encode(&mut enc);
-            }
-            Message::GetManyReply { request, result } => {
-                enc.put_u8(MSG_GET_MANY_REP);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(batch) => {
-                        enc.put_u8(0);
-                        batch.encode(&mut enc);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::GetManyStreamRequest {
-                request,
-                targets,
-                mode,
-                chunk,
-                resume_from,
-            } => {
-                enc.put_u8(MSG_GET_MANY_STREAM_REQ);
-                enc.put_request_id(*request);
-                enc.put_varint(targets.len() as u64);
-                for t in targets {
-                    enc.put_obj_id(*t);
-                }
-                mode.encode(&mut enc);
-                enc.put_varint(u64::from(*chunk));
-                enc.put_varint(u64::from(*resume_from));
-            }
-            Message::GetManyChunk {
-                request,
-                chunk_index,
-                total_hint,
-                batch,
-            } => {
-                enc.put_u8(MSG_GET_MANY_CHUNK);
-                enc.put_request_id(*request);
-                enc.put_varint(u64::from(*chunk_index));
-                enc.put_varint(u64::from(*total_hint));
-                batch.encode(&mut enc);
-            }
-            Message::GetManyDone {
-                request,
-                total_chunks,
-                result,
-            } => {
-                enc.put_u8(MSG_GET_MANY_DONE);
-                enc.put_request_id(*request);
-                enc.put_varint(u64::from(*total_chunks));
-                match result {
-                    Ok(()) => enc.put_u8(0),
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::PutRequest { request, entries } => {
-                enc.put_u8(MSG_PUT_REQ);
-                enc.put_request_id(*request);
-                enc.put_varint(entries.len() as u64);
-                for e in entries {
-                    e.encode(&mut enc);
-                }
-            }
-            Message::PutReply { request, result } => {
-                enc.put_u8(MSG_PUT_REP);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(versions) => {
-                        enc.put_u8(0);
-                        enc.put_varint(versions.len() as u64);
-                        for (id, v) in versions {
-                            enc.put_obj_id(*id);
-                            enc.put_varint(*v);
-                        }
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::NameRequest { request, op } => {
-                enc.put_u8(MSG_NAME_REQ);
-                enc.put_request_id(*request);
-                op.encode(&mut enc);
-            }
-            Message::NameReply { request, result } => {
-                enc.put_u8(MSG_NAME_REP);
-                enc.put_request_id(*request);
-                encode_result_value(&mut enc, result);
-            }
-            Message::Subscribe {
-                request,
-                object,
-                push,
-            } => {
-                enc.put_u8(MSG_SUBSCRIBE);
-                enc.put_request_id(*request);
-                enc.put_obj_id(*object);
-                enc.put_u8(u8::from(*push));
-            }
-            Message::Ack { request, result } => {
-                enc.put_u8(MSG_ACK);
-                enc.put_request_id(*request);
-                encode_result_value(&mut enc, result);
-            }
-            Message::Invalidate { objects } => {
-                enc.put_u8(MSG_INVALIDATE);
-                enc.put_varint(objects.len() as u64);
-                for o in objects {
-                    enc.put_obj_id(*o);
-                }
-            }
-            Message::UpdatePush { entries } => {
-                enc.put_u8(MSG_UPDATE_PUSH);
-                enc.put_varint(entries.len() as u64);
-                for e in entries {
-                    e.encode(&mut enc);
-                }
-            }
-            Message::Ping { request } => {
-                enc.put_u8(MSG_PING);
-                enc.put_request_id(*request);
-            }
-            Message::Pong { request } => {
-                enc.put_u8(MSG_PONG);
-                enc.put_request_id(*request);
-            }
-            Message::AckHorizon { up_to } => {
-                enc.put_u8(MSG_ACK_HORIZON);
-                enc.put_varint(*up_to);
-            }
-            Message::JoinRequest { request } => {
-                enc.put_u8(MSG_JOIN_REQ);
-                enc.put_request_id(*request);
-            }
-            Message::JoinAck { request, result } => {
-                enc.put_u8(MSG_JOIN_ACK);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(info) => {
-                        enc.put_u8(0);
-                        info.encode(&mut enc);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::HandoffRequest {
-                request,
-                root,
-                entries,
-            } => {
-                enc.put_u8(MSG_HANDOFF_REQ);
-                enc.put_request_id(*request);
-                enc.put_obj_id(*root);
-                enc.put_varint(entries.len() as u64);
-                for e in entries {
-                    e.encode(&mut enc);
-                }
-            }
-            Message::HandoffAck { request, result } => {
-                enc.put_u8(MSG_HANDOFF_ACK);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(installed) => {
-                        enc.put_u8(0);
-                        enc.put_varint(*installed);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::Leave { site } => {
-                enc.put_u8(MSG_LEAVE);
-                enc.put_site(*site);
-            }
-        }
+        self.write_field(&mut enc);
         enc.finish()
     }
 
@@ -800,8 +367,8 @@ impl Message {
     /// Returns [`ObiError::Decode`] on any malformed input, including
     /// trailing garbage after a valid message.
     pub fn decode(frame: &Bytes) -> Result<Message> {
-        let mut dec = Decoder::new(frame);
-        let msg = Self::decode_inner(&mut dec, frame)?;
+        let mut dec = Decoder::over_frame(frame);
+        let msg = Message::read_field(&mut dec)?;
         if !dec.is_exhausted() {
             return Err(ObiError::Decode(format!(
                 "{} trailing bytes after message",
@@ -809,185 +376,6 @@ impl Message {
             )));
         }
         Ok(msg)
-    }
-
-    fn decode_inner(dec: &mut Decoder<'_>, frame: &Bytes) -> Result<Message> {
-        Ok(match dec.take_u8()? {
-            MSG_INVOKE_REQ => Message::InvokeRequest {
-                request: dec.take_request_id()?,
-                target: dec.take_obj_id()?,
-                method: dec.take_str()?,
-                args: dec.take_value()?,
-            },
-            MSG_INVOKE_REP => Message::InvokeReply {
-                request: dec.take_request_id()?,
-                result: decode_result_value(dec)?,
-            },
-            MSG_GET_REQ => Message::GetRequest {
-                request: dec.take_request_id()?,
-                target: dec.take_obj_id()?,
-                mode: WireMode::decode(dec)?,
-            },
-            MSG_GET_REP => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec, frame)?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::GetReply { request, result }
-            }
-            MSG_GET_MANY_REQ => {
-                let request = dec.take_request_id()?;
-                let n = dec.take_varint()? as usize;
-                let mut targets = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    targets.push(dec.take_obj_id()?);
-                }
-                let mode = WireMode::decode(dec)?;
-                Message::GetManyRequest {
-                    request,
-                    targets,
-                    mode,
-                }
-            }
-            MSG_GET_MANY_REP => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec, frame)?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::GetManyReply { request, result }
-            }
-            MSG_GET_MANY_STREAM_REQ => {
-                let request = dec.take_request_id()?;
-                let n = dec.take_varint()? as usize;
-                let mut targets = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    targets.push(dec.take_obj_id()?);
-                }
-                let mode = WireMode::decode(dec)?;
-                let chunk = dec.take_u32()?;
-                let resume_from = dec.take_u32()?;
-                Message::GetManyStreamRequest {
-                    request,
-                    targets,
-                    mode,
-                    chunk,
-                    resume_from,
-                }
-            }
-            MSG_GET_MANY_CHUNK => Message::GetManyChunk {
-                request: dec.take_request_id()?,
-                chunk_index: dec.take_u32()?,
-                total_hint: dec.take_u32()?,
-                batch: ReplicaBatch::decode(dec, frame)?,
-            },
-            MSG_GET_MANY_DONE => {
-                let request = dec.take_request_id()?;
-                let total_chunks = dec.take_u32()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(()),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::GetManyDone {
-                    request,
-                    total_chunks,
-                    result,
-                }
-            }
-            MSG_PUT_REQ => Message::PutRequest {
-                request: dec.take_request_id()?,
-                entries: ReplicaState::decode_all(dec, frame)?,
-            },
-            MSG_PUT_REP => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => {
-                        let n = dec.take_varint()? as usize;
-                        let mut versions = Vec::with_capacity(n.min(4096));
-                        for _ in 0..n {
-                            let id = dec.take_obj_id()?;
-                            let v = dec.take_varint()?;
-                            versions.push((id, v));
-                        }
-                        Ok(versions)
-                    }
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::PutReply { request, result }
-            }
-            MSG_NAME_REQ => Message::NameRequest {
-                request: dec.take_request_id()?,
-                op: NameOp::decode(dec)?,
-            },
-            MSG_NAME_REP => Message::NameReply {
-                request: dec.take_request_id()?,
-                result: decode_result_value(dec)?,
-            },
-            MSG_SUBSCRIBE => Message::Subscribe {
-                request: dec.take_request_id()?,
-                object: dec.take_obj_id()?,
-                push: dec.take_u8()? != 0,
-            },
-            MSG_ACK => Message::Ack {
-                request: dec.take_request_id()?,
-                result: decode_result_value(dec)?,
-            },
-            MSG_INVALIDATE => {
-                let n = dec.take_varint()? as usize;
-                let mut objects = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    objects.push(dec.take_obj_id()?);
-                }
-                Message::Invalidate { objects }
-            }
-            MSG_UPDATE_PUSH => Message::UpdatePush {
-                entries: ReplicaState::decode_all(dec, frame)?,
-            },
-            MSG_PING => Message::Ping {
-                request: dec.take_request_id()?,
-            },
-            MSG_PONG => Message::Pong {
-                request: dec.take_request_id()?,
-            },
-            MSG_ACK_HORIZON => Message::AckHorizon {
-                up_to: dec.take_varint()?,
-            },
-            MSG_JOIN_REQ => Message::JoinRequest {
-                request: dec.take_request_id()?,
-            },
-            MSG_JOIN_ACK => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(JoinInfo::decode(dec)?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::JoinAck { request, result }
-            }
-            MSG_HANDOFF_REQ => Message::HandoffRequest {
-                request: dec.take_request_id()?,
-                root: dec.take_obj_id()?,
-                entries: ReplicaState::decode_all(dec, frame)?,
-            },
-            MSG_HANDOFF_ACK => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(dec.take_varint()?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::HandoffAck { request, result }
-            }
-            MSG_LEAVE => Message::Leave {
-                site: dec.take_site()?,
-            },
-            tag => return Err(ObiError::Decode(format!("unknown message tag {tag}"))),
-        })
     }
 
     /// The request id carried by this message, if it has one.
@@ -1353,6 +741,21 @@ mod tests {
         let leave = Message::Leave { site: SiteId::new(3) };
         assert!(!leave.is_request());
         assert_eq!(leave.request_id(), None);
+    }
+
+    /// Error tag 13 belonged to a variant nothing ever constructed; it was
+    /// retired, not reassigned, so a frame carrying it no longer decodes.
+    #[test]
+    fn retired_error_tag_13_is_a_decode_error() {
+        let ack = Message::Ack { request: rid(1), result: Err(ObiError::NoSuchObject(oid(4))) };
+        let mut frame = ack.encode().to_vec();
+        // `[tag, origin, seq]`, the `Err` flag, then the error's tag.
+        assert_eq!(frame[4], 3, "the error tag moved");
+        frame[4] = 13;
+        match Message::decode(&Bytes::from(frame)) {
+            Err(ObiError::Decode(_)) => {}
+            other => panic!("error tag 13 decoded as {other:?}"),
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | Paper interface | Here |
 //! |---|---|
 //! | `IProvide::get(mode)` | [`ObiProcess::get`] with a [`ReplicationMode`](crate::ReplicationMode) |
-//! | `IProvide::put(Object)` | [`ObiProcess::put`] / [`ObiProcess::put_cluster`] |
+//! | `IProvide::put(Object)` | [`ObiProcess::put`], or [`ObiProcess::put_cluster`] for a cluster (§4.3: updated as a whole); both are `ObiProcess::put_many`, the one write-back path |
 //! | `IProvideRemote` (remote-capable `IProvide`) | the `GetRequest`/`PutRequest` wire messages ([`obiwan_wire::Message`]) |
 //! | `IDemand::setProvider` | the `provider` field of [`ProxyOut`](crate::proxy::ProxyOut) and replica metadata |
 //! | `IDemand::setDemander` | implicit: handles resolve through the space, so the demander needs no back-pointer |

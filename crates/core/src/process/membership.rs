@@ -219,6 +219,38 @@ mod tests {
     }
 
     #[test]
+    fn a_cluster_write_back_follows_a_handoff_to_the_successor() {
+        let (mut world, s1, s2, refs) = crate::process::testing::list_world(3);
+        let s3 = world.add_site("successor");
+        let remote = world.site(s1).lookup("head").unwrap();
+        let root = world
+            .site(s1)
+            .get(&remote, ReplicationMode::cluster(3))
+            .unwrap();
+        let cluster = world.site(s1).meta_of(root).unwrap().cluster.unwrap();
+        world.site(s2).handoff(refs[0], s3).unwrap();
+        world
+            .site(s1)
+            .invoke(root, "set_value", ObiValue::I64(42))
+            .unwrap();
+        // The client still points at s2, which redirects; the whole cluster
+        // then lands at s3 in one put.
+        let versions = world.site(s1).put_cluster(cluster).unwrap();
+        assert_eq!(versions.len(), 3);
+        assert_eq!(world.site(s1).metrics().snapshot().moved_master_redirects, 1);
+        assert_eq!(
+            world.site(s3).invoke(refs[0], "value", ObiValue::Null).unwrap(),
+            ObiValue::I64(42)
+        );
+        for r in &refs {
+            let meta = world.site(s1).meta_of(*r).unwrap();
+            assert_eq!(meta.kind, ReplicaKind::Replica { provider: s3 });
+            assert!(!meta.dirty);
+            assert_eq!(meta.version, world.site(s3).meta_of(*r).unwrap().version);
+        }
+    }
+
+    #[test]
     fn handoff_retry_to_same_successor_is_idempotent() {
         let mut world = ObiWorld::loopback();
         let s2 = world.add_site("old-master");

@@ -26,8 +26,8 @@
 //! * `demand.rs` — the one demand path (`demand_install`,
 //!   `materialize_batch`), `get`, prefetch, the replica budget and the
 //!   parked-chunk pump;
-//! * `update.rs` — `put`/`put_many`/`put_cluster`, `refresh`, `subscribe`
-//!   and the notices a mutation queues;
+//! * `update.rs` — the one write-back (`put_many`, and `put`/`put_cluster`
+//!   over it), `refresh`, `subscribe` and the notices a mutation queues;
 //! * `serve.rs` — the skeleton side: the [`RmiService`](obiwan_rmi::RmiService) this process
 //!   offers its peers, and arriving notices;
 //! * `membership.rs` — join, leave, peer retirement and mastership handoff.

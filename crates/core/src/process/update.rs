@@ -6,11 +6,11 @@ use super::{Notice, ObiProcess, ProcessInner, ProcessShared};
 use crate::objref::ObjRef;
 use crate::replication::replica_state_of;
 use crate::shards::ShardedSpace;
-use crate::space::ReplicaKind;
-use obiwan_store::{state_fingerprint, PendingPut};
+use crate::space::{ObjectMeta, ReplicaKind};
+use obiwan_store::{fingerprint, state_fingerprint, PendingPut};
 use obiwan_util::trace;
 use obiwan_util::{ClusterId, LatencyKind, ObiError, ObjId, RequestId, Result, SiteId};
-use obiwan_wire::{ReplicaState, WireMode};
+use obiwan_wire::{Encoder, ReplicaState, WireMode};
 use std::time::Duration;
 
 /// Most puts [`ObiProcess::put_many`] makes durable and sends as one
@@ -32,16 +32,22 @@ pub enum Freshness {
     Stale,
 }
 
-/// One put readied by `ObiProcess::put_plan`.
+/// One put readied by `ObiProcess::put_plan`: every entry that travels with
+/// its target, under one request id. A cluster member brings its cluster's
+/// every local member (§4.3: a cluster is updated as a whole); replicas
+/// whose pending intents share an id were one put (recovery does not
+/// restore clusters) and go together again; a plain replica goes alone.
 struct PlannedPut {
     provider: SiteId,
-    /// The replica's state as snapshotted: what the put carries.
-    entry: ReplicaState,
-    /// Names `entry`'s state: what the intent covers, and what the replica
-    /// must still hold at the ack to come out clean.
-    fingerprint: u64,
-    /// With durability attached, the id the put's durable intent names.
-    request: Option<RequestId>,
+    /// The states as snapshotted: what the put carries.
+    entries: Vec<ReplicaState>,
+    /// Each entry's object and the fingerprint naming its state: what its
+    /// intent covers, and what the replica must still hold at the ack to
+    /// come out clean.
+    members: Vec<(ObjId, u64)>,
+    /// The id the put goes under; with durability attached, the one its
+    /// intents name.
+    request: RequestId,
 }
 
 /// Queues invalidations/pushes for every subscriber of `id` except
@@ -86,327 +92,324 @@ impl ObiProcess {
     /// * [`ObiError::NotReplicated`] / [`ObiError::BadArguments`] — no such
     ///   local replica / target is a master.
     pub fn put(&self, target: ObjRef) -> Result<u64> {
-        let (_, outcome) = self
-            .put_many(&[target])
-            .pop()
-            .expect("put_many reports every target");
-        outcome
+        self.write_back(&[target], false)
+            .into_iter()
+            .find_map(|(id, outcome)| (id == target.id()).then_some(outcome))
+            .expect("a put reports its target")
     }
 
     /// Writes each of `targets` back to its master, reporting every
     /// object's outcome (the master version that accepted it, or why not —
-    /// see [`ObiProcess::put`]) in `targets` order. One object's failure
-    /// does not stop the others, except that once a master proves
-    /// unreachable the objects of later groups mastered there are reported
+    /// see [`ObiProcess::put`]) in `targets` order. A cluster member brings
+    /// its whole cluster in one put, whose members are reported in its
+    /// place and not put again. One object's failure does not stop the
+    /// others, except that once a master proves unreachable the objects of
+    /// later groups mastered there are reported
     /// [`ObiError::SiteUnreachable`] unsent.
     ///
-    /// The write-back proceeds in groups of at most `PUT_GROUP` (64). With
-    /// durability attached, a group's put intents — object, request id,
-    /// state fingerprint — become durable with one log write and one sync,
-    /// and only then do its `PutRequest`s leave, one per object under the
-    /// ids the intents name. A crash at any point replays the unconfirmed
-    /// puts under those same ids, and the master's reply cache deduplicates
-    /// the ones that had landed: exactly-once across restarts, at one sync
-    /// per group instead of one per object.
+    /// The write-back proceeds in groups of at most `PUT_GROUP` (64)
+    /// targets. With durability attached, a group's put intents — object,
+    /// request id, state fingerprint — become durable with one log write
+    /// and one sync, and only then do its `PutRequest`s leave, one per put.
+    /// A crash at any point replays the unconfirmed puts under the same ids,
+    /// and the master's reply cache deduplicates the ones that had landed:
+    /// exactly-once across restarts, at one sync per group of puts.
     pub fn put_many(&self, targets: &[ObjRef]) -> Vec<(ObjId, Result<u64>)> {
+        self.write_back(targets, true)
+    }
+
+    /// [`put_many`](ObiProcess::put_many), refusing cluster members with
+    /// [`ObiError::ClusterMember`] unless `whole_clusters` is set.
+    fn write_back(&self, targets: &[ObjRef], whole_clusters: bool) -> Vec<(ObjId, Result<u64>)> {
         self.pump_pending_chunks();
         let mut outcomes = Vec::with_capacity(targets.len());
         let mut unreachable = Vec::new();
+        let mut carried = Vec::new();
         for group in targets.chunks(PUT_GROUP) {
-            let mut last_confirmed = None;
-            for (&target, planned) in group.iter().zip(self.put_plan(group, &unreachable)) {
-                let id = target.id();
+            let first = outcomes.len();
+            let plans = self.put_plan(group, &unreachable, whole_clusters, &mut carried);
+            for (target, planned) in plans {
                 let _span = trace::span(&self.shared.clock, "obi.put")
                     .with_site(self.shared.site)
-                    .with_obj(id);
+                    .with_obj(target);
                 let start = self.shared.clock.virtual_nanos();
-                let mut provider = planned.as_ref().ok().map(|put| put.provider);
-                let mut outcome = planned.and_then(|put| self.put_send(put));
-                if let Err(ObiError::MovedMaster { to, .. }) = outcome {
-                    self.shared.metrics.incr_moved_master_redirects();
-                    provider = Some(to);
-                    outcome = self.put_redirected(target, to);
-                }
+                unreachable.extend(self.put_send(target, planned, true, &mut outcomes));
                 self.shared.metrics.record_latency(
                     LatencyKind::Put,
                     Duration::from_nanos(self.shared.clock.virtual_nanos().saturating_sub(start)),
                 );
-                match &outcome {
-                    Ok(_) => last_confirmed = Some(outcomes.len()),
-                    Err(e) if e.is_connectivity() => unreachable.extend(provider),
-                    Err(_) => {}
-                }
-                outcomes.push((id, outcome));
             }
             // Refresh the persisted client watermark once per group that
             // confirmed anything: recovery restores the request counter and
             // reply horizon from it. Like the confirmations it is not
             // forced — losing it costs a replayed put or a wider seq skip,
             // never a wrong one.
+            let last_confirmed = outcomes[first..].iter().rposition(|(_, put)| put.is_ok());
             if let (Some(last), Some(durable)) = (last_confirmed, self.shared.durable.get()) {
                 if let Err(e) = durable.log_client_state(
                     self.shared.client.request_seq(),
                     self.shared.client.horizon_tracker().horizon(),
                 ) {
-                    outcomes[last].1 = Err(e);
+                    outcomes[first + last].1 = Err(e);
                 }
             }
         }
         outcomes
     }
 
-    /// The addressed site no longer masters `target` — mastership was handed
-    /// off and the reply named the successor `to`. The old request id is
-    /// spent there (`put_send` already abandoned the intent: the redirect is
-    /// cached under it), so re-point the replica's provider and put once
-    /// more under a fresh id.
-    fn put_redirected(&self, target: ObjRef, to: SiteId) -> Result<u64> {
-        self.with_inner(|_inner| {
-            self.shared.space.update_meta(target.id(), |meta| {
-                if let ReplicaKind::Replica { provider } = &mut meta.kind {
-                    *provider = to;
-                }
-            });
-            Ok(())
-        })?;
-        let put = self
-            .put_plan(&[target], &[])
-            .pop()
-            .expect("put_plan plans every target")?;
-        self.put_send(put)
-    }
-
-    /// Readies one group of puts: snapshots each replica's state under one
-    /// entry of the process lock and, with durability attached, makes every
-    /// put's intent durable before any of them can leave (recovery
-    /// invariant 2 in `obiwan-store`). Objects mastered at an `unreachable`
-    /// site are not planned.
-    fn put_plan(&self, targets: &[ObjRef], unreachable: &[SiteId]) -> Vec<Result<PlannedPut>> {
-        let space = &self.shared.space;
-        let snapshot = self.with_inner(|_inner| {
-            let plan = |id: ObjId| {
-                let meta = space.meta(id).ok_or(ObiError::NotReplicated(id))?;
-                let ReplicaKind::Replica { provider } = meta.kind else {
-                    return Err(ObiError::BadArguments(
-                        "put applies to replicas, not masters".into(),
-                    ));
-                };
-                if meta.cluster.is_some() {
-                    return Err(ObiError::ClusterMember(id));
-                }
-                if unreachable.contains(&provider) {
-                    return Err(ObiError::SiteUnreachable(provider));
-                }
-                let entry = replica_state_of(space, id)?;
-                let fingerprint = state_fingerprint(&entry);
-                Ok(PlannedPut {
-                    provider,
-                    entry,
-                    fingerprint,
-                    request: None,
-                })
+    /// Readies one group of puts, one per target no earlier put of the
+    /// write-back `carried` (which this extends), snapshotted under one
+    /// entry of the process lock. With durability attached, every put's
+    /// intents are durable before any of them can leave (recovery invariant
+    /// 2 in `obiwan-store`). Objects mastered at an `unreachable` site are
+    /// not planned.
+    fn put_plan(
+        &self,
+        targets: &[ObjRef],
+        unreachable: &[SiteId],
+        whole_clusters: bool,
+        carried: &mut Vec<ObjId>,
+    ) -> Vec<(ObjId, Result<PlannedPut>)> {
+        let (space, client, site) = (&self.shared.space, &self.shared.client, self.shared.site);
+        let durable = self.shared.durable.get();
+        // Read before the process lock: the log's lock is never taken under it.
+        let pending = durable.map(|durable| durable.pending_puts()).unwrap_or_default();
+        let (mut fresh, mut replaced) = (Vec::new(), Vec::new());
+        let mut plan = |id: ObjId| {
+            let meta = space.meta(id).ok_or(ObiError::NotReplicated(id))?;
+            let ReplicaKind::Replica { provider } = meta.kind else {
+                return Err(ObiError::BadArguments("put applies to replicas, not masters".into()));
             };
-            Ok(targets.iter().map(|t| plan(t.id())).collect::<Vec<_>>())
-        });
-        let mut plans = match snapshot {
-            Ok(plans) => plans,
-            Err(e) => return targets.iter().map(|_| Err(e.clone())).collect(),
+            if meta.cluster.is_some() && !whole_clusters {
+                return Err(ObiError::ClusterMember(id));
+            }
+            if unreachable.contains(&provider) {
+                return Err(ObiError::SiteUnreachable(provider));
+            }
+            // Sized for the common put, a plain replica's.
+            let (mut entries, mut members) = (Vec::with_capacity(1), Vec::with_capacity(1));
+            let mut carry = |member: ObjId| {
+                let entry = replica_state_of(space, member)?;
+                members.push((member, state_fingerprint(&entry)));
+                entries.push(entry);
+                Ok::<_, ObiError>(())
+            };
+            let intent = pending.get(&id);
+            match (meta.cluster, intent) {
+                (Some(_), _) => space
+                    .object_ids()
+                    .into_iter()
+                    .filter(|&member| space.meta(member).is_some_and(|m| m.cluster == meta.cluster))
+                    .try_for_each(carry)?,
+                (None, Some(intent)) => pending
+                    .iter()
+                    .filter(|(&member, other)| {
+                        other.seq == intent.seq
+                            && space.meta(member).is_some_and(|m| !m.kind.is_master())
+                    })
+                    .try_for_each(|(&member, _)| carry(member))?,
+                (None, None) => carry(id)?,
+            }
+            // Replay of exactly the states the intents covered (crash
+            // recovery, or a retry after a connectivity failure): reuse the
+            // logged id so the master dedupes it.
+            let replay = intent.map(|intent| intent.seq).filter(|&seq| {
+                members.iter().all(|&(member, fingerprint)| {
+                    pending.get(&member) == Some(&PendingPut { seq, fingerprint })
+                })
+            });
+            let request =
+                replay.map_or_else(|| client.reserve_request(), |seq| RequestId::new(site, seq));
+            // No intents, or some for a state its replica has since left.
+            // Such a seq may already be spent at the master (the old state
+            // applied, the reply lost), and reusing it would serve the
+            // cached ack WITHOUT applying this state — silently dropping
+            // it. `log_put_intents` retires those and covers the current
+            // states under a fresh id.
+            if replay.is_none() && durable.is_some() {
+                for &(member, fingerprint) in &members {
+                    fresh.push((member, PendingPut { seq: request.seq(), fingerprint }));
+                    replaced.extend(pending.get(&member).map(|stale| (provider, stale.seq)));
+                }
+            }
+            Ok(PlannedPut { provider, entries, members, request })
         };
-        let Some(durable) = self.shared.durable.get() else {
+        let snapshot = self.with_inner(|_inner| {
+            let mut plans = Vec::with_capacity(targets.len());
+            for id in targets.iter().map(|target| target.id()) {
+                if !carried.contains(&id) {
+                    let planned = plan(id);
+                    let others = planned.iter().flat_map(|put| &put.members);
+                    carried.extend(others.map(|&(other, _)| other).filter(|&other| other != id));
+                    plans.push((id, planned));
+                }
+            }
+            Ok(plans)
+        });
+        let plans = match snapshot {
+            Ok(plans) => plans,
+            Err(e) => return targets.iter().map(|t| (t.id(), Err(e.clone()))).collect(),
+        };
+        let Some(durable) = durable else {
             return plans;
         };
-        let client = &self.shared.client;
-        let mut fresh = Vec::new();
-        let mut replaced = Vec::new();
-        for put in plans.iter_mut().flatten() {
-            let id = put.entry.id;
-            let pending = durable.pending_put(id);
-            let seq = match pending {
-                // Replay of the exact state the intent covered (crash
-                // recovery, or a retry after a connectivity failure):
-                // reuse the logged id so the master dedupes it.
-                Some(pending) if pending.fingerprint == put.fingerprint => pending.seq,
-                // No intent, or one for a state the replica has since left.
-                // That one's seq may already be spent at the master (the
-                // old state applied, the reply lost), and reusing it would
-                // serve the cached ack WITHOUT applying this state —
-                // silently dropping it. `log_put_intents` retires it and
-                // covers the current state under a fresh id.
-                _ => {
-                    let seq = client.reserve_request().seq();
-                    let fingerprint = put.fingerprint;
-                    fresh.push((id, PendingPut { seq, fingerprint }));
-                    replaced.extend(pending.map(|stale| (put.provider, stale.seq)));
-                    seq
-                }
-            };
-            put.request = Some(RequestId::new(self.shared.site, seq));
-        }
         // (Bound first so the `wal-intent-lifecycle` lint sees the match as
         // this function's exit: the intents leave with `plans`, whose sender
         // retires each.)
         let logged = durable.log_put_intents(&fresh);
         match logged {
             Ok(()) => {
+                // A put's members listed their shared stale seq one by one.
+                replaced.dedup();
                 for (provider, seq) in replaced {
-                    client.settle(provider, RequestId::new(self.shared.site, seq));
+                    client.settle(provider, RequestId::new(site, seq));
                 }
                 plans
             }
             // The log is failing: nothing of this group leaves.
             Err(e) => plans
                 .into_iter()
-                .map(|put| put.and_then(|_| Err(e.clone())))
+                .map(|(id, put)| (id, put.and_then(|_| Err(e.clone()))))
                 .collect(),
         }
     }
 
-    /// Sends one planned put and settles it: the ack is logged, and the
-    /// replica is clean again if it still holds the state that was sent.
-    fn put_send(&self, put: PlannedPut) -> Result<u64> {
-        let PlannedPut {
-            provider,
-            entry,
-            fingerprint,
-            request,
-        } = put;
-        let id = entry.id;
-        let durable = self.shared.durable.get();
-        self.shared
-            .clock
-            .charge_cpu(self.shared.costs.serialize(entry.state.len()));
-        let sent = match request {
-            Some(request) => self.shared.client.put_with_request(provider, vec![entry], request),
-            None => self.shared.client.put(provider, vec![entry]),
+    /// Sends the put planned for `target` and reports its members' outcomes
+    /// (the target's error if nothing was planned). A master that handed
+    /// the entries off names its successor: if `follow` is set, the members
+    /// are re-pointed there and put once more, under a fresh id (the old
+    /// one, abandoned, holds the redirect). Returns the master a
+    /// connectivity failure left unreachable.
+    fn put_send(
+        &self,
+        target: ObjId,
+        planned: Result<PlannedPut>,
+        follow: bool,
+        outcomes: &mut Vec<(ObjId, Result<u64>)>,
+    ) -> Option<SiteId> {
+        let put = match planned {
+            Ok(put) => put,
+            Err(e) => {
+                outcomes.push((target, Err(e)));
+                return None;
+            }
         };
-        // A put under a durable intent settles its request id only here,
-        // once the log holds the record that retires the intent: until then
-        // a crash replays the id, and the master must still hold its reply.
-        let retired = |logged: Result<()>| {
-            logged?;
-            if let Some(request) = request {
-                self.shared.client.settle(provider, request);
+        let to = match self.put_once(put.provider, put.request, put.entries, &put.members) {
+            Ok(versions) => {
+                outcomes.extend(versions.into_iter().map(|(id, version)| (id, Ok(version))));
+                return None;
+            }
+            Err(ObiError::MovedMaster { to, .. }) if follow => to,
+            Err(e) => {
+                outcomes.extend(put.members.iter().map(|&(id, _)| (id, Err(e.clone()))));
+                return e.is_connectivity().then_some(put.provider);
+            }
+        };
+        self.shared.metrics.incr_moved_master_redirects();
+        let targets: Vec<ObjRef> = put.members.iter().map(|&(id, _)| ObjRef::new(id)).collect();
+        let repoint = |meta: &mut ObjectMeta| {
+            if let ReplicaKind::Replica { provider } = &mut meta.kind {
+                *provider = to;
+            }
+        };
+        // Re-entry fails here and again in the re-plan, which reports it.
+        let _ = self.with_inner(|_inner| {
+            for target in &targets {
+                self.shared.space.update_meta(target.id(), repoint);
             }
             Ok(())
+        });
+        let replanned = self.put_plan(&targets, &[], true, &mut Vec::new()).into_iter();
+        replanned.fold(None, |unreachable, (target, planned)| {
+            unreachable.or(self.put_send(target, planned, false, outcomes))
+        })
+    }
+
+    /// Sends one put under its request id and settles it: each member's ack
+    /// — or, after a definitive rejection, the abandonment of its intent —
+    /// is logged before the id is settled, and a member comes out clean if
+    /// it still holds the state that was sent. Returns each member's
+    /// accepting version, in member order.
+    fn put_once(
+        &self,
+        provider: SiteId,
+        request: RequestId,
+        entries: Vec<ReplicaState>,
+        members: &[(ObjId, u64)],
+    ) -> Result<Vec<(ObjId, u64)>> {
+        let bytes = entries.iter().map(|entry| entry.state.len()).sum();
+        self.shared.clock.charge_cpu(self.shared.costs.serialize(bytes));
+        let sent = self.shared.client.put_with_request(provider, entries, request);
+        let durable = self.shared.durable.get();
+        // The id is settled once nothing will send it again: at once without
+        // a log, else once the log retires its intents (until then a crash
+        // replays it, and the master must still hold its reply).
+        let retired = |logged: Result<()>| {
+            logged?;
+            self.shared.client.settle(provider, request);
+            Ok(())
         };
-        let versions = match sent {
+        let mut versions = match sent {
             Ok(versions) => versions,
+            // The reply is unknown, so the intents stay: the retry must
+            // dedupe under the same id.
+            Err(e) if e.is_connectivity() && durable.is_some() => return Err(e),
+            // The id is spent: after a definitive rejection the master cached
+            // the error under it, so the intents are abandoned.
             Err(e) => {
-                // A definitive (non-connectivity) rejection means the
-                // master processed this request and cached the error
-                // reply — the intent's seq is spent, and reusing it on a
-                // later put would replay the cached rejection.
-                // Connectivity failures keep the intent: the reply is
-                // unknown, so the retry must dedupe under the same id.
-                if let (false, Some(durable)) = (e.is_connectivity(), durable) {
-                    retired(durable.log_put_abandoned(id))?;
-                }
+                retired(durable.map_or(Ok(()), |durable| {
+                    members.iter().try_for_each(|&(id, _)| durable.log_put_abandoned(id))
+                }))?;
                 return Err(e);
             }
         };
-        let &(_, version) = versions
-            .first()
-            .ok_or_else(|| ObiError::Internal("empty put reply".into()))?;
-        if let Some(durable) = durable {
-            retired(durable.log_confirm(id, version, fingerprint))?;
+        // A replay may be answered with the reply cached for the put it
+        // replays, which can name more objects than this one carries.
+        let position = |id: ObjId| members.iter().position(|&(member, _)| member == id);
+        versions.retain(|&(id, _)| position(id).is_some());
+        versions.sort_unstable_by_key(|&(id, _)| position(id));
+        if versions.len() != members.len() {
+            return Err(ObiError::Internal("put reply does not cover every entry".into()));
         }
+        let acks = || members.iter().zip(&versions).map(|(&(id, sent), &(_, v))| (id, v, sent));
+        retired(durable.map_or(Ok(()), |durable| {
+            acks().try_for_each(|(id, version, sent)| durable.log_confirm(id, version, sent))
+        }))?;
         self.with_inner(|_inner| {
-            settle_acked(&self.shared.space, id, version, Some(fingerprint));
-            Ok(())
-        })?;
-        Ok(version)
-    }
-
-    /// Writes a whole cluster back to its provider in one `put` (the only
-    /// way to update cluster members).
-    pub fn put_cluster(&self, cluster: ClusterId) -> Result<Vec<(ObjId, u64)>> {
-        self.pump_pending_chunks();
-        let (provider, entries) = self.with_inner(|_inner| {
-            let space = &self.shared.space;
-            let members: Vec<ObjId> = space
-                .object_ids()
-                .into_iter()
-                .filter(|id| space.meta(*id).is_some_and(|m| m.cluster == Some(cluster)))
-                .collect();
-            if members.is_empty() {
-                return Err(ObiError::BadArguments(format!(
-                    "no local members of {cluster}"
-                )));
-            }
-            let provider = match space.meta(members[0]).map(|m| m.kind) {
-                Some(ReplicaKind::Replica { provider }) => provider,
-                _ => {
-                    return Err(ObiError::BadArguments(
-                        "cluster members are not replicas".into(),
-                    ))
-                }
-            };
-            let mut entries = Vec::with_capacity(members.len());
-            for id in members {
-                entries.push(replica_state_of(space, id)?);
-            }
-            Ok((provider, entries))
-        })?;
-        let total: usize = entries.iter().map(|e| e.state.len()).sum();
-        self.shared.clock.charge_cpu(self.shared.costs.serialize(total));
-        let sent: std::collections::BTreeMap<ObjId, u64> = entries
-            .iter()
-            .map(|e| (e.id, state_fingerprint(e)))
-            .collect();
-        let versions = self.shared.client.put(provider, entries)?;
-        if let Some(durable) = self.shared.durable.get() {
-            // Cluster puts are not in the disconnected replay path, so no
-            // intent record — but confirmed members' deltas are superseded.
-            for &(id, version) in &versions {
-                if let Some(&fingerprint) = sent.get(&id) {
-                    durable.log_confirm(id, version, fingerprint)?;
-                }
-            }
-        }
-        self.with_inner(|_inner| {
-            for &(id, version) in &versions {
-                settle_acked(&self.shared.space, id, version, sent.get(&id).copied());
+            for (id, version, sent) in acks() {
+                settle_acked(&self.shared.space, id, version, sent);
             }
             Ok(())
         })?;
         Ok(versions)
     }
 
-    /// Writes every dirty replica back to its master; returns how many
-    /// objects were pushed. Plain replicas go through
-    /// [`put_many`](ObiProcess::put_many) — all of them are attempted before
-    /// the first failure, if any, is returned — and dirty cluster members
-    /// are pushed cluster-wise after them.
+    /// Writes a whole cluster back to its provider in one `put` (the only
+    /// way to update cluster members): [`put_many`](ObiProcess::put_many)
+    /// of one of its local members.
+    pub fn put_cluster(&self, cluster: ClusterId) -> Result<Vec<(ObjId, u64)>> {
+        let space = &self.shared.space;
+        let in_cluster = |id: &ObjId| space.meta(*id).is_some_and(|m| m.cluster == Some(cluster));
+        let member = self.with_inner(|_inner| {
+            let member = space.object_ids().into_iter().find(in_cluster);
+            member.ok_or_else(|| ObiError::BadArguments(format!("no local members of {cluster}")))
+        })?;
+        let outcomes = self.put_many(&[ObjRef::new(member)]).into_iter();
+        outcomes.map(|(id, outcome)| Ok((id, outcome?))).collect()
+    }
+
+    /// Writes every dirty replica back to its master in one
+    /// [`put_many`](ObiProcess::put_many), a dirty cluster member bringing
+    /// its cluster; returns how many objects were pushed. All of them are
+    /// attempted before the first failure, if any, is returned.
     pub fn put_all_dirty(&self) -> Result<usize> {
         self.pump_pending_chunks();
-        let (dirty_plain, dirty_clusters) = self.with_inner(|_inner| {
-            let mut plain = Vec::new();
-            let mut clusters = std::collections::BTreeSet::new();
-            for id in self.shared.space.object_ids() {
-                let Some(meta) = self.shared.space.meta(id) else {
-                    continue;
-                };
-                if !meta.dirty || meta.kind.is_master() {
-                    continue;
-                }
-                match meta.cluster {
-                    Some(c) => {
-                        clusters.insert(c);
-                    }
-                    None => plain.push(ObjRef::new(id)),
-                }
-            }
-            Ok((plain, clusters))
+        let space = &self.shared.space;
+        let is_dirty = |id: &ObjId| space.meta(*id).is_some_and(|m| m.dirty && !m.kind.is_master());
+        let dirty: Vec<ObjRef> = self.with_inner(|_inner| {
+            Ok(space.object_ids().into_iter().filter(is_dirty).map(ObjRef::new).collect())
         })?;
-        let mut pushed = 0;
-        for (_, outcome) in self.put_many(&dirty_plain) {
-            outcome?;
-            pushed += 1;
-        }
-        for c in dirty_clusters {
-            pushed += self.put_cluster(c)?.len();
-        }
-        Ok(pushed)
+        Ok(self.put_many(&dirty).into_iter().map(|(_, put)| put).collect::<Result<Vec<_>>>()?.len())
     }
 
     /// Re-fetches a replica's state from its master, discarding local
@@ -544,9 +547,15 @@ impl ObiProcess {
 /// and is no longer stale, but it is clean again only if it still holds
 /// that state — a mutation that raced the RPC must stay dirty, or it would
 /// never be pushed.
-fn settle_acked(space: &ShardedSpace, id: ObjId, version: u64, sent: Option<u64>) {
-    let unchanged =
-        replica_state_of(space, id).is_ok_and(|now| Some(state_fingerprint(&now)) == sent);
+fn settle_acked(space: &ShardedSpace, id: ObjId, version: u64, sent: u64) {
+    // The state as it stands, fingerprinted without building the
+    // `ReplicaState` a put would carry.
+    let now = space.with_object(id, |o, m| {
+        let mut enc = Encoder::with_capacity(128);
+        o.encode_state(&mut enc);
+        fingerprint(&enc.into_vec(), m.version)
+    });
+    let unchanged = now == Ok(sent);
     space.update_meta(id, |meta| {
         meta.version = version;
         if unchanged {

@@ -151,15 +151,10 @@ impl RmiClient {
         }
     }
 
-    /// Sets how many times requests are retried after a lost message or
-    /// timeout. Applies to *all* requests — the server's reply cache makes
-    /// retrying mutating requests (`invoke`, `put`) safe, with
-    /// exactly-once effect.
-    pub fn set_retries(&self, retries: u64) {
-        self.policy.lock().max_retries = retries;
-    }
-
     /// Replaces the whole retry policy (retries, deadline budget, backoff).
+    /// Retries apply to *all* requests: the server's reply cache makes
+    /// retrying mutating requests (`invoke`, `put`) safe, with exactly-once
+    /// effect.
     pub fn set_rpc_policy(&self, policy: RetryPolicy) {
         *self.policy.lock() = policy;
     }
@@ -194,18 +189,14 @@ impl RmiClient {
         &self.metrics
     }
 
-    fn next_request(&self) -> RequestId {
-        RequestId::new(self.site, self.seq.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Allocates a request id without sending anything. The durability
-    /// layer reserves the id, logs a put intent under it, and only then
-    /// sends via [`RmiClient::put_with_request`] — so a crash-and-replay
-    /// reuses the same id and the server's reply cache deduplicates it.
-    /// The id stays unsettled, holding the acknowledgement horizon back,
-    /// until the caller passes it to [`RmiClient::settle`].
+    /// Allocates the next request id. Every call takes one; the caller of
+    /// [`RmiClient::put_with_request`] reserves its own here, and with a
+    /// durability log writes the put's intents under it before sending, so
+    /// a crash-and-replay reuses the id and the server's reply cache
+    /// deduplicates it. The id stays unsettled, holding the acknowledgement
+    /// horizon back, until [`RmiClient::settle`].
     pub fn reserve_request(&self) -> RequestId {
-        self.next_request()
+        RequestId::new(self.site, self.seq.fetch_add(1, Ordering::Relaxed))
     }
 
     /// The next unissued request sequence number (persisted as the client
@@ -350,7 +341,7 @@ impl RmiClient {
         method: &str,
         args: ObiValue,
     ) -> Result<ObiValue> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         self.metrics.incr_rmi();
         let reply = self.round_trip(
             target.host(),
@@ -399,7 +390,7 @@ impl RmiClient {
         deadline: Option<Deadline>,
         on_chunk: Option<&mut dyn FnMut(u32, ReplicaBatch)>,
     ) -> Result<Option<ReplicaBatch>> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         self.metrics.incr_demand_round_trips();
         let streamed = match mode {
             WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS => Some(batch),
@@ -536,40 +527,22 @@ impl RmiClient {
         })
     }
 
-    /// `put`: send replica state back to the master site.
-    pub fn put(&self, host: SiteId, entries: Vec<ReplicaState>) -> Result<Vec<(ObjId, u64)>> {
-        self.put_inner(host, entries, self.next_request(), true)
-    }
-
-    /// `put` under a caller-chosen request id (from
-    /// [`RmiClient::reserve_request`], possibly recovered from a durable
-    /// put-intent record). Sending the same id twice is how crash-replay
-    /// achieves exactly-once: the server's reply cache answers the second
-    /// send from the cache instead of re-applying.
-    ///
-    /// Because the id may be sent again — a retry after a connectivity
-    /// failure, a replay after a crash that lost the confirmation — the call
-    /// does not settle it. The caller does ([`RmiClient::settle`]) once the
-    /// intent is retired in its log; until then the server keeps the reply.
+    /// `put`: sends replica states back to their master under a request id
+    /// the caller reserved ([`RmiClient::reserve_request`]) or recovered
+    /// from a durable put-intent record. Sending the same id twice is how
+    /// crash-replay achieves exactly-once: the server's reply cache answers
+    /// the second send instead of re-applying. So the call does not settle
+    /// the id; the caller does ([`RmiClient::settle`]) once nothing can send
+    /// it again, and until then the server keeps the reply.
     pub fn put_with_request(
         &self,
         host: SiteId,
         entries: Vec<ReplicaState>,
         request: RequestId,
     ) -> Result<Vec<(ObjId, u64)>> {
-        self.put_inner(host, entries, request, false)
-    }
-
-    fn put_inner(
-        &self,
-        host: SiteId,
-        entries: Vec<ReplicaState>,
-        request: RequestId,
-        settles: bool,
-    ) -> Result<Vec<(ObjId, u64)>> {
         self.metrics.incr_puts();
         let msg = Message::PutRequest { request, entries };
-        match self.round_trip_inner(host, &msg, None, settles)? {
+        match self.round_trip_inner(host, &msg, None, false)? {
             Message::PutReply { request: id, result } => {
                 self.check_correlation(request, Some(id))?;
                 result
@@ -579,7 +552,7 @@ impl RmiClient {
     }
 
     fn name_request(&self, ns: SiteId, op: NameOp) -> Result<ObiValue> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         let reply = self.round_trip(ns, &Message::NameRequest { request, op })?;
         match reply {
             Message::NameReply { request: id, result } => {
@@ -636,7 +609,7 @@ impl RmiClient {
 
     /// Subscribes this site to consistency traffic for `object` at its host.
     pub fn subscribe(&self, host: SiteId, object: ObjId, push: bool) -> Result<()> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         let reply = self.round_trip(
             host,
             &Message::Subscribe {
@@ -673,7 +646,7 @@ impl RmiClient {
     /// needs to bootstrap. Retried like any request; admission is
     /// idempotent, so a lost ack is harmless.
     pub fn join(&self, to: SiteId) -> Result<JoinInfo> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         let reply = self.round_trip(to, &Message::JoinRequest { request })?;
         match reply {
             Message::JoinAck { request: id, result } => {
@@ -695,7 +668,7 @@ impl RmiClient {
         root: ObjId,
         entries: Vec<ReplicaState>,
     ) -> Result<u64> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         let reply = self.round_trip(
             to,
             &Message::HandoffRequest {
@@ -722,7 +695,7 @@ impl RmiClient {
 
     /// Round-trip connectivity probe.
     pub fn ping(&self, to: SiteId) -> Result<()> {
-        let request = self.next_request();
+        let request = self.reserve_request();
         let reply = self.round_trip(to, &Message::Ping { request })?;
         match reply {
             Message::Pong { request: id } => self.check_correlation(request, Some(id)),
@@ -864,8 +837,8 @@ mod tests {
     #[test]
     fn request_ids_are_unique_per_client() {
         let (client, _net, _clock) = rig();
-        let a = client.next_request();
-        let b = client.next_request();
+        let a = client.reserve_request();
+        let b = client.reserve_request();
         assert_ne!(a, b);
         assert_eq!(a.origin(), SiteId::new(1));
     }
@@ -924,7 +897,10 @@ mod retry_tests {
     #[test]
     fn requests_retry_through_moderate_loss() {
         let (client, _net, _clock, _svc) = lossy_rig(0.3);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..Default::default()
+        });
         // 50 pings through a 30%-lossy link: with 10 retries each, failure
         // odds are ~1e-13 per ping.
         for _ in 0..50 {
@@ -936,7 +912,10 @@ mod retry_tests {
     #[test]
     fn mutating_invokes_retry_with_exactly_once_effect() {
         let (client, _net, _clock, svc) = lossy_rig(0.3);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..Default::default()
+        });
         let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
         // The reply carries the service's execution count: if a retry ever
         // re-executed (instead of hitting the reply cache), some reply
@@ -951,7 +930,10 @@ mod retry_tests {
     #[test]
     fn zero_retries_fail_fast_on_total_loss() {
         let (client, _net, _clock, _svc) = lossy_rig(1.0);
-        client.set_retries(0);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 0,
+            ..Default::default()
+        });
         assert!(matches!(
             client.ping(SiteId::new(2)),
             Err(ObiError::MessageLost { .. })
@@ -961,7 +943,10 @@ mod retry_tests {
     #[test]
     fn retries_do_not_mask_disconnection() {
         let (client, net, _clock, _svc) = lossy_rig(0.0);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..Default::default()
+        });
         net.disconnect(SiteId::new(2));
         let err = client.ping(SiteId::new(2)).unwrap_err();
         assert!(matches!(err, ObiError::Disconnected { .. }));
@@ -1150,7 +1135,10 @@ mod retry_tests {
             LinkModel::ideal().with_chunk_loss(0.3),
             11,
         );
-        client.set_retries(50);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 50,
+            ..Default::default()
+        });
         let (indices, ids, frontier_edges) = collect_chunks(&client, 64);
         // Exactly-once reassembly: every chunk delivered once, in order,
         // despite 30% of individual chunk frames vanishing.
@@ -1326,7 +1314,10 @@ mod retry_tests {
             .unwrap();
         net.register(SiteId::new(0), Arc::new(RmiServer::new(ns.clone())));
         let client = RmiClient::new(SiteId::new(1), net.clone(), clock, CostModel::free());
-        client.set_retries(20);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 20,
+            ..Default::default()
+        });
         let info = client.join(SiteId::new(0)).expect("join retries through loss");
         assert!(info.peers.is_empty());
         assert_eq!(info.names.len(), 1);

@@ -22,20 +22,21 @@
 //! 2. **A put's intent is durable before its RPC leaves, and a seq is only
 //!    ever reused for the exact state it covered.** A `PutIntent` record
 //!    carries the request sequence number the `put` will use plus a
-//!    fingerprint of the state it sends. A write-back goes out in groups
+//!    fingerprint of the state it sends; a put of a whole cluster logs one
+//!    per member, all under its one seq. A write-back goes out in groups
 //!    (`ObiProcess::put_many`, at most 64 puts; one `put` is the group of
 //!    one): the group's states are snapshotted, its intents are appended
 //!    as one batch and made durable with one sync
 //!    ([`Durable::log_put_intents`]), and only then do its RPCs leave, one
-//!    per object, each carrying the snapshotted state its intent names. So
-//!    every RPC is preceded by the sync that covers its intent, and what a
+//!    per put, each carrying the snapshotted states its intents name. So
+//!    every RPC is preceded by the sync that covers its intents, and what a
 //!    group adds is one crash window: up to a group's worth of durable
 //!    intents whose RPC never left, which the master simply admits as new
 //!    when they are replayed. Replaying reintegration after a crash reuses
-//!    an intent's sequence number *only while the replica still holds that
-//!    state*, so the master's ReplyCache either serves the cached reply
-//!    (the put had been applied) or admits it as new — applied exactly once
-//!    either way. If the replica was mutated again before the retry
+//!    a put's sequence number *only while every object it carries still
+//!    holds the state its intent names*, so the master's ReplyCache either
+//!    serves the cached reply (the put had been applied) or admits it as
+//!    new — applied exactly once either way. If the replica was mutated again before the retry
 //!    (offline edits after a recovered intent, or between a connectivity
 //!    failure and the next push), the old seq may already be spent at the
 //!    master with the OLD state: reusing it would serve the cached ack
@@ -497,6 +498,12 @@ impl Durable {
     /// carries the same request id as the original attempt.
     pub fn pending_put(&self, id: ObjId) -> Option<PendingPut> {
         self.mirror.lock().pending_puts.get(&id).copied()
+    }
+
+    /// Every durable-but-unconfirmed put intent, by object; intents that
+    /// share a seq are one put's.
+    pub fn pending_puts(&self) -> BTreeMap<ObjId, PendingPut> {
+        self.mirror.lock().pending_puts.clone()
     }
 
     /// Drops the journaled op log and pending-put markers after a completed

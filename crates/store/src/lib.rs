@@ -26,6 +26,6 @@ pub use durable::{
     Durable, DurableOptions, PendingPut, RecoveredOp, RecoveredState, SEQ_EPOCH_SKIP, SNAP_FILE,
     WAL_FILE,
 };
-pub use record::{state_fingerprint, WalRecord};
+pub use record::{fingerprint, state_fingerprint, WalRecord};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use wal::{replay, Frames, Replay, Wal, WalOptions, WalStats};

@@ -58,8 +58,13 @@ use obiwan_wire::{crc32, Decoder, Encoder, Field, ObiValue, ReplicaState};
 /// same bytes — the encoder is deterministic (`ObiValue::Map` preserves
 /// order), so "same fingerprint" means "same state" for retry purposes.
 pub fn state_fingerprint(state: &ReplicaState) -> u64 {
-    let crc = u64::from(crc32(&state.state));
-    let mix = (state.state.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ state.version;
+    fingerprint(&state.state, state.version)
+}
+
+/// [`state_fingerprint`] of the state whose bytes are `state` at `version`.
+pub fn fingerprint(state: &[u8], version: u64) -> u64 {
+    let crc = u64::from(crc32(state));
+    let mix = (state.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ version;
     (crc << 32) ^ mix
 }
 

@@ -3,8 +3,9 @@
 #
 #   product: lines of .rs under crates/, outside crates/perf and test code
 #            (tests/ directories, tests.rs, proptests.rs), each file cut at
-#            its first line that *is* a #[cfg(test)] attribute (a doc
-#            comment that mentions one does not end the file)
+#            its first line that *is* a #[cfg(test)] or #[cfg(all(test, …))]
+#            attribute (a doc comment that mentions one does not end the
+#            file; #[cfg(any(test, …))] is not test-only code)
 #   lint:    the crates/lint share of product
 #   total:   lines of every .rs file in the repository
 #
@@ -18,7 +19,7 @@ files() { git ls-files -co --exclude-standard -- "$@"; }
 product() {
     files "$1" |
         grep -v -e '^crates/perf/' -e '/tests/' -e '/tests\.rs$' -e '/proptests\.rs$' |
-        while read -r f; do [ -f "$f" ] && awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"; done | wc -l
+        while read -r f; do [ -f "$f" ] && awk '/^[[:space:]]*#\[cfg\((all\()?test[,)]/ { exit } { print }' "$f"; done | wc -l
 }
 total=$(files '*.rs' | while read -r f; do [ -f "$f" ] && cat "$f"; done | wc -l)
 

@@ -1156,6 +1156,198 @@ fn a_replica_mutated_between_the_group_snapshot_and_its_ack_stays_dirty() {
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+// -- cluster write-back -------------------------------------------------------
+
+/// Nodes of the list the cluster write-back carries.
+const LIST: usize = 3;
+
+/// A [`LIST`]-node list mastered at the server, cluster-replicated at a
+/// durable client, and every member edited there: one cluster write-back
+/// waiting to happen.
+struct ClusterRig {
+    world: ObiWorld,
+    client: SiteId,
+    server: SiteId,
+    nodes: Vec<ObjRef>,
+    storage: Arc<KillAt>,
+    /// Every master's version before the write-back.
+    base_version: u64,
+}
+
+fn build_cluster_rig() -> ClusterRig {
+    use obiwan::core::demo::LinkedItem;
+    let mut world = ObiWorld::loopback();
+    let client = world.add_site("pda");
+    let server = world.add_site("server");
+    let mut nodes = vec![world.site(server).create(LinkedItem::new(0, "tail"))];
+    for i in 1..LIST {
+        let next = nodes[i - 1];
+        nodes.push(world.site(server).create(LinkedItem::with_next(0, "node", next)));
+    }
+    nodes.reverse();
+    world.site(server).export(nodes[0], "list").unwrap();
+    let remote = world.site(client).lookup("list").unwrap();
+    world
+        .site(client)
+        .get(&remote, ReplicationMode::cluster(LIST))
+        .unwrap();
+    let base_version = world.site(server).meta_of(nodes[0]).unwrap().version;
+    let storage = Arc::new(KillAt {
+        mem: Arc::new(MemStorage::new()),
+        limit: AtomicU64::new(u64::MAX),
+        wal_len: AtomicU64::new(0),
+        frame_ends: Default::default(),
+    });
+    let (durable, recovered) =
+        Durable::open(storage.clone() as Arc<dyn Storage>, DurableOptions::default()).unwrap();
+    assert!(recovered.is_empty());
+    world.site(client).attach_durability(durable);
+    for (i, &node) in nodes.iter().enumerate() {
+        let value = ObiValue::I64(100 + i as i64);
+        world.site(client).invoke(node, "set_value", value).unwrap();
+    }
+    world.site(client).durability().unwrap().commit().unwrap();
+    ClusterRig {
+        world,
+        client,
+        server,
+        nodes,
+        storage,
+        base_version,
+    }
+}
+
+impl ClusterRig {
+    fn durable(&self) -> Arc<Durable> {
+        self.world.site(self.client).durability().unwrap().clone()
+    }
+
+    fn write_back(&self) -> obiwan::util::Result<usize> {
+        self.world.site(self.client).put_all_dirty()
+    }
+
+    /// Writes the cluster back until the WAL reaches `limit` bytes and the
+    /// process is killed there.
+    fn write_back_until_killed_at(&self, limit: u64) {
+        silence_kills();
+        self.storage.limit.store(limit, Ordering::Relaxed);
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.write_back()));
+        self.storage.limit.store(u64::MAX, Ordering::Relaxed);
+        match killed {
+            Ok(pushed) => panic!("limit={limit}: the write-back ran to its end: {pushed:?}"),
+            Err(payload) if payload.is::<Killed>() => {}
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// Brings a fresh client process up over the first `keep` bytes of the
+    /// dead one's WAL. What it recovers are plain replicas: the log does
+    /// not record cluster membership.
+    fn restart_keeping(&mut self, keep: u64) {
+        self.storage.mem.crash_keeping(WAL_FILE, keep);
+        self.storage.wal_len.fetch_min(keep, Ordering::Relaxed);
+        self.world.restart_site(self.client);
+        let (durable, recovered) = Durable::open(
+            self.storage.clone() as Arc<dyn Storage>,
+            DurableOptions::default(),
+        )
+        .unwrap();
+        let process = self.world.site(self.client);
+        process.attach_durability(durable);
+        assert_eq!(process.recover_from(&recovered).unwrap(), recovered.dirty.len());
+    }
+
+    /// Version continuity: every master took its node's edit in exactly one
+    /// put.
+    fn assert_every_member_applied_exactly_once(&self, context: &str) {
+        let server = self.world.site(self.server);
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let value = server.invoke(node, "value", ObiValue::Null).unwrap();
+            assert_eq!(value, ObiValue::I64(100 + i as i64), "{context}: node {i}");
+            assert_eq!(
+                server.meta_of(node).unwrap().version,
+                self.base_version + 1,
+                "{context}: node {i} applied its put more or less than once"
+            );
+        }
+    }
+}
+
+/// Maps the cluster write-back from a run nobody kills: the WAL length it
+/// starts at, and where each frame it appends ends.
+fn cluster_write_back_map() -> &'static (u64, Vec<u64>) {
+    static MAP: std::sync::OnceLock<(u64, Vec<u64>)> = std::sync::OnceLock::new();
+    MAP.get_or_init(|| {
+        let rig = build_cluster_rig();
+        let start = rig.durable().wal_len().unwrap();
+        assert_eq!(rig.write_back().unwrap(), LIST);
+        rig.assert_every_member_applied_exactly_once("unkilled");
+        let mut frame_ends = std::mem::take(&mut *rig.storage.frame_ends.lock().unwrap());
+        frame_ends.retain(|&end| end > start);
+        (start, frame_ends)
+    })
+}
+
+/// The WAL lengths a sweep from `start` to the last of `frame_ends` kills
+/// at. Kills inside one frame all tear the same record, and the WAL's own
+/// sweeps tear records byte by byte, so a debug build — tier 1 — kills on
+/// either side of every frame's end, and a release build — CI's chaos job —
+/// at every byte.
+fn kill_limits(start: u64, frame_ends: &[u64]) -> Vec<u64> {
+    let peak = *frame_ends.last().unwrap();
+    if !cfg!(debug_assertions) {
+        return (start..=peak).collect();
+    }
+    let around = frame_ends.iter().flat_map(|&end| [end - 1, end, end + 1]);
+    let mut limits: Vec<u64> = std::iter::once(start).chain(around).collect();
+    limits.retain(|limit| (start..=peak).contains(limit));
+    limits.dedup();
+    limits
+}
+
+/// A cluster write-back is one put, with one intent per member under its
+/// one request id. The process is killed at every WAL length the write-back
+/// passes through: inside the batch of intents, after it but before its
+/// sync and RPC, inside or after any confirmation. The restarted site
+/// recovers the members as plain replicas, and its next write-back sends
+/// the intents that survived together again, as the one put they were: the
+/// master takes each member's edit exactly once, from the reply cache when
+/// the put had already landed.
+#[test]
+fn a_kill_at_every_wal_offset_of_a_cluster_write_back_applies_each_member_exactly_once() {
+    let (start, frame_ends) = cluster_write_back_map();
+    let mut replayed = 0u64;
+    for limit in kill_limits(*start, frame_ends) {
+        let mut rig = build_cluster_rig();
+        rig.write_back_until_killed_at(limit);
+        rig.restart_keeping(limit);
+        let server = rig.world.site(rig.server);
+        let cached_before = server.metrics().snapshot().cached_replies;
+        rig.write_back().unwrap();
+        rig.assert_every_member_applied_exactly_once(&format!("limit={limit}"));
+        let storage = rig.storage.clone() as Arc<dyn Storage>;
+        let left = Durable::open(storage, DurableOptions::default()).unwrap().1;
+        assert!(
+            left.dirty.is_empty() && left.pending_puts.is_empty(),
+            "limit={limit}: the log still holds {} dirty, {} pending puts",
+            left.dirty.len(),
+            left.pending_puts.len()
+        );
+        replayed += server.metrics().snapshot().cached_replies - cached_before;
+    }
+    assert!(
+        replayed > 0,
+        "some kill must fall between the put's arrival and its confirmations"
+    );
+    assert_eq!(
+        frame_ends.len(),
+        2 * LIST + 1,
+        "an intent and a confirmation per member, and one watermark"
+    );
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 /// Case count mirrors tests/chaos.rs: 48 by default, `PROPTEST_CASES` in CI.
 fn configured_cases() -> u32 {
     std::env::var("PROPTEST_CASES")

@@ -197,6 +197,37 @@ fn hoard_then_fly_then_reintegrate_everything() {
 }
 
 #[test]
+fn a_cluster_edited_offline_reintegrates_whole() {
+    // The paper updates a cluster as a whole (§4.3): offline edits to one
+    // member go back as one put of every member.
+    let mut world = ObiWorld::paper_testbed();
+    let hq = world.add_site("hq");
+    let pda = world.add_site("pda");
+    let n3 = world.site(hq).create(LinkedItem::new(3, "n3"));
+    let n2 = world.site(hq).create(LinkedItem::with_next(2, "n2", n3));
+    let n1 = world.site(hq).create(LinkedItem::with_next(1, "n1", n2));
+    world.site(hq).export(n1, "list").unwrap();
+    let remote = world.site(pda).lookup("list").unwrap();
+    let root = world
+        .site(pda)
+        .get(&remote, ReplicationMode::cluster(3))
+        .unwrap();
+
+    world.disconnect(pda);
+    let mut session = DisconnectedSession::new();
+    session
+        .invoke(world.site(pda), root, "set_value", ObiValue::I64(42))
+        .unwrap();
+    world.reconnect(pda);
+    let report = session.reintegrate(world.site(pda));
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.pushed(), 3, "every member goes back with the edited one");
+    let v = world.site(hq).invoke(n1, "value", ObiValue::Null).unwrap();
+    assert_eq!(v, ObiValue::I64(42));
+    assert!(!world.site(pda).meta_of(root).unwrap().dirty);
+}
+
+#[test]
 fn monitor_guides_rmi_vs_lmi_choice() {
     // The run-time decision the paper advertises: probe first, then pick
     // the invocation mechanism.

@@ -364,13 +364,15 @@ impl ObiProcess {
             }
         };
         // A replay may be answered with the reply cached for the put it
-        // replays, which can name more objects than this one carries.
-        let position = |id: ObjId| members.iter().position(|&(member, _)| member == id);
-        versions.retain(|&(id, _)| position(id).is_some());
-        versions.sort_unstable_by_key(|&(id, _)| position(id));
-        if versions.len() != members.len() {
-            return Err(ObiError::Internal("put reply does not cover every entry".into()));
+        // replays, which can name more objects than this one carries: each
+        // member's ack is moved to the member's place, the rest cut off.
+        for (at, &(id, _)) in members.iter().enumerate() {
+            let Some(found) = versions[at..].iter().position(|&(acked, _)| acked == id) else {
+                return Err(ObiError::Internal("put reply does not cover every entry".into()));
+            };
+            versions.swap(at, at + found);
         }
+        versions.truncate(members.len());
         let acks = || members.iter().zip(&versions).map(|(&(id, sent), &(_, v))| (id, v, sent));
         retired(durable.map_or(Ok(()), |durable| {
             acks().try_for_each(|(id, version, sent)| durable.log_confirm(id, version, sent))

@@ -395,6 +395,123 @@ pub fn verify_shapes() -> ShapeReport {
     report
 }
 
+/// E6 (extension): prefetching during think time eliminates fault latency.
+///
+/// The paper's footnote to §2.1 claims "a perfect mechanism of pre-fetching
+/// in the background can completely eliminate the latency" of incremental
+/// replication. We walk the Figure-5 list (64 B objects, step 10) twice:
+/// faulting on demand, and prefetching one step ahead during think time.
+/// Reported per-invocation latency excludes think time — exactly what the
+/// application user experiences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct E6Result {
+    /// Worst per-invocation latency, faulting on demand (≈ one batch fetch).
+    pub on_demand_worst: Duration,
+    /// Worst per-invocation latency with prefetch-ahead (≈ pure LMI).
+    pub prefetch_worst: Duration,
+    /// Total elapsed time on demand (faults included).
+    pub on_demand_total: Duration,
+    /// Total elapsed with prefetch (prefetch time included — the work does
+    /// not disappear, it moves out of the invocation path).
+    pub prefetch_total: Duration,
+}
+
+/// Runs the E6 prefetch experiment.
+pub fn e6_prefetch() -> E6Result {
+    const STEP: usize = 10;
+
+    // On demand.
+    let w = payload_list(LIST_LEN, 64);
+    let site = w.world.site(w.consumer);
+    let mut cur = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
+    let mut on_demand_worst = Duration::ZERO;
+    loop {
+        let before = w.world.clock().elapsed();
+        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
+        on_demand_worst = on_demand_worst.max(w.world.clock().elapsed() - before);
+        match out.as_ref_id() {
+            Some(id) => cur = id.into(),
+            None => break,
+        }
+    }
+    let on_demand_total = w.world.clock().elapsed();
+
+    // Prefetch-ahead: fetch the next step during think time, then invoke.
+    let w = payload_list(LIST_LEN, 64);
+    let site = w.world.site(w.consumer);
+    let root = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
+    let mut cur: ObjRef = root;
+    let mut prefetch_worst = Duration::ZERO;
+    loop {
+        // Think time: pull one step ahead (charged to the clock, but not to
+        // the invocation latency the user perceives).
+        let _ = site.prefetch(root, STEP);
+        let before = w.world.clock().elapsed();
+        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
+        prefetch_worst = prefetch_worst.max(w.world.clock().elapsed() - before);
+        match out.as_ref_id() {
+            Some(id) => cur = id.into(),
+            None => break,
+        }
+    }
+    let prefetch_total = w.world.clock().elapsed();
+
+    E6Result {
+        on_demand_worst,
+        prefetch_worst,
+        on_demand_total,
+        prefetch_total,
+    }
+}
+
+/// E7 (extension): per-invocation latency distributions.
+///
+/// The paper's Figure 5 shows *cumulative* time, which hides what a user
+/// feels: most invocations are 2 µs LMIs, but the faulting ones stall for a
+/// whole batch fetch. This experiment reports the full latency
+/// distribution per replication strategy (64 B objects, 1000-element
+/// list) — the long-tail view of the same data.
+#[derive(Debug, Clone)]
+pub struct E7Row {
+    /// Strategy label.
+    pub strategy: String,
+    /// Latency distribution over all 1000 invocations.
+    pub latency: obiwan_util::Histogram,
+}
+
+/// Runs the E7 latency-distribution experiment.
+pub fn e7_latency_distributions() -> Vec<E7Row> {
+    let mut rows = Vec::new();
+    let strategies: Vec<(String, ReplicationMode, bool)> = vec![
+        ("incremental step 1".into(), ReplicationMode::incremental(1), false),
+        ("incremental step 10".into(), ReplicationMode::incremental(10), false),
+        ("cluster step 100".into(), ReplicationMode::cluster(100), false),
+        ("transitive".into(), ReplicationMode::transitive(), false),
+        ("incremental 10 + prefetch".into(), ReplicationMode::incremental(10), true),
+    ];
+    for (strategy, mode, prefetch) in strategies {
+        let w = payload_list(LIST_LEN, 64);
+        let site = w.world.site(w.consumer);
+        let root = site.get(&w.head, mode).expect("get");
+        let mut latency = obiwan_util::Histogram::new();
+        let mut cur: ObjRef = root;
+        loop {
+            if prefetch {
+                let _ = site.prefetch(root, 10);
+            }
+            let before = w.world.clock().elapsed();
+            let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
+            latency.record(w.world.clock().elapsed() - before);
+            match out.as_ref_id() {
+                Some(id) => cur = id.into(),
+                None => break,
+            }
+        }
+        rows.push(E7Row { strategy, latency });
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,75 +584,6 @@ mod tests {
     }
 }
 
-/// E6 (extension): prefetching during think time eliminates fault latency.
-///
-/// The paper's footnote to §2.1 claims "a perfect mechanism of pre-fetching
-/// in the background can completely eliminate the latency" of incremental
-/// replication. We walk the Figure-5 list (64 B objects, step 10) twice:
-/// faulting on demand, and prefetching one step ahead during think time.
-/// Reported per-invocation latency excludes think time — exactly what the
-/// application user experiences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct E6Result {
-    /// Worst per-invocation latency, faulting on demand (≈ one batch fetch).
-    pub on_demand_worst: Duration,
-    /// Worst per-invocation latency with prefetch-ahead (≈ pure LMI).
-    pub prefetch_worst: Duration,
-    /// Total elapsed time on demand (faults included).
-    pub on_demand_total: Duration,
-    /// Total elapsed with prefetch (prefetch time included — the work does
-    /// not disappear, it moves out of the invocation path).
-    pub prefetch_total: Duration,
-}
-
-/// Runs the E6 prefetch experiment.
-pub fn e6_prefetch() -> E6Result {
-    const STEP: usize = 10;
-
-    // On demand.
-    let w = payload_list(LIST_LEN, 64);
-    let site = w.world.site(w.consumer);
-    let mut cur = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
-    let mut on_demand_worst = Duration::ZERO;
-    loop {
-        let before = w.world.clock().elapsed();
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        on_demand_worst = on_demand_worst.max(w.world.clock().elapsed() - before);
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-    let on_demand_total = w.world.clock().elapsed();
-
-    // Prefetch-ahead: fetch the next step during think time, then invoke.
-    let w = payload_list(LIST_LEN, 64);
-    let site = w.world.site(w.consumer);
-    let root = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
-    let mut cur: ObjRef = root;
-    let mut prefetch_worst = Duration::ZERO;
-    loop {
-        // Think time: pull one step ahead (charged to the clock, but not to
-        // the invocation latency the user perceives).
-        let _ = site.prefetch(root, STEP);
-        let before = w.world.clock().elapsed();
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        prefetch_worst = prefetch_worst.max(w.world.clock().elapsed() - before);
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-    let prefetch_total = w.world.clock().elapsed();
-
-    E6Result {
-        on_demand_worst,
-        prefetch_worst,
-        on_demand_total,
-        prefetch_total,
-    }
-}
-
 #[cfg(test)]
 mod e6_tests {
     use super::*;
@@ -552,54 +600,6 @@ mod e6_tests {
             r.prefetch_total.as_secs_f64() / r.on_demand_total.as_secs_f64();
         assert!((0.8..1.6).contains(&ratio), "total ratio {ratio}");
     }
-}
-
-/// E7 (extension): per-invocation latency distributions.
-///
-/// The paper's Figure 5 shows *cumulative* time, which hides what a user
-/// feels: most invocations are 2 µs LMIs, but the faulting ones stall for a
-/// whole batch fetch. This experiment reports the full latency
-/// distribution per replication strategy (64 B objects, 1000-element
-/// list) — the long-tail view of the same data.
-#[derive(Debug, Clone)]
-pub struct E7Row {
-    /// Strategy label.
-    pub strategy: String,
-    /// Latency distribution over all 1000 invocations.
-    pub latency: obiwan_util::Histogram,
-}
-
-/// Runs the E7 latency-distribution experiment.
-pub fn e7_latency_distributions() -> Vec<E7Row> {
-    let mut rows = Vec::new();
-    let strategies: Vec<(String, ReplicationMode, bool)> = vec![
-        ("incremental step 1".into(), ReplicationMode::incremental(1), false),
-        ("incremental step 10".into(), ReplicationMode::incremental(10), false),
-        ("cluster step 100".into(), ReplicationMode::cluster(100), false),
-        ("transitive".into(), ReplicationMode::transitive(), false),
-        ("incremental 10 + prefetch".into(), ReplicationMode::incremental(10), true),
-    ];
-    for (strategy, mode, prefetch) in strategies {
-        let w = payload_list(LIST_LEN, 64);
-        let site = w.world.site(w.consumer);
-        let root = site.get(&w.head, mode).expect("get");
-        let mut latency = obiwan_util::Histogram::new();
-        let mut cur: ObjRef = root;
-        loop {
-            if prefetch {
-                let _ = site.prefetch(root, 10);
-            }
-            let before = w.world.clock().elapsed();
-            let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-            latency.record(w.world.clock().elapsed() - before);
-            match out.as_ref_id() {
-                Some(id) => cur = id.into(),
-                None => break,
-            }
-        }
-        rows.push(E7Row { strategy, latency });
-    }
-    rows
 }
 
 #[cfg(test)]

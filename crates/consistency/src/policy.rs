@@ -88,6 +88,75 @@ impl ConsistencyHook for MonotonicVersions {
     }
 }
 
+/// Read-only masters: every write-back is refused. For published reference
+/// data that roams freely but must never be modified from the edge.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReadOnly;
+
+impl ReadOnly {
+    /// Creates the policy.
+    pub fn new() -> Self {
+        ReadOnly
+    }
+}
+
+impl ConsistencyHook for ReadOnly {
+    fn name(&self) -> &'static str {
+        "read-only"
+    }
+
+    fn decide_put(&mut self, object: ObjId, _mv: u64, _bv: u64) -> Result<()> {
+        Err(ObiError::UpdateRejected {
+            object,
+            reason: "object is published read-only".into(),
+        })
+    }
+}
+
+/// Bounded divergence: a write-back is accepted as long as the replica's
+/// base is at most `max_lag` versions behind the master — a middle ground
+/// between [`AcceptAll`](obiwan_core::AcceptAll) (`max_lag = ∞`) and
+/// [`OptimisticDetect`] (`max_lag = 0`). Suits counters and logs where a
+/// small overwrite window is acceptable but month-old replicas should not
+/// clobber fresh state after a long disconnection.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundedDivergence {
+    max_lag: u64,
+}
+
+impl BoundedDivergence {
+    /// Accepts write-backs lagging at most `max_lag` versions.
+    pub fn new(max_lag: u64) -> Self {
+        BoundedDivergence { max_lag }
+    }
+
+    /// The configured window.
+    pub fn max_lag(&self) -> u64 {
+        self.max_lag
+    }
+}
+
+impl ConsistencyHook for BoundedDivergence {
+    fn name(&self) -> &'static str {
+        "bounded-divergence"
+    }
+
+    fn decide_put(&mut self, object: ObjId, master_version: u64, base_version: u64) -> Result<()> {
+        let lag = master_version.saturating_sub(base_version);
+        if lag <= self.max_lag {
+            Ok(())
+        } else {
+            Err(ObiError::UpdateRejected {
+                object,
+                reason: format!(
+                    "replica lags {lag} versions behind the master (allowed: {})",
+                    self.max_lag
+                ),
+            })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,75 +234,6 @@ mod tests {
             .invoke(master, "read", ObiValue::Null)
             .unwrap();
         assert_eq!(v, ObiValue::I64(2));
-    }
-}
-
-/// Read-only masters: every write-back is refused. For published reference
-/// data that roams freely but must never be modified from the edge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReadOnly;
-
-impl ReadOnly {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        ReadOnly
-    }
-}
-
-impl ConsistencyHook for ReadOnly {
-    fn name(&self) -> &'static str {
-        "read-only"
-    }
-
-    fn decide_put(&mut self, object: ObjId, _mv: u64, _bv: u64) -> Result<()> {
-        Err(ObiError::UpdateRejected {
-            object,
-            reason: "object is published read-only".into(),
-        })
-    }
-}
-
-/// Bounded divergence: a write-back is accepted as long as the replica's
-/// base is at most `max_lag` versions behind the master — a middle ground
-/// between [`AcceptAll`](obiwan_core::AcceptAll) (`max_lag = ∞`) and
-/// [`OptimisticDetect`] (`max_lag = 0`). Suits counters and logs where a
-/// small overwrite window is acceptable but month-old replicas should not
-/// clobber fresh state after a long disconnection.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedDivergence {
-    max_lag: u64,
-}
-
-impl BoundedDivergence {
-    /// Accepts write-backs lagging at most `max_lag` versions.
-    pub fn new(max_lag: u64) -> Self {
-        BoundedDivergence { max_lag }
-    }
-
-    /// The configured window.
-    pub fn max_lag(&self) -> u64 {
-        self.max_lag
-    }
-}
-
-impl ConsistencyHook for BoundedDivergence {
-    fn name(&self) -> &'static str {
-        "bounded-divergence"
-    }
-
-    fn decide_put(&mut self, object: ObjId, master_version: u64, base_version: u64) -> Result<()> {
-        let lag = master_version.saturating_sub(base_version);
-        if lag <= self.max_lag {
-            Ok(())
-        } else {
-            Err(ObiError::UpdateRejected {
-                object,
-                reason: format!(
-                    "replica lags {lag} versions behind the master (allowed: {})",
-                    self.max_lag
-                ),
-            })
-        }
     }
 }
 

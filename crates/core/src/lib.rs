@@ -86,7 +86,7 @@ pub use world::{ObiWorld, NAME_SERVER_SITE};
 
 // Re-exports used by the `obi_class!` macro expansion and by downstream
 // crates wanting a one-stop import.
-pub use obiwan_rmi::{BreakerConfig, BreakerState, Deadline, RetryPolicy};
+pub use obiwan_rmi::{BreakerState, Deadline, RetryPolicy};
 pub use obiwan_util::{ObiError, Result};
 pub use obiwan_wire::{Decoder, Encoder, JoinInfo, ObiValue};
 

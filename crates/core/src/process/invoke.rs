@@ -374,12 +374,13 @@ impl ObiProcess {
         Ok(reply)
     }
 
-    /// Counts one confirmed non-put RPC toward the durability layer's
+    /// Counts one confirmed `invoke_rmi` toward the durability layer's
     /// periodic `ClientState` checkpoint (see
     /// `DurableOptions::checkpoint_every_rpcs`). Puts refresh the persisted
     /// watermark on their own confirm path; invokes burn request seqs
-    /// invisibly, so without this an RPC-heavy life between puts would lean
-    /// on `SEQ_EPOCH_SKIP` alone to keep recovered seqs collision-free.
+    /// invisibly, so without this an invoke-heavy life between puts would
+    /// lean on `SEQ_EPOCH_SKIP` alone to keep recovered seqs collision-free.
+    /// Demands and refreshes are not counted, and do lean on it.
     fn note_rpc_checkpoint(&self) -> Result<()> {
         if let Some(durable) = self.shared.durable.get() {
             durable.note_confirmed_rpc(

@@ -215,14 +215,15 @@ mod tests {
 
     #[test]
     fn open_breaker_probes_fail_fast_and_recover_through_half_open() {
-        use obiwan_core::{BreakerConfig, BreakerState};
+        use obiwan_core::BreakerState;
+        use obiwan_rmi::fault::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
         let mut world = ObiWorld::paper_testbed();
         let s1 = world.add_site("S1");
         let s2 = world.add_site("S2");
         let mut m = ConnectivityMonitor::new(Duration::from_secs(1));
         assert_eq!(m.probe(world.site(s1), s2), LinkHealth::Connected);
         world.disconnect(s2);
-        let threshold = BreakerConfig::default().failure_threshold;
+        let threshold = BREAKER_THRESHOLD;
         for _ in 0..threshold {
             assert_eq!(m.probe(world.site(s1), s2), LinkHealth::Disconnected);
         }
@@ -240,7 +241,7 @@ mod tests {
         // Heal and wait out the cooldown: the half-open probe succeeds but
         // classifies cautiously as Degraded; the next one is Connected.
         world.reconnect(s2);
-        world.site(s1).clock().charge(BreakerConfig::default().cooldown);
+        world.site(s1).clock().charge(BREAKER_COOLDOWN);
         assert_eq!(m.probe(world.site(s1), s2), LinkHealth::Degraded);
         assert_eq!(m.probe(world.site(s1), s2), LinkHealth::Connected);
     }

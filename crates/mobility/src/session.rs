@@ -289,7 +289,8 @@ mod tests {
 
     #[test]
     fn reintegration_rides_through_an_open_breaker() {
-        use obiwan_core::{BreakerConfig, BreakerState};
+        use obiwan_core::BreakerState;
+        use obiwan_rmi::fault::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
         let (world, s1, s2, master, replica) = rig();
         world.disconnect(s1);
         let mut session = DisconnectedSession::new();
@@ -297,7 +298,7 @@ mod tests {
             .invoke(world.site(s1), replica, "incr", ObiValue::Null)
             .unwrap();
         // Enough failed passes trip the per-peer breaker.
-        let threshold = BreakerConfig::default().failure_threshold;
+        let threshold = BREAKER_THRESHOLD;
         for _ in 0..threshold {
             let report = session.reintegrate(world.site(s1));
             assert_eq!(
@@ -316,7 +317,7 @@ mod tests {
         );
         // Once the cooldown admits a half-open probe, the push goes
         // through and reintegration completes.
-        world.site(s1).clock().charge(BreakerConfig::default().cooldown);
+        world.site(s1).clock().charge(BREAKER_COOLDOWN);
         let report = session.reintegrate(world.site(s1));
         assert!(report.is_clean());
         let v = world.site(s2).invoke(master, "read", ObiValue::Null).unwrap();

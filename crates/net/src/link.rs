@@ -345,10 +345,10 @@ pub(crate) enum Pace {
     /// Handlers run on the caller's stack, where a request can arrive
     /// twice: request legs draw the duplicate lottery.
     Virtual(Clock),
-    /// Slept, scaled by this factor (`0.0` = not at all). A request is
-    /// queued to its receiver thread exactly once, so no duplicate lottery
-    /// is drawn for it.
-    Real(f64),
+    /// Not passed at all: frames move as fast as the threads do. A request
+    /// is queued to its receiver thread exactly once, so no duplicate
+    /// lottery is drawn for it.
+    Real,
 }
 
 /// The modeled network under an in-process transport: its links, the
@@ -407,10 +407,8 @@ impl LinkLayer {
             };
             (delay, lost, dup, hold)
         };
-        match &self.pace {
-            Pace::Virtual(clock) => clock.charge(delay),
-            Pace::Real(scale) if *scale > 0.0 => std::thread::sleep(delay.mul_f64(*scale)),
-            Pace::Real(_) => {}
+        if let Pace::Virtual(clock) = &self.pace {
+            clock.charge(delay);
         }
         self.metrics.incr_messages_sent();
         self.metrics.add_bytes_sent(bytes as u64);

@@ -3,8 +3,8 @@
 //! [`MemTransport`] gives each registered site its own receiver thread fed
 //! by a crossbeam channel, so multiple sites run under real concurrency —
 //! the closest in-process equivalent of the paper's LAN of separate
-//! machines. Link latency can optionally be *slept* (scaled), which is
-//! useful in examples; by default frames move as fast as the threads do.
+//! machines. Link latency is modeled but never slept: frames move as fast
+//! as the threads do.
 
 use crate::link::{ChunkDelivery, Leg, LinkLayer, Pace, Topology};
 use crate::transport::{MessageHandler, Transport};
@@ -79,8 +79,10 @@ pub struct MemTransport {
 struct MemInner {
     links: LinkLayer,
     sites: RwLock<HashMap<SiteId, SiteHandle>>,
-    call_timeout: Duration,
 }
+
+/// How long a caller waits for a reply, or for the next frame of a stream.
+const CALL_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for MemTransport {
     fn default() -> Self {
@@ -97,22 +99,13 @@ impl std::fmt::Debug for MemTransport {
 }
 
 impl MemTransport {
-    /// Creates a transport with an ideal (instant) topology, no sleeping,
-    /// and a 5-second call timeout.
+    /// Creates a transport with an ideal (instant) topology and a 5-second
+    /// call timeout.
     pub fn new() -> Self {
-        Self::with_options(Topology::default(), 0.0, Duration::from_secs(5))
-    }
-
-    /// Creates a transport with a topology, a real-sleep scale factor for
-    /// modeled link delays (`0.0` disables sleeping, `1.0` sleeps the full
-    /// modeled delay), and a request timeout.
-    pub fn with_options(topology: Topology, delay_scale: f64, call_timeout: Duration) -> Self {
-        let pace = Pace::Real(delay_scale.max(0.0));
         MemTransport {
             inner: Arc::new(MemInner {
-                links: LinkLayer::new(topology, 0xD15C_0CAF_E000_0001, pace),
+                links: LinkLayer::new(Topology::default(), 0xD15C_0CAF_E000_0001, Pace::Real),
                 sites: RwLock::new(HashMap::new()),
-                call_timeout,
             }),
         }
     }
@@ -252,7 +245,7 @@ impl Transport for MemTransport {
         })
         .map_err(|_| ObiError::SiteUnreachable(to))?;
         let reply = reply_rx
-            .recv_timeout(self.inner.call_timeout)
+            .recv_timeout(CALL_TIMEOUT)
             .map_err(|_| ObiError::SiteUnreachable(to))?
             .ok_or_else(|| {
                 ObiError::Internal(format!("site {to} produced no reply to a request"))
@@ -281,7 +274,7 @@ impl Transport for MemTransport {
         // processes chunk k here while the handler builds k+1 over there.
         let mut delivery = ChunkDelivery::default();
         loop {
-            match stream_rx.recv_timeout(self.inner.call_timeout) {
+            match stream_rx.recv_timeout(CALL_TIMEOUT) {
                 Ok(StreamFrame::Chunk(chunk)) => {
                     let fate = self.inner.links.traverse(to, from, chunk.len(), Leg::Chunk);
                     delivery.deliver(chunk, fate, on_frame);
@@ -494,8 +487,8 @@ mod tests {
                 Some(frame)
             }
         }
-        let topology = Topology::uniform(LinkModel::ideal().with_chunk_loss(0.4));
-        let net = MemTransport::with_options(topology, 0.0, Duration::from_secs(5));
+        let net = MemTransport::new();
+        net.with_topology_mut(|t| *t = Topology::uniform(LinkModel::ideal().with_chunk_loss(0.4)));
         net.register(s(2), Arc::new(Chunky));
         let mut delivered = 0usize;
         let reply = net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |_| {
@@ -542,21 +535,6 @@ mod tests {
         );
         let reply = net.call(s(1), s(2), Bytes::from_static(b"old")).unwrap();
         assert_eq!(&reply[..], b"new");
-        net.shutdown();
-    }
-
-    #[test]
-    fn delay_scale_actually_sleeps() {
-        use crate::link::LinkModel;
-        use std::time::{Duration, Instant};
-        let mut topology = Topology::uniform(LinkModel::new(Duration::from_millis(20), 0));
-        let _ = &mut topology;
-        let net = MemTransport::with_options(topology, 1.0, Duration::from_secs(5));
-        net.register(s(2), Arc::new(Echo));
-        let started = Instant::now();
-        net.call(s(1), s(2), Bytes::new()).unwrap();
-        // Two legs × 20 ms modeled latency, slept for real.
-        assert!(started.elapsed() >= Duration::from_millis(35));
         net.shutdown();
     }
 

@@ -847,7 +847,7 @@ mod tests {
 #[cfg(test)]
 mod retry_tests {
     use super::*;
-    use crate::fault::{BreakerConfig, CircuitBreaker, ANNOUNCE_EVERY};
+    use crate::fault::{ANNOUNCE_EVERY, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use crate::server::{EchoService, RmiServer};
     use crate::service::RmiService;
     use obiwan_net::{conditions, LinkModel, MessageHandler, SimTransport};
@@ -978,7 +978,7 @@ mod retry_tests {
             call_budget: Duration::from_millis(100),
             ..RetryPolicy::default()
         });
-        let threshold = CircuitBreaker::default().config().failure_threshold;
+        let threshold = BREAKER_THRESHOLD;
         for _ in 0..threshold {
             assert!(matches!(
                 client.ping(SiteId::new(2)),
@@ -999,7 +999,7 @@ mod retry_tests {
         net.with_topology_mut(|t| {
             t.set_link_symmetric(SiteId::new(1), SiteId::new(2), LinkModel::ideal());
         });
-        clock.charge(CircuitBreaker::default().config().cooldown);
+        clock.charge(BREAKER_COOLDOWN);
         assert_eq!(client.breaker_state(SiteId::new(2)), BreakerState::HalfOpen);
         client.ping(SiteId::new(2)).expect("probe should close the breaker");
         assert_eq!(client.breaker_state(SiteId::new(2)), BreakerState::Closed);
@@ -1249,7 +1249,7 @@ mod retry_tests {
     /// opens the breaker, after which both fast-fail without a frame.
     #[test]
     fn streamed_demand_against_a_dead_peer_opens_the_breaker_like_invoke() {
-        let threshold = CircuitBreaker::default().config().failure_threshold;
+        let threshold = BREAKER_THRESHOLD;
         let policy = RetryPolicy {
             max_retries: 1,
             call_budget: Duration::from_millis(100),
@@ -1329,14 +1329,5 @@ mod retry_tests {
         });
         client.send_leave(SiteId::new(0), SiteId::new(1)).unwrap();
         assert!(ns.registry().roster().is_empty());
-    }
-
-    #[test]
-    fn breaker_config_is_visible() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 7,
-            cooldown: Duration::from_secs(1),
-        });
-        assert_eq!(b.config().failure_threshold, 7);
     }
 }

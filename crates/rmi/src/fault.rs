@@ -128,23 +128,12 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Tuning knobs for [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive call-level connectivity failures before opening.
-    pub failure_threshold: u64,
-    /// Virtual time an open breaker waits before admitting a probe.
-    pub cooldown: Duration,
-}
+/// Consecutive call-level connectivity failures before a [`CircuitBreaker`]
+/// opens.
+pub const BREAKER_THRESHOLD: u64 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(5),
-        }
-    }
-}
+/// Virtual time an open [`CircuitBreaker`] waits before admitting a probe.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_secs(5);
 
 #[derive(Debug)]
 struct PeerBreaker {
@@ -169,38 +158,18 @@ impl PeerBreaker {
 /// all its internal retries is one failure — so a flaky link that still
 /// gets through under retry never opens the breaker; only a peer that
 /// repeatedly defeats the whole retry budget does.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     peers: Mutex<HashMap<SiteId, PeerBreaker>>,
 }
 
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(BreakerConfig::default())
-    }
-}
-
 impl CircuitBreaker {
-    /// Creates a breaker with the given thresholds.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            peers: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     /// Current state for `peer`, applying the open → half-open transition
     /// if the cooldown has elapsed at virtual time `now_nanos`.
     pub fn state(&self, peer: SiteId, now_nanos: u64) -> BreakerState {
         let mut peers = self.peers.lock();
         let b = peers.entry(peer).or_insert_with(PeerBreaker::new);
-        Self::tick(b, &self.config, now_nanos);
+        Self::tick(b, now_nanos);
         b.state
     }
 
@@ -209,7 +178,7 @@ impl CircuitBreaker {
     pub fn admit(&self, peer: SiteId, now_nanos: u64) -> bool {
         let mut peers = self.peers.lock();
         let b = peers.entry(peer).or_insert_with(PeerBreaker::new);
-        Self::tick(b, &self.config, now_nanos);
+        Self::tick(b, now_nanos);
         !matches!(b.state, BreakerState::Open)
     }
 
@@ -231,17 +200,17 @@ impl CircuitBreaker {
         let b = peers.entry(peer).or_insert_with(PeerBreaker::new);
         b.consecutive_failures += 1;
         let opens = matches!(b.state, BreakerState::HalfOpen)
-            || b.consecutive_failures >= self.config.failure_threshold;
+            || b.consecutive_failures >= BREAKER_THRESHOLD;
         if opens {
             b.state = BreakerState::Open;
             b.opened_at_nanos = now_nanos;
         }
     }
 
-    fn tick(b: &mut PeerBreaker, config: &BreakerConfig, now_nanos: u64) {
+    fn tick(b: &mut PeerBreaker, now_nanos: u64) {
         if matches!(b.state, BreakerState::Open) {
-            let cooled = now_nanos.saturating_sub(b.opened_at_nanos)
-                >= config.cooldown.as_nanos() as u64;
+            let cooled =
+                now_nanos.saturating_sub(b.opened_at_nanos) >= BREAKER_COOLDOWN.as_nanos() as u64;
             if cooled {
                 b.state = BreakerState::HalfOpen;
             }
@@ -605,10 +574,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooldown() {
-        let br = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(5),
-        });
+        let br = CircuitBreaker::default();
         let peer = s(2);
         assert_eq!(br.state(peer, 0), BreakerState::Closed);
         br.on_failure(peer, 0);

@@ -60,8 +60,7 @@ pub mod service;
 
 pub use client::RmiClient;
 pub use fault::{
-    BreakerConfig, BreakerState, CircuitBreaker, Deadline, HorizonTracker, ReplyCache,
-    RetryPolicy,
+    BreakerState, CircuitBreaker, Deadline, HorizonTracker, ReplyCache, RetryPolicy,
 };
 pub use registry::{NameServer, NameServerService};
 pub use remote_ref::RemoteRef;

@@ -72,16 +72,6 @@ impl RmiServer {
         }
     }
 
-    /// Like [`RmiServer::new`], with an explicit reply-cache capacity.
-    pub fn with_reply_capacity(service: Arc<dyn RmiService>, capacity: usize) -> Self {
-        RmiServer {
-            service,
-            replies: ReplyCache::new(capacity),
-            metrics: Metrics::new(),
-            clock: Clock::new(ClockMode::VirtualOnly),
-        }
-    }
-
     /// Replaces the default virtual clock with the site clock, so
     /// `rpc.handle` spans share the site's timeline.
     pub fn with_clock(mut self, clock: Clock) -> Self {
@@ -606,9 +596,9 @@ mod tests {
     #[test]
     fn unacked_traffic_keeps_the_reply_cache_within_its_bound() {
         let svc = Arc::new(CountingService::default());
-        let capacity = 4;
-        let s = RmiServer::with_reply_capacity(svc, capacity);
-        for seq in 1..=500 {
+        let capacity = ReplyCache::DEFAULT_CAPACITY;
+        let s = RmiServer::new(svc);
+        for seq in 1..=capacity as u64 + 500 {
             s.handle(SiteId::new(1), invoke_frame(seq)).unwrap();
             assert!(
                 s.replies().len() <= capacity,

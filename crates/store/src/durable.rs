@@ -93,9 +93,10 @@ pub struct DurableOptions {
     /// been counted via [`Durable::note_confirmed_rpc`] since the last
     /// checkpoint. Requests other than puts burn sequence numbers without
     /// logging them (recovery invariant 3), so between checkpoints the
-    /// restored counter relies on [`SEQ_EPOCH_SKIP`] alone; this bounds
-    /// the unlogged drift of an RPC-heavy life to N instead of a whole
-    /// session. `0` disables periodic checkpoints.
+    /// restored counter relies on [`SEQ_EPOCH_SKIP`] alone. The process
+    /// counts its `invoke_rmi` calls only: this bounds the unlogged drift
+    /// of an invoke-heavy life to N, while demands and refreshes are never
+    /// counted. `0` disables periodic checkpoints.
     pub checkpoint_every_rpcs: u64,
 }
 
@@ -469,10 +470,11 @@ impl Durable {
     /// carrying the watermark passed in. Returns whether a checkpoint was
     /// written.
     ///
-    /// Puts persist the watermark on their own confirm path; this exists
-    /// for the RPCs that don't (invokes, demands, refreshes), so a long
-    /// RPC-heavy life between puts keeps its unlogged seq drift bounded by
-    /// N rather than leaning on [`SEQ_EPOCH_SKIP`] for the whole session.
+    /// Puts persist the watermark on their own confirm path; the process
+    /// calls this after each `invoke_rmi`, so a long invoke-heavy life
+    /// between puts keeps its unlogged seq drift bounded by N. Demands and
+    /// refreshes do not call it: between puts they lean on
+    /// [`SEQ_EPOCH_SKIP`] alone.
     pub fn note_confirmed_rpc(&self, next_seq: u64, horizon: u64) -> Result<bool> {
         if self.checkpoint_every_rpcs == 0 {
             return Ok(false);

@@ -27,5 +27,5 @@ pub use durable::{
     WAL_FILE,
 };
 pub use record::{fingerprint, state_fingerprint, WalRecord};
-pub use storage::{FileStorage, MemStorage, Storage};
+pub use storage::{FileStorage, Killed, MemStorage, Storage};
 pub use wal::{replay, Frames, Replay, Wal, WalOptions, WalStats};

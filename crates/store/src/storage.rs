@@ -6,12 +6,13 @@
 //! * [`FileStorage`] — real files under a directory, with `fsync` mapped to
 //!   [`std::fs::File::sync_data`] and snapshot replacement done as
 //!   write-temp-then-rename so a crash never leaves a half-written snapshot.
-//! * [`MemStorage`] — an in-memory map used by tests and benches. It models
-//!   the failure semantics that matter for recovery: a SIGKILL-equivalent
-//!   [`MemStorage::crash_keeping`] that truncates a file to an arbitrary
-//!   byte offset (as if the tail of an append never reached the platter),
-//!   and an operation budget ([`MemStorage::fail_after`]) after which every
-//!   write returns [`ObiError::Storage`].
+//! * [`MemStorage`] — an in-memory map, the one fault model of the crash
+//!   tests. [`MemStorage::crash_keeping`] truncates a file to any byte
+//!   offset (all written bytes: a SIGKILL; [`MemStorage::synced_len`]: a
+//!   power loss), [`MemStorage::kill_at`] kills the writer as a file
+//!   reaches a length, [`MemStorage::history`] replays every state the
+//!   files passed through, and after an operation budget
+//!   ([`MemStorage::fail_after`]) every write returns [`ObiError::Storage`].
 //!
 //! Files are flat, named blobs — there is no directory structure. The
 //! durability layer uses exactly two names per site: `"wal"` and `"snap"`.
@@ -67,6 +68,11 @@ struct MemInner {
     /// every mutating operation fails with `ObiError::Storage`.
     budget: Option<u64>,
     syncs: u64,
+    /// Every write: the file, the length it was cut to and the bytes then
+    /// appended.
+    record: Vec<(String, usize, Vec<u8>)>,
+    /// The file length whose append kills its caller, when armed.
+    kill_at: Option<usize>,
 }
 
 /// In-memory [`Storage`] with crash and write-failure injection.
@@ -74,6 +80,11 @@ struct MemInner {
 pub struct MemStorage {
     inner: Mutex<MemInner>,
 }
+
+/// What the caller of an append unwinds with when a [`MemStorage`] kills
+/// it (see [`MemStorage::kill_at`]).
+#[derive(Debug)]
+pub struct Killed;
 
 impl MemStorage {
     pub fn new() -> Self {
@@ -86,11 +97,31 @@ impl MemStorage {
     /// exercises recovery against every possible torn tail.
     pub fn crash_keeping(&self, name: &str, keep: u64) {
         let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(name) {
-            let keep = (keep as usize).min(f.data.len());
-            f.data.truncate(keep);
-            f.synced = keep;
-        }
+        let f = inner.rewrite(name, keep as usize, &[]);
+        f.synced = f.data.len();
+    }
+
+    /// Arms one kill: the next append that takes a file (the durability
+    /// layer appends only to its WAL) to `limit` bytes is cut there, and its
+    /// caller unwinds with [`Killed`] (no panic hook runs), so nothing it
+    /// would have done next happens.
+    pub fn kill_at(&self, limit: u64) {
+        self.inner.lock().kill_at = Some(limit as usize);
+    }
+
+    /// The contents of `name` after each write to any file, in order, from
+    /// a record that holds each written byte once. A sync writes nothing.
+    pub fn history(&self, name: &str) -> Vec<Vec<u8>> {
+        let mut data = Vec::new();
+        let inner = self.inner.lock();
+        let history = inner.record.iter().map(|(file, keep, tail)| {
+            if file == name {
+                data.truncate(*keep);
+                data.extend_from_slice(tail);
+            }
+            data.clone()
+        });
+        history.collect()
     }
 
     /// After `ops` more successful mutating operations, every subsequent
@@ -131,6 +162,17 @@ impl MemInner {
             }
         }
     }
+
+    /// Cuts `name` to `keep` bytes and appends `tail`: every write is one
+    /// of these, and the record keeps it.
+    fn rewrite(&mut self, name: &str, keep: usize, tail: &[u8]) -> &mut MemFile {
+        self.record.push((name.to_string(), keep, tail.to_vec()));
+        let f = self.files.entry(name.to_string()).or_default();
+        f.data.truncate(keep);
+        f.data.extend_from_slice(tail);
+        f.synced = f.synced.min(f.data.len());
+        f
+    }
 }
 
 impl Storage for MemStorage {
@@ -155,12 +197,14 @@ impl Storage for MemStorage {
     fn append(&self, name: &str, bytes: &[u8]) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.charge()?;
-        inner
-            .files
-            .entry(name.to_string())
-            .or_default()
-            .data
-            .extend_from_slice(bytes);
+        let len = inner.files.get(name).map_or(0, |f| f.data.len());
+        let kill = inner.kill_at.take_if(|limit| *limit <= len + bytes.len());
+        let cut = kill.map_or(bytes.len(), |limit| limit.saturating_sub(len));
+        inner.rewrite(name, len, &bytes[..cut]);
+        if kill.is_some() {
+            drop(inner);
+            std::panic::resume_unwind(Box::new(Killed));
+        }
         Ok(())
     }
 
@@ -177,11 +221,7 @@ impl Storage for MemStorage {
     fn truncate(&self, name: &str, len: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.charge()?;
-        if let Some(f) = inner.files.get_mut(name) {
-            let len = (len as usize).min(f.data.len());
-            f.data.truncate(len);
-            f.synced = f.synced.min(len);
-        }
+        inner.rewrite(name, len as usize, &[]);
         Ok(())
     }
 
@@ -189,8 +229,7 @@ impl Storage for MemStorage {
         let mut inner = self.inner.lock();
         inner.charge()?;
         inner.syncs += 1;
-        let f = inner.files.entry(name.to_string()).or_default();
-        f.data = bytes.to_vec();
+        let f = inner.rewrite(name, 0, bytes);
         f.synced = f.data.len();
         Ok(())
     }
@@ -350,6 +389,83 @@ mod tests {
         s.replace("snap", b"new-snapshot").unwrap();
         assert_eq!(s.read("snap").unwrap(), b"new-snapshot");
         assert_eq!(s.synced_len("snap"), 12);
+    }
+
+    #[test]
+    fn the_history_replays_every_state_both_files_passed_through() {
+        let s = MemStorage::new();
+        s.append("wal", b"ab").unwrap();
+        s.append("wal", b"cd").unwrap();
+        s.sync("wal").unwrap();
+        // A compaction: the snapshot folds the log, then the log resets.
+        s.replace("snap", b"abcd").unwrap();
+        s.truncate("wal", 0).unwrap();
+        s.append("wal", b"e").unwrap();
+        s.crash_keeping("wal", 0);
+        let bytes = |states: [&str; 6]| states.map(|state| state.as_bytes().to_vec());
+        assert_eq!(
+            s.history("snap"),
+            bytes(["", "", "abcd", "abcd", "abcd", "abcd"])
+        );
+        assert_eq!(s.history("wal"), bytes(["ab", "abcd", "abcd", "", "e", ""]));
+    }
+
+    #[test]
+    fn an_armed_kill_cuts_the_crossing_append_at_the_limit_and_unwinds_with_killed() {
+        let s = MemStorage::new();
+        let append = |bytes: &[u8]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.append("wal", bytes)))
+        };
+        s.append("wal", b"0123").unwrap();
+        s.kill_at(6);
+        assert!(append(b"4567").unwrap_err().is::<Killed>());
+        assert_eq!(s.read("wal").unwrap(), b"012345");
+        // The kill fired once: a restarted writer appends through.
+        append(b"67").unwrap().unwrap();
+        // A limit the file already reached kills the next append whole.
+        s.kill_at(2);
+        assert!(append(b"89").unwrap_err().is::<Killed>());
+        assert_eq!(s.read("wal").unwrap(), b"01234567");
+    }
+
+    #[test]
+    fn a_kill_armed_past_every_write_changes_nothing() {
+        let (armed, plain) = (MemStorage::new(), MemStorage::new());
+        armed.kill_at(100);
+        for s in [&armed, &plain] {
+            s.append("wal", b"0123456789").unwrap();
+            s.sync("wal").unwrap();
+            s.append("wal", b"abc").unwrap();
+            s.truncate("wal", 12).unwrap();
+        }
+        assert_eq!(armed.history("wal"), plain.history("wal"));
+        assert_eq!(armed.synced_len("wal"), plain.synced_len("wal"));
+        assert_eq!(armed.sync_count(), plain.sync_count());
+    }
+
+    #[test]
+    fn frame_ends_read_through_the_wal_framing_are_the_offsets_the_wal_wrote() {
+        use crate::wal::{frame_ends, Frames, Wal, WalOptions};
+        let s = std::sync::Arc::new(MemStorage::new());
+        let wal = Wal::new(s.clone(), "wal", WalOptions::default());
+        let mut expected = Vec::new();
+        for payload in [&b"one"[..], b"", b"three"] {
+            let mut frames = Frames::new();
+            frames.push(payload);
+            wal.append_frames(&frames).unwrap();
+            expected.push(wal.len().unwrap() as usize);
+        }
+        let (base, mut batch) = (expected[2], Frames::new());
+        for payload in [&b"four"[..], b"fifty"] {
+            batch.push(payload);
+            expected.push(base + batch.as_bytes().len());
+        }
+        wal.append_batch(&batch).unwrap();
+        let bytes = s.read("wal").unwrap();
+        assert_eq!(frame_ends(&bytes), expected);
+        assert_eq!(bytes.len(), expected[4]);
+        // A torn tail ends the walk at the last whole frame.
+        assert_eq!(frame_ends(&bytes[..bytes.len() - 1]), expected[..4]);
     }
 
     #[test]

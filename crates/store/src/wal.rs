@@ -268,6 +268,13 @@ fn first_frame(bytes: &[u8]) -> Option<&[u8]> {
     (crc32(payload) == crc).then_some(payload)
 }
 
+/// Where each intact frame at the start of `bytes` ends, up to the first
+/// torn one: the record boundaries [`replay`] reads.
+pub fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let next = |&end: &usize| first_frame(&bytes[end..]).map(|p| end + FRAME_HEADER + p.len());
+    std::iter::successors(Some(0), next).skip(1).collect()
+}
+
 /// Outcome of scanning a log on recovery.
 #[derive(Debug)]
 pub struct Replay {
@@ -299,20 +306,19 @@ pub fn replay_decoded(
     mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<(u64, u64)> {
     let bytes = storage.read(name)?;
-    let mut off = 0usize;
-    let mut records = 0u64;
-    while let Some(payload) = first_frame(&bytes[off..]) {
-        f(payload).map_err(|e| {
+    let ends = frame_ends(&bytes);
+    let mut off = 0;
+    for (records, &end) in ends.iter().enumerate() {
+        f(&bytes[off + FRAME_HEADER..end]).map_err(|e| {
             ObiError::Storage(format!("record {records} of `{name}` is undecodable: {e}"))
         })?;
-        records += 1;
-        off += FRAME_HEADER + payload.len();
+        off = end;
     }
     let truncated = (bytes.len() - off) as u64;
     if truncated > 0 {
         storage.truncate(name, off as u64)?;
     }
-    Ok((records, truncated))
+    Ok((ends.len() as u64, truncated))
 }
 
 #[cfg(test)]

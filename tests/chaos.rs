@@ -13,7 +13,8 @@
 
 use obiwan::core::demo::{Counter, LinkedItem};
 use obiwan::core::space::Resolution;
-use obiwan::core::{BreakerConfig, ObiValue, ObiWorld, ObjRef, ReplicationMode};
+use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
+use obiwan::rmi::fault::BREAKER_COOLDOWN;
 use obiwan::net::LinkModel;
 use obiwan::util::SiteId;
 use proptest::prelude::*;
@@ -240,7 +241,7 @@ impl Chaos {
         self.world
             .site(self.clients[0])
             .clock()
-            .charge(BreakerConfig::default().cooldown);
+            .charge(BREAKER_COOLDOWN);
         for &site in &self.clients {
             self.world
                 .site(site)

@@ -16,10 +16,10 @@
 
 use obiwan::core::demo::Counter;
 use obiwan::core::{
-    BreakerConfig, BreakerState, ObiProcess, ObiValue, ObiWorld, ObjRef, ReplicationMode,
-    RetryPolicy,
+    BreakerState, ObiProcess, ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy,
 };
 use obiwan::net::LinkModel;
+use obiwan::rmi::fault::BREAKER_THRESHOLD;
 use obiwan::util::SiteId;
 use proptest::prelude::*;
 
@@ -120,7 +120,7 @@ fn crash_leave_is_noticed_and_retired_under_loss() {
     // The victim vanishes without a word: no Leave frame, no roster
     // cleanup. The survivor's breaker opens after repeated failures...
     world.retire_site(s2);
-    let threshold = BreakerConfig::default().failure_threshold;
+    let threshold = BREAKER_THRESHOLD;
     for _ in 0..threshold {
         assert!(world.site(s1).ping(s2).is_err());
     }

@@ -11,24 +11,78 @@
 //! * no double-apply — a put whose confirmation was lost in the crash is
 //!   replayed with its persisted request seq, and the provider's reply
 //!   cache answers it without re-executing.
+//!
+//! Every fault comes from `MemStorage`, the store's one fault storage: a
+//! restart keeps what `crash_keeping` leaves of the WAL (every written byte
+//! for a SIGKILL, `synced_len` of them for a power loss), `kill_at` kills
+//! the client mid-write-back the moment the WAL reaches a length, and
+//! `history` is every state the two files passed through. Frame boundaries
+//! are read with the WAL's own framing (`wal::frame_ends`).
 
 use obiwan::core::demo::Counter;
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy};
 use obiwan::mobility::session::{DisconnectedSession, ReintegrationReport};
 use obiwan::net::LinkModel;
 use obiwan::store::{
-    Durable, DurableOptions, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP, SNAP_FILE,
-    WAL_FILE,
+    Durable, DurableOptions, Killed, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP,
+    SNAP_FILE, WAL_FILE,
 };
 use obiwan::util::SiteId;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn set_link(world: &ObiWorld, a: SiteId, b: SiteId, model: LinkModel) {
     world
         .transport()
         .with_topology_mut(|t| t.set_link_symmetric(a, b, model));
+}
+
+/// Attaches a fresh durability log to `site`.
+fn attach_log(world: &ObiWorld, site: SiteId, opts: DurableOptions) -> Arc<MemStorage> {
+    let storage = Arc::new(MemStorage::new());
+    let (durable, recovered) = Durable::open(storage.clone(), opts).unwrap();
+    assert!(recovered.is_empty());
+    world.site(site).attach_durability(durable);
+    storage
+}
+
+/// The crash: cuts the WAL to its first `keep` bytes, drops `site`'s
+/// process, and brings a fresh one up over the surviving storage. Returns
+/// what it recovered.
+fn restart(
+    world: &mut ObiWorld,
+    site: SiteId,
+    storage: &Arc<MemStorage>,
+    keep: u64,
+) -> RecoveredState {
+    storage.crash_keeping(WAL_FILE, keep);
+    let process = world.restart_site(site);
+    let (durable, recovered) = Durable::open(storage.clone(), DurableOptions::default()).unwrap();
+    process.attach_durability(durable);
+    let restored = process.recover_from(&recovered).unwrap();
+    assert_eq!(restored, recovered.dirty.len(), "every dirty replica restores");
+    recovered
+}
+
+/// Runs `work` until `storage` kills it at WAL length `limit`. Unlike
+/// cutting back the log of a run that finished, this leaves the master
+/// holding exactly the puts that had reached it when the log was that long.
+fn until_killed_at<T: std::fmt::Debug>(storage: &MemStorage, limit: u64, work: impl FnOnce() -> T) {
+    storage.kill_at(limit);
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
+        Ok(done) => panic!("limit={limit}: the write-back ran to its end: {done:?}"),
+        Err(payload) if payload.is::<Killed>() => {}
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// The value of `counter` read at `site`.
+fn count(world: &ObiWorld, site: SiteId, counter: ObjRef) -> i64 {
+    match world.site(site).invoke(counter, "read", ObiValue::Null).unwrap() {
+        ObiValue::I64(v) => v,
+        other => panic!("counter read returned {other:?}"),
+    }
 }
 
 /// One disconnected-session scenario over a durable client site.
@@ -60,11 +114,7 @@ fn build_with(opts: DurableOptions) -> Rig {
         .site(client)
         .get(&remote, ReplicationMode::incremental(1))
         .unwrap();
-    let storage = Arc::new(MemStorage::new());
-    let (durable, recovered) =
-        Durable::open(storage.clone() as Arc<dyn Storage>, opts).unwrap();
-    assert!(recovered.is_empty());
-    world.site(client).attach_durability(durable);
+    let storage = attach_log(&world, client, opts);
     Rig {
         world,
         client,
@@ -99,46 +149,18 @@ impl Rig {
         self.world.site(self.client).durability().unwrap().clone()
     }
 
-    /// The crash: truncate the WAL to its first `keep` bytes (sync state
-    /// ignored, like a power loss), drop the process, and bring up a fresh
-    /// one over the surviving storage. Returns the resumed session.
+    /// [`restart`] over the first `keep` bytes of the WAL. Returns the
+    /// resumed session.
     fn crash_and_restart(&mut self, keep: u64) -> DisconnectedSession {
-        self.storage.crash_keeping(WAL_FILE, keep);
-        self.world.restart_site(self.client);
-        let (durable, recovered) = Durable::open(
-            self.storage.clone() as Arc<dyn Storage>,
-            DurableOptions::default(),
-        )
-        .unwrap();
-        let process = self.world.site(self.client);
-        process.attach_durability(durable);
-        let restored = process.recover_from(&recovered).unwrap();
-        assert_eq!(restored, recovered.dirty.len(), "every dirty replica restores");
-        DisconnectedSession::resume(&recovered)
+        DisconnectedSession::resume(&restart(&mut self.world, self.client, &self.storage, keep))
     }
 
     fn master_value(&self) -> i64 {
-        match self
-            .world
-            .site(self.server)
-            .invoke(self.master, "read", ObiValue::Null)
-            .unwrap()
-        {
-            ObiValue::I64(v) => v,
-            other => panic!("counter read returned {other:?}"),
-        }
+        count(&self.world, self.server, self.master)
     }
 
     fn client_value(&self) -> i64 {
-        match self
-            .world
-            .site(self.client)
-            .invoke(self.replica, "read", ObiValue::Null)
-            .unwrap()
-        {
-            ObiValue::I64(v) => v,
-            other => panic!("counter read returned {other:?}"),
-        }
+        count(&self.world, self.client, self.replica)
     }
 }
 
@@ -511,53 +533,9 @@ fn trio_options() -> DurableOptions {
     }
 }
 
-/// A [`MemStorage`] that keeps what both files held after every write,
-/// so a sweep can put a restarted site in front of any state the storage
-/// ever passed through — a compaction's intermediate ones included.
-#[derive(Default)]
-struct Filmed {
-    mem: MemStorage,
-    /// `(snapshot, WAL)` after each mutating call.
-    frames: std::sync::Mutex<Vec<(Vec<u8>, Vec<u8>)>>,
-}
-
-impl Filmed {
-    fn shoot(&self) {
-        let frame = (self.mem.read(SNAP_FILE).unwrap(), self.mem.read(WAL_FILE).unwrap());
-        self.frames.lock().unwrap().push(frame);
-    }
-}
-
-impl Storage for Filmed {
-    fn read(&self, name: &str) -> obiwan::util::Result<Vec<u8>> {
-        self.mem.read(name)
-    }
-    fn len(&self, name: &str) -> obiwan::util::Result<u64> {
-        self.mem.len(name)
-    }
-    fn append(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
-        self.mem.append(name, bytes)?;
-        self.shoot();
-        Ok(())
-    }
-    fn sync(&self, name: &str) -> obiwan::util::Result<()> {
-        self.mem.sync(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> obiwan::util::Result<()> {
-        self.mem.truncate(name, len)?;
-        self.shoot();
-        Ok(())
-    }
-    fn replace(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
-        self.mem.replace(name, bytes)?;
-        self.shoot();
-        Ok(())
-    }
-}
-
-/// The [`TRIO_BASE`] counters mastered at a server and replicated at a
-/// client. Built the same way every time, so object ids repeat.
-struct Trio {
+/// Counters mastered at a server, one per base value, each replicated at
+/// a client. Built the same way every time, so object ids repeat.
+struct Counters {
     world: ObiWorld,
     client: SiteId,
     server: SiteId,
@@ -565,13 +543,13 @@ struct Trio {
     replicas: Vec<ObjRef>,
 }
 
-fn build_trio() -> Trio {
+fn build_counters(bases: &[i64]) -> Counters {
     let mut world = ObiWorld::loopback();
     let client = world.add_site("pda");
     let server = world.add_site("server");
-    let mut masters = Vec::new();
-    let mut replicas = Vec::new();
-    for base in TRIO_BASE {
+    let mut masters = Vec::with_capacity(bases.len());
+    let mut replicas = Vec::with_capacity(bases.len());
+    for &base in bases {
         let master = world.site(server).create(Counter::new(base));
         let remote = world.site(server).export_anonymous(master).unwrap();
         masters.push(master);
@@ -582,7 +560,7 @@ fn build_trio() -> Trio {
                 .unwrap(),
         );
     }
-    Trio {
+    Counters {
         world,
         client,
         server,
@@ -591,17 +569,21 @@ fn build_trio() -> Trio {
     }
 }
 
+/// The [`TRIO_BASE`] counters.
+fn build_trio() -> Counters {
+    build_counters(&TRIO_BASE)
+}
+
 /// The offline session under test, filmed: 24 `add`s of distinct amounts
 /// dealt round-robin over the trio, and in the middle one `add` whose
 /// argument is rejected — it fails, yet marks its replica modified.
+/// Returns `(snapshot, WAL)` after every write, so a sweep can put a
+/// restarted site in front of any state the storage ever passed through,
+/// a compaction's intermediate ones included.
 fn film_the_trio_session() -> Vec<(Vec<u8>, Vec<u8>)> {
     let trio = build_trio();
-    let storage = Arc::new(Filmed::default());
-    let (durable, recovered) =
-        Durable::open(storage.clone() as Arc<dyn Storage>, trio_options()).unwrap();
-    assert!(recovered.is_empty());
+    let storage = attach_log(&trio.world, trio.client, trio_options());
     let process = trio.world.site(trio.client);
-    process.attach_durability(durable.clone());
     trio.world.disconnect(trio.client);
     let mut session = DisconnectedSession::new();
     for k in 0..24i64 {
@@ -612,9 +594,9 @@ fn film_the_trio_session() -> Vec<(Vec<u8>, Vec<u8>)> {
         let replica = trio.replicas[k as usize % 3];
         session.invoke(process, replica, "add", ObiValue::I64(k + 1)).unwrap();
     }
-    durable.commit().unwrap();
-    let frames = std::mem::take(&mut *storage.frames.lock().unwrap());
-    frames
+    process.durability().unwrap().commit().unwrap();
+    let snaps = storage.history(SNAP_FILE);
+    snaps.into_iter().zip(storage.history(WAL_FILE)).collect()
 }
 
 /// The states a crash during the filmed session can leave the two files
@@ -737,81 +719,6 @@ fn every_crash_offset_recovers_a_journal_that_accounts_for_its_state() {
 /// makes 64 put intents durable per sync).
 const FLEET: usize = 130;
 
-/// What a [`KillAt`] storage unwinds its process with.
-struct Killed;
-
-/// Keeps the `Killed` unwinds of the sweeps off stderr; every other panic
-/// still reaches the default hook.
-fn silence_kills() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !info.payload().is::<Killed>() {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// A [`MemStorage`] that kills its process the moment the WAL reaches
-/// `limit` bytes: the append that gets there is cut at `limit` and the
-/// caller unwinds with [`Killed`], so nothing it would have done next —
-/// a sync, an RPC — happens. Unlike cutting back the log of a run that
-/// finished, the master is left holding exactly the puts that had reached
-/// it when the log was that long.
-struct KillAt {
-    mem: Arc<MemStorage>,
-    limit: AtomicU64,
-    /// The WAL's length, tracked here so that appends take no storage lock
-    /// the library itself would not.
-    wal_len: AtomicU64,
-    /// Where each frame appended to the WAL ended.
-    frame_ends: std::sync::Mutex<Vec<u64>>,
-}
-
-impl Storage for KillAt {
-    fn read(&self, name: &str) -> obiwan::util::Result<Vec<u8>> {
-        self.mem.read(name)
-    }
-    fn len(&self, name: &str) -> obiwan::util::Result<u64> {
-        self.mem.len(name)
-    }
-    fn append(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
-        if name != WAL_FILE {
-            return self.mem.append(name, bytes);
-        }
-        let len = self.wal_len.load(Ordering::Relaxed);
-        let room = self.limit.load(Ordering::Relaxed).saturating_sub(len);
-        let fits = (bytes.len() as u64).min(room);
-        self.mem.append(name, &bytes[..fits as usize])?;
-        self.wal_len.store(len + fits, Ordering::Relaxed);
-        if fits == room {
-            std::panic::panic_any(Killed);
-        }
-        let mut frame_ends = self.frame_ends.lock().unwrap();
-        let mut at = 0;
-        while at < bytes.len() {
-            let payload = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-            at += 8 + payload as usize;
-            frame_ends.push(len + at as u64);
-        }
-        Ok(())
-    }
-    fn sync(&self, name: &str) -> obiwan::util::Result<()> {
-        self.mem.sync(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> obiwan::util::Result<()> {
-        if name == WAL_FILE {
-            self.wal_len.fetch_min(len, Ordering::Relaxed);
-        }
-        self.mem.truncate(name, len)
-    }
-    fn replace(&self, name: &str, bytes: &[u8]) -> obiwan::util::Result<()> {
-        self.mem.replace(name, bytes)
-    }
-}
-
 /// [`FLEET`] counters mastered at the server, each replicated at a durable
 /// client and incremented once offline: a write-back waiting to happen.
 struct Fleet {
@@ -820,40 +727,22 @@ struct Fleet {
     server: SiteId,
     masters: Vec<ObjRef>,
     replicas: Vec<ObjRef>,
-    storage: Arc<KillAt>,
+    storage: Arc<MemStorage>,
     session: DisconnectedSession,
     /// Every master's version before any write-back.
     base_version: u64,
 }
 
 fn build_fleet() -> Fleet {
-    let mut world = ObiWorld::loopback();
-    let client = world.add_site("pda");
-    let server = world.add_site("server");
-    let mut masters = Vec::with_capacity(FLEET);
-    let mut replicas = Vec::with_capacity(FLEET);
-    for _ in 0..FLEET {
-        let master = world.site(server).create(Counter::new(0));
-        let remote = world.site(server).export_anonymous(master).unwrap();
-        masters.push(master);
-        replicas.push(
-            world
-                .site(client)
-                .get(&remote, ReplicationMode::incremental(1))
-                .unwrap(),
-        );
-    }
+    let Counters {
+        world,
+        client,
+        server,
+        masters,
+        replicas,
+    } = build_counters(&[0; FLEET]);
     let base_version = world.site(server).meta_of(masters[0]).unwrap().version;
-    let storage = Arc::new(KillAt {
-        mem: Arc::new(MemStorage::new()),
-        limit: AtomicU64::new(u64::MAX),
-        wal_len: AtomicU64::new(0),
-        frame_ends: Default::default(),
-    });
-    let (durable, recovered) =
-        Durable::open(storage.clone() as Arc<dyn Storage>, DurableOptions::default()).unwrap();
-    assert!(recovered.is_empty());
-    world.site(client).attach_durability(durable);
+    let storage = attach_log(&world, client, DurableOptions::default());
     world.disconnect(client);
     let mut session = DisconnectedSession::new();
     for &replica in &replicas {
@@ -887,32 +776,13 @@ impl Fleet {
     /// Reintegrates until the WAL reaches `limit` bytes and the process is
     /// killed there.
     fn reintegrate_until_killed_at(&self, limit: u64) {
-        silence_kills();
-        self.storage.limit.store(limit, Ordering::Relaxed);
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.reintegrate()));
-        self.storage.limit.store(u64::MAX, Ordering::Relaxed);
-        match killed {
-            Ok(report) => panic!("limit={limit}: the write-back ran to its end: {report:?}"),
-            Err(payload) if payload.is::<Killed>() => {}
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        until_killed_at(&self.storage, limit, || self.reintegrate());
     }
 
-    /// Brings a fresh client process up over the first `keep` bytes of the
-    /// dead one's WAL and resumes its session.
+    /// [`restart`] over the first `keep` bytes of the dead process's WAL,
+    /// resuming its session.
     fn restart_keeping(&mut self, keep: u64) {
-        self.storage.mem.crash_keeping(WAL_FILE, keep);
-        self.storage.wal_len.fetch_min(keep, Ordering::Relaxed);
-        self.world.restart_site(self.client);
-        let (durable, recovered) = Durable::open(
-            self.storage.clone() as Arc<dyn Storage>,
-            DurableOptions::default(),
-        )
-        .unwrap();
-        let process = self.world.site(self.client);
-        process.attach_durability(durable);
-        let restored = process.recover_from(&recovered).unwrap();
-        assert_eq!(restored, recovered.dirty.len(), "every dirty replica restores");
+        let recovered = restart(&mut self.world, self.client, &self.storage, keep);
         self.session = DisconnectedSession::resume(&recovered);
     }
 
@@ -943,8 +813,7 @@ impl Fleet {
 
     /// What a restart now would find in the log.
     fn log_contents(&self) -> RecoveredState {
-        let storage = self.storage.clone() as Arc<dyn Storage>;
-        Durable::open(storage, DurableOptions::default()).unwrap().1
+        Durable::open(self.storage.clone(), DurableOptions::default()).unwrap().1
     }
 
     fn pending_intents(&self) -> usize {
@@ -954,19 +823,28 @@ impl Fleet {
     }
 }
 
-/// Maps the fleet's write-back from a run nobody kills: the WAL length it
-/// starts at, and where each frame it appends ends.
+/// Maps a write-back from a run nobody kills: the WAL length it starts
+/// at, and where each frame it appends ends, read with the WAL's own
+/// framing off the longest the WAL grew.
+fn map_write_back(storage: &MemStorage, write_back: impl FnOnce()) -> (u64, Vec<u64>) {
+    let start = storage.len(WAL_FILE).unwrap();
+    write_back();
+    let history = storage.history(WAL_FILE);
+    let peak = history.iter().max_by_key(|wal| wal.len()).unwrap();
+    let ends = obiwan::store::wal::frame_ends(peak).into_iter().map(|end| end as u64);
+    (start, ends.filter(|&end| end > start).collect())
+}
+
+/// [`map_write_back`] of the fleet's reintegration.
 fn write_back_map() -> &'static (u64, Vec<u64>) {
     static MAP: std::sync::OnceLock<(u64, Vec<u64>)> = std::sync::OnceLock::new();
     MAP.get_or_init(|| {
         let fleet = build_fleet();
-        let start = fleet.durable().wal_len().unwrap();
-        let report = fleet.reintegrate();
-        assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
-        fleet.assert_every_put_applied_exactly_once("unkilled");
-        let mut frame_ends = std::mem::take(&mut *fleet.storage.frame_ends.lock().unwrap());
-        frame_ends.retain(|&end| end > start);
-        (start, frame_ends)
+        map_write_back(&fleet.storage, || {
+            let report = fleet.reintegrate();
+            assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
+            fleet.assert_every_put_applied_exactly_once("unkilled");
+        })
     })
 }
 
@@ -980,22 +858,8 @@ fn write_back_map() -> &'static (u64, Vec<u64>) {
 fn a_kill_at_every_wal_offset_of_a_grouped_write_back_applies_each_put_exactly_once() {
     let (start, frame_ends) = write_back_map();
     assert_eq!(frame_ends.len(), 2 * FLEET + FLEET.div_ceil(64));
-    let (start, peak) = (*start, *frame_ends.last().unwrap());
-    // Kills inside one frame all tear the same record, and the WAL's own
-    // sweeps tear records byte by byte. So a debug build — tier 1 — kills
-    // on either side of every frame's end; a release build — CI's chaos
-    // job — at every byte.
-    let limits: Vec<u64> = if cfg!(debug_assertions) {
-        let mut around: Vec<u64> = frame_ends.iter().flat_map(|&end| [end - 1, end, end + 1]).collect();
-        around.insert(0, start);
-        around.retain(|limit| (start..=peak).contains(limit));
-        around.dedup();
-        around
-    } else {
-        (start..=peak).collect()
-    };
     let mut replayed = 0u64;
-    for limit in limits {
+    for limit in kill_limits(*start, frame_ends) {
         let mut fleet = build_fleet();
         fleet.reintegrate_until_killed_at(limit);
         fleet.restart_keeping(limit);
@@ -1028,11 +892,11 @@ fn a_kill_at_every_wal_offset_of_a_grouped_write_back_applies_each_put_exactly_o
 #[test]
 fn a_grouped_write_back_syncs_once_per_group_of_intents() {
     let fleet = build_fleet();
-    let syncs_before = fleet.storage.mem.sync_count();
+    let syncs_before = fleet.storage.sync_count();
     let appends_before = fleet.durable().wal_stats().appends();
     let report = fleet.reintegrate();
     assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
-    let syncs = fleet.storage.mem.sync_count() - syncs_before;
+    let syncs = fleet.storage.sync_count() - syncs_before;
     let groups = FLEET.div_ceil(64) as u64;
     let unforced = FLEET as u64 + groups;
     assert!(
@@ -1053,7 +917,7 @@ fn a_grouped_write_back_syncs_once_per_group_of_intents() {
 /// reply cache, and only the objects never planned take new ids.
 #[test]
 fn a_pass_that_goes_unreachable_mid_group_leaves_one_groups_intents_and_reuses_them() {
-    use obiwan::core::BreakerConfig;
+    use obiwan::rmi::fault::BREAKER_COOLDOWN;
     let fleet = build_fleet();
     fleet.world.transport().reseed(11);
     set_link(
@@ -1091,7 +955,7 @@ fn a_pass_that_goes_unreachable_mid_group_leaves_one_groups_intents_and_reuses_t
         .world
         .site(fleet.client)
         .clock()
-        .charge(BreakerConfig::default().cooldown);
+        .charge(BREAKER_COOLDOWN);
     let cached_before = fleet.world.site(fleet.server).metrics().snapshot().cached_replies;
     let report = fleet.reintegrate();
     assert!(report.is_clean(), "{report:?}");
@@ -1169,7 +1033,7 @@ struct ClusterRig {
     client: SiteId,
     server: SiteId,
     nodes: Vec<ObjRef>,
-    storage: Arc<KillAt>,
+    storage: Arc<MemStorage>,
     /// Every master's version before the write-back.
     base_version: u64,
 }
@@ -1192,16 +1056,7 @@ fn build_cluster_rig() -> ClusterRig {
         .get(&remote, ReplicationMode::cluster(LIST))
         .unwrap();
     let base_version = world.site(server).meta_of(nodes[0]).unwrap().version;
-    let storage = Arc::new(KillAt {
-        mem: Arc::new(MemStorage::new()),
-        limit: AtomicU64::new(u64::MAX),
-        wal_len: AtomicU64::new(0),
-        frame_ends: Default::default(),
-    });
-    let (durable, recovered) =
-        Durable::open(storage.clone() as Arc<dyn Storage>, DurableOptions::default()).unwrap();
-    assert!(recovered.is_empty());
-    world.site(client).attach_durability(durable);
+    let storage = attach_log(&world, client, DurableOptions::default());
     for (i, &node) in nodes.iter().enumerate() {
         let value = ObiValue::I64(100 + i as i64);
         world.site(client).invoke(node, "set_value", value).unwrap();
@@ -1218,10 +1073,6 @@ fn build_cluster_rig() -> ClusterRig {
 }
 
 impl ClusterRig {
-    fn durable(&self) -> Arc<Durable> {
-        self.world.site(self.client).durability().unwrap().clone()
-    }
-
     fn write_back(&self) -> obiwan::util::Result<usize> {
         self.world.site(self.client).put_all_dirty()
     }
@@ -1229,32 +1080,14 @@ impl ClusterRig {
     /// Writes the cluster back until the WAL reaches `limit` bytes and the
     /// process is killed there.
     fn write_back_until_killed_at(&self, limit: u64) {
-        silence_kills();
-        self.storage.limit.store(limit, Ordering::Relaxed);
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.write_back()));
-        self.storage.limit.store(u64::MAX, Ordering::Relaxed);
-        match killed {
-            Ok(pushed) => panic!("limit={limit}: the write-back ran to its end: {pushed:?}"),
-            Err(payload) if payload.is::<Killed>() => {}
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        until_killed_at(&self.storage, limit, || self.write_back());
     }
 
-    /// Brings a fresh client process up over the first `keep` bytes of the
-    /// dead one's WAL. What it recovers are plain replicas: the log does
-    /// not record cluster membership.
+    /// [`restart`] over the first `keep` bytes of the dead process's WAL.
+    /// What it recovers are plain replicas: the log does not record cluster
+    /// membership.
     fn restart_keeping(&mut self, keep: u64) {
-        self.storage.mem.crash_keeping(WAL_FILE, keep);
-        self.storage.wal_len.fetch_min(keep, Ordering::Relaxed);
-        self.world.restart_site(self.client);
-        let (durable, recovered) = Durable::open(
-            self.storage.clone() as Arc<dyn Storage>,
-            DurableOptions::default(),
-        )
-        .unwrap();
-        let process = self.world.site(self.client);
-        process.attach_durability(durable);
-        assert_eq!(process.recover_from(&recovered).unwrap(), recovered.dirty.len());
+        restart(&mut self.world, self.client, &self.storage, keep);
     }
 
     /// Version continuity: every master took its node's edit in exactly one
@@ -1273,18 +1106,15 @@ impl ClusterRig {
     }
 }
 
-/// Maps the cluster write-back from a run nobody kills: the WAL length it
-/// starts at, and where each frame it appends ends.
+/// [`map_write_back`] of the cluster write-back.
 fn cluster_write_back_map() -> &'static (u64, Vec<u64>) {
     static MAP: std::sync::OnceLock<(u64, Vec<u64>)> = std::sync::OnceLock::new();
     MAP.get_or_init(|| {
         let rig = build_cluster_rig();
-        let start = rig.durable().wal_len().unwrap();
-        assert_eq!(rig.write_back().unwrap(), LIST);
-        rig.assert_every_member_applied_exactly_once("unkilled");
-        let mut frame_ends = std::mem::take(&mut *rig.storage.frame_ends.lock().unwrap());
-        frame_ends.retain(|&end| end > start);
-        (start, frame_ends)
+        map_write_back(&rig.storage, || {
+            assert_eq!(rig.write_back().unwrap(), LIST);
+            rig.assert_every_member_applied_exactly_once("unkilled");
+        })
     })
 }
 
@@ -1448,7 +1278,7 @@ proptest! {
         let (start, frame_ends) = write_back_map();
         let limit = start + (frame_ends.last().unwrap() - start) * kill_pct / 100;
         fleet.reintegrate_until_killed_at(limit);
-        let keep = if power_loss { fleet.storage.mem.synced_len(WAL_FILE) } else { limit };
+        let keep = if power_loss { fleet.storage.synced_len(WAL_FILE) } else { limit };
         fleet.restart_keeping(keep);
         let report = fleet.reintegrate();
         prop_assert!(

@@ -13,10 +13,10 @@
 
 use obiwan::core::demo::{Counter, LinkedItem};
 use obiwan::core::{
-    BreakerConfig, BreakerState, Freshness, ObiValue, ObiWorld, ObjRef, ReplicationMode,
-    RetryPolicy,
+    BreakerState, Freshness, ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy,
 };
 use obiwan::net::LinkModel;
+use obiwan::rmi::fault::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
 use obiwan::util::SiteId;
 use std::time::Duration;
 
@@ -142,7 +142,7 @@ fn partitioned_peer_fails_fast_via_open_breaker_then_recovers() {
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(10),
     });
-    let threshold = BreakerConfig::default().failure_threshold;
+    let threshold = BREAKER_THRESHOLD;
     for _ in 0..threshold {
         assert!(world.site(c).ping(p).is_err());
     }
@@ -174,7 +174,7 @@ fn partitioned_peer_fails_fast_via_open_breaker_then_recovers() {
     // Heal + cooldown: the half-open probe closes the breaker and fresh
     // traffic flows again.
     set_link(&world, c, p, LinkModel::ideal());
-    world.site(c).clock().charge(BreakerConfig::default().cooldown);
+    world.site(c).clock().charge(BREAKER_COOLDOWN);
     assert_eq!(world.site(c).breaker_state(p), BreakerState::HalfOpen);
     world.site(c).ping(p).unwrap();
     assert_eq!(world.site(c).breaker_state(p), BreakerState::Closed);

@@ -388,7 +388,7 @@ fn scripted_commute_day() {
     // admitted, then reconcile what is left.
     world
         .clock()
-        .charge(obiwan::core::BreakerConfig::default().cooldown);
+        .charge(obiwan::rmi::fault::BREAKER_COOLDOWN);
     world.site(device).put_all_dirty().unwrap();
     let content = world.site(office).invoke(doc, "content", ObiValue::Null).unwrap();
     let text = content.as_str().unwrap().to_owned();

@@ -15,7 +15,7 @@
 use obiwan_bench::report::{fmt_ms, Table};
 use obiwan_bench::{
     e1_constants, e6_prefetch, e7_latency_distributions, fig4, fig5_series, fig6_series,
-    verify_shapes, FIG56_SIZES, FIG56_STEPS, FIG4_SIZES, LIST_LEN,
+    verify_shapes, SeriesPoint, FIG56_SIZES, FIG56_STEPS, FIG4_SIZES, LIST_LEN,
 };
 use std::time::Duration;
 
@@ -23,11 +23,7 @@ fn print_e1() {
     let e1 = e1_constants();
     println!("## E1 — §4.1 constants (paper: LMI = 2 us, RMI = 2.8 ms)\n");
     let mut t = Table::new(["invocation kind", "paper", "measured"]);
-    t.row([
-        "LMI (local, on replica)",
-        "0.002 ms",
-        &format!("{} ms", fmt_ms(e1.lmi)),
-    ]);
+    t.row(["LMI (local, on replica)", "0.002 ms", &format!("{} ms", fmt_ms(e1.lmi))]);
     t.row(["RMI (remote)", "2.8 ms", &format!("{} ms", fmt_ms(e1.rmi))]);
     println!("{}", t.render());
 }
@@ -35,21 +31,17 @@ fn print_e1() {
 fn print_fig4() {
     println!("## Figure 4 — RMI vs LMI, total time (ms) vs number of invocations\n");
     println!("LMI includes replica creation and the final put back to the master.\n");
-    let rows = fig4();
-    let mut header: Vec<String> = vec!["invocations".into(), "RMI".into()];
-    for s in FIG4_SIZES {
-        header.push(format!("LMI {}", size_label(*s)));
-    }
-    let mut t = Table::new(header);
-    for row in &rows {
-        let mut cells: Vec<String> = vec![row.invocations.to_string(), fmt_ms(row.rmi)];
-        for (_, d) in &row.lmi {
-            cells.push(fmt_ms(*d));
-        }
-        t.row(cells);
+    let lmi = FIG4_SIZES.iter().map(|s| format!("LMI {}", size_label(*s)));
+    let mut t = Table::new(["invocations".to_owned(), "RMI".into()].into_iter().chain(lmi));
+    for row in fig4() {
+        let lmi = row.lmi.iter().map(|(_, d)| fmt_ms(*d));
+        t.row([row.invocations.to_string(), fmt_ms(row.rmi)].into_iter().chain(lmi));
     }
     println!("{}", t.render());
 }
+
+/// [`fig5_series`] or [`fig6_series`].
+type Series = fn(usize, usize) -> Vec<SeriesPoint>;
 
 fn size_label(bytes: usize) -> String {
     if bytes >= 1024 && bytes.is_multiple_of(1024) {
@@ -59,37 +51,20 @@ fn size_label(bytes: usize) -> String {
     }
 }
 
-fn print_series(
-    title: &str,
-    note: &str,
-    series_fn: impl Fn(usize, usize) -> Vec<obiwan_bench::SeriesPoint>,
-) {
+fn print_series(title: &str, note: &str, series_fn: Series) {
     println!("{title}\n");
     println!("{note}\n");
     for &size in FIG56_SIZES {
         println!("### {} objects, list of {LIST_LEN}\n", size_label(size));
-        let curves: Vec<(usize, Vec<obiwan_bench::SeriesPoint>)> = FIG56_STEPS
+        let curves: Vec<(usize, Vec<SeriesPoint>)> = FIG56_STEPS
             .iter()
             .map(|&step| (step, series_fn(size, step)))
             .collect();
-        let mut header: Vec<String> = vec!["invocation".into()];
-        for (step, _) in &curves {
-            header.push(format!("step {step}"));
-        }
-        let mut t = Table::new(header);
-        let checkpoints: Vec<usize> = (1..=10).map(|i| i * LIST_LEN / 10).collect();
-        let mut rows_iter = std::iter::once(1usize).chain(checkpoints);
-        // Deduplicate if LIST_LEN/10 == 1.
-        let mut seen = std::collections::BTreeSet::new();
-        for cp in &mut rows_iter {
-            if !seen.insert(cp) {
-                continue;
-            }
-            let mut cells: Vec<String> = vec![cp.to_string()];
-            for (_, series) in &curves {
-                cells.push(fmt_ms(series[cp - 1].cumulative));
-            }
-            t.row(cells);
+        let steps = curves.iter().map(|(step, _)| format!("step {step}"));
+        let mut t = Table::new(std::iter::once("invocation".to_owned()).chain(steps));
+        for cp in std::iter::once(1).chain((1..=10).map(|i| i * LIST_LEN / 10)) {
+            let cells = curves.iter().map(|(_, series)| fmt_ms(series[cp - 1].cumulative));
+            t.row(std::iter::once(cp.to_string()).chain(cells));
         }
         println!("{}", t.render());
         let mut totals = Table::new(["step", "total (ms)", "time to 1st invocation (ms)"]);
@@ -104,22 +79,35 @@ fn print_series(
     }
 }
 
+fn print_fig5() {
+    print_series(
+        "## Figure 5 — incremental replication (per-object proxy pairs), cumulative ms",
+        "Each object carries its own proxy-in/proxy-out pair and can be individually updated.",
+        fig5_series,
+    );
+}
+
+fn print_fig6() {
+    print_series(
+        "## Figure 6 — cluster replication (one proxy pair per cluster), cumulative ms",
+        "Objects are replicated in clusters sharing a single proxy pair; members cannot be individually updated.",
+        fig6_series,
+    );
+}
+
 fn print_e6() {
     println!("## E6 (extension) — prefetching during think time (paper §2.1, footnote)\n");
     println!("64 B objects, list of {LIST_LEN}, step 10. Latency = what one invocation");
     println!("costs the caller; prefetch moves fetch work into think time.\n");
     let r = e6_prefetch();
+    let ms = |d| format!("{} ms", fmt_ms(d));
     let mut t = Table::new(["strategy", "worst invocation latency", "total elapsed"]);
-    t.row([
-        "fault on demand",
-        &format!("{} ms", fmt_ms(r.on_demand_worst)),
-        &format!("{} ms", fmt_ms(r.on_demand_total)),
-    ]);
-    t.row([
-        "prefetch ahead",
-        &format!("{} ms", fmt_ms(r.prefetch_worst)),
-        &format!("{} ms", fmt_ms(r.prefetch_total)),
-    ]);
+    for (strategy, worst, total) in [
+        ("fault on demand", r.on_demand_worst, r.on_demand_total),
+        ("prefetch ahead", r.prefetch_worst, r.prefetch_total),
+    ] {
+        t.row([strategy.to_owned(), ms(worst), ms(total)]);
+    }
     println!("{}", t.render());
 }
 
@@ -146,7 +134,7 @@ fn print_e7() {
 /// `experiment,size_bytes,series,x,ms`.
 fn print_csv() {
     println!("experiment,size_bytes,series,x,ms");
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     for row in fig4() {
         println!("fig4,0,RMI,{},{}", row.invocations, ms(row.rmi));
         for (size, d) in &row.lmi {
@@ -155,11 +143,10 @@ fn print_csv() {
     }
     for &size in FIG56_SIZES {
         for &step in FIG56_STEPS {
-            for p in fig5_series(size, step) {
-                println!("fig5,{size},step{step},{},{}", p.invocation, ms(p.cumulative));
-            }
-            for p in fig6_series(size, step) {
-                println!("fig6,{size},step{step},{},{}", p.invocation, ms(p.cumulative));
+            for (fig, series) in [("fig5", fig5_series as Series), ("fig6", fig6_series)] {
+                for p in series(size, step) {
+                    println!("{fig},{size},step{step},{},{}", p.invocation, ms(p.cumulative));
+                }
             }
         }
     }
@@ -170,11 +157,7 @@ fn print_verify() -> bool {
     let report = verify_shapes();
     let mut t = Table::new(["ok", "claim", "evidence"]);
     for c in &report.checks {
-        t.row([
-            if c.pass { "PASS" } else { "FAIL" },
-            c.claim.as_str(),
-            c.evidence.as_str(),
-        ]);
+        t.row([if c.pass { "PASS" } else { "FAIL" }, &c.claim, &c.evidence]);
     }
     println!("{}", t.render());
     println!(
@@ -192,16 +175,8 @@ fn main() {
     match which.as_str() {
         "e1" => print_e1(),
         "fig4" => print_fig4(),
-        "fig5" => print_series(
-            "## Figure 5 — incremental replication (per-object proxy pairs), cumulative ms",
-            "Each object carries its own proxy-in/proxy-out pair and can be individually updated.",
-            fig5_series,
-        ),
-        "fig6" => print_series(
-            "## Figure 6 — cluster replication (one proxy pair per cluster), cumulative ms",
-            "Objects are replicated in clusters sharing a single proxy pair; members cannot be individually updated.",
-            fig6_series,
-        ),
+        "fig5" => print_fig5(),
+        "fig6" => print_fig6(),
         "e6" => print_e6(),
         "e7" => print_e7(),
         "csv" => {
@@ -233,20 +208,9 @@ fn main() {
             println!("wrote {}", path.display());
         }
         "all" => {
-            print_e1();
-            print_fig4();
-            print_series(
-                "## Figure 5 — incremental replication (per-object proxy pairs), cumulative ms",
-                "Each object carries its own proxy-in/proxy-out pair and can be individually updated.",
-                fig5_series,
-            );
-            print_series(
-                "## Figure 6 — cluster replication (one proxy pair per cluster), cumulative ms",
-                "Objects are replicated in clusters sharing a single proxy pair; members cannot be individually updated.",
-                fig6_series,
-            );
-            print_e6();
-            print_e7();
+            for print in [print_e1, print_fig4, print_fig5, print_fig6, print_e6, print_e7] {
+                print();
+            }
             ok = print_verify();
         }
         other => {
@@ -254,11 +218,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let elapsed = started.elapsed();
-    println!(
-        "(regenerated in {} of real time)",
-        human(elapsed)
-    );
+    println!("(regenerated in {} of real time)", human(started.elapsed()));
     if !ok {
         std::process::exit(1);
     }

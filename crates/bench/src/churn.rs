@@ -28,6 +28,7 @@
 //! All numbers are deterministic virtual time: shapes and ratios are
 //! reproducible on any machine for a given seed.
 
+use crate::emit::{json_head, push_array};
 use obiwan_core::demo::Counter;
 use obiwan_core::{ObiProcess, ObiValue, ObiWorld, ReplicationMode, RetryPolicy};
 use obiwan_net::conditions;
@@ -180,10 +181,8 @@ pub fn churn_bench(cfg: &ChurnConfig) -> ChurnReport {
         .map(|i| world.add_site(&format!("c{i}")))
         .collect();
     // Everyone enrolls, so the joiner's ack carries the live roster.
-    world.site(provider).join().expect("provider join");
-    world.site(successor).join().expect("successor join");
-    for &c in &clients {
-        world.site(c).join().expect("client join");
+    for site in world.sites() {
+        world.site(site).join().expect("join");
     }
     patient(world.site(provider));
     for &c in &clients {
@@ -296,37 +295,25 @@ pub fn churn_bench(cfg: &ChurnConfig) -> ChurnReport {
 
         // The steady workload: every client mutates its replica and
         // writes it back; the joiner ramps at one put per replica.
-        for &(c, replica, k) in &workers {
-            for _ in 0..cfg.ops_per_tick {
-                world
-                    .site(c)
-                    .invoke(replica, "incr", ObiValue::Null)
-                    .expect("incr");
-                match world.site(c).put(replica) {
-                    Ok(version) => {
-                        acked[k] += 1;
-                        final_version[k] = final_version[k].max(version);
-                        tick_acked += 1;
-                    }
-                    Err(_) => put_errors += 1,
+        let steady = workers
+            .iter()
+            .flat_map(|&w| std::iter::repeat_n(w, cfg.ops_per_tick));
+        let ramp = joiner
+            .into_iter()
+            .flat_map(|j| joiner_replicas.iter().map(move |&(replica, k)| (j, replica, k)));
+        for (site, replica, k) in steady.chain(ramp) {
+            world
+                .site(site)
+                .invoke(replica, "incr", ObiValue::Null)
+                .expect("incr");
+            match world.site(site).put(replica) {
+                Ok(version) => {
+                    acked[k] += 1;
+                    final_version[k] = final_version[k].max(version);
+                    tick_acked += 1;
+                    joiner_acked += u64::from(Some(site) == joiner);
                 }
-            }
-        }
-        if let Some(j) = joiner {
-            for &(replica, k) in &joiner_replicas {
-                world
-                    .site(j)
-                    .invoke(replica, "incr", ObiValue::Null)
-                    .expect("joiner incr");
-                match world.site(j).put(replica) {
-                    Ok(version) => {
-                        acked[k] += 1;
-                        final_version[k] = final_version[k].max(version);
-                        tick_acked += 1;
-                        joiner_acked += 1;
-                    }
-                    Err(_) => put_errors += 1,
-                }
+                Err(_) => put_errors += 1,
             }
         }
 
@@ -358,22 +345,11 @@ pub fn churn_bench(cfg: &ChurnConfig) -> ChurnReport {
         lost_puts += expected.saturating_sub(final_version[k]);
         duplicated_puts += final_version[k].saturating_sub(expected);
     }
-    let mut moved_master_redirects = world
-        .site(provider)
-        .metrics()
-        .snapshot()
-        .moved_master_redirects;
-    moved_master_redirects += world
-        .site(successor)
-        .metrics()
-        .snapshot()
-        .moved_master_redirects;
-    for &c in &clients {
-        moved_master_redirects += world.site(c).metrics().snapshot().moved_master_redirects;
-    }
-    if let Some(j) = joiner {
-        moved_master_redirects += world.site(j).metrics().snapshot().moved_master_redirects;
-    }
+    let moved_master_redirects = world
+        .sites()
+        .into_iter()
+        .map(|s| world.site(s).metrics().snapshot().moved_master_redirects)
+        .sum();
 
     ChurnReport {
         ticks,
@@ -396,15 +372,9 @@ pub fn churn_bench(cfg: &ChurnConfig) -> ChurnReport {
 pub fn bench_churn_json(cfg: &ChurnConfig) -> String {
     use std::fmt::Write as _;
     let report = churn_bench(cfg);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"obiwan-bench-churn/1\",\n");
-    out.push_str("  \"clock\": \"virtual\",\n");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"sites\": {}, \"counters\": {}, \"warmup_ticks\": {}, \
-         \"join_ticks\": {}, \"post_ticks\": {}, \"ops_per_tick\": {}, \"loss\": {}, \
-         \"seed\": {}}},",
+    let workload = format!(
+        "{{\"sites\": {}, \"counters\": {}, \"warmup_ticks\": {}, \"join_ticks\": {}, \
+         \"post_ticks\": {}, \"ops_per_tick\": {}, \"loss\": {}, \"seed\": {}}}",
         cfg.sites,
         cfg.counters,
         cfg.warmup_ticks,
@@ -414,17 +384,19 @@ pub fn bench_churn_json(cfg: &ChurnConfig) -> String {
         cfg.loss,
         cfg.seed,
     );
-    out.push_str("  \"ticks\": [\n");
-    for (i, t) in report.ticks.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"tick\": {}, \"phase\": \"{}\", \"acked\": {}, \"virtual_ms\": {:.3}, \
-             \"ops_per_sec\": {:.1}}}",
-            t.tick, t.phase, t.acked, t.virtual_ms, t.ops_per_sec,
-        );
-        out.push_str(if i + 1 < report.ticks.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
+    let mut out = json_head("obiwan-bench-churn/1", &workload);
+    push_array(
+        &mut out,
+        "ticks",
+        report.ticks.iter().map(|t| {
+            format!(
+                "{{\"tick\": {}, \"phase\": \"{}\", \"acked\": {}, \"virtual_ms\": {:.3}, \
+                 \"ops_per_sec\": {:.1}}}",
+                t.tick, t.phase, t.acked, t.virtual_ms, t.ops_per_sec,
+            )
+        }),
+    );
+    out.push_str(",\n");
     let _ = writeln!(
         out,
         "  \"summary\": {{\"baseline_ops_per_sec\": {:.1}, \"min_throughput_ratio\": {:.3}, \

@@ -14,9 +14,10 @@
 //! * `obiwan-bench-rpc/1` — the RPC path per network scenario: ops/sec,
 //!   caller-observed p50/p99, retries and reply-cache hits.
 
-use crate::workload::{payload_list, single_object};
+use crate::experiments::ms;
+use crate::workload::{paper_list, single_object};
 use crate::LIST_LEN;
-use obiwan_core::{ObiValue, ReplicationMode, RetryPolicy};
+use obiwan_core::{ReplicationMode, RetryPolicy};
 use obiwan_net::conditions;
 use obiwan_util::Histogram;
 use std::fmt::Write as _;
@@ -73,22 +74,13 @@ impl DemandPoint {
 /// One full list walk at `step` with `payload`-byte nodes, reading the
 /// per-site latency recorders and counters afterwards.
 fn demand_walk(step: usize, payload: usize) -> DemandPoint {
-    let w = payload_list(LIST_LEN, payload);
-    let site = w.world.site(w.consumer);
+    let w = paper_list(payload);
+    let site = w.site();
     let before = site.metrics().snapshot();
     let root = site
         .get(&w.head, ReplicationMode::incremental(step))
         .expect("initial get");
-    let mut cur = root;
-    let mut invocations = 0u64;
-    loop {
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        invocations += 1;
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
+    let invocations = w.walk(root).count() as u64;
     let delta = site.metrics().snapshot().since(&before);
     let latency = site.metrics().latency_snapshot();
     DemandPoint {
@@ -159,30 +151,22 @@ fn rpc_scenario(name: &'static str, loss: f64, reply_loss: f64) -> RpcScenario {
                     .with_reply_loss(reply_loss),
             );
         });
-        w.world.site(w.consumer).set_rpc_policy(RetryPolicy {
+        w.site().set_rpc_policy(RetryPolicy {
             max_retries: 10,
             ..RetryPolicy::default()
         });
     }
-    let site = w.world.site(w.consumer);
-    let before = site.metrics().snapshot();
+    let before = w.site().metrics().snapshot();
     // Reply-cache hits are counted by the *answering* side: read them from
     // the provider's counters, not the caller's.
-    let provider_before = w.world.site(w.provider).metrics().snapshot();
+    let provider = w.world.site(w.provider).metrics();
+    let provider_before = provider.snapshot();
     let mut latency = Histogram::new();
     for _ in 0..RPC_CALLS {
-        let t0 = w.world.clock().elapsed();
-        site.invoke_rmi(&w.object, "touch", ObiValue::Null)
-            .expect("rmi");
-        latency.record(w.world.clock().elapsed() - t0);
+        latency.record(w.rmi("touch"));
     }
-    let delta = site.metrics().snapshot().since(&before);
-    let provider_delta = w
-        .world
-        .site(w.provider)
-        .metrics()
-        .snapshot()
-        .since(&provider_before);
+    let delta = w.site().metrics().snapshot().since(&before);
+    let provider_delta = provider.snapshot().since(&provider_before);
     RpcScenario {
         name,
         calls: RPC_CALLS as u64,
@@ -203,10 +187,6 @@ pub fn rpc_bench() -> Vec<RpcScenario> {
         rpc_scenario("lossy_lan_10pct", 0.10, 0.0),
         rpc_scenario("lossy_lan_reply_loss", 0.0, 0.10),
     ]
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn num(v: f64) -> String {
@@ -234,71 +214,73 @@ fn demand_point_json(p: &DemandPoint) -> String {
     )
 }
 
+/// Opens a `BENCH_*.json` body: its `schema`, the virtual clock, and the
+/// `workload` object.
+pub(crate) fn json_head(schema: &str, workload: &str) -> String {
+    format!(
+        "{{\n  \"schema\": \"{schema}\",\n  \"clock\": \"virtual\",\n  \"workload\": {workload},\n"
+    )
+}
+
+/// Writes `  "name": [`, then `rows` one per line with commas between,
+/// then `  ]`; the caller writes what follows the bracket.
+pub(crate) fn push_array(out: &mut String, name: &str, rows: impl Iterator<Item = String>) {
+    let rows: Vec<String> = rows.collect();
+    let _ = writeln!(out, "  \"{name}\": [");
+    if !rows.is_empty() {
+        let _ = writeln!(out, "    {}", rows.join(",\n    "));
+    }
+    out.push_str("  ]");
+}
+
 /// `BENCH_demand.json` contents (schema `obiwan-bench-demand/2`: adds the
 /// payload sweep and the 100/250 streaming steps).
 pub fn bench_demand_json() -> String {
     let points = demand_bench();
     let sweep = demand_payload_sweep();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"obiwan-bench-demand/2\",\n");
-    out.push_str("  \"clock\": \"virtual\",\n");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"list_len\": {LIST_LEN}, \"payload_bytes\": {PAYLOAD_BYTES}}},"
+    let mut out = json_head(
+        "obiwan-bench-demand/2",
+        &format!("{{\"list_len\": {LIST_LEN}, \"payload_bytes\": {PAYLOAD_BYTES}}}"),
     );
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(out, "    {}", demand_point_json(p));
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"payload_sweep_step\": {PAYLOAD_SWEEP_STEP},"
+    push_array(&mut out, "points", points.iter().map(demand_point_json));
+    let _ = writeln!(out, ",\n  \"payload_sweep_step\": {PAYLOAD_SWEEP_STEP},");
+    push_array(
+        &mut out,
+        "payload_sweep",
+        sweep.iter().map(|(payload, p)| {
+            format!("{{\"payload_bytes\": {payload}, \"point\": {}}}", demand_point_json(p))
+        }),
     );
-    out.push_str("  \"payload_sweep\": [\n");
-    for (i, (payload, p)) in sweep.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"payload_bytes\": {payload}, \"point\": {}}}",
-            demand_point_json(p)
-        );
-        out.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n}\n");
     out
 }
 
 /// `BENCH_rpc.json` contents (schema `obiwan-bench-rpc/1`).
 pub fn bench_rpc_json() -> String {
     let scenarios = rpc_bench();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"obiwan-bench-rpc/1\",\n");
-    out.push_str("  \"clock\": \"virtual\",\n");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"calls\": {RPC_CALLS}, \"payload_bytes\": {PAYLOAD_BYTES}}},"
+    let mut out = json_head(
+        "obiwan-bench-rpc/1",
+        &format!("{{\"calls\": {RPC_CALLS}, \"payload_bytes\": {PAYLOAD_BYTES}}}"),
     );
-    out.push_str("  \"scenarios\": [\n");
-    for (i, s) in scenarios.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"calls\": {}, \"elapsed_ms\": {}, \"ops_per_sec\": {}, \
-             \"p50_ms\": {}, \"p99_ms\": {}, \"retries\": {}, \"cached_replies\": {}}}",
-            s.name,
-            s.calls,
-            num(ms(s.elapsed)),
-            num(s.ops_per_sec()),
-            num(ms(s.latency.quantile(0.5))),
-            num(ms(s.latency.quantile(0.99))),
-            s.retries,
-            s.cached_replies,
-        );
-        out.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+    push_array(
+        &mut out,
+        "scenarios",
+        scenarios.iter().map(|s| {
+            format!(
+                "{{\"name\": \"{}\", \"calls\": {}, \"elapsed_ms\": {}, \"ops_per_sec\": {}, \
+                 \"p50_ms\": {}, \"p99_ms\": {}, \"retries\": {}, \"cached_replies\": {}}}",
+                s.name,
+                s.calls,
+                num(ms(s.elapsed)),
+                num(s.ops_per_sec()),
+                num(ms(s.latency.quantile(0.5))),
+                num(ms(s.latency.quantile(0.99))),
+                s.retries,
+                s.cached_replies,
+            )
+        }),
+    );
+    out.push_str("\n}\n");
     out
 }
 

@@ -8,8 +8,9 @@
 //! | [`fig6_series`] | Figure 6: cluster replication, one proxy pair per cluster |
 //! | [`verify_shapes`] | §4's bullet conclusions, asserted |
 
-use crate::workload::{payload_list, single_object};
-use obiwan_core::{ObiValue, ObjRef, ReplicationMode};
+use crate::workload::{paper_list, single_object};
+use obiwan_core::{ObiValue, ReplicationMode};
+use obiwan_util::Histogram;
 use std::time::Duration;
 
 /// List length used by Figures 5 and 6 (paper: 1000).
@@ -27,6 +28,12 @@ pub const FIG56_SIZES: &[usize] = &[64, 1024, 16384];
 /// Step sizes (objects replicated per fault) of Figures 5 and 6.
 pub const FIG56_STEPS: &[usize] = &[1, 10, 100, 1000];
 
+/// Total virtual time of `count` RMIs on one `size`-byte object.
+fn rmi_total(size: usize, count: usize) -> Duration {
+    let w = single_object(size);
+    (0..count).map(|_| w.rmi("index")).sum()
+}
+
 /// §4.1's two constants, measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct E1Result {
@@ -40,25 +47,16 @@ pub struct E1Result {
 pub fn e1_constants() -> E1Result {
     // LMI: invoke on an existing local replica.
     let w = single_object(64);
-    let replica = w
-        .world
-        .site(w.consumer)
-        .get(&w.object, ReplicationMode::incremental(1))
+    let site = w.site();
+    let replica = site
+        .get(&w.head, ReplicationMode::incremental(1))
         .expect("replicate");
     w.world.clock().reset();
-    w.world
-        .site(w.consumer)
-        .invoke(replica, "index", ObiValue::Null)
-        .expect("lmi");
+    site.invoke(replica, "index", ObiValue::Null).expect("lmi");
     let lmi = w.world.clock().elapsed();
 
     // RMI: invoke the master remotely.
-    let w = single_object(64);
-    w.world
-        .site(w.consumer)
-        .invoke_rmi(&w.object, "index", ObiValue::Null)
-        .expect("rmi");
-    let rmi = w.world.clock().elapsed();
+    let rmi = single_object(64).rmi("index");
     E1Result { lmi, rmi }
 }
 
@@ -77,52 +75,37 @@ pub struct Fig4Row {
     pub lmi: Vec<(usize, Duration)>,
 }
 
+/// Total virtual time of replicating one `size`-byte object, invoking it
+/// locally `count` times, and putting it back to its master.
+fn lmi_total(size: usize, count: usize) -> Duration {
+    let w = single_object(size);
+    let site = w.site();
+    let replica = site
+        .get(&w.head, ReplicationMode::incremental(1))
+        .expect("replicate");
+    for _ in 0..count {
+        site.invoke(replica, "index", ObiValue::Null).expect("lmi");
+    }
+    // Mark dirty so the put carries real state, as in the paper's
+    // update-back-to-master accounting.
+    site.invoke(replica, "set_index", ObiValue::I64(1)).expect("dirty");
+    site.put(replica).expect("put");
+    w.world.clock().elapsed()
+}
+
 /// Regenerates Figure 4.
 pub fn fig4() -> Vec<Fig4Row> {
     FIG4_COUNTS
         .iter()
-        .map(|&count| {
+        .map(|&count| Fig4Row {
+            invocations: count,
             // RMI series: object size is irrelevant (only the invocation
             // crosses the wire); use the smallest.
-            let w = single_object(16);
-            for _ in 0..count {
-                w.world
-                    .site(w.consumer)
-                    .invoke_rmi(&w.object, "index", ObiValue::Null)
-                    .expect("rmi");
-            }
-            let rmi = w.world.clock().elapsed();
-
-            let lmi = FIG4_SIZES
+            rmi: rmi_total(16, count),
+            lmi: FIG4_SIZES
                 .iter()
-                .map(|&size| {
-                    let w = single_object(size);
-                    let replica = w
-                        .world
-                        .site(w.consumer)
-                        .get(&w.object, ReplicationMode::incremental(1))
-                        .expect("replicate");
-                    for _ in 0..count {
-                        w.world
-                            .site(w.consumer)
-                            .invoke(replica, "index", ObiValue::Null)
-                            .expect("lmi");
-                    }
-                    // Mark dirty so the put carries real state, as in the
-                    // paper's update-back-to-master accounting.
-                    w.world
-                        .site(w.consumer)
-                        .invoke(replica, "set_index", ObiValue::I64(1))
-                        .expect("dirty");
-                    w.world.site(w.consumer).put(replica).expect("put");
-                    (size, w.world.clock().elapsed())
-                })
-                .collect();
-            Fig4Row {
-                invocations: count,
-                rmi,
-                lmi,
-            }
+                .map(|&size| (size, lmi_total(size, count)))
+                .collect(),
         })
         .collect()
 }
@@ -138,22 +121,16 @@ pub struct SeriesPoint {
 }
 
 fn walk_series(size: usize, mode: ReplicationMode) -> Vec<SeriesPoint> {
-    let w = payload_list(LIST_LEN, size);
-    let site = w.world.site(w.consumer);
-    let root = site.get(&w.head, mode).expect("initial get");
-    let mut points = Vec::with_capacity(LIST_LEN);
-    let mut cur: ObjRef = root;
-    for i in 1..=LIST_LEN {
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        points.push(SeriesPoint {
-            invocation: i,
+    let w = paper_list(size);
+    let root = w.site().get(&w.head, mode).expect("initial get");
+    let points: Vec<SeriesPoint> = w
+        .walk(root)
+        .zip(1..)
+        .map(|(_, invocation)| SeriesPoint {
+            invocation,
             cumulative: w.world.clock().elapsed(),
-        });
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
+        })
+        .collect();
     assert_eq!(points.len(), LIST_LEN, "walked the whole list");
     points
 }
@@ -203,7 +180,7 @@ impl ShapeReport {
     }
 }
 
-fn ms(d: Duration) -> f64 {
+pub(crate) fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
@@ -281,25 +258,7 @@ pub fn verify_shapes() -> ShapeReport {
     );
 
     // RMI is size-independent: compare two single-object RMI runs.
-    let (small, large) = {
-        let w = single_object(16);
-        for _ in 0..100 {
-            w.world
-                .site(w.consumer)
-                .invoke_rmi(&w.object, "index", ObiValue::Null)
-                .unwrap();
-        }
-        let small = w.world.clock().elapsed();
-        let w = single_object(65536);
-        for _ in 0..100 {
-            w.world
-                .site(w.consumer)
-                .invoke_rmi(&w.object, "index", ObiValue::Null)
-                .unwrap();
-        }
-        (small, w.world.clock().elapsed())
-    };
-    let size_ratio = ms(large) / ms(small);
+    let size_ratio = ms(rmi_total(65536, 100)) / ms(rmi_total(16, 100));
     report.check(
         "Fig 4: with RMI, object size has no influence on invocation time",
         (0.95..=1.05).contains(&size_ratio),
@@ -307,17 +266,12 @@ pub fn verify_shapes() -> ShapeReport {
     );
 
     // --- Figure 5 -----------------------------------------------------------
-    let totals_64: Vec<(usize, Duration)> = FIG56_STEPS
-        .iter()
-        .map(|&s| (s, fig5_series(64, s).last().unwrap().cumulative))
-        .collect();
-    let total = |steps: &[(usize, Duration)], s: usize| {
-        steps.iter().find(|(k, _)| *k == s).map(|(_, d)| *d).unwrap()
-    };
-    let t1 = total(&totals_64, 1);
-    let t10 = total(&totals_64, 10);
-    let t100 = total(&totals_64, 100);
-    let t1000 = total(&totals_64, 1000);
+    // A 64 B curve's time to first invocation and its total.
+    let ends = |curve: Vec<SeriesPoint>| (curve[0].cumulative, curve[LIST_LEN - 1].cumulative);
+    let (first_1, t1) = ends(fig5_series(64, 1));
+    let (_, t10) = ends(fig5_series(64, 10));
+    let (_, t100) = ends(fig5_series(64, 100));
+    let (first_1000, t1000) = ends(fig5_series(64, 1000));
     report.check(
         "Fig 5: replicating one object per fault is the least efficient",
         t1 > t10 && t1 > t100 && t1 > t1000,
@@ -344,8 +298,6 @@ pub fn verify_shapes() -> ShapeReport {
         t1000 > t100,
         format!("step1000 {:.0} ms > step100 {:.0} ms", ms(t1000), ms(t100)),
     );
-    let first_1 = fig5_series(64, 1)[0].cumulative;
-    let first_1000 = fig5_series(64, 1000)[0].cumulative;
     report.check(
         "Fig 5 (motivation §2.1): incremental replication lowers first-invocation latency",
         first_1 * 5 < first_1000,
@@ -357,13 +309,9 @@ pub fn verify_shapes() -> ShapeReport {
     );
 
     // --- Figure 6 -----------------------------------------------------------
-    let c_totals_64: Vec<(usize, Duration)> = FIG56_STEPS
-        .iter()
-        .map(|&s| (s, fig6_series(64, s).last().unwrap().cumulative))
-        .collect();
-    let c10 = total(&c_totals_64, 10);
-    let c100 = total(&c_totals_64, 100);
-    let c1000 = total(&c_totals_64, 1000);
+    let (_, c10) = ends(fig6_series(64, 10));
+    let (_, c100) = ends(fig6_series(64, 100));
+    let (_, c1000) = ends(fig6_series(64, 1000));
     report.check(
         "Fig 6: clustering beats per-object proxies at the same step size",
         c10 < t10 && c100 < t100 && c1000 < t1000,
@@ -416,49 +364,38 @@ pub struct E6Result {
     pub prefetch_total: Duration,
 }
 
+/// Objects E6 and E7 replicate per fault, and prefetch per think time.
+const PREFETCH_STEP: usize = 10;
+
+/// Walks a fresh 64 B list in `mode`, prefetching [`PREFETCH_STEP`]
+/// objects during each think time when `prefetch` is set; returns every
+/// touch's latency and the total elapsed time, think time included.
+fn latency_walk(mode: ReplicationMode, prefetch: bool) -> (Histogram, Duration) {
+    let w = paper_list(64);
+    let site = w.site();
+    let root = site.get(&w.head, mode).expect("get");
+    // Think time: pull one step ahead (charged to the clock, but not to
+    // the invocation latency the user perceives).
+    let think = || {
+        if prefetch {
+            let _ = site.prefetch(root, PREFETCH_STEP);
+        }
+    };
+    let mut latency = Histogram::new();
+    for d in w.walk_thinking(root, think) {
+        latency.record(d);
+    }
+    (latency, w.world.clock().elapsed())
+}
+
 /// Runs the E6 prefetch experiment.
 pub fn e6_prefetch() -> E6Result {
-    const STEP: usize = 10;
-
-    // On demand.
-    let w = payload_list(LIST_LEN, 64);
-    let site = w.world.site(w.consumer);
-    let mut cur = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
-    let mut on_demand_worst = Duration::ZERO;
-    loop {
-        let before = w.world.clock().elapsed();
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        on_demand_worst = on_demand_worst.max(w.world.clock().elapsed() - before);
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-    let on_demand_total = w.world.clock().elapsed();
-
-    // Prefetch-ahead: fetch the next step during think time, then invoke.
-    let w = payload_list(LIST_LEN, 64);
-    let site = w.world.site(w.consumer);
-    let root = site.get(&w.head, ReplicationMode::incremental(STEP)).expect("get");
-    let mut cur: ObjRef = root;
-    let mut prefetch_worst = Duration::ZERO;
-    loop {
-        // Think time: pull one step ahead (charged to the clock, but not to
-        // the invocation latency the user perceives).
-        let _ = site.prefetch(root, STEP);
-        let before = w.world.clock().elapsed();
-        let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-        prefetch_worst = prefetch_worst.max(w.world.clock().elapsed() - before);
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-    let prefetch_total = w.world.clock().elapsed();
-
+    let mode = ReplicationMode::incremental(PREFETCH_STEP);
+    let (on_demand, on_demand_total) = latency_walk(mode, false);
+    let (prefetch, prefetch_total) = latency_walk(mode, true);
     E6Result {
-        on_demand_worst,
-        prefetch_worst,
+        on_demand_worst: on_demand.max(),
+        prefetch_worst: prefetch.max(),
         on_demand_total,
         prefetch_total,
     }
@@ -476,40 +413,24 @@ pub struct E7Row {
     /// Strategy label.
     pub strategy: String,
     /// Latency distribution over all 1000 invocations.
-    pub latency: obiwan_util::Histogram,
+    pub latency: Histogram,
 }
 
 /// Runs the E7 latency-distribution experiment.
 pub fn e7_latency_distributions() -> Vec<E7Row> {
-    let mut rows = Vec::new();
-    let strategies: Vec<(String, ReplicationMode, bool)> = vec![
-        ("incremental step 1".into(), ReplicationMode::incremental(1), false),
-        ("incremental step 10".into(), ReplicationMode::incremental(10), false),
-        ("cluster step 100".into(), ReplicationMode::cluster(100), false),
-        ("transitive".into(), ReplicationMode::transitive(), false),
-        ("incremental 10 + prefetch".into(), ReplicationMode::incremental(10), true),
-    ];
-    for (strategy, mode, prefetch) in strategies {
-        let w = payload_list(LIST_LEN, 64);
-        let site = w.world.site(w.consumer);
-        let root = site.get(&w.head, mode).expect("get");
-        let mut latency = obiwan_util::Histogram::new();
-        let mut cur: ObjRef = root;
-        loop {
-            if prefetch {
-                let _ = site.prefetch(root, 10);
-            }
-            let before = w.world.clock().elapsed();
-            let out = site.invoke(cur, "touch", ObiValue::Null).expect("touch");
-            latency.record(w.world.clock().elapsed() - before);
-            match out.as_ref_id() {
-                Some(id) => cur = id.into(),
-                None => break,
-            }
-        }
-        rows.push(E7Row { strategy, latency });
-    }
-    rows
+    [
+        ("incremental step 1", ReplicationMode::incremental(1), false),
+        ("incremental step 10", ReplicationMode::incremental(10), false),
+        ("cluster step 100", ReplicationMode::cluster(100), false),
+        ("transitive", ReplicationMode::transitive(), false),
+        ("incremental 10 + prefetch", ReplicationMode::incremental(10), true),
+    ]
+    .into_iter()
+    .map(|(strategy, mode, prefetch)| E7Row {
+        strategy: strategy.into(),
+        latency: latency_walk(mode, prefetch).0,
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -35,4 +35,4 @@ pub use experiments::{
     verify_shapes, E1Result, E6Result, E7Row,
     Fig4Row, SeriesPoint, ShapeReport, FIG4_COUNTS, FIG4_SIZES, FIG56_SIZES, FIG56_STEPS, LIST_LEN,
 };
-pub use workload::{single_object, payload_list, ListWorkload, SingleWorkload};
+pub use workload::{payload_list, single_object, ListWorkload};

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use obiwan_util::sync::{Mutex, RwLock};
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 /// Physical characteristics of one directed link.
@@ -222,8 +222,8 @@ pub enum LinkState {
 pub struct Topology {
     default_link: LinkModel,
     overrides: HashMap<(SiteId, SiteId), LinkModel>,
-    down_pairs: HashMap<(SiteId, SiteId), ()>,
-    down_sites: HashMap<SiteId, ()>,
+    down_pairs: HashSet<(SiteId, SiteId)>,
+    down_sites: HashSet<SiteId>,
 }
 
 impl Topology {
@@ -258,7 +258,7 @@ impl Topology {
                 self.down_pairs.remove(&(from, to));
             }
             LinkState::Down => {
-                self.down_pairs.insert((from, to), ());
+                self.down_pairs.insert((from, to));
             }
         }
     }
@@ -272,7 +272,7 @@ impl Topology {
     /// Disconnects a site from everyone (a roaming device losing coverage,
     /// or a voluntary disconnection to save connection cost).
     pub fn disconnect(&mut self, site: SiteId) {
-        self.down_sites.insert(site, ());
+        self.down_sites.insert(site);
     }
 
     /// Reconnects a previously disconnected site.
@@ -282,9 +282,9 @@ impl Topology {
 
     /// True when a frame may flow `from -> to` right now.
     pub fn is_up(&self, from: SiteId, to: SiteId) -> bool {
-        !self.down_sites.contains_key(&from)
-            && !self.down_sites.contains_key(&to)
-            && !self.down_pairs.contains_key(&(from, to))
+        !self.down_sites.contains(&from)
+            && !self.down_sites.contains(&to)
+            && !self.down_pairs.contains(&(from, to))
     }
 
     /// Cuts only the `from -> to` direction, leaving the reverse path up —

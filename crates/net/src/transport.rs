@@ -42,10 +42,11 @@ where
 
 /// A bidirectional message transport between sites.
 ///
-/// The two implementations are [`SimTransport`](crate::SimTransport)
-/// (deterministic virtual time) and [`MemTransport`](crate::MemTransport)
-/// (real threads). Upper layers are written against this trait so every
-/// protocol runs identically on both.
+/// The three implementations are [`SimTransport`](crate::SimTransport)
+/// (deterministic virtual time), [`MemTransport`](crate::MemTransport)
+/// (real threads) and [`TcpTransport`](crate::TcpTransport) (real
+/// sockets). Upper layers are written against this trait so every protocol
+/// runs identically on all three.
 pub trait Transport: Send + Sync {
     /// Registers the handler receiving frames addressed to `site`.
     ///

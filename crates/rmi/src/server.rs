@@ -6,7 +6,7 @@ use bytes::Bytes;
 use obiwan_net::MessageHandler;
 use obiwan_util::trace::{self, SpanGuard};
 use obiwan_util::{Clock, ClockMode, Metrics, ObiError, ObjId, RequestId, SiteId};
-use obiwan_wire::{Message, ObiValue, WireMode};
+use obiwan_wire::{Message, WireMode};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
@@ -408,19 +408,20 @@ fn no_reply(request: RequestId) -> Bytes {
     .encode()
 }
 
-/// Convenience: a server answering only `Ping` and echoing `Invoke` args,
-/// used by connectivity probes and transport tests.
+#[cfg(test)]
+/// The unit tests' service: answers only `Ping` and echoes `Invoke` args.
 #[derive(Debug, Default)]
-pub struct EchoService;
+pub(crate) struct EchoService;
 
+#[cfg(test)]
 impl RmiService for EchoService {
     fn invoke(
         &self,
         _from: SiteId,
         _target: obiwan_util::ObjId,
         _method: &str,
-        args: ObiValue,
-    ) -> obiwan_util::Result<ObiValue> {
+        args: obiwan_wire::ObiValue,
+    ) -> obiwan_util::Result<obiwan_wire::ObiValue> {
         Ok(args)
     }
 }
@@ -429,7 +430,7 @@ impl RmiService for EchoService {
 mod tests {
     use super::*;
     use obiwan_util::{ObjId, RequestId};
-    use obiwan_wire::{BatchWriter, FrontierEdge, WrittenBatch};
+    use obiwan_wire::{BatchWriter, FrontierEdge, ObiValue, WrittenBatch};
 
     fn server() -> RmiServer {
         RmiServer::new(Arc::new(EchoService))

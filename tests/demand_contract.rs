@@ -5,64 +5,33 @@
 //! fewer network round-trips than faulting every node on demand, and a wide
 //! fan-out demands all of its frontier in one `GetMany`.
 
-use obiwan::core::demo::{LinkedItem, PayloadNode};
-use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
-use obiwan::rmi::RemoteRef;
-use obiwan::util::SiteId;
+use obiwan::core::demo::LinkedItem;
+use obiwan::core::{ObiWorld, ObjRef, ReplicationMode};
+use obiwan_bench::payload_list;
 
 const LIST: usize = 64;
 const SIZE: usize = 64;
 const BATCH: usize = 8;
 
-/// The paper's list workload: `LIST` payload nodes of `SIZE` bytes created
-/// at the provider S2, the head exported and looked up from the consumer S1.
-fn payload_list() -> (ObiWorld, SiteId, RemoteRef) {
-    let mut world = ObiWorld::paper_testbed();
-    let consumer = world.add_site("S1");
-    let provider = world.add_site("S2");
-    let mut next = None;
-    for i in (0..LIST).rev() {
-        let mut node = PayloadNode::sized(i as i64, SIZE);
-        node.set_next(next);
-        next = Some(world.site(provider).create(node));
-    }
-    let head = next.expect("LIST > 0");
-    world.site(provider).export(head, "list").unwrap();
-    let head = world.site(consumer).lookup("list").unwrap();
-    (world, consumer, head)
-}
-
-fn walk_all(world: &ObiWorld, consumer: SiteId, root: ObjRef) {
-    let site = world.site(consumer);
-    let mut cur = root;
-    loop {
-        let out = site.invoke(cur, "touch", ObiValue::Null).unwrap();
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-}
-
 /// Round-trips spent replicating and walking the whole list on demand.
 fn round_trips_demand() -> u64 {
-    let (world, consumer, head) = payload_list();
-    let site = world.site(consumer);
+    let w = payload_list(ObiWorld::paper_testbed(), LIST, SIZE);
+    let site = w.site();
     let before = site.metrics().snapshot();
-    let root = site.get(&head, ReplicationMode::incremental(1)).unwrap();
-    walk_all(&world, consumer, root);
+    let root = site.get(&w.head, ReplicationMode::incremental(1)).unwrap();
+    w.walk(root).for_each(drop);
     site.metrics().snapshot().since(&before).demand_round_trips
 }
 
 /// Round-trips spent with the batched pipeline: one demand for the head,
 /// then `prefetch_batched` pulling `BATCH` objects per `GetMany`.
 fn round_trips_batched() -> u64 {
-    let (world, consumer, head) = payload_list();
-    let site = world.site(consumer);
+    let w = payload_list(ObiWorld::paper_testbed(), LIST, SIZE);
+    let site = w.site();
     let before = site.metrics().snapshot();
-    let root = site.get(&head, ReplicationMode::incremental(1)).unwrap();
+    let root = site.get(&w.head, ReplicationMode::incremental(1)).unwrap();
     site.prefetch_batched(root, LIST, BATCH).unwrap();
-    walk_all(&world, consumer, root);
+    w.walk(root).for_each(drop);
     site.metrics().snapshot().since(&before).demand_round_trips
 }
 

@@ -11,56 +11,15 @@
 //! * cluster mode creates exactly `ceil(n/k)` proxy pairs, incremental mode
 //!   exactly `n`.
 
-use obiwan::core::demo::PayloadNode;
 use obiwan::core::space::Resolution;
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
-use obiwan::util::SiteId;
+use obiwan_bench::{payload_list, ListWorkload};
 use proptest::prelude::*;
 
-struct ListRig {
-    world: ObiWorld,
-    s1: SiteId,
-    nodes: Vec<ObjRef>,
-    head: obiwan::rmi::RemoteRef,
-}
-
-fn list_rig(n: usize, size: usize) -> ListRig {
-    let mut world = ObiWorld::paper_testbed();
-    let s1 = world.add_site("S1");
-    let s2 = world.add_site("S2");
-    let mut nodes = Vec::with_capacity(n);
-    let mut next = None;
-    for i in (0..n).rev() {
-        let mut node = PayloadNode::sized(i as i64, size);
-        node.set_next(next);
-        let r = world.site(s2).create(node);
-        next = Some(r);
-        nodes.push(r);
-    }
-    nodes.reverse();
-    world.site(s2).export(nodes[0], "list").unwrap();
-    let head = world.site(s1).lookup("list").unwrap();
-    ListRig {
-        world,
-        s1,
-        nodes,
-        head,
-    }
-}
-
-fn walk(rig: &ListRig, mode: ReplicationMode) -> usize {
-    let site = rig.world.site(rig.s1);
-    let mut cur = site.get(&rig.head, mode).unwrap();
-    let mut visited = 0;
-    loop {
-        let out = site.invoke(cur, "touch", ObiValue::Null).unwrap();
-        visited += 1;
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-    visited
+/// Replicates the head in `mode` and walks the whole list; returns the
+/// number of nodes touched.
+fn walk(rig: &ListWorkload, mode: ReplicationMode) -> usize {
+    rig.walk(rig.site().get(&rig.head, mode).unwrap()).count()
 }
 
 proptest! {
@@ -78,16 +37,16 @@ proptest! {
         } else {
             ReplicationMode::incremental(step)
         };
-        let rig = list_rig(n, size);
+        let rig = payload_list(ObiWorld::paper_testbed(), n, size);
         let visited = walk(&rig, mode);
         prop_assert_eq!(visited, n);
-        let m = rig.world.site(rig.s1).metrics().snapshot();
+        let m = rig.site().metrics().snapshot();
         prop_assert_eq!(m.replicas_created as usize, n);
         for node in &rig.nodes {
-            prop_assert!(rig.world.site(rig.s1).is_replicated(*node));
+            prop_assert!(rig.site().is_replicated(*node));
         }
         // No dangling frontier after a full walk.
-        prop_assert_eq!(rig.world.site(rig.s1).proxy_count(), 0);
+        prop_assert_eq!(rig.site().proxy_count(), 0);
     }
 
     #[test]
@@ -95,9 +54,9 @@ proptest! {
         n in 1usize..80,
         step in 1usize..12,
     ) {
-        let rig = list_rig(n, 16);
+        let rig = payload_list(ObiWorld::paper_testbed(), n, 16);
         walk(&rig, ReplicationMode::incremental(step));
-        let faults = rig.world.site(rig.s1).metrics().snapshot().object_faults as usize;
+        let faults = rig.site().metrics().snapshot().object_faults as usize;
         // Initial get covers `step`; each fault covers another `step`.
         let expected = n.saturating_sub(step).div_ceil(step);
         prop_assert_eq!(faults, expected);
@@ -109,15 +68,15 @@ proptest! {
         step in 1usize..10,
     ) {
         // Incremental: one pair per object.
-        let rig = list_rig(n, 16);
+        let rig = payload_list(ObiWorld::paper_testbed(), n, 16);
         walk(&rig, ReplicationMode::incremental(step));
-        let pairs = rig.world.site(rig.s1).metrics().snapshot().proxy_pairs_created as usize;
+        let pairs = rig.site().metrics().snapshot().proxy_pairs_created as usize;
         prop_assert_eq!(pairs, n);
 
         // Cluster: one pair per batch.
-        let rig = list_rig(n, 16);
+        let rig = payload_list(ObiWorld::paper_testbed(), n, 16);
         walk(&rig, ReplicationMode::cluster(step));
-        let pairs = rig.world.site(rig.s1).metrics().snapshot().proxy_pairs_created as usize;
+        let pairs = rig.site().metrics().snapshot().proxy_pairs_created as usize;
         prop_assert_eq!(pairs, n.div_ceil(step));
     }
 
@@ -127,24 +86,18 @@ proptest! {
         step in 1usize..6,
         hops in 0usize..40,
     ) {
-        let rig = list_rig(n, 16);
-        let site = rig.world.site(rig.s1);
-        let mut cur = site.get(&rig.head, ReplicationMode::incremental(step)).unwrap();
-        for _ in 0..hops.min(n - 1) {
-            let out = site.invoke(cur, "touch", ObiValue::Null).unwrap();
-            match out.as_ref_id() {
-                Some(id) => cur = id.into(),
-                None => break,
-            }
-        }
+        let rig = payload_list(ObiWorld::paper_testbed(), n, 16);
+        let site = rig.site();
+        let root = site.get(&rig.head, ReplicationMode::incremental(step)).unwrap();
+        rig.walk(root).take(hops.min(n - 1)).for_each(drop);
         // Closure invariant: every edge out of a live replica resolves.
         for node in &rig.nodes {
-            if rig.world.site(rig.s1).is_replicated(*node) {
-                let state = rig.world.site(rig.s1).state_of(*node).unwrap();
+            if rig.site().is_replicated(*node) {
+                let state = rig.site().state_of(*node).unwrap();
                 let mut refs = Vec::new();
                 state.collect_refs(&mut refs);
                 for target in refs {
-                    let res = rig.world.site(rig.s1).resolution(ObjRef::new(target));
+                    let res = rig.site().resolution(ObjRef::new(target));
                     prop_assert!(
                         matches!(res, Resolution::Object(_) | Resolution::Proxy(_)),
                         "edge to {target} dangles: {res:?}"
@@ -160,7 +113,7 @@ proptest! {
         step in 1usize..5,
     ) {
         let run = || {
-            let rig = list_rig(n, 64);
+            let rig = payload_list(ObiWorld::paper_testbed(), n, 64);
             walk(&rig, ReplicationMode::incremental(step));
             rig.world.clock().virtual_nanos()
         };
@@ -172,8 +125,8 @@ proptest! {
         n in 1usize..20,
         value in any::<i64>(),
     ) {
-        let rig = list_rig(n, 16);
-        let site = rig.world.site(rig.s1);
+        let rig = payload_list(ObiWorld::paper_testbed(), n, 16);
+        let site = rig.site();
         let root = site.get(&rig.head, ReplicationMode::transitive()).unwrap();
         site.invoke(root, "set_index", ObiValue::I64(value)).unwrap();
         site.put(root).unwrap();

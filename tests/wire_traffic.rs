@@ -2,40 +2,13 @@
 //! the wire, no more — counted by a handler decorator at each site.
 
 use bytes::Bytes;
-use obiwan::core::demo::{LinkedItem, PayloadNode};
+use obiwan::core::demo::LinkedItem;
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
 use obiwan::net::{MessageHandler, Transport};
 use obiwan::util::SiteId;
 use obiwan::wire::Message;
+use obiwan_bench::payload_list;
 use std::sync::{Arc, Mutex};
-
-fn list_world(n: usize, size: usize) -> (ObiWorld, SiteId, SiteId, Vec<ObjRef>) {
-    let mut world = ObiWorld::loopback();
-    let s1 = world.add_site("S1");
-    let s2 = world.add_site("S2");
-    let mut refs = Vec::new();
-    let mut next = None;
-    for i in (0..n).rev() {
-        let mut node = PayloadNode::sized(i as i64, size);
-        node.set_next(next);
-        let r = world.site(s2).create(node);
-        next = Some(r);
-        refs.push(r);
-    }
-    refs.reverse();
-    world.site(s2).export(refs[0], "list").unwrap();
-    (world, s1, s2, refs)
-}
-
-fn walk(world: &ObiWorld, site: SiteId, mut cur: ObjRef) {
-    loop {
-        let out = world.site(site).invoke(cur, "touch", ObiValue::Null).unwrap();
-        match out.as_ref_id() {
-            Some(id) => cur = id.into(),
-            None => break,
-        }
-    }
-}
 
 /// What one tapped site saw: every frame that reached its handler, every
 /// frame its handler sent back (replies, stream chunks, stream terminals),
@@ -127,15 +100,15 @@ fn reply_bytes(seen: &Mutex<Traffic>) -> usize {
 
 #[test]
 fn incremental_walk_sends_exactly_one_get_per_batch() {
-    let (world, s1, s2, _refs) = list_world(20, 64);
-    let remote = world.site(s1).lookup("list").unwrap();
-    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
+    let w = payload_list(ObiWorld::loopback(), 20, 64);
+    let (world, s1, s2) = (&w.world, w.consumer, w.provider);
+    let (at_s1, at_s2) = (Tap::on(world, s1), Tap::on(world, s2));
 
     let root = world
         .site(s1)
-        .get(&remote, ReplicationMode::incremental(5))
+        .get(&w.head, ReplicationMode::incremental(5))
         .unwrap();
-    walk(&world, s1, root);
+    w.walk(root).for_each(drop);
 
     // 20 objects in steps of 5: 1 initial get + 3 faults = 4 request
     // frames S1→S2 and 4 reply frames S2→S1. Nothing else crossed.
@@ -145,13 +118,13 @@ fn incremental_walk_sends_exactly_one_get_per_batch() {
 
 #[test]
 fn local_invocations_are_wire_silent() {
-    let (world, s1, s2, _refs) = list_world(5, 64);
-    let remote = world.site(s1).lookup("list").unwrap();
+    let w = payload_list(ObiWorld::loopback(), 5, 64);
+    let (world, s1, s2) = (&w.world, w.consumer, w.provider);
     let root = world
         .site(s1)
-        .get(&remote, ReplicationMode::transitive())
+        .get(&w.head, ReplicationMode::transitive())
         .unwrap();
-    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
+    let (at_s1, at_s2) = (Tap::on(world, s1), Tap::on(world, s2));
     for _ in 0..100 {
         world.site(s1).invoke(root, "touch", ObiValue::Null).unwrap();
     }
@@ -164,12 +137,12 @@ fn replica_bytes_scale_with_payload_size() {
     // The bytes on the wire for a transitive get scale with the payload,
     // confirming the serialization path carries real state.
     let measure = |size: usize| {
-        let (world, s1, s2, _refs) = list_world(10, size);
-        let remote = world.site(s1).lookup("list").unwrap();
-        let at_s2 = Tap::on(&world, s2);
+        let w = payload_list(ObiWorld::loopback(), 10, size);
+        let (world, s1, s2) = (&w.world, w.consumer, w.provider);
+        let at_s2 = Tap::on(world, s2);
         world
             .site(s1)
-            .get(&remote, ReplicationMode::transitive())
+            .get(&w.head, ReplicationMode::transitive())
             .unwrap();
         reply_bytes(&at_s2)
     };
@@ -180,14 +153,14 @@ fn replica_bytes_scale_with_payload_size() {
 
 #[test]
 fn put_costs_one_round_trip() {
-    let (world, s1, s2, _refs) = list_world(1, 64);
-    let remote = world.site(s1).lookup("list").unwrap();
+    let w = payload_list(ObiWorld::loopback(), 1, 64);
+    let (world, s1, s2) = (&w.world, w.consumer, w.provider);
     let root = world
         .site(s1)
-        .get(&remote, ReplicationMode::incremental(1))
+        .get(&w.head, ReplicationMode::incremental(1))
         .unwrap();
     world.site(s1).invoke(root, "set_index", ObiValue::I64(5)).unwrap();
-    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
+    let (at_s1, at_s2) = (Tap::on(world, s1), Tap::on(world, s2));
     world.site(s1).put(root).unwrap();
     assert_eq!(frames(&at_s2), (1, 1));
     assert_eq!(frames(&at_s1), (0, 0));
@@ -195,14 +168,14 @@ fn put_costs_one_round_trip() {
 
 #[test]
 fn invalidations_are_single_one_way_frames() {
-    let (world, s1, s2, refs) = list_world(1, 64);
-    let remote = world.site(s1).lookup("list").unwrap();
+    let w = payload_list(ObiWorld::loopback(), 1, 64);
+    let (world, s1, s2, refs) = (&w.world, w.consumer, w.provider, &w.nodes);
     let root = world
         .site(s1)
-        .get(&remote, ReplicationMode::incremental(1))
+        .get(&w.head, ReplicationMode::incremental(1))
         .unwrap();
     world.site(s1).subscribe(root, false).unwrap();
-    let (at_s1, at_s2) = (Tap::on(&world, s1), Tap::on(&world, s2));
+    let (at_s1, at_s2) = (Tap::on(world, s1), Tap::on(world, s2));
     // One master mutation = one invocation (local at S2) + one invalidate
     // frame S2→S1, with no reply leg.
     world

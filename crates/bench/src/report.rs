@@ -42,16 +42,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with right-aligned numeric-looking columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -110,8 +100,6 @@ mod tests {
         assert!(lines[0].contains("step"));
         assert!(lines[2].ends_with("3300"));
         assert!(lines[3].ends_with("   9"));
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! promised library:
 //!
 //! * [`policy`] — master-side [`ConsistencyHook`] implementations:
-//!   [`OptimisticDetect`] (first-writer-wins; concurrent write-backs are
-//!   rejected), [`MonotonicVersions`], [`BoundedDivergence`], [`ReadOnly`],
-//!   and a re-export of the platform's [`AcceptAll`] (last-writer-wins by
-//!   arrival).
+//!   [`OptimisticDetect`] (first writer wins; concurrent write-backs are
+//!   rejected), [`ReadOnly`] (every write-back is rejected), and a re-export
+//!   of the platform's [`AcceptAll`] (last writer wins by arrival).
 //! * [`tracker`] — client-side [`StaleTracker`]: subscribes replicas to
 //!   invalidations and refreshes the stale set on demand.
 //!
@@ -46,7 +45,7 @@
 pub mod policy;
 pub mod tracker;
 
-pub use policy::{BoundedDivergence, MonotonicVersions, OptimisticDetect, ReadOnly};
+pub use policy::{OptimisticDetect, ReadOnly};
 pub use tracker::StaleTracker;
 
 // Re-exported so applications need only this crate for policy work.

@@ -9,11 +9,16 @@
 //! |---|---|---|
 //! | [`AcceptAll`](obiwan_core::AcceptAll) | last writer wins by arrival | best-effort shared state |
 //! | [`OptimisticDetect`] | rejected (first writer wins) | edits must not be silently lost |
-//! | [`MonotonicVersions`] | rejected if based on an older state than the last accepted write | session-ish guarantees |
+//! | [`ReadOnly`] | every write-back rejected | published reference data |
+//!
+//! The master asks the policy about every entry of a `put` before it
+//! applies any, so one refused entry refuses the whole `put`. A policy
+//! decides from the two versions it is handed: the master logs no policy
+//! state and a handoff carries none, so anything a policy remembered would
+//! be gone after a restart or a handoff.
 
 use obiwan_core::ConsistencyHook;
 use obiwan_util::{ObiError, ObjId, Result};
-use std::collections::HashMap;
 
 /// First-writer-wins optimistic concurrency: a `put` is accepted only when
 /// the replica's base version equals the master's current version, i.e. no
@@ -32,10 +37,6 @@ impl OptimisticDetect {
 }
 
 impl ConsistencyHook for OptimisticDetect {
-    fn name(&self) -> &'static str {
-        "optimistic-detect"
-    }
-
     fn decide_put(&mut self, object: ObjId, master_version: u64, base_version: u64) -> Result<()> {
         if base_version == master_version {
             Ok(())
@@ -44,44 +45,6 @@ impl ConsistencyHook for OptimisticDetect {
                 object,
                 reason: format!(
                     "concurrent update: replica based on v{base_version}, master at v{master_version}"
-                ),
-            })
-        }
-    }
-}
-
-/// Monotonic write-backs: a `put` is accepted when it is based on a state at
-/// least as new as the base of the last *accepted* write. Unlike
-/// [`OptimisticDetect`], a master-side read-only bump or a lost race with a
-/// slower writer does not permanently wedge clients — only genuinely older
-/// bases are refused.
-#[derive(Debug, Clone, Default)]
-pub struct MonotonicVersions {
-    last_accepted_base: HashMap<ObjId, u64>,
-}
-
-impl MonotonicVersions {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        MonotonicVersions::default()
-    }
-}
-
-impl ConsistencyHook for MonotonicVersions {
-    fn name(&self) -> &'static str {
-        "monotonic-versions"
-    }
-
-    fn decide_put(&mut self, object: ObjId, _master_version: u64, base_version: u64) -> Result<()> {
-        let floor = self.last_accepted_base.get(&object).copied().unwrap_or(0);
-        if base_version >= floor {
-            self.last_accepted_base.insert(object, base_version);
-            Ok(())
-        } else {
-            Err(ObiError::UpdateRejected {
-                object,
-                reason: format!(
-                    "stale write: based on v{base_version}, later write already accepted from v{floor}"
                 ),
             })
         }
@@ -101,10 +64,6 @@ impl ReadOnly {
 }
 
 impl ConsistencyHook for ReadOnly {
-    fn name(&self) -> &'static str {
-        "read-only"
-    }
-
     fn decide_put(&mut self, object: ObjId, _mv: u64, _bv: u64) -> Result<()> {
         Err(ObiError::UpdateRejected {
             object,
@@ -113,57 +72,25 @@ impl ConsistencyHook for ReadOnly {
     }
 }
 
-/// Bounded divergence: a write-back is accepted as long as the replica's
-/// base is at most `max_lag` versions behind the master — a middle ground
-/// between [`AcceptAll`](obiwan_core::AcceptAll) (`max_lag = ∞`) and
-/// [`OptimisticDetect`] (`max_lag = 0`). Suits counters and logs where a
-/// small overwrite window is acceptable but month-old replicas should not
-/// clobber fresh state after a long disconnection.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedDivergence {
-    max_lag: u64,
-}
-
-impl BoundedDivergence {
-    /// Accepts write-backs lagging at most `max_lag` versions.
-    pub fn new(max_lag: u64) -> Self {
-        BoundedDivergence { max_lag }
-    }
-
-    /// The configured window.
-    pub fn max_lag(&self) -> u64 {
-        self.max_lag
-    }
-}
-
-impl ConsistencyHook for BoundedDivergence {
-    fn name(&self) -> &'static str {
-        "bounded-divergence"
-    }
-
-    fn decide_put(&mut self, object: ObjId, master_version: u64, base_version: u64) -> Result<()> {
-        let lag = master_version.saturating_sub(base_version);
-        if lag <= self.max_lag {
-            Ok(())
-        } else {
-            Err(ObiError::UpdateRejected {
-                object,
-                reason: format!(
-                    "replica lags {lag} versions behind the master (allowed: {})",
-                    self.max_lag
-                ),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obiwan_core::demo::{Counter, LinkedItem};
+    use obiwan_core::{ObiValue, ObiWorld, ObjRef, ReplicationMode};
     use obiwan_util::SiteId;
 
     fn oid(l: u64) -> ObjId {
         ObjId::new(SiteId::new(2), l)
+    }
+
+    /// `replica` at `site` holds its master's state and version, and is
+    /// clean.
+    fn assert_converged(world: &ObiWorld, site: SiteId, replica: ObjRef, master_site: SiteId) {
+        let (r, m) = (world.site(site), world.site(master_site));
+        assert_eq!(r.state_of(replica).unwrap(), m.state_of(replica).unwrap());
+        let meta = r.meta_of(replica).unwrap();
+        assert_eq!(meta.version, m.meta_of(replica).unwrap().version);
+        assert!(!meta.dirty);
     }
 
     #[test]
@@ -175,29 +102,10 @@ mod tests {
             Err(ObiError::UpdateRejected { .. })
         ));
         assert!(p.decide_put(oid(1), 5, 6).is_err());
-        assert_eq!(p.name(), "optimistic-detect");
-    }
-
-    #[test]
-    fn monotonic_tracks_per_object_floors() {
-        let mut p = MonotonicVersions::new();
-        assert!(p.decide_put(oid(1), 10, 3).is_ok());
-        // Equal base: allowed (idempotent retry).
-        assert!(p.decide_put(oid(1), 11, 3).is_ok());
-        // Older base: refused.
-        assert!(p.decide_put(oid(1), 12, 2).is_err());
-        // Different object has its own floor.
-        assert!(p.decide_put(oid(2), 12, 1).is_ok());
-        // Newer base raises the floor.
-        assert!(p.decide_put(oid(1), 13, 7).is_ok());
-        assert!(p.decide_put(oid(1), 14, 6).is_err());
     }
 
     #[test]
     fn end_to_end_optimistic_conflict() {
-        use obiwan_core::demo::Counter;
-        use obiwan_core::{ObiValue, ObiWorld, ReplicationMode};
-
         let mut world = ObiWorld::loopback();
         let s1 = world.add_site("S1");
         let s2 = world.add_site("S2");
@@ -234,16 +142,8 @@ mod tests {
             .invoke(master, "read", ObiValue::Null)
             .unwrap();
         assert_eq!(v, ObiValue::I64(2));
-    }
-}
-
-#[cfg(test)]
-mod more_policy_tests {
-    use super::*;
-    use obiwan_util::SiteId;
-
-    fn oid(l: u64) -> ObjId {
-        ObjId::new(SiteId::new(2), l)
+        world.site(s3).refresh(r3).unwrap();
+        assert_converged(&world, s3, r3, s2);
     }
 
     #[test]
@@ -251,29 +151,10 @@ mod more_policy_tests {
         let mut p = ReadOnly::new();
         assert!(p.decide_put(oid(1), 1, 1).is_err());
         assert!(p.decide_put(oid(1), 9, 9).is_err());
-        assert_eq!(p.name(), "read-only");
-    }
-
-    #[test]
-    fn bounded_divergence_window() {
-        let mut p = BoundedDivergence::new(2);
-        assert_eq!(p.max_lag(), 2);
-        assert!(p.decide_put(oid(1), 5, 5).is_ok()); // lag 0
-        assert!(p.decide_put(oid(1), 5, 3).is_ok()); // lag 2
-        assert!(p.decide_put(oid(1), 5, 2).is_err()); // lag 3
-        // Replica ahead of master (post-accept race): lag saturates to 0.
-        assert!(p.decide_put(oid(1), 3, 5).is_ok());
-        // max_lag 0 behaves like OptimisticDetect.
-        let mut strict = BoundedDivergence::new(0);
-        assert!(strict.decide_put(oid(1), 5, 5).is_ok());
-        assert!(strict.decide_put(oid(1), 5, 4).is_err());
     }
 
     #[test]
     fn read_only_end_to_end() {
-        use obiwan_core::demo::Counter;
-        use obiwan_core::{ObiValue, ObiWorld, ReplicationMode};
-
         let mut world = ObiWorld::loopback();
         let s1 = world.add_site("S1");
         let s2 = world.add_site("S2");
@@ -291,5 +172,56 @@ mod more_policy_tests {
         assert!(world.site(s1).put(r).is_err());
         let v = world.site(s2).invoke(master, "read", ObiValue::Null).unwrap();
         assert_eq!(v, ObiValue::I64(42));
+        world.site(s1).refresh(r).unwrap();
+        assert_converged(&world, s1, r, s2);
+    }
+
+    #[test]
+    fn a_refused_member_refuses_the_whole_cluster_put() {
+        let mut world = ObiWorld::loopback();
+        let s1 = world.add_site("S1");
+        let s2 = world.add_site("S2");
+        let b = world.site(s2).create(LinkedItem::new(2, "b"));
+        let a = world.site(s2).create(LinkedItem::with_next(1, "a", b));
+        world.site(s2).export(a, "pair").unwrap();
+        world.site(s2).set_policy(Box::new(OptimisticDetect::new()));
+        let remote = world.site(s1).lookup("pair").unwrap();
+        world
+            .site(s1)
+            .get(&remote, ReplicationMode::cluster(2))
+            .unwrap();
+        let cluster = world.site(s1).meta_of(a).unwrap().cluster.unwrap();
+        assert_eq!(world.site(s1).meta_of(b).unwrap().cluster, Some(cluster));
+        world
+            .site(s1)
+            .invoke(a, "set_value", ObiValue::I64(10))
+            .unwrap();
+        world
+            .site(s1)
+            .invoke(b, "set_value", ObiValue::I64(20))
+            .unwrap();
+        // Member B moves on the master: its replica's base is now stale,
+        // while member A's would pass on its own.
+        world
+            .site(s2)
+            .invoke(b, "set_value", ObiValue::I64(30))
+            .unwrap();
+        let a_before = (
+            world.site(s2).meta_of(a).unwrap().version,
+            world.site(s2).state_of(a).unwrap(),
+        );
+
+        assert!(matches!(
+            world.site(s1).put_cluster(cluster),
+            Err(ObiError::UpdateRejected { object, .. }) if object == b.id()
+        ));
+        // Nothing of the put was applied: A's master is as it was.
+        let a_after = (
+            world.site(s2).meta_of(a).unwrap().version,
+            world.site(s2).state_of(a).unwrap(),
+        );
+        assert_eq!(a_after, a_before);
+        assert!(world.site(s1).meta_of(a).unwrap().dirty);
+        assert!(world.site(s1).meta_of(b).unwrap().dirty);
     }
 }

@@ -3,24 +3,18 @@
 //! OBIWAN deliberately "leaves the responsibility of maintaining (or not)
 //! the consistency of replicas to the programmer", but provides hooks where
 //! a consistency-protocol library plugs in. [`ConsistencyHook`] is that
-//! hook: the master site consults it on every incoming `put`, and observes
-//! every master mutation through it. The `obiwan-consistency` crate ships a
+//! hook: the master site consults it on every incoming `put`, entry by
+//! entry, before it applies any. The `obiwan-consistency` crate ships a
 //! library of policies implementing this trait; [`AcceptAll`] is the
 //! laissez-faire default.
 
 use obiwan_util::{ObjId, Result};
 
-/// Decides whether replica write-backs are accepted and observes master
-/// mutations.
+/// Decides whether replica write-backs are accepted.
 ///
 /// Implementations run under the process lock; they must not block on the
 /// network.
 pub trait ConsistencyHook: Send {
-    /// A short policy name for diagnostics.
-    fn name(&self) -> &'static str {
-        "accept-all"
-    }
-
     /// Called before applying a `put` of `object`: `master_version` is the
     /// master's current version, `base_version` the version the replica was
     /// based on.
@@ -33,12 +27,6 @@ pub trait ConsistencyHook: Send {
     fn decide_put(&mut self, object: ObjId, master_version: u64, base_version: u64) -> Result<()> {
         let _ = (object, master_version, base_version);
         Ok(())
-    }
-
-    /// Called after any master mutation (local invocation or accepted
-    /// `put`) with the new version.
-    fn on_master_updated(&mut self, object: ObjId, new_version: u64) {
-        let _ = (object, new_version);
     }
 }
 
@@ -59,8 +47,6 @@ mod tests {
         let id = ObjId::new(SiteId::new(1), 1);
         assert!(hook.decide_put(id, 10, 1).is_ok());
         assert!(hook.decide_put(id, 1, 10).is_ok());
-        hook.on_master_updated(id, 11);
-        assert_eq!(hook.name(), "accept-all");
     }
 
     #[test]

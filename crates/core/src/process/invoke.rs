@@ -179,12 +179,7 @@ pub(super) fn finish_invocation(
         };
         match meta.kind {
             ReplicaKind::Master => {
-                let mut version = meta.version;
-                shared.space.update_meta(id, |m| {
-                    m.version += 1;
-                    version = m.version;
-                });
-                inner.policy.on_master_updated(id, version);
+                shared.space.update_meta(id, |m| m.version += 1);
                 queue_notifications(inner, shared, id, shared.site);
             }
             ReplicaKind::Replica { provider } => {

@@ -140,7 +140,6 @@ impl RmiService for ProcessService {
                 let mut meta = ObjectMeta::master(entry.id);
                 meta.version = new_version;
                 self.shared.install_state(entry, meta)?;
-                inner.policy.on_master_updated(entry.id, new_version);
                 self.shared.metrics.incr_puts();
                 versions.push((entry.id, new_version));
                 queue_notifications(inner, &self.shared, entry.id, from);
@@ -158,7 +157,7 @@ impl RmiService for ProcessService {
                 "handoff entries do not include the root".into(),
             ));
         }
-        self.shared.with_inner(|inner| {
+        self.shared.with_inner(|_inner| {
             let mut root_version = 0;
             for entry in &entries {
                 // Idempotent install: a duplicate delivery (the ack was
@@ -175,7 +174,6 @@ impl RmiService for ProcessService {
                 let mut meta = ObjectMeta::master(entry.id);
                 meta.version = entry.version;
                 self.shared.install_state(entry, meta)?;
-                inner.policy.on_master_updated(entry.id, entry.version);
                 if entry.id == root {
                     root_version = entry.version;
                 }
@@ -310,9 +308,6 @@ mod tests {
     fn rejecting_policy_blocks_puts() {
         struct RejectAll;
         impl ConsistencyHook for RejectAll {
-            fn name(&self) -> &'static str {
-                "reject-all"
-            }
             fn decide_put(&mut self, object: ObjId, _mv: u64, _bv: u64) -> Result<()> {
                 Err(ObiError::UpdateRejected {
                     object,

@@ -687,6 +687,18 @@ mod tests {
         world.site(s1).put(r1).unwrap();
         let v = world.site(s2).invoke(refs[0], "value", ObiValue::Null).unwrap();
         assert_eq!(v, ObiValue::I64(10));
+        // The writer refreshes and converges on the master.
+        world.site(s1).refresh(r1).unwrap();
+        assert_eq!(
+            world.site(s1).state_of(r1).unwrap(),
+            world.site(s2).state_of(refs[0]).unwrap()
+        );
+        let meta = world.site(s1).meta_of(r1).unwrap();
+        assert_eq!(
+            meta.version,
+            world.site(s2).meta_of(refs[0]).unwrap().version
+        );
+        assert!(!meta.dirty);
     }
 
     #[test]

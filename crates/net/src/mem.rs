@@ -45,7 +45,15 @@ enum StreamFrame {
 
 struct SiteHandle {
     tx: Sender<Envelope>,
-    threads: Vec<JoinHandle<()>>,
+    thread: JoinHandle<()>,
+}
+
+impl SiteHandle {
+    /// Closes the site's inbox and waits for its receiver to drain it.
+    fn stop(self) {
+        drop(self.tx);
+        let _ = self.thread.join();
+    }
 }
 
 /// A transport whose sites are live threads exchanging frames over
@@ -140,71 +148,7 @@ impl MemTransport {
         let handles: Vec<SiteHandle> = sites.drain().map(|(_, h)| h).collect();
         drop(sites);
         for h in handles {
-            drop(h.tx);
-            for t in h.threads {
-                let _ = t.join();
-            }
-        }
-    }
-
-    /// Registers `site` with a pool of `workers` receiver threads draining
-    /// one shared inbox (the channel is MPMC), so requests to this site are
-    /// *dispatched concurrently*. Replies still route to the right caller —
-    /// each request envelope carries its own reply channel.
-    ///
-    /// With more than one worker, ordering guarantees weaken: two requests
-    /// may execute in either order, and a cast may be handled after a later
-    /// call. The handler must be safe under concurrent invocation (an
-    /// `RmiServer` over an `ObiProcess` is; see its reply-cache in-flight
-    /// protocol). [`Transport::register`] keeps the single-worker, in-order
-    /// behavior.
-    pub fn register_with_workers(
-        &self,
-        site: SiteId,
-        handler: Arc<dyn MessageHandler>,
-        workers: usize,
-    ) {
-        let workers = workers.max(1);
-        let (tx, rx) = unbounded::<Envelope>();
-        let mut threads = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let rx = rx.clone();
-            let handler = handler.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("obiwan-site-{}-w{w}", site.as_u32()))
-                .spawn(move || {
-                    while let Ok(envelope) = rx.recv() {
-                        match envelope {
-                            Envelope::Request { from, frame, reply } => {
-                                let out = handler.handle(from, frame);
-                                // Caller may have timed out; ignore send failure.
-                                let _ = reply.send(out);
-                            }
-                            Envelope::Stream { from, frame, tx } => {
-                                let out = handler.handle_stream(from, frame, &mut |chunk| {
-                                    let _ = tx.send(StreamFrame::Chunk(chunk));
-                                });
-                                let _ = tx.send(StreamFrame::Done(out));
-                            }
-                            Envelope::OneWay { from, frame } => {
-                                handler.handle(from, frame);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn site receiver thread");
-            threads.push(thread);
-        }
-        let old = self
-            .inner
-            .sites
-            .write()
-            .insert(site, SiteHandle { tx, threads });
-        if let Some(old) = old {
-            drop(old.tx);
-            for t in old.threads {
-                let _ = t.join();
-            }
+            h.stop();
         }
     }
 
@@ -220,17 +164,45 @@ impl MemTransport {
 
 impl Transport for MemTransport {
     fn register(&self, site: SiteId, handler: Arc<dyn MessageHandler>) {
-        // One worker: envelopes are handled strictly in arrival order,
+        // One receiver: envelopes are handled strictly in arrival order,
         // which `cast` fire-and-forget semantics and several tests rely on.
-        self.register_with_workers(site, handler, 1);
+        let (tx, rx) = unbounded::<Envelope>();
+        let thread = std::thread::Builder::new()
+            .name(format!("obiwan-site-{}", site.as_u32()))
+            .spawn(move || {
+                while let Ok(envelope) = rx.recv() {
+                    match envelope {
+                        Envelope::Request { from, frame, reply } => {
+                            let out = handler.handle(from, frame);
+                            // Caller may have timed out; ignore send failure.
+                            let _ = reply.send(out);
+                        }
+                        Envelope::Stream { from, frame, tx } => {
+                            let out = handler.handle_stream(from, frame, &mut |chunk| {
+                                let _ = tx.send(StreamFrame::Chunk(chunk));
+                            });
+                            let _ = tx.send(StreamFrame::Done(out));
+                        }
+                        Envelope::OneWay { from, frame } => {
+                            handler.handle(from, frame);
+                        }
+                    }
+                }
+            })
+            .expect("spawn site receiver thread");
+        let old = self
+            .inner
+            .sites
+            .write()
+            .insert(site, SiteHandle { tx, thread });
+        if let Some(old) = old {
+            old.stop();
+        }
     }
 
     fn deregister(&self, site: SiteId) {
         if let Some(h) = self.inner.sites.write().remove(&site) {
-            drop(h.tx);
-            for t in h.threads {
-                let _ = t.join();
-            }
+            h.stop();
         }
     }
 
@@ -377,39 +349,6 @@ mod tests {
         net.register(s(3), Arc::new(Echo));
         let _ = net.call(s(1), s(2), Bytes::new());
         assert_eq!(hits.load(Ordering::SeqCst), 11);
-        net.shutdown();
-    }
-
-    #[test]
-    fn worker_pool_dispatches_concurrently_with_correct_reply_routing() {
-        use std::sync::Barrier;
-        // The handler blocks until 4 requests are in flight at once: only a
-        // multi-worker site can make progress, and each caller must still
-        // receive its own echo (replies route by per-request channel, not
-        // by arrival order).
-        let rendezvous = Arc::new(Barrier::new(4));
-        let r2 = rendezvous.clone();
-        let net = MemTransport::new();
-        net.register_with_workers(
-            s(9),
-            Arc::new(move |_f: SiteId, b: Bytes| -> Option<Bytes> {
-                r2.wait();
-                Some(b)
-            }),
-            4,
-        );
-        let mut joins = Vec::new();
-        for i in 0..4u32 {
-            let net = net.clone();
-            joins.push(std::thread::spawn(move || {
-                let payload = Bytes::from(format!("caller-{i}"));
-                let reply = net.call(s(i + 1), s(9), payload.clone()).unwrap();
-                assert_eq!(reply, payload);
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
         net.shutdown();
     }
 

@@ -261,10 +261,10 @@ struct ReplyCacheInner {
 
 /// Verdict of [`ReplyCache::begin`] for a request id entering the pump.
 ///
-/// Under concurrent dispatch (a worker pool draining one inbox) two copies
-/// of the same request can race past a plain lookup-miss and both execute —
-/// the check-then-act hole that `begin` closes by registering the id as
-/// *in flight* atomically with the miss.
+/// Under concurrent dispatch (one serving thread per TCP connection) two
+/// copies of the same request can race past a plain lookup-miss and both
+/// execute — the check-then-act hole that `begin` closes by registering the
+/// id as *in flight* atomically with the miss.
 #[derive(Debug)]
 pub enum Admit {
     /// First arrival: the caller must execute the request and then call

@@ -91,8 +91,9 @@ impl RmiServer {
 
     /// The one admission gate every request passes: asks the [`ReplyCache`]
     /// whether this worker executes the id, answers from the cache, or
-    /// parks on a concurrent execution of it. Under worker-pool dispatch
-    /// two copies of one request can race; `begin` admits exactly one
+    /// parks on a concurrent execution of it. Under concurrent dispatch
+    /// (TCP serves each connection on its own thread) two copies of one
+    /// request can race; `begin` admits exactly one
     /// executor per id and parks the rest: mutating requests stay
     /// exactly-once.
     ///
@@ -618,8 +619,8 @@ mod tests {
     }
 
     /// The race `begin`/`complete` closes: many copies of one mutating
-    /// request dispatched concurrently (a worker pool draining a shared
-    /// inbox) must execute exactly once, every copy receiving the same
+    /// request dispatched concurrently (one serving thread per TCP
+    /// connection) must execute exactly once, every copy receiving the same
     /// reply bytes.
     #[test]
     fn concurrent_duplicates_execute_exactly_once() {

@@ -16,8 +16,8 @@
 //!   threaded in-memory transport, and real loopback TCP sockets.
 //! * [`wire`] — the binary serialization layer (Java-serialization stand-in).
 //! * [`consistency`] — pluggable consistency policies (the paper's "hooks"):
-//!   last-writer-wins, first-writer-wins, bounded divergence, and
-//!   client-side invalidation tracking.
+//!   last-writer-wins, first-writer-wins, read-only, and client-side
+//!   invalidation tracking.
 //! * [`mobility`] — connectivity management, hoarding, disconnected operation
 //!   logs with reintegration, and mobile agents.
 //! * [`store`] — the durability layer: a CRC-framed write-ahead log with

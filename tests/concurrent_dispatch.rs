@@ -1,17 +1,17 @@
-//! Exactly-once semantics under *concurrent* dispatch: with the provider's
-//! inbox drained by a worker pool, duplicate frames of one logical request
-//! race into different workers simultaneously. The reply cache's in-flight
-//! admission protocol must let exactly one copy execute and serve every
-//! racer the identical reply — no double-applied writes, no divergent
-//! answers.
+//! Exactly-once semantics under *concurrent* dispatch: [`TcpTransport`]
+//! serves each connection on its own thread, so duplicate frames of one
+//! logical request sent on separate connections race into the provider
+//! simultaneously. The reply cache's in-flight admission protocol must let
+//! exactly one copy execute and serve every racer the identical reply — no
+//! double-applied writes, no divergent answers.
 //!
-//! Clients here speak raw frames over the threaded [`MemTransport`] (no
+//! Clients here speak raw frames over real loopback sockets (no
 //! client-side stub), so the tests control request identity byte-for-byte.
 
 use bytes::Bytes;
 use obiwan::core::demo::{register_all, Counter};
 use obiwan::core::{ClassRegistry, ObiObject, ObiProcess, ObiValue};
-use obiwan::net::{MemTransport, Transport};
+use obiwan::net::{TcpTransport, Transport};
 use obiwan::util::{Clock, ClockMode, CostModel, RequestId, SiteId};
 use obiwan::wire::{Encoder, Message, ReplicaState};
 use std::sync::{Arc, Barrier};
@@ -19,50 +19,49 @@ use std::sync::{Arc, Barrier};
 const NS: SiteId = SiteId::new(0);
 const PROVIDER: SiteId = SiteId::new(1);
 const CLIENT: SiteId = SiteId::new(7);
-const WORKERS: usize = 4;
 
 struct Rig {
-    mem: MemTransport,
+    net: TcpTransport,
     provider: ObiProcess,
 }
 
-/// One provider process whose handler is drained by [`WORKERS`] pool
-/// threads, so concurrent calls genuinely dispatch in parallel.
+/// One provider process behind a TCP listener: every concurrent call takes
+/// its own connection, and so its own serving thread.
 fn rig() -> Rig {
-    let mem = MemTransport::new();
+    let net = TcpTransport::new();
     let registry = ClassRegistry::new();
     register_all(&registry);
     let provider = ObiProcess::new(
         PROVIDER,
-        Arc::new(mem.clone()) as Arc<dyn Transport>,
+        Arc::new(net.clone()) as Arc<dyn Transport>,
         Clock::new(ClockMode::VirtualOnly),
         CostModel::free(),
         registry,
         NS,
     );
-    mem.register_with_workers(PROVIDER, provider.message_handler(), WORKERS);
-    Rig { mem, provider }
+    net.register(PROVIDER, provider.message_handler());
+    Rig { net, provider }
 }
 
 /// Fires `frame` from [`CLIENT`] on `racers` threads at once (barrier
 /// release) and returns every reply.
-fn race(mem: &MemTransport, frame: &Bytes, racers: usize) -> Vec<Bytes> {
+fn race(net: &TcpTransport, frame: &Bytes, racers: usize) -> Vec<Bytes> {
     let barrier = Arc::new(Barrier::new(racers));
     let joins: Vec<_> = (0..racers)
         .map(|_| {
-            let mem = mem.clone();
+            let net = net.clone();
             let frame = frame.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                mem.call(CLIENT, PROVIDER, frame).expect("call")
+                net.call(CLIENT, PROVIDER, frame).expect("call")
             })
         })
         .collect();
     joins.into_iter().map(|j| j.join().expect("racer")).collect()
 }
 
-fn invoke_value(mem: &MemTransport, seq: u64, target: obiwan::core::ObjRef, method: &str) -> ObiValue {
+fn invoke_value(net: &TcpTransport, seq: u64, target: obiwan::core::ObjRef, method: &str) -> ObiValue {
     let frame = Message::InvokeRequest {
         request: RequestId::new(CLIENT, seq),
         target: target.id(),
@@ -70,7 +69,7 @@ fn invoke_value(mem: &MemTransport, seq: u64, target: obiwan::core::ObjRef, meth
         args: ObiValue::Null,
     }
     .encode();
-    let reply = mem.call(CLIENT, PROVIDER, frame).expect("invoke");
+    let reply = net.call(CLIENT, PROVIDER, frame).expect("invoke");
     match Message::decode(&reply) {
         Ok(Message::InvokeReply { result: Ok(v), .. }) => v,
         other => panic!("unexpected reply: {other:?}"),
@@ -94,7 +93,7 @@ fn duplicate_increments_racing_across_workers_apply_exactly_once() {
             args: ObiValue::Null,
         }
         .encode();
-        let replies = race(&rig.mem, &frame, RACERS);
+        let replies = race(&rig.net, &frame, RACERS);
         // Exactly-once: every racer sees the same post-increment value.
         for reply in &replies {
             assert_eq!(reply, &replies[0], "racers diverged in round {round}");
@@ -109,7 +108,7 @@ fn duplicate_increments_racing_across_workers_apply_exactly_once() {
     }
     // The master advanced once per round, not once per duplicate.
     assert_eq!(
-        invoke_value(&rig.mem, 1000, counter, "read"),
+        invoke_value(&rig.net, 1000, counter, "read"),
         ObiValue::I64(ROUNDS as i64)
     );
     // Per round, one racer executed and the rest were served from the
@@ -118,7 +117,7 @@ fn duplicate_increments_racing_across_workers_apply_exactly_once() {
     assert_eq!(snap.cached_replies, ROUNDS * (RACERS as u64 - 1));
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
-    rig.mem.shutdown();
+    rig.net.shutdown();
 }
 
 #[test]
@@ -127,7 +126,7 @@ fn duplicate_put_write_backs_leave_one_state() {
     let counter = rig.provider.create(Counter::new(0));
 
     // A hand-built write-back of the replica state "count = 42" against
-    // master version 1, duplicated across the pool.
+    // master version 1, duplicated across connections.
     let state = {
         let mut enc = Encoder::new();
         enc.put_value(&Counter::new(42).state());
@@ -143,7 +142,7 @@ fn duplicate_put_write_backs_leave_one_state() {
         }],
     }
     .encode();
-    let replies = race(&rig.mem, &frame, 4);
+    let replies = race(&rig.net, &frame, 4);
     // One apply: every reply reports the same accepted version 2. A double
     // apply would bump the master twice and leak a `(id, 3)` reply.
     for reply in &replies {
@@ -156,12 +155,12 @@ fn duplicate_put_write_backs_leave_one_state() {
         );
     }
     assert_eq!(
-        invoke_value(&rig.mem, 1000, counter, "read"),
+        invoke_value(&rig.net, 1000, counter, "read"),
         ObiValue::I64(42)
     );
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
-    rig.mem.shutdown();
+    rig.net.shutdown();
 }
 
 #[test]
@@ -176,7 +175,7 @@ fn distinct_requests_across_workers_all_apply() {
     let barrier = Arc::new(Barrier::new(THREADS));
     let joins: Vec<_> = (0..THREADS)
         .map(|t| {
-            let mem = rig.mem.clone();
+            let net = rig.net.clone();
             let barrier = barrier.clone();
             let target = counter.id();
             std::thread::spawn(move || {
@@ -190,7 +189,7 @@ fn distinct_requests_across_workers_all_apply() {
                         args: ObiValue::Null,
                     }
                     .encode();
-                    let reply = mem.call(from, PROVIDER, frame).expect("call");
+                    let reply = net.call(from, PROVIDER, frame).expect("call");
                     assert!(matches!(
                         Message::decode(&reply),
                         Ok(Message::InvokeReply { result: Ok(_), .. })
@@ -203,12 +202,12 @@ fn distinct_requests_across_workers_all_apply() {
         j.join().expect("client thread");
     }
     assert_eq!(
-        invoke_value(&rig.mem, 1000, counter, "read"),
+        invoke_value(&rig.net, 1000, counter, "read"),
         ObiValue::I64((THREADS as u64 * OPS) as i64)
     );
     let snap = rig.provider.metrics().snapshot();
     assert_eq!(snap.cached_replies, 0, "no duplicates were sent");
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
-    rig.mem.shutdown();
+    rig.net.shutdown();
 }

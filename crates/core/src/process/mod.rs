@@ -373,10 +373,14 @@ impl ObiProcess {
     }
 
     /// Attaches a durability log: from now on dirty-replica mutations,
-    /// puts, and refreshes write through to it (see `obiwan-store`). At
-    /// most one log can ever be attached; a second call is ignored.
+    /// puts, and refreshes write through to it (see `obiwan-store`), and
+    /// the RMI client announces no reply horizon while a put confirmation
+    /// is unsynced (recovery invariant 2). At most one log can ever be
+    /// attached; a second call is ignored.
     pub fn attach_durability(&self, durable: Arc<Durable>) {
-        let _ = self.shared.durable.set(durable);
+        if self.shared.durable.set(durable.clone()).is_ok() {
+            self.shared.client.set_announce_gate(move || durable.confirmations_durable());
+        }
     }
 
     /// The attached durability log, if any.

@@ -141,9 +141,9 @@ impl ObiProcess {
             }
             // Refresh the persisted client watermark once per group that
             // confirmed anything: recovery restores the request counter and
-            // reply horizon from it. Like the confirmations it is not
-            // forced — losing it costs a replayed put or a wider seq skip,
-            // never a wrong one.
+            // reply horizon from it. Like the confirmations it waits for the
+            // next group's sync — losing it costs a replayed put or a wider
+            // seq skip, never a wrong one.
             let last_confirmed = outcomes[first..].iter().rposition(|(_, put)| put.is_ok());
             if let (Some(last), Some(durable)) = (last_confirmed, self.shared.durable.get()) {
                 if let Err(e) = durable.log_client_state(
@@ -263,6 +263,12 @@ impl ObiProcess {
                 replaced.dedup();
                 for (provider, seq) in replaced {
                     client.settle(provider, RequestId::new(site, seq));
+                }
+                // The sync that made these intents durable carried every
+                // earlier confirmation too: the horizon announcement the
+                // previous group's settles held back can go now.
+                if let Some(provider) = plans.iter().find_map(|(_, put)| put.as_ref().ok()) {
+                    client.offer_horizon(provider.provider);
                 }
                 plans
             }

@@ -70,7 +70,8 @@ const ROWS: [Row; 3] = [
         what: "transport call",
         advice: "release the guard before the boundary",
     },
-    // A WAL append can fsync (group commit): storage latency inside a
+    // A WAL append writes to storage and can fsync (group commit); one that
+    // never syncs (`append_deferred`) still writes. Storage latency inside a
     // shard critical section stalls every invocation hashing to the stripe.
     Row {
         rule: RULE_NO_IO_UNDER_SHARD_GUARD,
@@ -86,7 +87,11 @@ const ROWS: [Row; 3] = [
             LOG_HOOKS.contains(name)
                 || matches!(
                     (receiver, *name),
-                    ("wal", "append" | "append_frames" | "append_batch" | "sync" | "commit")
+                    (
+                        "wal",
+                        "append" | "append_frames" | "append_batch" | "append_deferred" | "sync"
+                            | "commit"
+                    )
                         | ("storage", "append" | "sync")
                         | ("durable", "commit")
                 )

@@ -338,6 +338,26 @@ impl Space {
 }
 
 #[test]
+fn a_deferred_wal_append_under_a_shard_guard_is_still_io() {
+    // It never syncs, but it writes: the stripe would wait on storage.
+    let f = lib(
+        "crates/demo/src/lib.rs",
+        r#"
+impl Durable {
+    fn confirm(&self, s: &Space, a: ObjId) {
+        let g = s.shard(a).read();
+        self.wal.append_deferred(&g.frames());
+    }
+}
+"#,
+    );
+    let diags = check(&[f]);
+    assert_eq!(rules_fired(&diags), vec![RULE_NO_IO_UNDER_SHARD_GUARD]);
+    assert_eq!(diags[0].line, 5);
+    assert!(diags[0].message.contains("`wal.append_deferred(`"), "{}", diags[0].message);
+}
+
+#[test]
 fn vec_append_under_shard_guard_is_not_durability_io() {
     // Only receiver-qualified append/sync/commit count as WAL I/O; a plain
     // `Vec::append` (or any unrelated `.commit()`) under a shard guard is

@@ -10,7 +10,7 @@ use obiwan_util::{
 use obiwan_wire::{JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode};
 use obiwan_util::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Objects per chunk frame of a streamed demand, and the batch step above
@@ -107,6 +107,9 @@ pub struct RmiClient {
     policy: Mutex<RetryPolicy>,
     breaker: CircuitBreaker,
     horizon: HorizonTracker,
+    /// Asked before each horizon announcement (see
+    /// [`RmiClient::set_announce_gate`]); absent, every announcement goes.
+    announce_gate: OnceLock<Box<dyn Fn() -> bool + Send + Sync>>,
     backoff_rng: Mutex<DetRng>,
 }
 
@@ -146,6 +149,7 @@ impl RmiClient {
             policy: Mutex::new(RetryPolicy::default()),
             breaker: CircuitBreaker::default(),
             horizon: HorizonTracker::new(),
+            announce_gate: OnceLock::new(),
             // Deterministic per-site stream so simulations replay exactly.
             backoff_rng: Mutex::new(DetRng::new(0x0BAC_00FF ^ site.as_u32() as u64)),
         }
@@ -215,6 +219,35 @@ impl RmiClient {
     /// durability layer, restored after a crash).
     pub fn horizon_tracker(&self) -> &HorizonTracker {
         &self.horizon
+    }
+
+    /// Holds horizon announcements back while `gate` returns false: a due
+    /// announcement stays due, and the next [`settle`](RmiClient::settle)
+    /// or [`offer_horizon`](RmiClient::offer_horizon) that finds the gate
+    /// open sends it. With a durability log, the gate is "every put
+    /// confirmation is durable", so the master never prunes a reply that a
+    /// crash could make this site replay. Set once; later calls are
+    /// ignored.
+    pub fn set_announce_gate(&self, gate: impl Fn() -> bool + Send + Sync + 'static) {
+        let _ = self.announce_gate.set(Box::new(gate));
+    }
+
+    fn gate_open(&self) -> bool {
+        self.announce_gate.get().is_none_or(|gate| gate())
+    }
+
+    /// Sends `to` the announcement the gate held back, if one is due and
+    /// the gate is now open.
+    pub fn offer_horizon(&self, to: SiteId) {
+        self.announce(to, self.horizon.offer(|| self.gate_open()));
+    }
+
+    fn announce(&self, to: SiteId, up_to: Option<u64>) {
+        if let Some(up_to) = up_to {
+            let _ = self
+                .transport
+                .cast(self.site, to, Message::AckHorizon { up_to }.encode());
+        }
     }
 
     fn round_trip(&self, to: SiteId, msg: &Message) -> Result<Message> {
@@ -313,16 +346,13 @@ impl RmiClient {
     }
 
     /// Records `id` as settled — never to be sent again — and, when an
-    /// announcement is due, tells the peer how far it may prune its reply
-    /// cache. Best-effort: a lost announcement only delays pruning (LRU
-    /// bounds the cache anyway). Every call settles its own id when it
-    /// ends, except [`RmiClient::put_with_request`], whose caller does.
+    /// announcement is due and the gate lets it out, tells the peer how far
+    /// it may prune its reply cache. Best-effort: a lost announcement only
+    /// delays pruning (LRU bounds the cache anyway). Every call settles its
+    /// own id when it ends, except [`RmiClient::put_with_request`], whose
+    /// caller does.
     pub fn settle(&self, to: SiteId, id: RequestId) {
-        if let Some(up_to) = self.horizon.settle(id.seq()) {
-            let _ = self
-                .transport
-                .cast(self.site, to, Message::AckHorizon { up_to }.encode());
-        }
+        self.announce(to, self.horizon.settle(id.seq(), || self.gate_open()));
     }
 
     fn check_correlation(&self, sent: RequestId, got: Option<RequestId>) -> Result<()> {

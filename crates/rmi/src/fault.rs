@@ -461,13 +461,24 @@ struct HorizonInner {
     since_announce: u64,
 }
 
+impl HorizonInner {
+    /// The horizon to announce, when an announcement is due.
+    fn due(&self) -> Option<u64> {
+        (self.since_announce >= ANNOUNCE_EVERY && self.horizon > 0).then_some(self.horizon)
+    }
+}
+
 /// Client-side tracker of which of its own request ids are *settled* —
 /// finished for good (answered, or abandoned after the final retry) and
 /// therefore never retransmitted again.
 ///
 /// The contiguous settled prefix is the acknowledgement horizon; it is
 /// announced to servers every [`ANNOUNCE_EVERY`] settlements so they can
-/// prune their reply caches ahead of LRU pressure.
+/// prune their reply caches ahead of LRU pressure. Each announcement also
+/// passes a gate, asked outside the tracker's lock and after the prefix it
+/// would announce is fixed: while the gate is closed the announcement stays
+/// due, and the next [`settle`](HorizonTracker::settle) or
+/// [`offer`](HorizonTracker::offer) that finds it open sends it.
 #[derive(Debug, Default)]
 pub struct HorizonTracker {
     inner: Mutex<HorizonInner>,
@@ -480,25 +491,41 @@ impl HorizonTracker {
     }
 
     /// Marks `seq` settled. Returns `Some(horizon)` when enough
-    /// settlements have accumulated that an announcement is due.
-    pub fn settle(&self, seq: u64) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        if seq > inner.horizon {
-            inner.settled.insert(seq);
-        }
-        // Advance the contiguous prefix.
-        let mut next = inner.horizon + 1;
-        while inner.settled.remove(&next) {
-            next += 1;
-        }
-        inner.horizon = next - 1;
-        inner.since_announce += 1;
-        if inner.since_announce >= ANNOUNCE_EVERY && inner.horizon > 0 {
-            inner.since_announce = 0;
-            Some(inner.horizon)
-        } else {
-            None
-        }
+    /// settlements have accumulated that an announcement is due and `gate`
+    /// lets it out.
+    pub fn settle(&self, seq: u64, gate: impl FnOnce() -> bool) -> Option<u64> {
+        let due = {
+            let mut inner = self.inner.lock();
+            if seq > inner.horizon {
+                inner.settled.insert(seq);
+            }
+            // Advance the contiguous prefix.
+            let mut next = inner.horizon + 1;
+            while inner.settled.remove(&next) {
+                next += 1;
+            }
+            inner.horizon = next - 1;
+            inner.since_announce += 1;
+            inner.due()
+        };
+        self.release(due?, gate)
+    }
+
+    /// The announcement a closed gate held back, if one is due and `gate`
+    /// now lets it out.
+    pub fn offer(&self, gate: impl FnOnce() -> bool) -> Option<u64> {
+        let due = self.inner.lock().due();
+        self.release(due?, gate)
+    }
+
+    /// Announces `horizon`, the prefix fixed before `gate` is asked, if the
+    /// gate lets it out. Two callers that race may both announce; the peer
+    /// prunes by the higher of the two either way.
+    fn release(&self, horizon: u64, gate: impl FnOnce() -> bool) -> Option<u64> {
+        gate().then(|| {
+            self.inner.lock().since_announce = 0;
+            horizon
+        })
     }
 
     /// The current contiguous settled prefix.
@@ -815,13 +842,13 @@ mod tests {
     #[test]
     fn horizon_advances_contiguously_and_announces_periodically() {
         let t = HorizonTracker::new();
-        assert!(t.settle(2).is_none());
+        assert!(t.settle(2, || true).is_none());
         assert_eq!(t.horizon(), 0, "gap at 1 blocks the horizon");
-        assert!(t.settle(1).is_none());
+        assert!(t.settle(1, || true).is_none());
         assert_eq!(t.horizon(), 2, "prefix closes through the gap");
         let mut announced = None;
         for seq in 3..=ANNOUNCE_EVERY + 2 {
-            if let Some(h) = t.settle(seq) {
+            if let Some(h) = t.settle(seq, || true) {
                 announced = Some(h);
             }
         }
@@ -831,15 +858,45 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_gate_holds_the_announcement_until_a_settle_or_offer_finds_it_open() {
+        const A: u64 = ANNOUNCE_EVERY;
+        let t = HorizonTracker::new();
+        for seq in 1..=A {
+            assert!(t.settle(seq, || false).is_none(), "seq {seq}: the gate is closed");
+        }
+        assert!(t.offer(|| false).is_none(), "still closed");
+        // The held announcement goes out at the next settle that finds the
+        // gate open, with the prefix as of that settle...
+        assert_eq!(t.settle(A + 1, || true), Some(A + 1));
+        assert!(t.offer(|| panic!("nothing is due")).is_none(), "announced once");
+        // ... or at an offer.
+        for seq in A + 2..=2 * A + 1 {
+            assert!(t.settle(seq, || false).is_none());
+        }
+        assert_eq!(t.offer(|| true), Some(2 * A + 1));
+        // Never above the settled prefix: a gap holds it however many ids
+        // settle beyond.
+        for seq in 2 * A + 3..=3 * A + 2 {
+            assert!(t.settle(seq, || false).is_none());
+        }
+        // The prefix is fixed before the gate is asked, and the gate is
+        // asked outside the tracker's lock: an id settled from inside it
+        // (here the one closing the gap) is not in this announcement.
+        let gap = 2 * A + 2;
+        assert_eq!(t.offer(|| t.settle(gap, || false).is_none()), Some(2 * A + 1));
+        assert_eq!(t.horizon(), 3 * A + 2);
+    }
+
+    #[test]
     fn horizon_restore_moves_forward_and_drops_stale_settlements() {
         let t = HorizonTracker::new();
-        t.settle(1);
-        t.settle(5); // stranded above the prefix
+        t.settle(1, || true);
+        t.settle(5, || true); // stranded above the prefix
         assert_eq!(t.horizon(), 1);
         t.restore(4);
         assert_eq!(t.horizon(), 4);
         // Seq 5 was stranded; settling nothing new, the prefix absorbs it.
-        t.settle(5);
+        t.settle(5, || true);
         assert_eq!(t.horizon(), 5);
         // Restore never moves backwards.
         t.restore(2);

@@ -44,15 +44,18 @@
 //!    instead retires the stale intent (`PutAbandoned`, in the batch of the
 //!    intent that replaces it) and logs a fresh one.
 //!
-//!    `PutConfirmed` and `ClientState` records are *not* forced. A lost
-//!    confirmation replays its put under the intent's id, which the reply
-//!    cache absorbs: the put path settles a put's request id — the signal
-//!    that lets the master prune the reply — only after the record that
-//!    retires the intent has been appended. A lost watermark only widens
-//!    the skip of invariant 3. (A power failure, unlike a process kill,
-//!    can drop an appended-but-unsynced confirmation after the reply was
-//!    pruned; the replayed put then carries the same state a second time,
-//!    which a version-checking master rejects as a conflict.)
+//!    `PutConfirmed` and `ClientState` records never cause a sync of their
+//!    own: they are deferred to whatever sync comes next (the next group's
+//!    intents, a commit, a compaction, or a group commit other records
+//!    fill). A lost confirmation replays its put under the intent's id,
+//!    which the reply cache absorbs, provided the master still holds the
+//!    reply. So the put path settles a put's request id only after the
+//!    record that retires the intent has been appended, and the client
+//!    announces a settled prefix — the signal that lets the master prune
+//!    the reply — only while [`Durable::confirmations_durable`] holds. A
+//!    process kill or a power loss at any point therefore replays only puts
+//!    whose replies no horizon has pruned. A lost watermark only widens the
+//!    skip of invariant 3.
 //! 3. **Recovered request sequence numbers never collide with pre-crash
 //!    ones.** Requests other than puts (demands, refreshes) consume
 //!    sequence numbers without logging them, so recovery advances the
@@ -69,6 +72,7 @@ use obiwan_util::sync::Mutex;
 use obiwan_util::{ObjId, Result, SiteId};
 use obiwan_wire::{ObiValue, ReplicaState};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How far past every persisted sequence watermark the restored request
@@ -297,6 +301,8 @@ pub struct Durable {
     mirror: Mutex<Mirror>,
     compact_every: u64,
     checkpoint_every_rpcs: u64,
+    /// The WAL position of the latest `PutConfirmed`.
+    confirmed_at: AtomicU64,
 }
 
 impl Durable {
@@ -352,6 +358,7 @@ impl Durable {
             mirror: Mutex::new(mirror),
             compact_every: opts.compact_every,
             checkpoint_every_rpcs: opts.checkpoint_every_rpcs,
+            confirmed_at: AtomicU64::new(0),
         });
         Ok((durable, recovered))
     }
@@ -421,9 +428,21 @@ impl Durable {
 
     /// Logs that the put for `id` was acknowledged at `version`;
     /// `fingerprint` names the state the ack covered, so the mirror only
-    /// retires a dirty delta that still matches it.
+    /// retires a dirty delta that still matches it. Deferred: the record
+    /// waits for the next sync, and until then
+    /// [`confirmations_durable`](Durable::confirmations_durable) is false.
     pub fn log_confirm(&self, id: ObjId, version: u64, fingerprint: u64) -> Result<()> {
-        self.log(WalRecord::PutConfirmed { id, version, fingerprint })
+        let at = self.log_deferred(WalRecord::PutConfirmed { id, version, fingerprint })?;
+        self.confirmed_at.fetch_max(at, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// True when no `PutConfirmed` is appended but unsynced: a crash of
+    /// any kind keeps every confirmation logged so far. Until then the
+    /// client must not announce a horizon covering those puts (recovery
+    /// invariant 2).
+    pub fn confirmations_durable(&self) -> bool {
+        self.wal.durable_position() >= self.confirmed_at.load(Ordering::Acquire)
     }
 
     /// Logs that the pending put intent for `id` must never be retried
@@ -461,8 +480,9 @@ impl Durable {
     }
 
     /// Logs the RMI client watermark (request counter + reply horizon).
+    /// Deferred, like a confirmation: it waits for the next sync.
     pub fn log_client_state(&self, next_seq: u64, horizon: u64) -> Result<()> {
-        self.log(WalRecord::ClientState { next_seq, horizon })
+        self.log_deferred(WalRecord::ClientState { next_seq, horizon }).map(drop)
     }
 
     /// Counts one confirmed RPC against the periodic-checkpoint budget;
@@ -553,6 +573,17 @@ impl Durable {
         self.applied_locked(mirror, [record])
     }
 
+    /// [`log`](Durable::log) through [`Wal::append_deferred`]: the record
+    /// never triggers a sync. Returns its WAL position.
+    fn log_deferred(&self, record: WalRecord) -> Result<u64> {
+        let mut mirror = self.mirror.lock();
+        let mut frames = Frames::new();
+        record.frame_into(&mut frames);
+        let at = self.wal.append_deferred(&frames)?;
+        self.applied_locked(&mut mirror, [record])?;
+        Ok(at)
+    }
+
     /// Folds records the WAL now holds into the mirror, compacting once
     /// enough have accumulated.
     fn applied_locked(
@@ -614,6 +645,15 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// What a restart over the first `keep` bytes of `mem`'s WAL recovers,
+    /// leaving `mem` itself as it is.
+    fn power_loss_of(mem: &MemStorage, keep: u64) -> RecoveredState {
+        let copy = Arc::new(MemStorage::new());
+        copy.replace(SNAP_FILE, &mem.read(SNAP_FILE).unwrap()).unwrap();
+        copy.replace(WAL_FILE, &mem.read(WAL_FILE).unwrap()[..keep as usize]).unwrap();
+        open(&copy).1
     }
 
     /// A [`MemStorage`] that notes where each buffer it reads out lives.
@@ -782,6 +822,37 @@ mod tests {
         let (_d, recovered) = open(&mem);
         assert_eq!(recovered.pending_puts, group.into_iter().collect());
         assert!(recovered.next_request_seq > 29);
+    }
+
+    #[test]
+    fn confirmations_and_watermarks_ride_the_next_groups_sync() {
+        let mem = Arc::new(MemStorage::new());
+        let (d, _) = open(&mem); // group commit 4
+        let group = |seq: u64| -> Vec<(ObjId, PendingPut)> {
+            (1..=6).map(|n| (oid(2, n), PendingPut { seq, fingerprint: n })).collect()
+        };
+        d.log_put_intents(&group(40)).unwrap();
+        let syncs = mem.sync_count();
+        assert!(d.confirmations_durable());
+        for n in 1..=6 {
+            d.log_confirm(oid(2, n), 7, n).unwrap();
+            assert!(!d.confirmations_durable(), "confirmation {n} is unsynced");
+        }
+        d.log_client_state(41, 39).unwrap();
+        assert_eq!(mem.sync_count(), syncs, "seven records at group commit 4, no sync");
+        // A power loss now takes them: the intents come back pending.
+        let synced = mem.synced_len(WAL_FILE);
+        assert_eq!(power_loss_of(&mem, synced).pending_puts.len(), 6);
+        // The next group's sync carries them.
+        d.log_put_intents(&group(41)).unwrap();
+        assert_eq!(mem.sync_count(), syncs + 1);
+        assert!(d.confirmations_durable());
+        let recovered = power_loss_of(&mem, mem.synced_len(WAL_FILE));
+        assert_eq!(recovered.pending_puts, group(41).into_iter().collect());
+        assert_eq!(recovered.horizon, 39);
+        // An unsynced watermark alone does not close the gate.
+        d.log_client_state(42, 40).unwrap();
+        assert!(d.confirmations_durable());
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! that must *all* be durable before it acts (the put intents of one
 //! write-back group) hands them to [`Wal::append_batch`] as one [`Frames`]:
 //! one write and one sync, where the same records through [`Wal::append`]
-//! would sync every `group_commit`-th of them.
+//! would sync every `group_commit`-th of them. Records that may wait for
+//! whatever sync comes next go through [`Wal::append_deferred`], which never
+//! syncs; the caller learns when they are durable by comparing the log
+//! position it returned with [`Wal::durable_position`].
 //!
 //! # Torn tails
 //!
@@ -159,6 +162,9 @@ pub struct Wal {
     opts: WalOptions,
     state: Mutex<WalState>,
     stats: WalStats,
+    /// Records, counted over the log's lifetime, that no crash can take:
+    /// the appends count as of the last sync or reset.
+    durable: AtomicU64,
 }
 
 impl Wal {
@@ -169,6 +175,7 @@ impl Wal {
             opts,
             state: Mutex::new(WalState { unsynced: 0 }),
             stats: WalStats::default(),
+            durable: AtomicU64::new(0),
         }
     }
 
@@ -194,6 +201,28 @@ impl Wal {
             self.sync_locked(&mut state)?;
         }
         Ok(())
+    }
+
+    /// Appends `frames` without ever syncing, however many records are
+    /// buffered: they count as unsynced, so the next sync of any kind (a
+    /// group commit other appends fill, [`append_batch`], [`commit`]) makes
+    /// them durable. Returns the log position after them — records appended
+    /// over the log's lifetime — which is durable once
+    /// [`durable_position`](Wal::durable_position) reaches it.
+    ///
+    /// [`append_batch`]: Wal::append_batch
+    /// [`commit`]: Wal::commit
+    pub fn append_deferred(&self, frames: &Frames) -> Result<u64> {
+        let mut state = self.state.lock();
+        self.write_locked(&mut state, frames)?;
+        Ok(self.stats.appends())
+    }
+
+    /// The log position (see [`append_deferred`](Wal::append_deferred))
+    /// up to which every record is durable: synced, or dropped by a
+    /// [`reset`](Wal::reset) after its caller captured them elsewhere.
+    pub fn durable_position(&self) -> u64 {
+        self.durable.load(Ordering::Acquire)
     }
 
     /// Appends `frames` and makes them durable before returning: one write
@@ -225,7 +254,7 @@ impl Wal {
     pub fn reset(&self) -> Result<()> {
         let mut state = self.state.lock();
         self.storage.truncate(&self.name, 0)?;
-        state.unsynced = 0;
+        self.mark_durable(&mut state);
         Ok(())
     }
 
@@ -253,8 +282,14 @@ impl Wal {
     fn sync_locked(&self, state: &mut WalState) -> Result<()> {
         self.storage.sync(&self.name)?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        state.unsynced = 0;
+        self.mark_durable(state);
         Ok(())
+    }
+
+    /// Nothing buffered is left to lose.
+    fn mark_durable(&self, state: &mut WalState) {
+        state.unsynced = 0;
+        self.durable.store(self.stats.appends(), Ordering::Release);
     }
 }
 
@@ -404,6 +439,44 @@ mod tests {
         // An empty batch has nothing to make durable.
         wal.append_batch(&Frames::new()).unwrap();
         assert_eq!((wal.stats().syncs(), wal.stats().appends()), (2, 74));
+    }
+
+    #[test]
+    fn a_deferred_append_waits_for_the_next_sync_of_any_kind() {
+        let mem = Arc::new(MemStorage::new());
+        let wal = wal_over(&mem, 2);
+        // Never a sync of its own, however far past the group size.
+        let mut at = 0;
+        for i in 0..5u64 {
+            at = wal.append_deferred(&frames_of(&[b"confirm"])).unwrap();
+            assert_eq!(at, i + 1, "the position counts records");
+        }
+        assert_eq!((wal.stats().syncs(), mem.synced_len("wal")), (0, 0));
+        assert!(wal.durable_position() < at);
+        // Yet each counts as unsynced: the next ordinary append finds the
+        // group full and its sync covers all six.
+        wal.append(b"delta").unwrap();
+        assert_eq!(wal.stats().syncs(), 1);
+        assert_eq!(mem.synced_len("wal"), wal.len().unwrap());
+        assert_eq!(wal.durable_position(), at + 1);
+        // A batch's sync covers the deferred records before it...
+        let at = wal.append_deferred(&frames_of(&[b"confirm"])).unwrap();
+        let synced = mem.synced_len("wal");
+        wal.append_batch(&frames_of(&[b"intent", b"intent"])).unwrap();
+        assert_eq!(wal.durable_position(), at + 2);
+        assert!(mem.synced_len("wal") > synced);
+        // ... and so does a commit, which is not a no-op while one waits.
+        let at = wal.append_deferred(&frames_of(&[b"state"])).unwrap();
+        assert!(wal.durable_position() < at);
+        wal.commit().unwrap();
+        assert_eq!(wal.durable_position(), at);
+        assert_eq!(mem.synced_len("wal"), wal.len().unwrap());
+        assert_eq!(wal.stats().syncs(), 3);
+        // A reset leaves nothing to lose either.
+        let at = wal.append_deferred(&frames_of(&[b"confirm"])).unwrap();
+        wal.reset().unwrap();
+        assert_eq!(wal.durable_position(), at);
+        assert_eq!(wal.stats().syncs(), 3);
     }
 
     #[test]

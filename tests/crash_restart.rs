@@ -313,6 +313,32 @@ fn put_replay_after_crash_is_answered_from_the_reply_cache() {
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+/// A power loss after a connected life of edits and puts: every settled
+/// put whose reply the master was told to forget (`AckHorizon`) must have a
+/// durable confirmation, or the power loss takes the confirmation, the
+/// replay finds no cached reply, and the master applies the put twice.
+/// Seventy puts carry the horizon past two announcements.
+#[test]
+fn a_power_loss_never_replays_a_put_whose_reply_was_pruned() {
+    for n in 1..=70 {
+        let mut rig = build();
+        let mut acked = 0;
+        for _ in 0..n {
+            let client = rig.world.site(rig.client);
+            client.invoke(rig.replica, "add", ObiValue::I64(1)).unwrap();
+            acked = client.put(rig.replica).unwrap();
+        }
+        let synced = rig.storage.synced_len(WAL_FILE);
+        restart(&mut rig.world, rig.client, &rig.storage, synced);
+        rig.world.site(rig.client).put_all_dirty().unwrap();
+        let master = rig.world.site(rig.server).meta_of(rig.master).unwrap();
+        assert_eq!(master.version, acked, "N={n}: the master applied a put twice");
+        assert_eq!(rig.master_value(), n as i64, "N={n}");
+    }
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 /// A put whose reply is lost leaves its intent pending with the seq spent
 /// at the master. If the replica is mutated again before the retry, the
 /// retry must NOT reuse that seq — the master's reply cache would serve
@@ -886,9 +912,47 @@ fn a_kill_at_every_wal_offset_of_a_grouped_write_back_applies_each_put_exactly_o
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+/// The same sweep under a power loss: killed at every WAL length the
+/// write-back passes through, the site restarts over only what it had
+/// synced. Confirmations wait for the next group's sync, so the loss takes
+/// up to a whole group of them, and the puts they settled go out again;
+/// every one must still find its reply cached, because the client never
+/// told the master to forget a reply whose confirmation was unsynced. The
+/// master runs `AcceptAll`, so a put applied twice would show as a version
+/// step.
+#[test]
+fn a_power_loss_at_every_wal_offset_of_a_grouped_write_back_applies_each_put_exactly_once() {
+    let (start, frame_ends) = write_back_map();
+    let (mut replayed, mut lost_confirmations) = (0u64, 0usize);
+    for limit in kill_limits(*start, frame_ends) {
+        let mut fleet = build_fleet();
+        fleet.reintegrate_until_killed_at(limit);
+        let synced = fleet.storage.synced_len(WAL_FILE);
+        let pending_as_written = fleet.log_contents().pending_puts.len();
+        fleet.restart_keeping(synced);
+        let lost = fleet.pending_intents().saturating_sub(pending_as_written);
+        lost_confirmations = lost_confirmations.max(lost);
+        let cached_before = fleet.world.site(fleet.server).metrics().snapshot().cached_replies;
+        let report = fleet.reintegrate();
+        assert!(report.is_clean(), "limit={limit}, synced={synced}: {report:?}");
+        fleet.assert_every_put_applied_exactly_once(&format!("limit={limit}, synced={synced}"));
+        replayed +=
+            fleet.world.site(fleet.server).metrics().snapshot().cached_replies - cached_before;
+    }
+    assert!(
+        lost_confirmations > 8,
+        "some power loss must take more confirmations than a group commit holds \
+         ({lost_confirmations})"
+    );
+    assert!(replayed > 0, "some replay must be answered from the reply cache");
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 /// One sync per group of intents, not one per put: three groups' batches,
-/// the 133 unforced confirmations and watermarks at eight to a sync, and
-/// the snapshot that closes a clean session.
+/// and the snapshot that closes a clean session. The confirmations and
+/// watermarks never sync on their own: each group's sync carries the
+/// previous group's, and the snapshot the last one's.
 #[test]
 fn a_grouped_write_back_syncs_once_per_group_of_intents() {
     let fleet = build_fleet();
@@ -898,11 +962,7 @@ fn a_grouped_write_back_syncs_once_per_group_of_intents() {
     assert!(report.is_clean() && report.pushed() == FLEET, "{report:?}");
     let syncs = fleet.storage.sync_count() - syncs_before;
     let groups = FLEET.div_ceil(64) as u64;
-    let unforced = FLEET as u64 + groups;
-    assert!(
-        syncs <= groups + unforced.div_ceil(8) + 1,
-        "{syncs} syncs for {FLEET} puts"
-    );
+    assert_eq!(syncs, groups + 1, "{syncs} syncs for {FLEET} puts");
     assert_eq!(
         fleet.durable().wal_stats().appends() - appends_before,
         2 * FLEET as u64 + groups,
@@ -1261,11 +1321,10 @@ proptest! {
     /// The same dimension over a grouped write-back: killed anywhere in it,
     /// and restarted over either everything it had written (a SIGKILL) or
     /// only what it had synced (a power loss). Confirmations are not
-    /// forced, so a power loss can take one whose request id the master
-    /// has since been told to forget; that put goes out again, and as in
-    /// the property above only `OptimisticDetect` keeps the master from
-    /// applying it twice — as a conflict, which only a power loss may
-    /// produce.
+    /// forced, so a power loss can take a group of them, but the master is
+    /// never told to forget a reply whose confirmation is unsynced: every
+    /// such put is answered from the reply cache, and neither kind of crash
+    /// leaves a conflict behind.
     #[test]
     fn random_kills_of_a_grouped_write_back_recover_exactly_once(
         kill_pct in 0u64..=100,
@@ -1281,10 +1340,7 @@ proptest! {
         let keep = if power_loss { fleet.storage.synced_len(WAL_FILE) } else { limit };
         fleet.restart_keeping(keep);
         let report = fleet.reintegrate();
-        prop_assert!(
-            power_loss || report.is_clean(),
-            "limit {}, keep {}: {:?}", limit, keep, report
-        );
+        prop_assert!(report.is_clean(), "limit {}, keep {}: {:?}", limit, keep, report);
         for (_, outcome) in &report.outcomes {
             prop_assert!(
                 !matches!(outcome, obiwan::mobility::session::ReintegrationOutcome::Unreachable),

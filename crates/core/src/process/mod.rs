@@ -402,10 +402,16 @@ impl ObiProcess {
         self.shared
             .client
             .restore_request_seq(recovered.next_request_seq);
-        self.shared
-            .client
-            .horizon_tracker()
-            .restore(recovered.horizon);
+        // Below the restored counter every seq is spent, except those of
+        // the put intents the log holds pending: only those are sent again.
+        let replays = recovered.pending_puts.values().map(|put| put.seq);
+        self.shared.client.horizon_tracker().restore(
+            recovered
+                .next_request_seq
+                .saturating_sub(1)
+                .max(recovered.horizon),
+            replays,
+        );
         self.with_inner(|_inner| {
             let mut installed = 0usize;
             for (id, (provider, state)) in &recovered.dirty {

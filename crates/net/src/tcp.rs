@@ -20,8 +20,8 @@
 //!
 //! A *streaming* call (`kind = 3`) answers with a sequence of kind-tagged
 //! reply frames on the same connection — `frame_kind(u8: 2=chunk, 3=done)
-//! len(u32 BE) payload` — so the caller consumes intermediate chunks as the
-//! handler produces them and the `done` frame closes the exchange.
+//! len(u32 BE) payload` — so the caller consumes each chunk as it arrives
+//! and the `done` frame closes the exchange.
 //!
 //! The [`Topology`] still applies: administrative disconnections are
 //! enforced at the sender *and* receiver, so tests can cut a site off
@@ -36,18 +36,26 @@
 //!
 //! * `call`: 4 syscalls (a write and a read on each side), 2 hand-overs;
 //! * `cast`: 2 syscalls, 1 hand-over;
-//! * a streamed frame: 1 write and at most 1 read (chunks that arrive
-//!   together are parsed out of one read).
+//! * a streamed reply: 1 write for all its frames, chunks and `done`
+//!   together (one slice per header and one per payload, none copied), and
+//!   as few reads as the bytes need: small frames that arrive together are
+//!   parsed out of one read, so a 50-object fault is 2 hand-overs, not 9.
 //!
 //! A payload larger than the buffer costs further reads, straight into its
-//! own allocation: no intermediate copy and no zero-fill.
+//! own allocation: no intermediate copy and no zero-fill. A write the
+//! socket takes only part of, or one of more slices than `IOV_MAX`, goes on
+//! where it stopped.
 //!
 //! Two invariants keep this safe. *Leftover bytes live with the connection*:
 //! the buffer is part of the `Conn` the pool stores and the server loop
 //! owns, so bytes read past one frame start the next frame of the same
-//! socket, and a poisoned connection is dropped buffer and all. *Chunk k is
-//! written before chunk k+1 is produced*: writes are never batched across
-//! `sink` calls, because the caller's fault window waits on chunk 0.
+//! socket, and a poisoned connection is dropped buffer and all. *A streamed
+//! reply is written when its handler returns, chunk 0 first*: the server
+//! holds the frames `sink` hands it until then. The one stream producer,
+//! `RmiServer`'s `get_many`, builds every chunk before it sinks the first,
+//! so holding them delays no byte, and TCP still delivers chunk 0's bytes
+//! first, which is what the caller's fault window waits on. A handler
+//! that produced chunks slowly would need them written as they come.
 
 use crate::link::Topology;
 use crate::transport::{MessageHandler, Transport};
@@ -106,26 +114,26 @@ impl Conn {
     }
 
     /// Sends `prefix`, the payload's length and the payload in one vectored
-    /// write (looping only when the socket takes part of it), so the peer
-    /// wakes once per frame and the payload is not copied.
+    /// write, so the peer wakes once per frame and the payload is not
+    /// copied.
     fn write_frame(&mut self, prefix: &[u8], payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame length exceeds u32"))?;
         let mut header = [0u8; 10];
         let header = &mut header[..prefix.len() + 4];
         header[..prefix.len()].copy_from_slice(prefix);
-        header[prefix.len()..].copy_from_slice(&len.to_be_bytes());
+        header[prefix.len()..].copy_from_slice(&frame_len(payload)?.to_be_bytes());
+        self.write_frames(&mut [IoSlice::new(header), IoSlice::new(payload)])
+    }
+
+    /// Sends every byte of `slices` in one vectored write, looping only
+    /// when the socket takes part of them or there are more than the
+    /// kernel's `IOV_MAX` (the standard library passes at most that many
+    /// to one `writev`). No payload is copied.
+    fn write_frames(&mut self, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
         let stream = self.reader.get_mut();
-        let mut sent = 0;
-        while sent < header.len() + payload.len() {
-            let wrote = if sent < header.len() {
-                stream.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
-            } else {
-                stream.write(&payload[sent - header.len()..])
-            };
-            match wrote {
+        while !slices.is_empty() {
+            match stream.write_vectored(slices) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => sent += n,
+                Ok(n) => IoSlice::advance_slices(&mut slices, n),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -159,6 +167,60 @@ impl Conn {
     }
 }
 
+/// A payload's length as its frame header carries it.
+fn frame_len(payload: &[u8]) -> io::Result<u32> {
+    u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame length exceeds u32"))
+}
+
+/// The reply frames of one streamed call, held until its handler returns
+/// and then sent in one vectored write. The serving loop keeps one per
+/// connection, so its two vectors are reused by every streamed call on it.
+#[derive(Default)]
+struct StreamReply {
+    /// Each frame's `frame_kind len` header and its payload.
+    frames: Vec<([u8; 5], Bytes)>,
+    /// Capacity only: the slices of one write, kept empty between writes.
+    slices: Vec<IoSlice<'static>>,
+}
+
+impl StreamReply {
+    /// Queues one reply frame.
+    fn push(&mut self, kind: u8, payload: Bytes) -> io::Result<()> {
+        let [a, b, c, d] = frame_len(&payload)?.to_be_bytes();
+        self.frames.push(([kind, a, b, c, d], payload));
+        Ok(())
+    }
+
+    /// Sends the queued frames on `conn`, one slice per header and one per
+    /// payload, and counts each as sent. The frames are dropped either way.
+    fn send(&mut self, inner: &TcpInner, conn: &mut Conn) -> io::Result<()> {
+        let mut slices = recycle(std::mem::take(&mut self.slices));
+        for (header, payload) in &self.frames {
+            slices.extend([IoSlice::new(header), IoSlice::new(payload)]);
+        }
+        let sent = conn.write_frames(&mut slices);
+        self.slices = recycle(slices);
+        if sent.is_ok() {
+            for (_, payload) in &self.frames {
+                inner.count_sent(payload);
+            }
+        }
+        self.frames.clear();
+        sent
+    }
+}
+
+/// Empties `slices` and hands its allocation on under another lifetime
+/// (a vector collected in place from its own iterator keeps its buffer).
+fn recycle<'b>(mut slices: Vec<IoSlice<'_>>) -> Vec<IoSlice<'b>> {
+    slices.clear();
+    slices
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
 struct ListenerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -179,9 +241,13 @@ impl TcpInner {
     /// Writes one frame and counts it as sent.
     fn send(&self, conn: &mut Conn, prefix: &[u8], payload: &[u8]) -> io::Result<()> {
         conn.write_frame(prefix, payload)?;
+        self.count_sent(payload);
+        Ok(())
+    }
+
+    fn count_sent(&self, payload: &[u8]) {
         self.metrics.incr_messages_sent();
         self.metrics.add_bytes_sent(payload.len() as u64);
-        Ok(())
     }
 
     fn count_received(&self, payload: &Bytes) {
@@ -395,6 +461,7 @@ fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Re
     // would pin this thread forever.
     stream.set_write_timeout(Some(inner.io_timeout))?;
     let mut conn = Conn::new(stream);
+    let mut stream_reply = StreamReply::default();
     loop {
         let (header, payload) = conn.read_frame(|h: &[u8; 10]| h[0] == MAGIC)?;
         let kind = header[1];
@@ -417,16 +484,19 @@ fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Re
         // caller maps the broken exchange to an I/O error and retries.
         match kind {
             KIND_STREAM_CALL => {
-                // Every chunk goes out as it is produced, then the terminal
-                // `done` frame; after a failed write the rest are skipped.
-                let mut sent = Ok(());
+                // The chunks and the terminal `done` frame leave together
+                // once the handler returns: the one stream producer builds
+                // every chunk before it sinks the first, so holding them
+                // delays nothing, and chunk 0's bytes still go first.
+                let mut queued = Ok(());
                 let reply = handler.handle_stream(from, payload, &mut |chunk| {
-                    if sent.is_ok() {
-                        sent = inner.send(&mut conn, &[FRAME_CHUNK], &chunk);
+                    if queued.is_ok() {
+                        queued = stream_reply.push(FRAME_CHUNK, chunk);
                     }
                 });
-                sent?;
-                inner.send(&mut conn, &[FRAME_DONE], &reply.unwrap_or_default())?;
+                queued?;
+                stream_reply.push(FRAME_DONE, reply.unwrap_or_default())?;
+                stream_reply.send(inner, &mut conn)?;
             }
             KIND_CALL => {
                 let reply = handler.handle(from, payload);

@@ -18,6 +18,14 @@ pub trait MessageHandler: Send + Sync {
     /// the return value is the terminal reply, exactly as for
     /// [`MessageHandler::handle`].
     ///
+    /// A transport may hold sunk frames until the handler returns:
+    /// [`TcpTransport`](crate::TcpTransport) then sends them and the
+    /// terminal in one write. So a handler must not wait for its caller to
+    /// have seen a chunk, and one that produces chunks slowly delays them
+    /// all. [`SimTransport`](crate::SimTransport) (each frame with its own
+    /// fault lottery) and [`MemTransport`](crate::MemTransport) still
+    /// deliver each frame as it is sunk.
+    ///
     /// The default ignores the sink and degrades to the one-shot path, so
     /// handlers that never stream need no changes.
     fn handle_stream(

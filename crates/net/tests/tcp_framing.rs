@@ -198,7 +198,9 @@ fn a_request_split_mid_header_and_mid_payload_reassembles() {
 
 #[test]
 fn many_small_chunks_then_a_large_one_stream_in_order() {
-    const SMALL: usize = 1000;
+    // More chunks than one `writev` takes slices (`IOV_MAX`, 1024), at two
+    // slices a frame.
+    const SMALL: usize = 1500;
     const LARGE: usize = 1 << 20;
     struct Chunky;
     impl MessageHandler for Chunky {
@@ -236,6 +238,87 @@ fn many_small_chunks_then_a_large_one_stream_in_order() {
     // Nothing of the stream is left in the pooled connection's buffer.
     let reply = net.call(s(1), s(2), Bytes::from_static(b"plain")).unwrap();
     assert_eq!(&reply[..], b"plain");
+    net.shutdown();
+}
+
+/// Streams `count` chunks of `len` bytes each, chunk `i` filled with its
+/// index's low bytes, then answers `done`.
+struct Numbered {
+    count: usize,
+    len: usize,
+}
+
+impl Numbered {
+    fn chunk(&self, i: usize) -> Vec<u8> {
+        (0..self.len)
+            .map(|at| (i >> (8 * (at % 3))) as u8)
+            .collect()
+    }
+}
+
+impl MessageHandler for Numbered {
+    fn handle(&self, _from: SiteId, frame: Bytes) -> Option<Bytes> {
+        Some(frame)
+    }
+    fn handle_stream(
+        &self,
+        _from: SiteId,
+        _frame: Bytes,
+        sink: &mut dyn FnMut(Bytes),
+    ) -> Option<Bytes> {
+        for i in 0..self.count {
+            sink(Bytes::from(self.chunk(i)));
+        }
+        Some(Bytes::from_static(b"done"))
+    }
+}
+
+#[test]
+fn a_stream_larger_than_the_socket_buffers_reaches_a_slow_reader_whole() {
+    // 12 MiB, more than loopback buffers hold, so the server's write
+    // blocks; the reader's pauses add up to twice the write timeout, so
+    // writes also return part-way and resume where they stopped.
+    let numbered = Arc::new(Numbered {
+        count: 48,
+        len: 256 << 10,
+    });
+    let net = TcpTransport::with_timeout(Duration::from_millis(500));
+    net.register(s(2), numbered.clone());
+    let mut chunks = Vec::new();
+    let done = net
+        .call_stream(s(1), s(2), Bytes::new(), &mut |c| {
+            std::thread::sleep(Duration::from_millis(20));
+            chunks.push(c);
+        })
+        .unwrap();
+    assert_eq!(&done[..], b"done");
+    assert_eq!(chunks.len(), numbered.count);
+    for (i, chunk) in chunks.iter().enumerate() {
+        assert!(chunk[..] == numbered.chunk(i)[..], "chunk {i} differs");
+    }
+    // Nothing of the stream is left in the pooled connection's buffer.
+    let reply = net.call(s(1), s(2), Bytes::from_static(b"plain")).unwrap();
+    assert_eq!(&reply[..], b"plain");
+    net.shutdown();
+}
+
+#[test]
+fn a_stream_reply_of_small_chunks_is_one_read_for_the_client() {
+    let numbered = Numbered { count: 8, len: 3 };
+    let mut expected = Vec::new();
+    for i in 0..numbered.count {
+        expected.extend_from_slice(&[2, 0, 0, 0, 3]);
+        expected.extend(numbered.chunk(i));
+    }
+    expected.extend_from_slice(&[3, 0, 0, 0, 4]);
+    expected.extend_from_slice(b"done");
+    let net = TcpTransport::new();
+    net.register(s(2), Arc::new(numbered));
+    let mut client = connect(net.address_of(s(2)).unwrap());
+    client.write_all(&request(STREAM_CALL, b"")).unwrap();
+    let mut buf = vec![0u8; 64 << 10];
+    let n = client.read(&mut buf).unwrap();
+    assert_eq!(buf[..n], expected[..], "one read returned {n} bytes");
     net.shutdown();
 }
 
@@ -336,6 +419,29 @@ fn a_peer_that_stops_reading_is_dropped_after_the_write_timeout() {
     let got = read_until_closed(&mut client);
     assert!(
         got.len() < 4 + REPLY,
+        "the server wrote all {} bytes",
+        got.len()
+    );
+    net.shutdown();
+}
+
+#[test]
+fn a_stream_peer_that_stops_reading_is_dropped_after_the_write_timeout() {
+    let numbered = Numbered {
+        count: 16,
+        len: 1 << 20,
+    };
+    let whole = numbered.count * (5 + numbered.len) + 5 + 4;
+    let net = TcpTransport::with_timeout(Duration::from_millis(100));
+    net.register(s(2), Arc::new(numbered));
+    let mut client = connect(net.address_of(s(2)).unwrap());
+    client.write_all(&request(STREAM_CALL, b"big")).unwrap();
+    // Not reading: the socket buffers fill and the server's write stalls
+    // for ten times its timeout.
+    std::thread::sleep(Duration::from_secs(1));
+    let got = read_until_closed(&mut client);
+    assert!(
+        got.len() < whole,
         "the server wrote all {} bytes",
         got.len()
     );

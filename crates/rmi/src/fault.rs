@@ -24,6 +24,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use obiwan_util::{Clock, DetRng, RequestId, SiteId};
 use obiwan_util::sync::Mutex;
+use obiwan_wire::Message;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
@@ -240,6 +241,8 @@ impl CircuitBreaker {
 struct CachedReply {
     frame: Bytes,
     stamp: u64,
+    /// A put's reply: LRU eviction passes it over.
+    pinned: bool,
 }
 
 #[derive(Debug)]
@@ -288,6 +291,18 @@ pub enum Admit {
 /// LRU on [`begin`](ReplyCache::begin)/[`complete`](ReplyCache::complete)
 /// order; clients additionally prune their own
 /// settled prefix via [`ReplyCache::ack_horizon`].
+///
+/// A put's reply is *pinned*: LRU eviction passes it over, because the
+/// origin may be away with the put's intent logged and replay it under the
+/// same id however many other replies pass through meanwhile. Only the
+/// origin's [`ack_horizon`](ReplyCache::ack_horizon) or
+/// [`retire_peer`](ReplyCache::retire_peer) drops one. An origin's pinned
+/// entries are therefore its puts above its last announced horizon: those
+/// with pending intents (not yet settled), plus settled ones not yet
+/// announced, of which there are fewer than [`ANNOUNCE_EVERY`] while no
+/// pending put holds the horizon back (a restart does not:
+/// [`HorizonTracker::restore`]). Pinned entries can take the cache past
+/// `capacity` by that much; unpinned ones never do.
 #[derive(Debug)]
 pub struct ReplyCache {
     capacity: usize,
@@ -388,7 +403,8 @@ impl ReplyCache {
 
     /// Publishes the outcome of an execution admitted by
     /// [`ReplyCache::begin`]: caches `frame` (when `Some`) under `id` and
-    /// wakes every duplicate parked on [`Admit::Wait`].
+    /// wakes every duplicate parked on [`Admit::Wait`]. A put's reply
+    /// ([`Message::is_put_reply`]) is cached pinned.
     pub fn complete(&self, id: RequestId, frame: Option<Bytes>) {
         let key = (id.origin(), id.seq());
         let waiters = {
@@ -401,13 +417,20 @@ impl ReplyCache {
             if let Some(frame) = &frame {
                 inner.stamp += 1;
                 let stamp = inner.stamp;
-                inner
-                    .entries
-                    .insert(key, CachedReply { frame: frame.clone(), stamp });
+                let pinned = Message::is_put_reply(frame);
+                inner.entries.insert(
+                    key,
+                    CachedReply {
+                        frame: frame.clone(),
+                        stamp,
+                        pinned,
+                    },
+                );
                 if inner.entries.len() > self.capacity {
                     if let Some(oldest) = inner
                         .entries
                         .iter()
+                        .filter(|(_, e)| !e.pinned)
                         .min_by_key(|(_, e)| e.stamp)
                         .map(|(k, _)| *k)
                     {
@@ -430,6 +453,12 @@ impl ReplyCache {
         inner
             .entries
             .retain(|&(o, seq), _| o != origin || seq > up_to);
+    }
+
+    /// Drops every entry from `origin`, pinned or not: the server calls it
+    /// when `origin` announces that it left the world.
+    pub fn retire_peer(&self, origin: SiteId) {
+        self.inner.lock().entries.retain(|&(o, _), _| o != origin);
     }
 
     /// Number of cached replies.
@@ -455,16 +484,27 @@ pub const ANNOUNCE_EVERY: u64 = 32;
 struct HorizonInner {
     /// Settled sequence numbers above the contiguous horizon.
     settled: BTreeSet<u64>,
-    /// Every seq `<= horizon` is settled (never retransmitted again).
+    /// Every seq `<= horizon` is settled (never retransmitted again),
+    /// except the `held` ones.
     horizon: u64,
+    /// Seqs at or below `horizon` that may still be sent: the put intents
+    /// a restarted client recovered pending, until each settles.
+    held: BTreeSet<u64>,
     /// Settlements since the last announcement.
     since_announce: u64,
 }
 
 impl HorizonInner {
+    /// The settled prefix: the horizon, or just below the first held seq.
+    fn prefix(&self) -> u64 {
+        let below_held = |&held: &u64| self.horizon.min(held.saturating_sub(1));
+        self.held.first().map_or(self.horizon, below_held)
+    }
+
     /// The horizon to announce, when an announcement is due.
     fn due(&self) -> Option<u64> {
-        (self.since_announce >= ANNOUNCE_EVERY && self.horizon > 0).then_some(self.horizon)
+        let prefix = self.prefix();
+        (self.since_announce >= ANNOUNCE_EVERY && prefix > 0).then_some(prefix)
     }
 }
 
@@ -496,6 +536,7 @@ impl HorizonTracker {
     pub fn settle(&self, seq: u64, gate: impl FnOnce() -> bool) -> Option<u64> {
         let due = {
             let mut inner = self.inner.lock();
+            inner.held.remove(&seq);
             if seq > inner.horizon {
                 inner.settled.insert(seq);
             }
@@ -530,17 +571,21 @@ impl HorizonTracker {
 
     /// The current contiguous settled prefix.
     pub fn horizon(&self) -> u64 {
-        self.inner.lock().horizon
+        self.inner.lock().prefix()
     }
 
-    /// Restores the horizon after crash recovery. Only moves forward, and
-    /// drops any stray settlements at or below the restored prefix.
-    pub fn restore(&self, horizon: u64) {
+    /// Restores the horizon after crash recovery: every seq up to
+    /// `horizon` is settled except the `held` ones, which the restarted
+    /// client may still send and which keep the announced prefix below
+    /// them until each settles. The horizon only moves forward, and stray
+    /// settlements at or below it are dropped.
+    pub fn restore(&self, horizon: u64, held: impl IntoIterator<Item = u64>) {
         let mut inner = self.inner.lock();
         if horizon > inner.horizon {
             inner.horizon = horizon;
             inner.settled = inner.settled.split_off(&(horizon + 1));
         }
+        inner.held.extend(held);
     }
 }
 
@@ -746,6 +791,37 @@ mod tests {
     }
 
     #[test]
+    fn a_put_reply_survives_capacity_plus_one_later_replies() {
+        let capacity = 8;
+        let cache = ReplyCache::new(capacity);
+        let put = RequestId::new(s(1), 1);
+        let reply = Message::PutReply {
+            request: put,
+            result: Ok(vec![]),
+        }
+        .encode();
+        assert!(matches!(cache.begin(put, 0), Admit::Execute));
+        cache.complete(put, Some(reply.clone()));
+        for seq in 1..=capacity as u64 + 1 {
+            answer(&cache, RequestId::new(s(2), seq), b"r");
+        }
+        // The put is the oldest entry, yet the unpinned ones went first.
+        assert_eq!(cache.len(), capacity);
+        assert_eq!(cached(&cache, put), Some(reply.clone()));
+        assert!(cached(&cache, RequestId::new(s(2), 1)).is_none());
+        // Only its origin's horizon, or its origin's leave, drops it.
+        cache.ack_horizon(s(2), u64::MAX);
+        assert_eq!(cached(&cache, put), Some(reply.clone()));
+        cache.ack_horizon(s(1), 1);
+        assert!(cached(&cache, put).is_none());
+        let again = RequestId::new(s(1), 2);
+        assert!(matches!(cache.begin(again, 0), Admit::Execute));
+        cache.complete(again, Some(reply));
+        cache.retire_peer(s(1));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
     fn begin_admits_one_executor_and_caches_its_reply() {
         let cache = ReplyCache::new(8);
         let id = RequestId::new(s(1), 1);
@@ -893,13 +969,32 @@ mod tests {
         t.settle(1, || true);
         t.settle(5, || true); // stranded above the prefix
         assert_eq!(t.horizon(), 1);
-        t.restore(4);
+        t.restore(4, []);
         assert_eq!(t.horizon(), 4);
         // Seq 5 was stranded; settling nothing new, the prefix absorbs it.
         t.settle(5, || true);
         assert_eq!(t.horizon(), 5);
         // Restore never moves backwards.
-        t.restore(2);
+        t.restore(2, []);
         assert_eq!(t.horizon(), 5);
+    }
+
+    #[test]
+    fn a_held_seq_keeps_the_announced_prefix_below_it_until_it_settles() {
+        const A: u64 = ANNOUNCE_EVERY;
+        let t = HorizonTracker::new();
+        // A restart: seqs up to 1000 are spent, but 7 and 9 are put intents
+        // that will be replayed.
+        t.restore(1000, [7, 9]);
+        assert_eq!(t.horizon(), 6);
+        let mut announced = None;
+        for seq in 1001..1001 + A {
+            announced = announced.or(t.settle(seq, || true));
+        }
+        assert_eq!(announced, Some(6), "the prefix passed a held seq");
+        t.settle(7, || true);
+        assert_eq!(t.horizon(), 8);
+        t.settle(9, || true);
+        assert_eq!(t.horizon(), 1000 + A);
     }
 }

@@ -234,6 +234,12 @@ impl RmiServer {
                 result: self.service.handoff(from, root, entries),
             },
             Message::Leave { site } => {
+                // Only a site's own leave drops its cached replies, pinned
+                // puts included: a relayed notice must not strip another
+                // site's exactly-once guarantee.
+                if site == from {
+                    self.replies.retire_peer(site);
+                }
                 self.service.leave_notice(from, site);
                 return None;
             }
@@ -273,6 +279,9 @@ impl RmiServer {
     ///
     /// The [`RmiService::get_many`] call releases every shard guard before
     /// returning its batch, so no lock is ever held across a `sink` send.
+    /// Every chunk exists before the first is sunk, so a transport that
+    /// holds the sunk frames until this returns (TCP sends them and the
+    /// terminal in one write) delays none of them.
     /// Only the *terminal* frame enters the [`ReplyCache`] — caching whole
     /// batches per request id would multiply the cache's footprint by the
     /// batch size. A retransmitted or resumed request id therefore
@@ -563,6 +572,26 @@ mod tests {
         // A fresh id executes again.
         s.handle(SiteId::new(1), invoke_frame(2)).unwrap();
         assert_eq!(svc.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_a_sites_own_leave_drops_its_pinned_put_reply() {
+        let s = server();
+        let put = Message::PutRequest {
+            request: rid(),
+            entries: Vec::new(),
+        }
+        .encode();
+        s.handle(SiteId::new(1), put).unwrap();
+        assert_eq!(s.replies().len(), 1);
+        let leave = Message::Leave {
+            site: SiteId::new(1),
+        }
+        .encode();
+        assert!(s.handle(SiteId::new(2), leave.clone()).is_none());
+        assert_eq!(s.replies().len(), 1, "a relayed leave dropped the reply");
+        assert!(s.handle(SiteId::new(1), leave).is_none());
+        assert!(s.replies().is_empty());
     }
 
     #[test]

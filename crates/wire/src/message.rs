@@ -260,6 +260,8 @@ pub enum Message {
 pub(crate) const MSG_GET_REP: u8 = 4;
 pub(crate) const MSG_GET_MANY_REP: u8 = 16;
 pub(crate) const MSG_GET_MANY_CHUNK: u8 = 19;
+/// The tag [`Message::is_put_reply`] reads.
+const MSG_PUT_REP: u8 = 6;
 
 crate::wire_layout! {
     enum WireMode {
@@ -283,7 +285,7 @@ crate::wire_layout! {
         GetRequest = 3 { request, target, mode },
         GetReply = MSG_GET_REP { request, result },
         PutRequest = 5 { request, entries },
-        PutReply = 6 { request, result },
+        PutReply = MSG_PUT_REP { request, result },
         NameRequest = 7 { request, op },
         NameReply = 8 { request, result },
         Subscribe = 9 { request, object, push },
@@ -407,6 +409,12 @@ impl Message {
             | Message::AckHorizon { .. }
             | Message::Leave { .. } => None,
         }
+    }
+
+    /// True when `frame` is an encoded [`Message::PutReply`], read off its
+    /// tag without decoding the rest.
+    pub fn is_put_reply(frame: &[u8]) -> bool {
+        frame.first() == Some(&MSG_PUT_REP)
     }
 
     /// True for messages that expect a reply.
@@ -741,6 +749,30 @@ mod tests {
         let leave = Message::Leave { site: SiteId::new(3) };
         assert!(!leave.is_request());
         assert_eq!(leave.request_id(), None);
+    }
+
+    #[test]
+    fn only_an_encoded_put_reply_reads_as_one() {
+        for result in [Ok(vec![(oid(1), 2)]), Err(ObiError::NoSuchObject(oid(1)))] {
+            assert!(Message::is_put_reply(
+                &Message::PutReply {
+                    request: rid(1),
+                    result
+                }
+                .encode()
+            ));
+        }
+        let put = Message::PutRequest {
+            request: rid(1),
+            entries: vec![sample_state(1)],
+        };
+        let invoke = Message::InvokeReply {
+            request: rid(1),
+            result: Ok(ObiValue::Null),
+        };
+        for other in [put.encode(), invoke.encode(), Bytes::new()] {
+            assert!(!Message::is_put_reply(&other));
+        }
     }
 
     /// Error tag 13 belonged to a variant nothing ever constructed; it was

@@ -23,6 +23,7 @@ use obiwan::core::demo::Counter;
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy};
 use obiwan::mobility::session::{DisconnectedSession, ReintegrationReport};
 use obiwan::net::LinkModel;
+use obiwan::rmi::fault::ANNOUNCE_EVERY;
 use obiwan::store::{
     Durable, DurableOptions, Killed, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP,
     SNAP_FILE, WAL_FILE,
@@ -545,6 +546,74 @@ fn rpc_heavy_life_is_checkpointed_every_n_confirmed_rpcs() {
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+/// Below a restarted client's counter every seq is spent except its pending
+/// put intents, so once the new life's puts settle, its horizon must pass
+/// the epoch skip: a horizon stuck below the skip stops the master from
+/// ever pruning the client's put replies again, and put replies are the
+/// ones its reply cache never evicts. A pending intent still holds the
+/// announced horizon below its own seq until its replay settles.
+#[test]
+fn a_restarted_client_horizon_passes_the_seq_skip_but_not_a_pending_put() {
+    let mut rig = build();
+    let (client, server) = (rig.client, rig.server);
+    let other = rig.world.site(server).create(Counter::new(0));
+    rig.world.site(server).export(other, "d").unwrap();
+
+    // Life A: a put the master applies but whose reply never returns.
+    rig.world
+        .site(client)
+        .invoke(rig.replica, "incr", ObiValue::Null)
+        .unwrap();
+    rig.world.transport().partition_oneway(server, client);
+    assert!(rig
+        .world
+        .site(client)
+        .put(rig.replica)
+        .unwrap_err()
+        .is_connectivity());
+    rig.world.transport().heal_oneway(server, client);
+    assert_eq!(
+        rig.world.site(server).meta_of(rig.master).unwrap().version,
+        2
+    );
+
+    let wal_len = rig.durable().wal_len().unwrap();
+    let recovered = restart(&mut rig.world, client, &rig.storage, wal_len);
+    assert_eq!(recovered.pending_puts.len(), 1);
+    let epoch = recovered.next_request_seq;
+
+    // Life B: enough puts of another object for horizon announcements,
+    // none of which may cover the pending put; then its replay, answered
+    // from the reply cache.
+    let process = rig.world.site(client);
+    let remote = process.lookup("d").unwrap();
+    let replica = process
+        .get(&remote, ReplicationMode::incremental(1))
+        .unwrap();
+    for _ in 0..2 * ANNOUNCE_EVERY {
+        process.invoke(replica, "incr", ObiValue::Null).unwrap();
+        process.put(replica).unwrap();
+    }
+    assert_eq!(process.put(rig.replica).unwrap(), 2);
+    assert_eq!(
+        rig.world.site(server).meta_of(rig.master).unwrap().version,
+        2,
+        "the replay ran again: an announcement covered its pending seq"
+    );
+    process.invoke(replica, "incr", ObiValue::Null).unwrap();
+    process.put(replica).unwrap();
+
+    let wal_len = rig.durable().wal_len().unwrap();
+    let again = restart(&mut rig.world, client, &rig.storage, wal_len);
+    assert!(
+        again.horizon >= epoch,
+        "the horizon stayed at {} below the epoch {epoch}",
+        again.horizon
+    );
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 // -- journal/state agreement --------------------------------------------------
 
 /// Three counters for a session whose journal must account for its state.
@@ -634,7 +703,8 @@ fn film_the_trio_session() -> Vec<(Vec<u8>, Vec<u8>)> {
 /// crash *between* a compaction's snapshot replacement and its WAL reset
 /// replays the stale WAL over the snapshot that already folds it. States
 /// survive that (later records supersede earlier ones); journaled ops are
-/// appended a second time. See ROADMAP "Smaller follow-ups".
+/// appended a second time. See ROADMAP direction 1b, "The compaction
+/// window".
 fn crash_states(frames: &[(Vec<u8>, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut states = vec![(Vec::new(), Vec::new())];
     let mut compactions = 0;

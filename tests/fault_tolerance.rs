@@ -10,14 +10,20 @@
 //!   and recover after the link heals and the cooldown admits a probe.
 //! * `get_many` demand under loss installs each batch exactly once, with
 //!   replica versions monotone across refreshes.
+//! * A put whose reply was lost keeps its cached reply at the master while
+//!   its origin is away, however many other sites' replies pass through
+//!   the cache meanwhile, so the replay is answered without re-executing.
 
 use obiwan::core::demo::{Counter, LinkedItem};
 use obiwan::core::{
     BreakerState, Freshness, ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy,
 };
 use obiwan::net::LinkModel;
-use obiwan::rmi::fault::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
+use obiwan::rmi::fault::{ANNOUNCE_EVERY, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
+use obiwan::rmi::ReplyCache;
+use obiwan::store::{Durable, DurableOptions, MemStorage};
 use obiwan::util::SiteId;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn set_link(world: &ObiWorld, a: SiteId, b: SiteId, model: LinkModel) {
@@ -299,6 +305,72 @@ fn get_many_under_loss_installs_each_batch_exactly_once() {
             versions[i]
         );
     }
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+#[test]
+fn a_put_reply_outlives_reply_cache_pressure_while_its_origin_is_away() {
+    const OTHERS: usize = 40;
+    // Fewer than `ANNOUNCE_EVERY` calls each: no other site announces a
+    // horizon, so none of their replies is pruned before LRU pressure.
+    const CALLS: usize = 29;
+    const { assert!(OTHERS * CALLS > ReplyCache::DEFAULT_CAPACITY) };
+    const { assert!((CALLS as u64) < ANNOUNCE_EVERY) };
+    let mut world = ObiWorld::loopback();
+    let m = world.add_site("mobile");
+    let p = world.add_site("provider");
+    let others: Vec<SiteId> = (0..OTHERS)
+        .map(|i| world.add_site(&format!("other{i}")))
+        .collect();
+    let (durable, recovered) =
+        Durable::open(Arc::new(MemStorage::new()), DurableOptions::default()).unwrap();
+    assert!(recovered.is_empty());
+    world.site(m).attach_durability(durable);
+    let (_, ctrs) = export_graph(&world, p, 1, 1);
+    let counter = ctrs[0];
+    let remote = world.site(m).lookup("ctr0").unwrap();
+    let local = world
+        .site(m)
+        .get(&remote, ReplicationMode::incremental(1))
+        .unwrap();
+    world.site(m).invoke(local, "incr", ObiValue::Null).unwrap();
+
+    // The put reaches the master and is applied; its reply never returns.
+    world.transport().partition_oneway(p, m);
+    let err = world.site(m).put(local).unwrap_err();
+    assert!(err.is_connectivity(), "{err:?}");
+    assert_eq!(world.site(p).meta_of(counter).unwrap().version, 2);
+
+    // While the mobile site is away, other sites fill the reply cache.
+    for &o in &others {
+        let remote = world.site(o).lookup("ctr0").unwrap();
+        for _ in 0..CALLS {
+            world
+                .site(o)
+                .invoke_rmi(&remote, "read", ObiValue::Null)
+                .unwrap();
+        }
+    }
+
+    // Back in reach, the put replays under its logged id: the master
+    // answers from its reply cache and does not apply it a second time.
+    world.transport().heal_oneway(p, m);
+    let acked = world.site(m).put(local).unwrap();
+    assert_eq!(
+        world.site(p).meta_of(counter).unwrap().version,
+        2,
+        "the master applied the put twice"
+    );
+    assert_eq!(acked, 2);
+    assert_eq!(
+        world
+            .site(p)
+            .invoke(counter, "read", ObiValue::Null)
+            .unwrap(),
+        ObiValue::I64(1)
+    );
+    assert!(!world.site(m).meta_of(local).unwrap().dirty);
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }

@@ -404,6 +404,9 @@ impl ObiProcess {
             .restore_request_seq(recovered.next_request_seq);
         // Below the restored counter every seq is spent, except those of
         // the put intents the log holds pending: only those are sent again.
+        // Each holds the announced prefix below it until it is replayed;
+        // one never replayed holds it for good, and the masters' pinned
+        // reply bound (`ReplyCache`) is then what limits this site's share.
         let replays = recovered.pending_puts.values().map(|put| put.seq);
         self.shared.client.horizon_tracker().restore(
             recovered

@@ -175,13 +175,11 @@ fn frame_len(payload: &[u8]) -> io::Result<u32> {
 
 /// The reply frames of one streamed call, held until its handler returns
 /// and then sent in one vectored write. The serving loop keeps one per
-/// connection, so its two vectors are reused by every streamed call on it.
+/// connection, so its frame list is reused by every streamed call on it.
 #[derive(Default)]
 struct StreamReply {
     /// Each frame's `frame_kind len` header and its payload.
     frames: Vec<([u8; 5], Bytes)>,
-    /// Capacity only: the slices of one write, kept empty between writes.
-    slices: Vec<IoSlice<'static>>,
 }
 
 impl StreamReply {
@@ -195,12 +193,12 @@ impl StreamReply {
     /// Sends the queued frames on `conn`, one slice per header and one per
     /// payload, and counts each as sent. The frames are dropped either way.
     fn send(&mut self, inner: &TcpInner, conn: &mut Conn) -> io::Result<()> {
-        let mut slices = recycle(std::mem::take(&mut self.slices));
-        for (header, payload) in &self.frames {
-            slices.extend([IoSlice::new(header), IoSlice::new(payload)]);
-        }
+        let mut slices: Vec<IoSlice<'_>> = self
+            .frames
+            .iter()
+            .flat_map(|(header, payload)| [IoSlice::new(header), IoSlice::new(payload)])
+            .collect();
         let sent = conn.write_frames(&mut slices);
-        self.slices = recycle(slices);
         if sent.is_ok() {
             for (_, payload) in &self.frames {
                 inner.count_sent(payload);
@@ -209,16 +207,6 @@ impl StreamReply {
         self.frames.clear();
         sent
     }
-}
-
-/// Empties `slices` and hands its allocation on under another lifetime
-/// (a vector collected in place from its own iterator keeps its buffer).
-fn recycle<'b>(mut slices: Vec<IoSlice<'_>>) -> Vec<IoSlice<'b>> {
-    slices.clear();
-    slices
-        .into_iter()
-        .map(|_| unreachable!("the vector is empty"))
-        .collect()
 }
 
 struct ListenerHandle {

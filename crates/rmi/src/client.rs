@@ -242,11 +242,15 @@ impl RmiClient {
         self.announce(to, self.horizon.offer(|| self.gate_open()));
     }
 
+    /// Sends the announcement of `up_to`, if there is one, to `to` and to
+    /// every master that still holds one of this client's put replies
+    /// pinned ([`HorizonTracker::also_tell`]).
     fn announce(&self, to: SiteId, up_to: Option<u64>) {
-        if let Some(up_to) = up_to {
-            let _ = self
-                .transport
-                .cast(self.site, to, Message::AckHorizon { up_to }.encode());
+        let Some(up_to) = up_to else { return };
+        let frame = Message::AckHorizon { up_to }.encode();
+        let _ = self.transport.cast(self.site, to, frame.clone());
+        for peer in self.horizon.also_tell(to, up_to) {
+            let _ = self.transport.cast(self.site, peer, frame.clone());
         }
     }
 
@@ -346,11 +350,12 @@ impl RmiClient {
     }
 
     /// Records `id` as settled — never to be sent again — and, when an
-    /// announcement is due and the gate lets it out, tells the peer how far
-    /// it may prune its reply cache. Best-effort: a lost announcement only
-    /// delays pruning (LRU bounds the cache anyway). Every call settles its
-    /// own id when it ends, except [`RmiClient::put_with_request`], whose
-    /// caller does.
+    /// announcement is due and the gate lets it out, tells the peer (and
+    /// every master holding a put reply of this client pinned) how far it
+    /// may prune its reply cache. Best-effort: a lost announcement only
+    /// delays pruning (the cache's bounds hold anyway). Every call settles
+    /// its own id when it ends, except [`RmiClient::put_with_request`],
+    /// whose caller does.
     pub fn settle(&self, to: SiteId, id: RequestId) {
         self.announce(to, self.horizon.settle(id.seq(), || self.gate_open()));
     }
@@ -571,6 +576,7 @@ impl RmiClient {
         request: RequestId,
     ) -> Result<Vec<(ObjId, u64)>> {
         self.metrics.incr_puts();
+        self.horizon.record_put(host, request.seq());
         let msg = Message::PutRequest { request, entries };
         match self.round_trip_inner(host, &msg, None, false)? {
             Message::PutReply { request: id, result } => {
@@ -1053,6 +1059,32 @@ mod retry_tests {
             server.replies().len(),
             rounds
         );
+    }
+
+    /// Puts to one master and many calls to another: every announcement is
+    /// made due by a call to the other, yet the first hears it too, so its
+    /// pinned put replies go.
+    #[test]
+    fn a_master_put_to_hears_horizons_made_due_by_calls_to_another() {
+        let clock = Clock::new(ClockMode::VirtualOnly);
+        let net = Arc::new(SimTransport::new(clock.clone(), conditions::paper_lan()));
+        let (master, other) = (SiteId::new(2), SiteId::new(3));
+        let servers = [master, other].map(|site| {
+            let server = Arc::new(RmiServer::new(Arc::new(EchoService)));
+            net.register(site, server.clone());
+            server
+        });
+        let client = RmiClient::new(SiteId::new(1), net, clock, CostModel::free());
+        for _ in 0..20 {
+            let put = client.reserve_request();
+            client.put_with_request(master, Vec::new(), put).unwrap();
+            client.settle(master, put);
+            for _ in 0..=ANNOUNCE_EVERY {
+                client.ping(other).unwrap();
+            }
+        }
+        assert_eq!(servers[0].replies().len(), 0);
+        assert!((servers[1].replies().len() as u64) <= ANNOUNCE_EVERY);
     }
 
     /// A provider answering `get_many` with `objects` replicas and a

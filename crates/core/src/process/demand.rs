@@ -402,7 +402,7 @@ impl ObiProcess {
 
         // Prefetch is bulk work, not a caller-visible latency window, so a
         // group's batch that arrives in pieces installs each one inline,
-        // pipelined with the provider still slicing the rest.
+        // as it is delivered.
         let grouped = grouped.into_iter().map(|(provider, (targets, own_step))| {
             let mode = WireMode::Incremental { batch: own_step.max(spread) };
             (provider, targets, mode, Take::GroupInline)

@@ -418,9 +418,10 @@ impl<'a> Builder<'a> {
             })
     }
 
-    /// With `LINT_DEBUG_EDGES=1`, prints each edge as it is created along
-    /// with the fn whose walk created it — the triage tool for
-    /// over-approximation hunting.
+    /// With `LINT_DEBUG_EDGES=1`, prints each edge as it is created: its
+    /// `class -> class` pair as `LOCK_GRAPH.json` lists it, its two sites,
+    /// and the fn whose walk created it — the triage tool for
+    /// over-approximation hunting (`scripts/lock_graph_triage.sh`).
     fn debug_edge(&self, h: usize, s: usize, rel: &str, fname: &str, why: &str) {
         if std::env::var_os("LINT_DEBUG_EDGES").is_none() {
             return;
@@ -428,8 +429,8 @@ impl<'a> Builder<'a> {
         let a = &self.sites[h];
         let b = &self.sites[s];
         eprintln!(
-            "edge {}:{} -> {}:{} (in {rel} fn {fname}, via {why})",
-            a.file, a.line, b.file, b.line
+            "edge [{} -> {}] {}:{} -> {}:{} (in {rel} fn {fname}, via {why})",
+            a.class, b.class, a.file, a.line, b.file, b.line
         );
     }
 

@@ -1,6 +1,7 @@
 //! Link models, the network topology, and the one link leg every
 //! in-process transport sends its frames across.
 
+use crate::transport::Served;
 use bytes::Bytes;
 use obiwan_util::sync::{Mutex, RwLock};
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
@@ -421,45 +422,46 @@ impl LinkLayer {
     }
 }
 
-/// Hands streamed reply chunks to the caller in arrival order. At most one
-/// is held back at a time, delivering after its successor (pairwise
-/// reordering); one whose leg failed is gone, a hole for the terminal frame.
-#[derive(Default)]
-pub(crate) struct ChunkDelivery {
-    held: Option<Bytes>,
-}
-
-impl ChunkDelivery {
-    /// Delivers `chunk` according to the `fate` its [`Leg::Chunk`] drew.
-    pub(crate) fn deliver(
-        &mut self,
-        chunk: Bytes,
-        fate: Result<Arrival>,
-        on_frame: &mut dyn FnMut(Bytes),
-    ) {
-        let Ok(Arrival { dup, hold }) = fate else {
-            return;
+/// Delivers what the handler at `to` [`Served`] to its caller across the
+/// modeled reply link, `cross(bytes, leg)` sending each frame. Every chunk
+/// draws its own [`Leg::Chunk`] lottery and reaches `on_frame` in arrival
+/// order: a duplicate back to back, a lost one not at all (a hole for the
+/// terminal frame), and at most one at a time held back, arriving after its
+/// successor (pairwise reordering). The terminal then crosses as
+/// [`Leg::Reply`] and is returned; a handler that produced none is an
+/// [`ObiError::Internal`].
+pub(crate) fn deliver_reply(
+    Served { chunks, reply }: Served,
+    to: SiteId,
+    on_frame: &mut dyn FnMut(Bytes),
+    mut cross: impl FnMut(usize, Leg) -> Result<Arrival>,
+) -> Result<Bytes> {
+    let mut held = None;
+    for chunk in chunks {
+        let Ok(Arrival { dup, hold }) = cross(chunk.len(), Leg::Chunk) else {
+            continue;
         };
+        let prev = held.take();
         if hold {
-            if let Some(prev) = self.held.replace(chunk) {
-                on_frame(prev);
-            }
+            held = Some(chunk);
         } else {
-            on_frame(chunk.clone());
             if dup {
-                on_frame(chunk);
+                on_frame(chunk.clone());
             }
-            self.close(on_frame);
+            on_frame(chunk);
         }
-    }
-
-    /// Releases a chunk still held when its successor (or the end of the
-    /// stream) arrives: nothing later remains to overtake it.
-    pub(crate) fn close(&mut self, on_frame: &mut dyn FnMut(Bytes)) {
-        if let Some(prev) = self.held.take() {
+        if let Some(prev) = prev {
             on_frame(prev);
         }
     }
+    if let Some(last) = held {
+        on_frame(last);
+    }
+    let reply = reply.ok_or_else(|| {
+        ObiError::Internal(format!("site {to} produced no reply to a request"))
+    })?;
+    cross(reply.len(), Leg::Reply)?;
+    Ok(reply)
 }
 
 #[cfg(test)]

@@ -4,10 +4,13 @@
 //! by a crossbeam channel, so multiple sites run under real concurrency —
 //! the closest in-process equivalent of the paper's LAN of separate
 //! machines. Link latency is modeled but never slept: frames move as fast
-//! as the threads do.
+//! as the threads do. A call's receiver thread runs the handler to
+//! completion and sends back what it served, a stream's chunks and terminal
+//! together; the caller passes each across the modeled reply link, one
+//! fault lottery per chunk.
 
-use crate::link::{ChunkDelivery, Leg, LinkLayer, Pace, Topology};
-use crate::transport::{MessageHandler, Transport};
+use crate::link::{deliver_reply, Leg, LinkLayer, Pace, Topology};
+use crate::transport::{serve, MessageHandler, Served, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
 use obiwan_util::{Metrics, ObiError, Result, SiteId};
@@ -21,26 +24,13 @@ enum Envelope {
     Request {
         from: SiteId,
         frame: Bytes,
-        reply: Sender<Option<Bytes>>,
-    },
-    /// A streaming request: the worker pushes every intermediate chunk and
-    /// then the terminal reply through one channel, so the caller drains
-    /// frames in order while the handler keeps producing — true
-    /// cross-thread pipelining.
-    Stream {
-        from: SiteId,
-        frame: Bytes,
-        tx: Sender<StreamFrame>,
+        stream: bool,
+        reply: Sender<Served>,
     },
     OneWay {
         from: SiteId,
         frame: Bytes,
     },
-}
-
-enum StreamFrame {
-    Chunk(Bytes),
-    Done(Option<Bytes>),
 }
 
 struct SiteHandle {
@@ -89,7 +79,8 @@ struct MemInner {
     sites: RwLock<HashMap<SiteId, SiteHandle>>,
 }
 
-/// How long a caller waits for a reply, or for the next frame of a stream.
+/// How long a caller waits for the handler to serve its call, the chunks
+/// of a stream and the terminal together.
 const CALL_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for MemTransport {
@@ -152,6 +143,35 @@ impl MemTransport {
         }
     }
 
+    /// One call, streamed or not: the request leg, one envelope to `to`'s
+    /// receiver thread, which runs the handler to completion, then what it
+    /// served delivered across the reply link.
+    fn exchange(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        frame: Bytes,
+        stream: bool,
+        on_frame: &mut dyn FnMut(Bytes),
+    ) -> Result<Bytes> {
+        let tx = self.sender_for(to)?;
+        self.inner.links.traverse(from, to, frame.len(), Leg::Request)?;
+        let (reply_tx, reply_rx) = bounded(1);
+        tx.send(Envelope::Request {
+            from,
+            frame,
+            stream,
+            reply: reply_tx,
+        })
+        .map_err(|_| ObiError::SiteUnreachable(to))?;
+        let served = reply_rx
+            .recv_timeout(CALL_TIMEOUT)
+            .map_err(|_| ObiError::SiteUnreachable(to))?;
+        deliver_reply(served, to, on_frame, |bytes, leg| {
+            self.inner.links.traverse(to, from, bytes, leg)
+        })
+    }
+
     fn sender_for(&self, site: SiteId) -> Result<Sender<Envelope>> {
         self.inner
             .sites
@@ -172,19 +192,17 @@ impl Transport for MemTransport {
             .spawn(move || {
                 while let Ok(envelope) = rx.recv() {
                     match envelope {
-                        Envelope::Request { from, frame, reply } => {
-                            let out = handler.handle(from, frame);
+                        Envelope::Request {
+                            from,
+                            frame,
+                            stream,
+                            reply,
+                        } => {
                             // Caller may have timed out; ignore send failure.
-                            let _ = reply.send(out);
-                        }
-                        Envelope::Stream { from, frame, tx } => {
-                            let out = handler.handle_stream(from, frame, &mut |chunk| {
-                                let _ = tx.send(StreamFrame::Chunk(chunk));
-                            });
-                            let _ = tx.send(StreamFrame::Done(out));
+                            let _ = reply.send(serve(&*handler, from, frame, stream));
                         }
                         Envelope::OneWay { from, frame } => {
-                            handler.handle(from, frame);
+                            serve(&*handler, from, frame, false);
                         }
                     }
                 }
@@ -207,23 +225,7 @@ impl Transport for MemTransport {
     }
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
-        let tx = self.sender_for(to)?;
-        self.inner.links.traverse(from, to, frame.len(), Leg::Request)?;
-        let (reply_tx, reply_rx) = bounded(1);
-        tx.send(Envelope::Request {
-            from,
-            frame,
-            reply: reply_tx,
-        })
-        .map_err(|_| ObiError::SiteUnreachable(to))?;
-        let reply = reply_rx
-            .recv_timeout(CALL_TIMEOUT)
-            .map_err(|_| ObiError::SiteUnreachable(to))?
-            .ok_or_else(|| {
-                ObiError::Internal(format!("site {to} produced no reply to a request"))
-            })?;
-        self.inner.links.traverse(to, from, reply.len(), Leg::Reply)?;
-        Ok(reply)
+        self.exchange(from, to, frame, false, &mut |_| {})
     }
 
     fn call_stream(
@@ -233,35 +235,7 @@ impl Transport for MemTransport {
         frame: Bytes,
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
-        let tx = self.sender_for(to)?;
-        self.inner.links.traverse(from, to, frame.len(), Leg::Request)?;
-        let (stream_tx, stream_rx) = unbounded();
-        tx.send(Envelope::Stream {
-            from,
-            frame,
-            tx: stream_tx,
-        })
-        .map_err(|_| ObiError::SiteUnreachable(to))?;
-        // Drain frames as the remote worker produces them: the caller
-        // processes chunk k here while the handler builds k+1 over there.
-        let mut delivery = ChunkDelivery::default();
-        loop {
-            match stream_rx.recv_timeout(CALL_TIMEOUT) {
-                Ok(StreamFrame::Chunk(chunk)) => {
-                    let fate = self.inner.links.traverse(to, from, chunk.len(), Leg::Chunk);
-                    delivery.deliver(chunk, fate, on_frame);
-                }
-                Ok(StreamFrame::Done(out)) => {
-                    delivery.close(on_frame);
-                    let reply = out.ok_or_else(|| {
-                        ObiError::Internal(format!("site {to} produced no reply to a request"))
-                    })?;
-                    self.inner.links.traverse(to, from, reply.len(), Leg::Reply)?;
-                    return Ok(reply);
-                }
-                Err(_) => return Err(ObiError::SiteUnreachable(to)),
-            }
-        }
+        self.exchange(from, to, frame, true, on_frame)
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
@@ -349,60 +323,6 @@ mod tests {
         net.register(s(3), Arc::new(Echo));
         let _ = net.call(s(1), s(2), Bytes::new());
         assert_eq!(hits.load(Ordering::SeqCst), 11);
-        net.shutdown();
-    }
-
-    #[test]
-    fn call_stream_pipelines_chunks_across_threads() {
-        use std::sync::Barrier;
-        // The handler refuses to emit chunk 2 until the caller has consumed
-        // chunk 1: only genuine pipelining (handler and caller running
-        // concurrently, frames crossing mid-stream) can finish.
-        let rendezvous = Arc::new(Barrier::new(2));
-        let r2 = rendezvous.clone();
-        struct Lockstep(Arc<Barrier>);
-        impl MessageHandler for Lockstep {
-            fn handle(&self, _from: SiteId, frame: Bytes) -> Option<Bytes> {
-                Some(frame)
-            }
-            fn handle_stream(
-                &self,
-                _from: SiteId,
-                frame: Bytes,
-                sink: &mut dyn FnMut(Bytes),
-            ) -> Option<Bytes> {
-                sink(Bytes::from_static(b"1"));
-                self.0.wait(); // blocks until the caller has chunk 1
-                sink(Bytes::from_static(b"2"));
-                Some(frame)
-            }
-        }
-        let net = MemTransport::new();
-        net.register(s(2), Arc::new(Lockstep(r2)));
-        let mut seen = Vec::new();
-        let reply = net
-            .call_stream(s(1), s(2), Bytes::from_static(b"done"), &mut |c| {
-                seen.push(c[0]);
-                if seen.len() == 1 {
-                    rendezvous.wait();
-                }
-            })
-            .unwrap();
-        assert_eq!(&reply[..], b"done");
-        assert_eq!(seen, vec![b'1', b'2']);
-        net.shutdown();
-    }
-
-    #[test]
-    fn call_stream_on_a_plain_handler_degrades_to_one_shot() {
-        let net = MemTransport::new();
-        net.register(s(2), Arc::new(Echo));
-        let mut chunks = 0usize;
-        let reply = net
-            .call_stream(s(1), s(2), Bytes::from_static(b"x"), &mut |_| chunks += 1)
-            .unwrap();
-        assert_eq!(&reply[..], b"x");
-        assert_eq!(chunks, 0);
         net.shutdown();
     }
 

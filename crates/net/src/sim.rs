@@ -6,8 +6,8 @@
 //! fixed seed, runs are fully deterministic — which is what the figure
 //! harness and the property tests rely on.
 
-use crate::link::{Arrival, ChunkDelivery, Leg, LinkLayer, Pace, Topology};
-use crate::transport::{MessageHandler, Transport};
+use crate::link::{deliver_reply, Arrival, Leg, LinkLayer, Pace, Topology};
+use crate::transport::{serve, MessageHandler, Transport};
 use bytes::Bytes;
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
 use obiwan_util::sync::{Mutex, RwLock};
@@ -149,9 +149,9 @@ impl SimTransport {
             };
             // A late one-way frame that the link lost or refused is gone.
             if let Ok(arrival) = self.traverse(from, to, frame.len(), Leg::Request) {
-                handler.handle(from, frame.clone());
+                serve(&*handler, from, frame.clone(), false);
                 if arrival.dup {
-                    handler.handle(from, frame);
+                    serve(&*handler, from, frame, false);
                 }
             }
         }
@@ -207,6 +207,36 @@ impl SimTransport {
         link.reorders(&mut self.inner.links.rng.lock())
     }
 
+    /// One call, streamed or not: the request leg, the handler run to
+    /// completion on the caller's stack, then its reply delivered across
+    /// the reply link, each chunk with its own fault lottery.
+    fn exchange(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        frame: Bytes,
+        stream: bool,
+        on_frame: &mut dyn FnMut(Bytes),
+    ) -> Result<Bytes> {
+        let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
+        span.set_value(frame.len() as u64);
+        let handler = self.handler_for(to)?;
+        if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
+            // The duplicate arrives first and its reply, chunks and all,
+            // evaporates (the synchronous caller only reads one). A
+            // reply-cache server answers both executions identically; a
+            // bare handler runs its side effects twice — exactly the hazard
+            // being modeled.
+            let _ = serve(&*handler, from, frame.clone(), stream);
+        }
+        let served = serve(&*handler, from, frame, stream);
+        let reply = deliver_reply(served, to, on_frame, |bytes, leg| {
+            self.traverse(to, from, bytes, leg)
+        })?;
+        self.flush_reordered();
+        Ok(reply)
+    }
+
     fn handler_for(&self, site: SiteId) -> Result<Arc<dyn MessageHandler>> {
         self.inner
             .handlers
@@ -227,22 +257,7 @@ impl Transport for SimTransport {
     }
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
-        let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
-        span.set_value(frame.len() as u64);
-        let handler = self.handler_for(to)?;
-        if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
-            // The duplicate arrives first and its reply evaporates (the
-            // synchronous caller only reads one). A reply-cache server
-            // answers both executions identically; a bare handler runs its
-            // side effects twice — exactly the hazard being modeled.
-            let _ = handler.handle(from, frame.clone());
-        }
-        let reply = handler.handle(from, frame).ok_or_else(|| {
-            ObiError::Internal(format!("site {to} produced no reply to a request"))
-        })?;
-        self.traverse(to, from, reply.len(), Leg::Reply)?;
-        self.flush_reordered();
-        Ok(reply)
+        self.exchange(from, to, frame, false, &mut |_| {})
     }
 
     fn call_stream(
@@ -252,32 +267,7 @@ impl Transport for SimTransport {
         frame: Bytes,
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
-        let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
-        span.set_value(frame.len() as u64);
-        let handler = self.handler_for(to)?;
-        if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
-            // The duplicated request opens a whole stream whose frames a
-            // synchronous caller never reads: they evaporate into a null
-            // sink, but the handler still runs — the reply-cache dedup
-            // hazard, stream edition.
-            let _ = handler.handle_stream(from, frame.clone(), &mut |_| {});
-        }
-        // Each chunk rides the reply link with its own fault lottery.
-        let mut delivery = ChunkDelivery::default();
-        let reply = handler
-            .handle_stream(from, frame, &mut |chunk| {
-                let fate = self.traverse(to, from, chunk.len(), Leg::Chunk);
-                delivery.deliver(chunk, fate, on_frame);
-            })
-            .ok_or_else(|| {
-                ObiError::Internal(format!("site {to} produced no reply to a request"))
-            })?;
-        // A chunk still held when the stream closes arrives before the
-        // terminal frame.
-        delivery.close(on_frame);
-        self.traverse(to, from, reply.len(), Leg::Reply)?;
-        self.flush_reordered();
-        Ok(reply)
+        self.exchange(from, to, frame, true, on_frame)
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
@@ -293,9 +283,9 @@ impl Transport for SimTransport {
         }
         match self.traverse(from, to, frame.len(), Leg::Request) {
             Ok(arrival) => {
-                handler.handle(from, frame.clone());
+                serve(&*handler, from, frame.clone(), false);
                 if arrival.dup {
-                    handler.handle(from, frame);
+                    serve(&*handler, from, frame, false);
                 }
                 self.flush_reordered();
                 Ok(())
@@ -635,18 +625,6 @@ mod tests {
         assert_eq!(chunks, vec![0, 1, 2, 3]);
         // Request leg + 4 chunk legs + terminal leg, >= 1 ms latency each.
         assert!(net.clock().elapsed() >= Duration::from_millis(6));
-    }
-
-    #[test]
-    fn default_call_stream_on_plain_handlers_yields_no_chunks() {
-        let net = transport();
-        net.register(s(2), Arc::new(Echo));
-        let mut chunks = 0usize;
-        let reply = net
-            .call_stream(s(1), s(2), Bytes::from_static(b"x"), &mut |_| chunks += 1)
-            .unwrap();
-        assert_eq!(&reply[..], b"x");
-        assert_eq!(chunks, 0);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! Every request frame is
 //!
 //! ```text
-//! magic  0xB1  kind(u8: 1=call, 2=cast)  from(u32 BE)  len(u32 BE)  payload
+//! magic  0xB1  kind(u8: 1=call, 2=cast, 3=stream call)  from(u32 BE)  len(u32 BE)  payload
 //! ```
 //!
 //! and a call's reply is `len(u32 BE) payload` on the same connection.
-//! Frames above [`MAX_FRAME`] are rejected on both sides.
+//! Frames above [`MAX_FRAME`] are rejected on both sides, and so is a
+//! request header of any other magic or kind, before its payload is read.
 //!
 //! A *streaming* call (`kind = 3`) answers with a sequence of kind-tagged
 //! reply frames on the same connection — `frame_kind(u8: 2=chunk, 3=done)
@@ -50,15 +51,14 @@
 //! the buffer is part of the `Conn` the pool stores and the server loop
 //! owns, so bytes read past one frame start the next frame of the same
 //! socket, and a poisoned connection is dropped buffer and all. *A streamed
-//! reply is written when its handler returns, chunk 0 first*: the server
-//! holds the frames `sink` hands it until then. The one stream producer,
-//! `RmiServer`'s `get_many`, builds every chunk before it sinks the first,
-//! so holding them delays no byte, and TCP still delivers chunk 0's bytes
-//! first, which is what the caller's fault window waits on. A handler
-//! that produced chunks slowly would need them written as they come.
+//! reply is written when its handler returns, chunk 0 first*: the contract
+//! every transport keeps (see [`MessageHandler::handle_stream`]). The one
+//! stream producer, `RmiServer`'s `get_many`, builds every chunk before it
+//! sinks the first, so holding them delays no byte, and chunk 0's bytes
+//! still arrive first, which is what the caller's fault window waits on.
 
 use crate::link::Topology;
-use crate::transport::{MessageHandler, Transport};
+use crate::transport::{serve, MessageHandler, Served, Transport};
 use bytes::Bytes;
 use obiwan_util::{Metrics, ObiError, Result, SiteId};
 use obiwan_util::sync::{Mutex, RwLock};
@@ -173,42 +173,6 @@ fn frame_len(payload: &[u8]) -> io::Result<u32> {
         .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame length exceeds u32"))
 }
 
-/// The reply frames of one streamed call, held until its handler returns
-/// and then sent in one vectored write. The serving loop keeps one per
-/// connection, so its frame list is reused by every streamed call on it.
-#[derive(Default)]
-struct StreamReply {
-    /// Each frame's `frame_kind len` header and its payload.
-    frames: Vec<([u8; 5], Bytes)>,
-}
-
-impl StreamReply {
-    /// Queues one reply frame.
-    fn push(&mut self, kind: u8, payload: Bytes) -> io::Result<()> {
-        let [a, b, c, d] = frame_len(&payload)?.to_be_bytes();
-        self.frames.push(([kind, a, b, c, d], payload));
-        Ok(())
-    }
-
-    /// Sends the queued frames on `conn`, one slice per header and one per
-    /// payload, and counts each as sent. The frames are dropped either way.
-    fn send(&mut self, inner: &TcpInner, conn: &mut Conn) -> io::Result<()> {
-        let mut slices: Vec<IoSlice<'_>> = self
-            .frames
-            .iter()
-            .flat_map(|(header, payload)| [IoSlice::new(header), IoSlice::new(payload)])
-            .collect();
-        let sent = conn.write_frames(&mut slices);
-        if sent.is_ok() {
-            for (_, payload) in &self.frames {
-                inner.count_sent(payload);
-            }
-        }
-        self.frames.clear();
-        sent
-    }
-}
-
 struct ListenerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -230,6 +194,30 @@ impl TcpInner {
     fn send(&self, conn: &mut Conn, prefix: &[u8], payload: &[u8]) -> io::Result<()> {
         conn.write_frame(prefix, payload)?;
         self.count_sent(payload);
+        Ok(())
+    }
+
+    /// Sends what a streamed call's handler served: a `chunk` frame per
+    /// sunk chunk, then the `done` frame, in one vectored write (a slice
+    /// per header and one per payload, none copied), and counts each frame
+    /// as sent.
+    fn send_stream(&self, conn: &mut Conn, Served { chunks, reply }: Served) -> io::Result<()> {
+        let done = reply.unwrap_or_default();
+        let frames = chunks.iter().map(|c| (FRAME_CHUNK, c)).chain([(FRAME_DONE, &done)]);
+        let mut headers = Vec::with_capacity(chunks.len() + 1);
+        for (kind, payload) in frames.clone() {
+            let [a, b, c, d] = frame_len(payload)?.to_be_bytes();
+            headers.push([kind, a, b, c, d]);
+        }
+        let mut slices: Vec<IoSlice<'_>> = headers
+            .iter()
+            .zip(frames.clone())
+            .flat_map(|(header, (_, payload))| [IoSlice::new(header), IoSlice::new(payload)])
+            .collect();
+        conn.write_frames(&mut slices)?;
+        for (_, payload) in frames {
+            self.count_sent(payload);
+        }
         Ok(())
     }
 
@@ -449,9 +437,10 @@ fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Re
     // would pin this thread forever.
     stream.set_write_timeout(Some(inner.io_timeout))?;
     let mut conn = Conn::new(stream);
-    let mut stream_reply = StreamReply::default();
     loop {
-        let (header, payload) = conn.read_frame(|h: &[u8; 10]| h[0] == MAGIC)?;
+        let (header, payload) = conn.read_frame(|h: &[u8; 10]| {
+            h[0] == MAGIC && matches!(h[1], KIND_CALL | KIND_CAST | KIND_STREAM_CALL)
+        })?;
         let kind = header[1];
         let from = SiteId::new(u32::from_be_bytes(
             header[2..6].try_into().expect("4-byte slice"),
@@ -463,36 +452,19 @@ fn serve_connection(inner: &TcpInner, site: SiteId, stream: TcpStream) -> io::Re
             // maps the I/O error to unreachable.
             return Ok(());
         }
-        let handler = match inner.handlers.read().get(&site).cloned() {
-            Some(h) => h,
-            None => return Ok(()),
+        let Some(handler) = inner.handlers.read().get(&site).cloned() else {
+            return Ok(());
         };
         inner.count_received(&payload);
+        let served = serve(&*handler, from, payload, kind == KIND_STREAM_CALL);
         // A failed write below poisons the connection: it is closed, and the
         // caller maps the broken exchange to an I/O error and retries.
         match kind {
-            KIND_STREAM_CALL => {
-                // The chunks and the terminal `done` frame leave together
-                // once the handler returns: the one stream producer builds
-                // every chunk before it sinks the first, so holding them
-                // delays nothing, and chunk 0's bytes still go first.
-                let mut queued = Ok(());
-                let reply = handler.handle_stream(from, payload, &mut |chunk| {
-                    if queued.is_ok() {
-                        queued = stream_reply.push(FRAME_CHUNK, chunk);
-                    }
-                });
-                queued?;
-                stream_reply.push(FRAME_DONE, reply.unwrap_or_default())?;
-                stream_reply.send(inner, &mut conn)?;
-            }
-            KIND_CALL => {
-                let reply = handler.handle(from, payload);
-                inner.send(&mut conn, &[], &reply.unwrap_or_default())?;
-            }
-            _ => {
-                handler.handle(from, payload);
-            }
+            KIND_STREAM_CALL => inner.send_stream(&mut conn, served)?,
+            KIND_CALL => inner.send(&mut conn, &[], &served.reply.unwrap_or_default())?,
+            // `KIND_CAST`, the one kind left that the header check admits:
+            // no reply.
+            _ => {}
         }
     }
 }
@@ -677,19 +649,6 @@ mod tests {
         // The pooled connection survives the stream: a plain call reuses it.
         let reply = net.call(s(1), s(2), Bytes::from_static(b"again")).unwrap();
         assert_eq!(&reply[..], b"again");
-        net.shutdown();
-    }
-
-    #[test]
-    fn call_stream_on_plain_handler_sends_only_the_done_frame() {
-        let net = TcpTransport::new();
-        net.register(s(2), Arc::new(Echo));
-        let mut chunks = 0usize;
-        let reply = net
-            .call_stream(s(1), s(2), Bytes::from_static(b"x"), &mut |_| chunks += 1)
-            .unwrap();
-        assert_eq!(&reply[..], b"x");
-        assert_eq!(chunks, 0);
         net.shutdown();
     }
 

@@ -18,13 +18,10 @@ pub trait MessageHandler: Send + Sync {
     /// the return value is the terminal reply, exactly as for
     /// [`MessageHandler::handle`].
     ///
-    /// A transport may hold sunk frames until the handler returns:
-    /// [`TcpTransport`](crate::TcpTransport) then sends them and the
-    /// terminal in one write. So a handler must not wait for its caller to
-    /// have seen a chunk, and one that produces chunks slowly delays them
-    /// all. [`SimTransport`](crate::SimTransport) (each frame with its own
-    /// fault lottery) and [`MemTransport`](crate::MemTransport) still
-    /// deliver each frame as it is sunk.
+    /// Every transport keeps one contract: sunk frames leave after the
+    /// handler returns, in sink order, before the terminal. So a handler
+    /// must not wait for its caller to have seen a chunk, and one that
+    /// produces chunks slowly delays them all.
     ///
     /// The default ignores the sink and degrades to the one-shot path, so
     /// handlers that never stream need no changes.
@@ -81,24 +78,20 @@ pub trait Transport: Send + Sync {
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes>;
 
     /// Streaming request/response: like [`Transport::call`], but the remote
-    /// handler may emit intermediate reply frames, each delivered to
-    /// `on_frame` in arrival order before the terminal reply is returned.
+    /// handler runs through [`MessageHandler::handle_stream`], and the
+    /// frames it sinks are handed to `on_frame`, in sink order, once it has
+    /// returned and before the terminal reply is returned.
     ///
     /// Intermediate frames ride the same reply link and are subject to the
     /// transport's fault model (loss/duplication/reordering of individual
-    /// chunks); callers own reassembly. The default degrades to the
-    /// one-shot [`Transport::call`], which never invokes `on_frame` — the
-    /// correct behavior for transports that have no streaming path.
+    /// chunks); callers own reassembly.
     fn call_stream(
         &self,
         from: SiteId,
         to: SiteId,
         frame: Bytes,
         on_frame: &mut dyn FnMut(Bytes),
-    ) -> Result<Bytes> {
-        let _ = on_frame;
-        self.call(from, to, frame)
-    }
+    ) -> Result<Bytes>;
 
     /// One-way send (invalidations, update pushes). Delivery is best-effort
     /// on lossy links; an `Ok` return means the frame was accepted for
@@ -107,6 +100,32 @@ pub trait Transport: Send + Sync {
 
     /// True when `from` can currently reach `to`.
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool;
+}
+
+/// What a handler made of one incoming frame: the frames it sank, in sink
+/// order, and its terminal reply.
+pub(crate) struct Served {
+    pub(crate) chunks: Vec<Bytes>,
+    pub(crate) reply: Option<Bytes>,
+}
+
+/// Runs `handler` on a frame from `from` to completion, through
+/// [`MessageHandler::handle_stream`] when the caller asked for a `stream`
+/// and [`MessageHandler::handle`] otherwise. The one place a transport
+/// calls its handler, so every transport answers alike.
+pub(crate) fn serve(
+    handler: &dyn MessageHandler,
+    from: SiteId,
+    frame: Bytes,
+    stream: bool,
+) -> Served {
+    let mut chunks = Vec::new();
+    let reply = if stream {
+        handler.handle_stream(from, frame, &mut |chunk| chunks.push(chunk))
+    } else {
+        handler.handle(from, frame)
+    };
+    Served { chunks, reply }
 }
 
 #[cfg(test)]

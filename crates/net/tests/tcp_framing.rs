@@ -327,13 +327,18 @@ fn a_refused_request_header_closes_the_connection_before_any_payload() {
     let (net, recorder, addr) = recording_site();
     let mut bad_magic = request_header(CALL, 8);
     bad_magic[0] = 0xB0;
-    for header in [request_header(CALL, MAX_FRAME + 1), bad_magic] {
+    let unknown_kind = request_header(7, 8);
+    for header in [request_header(CALL, MAX_FRAME + 1), bad_magic, unknown_kind] {
         // Only the header is sent. A server that waited for the payload it
         // announces would hold the connection until the read times out.
         let mut client = connect(addr);
         client.write_all(&header).unwrap();
         assert!(read_until_closed(&mut client).is_empty());
     }
+    // An unknown kind with its payload: refused too, never handled as a cast.
+    let mut client = connect(addr);
+    client.write_all(&request(7, b"kind 7!!")).unwrap();
+    assert!(read_until_closed(&mut client).is_empty());
     assert!(recorder.seen.lock().unwrap().is_empty());
     assert_no_allocation_past_max_frame();
     net.shutdown();

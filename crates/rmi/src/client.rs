@@ -402,9 +402,9 @@ impl RmiClient {
     /// A caller that can take the batch in pieces passes `on_chunk`. An
     /// incremental batch above `STREAM_CHUNK_OBJECTS` (8) per target then
     /// arrives as a stream of chunk frames, each handed to `on_chunk` (in
-    /// chunk order, exactly once) as it comes off the wire, so chunk *k*
-    /// materializes while chunk *k + 1* is in flight; `Ok(None)` is
-    /// returned. Every other demand is one request and one reply frame,
+    /// chunk order, exactly once) as the transport delivers it, once the
+    /// provider's handler has returned and before its terminal frame;
+    /// `Ok(None)` is returned. Every other demand is one request and one reply frame,
     /// returned whole as `Ok(Some(batch))`: a lone target travels as a
     /// `GetRequest` unless it is to be `merged` like a group, a group as
     /// one `GetManyRequest`.
@@ -537,17 +537,6 @@ impl RmiClient {
                     .check_correlation(request, Some(id))
                     .and(result)
                     .map(|()| total_chunks),
-                // A transport with no streaming path degrades to the
-                // one-shot merged reply: accept it as the whole stream in
-                // one implicit chunk, with nothing further to wait for.
-                Ok(Message::GetManyReply { request: id, result }) if chunks.next_expected == 0 => self
-                    .check_correlation(request, Some(id))
-                    .and(result)
-                    .map(|batch| {
-                        self.metrics.incr_demand_chunks();
-                        on_chunk(0, batch);
-                        0
-                    }),
                 Ok(other) => Err(unexpected("GetManyDone", &other)),
                 Err(e) => Err(e),
             };
@@ -886,7 +875,7 @@ mod retry_tests {
     use crate::fault::{ANNOUNCE_EVERY, BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use crate::server::{EchoService, RmiServer};
     use crate::service::RmiService;
-    use obiwan_net::{conditions, LinkModel, MessageHandler, SimTransport};
+    use obiwan_net::{conditions, LinkModel, SimTransport};
     use obiwan_util::ClockMode;
 
     /// `invoke` returns the number of times the service has executed, so
@@ -1234,24 +1223,6 @@ mod retry_tests {
         assert_eq!(indices, (0..5).collect::<Vec<u32>>());
         assert_eq!(ids, (1..=40).collect::<Vec<u64>>());
         assert_eq!(client.metrics().snapshot().demand_chunks, 5);
-    }
-
-    #[test]
-    fn streamed_demand_degrades_to_one_shot_on_plain_handlers() {
-        let (client, net, svc) = stream_rig(20, LinkModel::ideal(), 5);
-        // Re-register site 2 behind a closure handler: its default
-        // `handle_stream` never streams, so the server pump answers the
-        // stream request with a one-shot merged reply.
-        let server = Arc::new(RmiServer::new(svc.clone()));
-        net.register(
-            SiteId::new(2),
-            Arc::new(move |from: SiteId, frame: bytes::Bytes| server.handle(from, frame)),
-        );
-        let (indices, ids, frontier_edges) = collect_chunks(&client, 20);
-        assert_eq!(indices, vec![0], "the whole batch arrives as one chunk");
-        assert_eq!(ids, (1..=20).collect::<Vec<u64>>());
-        assert_eq!(frontier_edges, 1);
-        assert_eq!(client.metrics().snapshot().demand_chunks, 1);
     }
 
     #[test]

@@ -178,19 +178,10 @@ impl RmiServer {
                     .encode(),
                 })
             }
-            // A stream request arriving through the one-shot pump (a
-            // transport without a streaming path) degrades to the merged
-            // reply; the client accepts it as a single implicit chunk.
             Message::GetManyRequest {
                 request,
                 targets,
                 mode,
-            }
-            | Message::GetManyStreamRequest {
-                request,
-                targets,
-                mode,
-                ..
             } => {
                 return Some(match self.service.get_many(from, &targets, mode, ONE_FRAME) {
                     Ok(batch) => batch.into_reply(request, true),
@@ -254,6 +245,10 @@ impl RmiServer {
             // Handled (cache pruning) in `handle` before dispatch; the arm
             // keeps the match exhaustive.
             Message::AckHorizon { .. } => return None,
+            // Every transport hands a stream request to `handle_stream`; one
+            // sent as a plain call runs nothing and is answered with the
+            // generic no-reply error.
+            Message::GetManyStreamRequest { .. } => return None,
             // Replies arriving here are protocol violations; the synchronous
             // transports never produce them, so drop silently.
             Message::InvokeReply { .. }
@@ -279,9 +274,9 @@ impl RmiServer {
     ///
     /// The [`RmiService::get_many`] call releases every shard guard before
     /// returning its batch, so no lock is ever held across a `sink` send.
-    /// Every chunk exists before the first is sunk, so a transport that
-    /// holds the sunk frames until this returns (TCP sends them and the
-    /// terminal in one write) delays none of them.
+    /// Every chunk exists before the first is sunk, so the transports, which
+    /// all hold the sunk frames until this returns (TCP sends them and the
+    /// terminal in one write), delay none of them.
     /// Only the *terminal* frame enters the [`ReplyCache`] — caching whole
     /// batches per request id would multiply the cache's footprint by the
     /// batch size. A retransmitted or resumed request id therefore
@@ -976,6 +971,20 @@ mod tests {
             terminal,
             Message::GetManyDone { total_chunks: 1, .. }
         ));
+    }
+
+    /// A stream request is answered only through `handle_stream`: sent
+    /// as a plain call, it runs no `get_many`, caches nothing and gets the
+    /// generic no-reply error.
+    #[test]
+    fn a_stream_request_through_the_one_shot_pump_runs_nothing() {
+        let svc = Arc::new(BatchService::new(20));
+        let s = RmiServer::new(svc.clone());
+        let reply = s.handle(SiteId::new(1), stream_frame(1, 8, 0)).unwrap();
+        assert_eq!(reply, no_reply(RequestId::new(SiteId::new(1), 1)));
+        assert_eq!(svc.calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert!(s.replies().is_empty(), "no reply-cache entry");
+        assert_eq!(s.replies().pending_len(), 0);
     }
 
     #[test]

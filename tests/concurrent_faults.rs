@@ -96,6 +96,16 @@ impl Transport for GatedTransport {
         self.inner.call(from, to, frame)
     }
 
+    fn call_stream(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        frame: Bytes,
+        on_frame: &mut dyn FnMut(Bytes),
+    ) -> Result<Bytes> {
+        self.inner.call_stream(from, to, frame, on_frame)
+    }
+
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
         self.inner.cast(from, to, frame)
     }

@@ -5,13 +5,13 @@
 //! mobility layer only closes a session: `reset_session`, `commit`); the
 //! wrapper appends a [`WalRecord`] to the WAL and mirrors the
 //! resulting durable state in memory so periodic [`Durable::compact`]
-//! passes can fold the log into a snapshot.
+//! passes can rewrite the log as a snapshot of that state.
 //!
 //! # Files
 //!
-//! Two blobs in the [`Storage`] backend: `"snap"` (the last compacted
-//! snapshot, replaced atomically) and `"wal"` (records appended since).
-//! Recovery = replay snapshot records, then WAL records, in order.
+//! One blob in the [`Storage`] backend, [`WAL_FILE`]. A compaction replaces
+//! it atomically with records restating the mirror ([`Wal::rewrite`]);
+//! recovery replays that one file from its start.
 //!
 //! # Recovery invariants
 //!
@@ -69,7 +69,7 @@ use crate::record::{state_fingerprint, WalRecord};
 use crate::storage::Storage;
 use crate::wal::{self, Frames, Wal, WalOptions, WalStats};
 use obiwan_util::sync::Mutex;
-use obiwan_util::{ObjId, Result, SiteId};
+use obiwan_util::{ObiError, ObjId, Result, SiteId};
 use obiwan_wire::{ObiValue, ReplicaState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,17 +81,18 @@ use std::sync::Arc;
 /// `ClientState` records in any realistic session.
 pub const SEQ_EPOCH_SKIP: u64 = 1 << 20;
 
-/// Blob names used by the durability layer.
+/// The blob the durability layer keeps everything in.
 pub const WAL_FILE: &str = "wal";
-pub const SNAP_FILE: &str = "snap";
+/// The snapshot blob of an earlier layout, which [`Durable::open`] refuses.
+const OLD_SNAP_FILE: &str = "snap";
 
 /// Tuning knobs for [`Durable::open`].
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Group-commit batch size for the WAL (see [`WalOptions`]).
     pub group_commit: usize,
-    /// Compact (snapshot + truncate WAL) once this many records have been
-    /// appended since the last snapshot. `0` disables auto-compaction.
+    /// Compact (rewrite the WAL as a snapshot) once this many records have
+    /// been appended since the last compaction. `0` disables auto-compaction.
     pub compact_every: u64,
     /// Log a `ClientState` checkpoint once this many confirmed RPCs have
     /// been counted via [`Durable::note_confirmed_rpc`] since the last
@@ -157,7 +158,7 @@ pub struct RecoveredState {
     pub handoffs: BTreeMap<ObjId, (SiteId, bool)>,
     /// Bytes dropped from the WAL's torn tail (0 for a clean shutdown).
     pub truncated_bytes: u64,
-    /// Intact WAL records replayed (excludes the snapshot).
+    /// Intact WAL records replayed, the last compaction's included.
     pub wal_records: u64,
 }
 
@@ -296,7 +297,6 @@ impl Mirror {
 
 /// Write-through durability for one site. See the module docs.
 pub struct Durable {
-    storage: Arc<dyn Storage>,
     wal: Wal,
     mirror: Mutex<Mirror>,
     compact_every: u64,
@@ -308,18 +308,21 @@ pub struct Durable {
 impl Durable {
     /// Opens (or creates) the log in `storage`, runs recovery, and returns
     /// the wrapper plus whatever state survived. The WAL's torn tail, if
-    /// any, has been truncated by the time this returns.
+    /// any, has been truncated by the time this returns. A non-empty `"snap"`
+    /// (an older layout) is refused: ignoring it would lose its state.
     pub fn open(
         storage: Arc<dyn Storage>,
         opts: DurableOptions,
     ) -> Result<(Arc<Durable>, RecoveredState)> {
-        // Snapshot first (it is never torn: `replace` is atomic), then the
-        // WAL tail appended since that snapshot.
+        if storage.len(OLD_SNAP_FILE)? > 0 {
+            let what = "holds an older layout's snapshot, which recovery would lose";
+            return Err(ObiError::Storage(format!("`{OLD_SNAP_FILE}` {what}")));
+        }
         let mut mirror = Mirror::default();
-        let mut fold = |payload: &[u8]| WalRecord::decode(payload).map(|r| mirror.apply(r));
-        let (snap_records, _) = wal::replay_decoded(storage.as_ref(), SNAP_FILE, &mut fold)?;
-        let (wal_records, truncated) = wal::replay_decoded(storage.as_ref(), WAL_FILE, &mut fold)?;
-        let blank = snap_records == 0 && wal_records == 0;
+        let (wal_records, truncated) = wal::replay_decoded(storage.as_ref(), WAL_FILE, |payload| {
+            WalRecord::decode(payload).map(|r| mirror.apply(r))
+        })?;
+        let blank = wal_records == 0 && truncated == 0;
 
         let (logged_next_seq, horizon) = mirror.client.unwrap_or((0, 0));
         // Any surviving history means a previous process life issued RPCs,
@@ -327,8 +330,8 @@ impl Durable {
         // and invokes burn sequence numbers invisibly. Restarting the
         // counter low would collide with those, and the provider's reply
         // cache would answer brand-new requests with stale cached replies.
-        // So any non-empty log forces a fresh seq epoch; only a genuinely
-        // blank store keeps the natural counter.
+        // So any non-empty log, even one whose every record is torn, forces a
+        // fresh seq epoch; only a genuinely blank store keeps the counter.
         let next_request_seq = if blank {
             0 // nothing persisted: a fresh site keeps its natural counter
         } else {
@@ -354,7 +357,6 @@ impl Durable {
                     group_commit: opts.group_commit,
                 },
             ),
-            storage,
             mirror: Mutex::new(mirror),
             compact_every: opts.compact_every,
             checkpoint_every_rpcs: opts.checkpoint_every_rpcs,
@@ -419,11 +421,6 @@ impl Durable {
         }
         self.wal.append_batch(&frames)?;
         self.applied_locked(&mut mirror, records)
-    }
-
-    /// The one-intent group of [`log_put_intents`](Durable::log_put_intents).
-    pub fn log_put_intent(&self, id: ObjId, seq: u64, fingerprint: u64) -> Result<()> {
-        self.log_put_intents(&[(id, PendingPut { seq, fingerprint })])
     }
 
     /// Logs that the put for `id` was acknowledged at `version`;
@@ -542,7 +539,7 @@ impl Durable {
         self.compact_locked(&mut mirror)
     }
 
-    /// Folds the WAL into a fresh snapshot and truncates it.
+    /// Rewrites the WAL as a snapshot of the state it describes.
     pub fn compact(&self) -> Result<()> {
         let mut mirror = self.mirror.lock();
         self.compact_locked(&mut mirror)
@@ -606,11 +603,7 @@ impl Durable {
         for record in mirror.snapshot_records() {
             record.frame_into(&mut frames);
         }
-        // Snapshot becomes durable before the WAL is dropped; a crash
-        // between the two replays both (snapshot then stale WAL), which is
-        // idempotent because later records supersede earlier ones.
-        self.storage.replace(SNAP_FILE, frames.as_bytes())?;
-        self.wal.reset()?;
+        self.wal.rewrite(&frames)?;
         mirror.records_since_compact = 0;
         Ok(())
     }
@@ -619,7 +612,7 @@ impl Durable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
+    use crate::storage::{FileStorage, MemStorage};
     use bytes::Bytes;
 
     fn oid(site: u32, n: u64) -> ObjId {
@@ -651,7 +644,6 @@ mod tests {
     /// leaving `mem` itself as it is.
     fn power_loss_of(mem: &MemStorage, keep: u64) -> RecoveredState {
         let copy = Arc::new(MemStorage::new());
-        copy.replace(SNAP_FILE, &mem.read(SNAP_FILE).unwrap()).unwrap();
         copy.replace(WAL_FILE, &mem.read(WAL_FILE).unwrap()[..keep as usize]).unwrap();
         open(&copy).1
     }
@@ -731,7 +723,7 @@ mod tests {
             let (d, _) = open(&mem);
             let fp = state_fingerprint(&rs(2, 5, 10, 0xAA));
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
-            d.log_put_intent(oid(2, 5), 31, fp).unwrap();
+            d.log_put_intents(&[(oid(2, 5), PendingPut { seq: 31, fingerprint: fp })]).unwrap();
             d.log_confirm(oid(2, 5), 11, fp).unwrap();
             d.commit().unwrap();
         }
@@ -764,13 +756,31 @@ mod tests {
     }
 
     #[test]
+    fn a_log_whose_only_bytes_are_torn_is_not_a_blank_store() {
+        let mem = Arc::new(MemStorage::new());
+        {
+            let (d, _) = open(&mem);
+            d.log_client_state(7, 0).unwrap();
+            d.commit().unwrap();
+        }
+        mem.crash_keeping(WAL_FILE, mem.len(WAL_FILE).unwrap() - 1);
+        let (_d, recovered) = open(&mem);
+        assert_eq!((recovered.wal_records, recovered.truncated_bytes), (0, 10));
+        assert!(
+            recovered.next_request_seq >= SEQ_EPOCH_SKIP,
+            "a previous life wrote those bytes, got {}",
+            recovered.next_request_seq
+        );
+    }
+
+    #[test]
     fn abandoned_put_drops_the_intent_but_keeps_the_dirty_delta() {
         let mem = Arc::new(MemStorage::new());
         {
             let (d, _) = open(&mem);
             let fp = state_fingerprint(&rs(2, 5, 10, 0xAA));
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
-            d.log_put_intent(oid(2, 5), 31, fp).unwrap();
+            d.log_put_intents(&[(oid(2, 5), PendingPut { seq: 31, fingerprint: fp })]).unwrap();
             // The master rejected the put: the seq is spent but the state
             // was never applied, so the delta must stay recoverable.
             d.log_put_abandoned(oid(2, 5)).unwrap();
@@ -789,8 +799,8 @@ mod tests {
         {
             let (d, _) = open(&mem);
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
-            d.log_put_intent(oid(2, 5), 31, fp).unwrap();
-            // Crash before confirm: intent was fsynced by log_put_intent.
+            d.log_put_intents(&[(oid(2, 5), PendingPut { seq: 31, fingerprint: fp })]).unwrap();
+            // Crash before confirm: the intent was synced by log_put_intents.
         }
         let (d2, recovered) = open(&mem);
         let pending = PendingPut { seq: 31, fingerprint: fp };
@@ -806,7 +816,7 @@ mod tests {
     fn a_group_of_intents_is_one_sync_and_retires_the_intents_it_replaces() {
         let mem = Arc::new(MemStorage::new());
         let (d, _) = open(&mem); // group commit 4
-        d.log_put_intent(oid(2, 1), 10, 0x111).unwrap();
+        d.log_put_intents(&[(oid(2, 1), PendingPut { seq: 10, fingerprint: 0x111 })]).unwrap();
         let (syncs, appends) = (mem.sync_count(), d.wal_stats().appends());
         // Ten intents; the first replaces the pending one, whose state moved on.
         let group: Vec<(ObjId, PendingPut)> = (1..=10)
@@ -866,7 +876,7 @@ mod tests {
             let sent = rs(2, 5, 10, 0xAA);
             let fp = state_fingerprint(&sent);
             d.log_dirty(SiteId::new(2), sent).unwrap();
-            d.log_put_intent(oid(2, 5), 31, fp).unwrap();
+            d.log_put_intents(&[(oid(2, 5), PendingPut { seq: 31, fingerprint: fp })]).unwrap();
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xBB)).unwrap();
             d.log_confirm(oid(2, 5), 11, fp).unwrap();
             d.commit().unwrap();
@@ -963,7 +973,8 @@ mod tests {
     /// A snapshot and a WAL tail exactly as the commit before `Op` carried
     /// deltas wrote them (bare `ObjectDelta`s, delta-less `Op`s): watermark,
     /// two deltas, two ops and a put intent, compacted; then a delta, its
-    /// op and a failed op in the WAL.
+    /// op and a failed op appended. The test reads them as one log, the
+    /// snapshot's records first, which is how a compaction now leaves them.
     const PARENT_SNAP: &str = "030000009b95b99f052820\
         120000002ced6df60002020507436f756e7465720a04aaaaaaaa\
         13000000967ba9a6000303ac0207436f756e7465720704bbbbbbbb\
@@ -973,7 +984,7 @@ mod tests {
     const PARENT_WAL: &str = "120000002dfa0c330002020507436f756e7465720a04cccccccc\
         0b000000c6ff146c0102050361646401030101\
         15000000d2cb57270102090e6e6f5f737563685f6d6574686f64010000";
-    /// The snapshot that commit wrote for the state the two files hold.
+    /// The snapshot that commit wrote for the state the two hold.
     const PARENT_RESNAP: &str = "030000009b95b99f052820\
         120000002dfa0c330002020507436f756e7465720a04cccccccc\
         13000000967ba9a6000303ac0207436f756e7465720704bbbbbbbb\
@@ -986,11 +997,10 @@ mod tests {
     #[test]
     fn a_log_in_the_format_before_op_deltas_recovers_unchanged() {
         let mem = Arc::new(MemStorage::new());
-        mem.replace(SNAP_FILE, &unhex(PARENT_SNAP)).unwrap();
-        mem.replace(WAL_FILE, &unhex(PARENT_WAL)).unwrap();
+        mem.replace(WAL_FILE, &unhex(&(PARENT_SNAP.to_owned() + PARENT_WAL))).unwrap();
         let (d, recovered) = open(&mem);
         assert_eq!(recovered.truncated_bytes, 0);
-        assert_eq!(recovered.wal_records, 3);
+        assert_eq!(recovered.wal_records, 9);
         let dirty: Vec<_> = recovered.dirty.values().cloned().collect();
         assert_eq!(
             dirty,
@@ -1022,7 +1032,22 @@ mod tests {
         // And the snapshot of that state is, byte for byte, the one the
         // older commit wrote: ops in a snapshot carry no deltas.
         d.compact().unwrap();
-        assert_eq!(mem.read(SNAP_FILE).unwrap(), unhex(PARENT_RESNAP));
+        assert_eq!(mem.read(WAL_FILE).unwrap(), unhex(PARENT_RESNAP));
+    }
+
+    #[test]
+    fn a_leftover_snapshot_blob_is_refused() {
+        let mem = Arc::new(MemStorage::new());
+        // An empty one holds nothing to lose: an earlier layout left it
+        // before its first compaction.
+        mem.replace("snap", &[]).unwrap();
+        mem.replace(WAL_FILE, &unhex(PARENT_WAL)).unwrap();
+        assert_eq!(open(&mem).1.ops.len(), 2);
+        mem.replace("snap", &unhex(PARENT_SNAP)).unwrap();
+        let refused = Durable::open(mem.clone() as Arc<dyn Storage>, DurableOptions::default());
+        let err = refused.err().expect("a store with a snapshot beside its log opened");
+        assert!(matches!(&err, ObiError::Storage(m) if m.contains("`snap`")), "{err}");
+        assert_eq!(mem.read(WAL_FILE).unwrap(), unhex(PARENT_WAL), "the log is untouched");
     }
 
     #[test]
@@ -1043,7 +1068,7 @@ mod tests {
                 }
             }
             d.compact().unwrap();
-            mem.read(SNAP_FILE).unwrap()
+            mem.read(WAL_FILE).unwrap()
         };
         assert_eq!(snapshot_of(true), snapshot_of(false));
     }
@@ -1061,8 +1086,7 @@ mod tests {
             let before = d.wal_len().unwrap();
             d.compact().unwrap();
             let after = d.wal_len().unwrap();
-            assert_eq!(after, 0, "WAL truncated after snapshot");
-            assert!(before > 0);
+            assert!(after < before, "the WAL shrank from {before} to {after} bytes");
         }
         let (_d, recovered) = open(&mem);
         assert_eq!(recovered.dirty.len(), 1, "52 records folded to 1 delta + op + state");
@@ -1086,11 +1110,55 @@ mod tests {
         for i in 0..25 {
             d.log_dirty(SiteId::new(2), rs(2, 5, i, 0)).unwrap();
         }
-        // 25 records at compact_every=10: two compactions, 5 records left.
-        let left = d.wal_len().unwrap();
-        assert!(left > 0 && mem.len(SNAP_FILE).unwrap() > 0);
+        // 25 records at compact_every=10: two compactions, each folding the
+        // log to one delta, then 5 records appended behind the second.
+        assert_eq!(wal::replay(mem.as_ref(), WAL_FILE).unwrap().payloads.len(), 6);
         let (_d2, recovered) = open(&mem);
         assert_eq!(recovered.dirty[&oid(2, 5)].1.version, 24);
+    }
+
+    /// Over real files: appends land behind each compaction's rewrite (the
+    /// storage drops its append handle to the replaced file), and a
+    /// restart recovers exactly what was logged.
+    #[test]
+    fn a_file_log_recovers_exactly_across_two_compactions() {
+        let dir = std::env::temp_dir().join(format!(
+            "obiwan-durable-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = || Arc::new(FileStorage::open(&dir).unwrap()) as Arc<dyn Storage>;
+        let opts = DurableOptions {
+            group_commit: 4,
+            compact_every: 0,
+            checkpoint_every_rpcs: 0,
+        };
+        let delta = |i: u64| (SiteId::new(2), rs(2, i % 3, i, i as u8));
+        let mut ops = Vec::new();
+        {
+            let (d, _) = Durable::open(storage(), opts.clone()).unwrap();
+            for i in 0..25u64 {
+                if i == 10 || i == 20 {
+                    d.compact().unwrap();
+                }
+                let args = vec![ObiValue::I64(i as i64)];
+                d.log_op(oid(2, i % 3), "add", &args, true, vec![delta(i)]).unwrap();
+                ops.push(RecoveredOp {
+                    target: oid(2, i % 3),
+                    method: "add".into(),
+                    args,
+                    succeeded: true,
+                });
+            }
+            d.commit().unwrap();
+        }
+        let (_d, recovered) = Durable::open(storage(), opts).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(recovered.ops, ops);
+        assert_eq!(recovered.dirty, (22..25).map(|i| (oid(2, i % 3), delta(i))).collect());
+        // The second compaction's 3 deltas and 20 ops, then 5 ops behind them.
+        assert_eq!((recovered.wal_records, recovered.truncated_bytes), (28, 0));
     }
 
     #[test]
@@ -1143,8 +1211,8 @@ mod tests {
             let (d, _) = open(&mem);
             d.log_dirty(SiteId::new(2), rs(2, 5, 10, 0xAA)).unwrap();
             d.log_op(oid(2, 5), "add", &[], true, vec![]).unwrap();
-            d.log_put_intent(oid(2, 5), 3, state_fingerprint(&rs(2, 5, 10, 0xAA)))
-                .unwrap();
+            let fingerprint = state_fingerprint(&rs(2, 5, 10, 0xAA));
+            d.log_put_intents(&[(oid(2, 5), PendingPut { seq: 3, fingerprint })]).unwrap();
             d.reset_session().unwrap();
         }
         let (_d, recovered) = open(&mem);

@@ -8,8 +8,8 @@
 //! * [`storage`] — the byte-level [`Storage`] trait with a real
 //!   [`FileStorage`] backend and a fault-injecting [`MemStorage`] for
 //!   crash testing.
-//! * [`wal`] — CRC-framed append-only log with group commit and torn-tail
-//!   truncation on replay.
+//! * [`wal`] — CRC-framed append-only log with group commit, torn-tail
+//!   truncation on replay and an atomic rewrite: a site's only file.
 //! * [`record`] / [`durable`] — typed durability events and the
 //!   [`Durable`] write-through wrapper `ObiProcess` and
 //!   `DisconnectedSession` log through, plus [`RecoveredState`] handed
@@ -23,8 +23,7 @@ pub mod storage;
 pub mod wal;
 
 pub use durable::{
-    Durable, DurableOptions, PendingPut, RecoveredOp, RecoveredState, SEQ_EPOCH_SKIP, SNAP_FILE,
-    WAL_FILE,
+    Durable, DurableOptions, PendingPut, RecoveredOp, RecoveredState, SEQ_EPOCH_SKIP, WAL_FILE,
 };
 pub use record::{fingerprint, state_fingerprint, WalRecord};
 pub use storage::{FileStorage, Killed, MemStorage, Storage};

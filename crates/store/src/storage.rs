@@ -1,11 +1,11 @@
 //! Pluggable byte-level storage for the durability layer.
 //!
-//! The WAL and snapshot code never touch the filesystem directly; they go
-//! through the [`Storage`] trait. Two backends ship with the crate:
+//! The WAL never touches the filesystem directly; it goes through the
+//! [`Storage`] trait. Two backends ship with the crate:
 //!
 //! * [`FileStorage`] — real files under a directory, with `fsync` mapped to
-//!   [`std::fs::File::sync_data`] and snapshot replacement done as
-//!   write-temp-then-rename so a crash never leaves a half-written snapshot.
+//!   [`std::fs::File::sync_data`] and replacement done as
+//!   write-temp-then-rename so a crash never leaves a half-written file.
 //! * [`MemStorage`] — an in-memory map, the one fault model of the crash
 //!   tests. [`MemStorage::crash_keeping`] truncates a file to any byte
 //!   offset (all written bytes: a SIGKILL; [`MemStorage::synced_len`]: a
@@ -15,7 +15,7 @@
 //!   ([`MemStorage::fail_after`]) every write returns [`ObiError::Storage`].
 //!
 //! Files are flat, named blobs — there is no directory structure. The
-//! durability layer uses exactly two names per site: `"wal"` and `"snap"`.
+//! durability layer uses one name per site: `"wal"`.
 
 use obiwan_util::sync::Mutex;
 use obiwan_util::{ObiError, Result};
@@ -293,7 +293,11 @@ impl Storage for FileStorage {
     }
 
     fn len(&self, name: &str) -> Result<u64> {
-        self.with_handle(name, |f| f.metadata().map(|m| m.len()))
+        // By path: asking about an absent file must not create it.
+        match std::fs::metadata(self.root.join(name)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+            meta => meta.map(|m| m.len()).map_err(|e| io_err(name, e)),
+        }
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> Result<()> {
@@ -325,8 +329,8 @@ impl Storage for FileStorage {
         self.handles.lock().remove(name);
         std::fs::rename(&tmp, &path).map_err(|e| io_err("rename", e))?;
         // Durability of the rename itself needs the directory fsynced —
-        // compaction truncates the WAL as soon as replace() returns Ok, so
-        // a swallowed failure here could lose the snapshot AND the log.
+        // compaction counts everything the WAL held as durable as soon as
+        // replace() returns Ok, so a swallowed failure here could lose it.
         let dir = std::fs::File::open(&self.root).map_err(|e| io_err("open dir", e))?;
         dir.sync_data().map_err(|e| io_err("sync dir", e))?;
         Ok(())
@@ -397,7 +401,7 @@ mod tests {
         s.append("wal", b"ab").unwrap();
         s.append("wal", b"cd").unwrap();
         s.sync("wal").unwrap();
-        // A compaction: the snapshot folds the log, then the log resets.
+        // A write to another file is a state of this one too.
         s.replace("snap", b"abcd").unwrap();
         s.truncate("wal", 0).unwrap();
         s.append("wal", b"e").unwrap();
@@ -487,6 +491,16 @@ mod tests {
         s.replace("snap", b"snapshot-bytes").unwrap();
         assert_eq!(s.read("snap").unwrap(), b"snapshot-bytes");
         assert_eq!(s.len("snap").unwrap(), 14);
+        // Replacing a file that has an append handle: later appends go to
+        // the new file, as a fresh handle sees.
+        s.replace("wal", b"folded").unwrap();
+        s.append("wal", b"+tail").unwrap();
+        s.sync("wal").unwrap();
+        assert_eq!(s.read("wal").unwrap(), b"folded+tail");
+        assert_eq!(FileStorage::open(&dir).unwrap().read("wal").unwrap(), b"folded+tail");
+        // Asking for the length of an absent file does not create it.
+        assert_eq!(s.len("absent").unwrap(), 0);
+        assert!(!dir.join("absent").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,4 +1,5 @@
-//! Append-only write-ahead log with CRC framing and group commit.
+//! Append-only write-ahead log with CRC framing and group commit: a site's
+//! only file, which [`Wal::rewrite`] compacts in place.
 //!
 //! # Record framing
 //!
@@ -219,8 +220,8 @@ impl Wal {
     }
 
     /// The log position (see [`append_deferred`](Wal::append_deferred))
-    /// up to which every record is durable: synced, or dropped by a
-    /// [`reset`](Wal::reset) after its caller captured them elsewhere.
+    /// up to which every record is durable: synced, or folded into a
+    /// [`rewrite`](Wal::rewrite).
     pub fn durable_position(&self) -> u64 {
         self.durable.load(Ordering::Acquire)
     }
@@ -249,11 +250,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Drops every record: truncates the log to zero bytes. Used after a
-    /// snapshot has captured the state the log described.
-    pub fn reset(&self) -> Result<()> {
+    /// Replaces the whole log with `frames` in one atomic, durable
+    /// [`Storage::replace`] (not counted in [`WalStats`]). `frames` restate
+    /// all the log held, so every record appended before counts as durable.
+    pub fn rewrite(&self, frames: &Frames) -> Result<()> {
         let mut state = self.state.lock();
-        self.storage.truncate(&self.name, 0)?;
+        self.storage.replace(&self.name, frames.as_bytes())?;
         self.mark_durable(&mut state);
         Ok(())
     }
@@ -472,9 +474,13 @@ mod tests {
         assert_eq!(wal.durable_position(), at);
         assert_eq!(mem.synced_len("wal"), wal.len().unwrap());
         assert_eq!(wal.stats().syncs(), 3);
-        // A reset leaves nothing to lose either.
+        // A rewrite leaves nothing to lose either: one write, durable as
+        // it lands, folding the deferred record.
         let at = wal.append_deferred(&frames_of(&[b"confirm"])).unwrap();
-        wal.reset().unwrap();
+        let writes = mem.history("wal").len();
+        wal.rewrite(&frames_of(&[b"folded"])).unwrap();
+        assert_eq!(mem.history("wal").len(), writes + 1, "one write");
+        assert_eq!(mem.synced_len("wal"), wal.len().unwrap());
         assert_eq!(wal.durable_position(), at);
         assert_eq!(wal.stats().syncs(), 3);
     }
@@ -564,18 +570,30 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log() {
+    fn a_rewrite_replaces_the_log_in_one_durable_write() {
         let mem = Arc::new(MemStorage::new());
         let wal = wal_over(&mem, 2);
-        wal.append(b"abc").unwrap();
-        wal.commit().unwrap();
-        wal.reset().unwrap();
-        assert!(wal.is_empty().unwrap());
-        assert_eq!(replay(mem.as_ref(), "wal").unwrap().payloads.len(), 0);
-        // Appends after reset start a fresh, readable log.
+        for payload in [b"abc", b"def", b"ghi"] {
+            wal.append(payload).unwrap();
+        }
+        assert!(mem.synced_len("wal") < wal.len().unwrap(), "one record unsynced");
+        let writes = mem.history("wal").len();
+        let folded = frames_of(&[b"folded"]);
+        wal.rewrite(&folded).unwrap();
+        let history = mem.history("wal");
+        assert_eq!(history.len(), writes + 1, "one write");
+        assert_eq!(history.last().unwrap(), folded.as_bytes());
+        assert_eq!(mem.synced_len("wal"), wal.len().unwrap());
+        assert_eq!(wal.durable_position(), 3);
+        assert_eq!(wal.stats().appends(), 3, "a rewrite is not an append");
+        // Appends after it extend the rewritten log.
         wal.append(b"xyz").unwrap();
         wal.commit().unwrap();
-        assert_eq!(replay(mem.as_ref(), "wal").unwrap().payloads, vec![b"xyz".to_vec()]);
+        let payloads = replay(mem.as_ref(), "wal").unwrap().payloads;
+        assert_eq!(payloads, vec![b"folded".to_vec(), b"xyz".to_vec()]);
+        // Rewritten with nothing, the log is empty.
+        wal.rewrite(&Frames::new()).unwrap();
+        assert!(wal.is_empty().unwrap());
     }
 
     #[test]

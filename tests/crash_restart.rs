@@ -16,7 +16,7 @@
 //! restart keeps what `crash_keeping` leaves of the WAL (every written byte
 //! for a SIGKILL, `synced_len` of them for a power loss), `kill_at` kills
 //! the client mid-write-back the moment the WAL reaches a length, and
-//! `history` is every state the two files passed through. Frame boundaries
+//! `history` is every state the WAL passed through. Frame boundaries
 //! are read with the WAL's own framing (`wal::frame_ends`).
 
 use obiwan::core::demo::Counter;
@@ -25,8 +25,7 @@ use obiwan::mobility::session::{DisconnectedSession, ReintegrationReport};
 use obiwan::net::LinkModel;
 use obiwan::rmi::fault::ANNOUNCE_EVERY;
 use obiwan::store::{
-    Durable, DurableOptions, Killed, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP,
-    SNAP_FILE, WAL_FILE,
+    Durable, DurableOptions, Killed, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP, WAL_FILE,
 };
 use obiwan::util::SiteId;
 use proptest::prelude::*;
@@ -672,10 +671,10 @@ fn build_trio() -> Counters {
 /// The offline session under test, filmed: 24 `add`s of distinct amounts
 /// dealt round-robin over the trio, and in the middle one `add` whose
 /// argument is rejected — it fails, yet marks its replica modified.
-/// Returns `(snapshot, WAL)` after every write, so a sweep can put a
-/// restarted site in front of any state the storage ever passed through,
-/// a compaction's intermediate ones included.
-fn film_the_trio_session() -> Vec<(Vec<u8>, Vec<u8>)> {
+/// Returns the WAL after every write, so a sweep can put a restarted site
+/// in front of any state the storage ever passed through, each
+/// compaction's rewrite included.
+fn film_the_trio_session() -> Vec<Vec<u8>> {
     let trio = build_trio();
     let storage = attach_log(&trio.world, trio.client, trio_options());
     let process = trio.world.site(trio.client);
@@ -690,41 +689,26 @@ fn film_the_trio_session() -> Vec<(Vec<u8>, Vec<u8>)> {
         session.invoke(process, replica, "add", ObiValue::I64(k + 1)).unwrap();
     }
     process.durability().unwrap().commit().unwrap();
-    let snaps = storage.history(SNAP_FILE);
-    snaps.into_iter().zip(storage.history(WAL_FILE)).collect()
+    storage.history(WAL_FILE)
 }
 
-/// The states a crash during the filmed session can leave the two files
-/// in: every appended byte torn off in turn, under the snapshot that was
-/// current while it was written, and the fresh snapshot with its emptied
-/// WAL after each compaction.
-///
-/// One state is left out, and is a known gap rather than a promise: a
-/// crash *between* a compaction's snapshot replacement and its WAL reset
-/// replays the stale WAL over the snapshot that already folds it. States
-/// survive that (later records supersede earlier ones); journaled ops are
-/// appended a second time. See ROADMAP direction 1b, "The compaction
-/// window".
-fn crash_states(frames: &[(Vec<u8>, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut states = vec![(Vec::new(), Vec::new())];
+/// The states a crash during the filmed session can leave the WAL in:
+/// every appended byte torn off in turn, and each compaction's rewrite,
+/// which is atomic and so leaves the whole old log or the whole new one.
+fn crash_states(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut states = vec![Vec::new()];
     let mut compactions = 0;
-    let mut prev = &states[0].clone();
-    for frame in frames {
-        let (snap, wal) = frame;
-        if *snap != prev.0 {
-            // Snapshot replaced, WAL not yet reset: the gap above.
-            assert_eq!(*wal, prev.1);
-            compactions += 1;
-        } else {
-            if wal.len() > prev.1.len() {
-                assert!(wal.starts_with(&prev.1));
-                for keep in prev.1.len() + 1..wal.len() {
-                    states.push((snap.clone(), wal[..keep].to_vec()));
-                }
+    let mut prev: &[u8] = &[];
+    for wal in frames {
+        if wal.starts_with(prev) {
+            for keep in prev.len() + 1..wal.len() {
+                states.push(wal[..keep].to_vec());
             }
-            states.push(frame.clone());
+        } else {
+            compactions += 1;
         }
-        prev = frame;
+        states.push(wal.clone());
+        prev = wal;
     }
     assert!(compactions >= 2, "the sweep must cross a compaction");
     states
@@ -745,10 +729,9 @@ fn every_crash_offset_recovers_a_journal_that_accounts_for_its_state() {
     assert!(states.len() > 1000, "{} crash states", states.len());
     let mut last_ops = 0usize;
     let mut with_a_failed_op = 0;
-    for (n, (snap, wal)) in states.iter().enumerate() {
+    for (n, wal) in states.iter().enumerate() {
         let mut trio = build_trio();
         let storage = Arc::new(MemStorage::new());
-        storage.replace(SNAP_FILE, snap).unwrap();
         storage.replace(WAL_FILE, wal).unwrap();
         storage.crash_keeping(WAL_FILE, wal.len() as u64);
         let (durable, recovered) =

@@ -426,7 +426,9 @@ impl ObiProcess {
     }
 
     /// [`demand_install`] from outside the process lock: the lock is
-    /// dropped for the network wait and re-entered once per piece.
+    /// dropped for the network wait and re-entered once per piece. A
+    /// demand that succeeds counts toward the periodic `ClientState`
+    /// checkpoint, like an `invoke_rmi`.
     pub(super) fn demand(
         &self,
         provider: SiteId,
@@ -437,7 +439,9 @@ impl ObiProcess {
         let mut reenter = |install: &mut dyn FnMut(&mut ProcessInner) -> Result<usize>| {
             self.with_inner(install)
         };
-        demand_install(&self.shared, &mut reenter, provider, targets, mode, how)
+        let installed = demand_install(&self.shared, &mut reenter, provider, targets, mode, how)?;
+        self.note_rpc_checkpoint()?;
+        Ok(installed)
     }
 
     /// Materializes every reply chunk parked by a streamed fault, oldest

@@ -377,10 +377,22 @@ impl ObiProcess {
     /// the RMI client announces no reply horizon while a put confirmation
     /// is unsynced (recovery invariant 2). At most one log can ever be
     /// attached; a second call is ignored.
+    ///
+    /// A blank log is given the client's watermark at once, synced: a log
+    /// left blank reads as a site that never ran, so a life that only made
+    /// RPCs would restart on its own request ids (recovery invariant 3). A
+    /// storage failure here goes unreported; the log's next write meets it.
     pub fn attach_durability(&self, durable: Arc<Durable>) {
-        if self.shared.durable.set(durable.clone()).is_ok() {
-            self.shared.client.set_announce_gate(move || durable.confirmations_durable());
+        if self.shared.durable.set(durable.clone()).is_err() {
+            return;
         }
+        if durable.wal_len().is_ok_and(|len| len == 0) {
+            let client = &self.shared.client;
+            let _ = durable
+                .log_client_state(client.request_seq(), client.horizon_tracker().horizon())
+                .and_then(|()| durable.commit());
+        }
+        self.shared.client.set_announce_gate(move || durable.confirmations_durable());
     }
 
     /// The attached durability log, if any.
@@ -392,29 +404,36 @@ impl ObiProcess {
     /// dirty replicas go back into the space (still dirty, awaiting
     /// reintegration), and the RMI client's request counter and reply
     /// horizon are restored so post-crash requests never collide with
-    /// pre-crash ones (recovery invariant 3 in `obiwan-store`). Returns how
-    /// many replicas were reinstalled.
+    /// pre-crash ones (recovery invariant 3 in `obiwan-store`). A counter
+    /// restored to a new epoch is logged to the attached log and synced,
+    /// so that a life which logs nothing else still moves the next
+    /// recovery past its own request ids. Returns how many replicas were
+    /// reinstalled.
     ///
     /// Call before the process serves traffic, typically right after
     /// [`ObiProcess::attach_durability`] with the state that
     /// `Durable::open` returned.
     pub fn recover_from(&self, recovered: &RecoveredState) -> Result<usize> {
-        self.shared
-            .client
-            .restore_request_seq(recovered.next_request_seq);
+        let client = &self.shared.client;
+        client.restore_request_seq(recovered.next_request_seq);
         // Below the restored counter every seq is spent, except those of
         // the put intents the log holds pending: only those are sent again.
         // Each holds the announced prefix below it until it is replayed;
         // one never replayed holds it for good, and the masters' pinned
         // reply bound (`ReplyCache`) is then what limits this site's share.
         let replays = recovered.pending_puts.values().map(|put| put.seq);
-        self.shared.client.horizon_tracker().restore(
+        client.horizon_tracker().restore(
             recovered
                 .next_request_seq
                 .saturating_sub(1)
                 .max(recovered.horizon),
             replays,
         );
+        let durable = self.shared.durable.get();
+        if let Some(durable) = durable.filter(|_| recovered.next_request_seq > 0) {
+            durable.log_client_state(client.request_seq(), client.horizon_tracker().horizon())?;
+            durable.commit()?;
+        }
         self.with_inner(|_inner| {
             let mut installed = 0usize;
             for (id, (provider, state)) in &recovered.dirty {

@@ -13,11 +13,13 @@
 //! named `wal`, `storage` or `durable` (a bare `.append(` would flag every
 //! `Vec::append` under a shard guard).
 
-use crate::callgraph::{Qualifier, TRANSPORT_CUT};
+use crate::callgraph::{Qualifier, Unit, TRANSPORT_CUT};
 use crate::lockgraph::{Hold, Site};
 use crate::{
-    Diagnostic, RULE_GUARD_ACROSS_TRANSPORT, RULE_NO_IO_UNDER_SHARD_GUARD, RULE_SINGLE_SHARD_GUARD,
+    Diagnostic, RULE_GUARD_ACROSS_TRANSPORT, RULE_HOOK_WITHOUT_FN, RULE_NO_IO_UNDER_SHARD_GUARD,
+    RULE_SINGLE_SHARD_GUARD,
 };
+use std::collections::HashSet;
 
 /// An event of the walk that some row may treat as its boundary.
 pub(crate) enum Boundary<'a> {
@@ -41,17 +43,46 @@ pub(crate) struct Row {
 }
 
 /// `Durable`'s write-through hooks: names unambiguous enough to match on
-/// any receiver.
-const LOG_HOOKS: &[&str] = &[
+/// any receiver. Each must name a product fn ([`unmatched_hooks`]).
+pub(crate) const LOG_HOOKS: &[&str] = &[
     "log_dirty",
     "log_op",
-    "log_put_intent",
     "log_put_intents",
     "log_put_abandoned",
     "log_confirm",
     "log_clean",
     "log_client_state",
 ];
+/// The line just below [`LOG_HOOKS`], where a stale entry is reported.
+const LOG_HOOKS_END: u32 = line!();
+
+/// `hook-without-fn`: one finding per [`LOG_HOOKS`] name that no product
+/// fn (outside test code, under `crates/*/src` or `src/`) has. Calls are
+/// matched by these names, so a hook renamed or deleted in the code would
+/// otherwise leave its calls unwatched without a word.
+pub(crate) fn unmatched_hooks(units: &[Unit]) -> Vec<Diagnostic> {
+    let defined: HashSet<&str> = units
+        .iter()
+        .filter(|u| {
+            (u.rel.starts_with("crates/") && u.rel.contains("/src/")) || u.rel.starts_with("src/")
+        })
+        .flat_map(|u| u.model.fns.iter().filter(|f| !f.in_test))
+        .map(|f| f.name.as_str())
+        .collect();
+    LOG_HOOKS
+        .iter()
+        .filter(|hook| !defined.contains(*hook))
+        .map(|hook| Diagnostic {
+            file: file!().to_string(),
+            line: LOG_HOOKS_END as usize,
+            rule: RULE_HOOK_WITHOUT_FN,
+            message: format!(
+                "`{hook}` is a durability hook, but no product fn has that name: calls \
+                 under a new name go unwatched; rename or drop the entry"
+            ),
+        })
+        .collect()
+}
 
 const ROWS: [Row; 3] = [
     // A guard held across a blocking round trip, a one-way send, or a

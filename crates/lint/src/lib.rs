@@ -14,8 +14,9 @@
 //! | `metrics-coverage`           | every counter in `util::metrics` is incremented somewhere |
 //! | `no-unwrap-on-lock-or-decode`| no `unwrap()`/`expect()` on a decode result outside tests (the lock half is the compiler's) |
 //! | `lock-order-cycle`           | no A→B/B→A lock-class inversion anywhere in the static lock-order graph |
-//! | `wal-intent-lifecycle`       | every path past `log_put_intent(s)` retires the intent (each listed one) or hands the seq(s) upward |
+//! | `wal-intent-lifecycle`       | every path past `log_put_intents` retires each listed intent or hands the seqs upward |
 //! | `allow-without-rationale`    | every `lint:allow` carries a rationale after the `(rule)` closer |
+//! | `hook-without-fn`            | every durability hook the rules match calls by names a product fn of the scanned tree |
 //!
 //! DESIGN.md §4b has, per rule, what it has been seen to catch in product
 //! code and what the compiler already rejects (the reach ledger).
@@ -58,6 +59,7 @@ pub const RULE_NO_UNWRAP: &str = "no-unwrap-on-lock-or-decode";
 pub const RULE_LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
 pub const RULE_WAL_INTENT_LIFECYCLE: &str = "wal-intent-lifecycle";
 pub const RULE_ALLOW_AUDIT: &str = "allow-without-rationale";
+pub const RULE_HOOK_WITHOUT_FN: &str = "hook-without-fn";
 
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,8 +168,13 @@ fn parse_units(files: &[SourceFile]) -> Vec<Unit> {
         .collect()
 }
 
-/// Lexes and models every file once and runs every rule over the result.
+/// Lexes and models every file once and runs every rule over the result,
+/// `hook-without-fn` included: `files` are a whole tree.
 pub fn analyze(files: &[SourceFile]) -> Analysis {
+    analyze_rules(files, true)
+}
+
+fn analyze_rules(files: &[SourceFile], whole_tree: bool) -> Analysis {
     let units = parse_units(files);
     let prepared: Vec<Prepared> = units.iter().map(Prepared::new).collect();
     let (lock_graph, mut diags) = lockgraph::build(&units);
@@ -178,6 +185,9 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
     diags.extend(metrics_coverage(&prepared));
     diags.extend(lock_graph.cycle_diagnostics());
     diags.extend(lifecycle::check(&units));
+    if whole_tree {
+        diags.extend(guardrules::unmatched_hooks(&units));
+    }
     diags.retain(|d| !is_allowed(&prepared, d));
     diags.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Analysis {
@@ -186,9 +196,10 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
     }
 }
 
-/// The findings of [`analyze`].
+/// The findings of [`analyze`] over a few files rather than a tree: every
+/// rule but `hook-without-fn`, since those files need not define the hooks.
 pub fn check(files: &[SourceFile]) -> Vec<Diagnostic> {
-    analyze(files).diagnostics
+    analyze_rules(files, false).diagnostics
 }
 
 /// The lock graph alone (what [`analyze`] also returns), for a caller such

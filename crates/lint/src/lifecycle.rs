@@ -1,43 +1,40 @@
-//! `wal-intent-lifecycle`: every path that logs a `PutIntent` must retire it.
+//! `wal-intent-lifecycle`: every path that logs put intents must retire them.
 //!
-//! The PR 6.1 bug shape: `log_put_intent` fsyncs an intent, then some exit
-//! path leaves the function without `log_confirm`/`log_put_abandoned` and
-//! without handing the pending seq upward — after a crash the intent replays
-//! state the caller never meant to commit, or pins a seq forever.
+//! The PR 6.1 bug shape: an intent is made durable, then some exit path
+//! leaves the function without `log_confirm`/`log_put_abandoned` and
+//! without handing the pending seq upward — after a crash the intent
+//! replays state the caller never meant to commit, or pins a seq forever.
 //!
 //! The check is per-function over the token stream, path-approximated
 //! textually (documented caveat: a retire that *textually* precedes an exit
 //! is assumed to dominate it — sharper than the old line rules, still not a
-//! CFG). For each `log_put_intent` call site, every exit that comes after
-//! the intent's own statement must be *sanctioned*:
+//! CFG). Intents are logged a group at a time: one `log_put_intents` call
+//! opens an obligation for every id it lists, so after each call site every
+//! exit that comes after the intent's own statement must be *sanctioned*:
 //!
-//! * a retire call (`log_confirm`/`log_put_abandoned`, or constructing the
+//! * a retire (`log_confirm`/`log_put_abandoned`, or constructing the
 //!   `PutConfirmed`/`PutAbandoned` records directly) appears between the
-//!   intent and the exit; or
+//!   intent and the exit inside a `for`/`while`/`loop` body (textually
+//!   again: the block that follows the keyword; a retire in an iterator
+//!   closure is not recognised) — a single retire cannot discharge a
+//!   group; or
 //! * the exit expression mentions one of the intent call's argument
-//!   identifiers — returning the pending seq upward transfers the
+//!   identifiers — returning the pending list upward transfers the
 //!   obligation to the caller (the recovery contract); or
 //! * the exit is `Err`-shaped (`?` always; `return Err(..)`; an `Err(..)`
-//!   tail) — error exits deliberately keep the intent pending so recovery
-//!   can replay or abandon it with full knowledge.
+//!   tail) — error exits deliberately keep the intents pending so recovery
+//!   can replay or abandon them with full knowledge.
 //!
-//! `log_put_intents` is the group form: one call opens an obligation for
-//! every id it lists. A single retire call cannot discharge those, so for a
-//! group intent a retire only counts from inside a `for`/`while`/`loop`
-//! body (textually again: the block that follows the keyword; a retire in
-//! an iterator closure is not recognised). Handing the list upward and
-//! `Err`-shaped exits are sanctioned as for one intent.
-//!
-//! The definitions of `log_put_intent` and `log_put_intents` themselves are
-//! exempt, as is test code.
+//! The definition of `log_put_intents` itself is exempt, as is test code.
+//! The fn names here are rows of the durability hook list, so
+//! `hook-without-fn` reports one that the code no longer has.
 
 use crate::callgraph::Unit;
 use crate::lexer::Kind;
 use crate::{Diagnostic, RULE_WAL_INTENT_LIFECYCLE};
 
-const INTENT: &str = "log_put_intent";
-const GROUP_INTENT: &str = "log_put_intents";
-const RETIRE: &[&str] = &[
+pub(crate) const INTENT: &str = "log_put_intents";
+pub(crate) const RETIRE: &[&str] = &[
     "log_confirm",
     "log_put_abandoned",
     "PutConfirmed",
@@ -53,7 +50,7 @@ pub fn check(units: &[Unit]) -> Vec<Diagnostic> {
             continue;
         }
         for f in &u.model.fns {
-            if f.in_test || f.name == INTENT || f.name == GROUP_INTENT {
+            if f.in_test || f.name == INTENT {
                 continue;
             }
             check_fn(u, f, &mut diags);
@@ -95,7 +92,7 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
             },
             Kind::Ident => {
                 let called = sig.get(p + 1).map(|&k| u.tokens[k].text(src)) == Some("(");
-                if (t == INTENT || t == GROUP_INTENT) && called {
+                if t == INTENT && called {
                     intents.push(p);
                 } else if RETIRE.contains(&t) {
                     retires.push((p, blocks.contains(&true)));
@@ -114,13 +111,11 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
     let tail_start = last_top_semi.map(|p| p + 1).unwrap_or(start);
 
     for &ip in &intents {
-        // What can retire this intent: any retire call for a single one,
-        // only a retire per loop iteration for a group.
-        let group = txt(ip) == GROUP_INTENT;
+        // Only a retire per loop iteration can retire a group.
         let retired_between = |from: usize, to: usize| {
             retires
                 .iter()
-                .any(|&(q, in_loop)| q > from && q < to && (in_loop || !group))
+                .any(|&(q, in_loop)| q > from && q < to && in_loop)
         };
         // The intent call's argument identifiers: returning any of them
         // upward counts as handing off the pending seq.
@@ -141,7 +136,7 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
             if sanctioned_expr(u, rp + 1, expr_end, &args) {
                 continue;
             }
-            diags.push(flag(u, f, txt(ip), line(ip), line(rp)));
+            diags.push(flag(u, f, line(ip), line(rp)));
         }
 
         // Exit 2: falling off the end of the body.
@@ -152,7 +147,7 @@ fn check_fn(u: &Unit, f: &crate::model::FnItem, diags: &mut Vec<Diagnostic>) {
             continue;
         }
         let end_line = u.tokens[f.body.1.min(u.tokens.len() - 1)].line;
-        diags.push(flag(u, f, txt(ip), line(ip), end_line));
+        diags.push(flag(u, f, line(ip), end_line));
     }
 }
 
@@ -189,26 +184,16 @@ fn matching_paren(u: &Unit, open: usize, end: usize) -> usize {
     end.min(u.sig.len().saturating_sub(1))
 }
 
-fn flag(
-    u: &Unit,
-    f: &crate::model::FnItem,
-    intent: &str,
-    intent_line: u32,
-    exit_line: u32,
-) -> Diagnostic {
-    let (retire, handoff) = if intent == GROUP_INTENT {
-        ("a `log_confirm`/`log_put_abandoned` per listed id", "the pending seqs")
-    } else {
-        ("`log_confirm`/`log_put_abandoned`", "the pending seq")
-    };
+fn flag(u: &Unit, f: &crate::model::FnItem, intent_line: u32, exit_line: u32) -> Diagnostic {
     Diagnostic {
         file: u.rel.clone(),
         line: intent_line as usize,
         rule: RULE_WAL_INTENT_LIFECYCLE,
         message: format!(
-            "`{intent}` at {}:{} can reach the exit of `{}` at {}:{} \
-             without {retire} and without returning {handoff}; a crash \
-             there leaks an unretired intent",
+            "`{INTENT}` at {}:{} can reach the exit of `{}` at {}:{} \
+             without a `log_confirm`/`log_put_abandoned` per listed id and \
+             without returning the pending seqs; a crash there leaks an \
+             unretired intent",
             u.rel, intent_line, f.name, u.rel, exit_line
         ),
     }

@@ -1025,84 +1025,6 @@ pub fn drain(shared: &Shared) {
 // -- wal-intent-lifecycle ----------------------------------------------------
 
 #[test]
-fn unretired_intent_at_the_tail_exit_is_flagged() {
-    let f = lib(
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn put(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    apply_locally(id, state);
-    let _ = seq;
-    Status::Done
-}
-"#,
-    );
-    let diags = check(&[f]);
-    assert_eq!(rules_fired(&diags), vec![RULE_WAL_INTENT_LIFECYCLE]);
-    assert_eq!(diags[0].line, 3);
-    assert!(diags[0].message.contains("unretired intent"));
-}
-
-#[test]
-fn early_return_before_the_confirm_is_flagged() {
-    let f = lib(
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn put(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    if throttled() {
-        return Status::Busy;
-    }
-    d.log_confirm(seq);
-    Status::Done
-}
-"#,
-    );
-    let diags = check(&[f]);
-    assert_eq!(rules_fired(&diags), vec![RULE_WAL_INTENT_LIFECYCLE]);
-    assert_eq!(diags[0].line, 3);
-}
-
-#[test]
-fn confirm_abandon_err_and_handoff_exits_are_sanctioned() {
-    let f = lib(
-        "crates/demo/src/lib.rs",
-        r#"
-pub fn confirms(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    d.log_confirm(seq);
-    Status::Done
-}
-
-pub fn abandons(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    if !apply_checked(id, state) {
-        d.log_put_abandoned(seq);
-        return Status::Failed;
-    }
-    d.log_confirm(seq);
-    Status::Done
-}
-
-pub fn errs(d: &Durable, id: ObjId, state: Frame) -> Result<Status, WalError> {
-    let seq = d.log_put_intent(id, state.frame_bytes())?;
-    if state.oversized() {
-        return Err(WalError::Oversized);
-    }
-    d.log_confirm(seq);
-    Ok(Status::Done)
-}
-
-pub fn hands_off(d: &Durable, id: ObjId, state: Frame) -> PendingPut {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    PendingPut { id, seq }
-}
-"#,
-    );
-    assert!(check(&[f]).is_empty());
-}
-
-#[test]
 fn a_group_of_intents_needs_a_retire_per_id_or_a_handoff() {
     let f = lib(
         "crates/demo/src/lib.rs",
@@ -1182,9 +1104,6 @@ impl Durable {
     pub fn log_put_intents(&self, intents: &[(ObjId, u64)]) {
         self.wal.append_batch(intents)
     }
-    pub fn log_put_intent(&self, id: ObjId, seq: u64) {
-        self.log_put_intents(&[(id, seq)])
-    }
 }
 "#,
     );
@@ -1197,15 +1116,15 @@ fn intent_definition_and_test_code_are_exempt_from_lifecycle() {
         "crates/demo/src/lib.rs",
         r#"
 impl Durable {
-    pub fn log_put_intent(&self, id: ObjId, state: &[u8]) -> u64 {
-        self.wal.append_intent(id, state)
+    pub fn log_put_intents(&self, intents: &[(ObjId, u64)]) -> u64 {
+        self.wal.append_intents(intents)
     }
 }
 
 #[cfg(test)]
 mod tests {
     fn leaky_on_purpose(d: &Durable) {
-        let seq = d.log_put_intent(1, &[]);
+        let seq = d.log_put_intents(&[(1, 2)]);
         let _ = seq;
     }
 }
@@ -1220,13 +1139,51 @@ fn allow_suppresses_wal_intent_lifecycle() {
         "crates/demo/src/lib.rs",
         r#"
 pub fn pinned(d: &Durable, id: ObjId) {
-    // lint:allow(wal-intent-lifecycle) recovery table parks the seq at append time
-    let seq = d.log_put_intent(id, frame());
-    let _ = seq;
+    // lint:allow(wal-intent-lifecycle) recovery table parks the seqs at append time
+    let seqs = d.log_put_intents(&[(id, 7)]);
+    let _ = seqs;
 }
 "#,
     );
     assert!(check(&[f]).is_empty());
+}
+
+// -- hook-without-fn ---------------------------------------------------------
+
+/// A tree whose product code defines every durability hook but `skip`,
+/// which a test file and a string literal mention instead.
+fn hooks_but(skip: &str) -> Vec<SourceFile> {
+    let fns: String = guardrules::LOG_HOOKS
+        .iter()
+        .filter(|hook| **hook != skip)
+        .map(|hook| format!("    pub fn {hook}(&self) {{}}\n"))
+        .collect();
+    vec![
+        lib("crates/store/src/durable.rs", &format!("impl Durable {{\n{fns}}}\n")),
+        lib(
+            "crates/store/tests/durable.rs",
+            &format!("fn {skip}() {{}}\nconst NAME: &str = \"fn {skip}() {{}}\";\n"),
+        ),
+    ]
+}
+
+#[test]
+fn a_durability_hook_no_product_fn_has_is_reported_by_name() {
+    assert!(analyze(&hooks_but("")).diagnostics.is_empty());
+    let diags = analyze(&hooks_but("log_clean")).diagnostics;
+    assert_eq!(rules_fired(&diags), vec![RULE_HOOK_WITHOUT_FN]);
+    assert_eq!(diags[0].file, "crates/lint/src/guardrules.rs");
+    assert!(diags[0].message.starts_with("`log_clean`"), "{}", diags[0].message);
+    // A handful of files, as the other rules' tests give, is not a tree.
+    assert!(check(&hooks_but("log_clean")).is_empty());
+}
+
+#[test]
+fn the_intent_rule_watches_durability_hooks() {
+    let retires = lifecycle::RETIRE.iter().filter(|name| name.starts_with("log_"));
+    for name in std::iter::once(&lifecycle::INTENT).chain(retires) {
+        assert!(guardrules::LOG_HOOKS.contains(name), "{name}");
+    }
 }
 
 // -- allow-without-rationale -------------------------------------------------

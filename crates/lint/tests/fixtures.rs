@@ -65,28 +65,30 @@ fn bad_tree_fails_with_file_line_diagnostics() {
         "the bare allow must still suppress its target finding in:\n{stdout}"
     );
     // Interprocedural seeds: the AB/BA inversion only exists through the
-    // call graph, and both unretired-intent shapes anchor at the intent.
+    // call graph, and the unretired-intent shapes anchor at the intent: a
+    // group nobody retires, one left by an early return, and one retired
+    // for a single id only.
     assert!(
         stdout.contains("crates/demo/src/locks.rs:9: [lock-order-cycle]"),
         "missing lock-order-cycle diagnostic in:\n{stdout}"
     );
     assert!(
-        stdout.contains("crates/demo/src/intent.rs:6: [wal-intent-lifecycle]"),
-        "missing tail-exit intent diagnostic in:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("crates/demo/src/intent.rs:13: [wal-intent-lifecycle]"),
-        "missing early-return intent diagnostic in:\n{stdout}"
-    );
-    // The group form: a list of intents nobody retires, and one retired
-    // for a single id only.
-    assert!(
-        stdout.contains("crates/demo/src/intent.rs:25: [wal-intent-lifecycle]"),
+        stdout.contains("crates/demo/src/intent.rs:7: [wal-intent-lifecycle]"),
         "missing unretired-group diagnostic in:\n{stdout}"
     );
     assert!(
-        stdout.contains("crates/demo/src/intent.rs:31: [wal-intent-lifecycle]"),
+        stdout.contains("crates/demo/src/intent.rs:13: [wal-intent-lifecycle]"),
+        "missing early-return group diagnostic in:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/demo/src/intent.rs:24: [wal-intent-lifecycle]"),
         "missing retired-one-of-a-group diagnostic in:\n{stdout}"
+    );
+    // A configured hook the tree renamed: reported at the hook list, by
+    // name.
+    assert!(
+        stdout.contains("[hook-without-fn] `log_clean`"),
+        "missing hook-without-fn diagnostic in:\n{stdout}"
     );
     assert!(stdout.contains("13 violation(s)"), "count in:\n{stdout}");
 }

@@ -1,30 +1,23 @@
-//! Seeded `wal-intent-lifecycle` violations: one intent is dropped on the
-//! floor before the tail exit, another before an early `return`. Neither
-//! path confirms, abandons, nor hands the pending seq upward.
-
-pub fn put_forgets_retirement(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    apply_locally(id, state);
-    let _ = seq;
-    Status::Done
-}
-
-pub fn put_early_return_skips_confirm(d: &Durable, id: ObjId, state: Frame) -> Status {
-    let seq = d.log_put_intent(id, state.frame_bytes());
-    if throttled() {
-        return Status::Busy;
-    }
-    d.log_confirm(seq);
-    Status::Done
-}
-
-// The group form, one obligation per listed id: the first function retires
-// none of them, the second a single id outside any loop over the group.
+//! Seeded `wal-intent-lifecycle` violations, one obligation per listed id:
+//! the first function retires none of its intents before the tail exit,
+//! the second leaves by an early `return` before its loop of confirms, and
+//! the third retires a single id outside any loop over the group.
 
 pub fn put_group_forgets_retirement(d: &Durable, group: &[Put]) -> Status {
     d.log_put_intents(&seqs_of(group));
     let sent = send_all(group);
     Status::Sent(sent)
+}
+
+pub fn put_group_early_return_skips_confirms(d: &Durable, group: &[Put]) -> Status {
+    d.log_put_intents(&seqs_of(group));
+    if throttled() {
+        return Status::Busy;
+    }
+    for put in group {
+        d.log_confirm(put.seq);
+    }
+    Status::Done
 }
 
 pub fn put_group_confirms_only_one(d: &Durable, group: &[Put]) -> Status {

@@ -514,15 +514,21 @@ mod tests {
         (mem, durable)
     }
 
-    /// Every record the WAL holds, synced or not.
+    /// Every record the WAL holds after the client watermark logged when
+    /// the log was attached, synced or not.
     fn wal_records(mem: &MemStorage) -> Vec<WalRecord> {
         let replay = obiwan_store::replay(mem, WAL_FILE).unwrap();
         assert_eq!(replay.truncated, 0);
-        replay
+        let mut records: Vec<WalRecord> = replay
             .payloads
             .iter()
             .map(|p| WalRecord::decode(p).unwrap())
-            .collect()
+            .collect();
+        assert!(
+            matches!(records.first(), Some(WalRecord::ClientState { .. })),
+            "{records:?}"
+        );
+        records.split_off(1)
     }
 
     #[test]
@@ -535,9 +541,11 @@ mod tests {
                 .invoke(world.site(s1), replica, "add", ObiValue::I64(i))
                 .unwrap();
         }
-        assert_eq!(durable.wal_stats().appends(), 16, "one record per op");
-        assert_eq!(durable.wal_stats().syncs(), 2);
-        assert_eq!(mem.sync_count(), 2);
+        // The watermark logged (and synced) at attach, then one record per
+        // op and one sync per group of 8.
+        assert_eq!(durable.wal_stats().appends(), 1 + 16, "one record per op");
+        assert_eq!(durable.wal_stats().syncs(), 1 + 2);
+        assert_eq!(mem.sync_count(), 1 + 2);
         for (i, record) in wal_records(&mem).into_iter().enumerate() {
             let WalRecord::Op { args, succeeded, deltas, .. } = record else {
                 panic!("record {i} is not an op: {record:?}");
@@ -575,7 +583,7 @@ mod tests {
             .invoke(world.site(s1), tail, "set_value", ObiValue::I64(9))
             .unwrap_err();
         assert!(err.is_connectivity(), "{err}");
-        assert_eq!(durable.wal_stats().appends(), 2, "every exit writes its one record");
+        assert_eq!(durable.wal_stats().appends(), 1 + 2, "every exit writes its one record");
         for record in wal_records(&mem) {
             assert!(
                 matches!(&record, WalRecord::Op { succeeded: false, deltas, .. } if deltas.is_empty()),
@@ -634,7 +642,7 @@ mod tests {
             .invoke(world.site(s1), purse, "give", ObiValue::I64(3))
             .unwrap();
         assert_eq!(left, ObiValue::I64(7));
-        assert_eq!(durable.wal_stats().appends(), 1);
+        assert_eq!(durable.wal_stats().appends(), 1 + 1, "the attach-time watermark and the op");
         let records = wal_records(&mem);
         let [WalRecord::Op { target, deltas, succeeded: true, .. }] = &records[..] else {
             panic!("not one successful op: {records:?}");

@@ -52,11 +52,6 @@ pub struct LinkModel {
     /// uses `loss`/`reply_loss` like any other reply; dropping chunks
     /// leaves a hole the client must resume across.
     pub chunk_loss: f64,
-    /// Probability in `[0, 1]` that a delivered reply chunk arrives twice.
-    pub chunk_duplicate: f64,
-    /// Probability in `[0, 1]` that a reply chunk is held back and
-    /// delivered after the following chunk (pairwise reordering).
-    pub chunk_reorder: f64,
 }
 
 impl Default for LinkModel {
@@ -77,8 +72,6 @@ impl LinkModel {
             duplicate: 0.0,
             reorder: 0.0,
             chunk_loss: 0.0,
-            chunk_duplicate: 0.0,
-            chunk_reorder: 0.0,
         }
     }
 
@@ -124,20 +117,6 @@ impl LinkModel {
     /// to `[0, 1]`).
     pub fn with_chunk_loss(mut self, chunk_loss: f64) -> Self {
         self.chunk_loss = chunk_loss.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns a copy with the given per-chunk duplication probability
-    /// (clamped to `[0, 1]`).
-    pub fn with_chunk_duplicate(mut self, chunk_duplicate: f64) -> Self {
-        self.chunk_duplicate = chunk_duplicate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns a copy with the given per-chunk reordering probability
-    /// (clamped to `[0, 1]`).
-    pub fn with_chunk_reorder(mut self, chunk_reorder: f64) -> Self {
-        self.chunk_reorder = chunk_reorder.clamp(0.0, 1.0);
         self
     }
 
@@ -190,16 +169,6 @@ impl LinkModel {
     /// samples.
     pub fn drops_chunk(&self, rng: &mut DetRng) -> bool {
         self.chunk_loss > 0.0 && rng.chance(self.chunk_loss)
-    }
-
-    /// Samples whether a delivered reply chunk is duplicated.
-    pub fn duplicates_chunk(&self, rng: &mut DetRng) -> bool {
-        self.chunk_duplicate > 0.0 && rng.chance(self.chunk_duplicate)
-    }
-
-    /// Samples whether a reply chunk is held back past its successor.
-    pub fn reorders_chunk(&self, rng: &mut DetRng) -> bool {
-        self.chunk_reorder > 0.0 && rng.chance(self.chunk_reorder)
     }
 }
 
@@ -332,12 +301,11 @@ pub(crate) enum Leg {
     Chunk,
 }
 
-/// How one delivered frame arrives: `dup` twice, `hold` after its
-/// successor.
+/// How one delivered frame arrives: `dup` twice (only a request leg draws
+/// that lottery).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Arrival {
     pub(crate) dup: bool,
-    pub(crate) hold: bool,
 }
 
 /// How a transport passes a leg's modeled delay.
@@ -381,7 +349,7 @@ impl LinkLayer {
         bytes: usize,
         leg: Leg,
     ) -> Result<Arrival> {
-        let (delay, lost, dup, hold) = {
+        let (delay, lost, dup) = {
             let topology = self.topology.read();
             if !topology.is_up(from, to) {
                 return Err(ObiError::Disconnected { from, to });
@@ -389,24 +357,15 @@ impl LinkLayer {
             let link = topology.link(from, to);
             let mut rng = self.rng.lock();
             let delay = link.transfer_time(bytes, &mut rng);
-            let (lost, dup, hold) = match leg {
+            let (lost, dup) = match leg {
                 Leg::Request => (
                     link.drops(&mut rng),
                     matches!(self.pace, Pace::Virtual(_)) && link.duplicates(&mut rng),
-                    false,
                 ),
-                Leg::Reply => (
-                    link.drops(&mut rng) || link.drops_reply(&mut rng),
-                    false,
-                    false,
-                ),
-                Leg::Chunk => (
-                    link.drops(&mut rng) || link.drops_chunk(&mut rng),
-                    link.duplicates_chunk(&mut rng),
-                    link.reorders_chunk(&mut rng),
-                ),
+                Leg::Reply => (link.drops(&mut rng) || link.drops_reply(&mut rng), false),
+                Leg::Chunk => (link.drops(&mut rng) || link.drops_chunk(&mut rng), false),
             };
-            (delay, lost, dup, hold)
+            (delay, lost, dup)
         };
         if let Pace::Virtual(clock) = &self.pace {
             clock.charge(delay);
@@ -418,44 +377,26 @@ impl LinkLayer {
         }
         self.metrics.incr_messages_received();
         self.metrics.add_bytes_received(bytes as u64);
-        Ok(Arrival { dup, hold })
+        Ok(Arrival { dup })
     }
 }
 
 /// Delivers what the handler at `to` [`Served`] to its caller across the
 /// modeled reply link, `cross(bytes, leg)` sending each frame. Every chunk
-/// draws its own [`Leg::Chunk`] lottery and reaches `on_frame` in arrival
-/// order: a duplicate back to back, a lost one not at all (a hole for the
-/// terminal frame), and at most one at a time held back, arriving after its
-/// successor (pairwise reordering). The terminal then crosses as
-/// [`Leg::Reply`] and is returned; a handler that produced none is an
-/// [`ObiError::Internal`].
+/// draws its own [`Leg::Chunk`] lottery and either reaches `on_frame`, once
+/// and in sink order, or is lost (a hole for the terminal frame to reveal).
+/// The terminal then crosses as [`Leg::Reply`] and is returned; a handler
+/// that produced none is an [`ObiError::Internal`].
 pub(crate) fn deliver_reply(
     Served { chunks, reply }: Served,
     to: SiteId,
     on_frame: &mut dyn FnMut(Bytes),
     mut cross: impl FnMut(usize, Leg) -> Result<Arrival>,
 ) -> Result<Bytes> {
-    let mut held = None;
     for chunk in chunks {
-        let Ok(Arrival { dup, hold }) = cross(chunk.len(), Leg::Chunk) else {
-            continue;
-        };
-        let prev = held.take();
-        if hold {
-            held = Some(chunk);
-        } else {
-            if dup {
-                on_frame(chunk.clone());
-            }
+        if cross(chunk.len(), Leg::Chunk).is_ok() {
             on_frame(chunk);
         }
-        if let Some(prev) = prev {
-            on_frame(prev);
-        }
-    }
-    if let Some(last) = held {
-        on_frame(last);
     }
     let reply = reply.ok_or_else(|| {
         ObiError::Internal(format!("site {to} produced no reply to a request"))
@@ -604,30 +545,18 @@ mod tests {
 
     #[test]
     fn chunk_faults_sample_independently_and_clamp() {
-        // Zero-probability chunk knobs never consume rng state: a stream
+        // A zero chunk-loss probability never consumes rng state: a stream
         // with no chunk faults must leave every other sample untouched.
         let mut rng = DetRng::new(13);
         let clean = LinkModel::ideal();
         assert!(!clean.drops_chunk(&mut rng));
-        assert!(!clean.duplicates_chunk(&mut rng));
-        assert!(!clean.reorders_chunk(&mut rng));
         let mut rng2 = DetRng::new(13);
         assert_eq!(rng.next_below(1000), rng2.next_below(1000));
 
-        let faulty = LinkModel::ideal()
-            .with_chunk_loss(1.0)
-            .with_chunk_duplicate(1.0)
-            .with_chunk_reorder(1.0);
         let mut rng = DetRng::new(5);
-        assert!(faulty.drops_chunk(&mut rng));
-        assert!(faulty.duplicates_chunk(&mut rng));
-        assert!(faulty.reorders_chunk(&mut rng));
+        assert!(LinkModel::ideal().with_chunk_loss(1.0).drops_chunk(&mut rng));
         assert_eq!(LinkModel::ideal().with_chunk_loss(9.0).chunk_loss, 1.0);
-        assert_eq!(
-            LinkModel::ideal().with_chunk_duplicate(-1.0).chunk_duplicate,
-            0.0
-        );
-        assert_eq!(LinkModel::ideal().with_chunk_reorder(2.0).chunk_reorder, 1.0);
+        assert_eq!(LinkModel::ideal().with_chunk_loss(-1.0).chunk_loss, 0.0);
 
         // Rates track their nominal probability, and the chunk path stays
         // independent of the frame-level knobs.

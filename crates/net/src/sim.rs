@@ -649,49 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_duplication_delivers_copies_back_to_back() {
-        let net = transport();
-        net.register(s(2), Arc::new(ChunkEcho(3)));
-        net.with_topology_mut(|t| {
-            t.set_link_symmetric(
-                s(1),
-                s(2),
-                crate::link::LinkModel::ideal().with_chunk_duplicate(1.0),
-            );
-        });
-        let mut chunks = Vec::new();
-        net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |c| {
-            chunks.push(c[0])
-        })
-        .unwrap();
-        assert_eq!(chunks, vec![0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn chunk_reordering_swaps_neighbors_but_loses_nothing() {
-        let net = transport();
-        net.register(s(2), Arc::new(ChunkEcho(6)));
-        net.with_topology_mut(|t| {
-            t.set_link_symmetric(
-                s(1),
-                s(2),
-                crate::link::LinkModel::ideal().with_chunk_reorder(0.5),
-            );
-        });
-        net.reseed(3);
-        let mut chunks = Vec::new();
-        net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |c| {
-            chunks.push(c[0])
-        })
-        .unwrap();
-        // Every chunk arrives exactly once, just not necessarily in order.
-        let mut sorted = chunks.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
-        assert_ne!(chunks, sorted, "seed 3 must actually reorder something");
-    }
-
-    #[test]
     fn duplicated_stream_request_runs_the_handler_twice() {
         let net = transport();
         let streams = Arc::new(AtomicUsize::new(0));

@@ -82,9 +82,12 @@ pub trait Transport: Send + Sync {
     /// frames it sinks are handed to `on_frame`, in sink order, once it has
     /// returned and before the terminal reply is returned.
     ///
-    /// Intermediate frames ride the same reply link and are subject to the
-    /// transport's fault model (loss/duplication/reordering of individual
-    /// chunks); callers own reassembly.
+    /// Intermediate frames ride the same reply link, where a modeled link
+    /// may lose any of them ([`LinkModel::chunk_loss`]): each reaches
+    /// `on_frame` at most once and in sink order, and a lost one is a hole
+    /// the caller sees only against the terminal reply.
+    ///
+    /// [`LinkModel::chunk_loss`]: crate::LinkModel::chunk_loss
     fn call_stream(
         &self,
         from: SiteId,

@@ -22,45 +22,6 @@ use std::time::Duration;
 /// exchange.
 const STREAM_CHUNK_OBJECTS: u32 = 8;
 
-/// The client's half of one streamed demand: chunks in, in any order and
-/// any number of times; the contiguous prefix out, in order and once each.
-/// It outlives the attempts, so `next_expected` is what a resume asks for.
-/// A provider serves at most its step times its live roots, so it owes at
-/// most `bound` = max(1, ⌈`batch` × `targets` / `STREAM_CHUNK_OBJECTS`⌉)
-/// chunks: an index past that counts as lost and is never parked.
-struct Reassembly<T> {
-    next_expected: u32,
-    bound: u32,
-    parked: std::collections::BTreeMap<u32, T>,
-}
-
-impl<T> Reassembly<T> {
-    fn new(batch: u32, targets: usize) -> Self {
-        let objects = u64::from(batch).saturating_mul(targets as u64);
-        let owed = objects.div_ceil(u64::from(STREAM_CHUNK_OBJECTS));
-        Reassembly {
-            next_expected: 0,
-            bound: owed.clamp(1, u64::from(u32::MAX)) as u32,
-            parked: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Takes chunk `index` and hands `deliver` each chunk that is now next
-    /// in order. A chunk already delivered or parked (a duplicate) or past
-    /// the bound is dropped.
-    fn accept(&mut self, index: u32, chunk: T, mut deliver: impl FnMut(u32, T)) {
-        if index < self.next_expected || index >= self.bound || self.parked.contains_key(&index) {
-            return;
-        }
-        self.parked.insert(index, chunk);
-        while let Some(chunk) = self.parked.remove(&self.next_expected) {
-            let index = self.next_expected;
-            self.next_expected += 1;
-            deliver(index, chunk);
-        }
-    }
-}
-
 /// What one attempt of a call came to (see [`RmiClient::retrying`]).
 enum Attempt<T> {
     /// The call is over: a reply in hand, or an error retrying cannot help
@@ -411,11 +372,12 @@ impl RmiClient {
     ///
     /// Either way it is one demand round-trip under one request id, one
     /// retry budget (`deadline`, or the policy default) and one breaker
-    /// event. Stream chunks lost, duplicated or reordered in transit are
-    /// reassembled here: out-of-order chunks park, duplicates drop, and a
-    /// stream whose terminal reveals holes (or never arrives) is *resumed*
-    /// under the same request id with `resume_from` at the reassembly
-    /// frontier, so the provider re-streams only the missing suffix.
+    /// event. The client takes stream chunks strictly in index order: a
+    /// chunk that is not the next one expected (one already taken, or one
+    /// past a lost chunk) is dropped, and a stream whose terminal counts
+    /// more chunks than were taken (or that never ends) is *resumed* under
+    /// the same request id with `resume_from` at the next expected index,
+    /// so the provider re-streams only the missing suffix.
     pub fn demand(
         &self,
         host: SiteId,
@@ -476,10 +438,10 @@ impl RmiClient {
         deadline: Option<Deadline>,
         on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
     ) -> Result<()> {
-        // Reassembly lives *outside* the attempts: chunks already delivered
-        // stay delivered across resumes, and its `next_expected` is exactly
-        // the `resume_from` a retry asks the provider for.
-        let mut chunks = Reassembly::new(batch, targets.len());
+        // `next_expected` lives *outside* the attempts: chunks already
+        // delivered stay delivered across resumes, and it is exactly the
+        // `resume_from` a retry asks the provider for.
+        let mut next_expected = 0u32;
         self.retrying(host, Some(request), true, deadline, &mut |retries| {
             if retries > 0 {
                 self.metrics.incr_stream_resumes();
@@ -489,7 +451,7 @@ impl RmiClient {
                 targets: targets.to_vec(),
                 mode: WireMode::Incremental { batch },
                 chunk: STREAM_CHUNK_OBJECTS,
-                resume_from: chunks.next_expected,
+                resume_from: next_expected,
             }
             .encode();
             self.clock.charge_cpu(self.costs.serialize(frame.len()));
@@ -508,18 +470,18 @@ impl RmiClient {
                     // hole surfaces at the terminal and the resume heals it.
                     return;
                 };
-                if id != request {
-                    // Stray correlation: drop.
+                if id != request || chunk_index != next_expected {
+                    // A stray correlation, or a chunk out of turn (one
+                    // already taken, or one past a hole): drop it.
                     return;
                 }
-                chunks.accept(chunk_index, batch, |index, batch| {
-                    self.metrics.incr_demand_chunks();
-                    let mut chunk_span = trace::span(&self.clock, "rpc.chunk")
-                        .with_site(self.site)
-                        .with_req(request);
-                    chunk_span.set_value(index as u64);
-                    on_chunk(index, batch);
-                });
+                next_expected += 1;
+                self.metrics.incr_demand_chunks();
+                let mut chunk_span = trace::span(&self.clock, "rpc.chunk")
+                    .with_site(self.site)
+                    .with_req(request);
+                chunk_span.set_value(chunk_index as u64);
+                on_chunk(chunk_index, batch);
             });
             let reply = match sent {
                 Ok(reply) => reply,
@@ -543,7 +505,7 @@ impl RmiClient {
             match total_chunks {
                 // Lost chunks left a hole below the terminal's count:
                 // resume, don't restart.
-                Ok(total) if chunks.next_expected < total => {
+                Ok(total) if next_expected < total => {
                     Attempt::Retry(ObiError::Timeout { to: host })
                 }
                 done => Attempt::Done(done.map(|_| ())),
@@ -807,56 +769,6 @@ mod tests {
             .demand(SiteId::new(2), &[target], false, WireMode::Transitive, None, None)
             .unwrap_err();
         assert!(matches!(err, ObiError::NoSuchObject(_)));
-    }
-
-    /// Feeds `arrivals` to `chunks`, returning what it delivered, in order.
-    fn deliver(chunks: &mut Reassembly<char>, arrivals: &[(u32, char)]) -> Vec<(u32, char)> {
-        let mut out = Vec::new();
-        for &(index, chunk) in arrivals {
-            chunks.accept(index, chunk, |index, chunk| out.push((index, chunk)));
-        }
-        out
-    }
-
-    #[test]
-    fn reassembly_is_owed_the_chunks_of_step_times_targets() {
-        assert_eq!(Reassembly::<char>::new(20, 2).bound, 5);
-        assert_eq!(Reassembly::<char>::new(9, 1).bound, 2);
-        assert_eq!(Reassembly::<char>::new(16, 1).bound, 2);
-        assert_eq!(Reassembly::<char>::new(9, 0).bound, 1);
-        assert_eq!(Reassembly::<char>::new(u32::MAX, usize::MAX).bound, u32::MAX);
-    }
-
-    #[test]
-    fn reassembly_never_parks_a_chunk_past_the_bound() {
-        let mut chunks = Reassembly::new(16, 1);
-        assert!(deliver(&mut chunks, &[(2, 'x'), (u32::MAX, 'y'), (7, 'z')]).is_empty());
-        assert!(chunks.parked.is_empty(), "out-of-bound chunks count as lost");
-        assert_eq!(deliver(&mut chunks, &[(1, 'b'), (0, 'a')]), [(0, 'a'), (1, 'b')]);
-        assert_eq!(deliver(&mut chunks, &[(2, 'c')]), []);
-        assert_eq!(chunks.next_expected, 2);
-    }
-
-    #[test]
-    fn reassembly_delivers_a_duplicated_chunk_once() {
-        let mut chunks = Reassembly::new(32, 1);
-        let arrivals = [(0, 'a'), (0, 'A'), (2, 'c'), (2, 'C'), (1, 'b'), (1, 'B'), (0, 'a')];
-        assert_eq!(deliver(&mut chunks, &arrivals), [(0, 'a'), (1, 'b'), (2, 'c')]);
-        assert!(chunks.parked.is_empty());
-    }
-
-    #[test]
-    fn reassembly_delivers_reordered_chunks_in_order() {
-        let mut chunks = Reassembly::new(40, 1);
-        assert_eq!(deliver(&mut chunks, &[(3, 'd'), (1, 'b'), (4, 'e')]), []);
-        assert_eq!(chunks.parked.len(), 3);
-        assert_eq!(deliver(&mut chunks, &[(0, 'a')]), [(0, 'a'), (1, 'b')]);
-        assert_eq!(chunks.next_expected, 2);
-        assert_eq!(
-            deliver(&mut chunks, &[(2, 'c')]),
-            [(2, 'c'), (3, 'd'), (4, 'e')]
-        );
-        assert!(chunks.parked.is_empty());
     }
 
     #[test]
@@ -1191,7 +1103,7 @@ mod retry_tests {
             ..Default::default()
         });
         let (indices, ids, frontier_edges) = collect_chunks(&client, 64);
-        // Exactly-once reassembly: every chunk delivered once, in order,
+        // Exactly-once delivery: every chunk taken once, in order,
         // despite 30% of individual chunk frames vanishing.
         assert_eq!(indices, (0..8).collect::<Vec<u32>>());
         assert_eq!(ids, (1..=64).collect::<Vec<u64>>());
@@ -1210,19 +1122,82 @@ mod retry_tests {
         );
     }
 
+    /// A provider that breaks the stream contract on purpose: its first
+    /// attempt sinks chunk indices 1, 0, 0, `u32::MAX`, 2 and a resume
+    /// sinks 2, 1, 2, each closed by a terminal counting 3 chunks. It
+    /// records the `resume_from` of every attempt.
+    #[derive(Default)]
+    struct MisorderingProvider {
+        resumed_from: Mutex<Vec<u32>>,
+    }
+
+    impl obiwan_net::MessageHandler for MisorderingProvider {
+        fn handle(&self, _from: SiteId, _frame: bytes::Bytes) -> Option<bytes::Bytes> {
+            None
+        }
+
+        fn handle_stream(
+            &self,
+            _from: SiteId,
+            frame: bytes::Bytes,
+            sink: &mut dyn FnMut(bytes::Bytes),
+        ) -> Option<bytes::Bytes> {
+            let Ok(Message::GetManyStreamRequest {
+                request,
+                targets,
+                resume_from,
+                ..
+            }) = Message::decode(&frame)
+            else {
+                return None;
+            };
+            self.resumed_from.lock().push(resume_from);
+            let indices: &[u32] = if resume_from == 0 {
+                &[1, 0, 0, u32::MAX, 2]
+            } else {
+                &[2, 1, 2]
+            };
+            let batch = ReplicaBatch {
+                root: targets[0],
+                replicas: Vec::new(),
+                frontier: Vec::new(),
+                cluster: None,
+            };
+            for &chunk_index in indices {
+                let batch = batch.clone();
+                sink(Message::GetManyChunk { request, chunk_index, total_hint: 3, batch }.encode());
+            }
+            Some(Message::GetManyDone { request, total_chunks: 3, result: Ok(()) }.encode())
+        }
+    }
+
+    /// In whatever order and however often chunks arrive, the client hands
+    /// each index to `on_chunk` once and in order, drops duplicates and
+    /// out-of-range indices, and resumes across the hole they leave.
     #[test]
-    fn streamed_demand_survives_chunk_duplication_and_reordering() {
-        let (client, _net, _svc) = stream_rig(
-            40,
-            LinkModel::ideal()
-                .with_chunk_duplicate(0.4)
-                .with_chunk_reorder(0.4),
-            23,
-        );
-        let (indices, ids, _) = collect_chunks(&client, 40);
-        assert_eq!(indices, (0..5).collect::<Vec<u32>>());
-        assert_eq!(ids, (1..=40).collect::<Vec<u64>>());
-        assert_eq!(client.metrics().snapshot().demand_chunks, 5);
+    fn streamed_demand_takes_chunks_in_order_from_a_misbehaving_provider() {
+        let clock = Clock::new(ClockMode::VirtualOnly);
+        let net = Arc::new(SimTransport::new(clock.clone(), conditions::paper_lan()));
+        let provider = Arc::new(MisorderingProvider::default());
+        net.register(SiteId::new(2), provider.clone());
+        let client = RmiClient::new(SiteId::new(1), net, clock, CostModel::free());
+        let mut indices = Vec::new();
+        let whole = client
+            .demand(
+                SiteId::new(2),
+                &[ObjId::new(SiteId::new(2), 1)],
+                false,
+                WireMode::Incremental { batch: 20 },
+                None,
+                Some(&mut |index, _| indices.push(index)),
+            )
+            .expect("the resume fills the hole");
+        assert!(whole.is_none());
+        assert_eq!(indices, [0, 1, 2]);
+        assert_eq!(*provider.resumed_from.lock(), [0, 1]);
+        let snap = client.metrics().snapshot();
+        assert_eq!(snap.stream_resumes, 1);
+        assert_eq!(snap.demand_chunks, 3);
     }
 
     #[test]

@@ -99,9 +99,9 @@ pub struct DurableOptions {
     /// checkpoint. Requests other than puts burn sequence numbers without
     /// logging them (recovery invariant 3), so between checkpoints the
     /// restored counter relies on [`SEQ_EPOCH_SKIP`] alone. The process
-    /// counts its `invoke_rmi` calls only: this bounds the unlogged drift
-    /// of an invoke-heavy life to N, while demands and refreshes are never
-    /// counted. `0` disables periodic checkpoints.
+    /// counts each `invoke_rmi` and each demand (a `get`, `refresh`,
+    /// prefetch or fault) that succeeds: this bounds the unlogged drift of
+    /// an RPC-heavy life to N. `0` disables periodic checkpoints.
     pub checkpoint_every_rpcs: u64,
 }
 
@@ -488,10 +488,9 @@ impl Durable {
     /// written.
     ///
     /// Puts persist the watermark on their own confirm path; the process
-    /// calls this after each `invoke_rmi`, so a long invoke-heavy life
-    /// between puts keeps its unlogged seq drift bounded by N. Demands and
-    /// refreshes do not call it: between puts they lean on
-    /// [`SEQ_EPOCH_SKIP`] alone.
+    /// calls this after each `invoke_rmi` and each demand, so a long
+    /// RPC-heavy life between puts keeps its unlogged seq drift bounded by
+    /// N.
     pub fn note_confirmed_rpc(&self, next_seq: u64, horizon: u64) -> Result<bool> {
         if self.checkpoint_every_rpcs == 0 {
             return Ok(false);

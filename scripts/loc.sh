@@ -7,6 +7,10 @@
 #            attribute (a doc comment that mentions one does not end the
 #            file; #[cfg(any(test, …))] is not test-only code)
 #   lint:    the crates/lint share of product
+#   tests:   test code outside crates/perf: every line the product count
+#            cuts away under crates/, plus the root package's tests/
+#            directory and the test modules of its src/ (each file cut the
+#            same way)
 #   total:   lines of every .rs file in the repository
 #
 # Product code after a file's cut would go uncounted, so the script fails,
@@ -29,6 +33,19 @@ product() {
         while read -r f; do [ -f "$f" ] && awk '/^[[:space:]]*#\[cfg\((all\()?test[,)]/ { exit } { print }' "$f"; done | wc -l
 }
 
+# What product() leaves out, outside crates/perf: whole test files, and
+# every other file from its cut on.
+tests() {
+    files 'crates/*.rs' 'src/*.rs' 'tests/*.rs' | grep -v '^crates/perf/' |
+        while read -r f; do
+            [ -f "$f" ] || continue
+            case "$f" in
+            tests/* | */tests/* | */tests.rs | */proptests.rs) cat "$f" ;;
+            *) awk 'cut || /^[[:space:]]*#\[cfg\((all\()?test[,)]/ { cut = 1; print }' "$f" ;;
+            esac
+        done | wc -l
+}
+
 # Top-level items after the cut (rustfmt starts them at column 0) that no
 # test attribute gates.
 late=$(product_files 'crates/*.rs' | while read -r f; do [ ! -f "$f" ] || awk '
@@ -49,4 +66,5 @@ total=$(files '*.rs' | while read -r f; do [ -f "$f" ] && cat "$f"; done | wc -l
 
 printf 'product (crates/, no perf, no tests): %s lines\n' "$(product 'crates/*.rs')"
 printf '  of which crates/lint:               %s lines\n' "$(product 'crates/lint/*.rs')"
+printf 'tests   (test code, no perf):          %s lines\n' "$(tests)"
 printf 'total   (every .rs in the repository): %s lines\n' "$total"

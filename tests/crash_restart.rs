@@ -510,11 +510,9 @@ fn rpc_heavy_life_is_checkpointed_every_n_confirmed_rpcs() {
         assert_eq!(got, ObiValue::I64(i));
     }
 
-    // Crash keeping the whole log. Without the periodic checkpoints the
-    // WAL would be empty here — no put ever ran — and recovery would hand
-    // back a fresh low counter colliding with the ten spent seqs.
+    // Crash keeping the whole log. No put ever ran: the WAL holds the
+    // watermark logged when the log was attached, then the checkpoints.
     let wal_len = rig.durable().wal_len().unwrap();
-    assert!(wal_len > 0, "checkpoints must have reached the WAL");
     rig.storage.crash_keeping(WAL_FILE, wal_len);
     rig.world.restart_site(rig.client);
     let (durable, recovered) = Durable::open(
@@ -523,8 +521,9 @@ fn rpc_heavy_life_is_checkpointed_every_n_confirmed_rpcs() {
     )
     .unwrap();
     assert_eq!(
-        recovered.wal_records, 2,
-        "ten confirmed RPCs at N = 4 checkpoint exactly twice"
+        recovered.wal_records,
+        1 + 2,
+        "the attach-time watermark, then ten confirmed RPCs at N = 4 checkpoint exactly twice"
     );
     assert!(recovered.next_request_seq >= SEQ_EPOCH_SKIP);
     let process = rig.world.site(rig.client);
@@ -543,6 +542,71 @@ fn rpc_heavy_life_is_checkpointed_every_n_confirmed_rpcs() {
     assert_eq!(rig.master_value(), 11);
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// A world of a client and a server mastering counter `c`, with a fresh
+/// durability log (default options) attached to the client before its
+/// first request.
+fn logged_from_the_start() -> (ObiWorld, SiteId, Arc<MemStorage>) {
+    let mut world = ObiWorld::loopback();
+    let client = world.add_site("pda");
+    let server = world.add_site("server");
+    let master = world.site(server).create(Counter::new(0));
+    world.site(server).export(master, "c").unwrap();
+    let storage = attach_log(&world, client, DurableOptions::default());
+    (world, client, storage)
+}
+
+/// Lives that only make RPCs log nothing of their own before their
+/// `checkpoint_every_rpcs`-th call. Each restart must still skip past the
+/// life before: a log left blank keeps the new process's low counter, and
+/// one that never records the epoch a recovery skipped to sends the next
+/// recovery to that same epoch. Either way the master's reply cache then
+/// answers fresh requests with an earlier life's replies.
+#[test]
+fn rpc_only_lives_in_a_row_each_restart_past_the_last() {
+    let (mut world, client, storage) = logged_from_the_start();
+    for life in 0..3i64 {
+        if life > 0 {
+            let kept = storage.len(WAL_FILE).unwrap();
+            restart(&mut world, client, &storage, kept);
+        }
+        let process = world.site(client);
+        let remote = process.lookup("c").unwrap();
+        for i in 1..=10 {
+            assert_eq!(
+                process.invoke_rmi(&remote, "add", ObiValue::I64(1)).unwrap(),
+                ObiValue::I64(10 * life + i),
+                "life {life}: every RPC must execute, not replay a stale cached reply"
+            );
+        }
+    }
+}
+
+/// Demands (a `get`, `refresh`es) count toward the periodic `ClientState`
+/// checkpoint like `invoke_rmi`s, so a demand-heavy life between puts
+/// loses at most `checkpoint_every_rpcs` request ids from its logged
+/// watermark, not all of them.
+#[test]
+fn demands_count_toward_the_client_state_checkpoint() {
+    let (mut world, client, storage) = logged_from_the_start();
+    let every = DurableOptions::default().checkpoint_every_rpcs;
+    let process = world.site(client);
+    let remote = process.lookup("c").unwrap();
+    let replica = process.get(&remote, ReplicationMode::incremental(1)).unwrap();
+    for _ in 0..100 {
+        process.refresh(replica).unwrap();
+    }
+    // The lookup, the get and each refresh took one request id; counting
+    // starts at 1, so a watermark that covers them all is `minted + 1`.
+    let minted = 1 + 1 + 100;
+    let kept = storage.len(WAL_FILE).unwrap();
+    let recovered = restart(&mut world, client, &storage, kept);
+    let logged = recovered.next_request_seq - SEQ_EPOCH_SKIP;
+    assert!(
+        minted + 1 - logged <= every,
+        "the logged watermark {logged} leaves more than {every} of {minted} minted ids unlogged"
+    );
 }
 
 /// Below a restarted client's counter every seq is spent except its pending

@@ -93,15 +93,15 @@ pub use obiwan_wire::{Decoder, Encoder, JoinInfo, ObiValue};
 /// Implemented by `obi_class!`-generated types: materialization from
 /// serialized state.
 pub trait DecodableObject: Sized {
-    /// Reads an instance from the state map [`ObiObject::encode_state`]
-    /// writes, field by field, borrowing each key from the input. Fields may
-    /// come in any order; of a repeated key the first counts, and a key the
-    /// class lacks is skipped.
+    /// Reads an instance from the state list [`ObiObject::encode_state`]
+    /// writes: one value per field, in declaration order. A state in the
+    /// keyed map form of older releases is not read.
     ///
     /// # Errors
     ///
-    /// [`ObiError::Decode`] when a field is missing or mis-shaped, or the
-    /// input is malformed or cut short.
+    /// [`ObiError::Decode`] when the state is not a list of exactly the
+    /// class's field count, a field is mis-shaped, or the input is
+    /// malformed or cut short.
     fn decode_from(dec: &mut Decoder<'_>) -> Result<Self>;
 
     /// Restores an instance from the value tree [`ObiObject::state`]

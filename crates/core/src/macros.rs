@@ -9,9 +9,13 @@
 //! out-edge enumeration, dynamic dispatch), the matching
 //! [`DecodableObject`](crate::DecodableObject) decoder and a registry hook.
 //!
-//! The state codec is typed: `encode_state` writes each field straight into
-//! a tagged map and `decode_from` reads it back field by field, borrowing
-//! the keys; neither builds an [`ObiValue`](crate::ObiValue) tree.
+//! The state codec is typed: `encode_state` writes a list header and then
+//! each field's tagged value, in declaration order, and `decode_from` reads
+//! them back in that order; neither builds an [`ObiValue`](crate::ObiValue)
+//! tree. The state carries no field names: both ends declare the class, so
+//! a name would only say again what the position says, and cost a 64-byte
+//! `PayloadNode` 19 of its 93 bytes. A list of another length is a decode
+//! error, and so is a state in the keyed map form states had before.
 //!
 //! ```
 //! use obiwan_core::{obi_class, ObjRef, ObiValue, ClassRegistry};
@@ -91,30 +95,25 @@ macro_rules! obi_class {
             }
         }
 
+        impl $name {
+            /// The number of fields: the length of the state list.
+            const FIELDS: usize = <[&str]>::len(&[$( stringify!($fname) ),*]);
+        }
+
         impl $crate::DecodableObject for $name {
             fn decode_from(dec: &mut $crate::Decoder<'_>) -> $crate::Result<Self> {
-                $( let mut $fname: ::std::option::Option<$fty> = None; )*
-                for _ in 0..dec.take_map_header()? {
-                    match dec.take_str_ref()? {
-                        $(
-                            key if key == stringify!($fname) && $fname.is_none() => {
-                                $fname = Some(
-                                    <$fty as $crate::value_fields::FieldValue>::take(dec)?,
-                                );
-                            }
-                        )*
-                        // A key this class lacks, or a repeat (the first wins).
-                        _ => {
-                            dec.take_value()?;
-                        }
-                    }
+                let count = dec.take_list_header()?;
+                if count != Self::FIELDS {
+                    return Err($crate::ObiError::Decode(::std::format!(
+                        "a `{}` state has {} fields, not {}",
+                        Self::CLASS,
+                        Self::FIELDS,
+                        count,
+                    )));
                 }
+                // Struct fields are read in the order they are listed.
                 Ok(Self {
-                    $(
-                        $fname: $fname.ok_or_else(|| $crate::ObiError::Decode(
-                            ::std::format!("missing field `{}`", stringify!($fname)),
-                        ))?,
-                    )*
+                    $( $fname: <$fty as $crate::value_fields::FieldValue>::take(dec)?, )*
                 })
             }
         }
@@ -125,12 +124,8 @@ macro_rules! obi_class {
             }
 
             fn encode_state(&self, enc: &mut $crate::Encoder) {
-                let fields: &[&str] = &[$( stringify!($fname) ),*];
-                enc.put_map_header(fields.len());
-                $(
-                    enc.put_str(stringify!($fname));
-                    $crate::value_fields::FieldValue::put(&self.$fname, enc);
-                )*
+                enc.put_list_header(Self::FIELDS);
+                $( $crate::value_fields::FieldValue::put(&self.$fname, enc); )*
             }
 
             fn refs(&self) -> Vec<$crate::ObjRef> {

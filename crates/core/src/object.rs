@@ -30,9 +30,11 @@ pub trait ObiObject: Send + Sync {
     /// receiving site.
     fn class_name(&self) -> &'static str;
 
-    /// Writes the object's fields at the end of `enc`, as one tagged map of
-    /// field name to field value. This is the object's wire state: what a
-    /// `get` reply, a `put`, a push, a handoff and a logged delta carry.
+    /// Writes the object's fields at the end of `enc`, as one tagged list of
+    /// the field values in declaration order, with no field names (the
+    /// receiving site's class knows them). This is the object's wire state:
+    /// what a `get` reply, a `put`, a push, a handoff and a logged delta
+    /// carry.
     fn encode_state(&self, enc: &mut Encoder);
 
     /// The object's fields as a value tree: what

@@ -10,7 +10,9 @@
 //! | site S1 / S2, "processes run; objects exist inside processes" | [`ObiProcess`](crate::ObiProcess), one per [`SiteId`](obiwan_util::SiteId) |
 //! | object `A`, `B`, `C` written by the programmer | any [`ObiObject`](crate::ObiObject), usually via [`obi_class!`](crate::obi_class) (see [`demo`](crate::demo)) |
 //! | replica `A'`, `B'`, `C'` | a live slot with [`ReplicaKind::Replica`](crate::ReplicaKind) metadata |
-//! | `AProxyIn` "registered in a name server" | [`ObiProcess::export`] + the world's [`NameServer`](obiwan_rmi::NameServer) |
+//! | `AProxyIn` "registered in a name server" | [`ObiProcess::export`] (roots the object) + the world's [`NameServer`](obiwan_rmi::NameServer) |
+//! | `AProxyIn` answering `get`/`put` for its object | no per-object entry: the providing process's one service endpoint (`process/serve.rs`) answers for every object it masters |
+//! | `AProxyIn`'s consistency subscribers | a [`ProxyIn`](crate::proxy::ProxyIn) in the process's `subscriptions` table, made by the first `Subscribe` for the object; an object no replica subscribed to has none |
 //! | remote reference to `AProxyIn` | [`RemoteRef`](obiwan_rmi::RemoteRef), from [`ObiProcess::lookup`] |
 //! | `BProxyOut` standing in for `B` | a [`ProxyOut`](crate::proxy::ProxyOut) slot in the [`ShardedSpace`](crate::ShardedSpace) |
 //! | stubs and skeletons "created by the underlying virtual machine" | [`RmiClient`](obiwan_rmi::RmiClient) / [`RmiServer`](obiwan_rmi::RmiServer) over a [`Transport`](obiwan_net::Transport) |

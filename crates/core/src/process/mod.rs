@@ -1,7 +1,8 @@
 //! The per-site OBIWAN runtime: [`ObiProcess`] and its service endpoint.
 //!
 //! An `ObiProcess` ties together one [`ShardedSpace`], one [`RmiClient`],
-//! the proxy-in table for objects it provides, and a [`ConsistencyHook`].
+//! the consistency subscriptions of the objects it provides (their proxy-ins),
+//! and a [`ConsistencyHook`].
 //! Its public API is the programmer's view of OBIWAN:
 //!
 //! * [`create`](ObiProcess::create) / [`export`](ObiProcess::export) /
@@ -165,11 +166,11 @@ struct ProcessShared {
     /// `get_many`) walk it concurrently with local invocations, which still
     /// serialize on the process lock above.
     space: ShardedSpace,
-    /// Proxy-in table for objects this process provides. Guarded by its own
-    /// lock so the serve-get fast path can register exports without the
-    /// process lock; never held across a shard acquisition or a transport
-    /// call.
-    exports: RwLock<HashMap<ObjId, ProxyIn>>,
+    /// The proxy-in of every provided object that has a consistency
+    /// subscriber: made by the first [`subscribe`](ProcessShared::subscribe),
+    /// and an object with none needs no entry. Guarded by its own lock,
+    /// never held across a shard acquisition or a transport call.
+    subscriptions: RwLock<HashMap<ObjId, ProxyIn>>,
     /// Cluster-id generation counter (one per cluster batch served).
     cluster_seq: AtomicU64,
     /// Notices deferred while the process was busy, applied FIFO:
@@ -239,27 +240,19 @@ impl ProcessShared {
         Ok(())
     }
 
-    /// Gives each of `ids` a proxy-in (under one entry of the exports
-    /// lock), so its replicas can subscribe and be updated.
-    fn export_all(&self, ids: impl IntoIterator<Item = ObjId>) {
-        let mut exports = self.exports.write();
-        for id in ids {
-            exports.entry(id).or_default();
-        }
-    }
-
     /// The subscribers of `id` other than `originator` (none when `id`
-    /// has no proxy-in), snapshotted so the exports lock is free again.
+    /// has no proxy-in), snapshotted so the subscriptions lock is free
+    /// again.
     fn subscribers_except(&self, id: ObjId, originator: SiteId) -> Vec<Subscriber> {
-        let exports = self.exports.read();
-        exports
+        let subscriptions = self.subscriptions.read();
+        subscriptions
             .get(&id)
             .map_or_else(Vec::new, |entry| entry.subscribers_except(originator).collect())
     }
 
     /// Subscribes `site` to `object`'s proxy-in, creating it if need be.
     fn subscribe(&self, object: ObjId, site: SiteId, push: bool) {
-        self.exports.write().entry(object).or_default().subscribe(site, push);
+        self.subscriptions.write().entry(object).or_default().subscribe(site, push);
     }
 }
 
@@ -318,7 +311,7 @@ impl ObiProcess {
                     cluster_roots: HashMap::new(),
                 }),
                 space: ShardedSpace::new(site),
-                exports: RwLock::new(HashMap::new()),
+                subscriptions: RwLock::new(HashMap::new()),
                 cluster_seq: AtomicU64::new(1),
                 inbox: Mutex::new(VecDeque::new()),
                 pending_chunks: Mutex::new(VecDeque::new()),
@@ -490,9 +483,10 @@ impl ObiProcess {
             .expect("create called re-entrantly; use InvokeCtx::create inside methods")
     }
 
-    /// Exports an object (creates its proxy-in) and binds it under `name`
-    /// in the world's name server — the paper's "only `AProxyIn` is
-    /// registered in a name server".
+    /// Exports an object (roots it) and binds it under `name` in the
+    /// world's name server — the paper's "only `AProxyIn` is registered in
+    /// a name server". Its proxy-in is this process's service endpoint plus
+    /// the object's subscriptions, made when a replica first subscribes.
     ///
     /// # Errors
     ///
@@ -505,8 +499,8 @@ impl ObiProcess {
             .bind(self.shared.ns_site, name, object.id())
     }
 
-    /// Exports an object (creates its proxy-in and roots it) without
-    /// binding a name: callers distribute the [`RemoteRef`] themselves.
+    /// Exports an object (roots it) without binding a name: callers
+    /// distribute the [`RemoteRef`] themselves.
     ///
     /// # Errors
     ///
@@ -516,7 +510,6 @@ impl ObiProcess {
             if !matches!(self.shared.space.resolve(object.id()), Resolution::Object(_)) {
                 return Err(ObiError::NoSuchObject(object.id()));
             }
-            self.shared.export_all([object.id()]);
             self.shared.space.add_root(object.id());
             Ok(RemoteRef::new(object.id(), self.shared.site))
         })

@@ -30,9 +30,8 @@ impl ProcessService {
     /// space into its reply frames, one shard read at a time, *without* the
     /// process lock. Remote readers therefore scale with the shard count
     /// while local invocations keep serializing on the process lock.
-    /// Charges provider-side marshalling and registers proxy-ins so
-    /// replicas can be individually updated (one per object) or
-    /// cluster-updated (root only).
+    /// Charges provider-side marshalling; a replica that wants updates
+    /// subscribes on its own.
     ///
     /// The one semantic difference from the locked path: a slot owned by an
     /// in-flight invocation reads as `Busy` (the locked path would have
@@ -44,12 +43,11 @@ impl ProcessService {
         mode: WireMode,
         per_chunk: usize,
     ) -> Result<WrittenBatch> {
-        let (batch, exported) =
+        let batch =
             write_batch_many(&self.shared.space, targets, mode, self.next_cluster(), per_chunk)?;
         self.shared
             .clock
             .charge_cpu(self.shared.costs.serialize(batch.state_bytes()));
-        self.shared.export_all(exported);
         Ok(batch)
     }
 }

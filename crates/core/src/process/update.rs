@@ -58,8 +58,8 @@ pub(super) fn queue_notifications(
     id: ObjId,
     originator: SiteId,
 ) {
-    // Snapshot the subscriber list and release the exports lock before
-    // touching the space: the exports guard must never overlap a shard
+    // Snapshot the subscriber list and release the subscriptions lock
+    // before touching the space: its guard must never overlap a shard
     // acquisition.
     let subscribers = shared.subscribers_except(id, originator);
     if subscribers.is_empty() {

@@ -3,8 +3,11 @@
 //! * A **proxy-out** stands in, on the *requesting* site, for an object that
 //!   is not yet locally replicated. Invoking through it raises an object
 //!   fault, resolved by demanding the next batch from its provider.
-//! * A **proxy-in** is the *providing* site's per-object entry answering
-//!   `get`/`put` and tracking consistency subscribers.
+//! * A **proxy-in** is, in the paper, the *providing* site's per-object
+//!   entry answering `get`/`put` and tracking consistency subscribers. Here
+//!   the process's service endpoint answers for every object it masters, and
+//!   [`ProxyIn`] holds only the subscribers, made when the first one
+//!   subscribes.
 //!
 //! After a fault resolves, the proxy-out's slot is overwritten by the real
 //! replica — the handle-based analogue of the paper's `updateMember`
@@ -61,7 +64,8 @@ pub struct Subscriber {
     pub push: bool,
 }
 
-/// Server-side proxy-in bookkeeping for one provided object.
+/// Server-side proxy-in bookkeeping for one provided object: its
+/// consistency subscribers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProxyIn {
     subscribers: Vec<Subscriber>,

@@ -173,26 +173,20 @@ pub fn build_batch_many(
 }
 
 /// The serve path's [`build_batch_many`], failing as it does: the same batch
-/// written straight into its reply frames, `per_chunk` replicas to a frame,
-/// and the ids the provider must export (every replica, or a cluster's
-/// root). No [`ReplicaState`] is made.
+/// written straight into its reply frames, `per_chunk` replicas to a frame.
+/// No [`ReplicaState`] is made.
 pub(crate) fn write_batch_many(
     space: &ShardedSpace,
     targets: &[ObjId],
     mode: WireMode,
     next_cluster: impl FnOnce() -> ClusterId,
     per_chunk: usize,
-) -> Result<(WrittenBatch, Vec<ObjId>)> {
+) -> Result<WrittenBatch> {
     let mut writer = BatchWriter::new(per_chunk);
     let walk = traverse(space, targets, mode, next_cluster, |o, m| {
         writer.push(m.id, o.class_name(), m.version, |enc| o.encode_state(enc));
     })?;
-    let batch = writer.finish(walk.root, &walk.frontier, walk.cluster);
-    let exported = match walk.cluster {
-        Some(_) => vec![walk.root],
-        None => walk.ids,
-    };
-    Ok((batch, exported))
+    Ok(writer.finish(walk.root, &walk.frontier, walk.cluster))
 }
 
 /// What [`traverse`] found besides the objects it visited: the first live
@@ -675,15 +669,10 @@ mod frames {
             (Err(collected), Err(written)) => return assert_eq!(collected, written),
             (collected, written) => panic!("the collectors disagree: {collected:?} / {written:?}"),
         };
-        let exported = match oracle.cluster {
-            Some(_) => vec![oracle.root],
-            None => oracle.replicas.iter().map(|r| r.id).collect(),
-        };
         let state_bytes: usize = oracle.replicas.iter().map(|r| r.state.len()).sum();
         let resumed = 1 + (seq % 9) as usize;
         for per_chunk in 1..=9 {
-            let (written, ids) = write(per_chunk).unwrap();
-            assert_eq!(ids, exported);
+            let written = write(per_chunk).unwrap();
             assert_eq!(written.state_bytes(), state_bytes);
             let want = sliced(&oracle, per_chunk, request);
             assert_eq!(written.chunk_count() as usize, want.len());
@@ -691,7 +680,7 @@ mod frames {
             assert_eq!(got, want, "{per_chunk} per chunk");
             if per_chunk == resumed {
                 let from = (seq % (want.len() as u64 + 2)) as u32;
-                let (written, _) = write(per_chunk).unwrap();
+                let written = write(per_chunk).unwrap();
                 let got: Vec<Bytes> = written.into_chunks(request, from).collect();
                 assert_eq!(got, want[want.len().min(from as usize)..], "resumed at {from}");
             }
@@ -701,10 +690,10 @@ mod frames {
             let got: Vec<Bytes> = written.into_chunks(request, 0).collect();
             assert_eq!(got, sliced(&empty, per_chunk, request));
         }
-        let (one, _) = write(usize::MAX).unwrap();
+        let one = write(usize::MAX).unwrap();
         let get = Message::GetReply { request, result: Ok(oracle.clone()) };
         assert_eq!(one.into_reply(request, false), get.encode());
-        let (one, _) = write(usize::MAX).unwrap();
+        let one = write(usize::MAX).unwrap();
         let get_many = Message::GetManyReply { request, result: Ok(oracle) };
         assert_eq!(one.into_reply(request, true), get_many.encode());
     }

@@ -4,7 +4,8 @@
 //! read methods, only mutating methods, or neither; doc attributes on the
 //! class, fields and methods; generated constructors, registry hooks and
 //! dispatch behaviour (including automatic `mark_modified`); and the typed
-//! state codec, pinned to the bytes the value-tree codec wrote before it.
+//! state codec, pinned to the bytes the value-tree codec writes for the
+//! list of field values.
 
 use bytes::Bytes;
 use obiwan_core::demo::{Counter, Document, LinkedItem, PayloadNode, TreeNode};
@@ -123,19 +124,15 @@ fn registry_decode_through_generated_hook() {
 fn decode_rejects_missing_and_mistyped_fields() {
     let k = sample_kitchen();
     // Drop one field.
-    let ObiValue::Map(mut entries) = k.state() else {
+    let ObiValue::List(mut fields) = k.state() else {
         panic!()
     };
-    entries.retain(|(name, _)| name != "count");
-    assert!(Kitchen::decode_state(&ObiValue::Map(entries.clone())).is_err());
+    let count = fields.remove(1);
+    assert!(Kitchen::decode_state(&ObiValue::List(fields.clone())).is_err());
     // Mistype one field.
-    for (name, v) in &mut entries {
-        if name == "flag" {
-            *v = ObiValue::Str("true".into());
-        }
-    }
-    entries.push(("count".into(), ObiValue::I64(0)));
-    assert!(Kitchen::decode_state(&ObiValue::Map(entries)).is_err());
+    fields.insert(1, count);
+    fields[0] = ObiValue::Str("true".into());
+    assert!(Kitchen::decode_state(&ObiValue::List(fields)).is_err());
 }
 
 #[test]
@@ -240,23 +237,32 @@ fn hex(b: &[u8]) -> String {
     b.iter().map(|x| format!("{x:02x}")).collect()
 }
 
-/// The state of a `PerfNode`-shaped object (index, 64 B payload, next),
-/// as the value-tree codec wrote it at the parent of the typed codec.
+/// The state of a `PerfNode`-shaped object (index, 64 B payload, next):
+/// a list header (`07 03`), then the three tagged values, no names.
 #[test]
 fn a_payload_node_state_is_byte_identical_to_the_value_tree_codec() {
     let mut node = PayloadNode::sized(7, 64);
-    node.set_next(Some(ObjRef::new(ObjId::new(SiteId::new(2), 300))));
+    let next = ObjRef::new(ObjId::new(SiteId::new(2), 300));
+    node.set_next(Some(next));
+    let tree = ObiValue::List(vec![
+        ObiValue::I64(7),
+        ObiValue::Bytes(node.payload.clone()),
+        ObiValue::Ref(next.id()),
+    ]);
+    assert_eq!(encoded(&node), put_value(&tree));
     assert_eq!(
         hex(&encoded(&node)),
-        "080305696e646578030e077061796c6f6164064007060504030201000f0e0d0c0b0a0908171615141312\
-         11101f1e1d1c1b1a191827262524232221202f2e2d2c2b2a292837363534333231303f3e3d3c3b3a3938\
-         046e6578740902ac02"
+        "0703030e064007060504030201000f0e0d0c0b0a090817161514131211101f1e1d1c1b1a19182726252423\
+         2221202f2e2d2c2b2a292837363534333231303f3e3d3c3b3a39380902ac02"
     );
+    let node = PayloadNode::sized(-1, 64);
+    let tree =
+        ObiValue::List(vec![ObiValue::I64(-1), ObiValue::Bytes(node.payload.clone()), ObiValue::Null]);
+    assert_eq!(encoded(&node), put_value(&tree));
     assert_eq!(
-        hex(&encoded(&PayloadNode::sized(-1, 64))),
-        "080305696e6465780301077061796c6f61640640fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebea\
-         e9e8e7e6e5e4e3e2e1e0dfdedddcdbdad9d8d7d6d5d4d3d2d1d0cfcecdcccbcac9c8c7c6c5c4c3c2c1c0\
-         046e65787400"
+        hex(&encoded(&node)),
+        "070303010640fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0efeeedecebeae9e8e7e6e5e4e3e2e1e0dfdedddcdbda\
+         d9d8d7d6d5d4d3d2d1d0cfcecdcccbcac9c8c7c6c5c4c3c2c1c000"
     );
 }
 
@@ -333,28 +339,24 @@ fn refs(rs: &[ObjRef]) -> ObiValue {
     ObiValue::List(rs.iter().map(reference).collect())
 }
 
-fn map(entries: Vec<(&str, ObiValue)>) -> ObiValue {
-    ObiValue::Map(entries.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-/// The tree the value-tree codec built for a `Kitchen`, written out by
-/// hand as the oracle of what `encode_state` must write.
-fn kitchen_tree(k: &Kitchen) -> ObiValue {
-    map(vec![
-        ("flag", ObiValue::Bool(k.flag)),
-        ("count", ObiValue::I64(k.count)),
-        ("size", ObiValue::I64(k.size as i64)),
-        ("ratio", ObiValue::F64(k.ratio)),
-        ("name", ObiValue::Str(k.name.clone())),
-        ("blob", ObiValue::Bytes(k.blob.clone())),
-        ("edge", reference(&k.edge)),
-        ("maybe_edge", k.maybe_edge.as_ref().map_or(ObiValue::Null, reference)),
-        ("edges", refs(&k.edges)),
-        ("numbers", ObiValue::List(k.numbers.iter().map(|&n| ObiValue::I64(n)).collect())),
-        ("names", ObiValue::List(k.names.iter().map(|n| ObiValue::Str(n.clone())).collect())),
-        ("nested", k.nested.as_deref().map_or(ObiValue::Null, refs)),
-        ("raw", k.raw.clone()),
-    ])
+/// The field list of a `Kitchen`, written out by hand as the oracle of
+/// what `encode_state` must write.
+fn kitchen_fields(k: &Kitchen) -> Vec<ObiValue> {
+    vec![
+        ObiValue::Bool(k.flag),
+        ObiValue::I64(k.count),
+        ObiValue::I64(k.size as i64),
+        ObiValue::F64(k.ratio),
+        ObiValue::Str(k.name.clone()),
+        ObiValue::Bytes(k.blob.clone()),
+        reference(&k.edge),
+        k.maybe_edge.as_ref().map_or(ObiValue::Null, reference),
+        refs(&k.edges),
+        ObiValue::List(k.numbers.iter().map(|&n| ObiValue::I64(n)).collect()),
+        ObiValue::List(k.names.iter().map(|n| ObiValue::Str(n.clone())).collect()),
+        k.nested.as_deref().map_or(ObiValue::Null, refs),
+        k.raw.clone(),
+    ]
 }
 
 fn arb_linked_item() -> impl Strategy<Value = LinkedItem> {
@@ -392,7 +394,7 @@ proptest! {
 
     #[test]
     fn kitchen_codec_writes_the_value_tree_bytes(k in arb_kitchen()) {
-        let tree = kitchen_tree(&k);
+        let tree = ObiValue::List(kitchen_fields(&k));
         assert_codec(&k, tree);
     }
 
@@ -406,28 +408,28 @@ proptest! {
     ) {
         let (title, content) = doc;
         let (label, children) = node_tree;
-        let tree = map(vec![
-            ("value", ObiValue::I64(item.value)),
-            ("label", ObiValue::Str(item.label.clone())),
-            ("next", next_tree(&item.next)),
-            ("extra", refs(&item.extra)),
+        let tree = ObiValue::List(vec![
+            ObiValue::I64(item.value),
+            ObiValue::Str(item.label.clone()),
+            next_tree(&item.next),
+            refs(&item.extra),
         ]);
         assert_codec(&item, tree);
-        let tree = map(vec![
-            ("index", ObiValue::I64(node.index)),
-            ("payload", ObiValue::Bytes(node.payload.clone())),
-            ("next", next_tree(&node.next)),
+        let tree = ObiValue::List(vec![
+            ObiValue::I64(node.index),
+            ObiValue::Bytes(node.payload.clone()),
+            next_tree(&node.next),
         ]);
         assert_codec(&node, tree);
-        assert_codec(&Counter::new(count), map(vec![("count", ObiValue::I64(count))]));
+        assert_codec(&Counter::new(count), ObiValue::List(vec![ObiValue::I64(count)]));
         let doc = Document { title, content };
-        let tree = map(vec![
-            ("title", ObiValue::Str(doc.title.clone())),
-            ("content", ObiValue::Str(doc.content.clone())),
+        let tree = ObiValue::List(vec![
+            ObiValue::Str(doc.title.clone()),
+            ObiValue::Str(doc.content.clone()),
         ]);
         assert_codec(&doc, tree);
         let tree_node = TreeNode::with_children(label.clone(), children.clone());
-        let tree = map(vec![("label", ObiValue::Str(label)), ("children", refs(&children))]);
+        let tree = ObiValue::List(vec![ObiValue::Str(label), refs(&children)]);
         assert_codec(&tree_node, tree);
     }
 }
@@ -443,63 +445,46 @@ fn decode_tree(tree: &ObiValue) -> obiwan_core::Result<Kitchen> {
     typed
 }
 
-fn kitchen_entries() -> Vec<(String, ObiValue)> {
-    let ObiValue::Map(entries) = kitchen_tree(&sample_kitchen()) else {
-        unreachable!()
-    };
-    entries
+#[test]
+fn decode_from_rejects_a_list_of_the_wrong_length() {
+    let mut fields = kitchen_fields(&sample_kitchen());
+    fields.push(ObiValue::Null);
+    let long = decode_tree(&ObiValue::List(fields.clone())).unwrap_err();
+    assert_eq!(long, ObiError::Decode("a `Kitchen` state has 13 fields, not 14".into()));
+    fields.truncate(12);
+    let short = decode_tree(&ObiValue::List(fields)).unwrap_err();
+    assert_eq!(short, ObiError::Decode("a `Kitchen` state has 13 fields, not 12".into()));
+    let empty = decode_tree(&ObiValue::List(Vec::new())).unwrap_err();
+    assert_eq!(empty, ObiError::Decode("a `Kitchen` state has 13 fields, not 0".into()));
 }
 
 #[test]
-fn decode_from_reads_keys_in_any_order() {
-    let mut entries = kitchen_entries();
-    entries.reverse();
-    assert_eq!(decode_tree(&ObiValue::Map(entries)).unwrap(), sample_kitchen());
-}
-
-#[test]
-fn decode_from_takes_the_first_of_a_repeated_key() {
-    let mut entries = kitchen_entries();
-    // A later repeat is skipped, whatever its shape.
-    entries.push(("count".into(), ObiValue::I64(999)));
-    entries.push(("flag".into(), ObiValue::Str("not a bool".into())));
-    assert_eq!(decode_tree(&ObiValue::Map(entries.clone())).unwrap(), sample_kitchen());
-    // An earlier one wins over the original.
-    entries.insert(0, ("count".into(), ObiValue::I64(999)));
-    let k = decode_tree(&ObiValue::Map(entries)).unwrap();
-    assert_eq!(k.count, 999);
-    assert_eq!(Kitchen { count: -5, ..k }, sample_kitchen());
-}
-
-#[test]
-fn decode_from_skips_keys_the_class_lacks() {
-    let mut entries = kitchen_entries();
-    entries.insert(3, ("unknown".into(), ObiValue::List(vec![ObiValue::I64(1)])));
-    entries.push(("also_unknown".into(), ObiValue::Null));
-    assert_eq!(decode_tree(&ObiValue::Map(entries)).unwrap(), sample_kitchen());
-}
-
-#[test]
-fn decode_from_rejects_a_missing_or_mistyped_field() {
-    let mut entries = kitchen_entries();
-    entries.retain(|(k, _)| k != "count");
-    assert_eq!(
-        decode_tree(&ObiValue::Map(entries.clone())).unwrap_err(),
-        ObiError::Decode("missing field `count`".into())
-    );
-    entries.push(("count".into(), ObiValue::Str("-5".into())));
-    assert_eq!(
-        decode_tree(&ObiValue::Map(entries)).unwrap_err(),
-        ObiError::Decode("expected i64, got str".into())
-    );
-    // A list of the wrong items, and a state that is not a map.
-    let mut entries = kitchen_entries();
-    for (k, v) in &mut entries {
-        if k == "edges" {
-            *v = ObiValue::List(vec![ObiValue::I64(1)]);
-        }
+fn decode_from_rejects_a_field_of_the_wrong_type_at_each_position() {
+    let fields = kitchen_fields(&sample_kitchen());
+    // `raw` (the last) is an `ObiValue`: every value has its type.
+    for at in 0..fields.len() - 1 {
+        let mut mistyped = fields.clone();
+        mistyped[at] = match mistyped[at] {
+            ObiValue::Str(_) => ObiValue::I64(1),
+            _ => ObiValue::Str("x".into()),
+        };
+        let err = decode_tree(&ObiValue::List(mistyped)).unwrap_err();
+        assert!(matches!(err, ObiError::Decode(_)), "at {at}: {err}");
     }
-    assert!(matches!(decode_tree(&ObiValue::Map(entries)), Err(ObiError::Decode(_))));
+    // A list of the wrong items.
+    let mut mistyped = fields;
+    mistyped[8] = ObiValue::List(vec![ObiValue::I64(1)]);
+    assert!(matches!(decode_tree(&ObiValue::List(mistyped)), Err(ObiError::Decode(_))));
+}
+
+/// A state must be a list: the keyed map states were before, or any other
+/// value, is not read.
+#[test]
+fn decode_from_rejects_a_state_that_is_not_a_list() {
+    let keyed = ObiValue::Map(vec![("x".into(), ObiValue::I64(1))]);
+    let err = Inert::decode_from(&mut Decoder::new(&put_value(&keyed))).unwrap_err();
+    assert_eq!(err, ObiError::Decode("expected list, got map".into()));
+    assert!(Inert::decode_state(&keyed).is_err());
     assert!(matches!(decode_tree(&ObiValue::I64(1)), Err(ObiError::Decode(_))));
 }
 

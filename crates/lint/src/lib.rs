@@ -208,15 +208,30 @@ pub fn lock_graph(files: &[SourceFile]) -> lockgraph::LockGraph {
     lockgraph::build(&parse_units(files)).0
 }
 
-/// Returns the workspace root the binary should analyze by default:
-/// `$CARGO_MANIFEST_DIR/../..` (this crate lives at `crates/lint`).
+/// Returns the workspace root the binary should analyze by default: the
+/// first directory holding `crates/lint/Cargo.toml` at or above the
+/// run-time `CARGO_MANIFEST_DIR` (set by `cargo run` and `cargo test` to
+/// the running package, or to the workspace root for the root package), so
+/// a build reused from another checkout scans the one it runs in. Failing
+/// that, `../..` of this crate's compile-time manifest directory.
 pub fn default_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .and_then(|dir| workspace_above(Path::new(&dir)))
+        .unwrap_or_else(|| {
+            let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+            manifest
+                .parent()
+                .and_then(Path::parent)
+                .map(Path::to_path_buf)
+                .unwrap_or(manifest)
+        })
+}
+
+/// The first directory at or above `dir` that holds `crates/lint/Cargo.toml`.
+fn workspace_above(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| d.join("crates/lint/Cargo.toml").is_file())
         .map(Path::to_path_buf)
-        .unwrap_or(manifest)
 }
 
 // ---------------------------------------------------------------------------

@@ -1356,3 +1356,16 @@ fn diagnostics_render_as_file_line_rule() {
         "crates/demo/src/lib.rs:12: [no-unwrap-on-lock-or-decode] boom"
     );
 }
+
+/// The root package's tests run with `CARGO_MANIFEST_DIR` at the workspace
+/// root itself, a member's at its own directory: both find the workspace,
+/// and a directory with no workspace above it finds none.
+#[test]
+fn the_default_root_is_the_workspace_above_the_running_package() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let workspace = manifest.parent().and_then(Path::parent).unwrap();
+    assert_eq!(workspace_above(workspace).as_deref(), Some(workspace));
+    assert_eq!(workspace_above(&manifest.join("src")).as_deref(), Some(workspace));
+    assert_eq!(workspace_above(Path::new("/")), None);
+    assert_eq!(default_root(), workspace);
+}

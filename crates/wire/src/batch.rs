@@ -5,10 +5,11 @@
 //! into the same chunks.
 
 use crate::codec::{varint_len, write_varint, Encoder, MAX_VARINT};
-use crate::field::Field;
+use crate::field::{ClassName, Classes, Field};
 use crate::message::{FrontierEdge, MSG_GET_MANY_CHUNK, MSG_GET_MANY_REP, MSG_GET_REP};
 use bytes::Bytes;
 use obiwan_util::{ClusterId, ObjId, RequestId};
+use std::ops::Range;
 
 /// Free bytes in front of each chunk for its frame header, which is written
 /// once the batch is closed. The largest header, a tag, a request id, a
@@ -30,9 +31,32 @@ struct Chunk {
     /// The headroom, the chunk's entries and, once closed, its trailer.
     buf: Vec<u8>,
     replicas: usize,
+    /// The class run of the chunk's frame, kept between the encoders that
+    /// write into `buf`.
+    classes: Classes<Range<usize>>,
 }
 
 impl Chunk {
+    /// An empty chunk with room for `capacity` bytes after its headroom.
+    fn new(capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADROOM + capacity);
+        buf.resize(HEADROOM, 0);
+        Chunk { buf, replicas: 0, classes: Classes::Run(None) }
+    }
+
+    /// An encoder that goes on writing the chunk's frame, and the class run
+    /// with it; [`put_back`](Chunk::put_back) returns both.
+    fn take(&mut self) -> Encoder {
+        let mut enc = Encoder::over(std::mem::take(&mut self.buf));
+        enc.classes = std::mem::take(&mut self.classes);
+        enc
+    }
+
+    fn put_back(&mut self, mut enc: Encoder) {
+        self.classes = std::mem::take(&mut enc.classes);
+        self.buf = enc.into_vec();
+    }
+
     /// Writes the header (`tag`, `request`, `fields`, `root`, the replica
     /// count) at the end of the headroom and returns the frame from there.
     fn frame(self, tag: u8, request: RequestId, fields: &[u64], root: ObjId) -> Bytes {
@@ -52,11 +76,12 @@ impl Chunk {
 /// Writes a batch's replicas into their frames, `per_chunk` to a frame
 /// (`usize::MAX`: one frame).
 ///
-/// An entry is what the wire has: id, class, version, then the state behind
-/// its length prefix. The prefix is written first, at the width the
-/// previous state's length took; a state that needs another width (where
-/// neighbours straddle 128 or 16 384 bytes) is moved once. A chunk's buffer
-/// is sized from the entry before it, so no frame grows by doubling.
+/// An entry is what the wire has: id, class (as `ClassName` writes it in
+/// the chunk's frame), version, then the state behind its length prefix.
+/// The prefix is written first, at the width the previous state's length
+/// took; a state that needs another width (where neighbours straddle 128
+/// or 16 384 bytes) is moved once. A chunk's buffer is sized from the entry
+/// before it, so no frame grows by doubling.
 #[derive(Debug, Default)]
 pub struct BatchWriter {
     per_chunk: usize,
@@ -79,16 +104,17 @@ impl BatchWriter {
         let guess = varint_len(self.last_state as u64);
         let chunk = self.open_chunk();
         let start = chunk.buf.len();
-        let mut enc = Encoder::over(std::mem::take(&mut chunk.buf));
+        let mut enc = chunk.take();
         // A `ReplicaState` up to its state: the state's own length prefix
         // can only be written once the state is.
         id.write_field(&mut enc);
-        class.write_field(&mut enc);
+        ClassName::write_field(class, &mut enc);
         version.write_field(&mut enc);
         let prefix = enc.len();
         (0..guess).for_each(|_| enc.put_u8(0));
         state(&mut enc);
-        let mut buf = enc.into_vec();
+        chunk.put_back(enc);
+        let buf = &mut chunk.buf;
         let len = buf.len() - prefix - guess;
         let width = varint_len(len as u64);
         if width != guess {
@@ -98,7 +124,6 @@ impl BatchWriter {
         }
         write_varint(&mut buf[prefix..], len as u64);
         let entry = buf.len() - start;
-        chunk.buf = buf;
         chunk.replicas += 1;
         (self.last_entry, self.last_state) = (entry, len);
         self.state_bytes += len;
@@ -114,9 +139,7 @@ impl BatchWriter {
             _ => entries.min(SIZE_AHEAD) * entry + TRAILER,
         };
         if self.chunks.last().is_none_or(|c| c.replicas == per_chunk) {
-            let mut buf = Vec::with_capacity(HEADROOM + room(per_chunk));
-            buf.resize(HEADROOM, 0);
-            self.chunks.push(Chunk { buf, replicas: 0 });
+            self.chunks.push(Chunk::new(room(per_chunk)));
         }
         let last = self.chunks.len() - 1;
         let chunk = &mut self.chunks[last];
@@ -136,16 +159,16 @@ impl BatchWriter {
         cluster: Option<ClusterId>,
     ) -> WrittenBatch {
         if self.chunks.is_empty() {
-            self.chunks.push(Chunk { buf: vec![0; HEADROOM], replicas: 0 });
+            self.chunks.push(Chunk::new(0));
         }
         let last = self.chunks.len() - 1;
         for (i, chunk) in self.chunks.iter_mut().enumerate() {
-            let mut enc = Encoder::over(std::mem::take(&mut chunk.buf));
+            let mut enc = chunk.take();
             // A `ReplicaBatch` after its replicas.
             let frontier = if i == last { frontier } else { &[] };
             frontier.write_field(&mut enc);
             cluster.write_field(&mut enc);
-            chunk.buf = enc.into_vec();
+            chunk.put_back(enc);
         }
         WrittenBatch { root, chunks: self.chunks, state_bytes: self.state_bytes }
     }

@@ -9,9 +9,11 @@
 //! * decoding is total: malformed input yields [`ObiError::Decode`], never a
 //!   panic.
 
+use crate::field::Classes;
 use crate::value::ObiValue;
 use bytes::{Bytes, BytesMut};
 use obiwan_util::{ClusterId, ObiError, ObjId, RequestId, Result, SiteId};
+use std::ops::Range;
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL_FALSE: u8 = 1;
@@ -70,23 +72,30 @@ pub(crate) fn write_varint(out: &mut [u8], mut v: u64) -> usize {
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: BytesMut,
+    /// How class names are written ([`ClassName`](crate::field::ClassName)).
+    pub(crate) classes: Classes<Range<usize>>,
 }
 
 impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
-        Encoder { buf: BytesMut::new() }
+        Encoder::default()
     }
 
     /// Creates an encoder with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
-        Encoder { buf: BytesMut::with_capacity(cap) }
+        Encoder { buf: BytesMut::with_capacity(cap), ..Encoder::default() }
     }
 
     /// Continues encoding at the end of `buf`, whose bytes are kept: lets
     /// a caller lay several encodings (or its own framing) into one buffer.
     pub fn over(buf: Vec<u8>) -> Self {
-        Encoder { buf: BytesMut::from(buf) }
+        Encoder { buf: BytesMut::from(buf), ..Encoder::default() }
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn written(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Number of bytes written so far.
@@ -139,8 +148,12 @@ impl Encoder {
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_varint(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
+    }
+
+    /// Writes `b` as it is, with no length in front.
+    pub(crate) fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
 
     /// Writes length-prefixed raw bytes.
@@ -198,7 +211,8 @@ impl Encoder {
                 }
             }
             ObiValue::Map(entries) => {
-                self.put_map_header(entries.len());
+                self.put_u8(TAG_MAP);
+                self.put_varint(entries.len() as u64);
                 for (k, item) in entries {
                     self.put_str(k);
                     self.put_value(item);
@@ -224,14 +238,6 @@ impl Encoder {
         self.put_u8(TAG_LIST);
         self.put_varint(len as u64);
     }
-
-    /// Writes the head of what [`put_value`](Encoder::put_value) writes for
-    /// an `ObiValue::Map` of `len` entries, which the caller then writes:
-    /// each a [`put_str`](Encoder::put_str) key and a tagged value.
-    pub fn put_map_header(&mut self, len: usize) {
-        self.put_u8(TAG_MAP);
-        self.put_varint(len as u64);
-    }
 }
 
 /// A cursor that deserializes OBIWAN primitives.
@@ -242,18 +248,20 @@ pub struct Decoder<'a> {
     /// The frame `data` is, for a decoder made by
     /// [`over_frame`](Decoder::over_frame).
     pub(crate) frame: Option<&'a Bytes>,
+    /// How class names are read ([`ClassName`](crate::field::ClassName)).
+    pub(crate) classes: Classes<&'a str>,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder over `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        Decoder { data, pos: 0, frame: None }
+        Decoder { data, pos: 0, frame: None, classes: Classes::Plain }
     }
 
     /// Creates a decoder over `frame` whose `Bytes` fields
     /// ([`Field`](crate::Field)) are views of it, not copies.
     pub fn over_frame(frame: &'a Bytes) -> Self {
-        Decoder { data: frame, pos: 0, frame: Some(frame) }
+        Decoder { frame: Some(frame), ..Decoder::new(frame) }
     }
 
     /// Bytes not yet consumed.
@@ -343,6 +351,11 @@ impl<'a> Decoder<'a> {
     /// inspect or immediately re-encode the string.
     pub fn take_str_ref(&mut self) -> Result<&'a str> {
         let len = self.take_len()?;
+        self.take_utf8(len)
+    }
+
+    /// Reads `len` bytes of UTF-8, with no length in front.
+    pub(crate) fn take_utf8(&mut self, len: usize) -> Result<&'a str> {
         let slice = self.take_slice(len)?;
         std::str::from_utf8(slice).map_err(|e| Self::err(format!("invalid utf-8: {e}")))
     }
@@ -425,18 +438,9 @@ impl<'a> Decoder<'a> {
 
     /// Reads the head [`Encoder::put_list_header`] writes: the item count.
     pub fn take_list_header(&mut self) -> Result<usize> {
-        self.take_header(TAG_LIST, "list")
-    }
-
-    /// Reads the head [`Encoder::put_map_header`] writes: the entry count.
-    pub fn take_map_header(&mut self) -> Result<usize> {
-        self.take_header(TAG_MAP, "map")
-    }
-
-    fn take_header(&mut self, tag: u8, kind: &str) -> Result<usize> {
-        if self.data.get(self.pos) != Some(&tag) {
+        if self.data.get(self.pos) != Some(&TAG_LIST) {
             let got = self.take_value()?;
-            return Err(Self::err(format!("expected {kind}, got {}", got.kind())));
+            return Err(Self::err(format!("expected list, got {}", got.kind())));
         }
         self.pos += 1;
         self.take_len()
@@ -615,26 +619,22 @@ mod tests {
     #[test]
     fn headers_and_tagged_strings_write_what_put_value_writes() {
         let mut typed = Encoder::new();
-        typed.put_map_header(2);
-        typed.put_str("k");
+        typed.put_list_header(2);
         typed.put_tagged_str("v");
-        typed.put_str("l");
         typed.put_list_header(1);
         typed.put_value(&ObiValue::Null);
         let mut tree = Encoder::new();
-        tree.put_value(&ObiValue::Map(vec![
-            ("k".into(), ObiValue::Str("v".into())),
-            ("l".into(), ObiValue::List(vec![ObiValue::Null])),
+        tree.put_value(&ObiValue::List(vec![
+            ObiValue::Str("v".into()),
+            ObiValue::List(vec![ObiValue::Null]),
         ]));
         let bytes = typed.finish();
         assert_eq!(bytes, tree.finish());
 
         let mut dec = Decoder::new(&bytes);
-        assert_eq!(dec.take_map_header().unwrap(), 2);
-        assert_eq!(dec.take_str_ref().unwrap(), "k");
+        assert_eq!(dec.take_list_header().unwrap(), 2);
         assert!(!dec.take_null());
         assert_eq!(dec.take_value().unwrap(), ObiValue::Str("v".into()));
-        assert_eq!(dec.take_str_ref().unwrap(), "l");
         assert_eq!(dec.take_list_header().unwrap(), 1);
         assert!(dec.take_null());
         assert!(dec.is_exhausted());
@@ -646,10 +646,9 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_value(&ObiValue::I64(3));
         let b = enc.finish();
-        let err = Decoder::new(&b).take_map_header().unwrap_err();
-        assert_eq!(err, ObiError::Decode("expected map, got i64".into()));
-        assert!(Decoder::new(&b).take_list_header().is_err());
-        assert!(Decoder::new(&[]).take_map_header().is_err());
+        let err = Decoder::new(&b).take_list_header().unwrap_err();
+        assert_eq!(err, ObiError::Decode("expected list, got i64".into()));
+        assert!(Decoder::new(&[]).take_list_header().is_err());
     }
 
     #[test]

@@ -39,7 +39,11 @@ pub trait Field {
 ///   the input ends before it. An enum of another crate that is
 ///   `#[non_exhaustive]` ends in `_ => |value| other`: a variant without a
 ///   line is written as `other`.
-/// * `struct Name { field, … }`: the fields in the order listed.
+/// * `struct Name { field, … }`: the fields in the order listed. A field
+///   written `field as Adapter` is written and read by `Adapter`'s
+///   `write_field` and `read_field` instead of its type's [`Field`] impl
+///   (`ClassName`, the class of a replica or frontier edge, is the one such
+///   adapter).
 ///
 /// Each field is read straight into the struct expression, so its type is
 /// the declared one, and a missing or misnamed field does not compile. An
@@ -49,6 +53,10 @@ pub trait Field {
 macro_rules! wire_layout {
     (@bound $field:ident) => { $field };
     (@bound $field:tt $bind:ident) => { $bind };
+    (@write $field:ident $enc:ident) => { $crate::Field::write_field($field, $enc) };
+    (@write $field:ident $enc:ident $adapter:ident) => { $adapter::write_field($field, $enc) };
+    (@read $dec:ident) => { $crate::Field::read_field($dec)? };
+    (@read $dec:ident $adapter:ident) => { $adapter::read_field($dec)? };
     () => {};
     (enum $ty:ident {
         $($variant:ident = $tag:tt { $($field:tt $(: $bind:ident)?),* $(; $tail:ident)? }),*
@@ -90,15 +98,15 @@ macro_rules! wire_layout {
         }
         $crate::wire_layout!($($rest)*);
     };
-    (struct $ty:ident { $($field:ident),* $(,)? } $($rest:tt)*) => {
+    (struct $ty:ident { $($field:ident $(as $adapter:ident)?),* $(,)? } $($rest:tt)*) => {
         impl $crate::Field for $ty {
             fn write_field(&self, enc: &mut $crate::Encoder) {
                 let $ty { $($field),* } = self;
-                $($crate::Field::write_field($field, enc);)*
+                $($crate::wire_layout!(@write $field enc $($adapter)?);)*
             }
 
             fn read_field(dec: &mut $crate::Decoder<'_>) -> ::obiwan_util::Result<Self> {
-                Ok($ty { $($field: $crate::Field::read_field(dec)?),* })
+                Ok($ty { $($field: $crate::wire_layout!(@read dec $($adapter)?)),* })
             }
         }
         $crate::wire_layout!($($rest)*);
@@ -127,6 +135,59 @@ crate::wire_layout! {
         Storage = 17 { 0: message },
         MovedMaster = 18 { object, to },
         _ => |other| ObiError::Internal(other.to_string()),
+    }
+}
+
+/// How the frame being written or read lays out class names (see
+/// [`ClassName`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum Classes<T> {
+    /// As plain strings: outside a message frame (a `WalRecord`).
+    #[default]
+    Plain,
+    /// In runs: inside a message frame, which holds the last class written
+    /// out in full in it, if any (its span for an encoder, the name for a
+    /// decoder).
+    Run(Option<T>),
+}
+
+/// The class of a replica or frontier edge, as a `wire_layout!` adapter
+/// (`class as ClassName`). In a message frame it is a varint `len + 1` and
+/// the name, or a single `0` for "the class of the entry just before it in
+/// this frame": a batch's replicas, then its frontier edges, each run on
+/// from the one before, and so do the entries of a `put`, a push and a
+/// handoff. Each frame starts afresh, so every chunk of a stream decodes on
+/// its own. Outside a message frame (a `WalRecord`'s deltas) it is a plain
+/// string, so the log's layout does not depend on which entries share a
+/// record.
+pub(crate) struct ClassName;
+
+impl ClassName {
+    pub(crate) fn write_field(class: &str, enc: &mut Encoder) {
+        let Classes::Run(last) = &enc.classes else {
+            return enc.put_str(class);
+        };
+        if last.clone().is_some_and(|span| enc.written()[span] == *class.as_bytes()) {
+            return enc.put_u8(0);
+        }
+        enc.put_varint(class.len() as u64 + 1);
+        let start = enc.len();
+        enc.put_raw(class.as_bytes());
+        enc.classes = Classes::Run(Some(start..enc.len()));
+    }
+
+    pub(crate) fn read_field(dec: &mut Decoder<'_>) -> Result<String> {
+        let Classes::Run(last) = dec.classes else {
+            return dec.take_str();
+        };
+        let class = match dec.take_len()? {
+            0 => last.ok_or_else(|| {
+                ObiError::Decode("class 0 with no class before it in its frame".into())
+            })?,
+            len => dec.take_utf8(len - 1)?,
+        };
+        dec.classes = Classes::Run(Some(class));
+        Ok(class.to_owned())
     }
 }
 

@@ -10,12 +10,15 @@
 //! messages. Each type's layout is declared once, in the [`wire_layout!`]
 //! block below, and both directions are derived from it. Decoding copies
 //! nothing it can share: every [`ReplicaState::state`] of a decoded message
-//! is a view of its frame.
+//! is a view of its frame. Within one frame a class name is written out
+//! once per run of entries of that class, and a repeat is one zero byte
+//! (`ClassName` in [`field`](crate::field)); a `WalRecord` still writes
+//! every class out.
 //!
 //! [`wire_layout!`]: crate::wire_layout
 
 use crate::codec::{Decoder, Encoder};
-use crate::field::Field;
+use crate::field::{ClassName, Classes, Field};
 use crate::value::ObiValue;
 use bytes::Bytes;
 use obiwan_util::{ClusterId, ObiError, ObjId, RequestId, Result, SiteId};
@@ -269,8 +272,8 @@ crate::wire_layout! {
         Cluster = 1 { size },
         Transitive = 2 {},
     }
-    struct ReplicaState { id, class, version, state }
-    struct FrontierEdge { target, class }
+    struct ReplicaState { id, class as ClassName, version, state }
+    struct FrontierEdge { target, class as ClassName }
     struct ReplicaBatch { root, replicas, frontier, cluster }
     struct JoinInfo { peers, names }
     enum NameOp {
@@ -309,7 +312,9 @@ crate::wire_layout! {
 }
 
 /// Approximate frame size of a batch, used to pre-size encoders so hot
-/// replies do not grow their buffer repeatedly.
+/// replies do not grow their buffer repeatedly. It counts every class in
+/// full, though one that repeats the class before it takes a byte: an upper
+/// bound, which is what a buffer that should not grow wants.
 fn batch_size_hint(batch: &ReplicaBatch) -> usize {
     let replicas: usize = batch
         .replicas
@@ -320,6 +325,7 @@ fn batch_size_hint(batch: &ReplicaBatch) -> usize {
     32 + replicas + frontier
 }
 
+/// [`batch_size_hint`] for the entries of a put, a push or a handoff.
 fn entries_size_hint(entries: &[ReplicaState]) -> usize {
     16 + entries
         .iter()
@@ -356,6 +362,7 @@ impl Message {
     /// Serializes the message to a self-contained frame.
     pub fn encode(&self) -> Bytes {
         let mut enc = Encoder::with_capacity(self.encoded_size_hint());
+        enc.classes = Classes::Run(None);
         self.write_field(&mut enc);
         enc.finish()
     }
@@ -370,6 +377,7 @@ impl Message {
     /// trailing garbage after a valid message.
     pub fn decode(frame: &Bytes) -> Result<Message> {
         let mut dec = Decoder::over_frame(frame);
+        dec.classes = Classes::Run(None);
         let msg = Message::read_field(&mut dec)?;
         if !dec.is_exhausted() {
             return Err(ObiError::Decode(format!(

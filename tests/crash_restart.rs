@@ -682,7 +682,7 @@ fn a_restarted_client_horizon_passes_the_seq_skip_but_not_a_pending_put() {
 /// Three counters for a session whose journal must account for its state.
 const TRIO_BASE: [i64; 3] = [100, 200, 300];
 
-/// Small enough that a session of two dozen ops compacts twice.
+/// Small enough that a session of [`TRIO_ADDS`] ops compacts twice.
 fn trio_options() -> DurableOptions {
     DurableOptions {
         group_commit: 8,
@@ -732,9 +732,14 @@ fn build_trio() -> Counters {
     build_counters(&TRIO_BASE)
 }
 
-/// The offline session under test, filmed: 24 `add`s of distinct amounts
-/// dealt round-robin over the trio, and in the middle one `add` whose
-/// argument is rejected — it fails, yet marks its replica modified.
+/// `add`s in the filmed session: enough that its sweep has more than 1000
+/// crash states.
+const TRIO_ADDS: i64 = 27;
+
+/// The offline session under test, filmed: [`TRIO_ADDS`] `add`s of
+/// distinct amounts dealt round-robin over the trio, and in the middle one
+/// `add` whose argument is rejected — it fails, yet marks its replica
+/// modified.
 /// Returns the WAL after every write, so a sweep can put a restarted site
 /// in front of any state the storage ever passed through, each
 /// compaction's rewrite included.
@@ -744,8 +749,8 @@ fn film_the_trio_session() -> Vec<Vec<u8>> {
     let process = trio.world.site(trio.client);
     trio.world.disconnect(trio.client);
     let mut session = DisconnectedSession::new();
-    for k in 0..24i64 {
-        if k == 12 {
+    for k in 0..TRIO_ADDS {
+        if k == TRIO_ADDS / 2 {
             let failed = session.invoke(process, trio.replicas[0], "add", ObiValue::Null);
             assert!(failed.is_err());
         }
@@ -850,7 +855,7 @@ fn every_crash_offset_recovers_a_journal_that_accounts_for_its_state() {
             assert_eq!(value, Ok(ObiValue::I64(expected[i])), "state {n}: master {i}");
         }
     }
-    assert_eq!(last_ops, 25, "an untouched log recovers the whole session");
+    assert_eq!(last_ops as i64, TRIO_ADDS + 1, "an untouched log recovers the whole session");
     assert!(with_a_failed_op > 0);
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();

@@ -10,6 +10,10 @@
 //! do not. Each value must encode to its hex, and the hex must decode back
 //! to the value. On a mismatch the test prints every row's bytes as they
 //! now are.
+//!
+//! Inside a message frame a class that repeats the one before it is the one
+//! byte `00`, and a class written out is `len + 1` and the name (`05` then
+//! `Node`); a `WalRecord`'s delta writes `len` and the name (`04`).
 
 use bytes::Bytes;
 use obiwan::store::WalRecord;
@@ -189,7 +193,7 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         (
             "GetReply Ok",
             Message::GetReply { request, result: Ok(batch()) },
-            "04ffffffff0f9bffffffffffffffff0100ffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff01044e6f6465b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff01044e6f646501ffffffff0fd3fdffffffffffffff01",
+            "04ffffffff0f9bffffffffffffffff0100ffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff0100b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff010001ffffffff0fd3fdffffffffffffff01",
         ),
         (
             "GetReply Err",
@@ -204,7 +208,7 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         (
             "GetManyReply Ok",
             Message::GetManyReply { request, result: Ok(batch()) },
-            "10ffffffff0f9bffffffffffffffff0100ffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff01044e6f6465b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff01044e6f646501ffffffff0fd3fdffffffffffffff01",
+            "10ffffffff0f9bffffffffffffffff0100ffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff0100b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff010001ffffffff0fd3fdffffffffffffff01",
         ),
         (
             "GetManyReply Err",
@@ -230,7 +234,7 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
                 total_hint: u32::MAX,
                 batch: batch(),
             },
-            "13ffffffff0f9bffffffffffffffff01feffffff0fffffffff0fffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff01044e6f6465b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff01044e6f646501ffffffff0fd3fdffffffffffffff01",
+            "13ffffffff0f9bffffffffffffffff01feffffff0fffffffff0fffffffff0fffffffffffffffffff0102ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff0100b6feffffffffffffff0103a1a1a101ffffffff0ffdffffffffffffffff010001ffffffff0fd3fdffffffffffffff01",
         ),
         (
             "GetManyDone Ok",
@@ -245,7 +249,7 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         (
             "PutRequest",
             Message::PutRequest { request, entries: vec![state(0)] },
-            "05ffffffff0f9bffffffffffffffff0101ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0",
+            "05ffffffff0f9bffffffffffffffff0101ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0",
         ),
         (
             "PutReply Ok",
@@ -315,7 +319,19 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         (
             "UpdatePush",
             Message::UpdatePush { entries: vec![state(0), state(1)] },
-            "0c02ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff01044e6f6465b6feffffffffffffff0103a1a1a1",
+            "0c02ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff0100b6feffffffffffffff0103a1a1a1",
+        ),
+        (
+            "UpdatePush of two classes",
+            Message::UpdatePush {
+                entries: vec![
+                    state(0),
+                    ReplicaState { class: "Leaf".into(), ..state(1) },
+                    ReplicaState { class: "Leaf".into(), ..state(2) },
+                    state(3),
+                ],
+            },
+            "0c04ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0ffffffff0ffeffffffffffffffff01054c656166b6feffffffffffffff0103a1a1a1ffffffff0ffdffffffffffffffff0100b5feffffffffffffff0103a2a2a2ffffffff0ffcffffffffffffffff01054e6f6465b4feffffffffffffff0103a3a3a3",
         ),
         ("Ping", Message::Ping { request }, "0dffffffff0f9bffffffffffffffff01"),
         ("Pong", Message::Pong { request }, "0effffffff0f9bffffffffffffffff01"),
@@ -334,7 +350,7 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         (
             "HandoffRequest",
             Message::HandoffRequest { request, root: oid(0), entries: vec![state(0)] },
-            "17ffffffff0f9bffffffffffffffff01ffffffff0fffffffffffffffffff0101ffffffff0fffffffffffffffffff01044e6f6465b7feffffffffffffff0103a0a0a0",
+            "17ffffffff0f9bffffffffffffffff01ffffffff0fffffffffffffffffff0101ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0",
         ),
         (
             "HandoffAck Ok",

@@ -2,14 +2,17 @@
 //! every variant and WAL records round-trip exactly, and the decoders never
 //! panic on arbitrary bytes. Each layout is declared once
 //! (`obiwan_wire::wire_layout!`), so this roundtrip, with the golden bytes
-//! of `tests/wire_golden.rs`, is what holds writer and reader to it.
+//! of `tests/wire_golden.rs`, is what holds writer and reader to it. Class
+//! names run within a frame (a repeat is one zero byte), so the classes
+//! drawn here repeat often, the empty one included, and hostile class bytes
+//! and mixed runs have tests of their own, the batch writer's frames too.
 
 use bytes::Bytes;
 use obiwan::store::WalRecord;
 use obiwan::util::{ClusterId, ObiError, ObjId, RequestId, SiteId};
 use obiwan::wire::{
-    Decoder, Encoder, Field, FrontierEdge, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch,
-    ReplicaState, WireMode,
+    BatchWriter, Decoder, Encoder, Field, FrontierEdge, JoinInfo, Message, NameOp, ObiValue,
+    ReplicaBatch, ReplicaState, WireMode,
 };
 use proptest::prelude::*;
 
@@ -38,10 +41,21 @@ fn arb_value() -> impl Strategy<Value = ObiValue> {
     })
 }
 
+/// A class name: often one of a few, so lists hold runs of one class and
+/// changes between them, sometimes the empty name, sometimes a random one.
+fn arb_class() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("A".to_owned()),
+        Just("Node".to_owned()),
+        "[A-Za-z]{1,16}",
+    ]
+}
+
 fn arb_replica_state() -> impl Strategy<Value = ReplicaState> {
     (
         arb_obj_id(),
-        "[A-Za-z]{1,16}",
+        arb_class(),
         any::<u64>(),
         proptest::collection::vec(any::<u8>(), 0..200),
     )
@@ -108,7 +122,7 @@ fn arb_batch() -> impl Strategy<Value = ReplicaBatch> {
     (
         arb_obj_id(),
         proptest::collection::vec(arb_replica_state(), 0..5),
-        proptest::collection::vec((arb_obj_id(), "[A-Z][a-z]{0,10}"), 0..5),
+        proptest::collection::vec((arb_obj_id(), arb_class()), 0..5),
         cluster,
     )
         .prop_map(|(root, replicas, frontier, cluster)| ReplicaBatch {
@@ -370,6 +384,189 @@ fn every_bare_tag_byte_fails_with_a_decode_error() {
             Ok(m) => panic!("bare tag {tag} decoded to {m:?}"),
             Err(ObiError::Decode(_)) => {}
             Err(e) => panic!("bare tag {tag} yielded non-Decode error {e:?}"),
+        }
+    }
+}
+
+const SITE: SiteId = SiteId::new(2);
+const REQUEST: RequestId = RequestId::new(SiteId::new(1), 7);
+
+fn entry(local: u64, class: &str) -> ReplicaState {
+    ReplicaState {
+        id: ObjId::new(SITE, local),
+        class: class.into(),
+        version: local * 3,
+        state: Bytes::from(vec![local as u8; local as usize]),
+    }
+}
+
+/// Runs of one class and changes between them (`A, A, B, A`, then the
+/// empty class twice), and a frontier that starts with the empty class a
+/// provider writes for an edge it could not name.
+fn mixed_batch() -> ReplicaBatch {
+    let classes = ["A", "A", "B", "A", "", "", "A", "A", "B"];
+    let edge = |local: u64, class: &str| FrontierEdge {
+        target: ObjId::new(SITE, local),
+        class: class.into(),
+    };
+    ReplicaBatch {
+        root: ObjId::new(SITE, 1),
+        replicas: classes.iter().zip(1..).map(|(class, local)| entry(local, class)).collect(),
+        frontier: vec![edge(20, ""), edge(21, "B"), edge(22, "B")],
+        cluster: None,
+    }
+}
+
+/// The bytes of a `ReplicaState` whose class is the raw bytes `class`
+/// (a varint and what follows it), as a message frame lays it out.
+fn raw_entry(enc: &mut Encoder, class: &[u8]) {
+    enc.put_obj_id(ObjId::new(SITE, 1));
+    class.iter().for_each(|&b| enc.put_u8(b));
+    enc.put_varint(1);
+    enc.put_bytes(b"s");
+}
+
+fn decode_error(frame: Vec<u8>) -> String {
+    match Message::decode(&Bytes::from(frame)) {
+        Err(ObiError::Decode(why)) => why,
+        other => panic!("decoded to {other:?}"),
+    }
+}
+
+/// Every message kind that carries a list of replica states, with one
+/// entry whose class bytes are `class`, and the `GetManyChunk` frame of
+/// a resumed stream's second chunk, whose first entry is too.
+fn frames_with_first_class(class: &[u8]) -> Vec<Vec<u8>> {
+    let head = |tag: u8| {
+        let mut enc = Encoder::new();
+        enc.put_u8(tag);
+        enc
+    };
+    let mut put = head(5);
+    put.put_request_id(REQUEST);
+    put.put_varint(1);
+    raw_entry(&mut put, class);
+    let mut push = head(12);
+    push.put_varint(1);
+    raw_entry(&mut push, class);
+    let mut handoff = head(23);
+    handoff.put_request_id(REQUEST);
+    handoff.put_obj_id(ObjId::new(SITE, 1));
+    handoff.put_varint(1);
+    raw_entry(&mut handoff, class);
+    let mut chunk = head(19);
+    chunk.put_request_id(REQUEST);
+    chunk.put_varint(1);
+    chunk.put_varint(2);
+    chunk.put_obj_id(ObjId::new(SITE, 1));
+    chunk.put_varint(1);
+    raw_entry(&mut chunk, class);
+    chunk.put_varint(0);
+    chunk.put_u8(0);
+    // A batch of no replica whose one frontier edge has the class.
+    let mut edge = head(4);
+    edge.put_request_id(REQUEST);
+    edge.put_u8(0);
+    edge.put_obj_id(ObjId::new(SITE, 1));
+    edge.put_varint(0);
+    edge.put_varint(1);
+    edge.put_obj_id(ObjId::new(SITE, 9));
+    class.iter().for_each(|&b| edge.put_u8(b));
+    edge.put_u8(0);
+    [put, push, handoff, chunk, edge].map(|enc| enc.finish().to_vec()).to_vec()
+}
+
+#[test]
+fn hostile_class_bytes_fail_with_decode_errors() {
+    // The frames are well formed: with a class written out they decode.
+    for frame in frames_with_first_class(b"\x02A") {
+        Message::decode(&Bytes::from(frame)).unwrap();
+    }
+    // A repeat with nothing before it in its frame.
+    for frame in frames_with_first_class(&[0]) {
+        assert_eq!(decode_error(frame), "class 0 with no class before it in its frame");
+    }
+    // A name that runs past the end of the frame, by a little and by more
+    // than a frame may hold.
+    for (class, why) in [
+        (&b"\x09Node"[..], "need 8 bytes, have 4"),
+        (&[0xff, 0xff, 0xff, 0xff, 0x0f], "length 4294967295 exceeds limit"),
+    ] {
+        for mut frame in frames_with_first_class(class) {
+            let at = frame.windows(class.len()).position(|w| w == class).unwrap();
+            frame.truncate(at + class.len());
+            assert_eq!(decode_error(frame), why);
+        }
+    }
+    // A name that is not UTF-8.
+    for frame in frames_with_first_class(&[3, 0xff, 0xfe]) {
+        assert!(decode_error(frame).starts_with("invalid utf-8"));
+    }
+}
+
+#[test]
+fn mixed_class_lists_roundtrip_through_messages_and_the_batch_writer() {
+    let batch = mixed_batch();
+    let entries = batch.replicas.clone();
+    for m in [
+        Message::GetReply { request: REQUEST, result: Ok(batch.clone()) },
+        Message::GetManyReply { request: REQUEST, result: Ok(batch.clone()) },
+        Message::PutRequest { request: REQUEST, entries: entries.clone() },
+        Message::UpdatePush { entries: entries.clone() },
+        Message::HandoffRequest { request: REQUEST, root: batch.root, entries },
+    ] {
+        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+    }
+
+    let write = |per_chunk| {
+        let mut writer = BatchWriter::new(per_chunk);
+        for r in &batch.replicas {
+            writer.push(r.id, &r.class, r.version, |enc| {
+                r.state.iter().for_each(|&b| enc.put_u8(b))
+            });
+        }
+        writer.finish(batch.root, &batch.frontier, batch.cluster)
+    };
+    for many in [false, true] {
+        let frame = write(usize::MAX).into_reply(REQUEST, many);
+        let result = Ok(batch.clone());
+        let want = if many {
+            Message::GetManyReply { request: REQUEST, result }
+        } else {
+            Message::GetReply { request: REQUEST, result }
+        };
+        assert_eq!(frame, want.encode());
+        assert_eq!(Message::decode(&frame).unwrap(), want);
+    }
+    for per_chunk in 1..=9 {
+        let slices: Vec<&[ReplicaState]> = batch.replicas.chunks(per_chunk).collect();
+        let total = slices.len() as u32;
+        let want: Vec<Message> = slices
+            .iter()
+            .zip(0..)
+            .map(|(replicas, chunk_index)| Message::GetManyChunk {
+                request: REQUEST,
+                chunk_index,
+                total_hint: total,
+                batch: ReplicaBatch {
+                    replicas: replicas.to_vec(),
+                    frontier: if chunk_index + 1 == total {
+                        batch.frontier.clone()
+                    } else {
+                        Vec::new()
+                    },
+                    ..batch.clone()
+                },
+            })
+            .collect();
+        for resume_from in 0..=total {
+            let frames: Vec<Bytes> = write(per_chunk).into_chunks(REQUEST, resume_from).collect();
+            let want = &want[resume_from as usize..];
+            assert_eq!(frames.len(), want.len(), "{per_chunk} per chunk from {resume_from}");
+            for (frame, want) in frames.iter().zip(want) {
+                assert_eq!(*frame, want.encode(), "{per_chunk} per chunk from {resume_from}");
+                assert_eq!(Message::decode(frame).unwrap(), *want);
+            }
         }
     }
 }

@@ -81,7 +81,7 @@ pub use objref::ObjRef;
 pub use process::{Freshness, InvokeCtx, ObiProcess};
 pub use replication::ReplicationMode;
 pub use shards::ShardedSpace;
-pub use space::{GcStats, ObjectMeta, ReplicaKind, Resolution};
+pub use space::{AppliedPuts, GcStats, ObjectMeta, ReplicaKind, Resolution};
 pub use world::{ObiWorld, NAME_SERVER_SITE};
 
 // Re-exports used by the `obi_class!` macro expansion and by downstream

@@ -7,7 +7,7 @@ use crate::replication::replica_state_of;
 use crate::space::ReplicaKind;
 use obiwan_util::trace;
 use obiwan_util::{ObiError, Result, SiteId};
-use obiwan_wire::JoinInfo;
+use obiwan_wire::{AppliedPut, JoinInfo};
 use std::collections::{HashSet, VecDeque};
 
 impl ObiProcess {
@@ -41,9 +41,11 @@ impl ObiProcess {
 
     /// Retires `peer` from this site's connectivity tracking: its circuit
     /// breaker slot is dropped, so a departed site stops consuming probe
-    /// budget and a future rejoin starts from a clean `Closed` state.
+    /// budget and a future rejoin starts from a clean `Closed` state, and
+    /// its subscriptions end. Its put records stay: it may come back.
     pub fn retire_peer(&self, peer: SiteId) {
         self.shared.client.breaker().retire_peer(peer);
+        self.shared.unsubscribe(peer);
         self.shared.metrics.incr_peers_retired();
     }
 
@@ -51,7 +53,9 @@ impl ObiProcess {
     /// reachable from it) to `successor`, without quiescing: in-flight puts
     /// serialize against the demotion on the process lock, and any put that
     /// arrives after it is answered with [`ObiError::MovedMaster`] so the
-    /// caller re-targets the successor with a fresh request id.
+    /// caller re-targets the successor under the same request id. Each
+    /// object's put record goes along, so the successor answers a replay;
+    /// the demoted replicas keep theirs until the ack, for a retry.
     ///
     /// Ordering is demote-first: the transferred objects flip to replicas
     /// pointing at `successor` *before* the state leaves this site, so there
@@ -85,7 +89,7 @@ impl ObiProcess {
         // section: every put either fully applied before this point (its
         // effect is in the serialized entries) or observes replicas and is
         // redirected. Nothing in between.
-        let entries = self.with_inner(|_inner| {
+        let (entries, applied) = self.with_inner(|_inner| {
             let meta = self
                 .shared
                 .space
@@ -126,8 +130,13 @@ impl ObiProcess {
                 }
             }
             let mut entries = Vec::with_capacity(ids.len());
+            let mut applied = Vec::new();
             for id in &ids {
                 entries.push(replica_state_of(&self.shared.space, *id)?);
+                let record = self.shared.space.meta(*id).and_then(|meta| meta.applied);
+                for &(origin, seq, version) in record.iter().flat_map(|record| record.iter()) {
+                    applied.push(AppliedPut { object: *id, origin, seq, version });
+                }
             }
             for id in &ids {
                 self.shared.space.update_meta(*id, |meta| {
@@ -140,11 +149,11 @@ impl ObiProcess {
                     meta.stale = false;
                 });
             }
-            Ok(entries)
+            Ok((entries, applied))
         })?;
         let total: usize = entries.iter().map(|e| e.state.len()).sum();
         self.shared.clock.charge_cpu(self.shared.costs.serialize(total));
-        let version = self.shared.client.handoff(successor, root.id(), entries)?;
+        let version = self.shared.client.handoff(successor, root.id(), entries, applied.clone())?;
         if let Some(durable) = self.shared.durable.get() {
             durable.log_handoff_complete(root.id())?;
         }
@@ -152,6 +161,10 @@ impl ObiProcess {
             self.shared.space.update_meta(root.id(), |meta| {
                 meta.version = version;
             });
+            // One master, one record.
+            for put in &applied {
+                self.shared.space.update_meta(put.object, |meta| meta.applied = None);
+            }
             Ok(())
         })?;
         self.shared.metrics.incr_handoffs_completed();

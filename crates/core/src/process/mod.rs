@@ -57,7 +57,7 @@ use obiwan_store::{Durable, RecoveredState};
 use obiwan_util::sync::{Mutex, MutexGuard, RwLock};
 use obiwan_util::{Clock, ClusterId, CostModel, Metrics, ObiError, ObjId, Result, SiteId};
 use obiwan_wire::{ObiValue, ReplicaState};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -171,6 +171,10 @@ struct ProcessShared {
     /// and an object with none needs no entry. Guarded by its own lock,
     /// never held across a shard acquisition or a transport call.
     subscriptions: RwLock<HashMap<ObjId, ProxyIn>>,
+    /// The last `AckHorizon` each origin announced here, which prunes its
+    /// put records. A leaf lock: the hook takes it alone (the sim transport
+    /// delivers that cast inline), and a put with no stripe guard held.
+    horizons: Mutex<HashMap<SiteId, u64>>,
     /// Cluster-id generation counter (one per cluster batch served).
     cluster_seq: AtomicU64,
     /// Notices deferred while the process was busy, applied FIFO:
@@ -254,6 +258,15 @@ impl ProcessShared {
     fn subscribe(&self, object: ObjId, site: SiteId, push: bool) {
         self.subscriptions.write().entry(object).or_default().subscribe(site, push);
     }
+
+    /// Ends every subscription of `site`, a departed peer, dropping the
+    /// proxy-ins left with no subscriber.
+    fn unsubscribe(&self, site: SiteId) {
+        self.subscriptions.write().retain(|_, proxy_in| {
+            proxy_in.unsubscribe(site);
+            !proxy_in.subscribers().is_empty()
+        });
+    }
 }
 
 /// One OBIWAN process: the runtime services a site's application links
@@ -312,6 +325,7 @@ impl ObiProcess {
                 }),
                 space: ShardedSpace::new(site),
                 subscriptions: RwLock::new(HashMap::new()),
+                horizons: Mutex::new(HashMap::new()),
                 cluster_seq: AtomicU64::new(1),
                 inbox: Mutex::new(VecDeque::new()),
                 pending_chunks: Mutex::new(VecDeque::new()),
@@ -411,9 +425,10 @@ impl ObiProcess {
         client.restore_request_seq(recovered.next_request_seq);
         // Below the restored counter every seq is spent, except those of
         // the put intents the log holds pending: only those are sent again.
-        // Each holds the announced prefix below it until it is replayed;
-        // one never replayed holds it for good, and the masters' pinned
-        // reply bound (`ReplyCache`) is then what limits this site's share.
+        // Each holds the announced prefix below it until it is replayed, so
+        // no master drops the record that answers the replay; one never
+        // replayed holds it for good, and each master then keeps at most
+        // one record entry per object of this site.
         let replays = recovered.pending_puts.values().map(|put| put.seq);
         client.horizon_tracker().restore(
             recovered
@@ -586,6 +601,24 @@ impl ObiProcess {
     pub fn object_count(&self) -> usize {
         self.with_inner(|_inner| Ok(self.shared.space.object_ids().len()))
             .unwrap_or(0)
+    }
+
+    /// How many entries each origin holds in the put records of this
+    /// site's masters ([`AppliedPuts`](crate::space::AppliedPuts)); an
+    /// origin with none is absent.
+    pub fn applied_puts_by_origin(&self) -> BTreeMap<SiteId, usize> {
+        let space = &self.shared.space;
+        self.with_inner(|_inner| {
+            let mut counts = BTreeMap::new();
+            for id in space.object_ids() {
+                let record = space.meta(id).and_then(|meta| meta.applied);
+                for &(origin, _, _) in record.iter().flat_map(|record| record.iter()) {
+                    *counts.entry(origin).or_default() += 1;
+                }
+            }
+            Ok(counts)
+        })
+        .unwrap_or_default()
     }
 
     /// Number of outstanding proxy-out slots.

@@ -5,11 +5,11 @@ use super::invoke::{finish_invocation, invoke_inner, log_dirty_deltas};
 use super::update::queue_notifications;
 use super::{Notice, ObiProcess, ProcessInner, ProcessShared};
 use crate::replication::write_batch_many;
-use crate::space::{ObjectMeta, ReplicaKind, Resolution};
+use crate::space::{AppliedPuts, ObjectMeta, ReplicaKind, Resolution};
 use obiwan_rmi::RmiService;
 use obiwan_util::trace;
-use obiwan_util::{ClusterId, ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{NameOp, ObiValue, ReplicaState, WireMode, WrittenBatch};
+use obiwan_util::{ClusterId, ObiError, ObjId, RequestId, Result, SiteId};
+use obiwan_wire::{AppliedPut, ObiValue, ReplicaState, WireMode, WrittenBatch};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -92,9 +92,19 @@ impl RmiService for ProcessService {
         }
     }
 
-    fn put(&self, from: SiteId, entries: Vec<ReplicaState>) -> Result<Vec<(ObjId, u64)>> {
+    fn put(
+        &self,
+        from: SiteId,
+        request: RequestId,
+        entries: Vec<ReplicaState>,
+    ) -> Result<Vec<(ObjId, u64)>> {
+        // Puts are recorded, and replays recognised, only under ids the
+        // sender itself issued (the reply cache's rule): a relayed or
+        // spoofed origin must not answer another site's put.
+        let origin = (request.origin() == from).then_some(from);
         self.shared.with_inner(|inner| {
-            // Phase 1: validate every entry against the policy, atomically.
+            // Phase 1: every entry must target a master here.
+            let mut metas = Vec::with_capacity(entries.len());
             for entry in &entries {
                 let meta = self
                     .shared
@@ -117,16 +127,25 @@ impl RmiService for ProcessService {
                         reason: "target is not the master replica".into(),
                     });
                 }
-                let master_version = meta.version;
-                if let Err(e) = inner
-                    .policy
-                    .decide_put(entry.id, master_version, entry.version)
-                {
+                metas.push(meta);
+            }
+            // A replay of a put applied here, or of an older one a later put
+            // of its origin superseded: answered from the record, not run.
+            let recorded = |meta: &ObjectMeta| {
+                meta.applied.as_ref()?.iter().find(|put| Some(put.0) == origin).copied()
+            };
+            if metas.iter().any(|meta| recorded(meta).is_some_and(|put| request.seq() <= put.1)) {
+                let version = |meta: &ObjectMeta| recorded(meta).map_or(meta.version, |put| put.2);
+                return Ok(metas.iter().map(|meta| (meta.id, version(meta))).collect());
+            }
+            // Phase 2: validate every entry against the policy, atomically.
+            for (entry, meta) in entries.iter().zip(&metas) {
+                if let Err(e) = inner.policy.decide_put(entry.id, meta.version, entry.version) {
                     self.shared.metrics.incr_conflicts_detected();
                     return Err(e);
                 }
             }
-            // Phase 2: apply.
+            // Phase 3: apply, each object recording the put.
             let mut versions = Vec::with_capacity(entries.len());
             for entry in &entries {
                 let current = self
@@ -137,6 +156,13 @@ impl RmiService for ProcessService {
                 let new_version = current.version + 1;
                 let mut meta = ObjectMeta::master(entry.id);
                 meta.version = new_version;
+                meta.applied = match origin {
+                    Some(origin) => Some(self.shared.record_put(
+                        current.applied.as_deref(),
+                        (origin, request.seq(), new_version),
+                    )),
+                    None => current.applied,
+                };
                 self.shared.install_state(entry, meta)?;
                 self.shared.metrics.incr_puts();
                 versions.push((entry.id, new_version));
@@ -146,7 +172,13 @@ impl RmiService for ProcessService {
         })
     }
 
-    fn handoff(&self, from: SiteId, root: ObjId, entries: Vec<ReplicaState>) -> Result<u64> {
+    fn handoff(
+        &self,
+        from: SiteId,
+        root: ObjId,
+        entries: Vec<ReplicaState>,
+        applied: Vec<AppliedPut>,
+    ) -> Result<u64> {
         if entries.is_empty() {
             return Err(ObiError::BadArguments("handoff carries no entries".into()));
         }
@@ -171,6 +203,14 @@ impl RmiService for ProcessService {
                 }
                 let mut meta = ObjectMeta::master(entry.id);
                 meta.version = entry.version;
+                // The predecessor's record comes along: it answers a replay
+                // redirected here.
+                let record: AppliedPuts = applied
+                    .iter()
+                    .filter(|put| put.object == entry.id)
+                    .map(|put| (put.origin, put.seq, put.version))
+                    .collect();
+                meta.applied = (!record.is_empty()).then(|| Arc::new(record));
                 self.shared.install_state(entry, meta)?;
                 if entry.id == root {
                     root_version = entry.version;
@@ -186,19 +226,21 @@ impl RmiService for ProcessService {
         })
     }
 
-    fn leave_notice(&self, _from: SiteId, site: SiteId) {
+    fn leave_notice(&self, from: SiteId, site: SiteId) {
         self.shared.client.breaker().retire_peer(site);
+        self.shared.unsubscribe(site);
+        // Only a site's own leave drops its put records, as it does its
+        // replies; under the process lock (unless this thread holds it), so
+        // that no put's read-modify-write of a record straddles the pass.
+        if site == from {
+            let _inside = self.shared.enter();
+            self.shared.forget_origin(site);
+        }
         self.shared.metrics.incr_peers_retired();
     }
 
-    fn name_op(&self, _from: SiteId, op: NameOp) -> Result<ObiValue> {
-        // Object-space hosts do not serve names; the world's dedicated name
-        // server site does. Reject with the proper error.
-        let name = match op {
-            NameOp::Bind { name, .. } | NameOp::Lookup { name } | NameOp::Unbind { name } => name,
-            NameOp::List => "*".to_owned(),
-        };
-        Err(ObiError::NameNotBound(name))
+    fn ack_horizon(&self, from: SiteId, up_to: u64) {
+        self.shared.hear_horizon(from, up_to);
     }
 
     fn subscribe(&self, from: SiteId, object: ObjId, push: bool) -> Result<ObiValue> {
@@ -221,6 +263,44 @@ impl RmiService for ProcessService {
 }
 
 impl ProcessShared {
+    /// Notes `origin`'s announced horizon, which only moves forward.
+    fn hear_horizon(&self, origin: SiteId, up_to: u64) {
+        let mut horizons = self.horizons.lock();
+        let heard = horizons.entry(origin).or_default();
+        *heard = (*heard).max(up_to);
+    }
+
+    /// `record` after the put `(origin, seq, version)`: that entry replaces
+    /// the origin's last, and entries their origin's last horizon here
+    /// covers go, as nothing can replay them. So an object keeps one entry
+    /// per origin at most, and a covered one only until its next put.
+    fn record_put(
+        &self,
+        record: Option<&AppliedPuts>,
+        put: (SiteId, u64, u64),
+    ) -> Arc<AppliedPuts> {
+        let horizons = self.horizons.lock();
+        let live = |&&(origin, seq, _): &&(SiteId, u64, u64)| {
+            origin != put.0 && horizons.get(&origin).is_none_or(|&heard| seq > heard)
+        };
+        Arc::new(record.into_iter().flatten().filter(live).copied().chain([put]).collect())
+    }
+
+    /// Forgets `origin`, a site that left: its horizon, and its entry in
+    /// every master's record (one pass over the space).
+    fn forget_origin(&self, origin: SiteId) {
+        self.horizons.lock().remove(&origin);
+        for id in self.space.object_ids() {
+            self.space.update_meta(id, |meta| {
+                let has_origin = |record: &mut Arc<AppliedPuts>| record.iter().any(|e| e.0 == origin);
+                if let Some(record) = meta.applied.take_if(has_origin) {
+                    let kept: AppliedPuts = record.iter().filter(|e| e.0 != origin).copied().collect();
+                    meta.applied = (!kept.is_empty()).then(|| Arc::new(kept));
+                }
+            });
+        }
+    }
+
     /// Applies an arriving notice now, or parks it in the inbox when this
     /// thread is already inside the process (the lock would self-deadlock).
     fn deliver(&self, notice: Notice) {
@@ -299,8 +379,10 @@ fn apply_notice(_held: &mut ProcessInner, shared: &ProcessShared, notice: Notice
 mod tests {
     use super::*;
     use crate::hooks::ConsistencyHook;
+    use crate::objref::ObjRef;
     use crate::process::testing::list_world;
     use crate::replication::ReplicationMode;
+    use crate::world::ObiWorld;
 
     #[test]
     fn rejecting_policy_blocks_puts() {
@@ -444,6 +526,85 @@ mod tests {
         let value = world.site(s1).invoke(root, "value", ObiValue::Null).unwrap();
         assert_eq!(value, ObiValue::I64(99));
         assert_eq!(world.site(s1).meta_of(root).unwrap().version, before.version + 1);
+    }
+
+    /// A put of `state_with_junk(target, version, &[])` from `from` under
+    /// `(from, seq)`, through a fresh message handler: a reply cache of its
+    /// own, so only the master's put record can recognise a replay.
+    fn put_as(
+        world: &ObiWorld,
+        master: SiteId,
+        from: SiteId,
+        seq: u64,
+        target: ObjRef,
+    ) -> Result<Vec<(ObjId, u64)>> {
+        let version = world.site(master).meta_of(target).unwrap().version;
+        let frame = obiwan_wire::Message::PutRequest {
+            request: RequestId::new(from, seq),
+            entries: vec![state_with_junk(target.id(), version, &[])],
+        }
+        .encode();
+        let reply = world.site(master).message_handler().handle(from, frame).unwrap();
+        match obiwan_wire::Message::decode(&reply).unwrap() {
+            obiwan_wire::Message::PutReply { result, .. } => result,
+            other => panic!("not a put reply: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_replay_is_answered_with_the_version_its_origin_last_put_and_runs_nothing() {
+        let (world, s1, s2, refs) = list_world(1);
+        let id = refs[0].id();
+        assert_eq!(put_as(&world, s2, s1, 7, refs[0]).unwrap(), vec![(id, 2)]);
+        assert_eq!(put_as(&world, s2, s1, 9, refs[0]).unwrap(), vec![(id, 3)]);
+        // The replay of the latest put gets its version; an older one,
+        // superseded by it, gets the same: the entry's.
+        assert_eq!(put_as(&world, s2, s1, 9, refs[0]).unwrap(), vec![(id, 3)]);
+        assert_eq!(put_as(&world, s2, s1, 7, refs[0]).unwrap(), vec![(id, 3)]);
+        assert_eq!(world.site(s2).meta_of(refs[0]).unwrap().version, 3, "a replay ran");
+        assert_eq!(world.site(s2).metrics().snapshot().puts, 2);
+        // A later put runs.
+        assert_eq!(put_as(&world, s2, s1, 10, refs[0]).unwrap(), vec![(id, 4)]);
+        assert_eq!(world.site(s2).applied_puts_by_origin().get(&s1), Some(&1));
+    }
+
+    #[test]
+    fn a_put_drops_the_entries_its_origins_horizons_cover_and_no_others() {
+        let (world, s1, s2, refs) = list_world(1);
+        let s3 = SiteId::new(3);
+        put_as(&world, s2, s1, 7, refs[0]).unwrap();
+        put_as(&world, s2, s3, 5, refs[0]).unwrap();
+        let horizon = |from, up_to| {
+            let frame = obiwan_wire::Message::AckHorizon { up_to }.encode();
+            assert!(world.site(s2).message_handler().handle(from, frame).is_none());
+        };
+        // Heard, but nothing is pruned until a put applies to the object.
+        horizon(s1, 6);
+        horizon(s3, 7);
+        let counts = world.site(s2).applied_puts_by_origin();
+        assert_eq!(counts.values().sum::<usize>(), 2);
+        // s1's horizon is below its entry, which stays; s3's own entry is
+        // replaced by its new put.
+        put_as(&world, s2, s3, 8, refs[0]).unwrap();
+        assert_eq!(world.site(s2).applied_puts_by_origin().len(), 2);
+        horizon(s1, 7);
+        put_as(&world, s2, s3, 9, refs[0]).unwrap();
+        let counts = world.site(s2).applied_puts_by_origin();
+        assert_eq!(counts.into_iter().collect::<Vec<_>>(), vec![(s3, 1)]);
+    }
+
+    #[test]
+    fn only_a_sites_own_leave_drops_its_applied_put_entries() {
+        let (world, s1, s2, refs) = list_world(1);
+        put_as(&world, s2, s1, 7, refs[0]).unwrap();
+        let leave = obiwan_wire::Message::Leave { site: s1 }.encode();
+        let relayer = SiteId::new(99);
+        assert!(world.site(s2).message_handler().handle(relayer, leave.clone()).is_none());
+        assert_eq!(world.site(s2).applied_puts_by_origin().get(&s1), Some(&1), "a relayed leave");
+        assert!(world.site(s2).message_handler().handle(s1, leave).is_none());
+        assert!(world.site(s2).applied_puts_by_origin().is_empty());
+        // The replay of a site that left and rejoined under the same id runs.
+        assert_eq!(put_as(&world, s2, s1, 7, refs[0]).unwrap(), vec![(refs[0].id(), 3)]);
     }
 
     #[test]

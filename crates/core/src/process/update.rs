@@ -13,11 +13,9 @@ use obiwan_util::{ClusterId, LatencyKind, ObiError, ObjId, RequestId, Result, Si
 use obiwan_wire::{Encoder, ReplicaState, WireMode};
 use std::time::Duration;
 
-/// Most puts [`ObiProcess::put_many`] makes durable and sends as one
-/// group. Well under `ReplyCache::DEFAULT_CAPACITY`, so the master still
-/// holds every reply of a group a crash makes the client replay; and the
-/// bound on request ids reserved but not yet settled, which hold the
-/// client's `HorizonTracker` back.
+/// Most puts [`ObiProcess::put_many`] makes durable with one sync and
+/// sends as one group: the bound on request ids reserved but not yet
+/// settled, which hold the client's `HorizonTracker` back.
 const PUT_GROUP: usize = 64;
 
 /// Outcome of [`ObiProcess::refresh_or_stale`]: whether the replica was
@@ -112,7 +110,7 @@ impl ObiProcess {
     /// request id, state fingerprint — become durable with one log write
     /// and one sync, and only then do its `PutRequest`s leave, one per put.
     /// A crash at any point replays the unconfirmed puts under the same ids,
-    /// and the master's reply cache deduplicates the ones that had landed:
+    /// and the masters' put records deduplicate the ones that had landed:
     /// exactly-once across restarts, at one sync per group of puts.
     pub fn put_many(&self, targets: &[ObjRef]) -> Vec<(ObjId, Result<u64>)> {
         self.write_back(targets, true)
@@ -133,7 +131,7 @@ impl ObiProcess {
                     .with_site(self.shared.site)
                     .with_obj(target);
                 let start = self.shared.clock.virtual_nanos();
-                unreachable.extend(self.put_send(target, planned, true, &mut outcomes));
+                unreachable.extend(self.put_send(target, planned, &mut outcomes));
                 self.shared.metrics.record_latency(
                     LatencyKind::Put,
                     Duration::from_nanos(self.shared.clock.virtual_nanos().saturating_sub(start)),
@@ -281,78 +279,67 @@ impl ObiProcess {
     }
 
     /// Sends the put planned for `target` and reports its members' outcomes
-    /// (the target's error if nothing was planned). A master that handed
-    /// the entries off names its successor: if `follow` is set, the members
-    /// are re-pointed there and put once more, under a fresh id (the old
-    /// one, abandoned, holds the redirect). Returns the master a
+    /// (the target's error if nothing was planned). Returns the master a
     /// connectivity failure left unreachable.
     fn put_send(
         &self,
         target: ObjId,
         planned: Result<PlannedPut>,
-        follow: bool,
         outcomes: &mut Vec<(ObjId, Result<u64>)>,
     ) -> Option<SiteId> {
-        let put = match planned {
+        let mut put = match planned {
             Ok(put) => put,
             Err(e) => {
                 outcomes.push((target, Err(e)));
                 return None;
             }
         };
-        let to = match self.put_once(put.provider, put.request, put.entries, &put.members) {
+        match self.put_once(&mut put.provider, put.request, put.entries, &put.members) {
             Ok(versions) => {
                 outcomes.extend(versions.into_iter().map(|(id, version)| (id, Ok(version))));
-                return None;
+                None
             }
-            Err(ObiError::MovedMaster { to, .. }) if follow => to,
             Err(e) => {
                 outcomes.extend(put.members.iter().map(|&(id, _)| (id, Err(e.clone()))));
-                return e.is_connectivity().then_some(put.provider);
+                e.is_connectivity().then_some(put.provider)
             }
-        };
-        self.shared.metrics.incr_moved_master_redirects();
-        let targets: Vec<ObjRef> = put.members.iter().map(|&(id, _)| ObjRef::new(id)).collect();
-        let repoint = |meta: &mut ObjectMeta| {
-            if let ReplicaKind::Replica { provider } = &mut meta.kind {
-                *provider = to;
-            }
-        };
-        // Re-entry fails here and again in the re-plan, which reports it.
-        let _ = self.with_inner(|_inner| {
-            for target in &targets {
-                self.shared.space.update_meta(target.id(), repoint);
-            }
-            Ok(())
-        });
-        let replanned = self.put_plan(&targets, &[], true, &mut Vec::new()).into_iter();
-        replanned.fold(None, |unreachable, (target, planned)| {
-            unreachable.or(self.put_send(target, planned, false, outcomes))
-        })
+        }
     }
 
     /// Sends one put under its request id and settles it: each member's ack
     /// — or, after a definitive rejection, the abandonment of its intent —
     /// is logged before the id is settled, and a member comes out clean if
-    /// it still holds the state that was sent. Returns each member's
-    /// accepting version, in member order.
+    /// it still holds the state that was sent. A master that handed the
+    /// members off names its successor: they (and `provider`) are
+    /// re-pointed there, and the put goes once more under the same id, so
+    /// the successor, holding its predecessor's put records, dedupes it.
+    /// Returns each member's accepting version, in member order.
     fn put_once(
         &self,
-        provider: SiteId,
+        provider: &mut SiteId,
         request: RequestId,
         entries: Vec<ReplicaState>,
         members: &[(ObjId, u64)],
     ) -> Result<Vec<(ObjId, u64)>> {
         let bytes = entries.iter().map(|entry| entry.state.len()).sum();
         self.shared.clock.charge_cpu(self.shared.costs.serialize(bytes));
-        let sent = self.shared.client.put_with_request(provider, entries, request);
+        let client = &self.shared.client;
+        let mut sent = client.put_with_request(*provider, entries, request);
+        if let Err(ObiError::MovedMaster { to, .. }) = sent {
+            self.shared.metrics.incr_moved_master_redirects();
+            *provider = to;
+            sent = self
+                .redirect(members, to)
+                .and_then(|entries| client.put_with_request(to, entries, request));
+        }
+        let provider = *provider;
         let durable = self.shared.durable.get();
         // The id is settled once nothing will send it again: at once without
         // a log, else once the log retires its intents (until then a crash
-        // replays it, and the master must still hold its reply).
+        // replays it, and the master must still hold its record).
         let retired = |logged: Result<()>| {
             logged?;
-            self.shared.client.settle(provider, request);
+            client.settle(provider, request);
             Ok(())
         };
         let mut versions = match sent {
@@ -390,6 +377,25 @@ impl ObiProcess {
             Ok(())
         })?;
         Ok(versions)
+    }
+
+    /// Re-points `members` at `to`, a handoff's successor, and snapshots
+    /// their states. One mutated since the first send carries its new
+    /// state and stays dirty after the ack (its fingerprint is the old).
+    fn redirect(&self, members: &[(ObjId, u64)], to: SiteId) -> Result<Vec<ReplicaState>> {
+        let space = &self.shared.space;
+        let repoint = |meta: &mut ObjectMeta| {
+            if let ReplicaKind::Replica { provider } = &mut meta.kind {
+                *provider = to;
+            }
+        };
+        self.with_inner(|_inner| {
+            let snapshot = |&(id, _): &(ObjId, u64)| {
+                space.update_meta(id, repoint);
+                replica_state_of(space, id)
+            };
+            members.iter().map(snapshot).collect()
+        })
     }
 
     /// Writes a whole cluster back to its provider in one `put` (the only

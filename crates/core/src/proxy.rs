@@ -86,6 +86,11 @@ impl ProxyIn {
         }
     }
 
+    /// Removes `site`'s subscription, if it has one.
+    pub fn unsubscribe(&mut self, site: SiteId) {
+        self.subscribers.retain(|s| s.site != site);
+    }
+
     /// Current subscribers.
     pub fn subscribers(&self) -> &[Subscriber] {
         &self.subscribers
@@ -131,6 +136,16 @@ mod tests {
         pin.subscribe(s(3), false);
         assert_eq!(pin.subscribers().len(), 2);
         assert!(pin.subscribers()[0].push);
+    }
+
+    #[test]
+    fn unsubscribe_removes_only_that_site() {
+        let mut pin = ProxyIn::new();
+        pin.subscribe(s(1), false);
+        pin.subscribe(s(2), true);
+        pin.unsubscribe(s(1));
+        pin.unsubscribe(s(3));
+        assert_eq!(pin.subscribers(), &[Subscriber { site: s(2), push: true }]);
     }
 
     #[test]

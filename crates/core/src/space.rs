@@ -6,6 +6,7 @@
 use crate::object::ObiObject;
 use crate::proxy::ProxyOut;
 use obiwan_util::{ClusterId, ObjId, SiteId};
+use std::sync::Arc;
 
 /// Whether a live object is the master copy or a replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +47,10 @@ pub struct ObjectMeta {
     /// Monotonic usage stamp maintained by the space (bumped on insert and
     /// on every invocation); drives least-recently-used eviction.
     pub last_used: u64,
+    /// Masters only: the latest put each origin applied here, answering a
+    /// replay. `None` on replicas and untouched masters; shared, so a meta
+    /// clone never allocates.
+    pub applied: Option<Arc<AppliedPuts>>,
 }
 
 impl ObjectMeta {
@@ -59,6 +64,7 @@ impl ObjectMeta {
             stale: false,
             cluster: None,
             last_used: 0,
+            applied: None,
         }
     }
 
@@ -72,9 +78,14 @@ impl ObjectMeta {
             stale: false,
             cluster: None,
             last_used: 0,
+            applied: None,
         }
     }
 }
+
+/// A master object's record of the latest put each origin applied to it,
+/// one `(origin, seq, version)` entry per origin.
+pub type AppliedPuts = Vec<(SiteId, u64, u64)>;
 
 /// A live object plus its metadata.
 pub struct ObjectEntry {

@@ -43,7 +43,9 @@
 //! * **callback over-approximation** — for `f(|x| { … })`, `f`'s TA is
 //!   treated as held while the closure body's acquisitions are walked, so
 //!   `with_inner(|g| …)`-style wrappers produce the edges the runtime sees.
-//!   Such a guard is *lent* to the closure, not the walked fn's own.
+//!   Such a guard is *lent* to the closure, not the walked fn's own. It is
+//!   all of `f`'s escaping TA, not what `f` holds at the call: the source
+//!   of the false `ShardedSpace::shard() -> …` edges (DESIGN §4d).
 //!
 //! Precision refinements (each one removed a family of false cycles during
 //! calibration against the real workspace, which ends at zero findings):

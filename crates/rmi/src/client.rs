@@ -7,7 +7,9 @@ use obiwan_util::trace;
 use obiwan_util::{
     Clock, ClockMode, CostModel, DetRng, Metrics, ObiError, ObjId, RequestId, Result, SiteId,
 };
-use obiwan_wire::{JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode};
+use obiwan_wire::{
+    AppliedPut, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode,
+};
 use obiwan_util::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -203,16 +205,10 @@ impl RmiClient {
         self.announce(to, self.horizon.offer(|| self.gate_open()));
     }
 
-    /// Sends the announcement of `up_to`, if there is one, to `to` and to
-    /// every master that still holds one of this client's put replies
-    /// pinned ([`HorizonTracker::also_tell`]).
+    /// Sends the announcement of `up_to`, if there is one, to `to`.
     fn announce(&self, to: SiteId, up_to: Option<u64>) {
         let Some(up_to) = up_to else { return };
-        let frame = Message::AckHorizon { up_to }.encode();
-        let _ = self.transport.cast(self.site, to, frame.clone());
-        for peer in self.horizon.also_tell(to, up_to) {
-            let _ = self.transport.cast(self.site, peer, frame.clone());
-        }
+        let _ = self.transport.cast(self.site, to, Message::AckHorizon { up_to }.encode());
     }
 
     fn round_trip(&self, to: SiteId, msg: &Message) -> Result<Message> {
@@ -311,10 +307,9 @@ impl RmiClient {
     }
 
     /// Records `id` as settled — never to be sent again — and, when an
-    /// announcement is due and the gate lets it out, tells the peer (and
-    /// every master holding a put reply of this client pinned) how far it
-    /// may prune its reply cache. Best-effort: a lost announcement only
-    /// delays pruning (the cache's bounds hold anyway). Every call settles
+    /// announcement is due and the gate lets it out, tells the peer how far
+    /// it may prune its reply cache and its put records. Best-effort: a
+    /// lost announcement only delays pruning. Every call settles
     /// its own id when it ends, except [`RmiClient::put_with_request`],
     /// whose caller does.
     pub fn settle(&self, to: SiteId, id: RequestId) {
@@ -516,10 +511,12 @@ impl RmiClient {
     /// `put`: sends replica states back to their master under a request id
     /// the caller reserved ([`RmiClient::reserve_request`]) or recovered
     /// from a durable put-intent record. Sending the same id twice is how
-    /// crash-replay achieves exactly-once: the server's reply cache answers
-    /// the second send instead of re-applying. So the call does not settle
-    /// the id; the caller does ([`RmiClient::settle`]) once nothing can send
-    /// it again, and until then the server keeps the reply.
+    /// crash-replay achieves exactly-once: the server answers the second
+    /// send from its reply cache, or from the master objects' record of the
+    /// latest put this site applied to each, instead of re-applying. So the
+    /// call does not settle the id; the caller does ([`RmiClient::settle`])
+    /// once nothing can send it again, and until then the master keeps the
+    /// record.
     pub fn put_with_request(
         &self,
         host: SiteId,
@@ -527,7 +524,6 @@ impl RmiClient {
         request: RequestId,
     ) -> Result<Vec<(ObjId, u64)>> {
         self.metrics.incr_puts();
-        self.horizon.record_put(host, request.seq());
         let msg = Message::PutRequest { request, entries };
         match self.round_trip_inner(host, &msg, None, false)? {
             Message::PutReply { request: id, result } => {
@@ -645,8 +641,9 @@ impl RmiClient {
     }
 
     /// Mastership handoff: installs `entries` (the closure rooted at
-    /// `root`) at `to` and asks it to take over as master, returning the
-    /// root's installed version. The same request id rides every retry, and
+    /// `root`) at `to`, with the records of the puts `applied` to them, and
+    /// asks it to take over as master, returning the root's installed
+    /// version. The same request id rides every retry, and
     /// the successor installs idempotently, so a handoff retried through
     /// loss never yields two masters.
     pub fn handoff(
@@ -654,6 +651,7 @@ impl RmiClient {
         to: SiteId,
         root: ObjId,
         entries: Vec<ReplicaState>,
+        applied: Vec<AppliedPut>,
     ) -> Result<u64> {
         let request = self.reserve_request();
         let reply = self.round_trip(
@@ -662,6 +660,7 @@ impl RmiClient {
                 request,
                 root,
                 entries,
+                applied,
             },
         )?;
         match reply {
@@ -963,10 +962,11 @@ mod retry_tests {
     }
 
     /// Puts to one master and many calls to another: every announcement is
-    /// made due by a call to the other, yet the first hears it too, so its
-    /// pinned put replies go.
+    /// made due by a call to the other, and only the other hears it. The
+    /// master's put replies stay until LRU pressure, or a horizon it hears
+    /// itself, takes them (its put records answer a replay after that).
     #[test]
-    fn a_master_put_to_hears_horizons_made_due_by_calls_to_another() {
+    fn an_announcement_goes_only_to_the_peer_of_the_call_that_made_it_due() {
         let clock = Clock::new(ClockMode::VirtualOnly);
         let net = Arc::new(SimTransport::new(clock.clone(), conditions::paper_lan()));
         let (master, other) = (SiteId::new(2), SiteId::new(3));
@@ -984,7 +984,7 @@ mod retry_tests {
                 client.ping(other).unwrap();
             }
         }
-        assert_eq!(servers[0].replies().len(), 0);
+        assert_eq!(servers[0].replies().len(), 20);
         assert!((servers[1].replies().len() as u64) <= ANNOUNCE_EVERY);
     }
 

@@ -9,7 +9,9 @@
 //!   from the cache instead of re-executing the handler. Mutating
 //!   requests (`put`, `invoke`) thereby become safe to retry. The cache
 //!   is bounded (LRU) and pruned by client-announced
-//!   [`AckHorizon`](obiwan_wire::Message::AckHorizon) frames.
+//!   [`AckHorizon`](obiwan_wire::Message::AckHorizon) frames. A put
+//!   replayed after its reply left is answered by the master object's
+//!   record of the latest put each origin applied to it (`obiwan-core`).
 //! * [`RetryPolicy`] / [`Deadline`] — the client retries lost or timed-out
 //!   calls under an explicit per-call time budget, sleeping an
 //!   exponentially growing, decorrelated-jitter backoff between attempts
@@ -24,8 +26,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use obiwan_util::{Clock, DetRng, RequestId, SiteId};
 use obiwan_util::sync::Mutex;
-use obiwan_wire::Message;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -241,8 +242,6 @@ impl CircuitBreaker {
 struct CachedReply {
     frame: Bytes,
     stamp: u64,
-    /// A put's reply: LRU eviction passes it over.
-    pinned: bool,
 }
 
 #[derive(Debug)]
@@ -260,36 +259,15 @@ struct ReplyCacheInner {
     /// Request ids currently executing.
     pending: HashMap<(SiteId, u64), PendingSlot>,
     stamp: u64,
-    /// How many of `entries` are pinned.
-    pinned: usize,
 }
 
 impl ReplyCacheInner {
-    /// Evicts the least recently used entry that is pinned or not, as
-    /// `pinned` says.
-    fn evict_oldest(&mut self, pinned: bool) {
-        let oldest = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.pinned == pinned)
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(k, _)| *k);
+    /// Evicts the least recently used entry.
+    fn evict_oldest(&mut self) {
+        let oldest = self.entries.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k);
         if let Some(oldest) = oldest {
             self.entries.remove(&oldest);
-            self.pinned -= usize::from(pinned);
         }
-    }
-
-    /// Keeps only the entries `keep` accepts.
-    fn retain(&mut self, mut keep: impl FnMut(SiteId, u64) -> bool) {
-        let pinned = &mut self.pinned;
-        self.entries.retain(|&(origin, seq), e| {
-            let kept = keep(origin, seq);
-            if !kept && e.pinned {
-                *pinned -= 1;
-            }
-            kept
-        });
     }
 }
 
@@ -323,25 +301,9 @@ pub enum Admit {
 /// order; clients additionally prune their own
 /// settled prefix via [`ReplyCache::ack_horizon`].
 ///
-/// A put's reply is *pinned*: the origin may be away with the put's intent
-/// logged and replay it under the same id however many other replies pass
-/// through meanwhile, so the origin's
-/// [`ack_horizon`](ReplyCache::ack_horizon) or
-/// [`retire_peer`](ReplyCache::retire_peer) is what drops one. Pinned and
-/// unpinned replies are bounded apart, each at `capacity` with LRU
-/// eviction, so pinned ones never take an unpinned reply's slot and the
-/// cache never holds more than twice `capacity`.
-///
-/// The pinned bound is a backstop; horizons normally keep far below it.
-/// The client announces its horizon to every master it has put to since
-/// that master last heard one covering the put (`RmiClient::settle`), so
-/// an origin's pinned entries at a master are its puts there above its
-/// settled prefix: those not yet settled (intents pending), plus fewer
-/// than [`ANNOUNCE_EVERY`] settled but not yet announced. One seq that
-/// never settles — a pending intent nobody replays — freezes the prefix
-/// below it ([`HorizonTracker`]): every later put reply of that origin then
-/// stays pinned until the bound evicts the oldest pinned replies, and a put
-/// whose reply went that way and is replayed afterwards is applied again.
+/// A put's reply is an entry like any other: a replay that comes after
+/// other traffic pushed it out is answered by the master object's record
+/// of the latest put each origin applied to it.
 #[derive(Debug)]
 pub struct ReplyCache {
     capacity: usize,
@@ -360,7 +322,6 @@ impl ReplyCache {
                 entries: HashMap::new(),
                 pending: HashMap::new(),
                 stamp: 0,
-                pinned: 0,
             }),
         }
     }
@@ -442,9 +403,9 @@ impl ReplyCache {
     }
 
     /// Publishes the outcome of an execution admitted by
-    /// [`ReplyCache::begin`]: caches `frame` (when `Some`) under `id` and
-    /// wakes every duplicate parked on [`Admit::Wait`]. A put's reply
-    /// ([`Message::is_put_reply`]) is cached pinned.
+    /// [`ReplyCache::begin`]: caches `frame` (when `Some`) under `id`,
+    /// evicting the least recently used reply past the capacity, and wakes
+    /// every duplicate parked on [`Admit::Wait`].
     pub fn complete(&self, id: RequestId, frame: Option<Bytes>) {
         let key = (id.origin(), id.seq());
         let waiters = {
@@ -457,23 +418,9 @@ impl ReplyCache {
             if let Some(frame) = &frame {
                 inner.stamp += 1;
                 let stamp = inner.stamp;
-                let pinned = Message::is_put_reply(frame);
-                let reply = CachedReply {
-                    frame: frame.clone(),
-                    stamp,
-                    pinned,
-                };
-                if let Some(replaced) = inner.entries.insert(key, reply) {
-                    inner.pinned -= usize::from(replaced.pinned);
-                }
-                inner.pinned += usize::from(pinned);
-                let held = if pinned {
-                    inner.pinned
-                } else {
-                    inner.entries.len() - inner.pinned
-                };
-                if held > self.capacity {
-                    inner.evict_oldest(pinned);
+                inner.entries.insert(key, CachedReply { frame: frame.clone(), stamp });
+                if inner.entries.len() > self.capacity {
+                    inner.evict_oldest();
                 }
             }
             waiters
@@ -489,13 +436,14 @@ impl ReplyCache {
     pub fn ack_horizon(&self, origin: SiteId, up_to: u64) {
         self.inner
             .lock()
-            .retain(|o, seq| o != origin || seq > up_to);
+            .entries
+            .retain(|&(o, seq), _| o != origin || seq > up_to);
     }
 
-    /// Drops every entry from `origin`, pinned or not: the server calls it
-    /// when `origin` announces that it left the world.
+    /// Drops every entry from `origin`: the server calls it when `origin`
+    /// announces that it left the world.
     pub fn retire_peer(&self, origin: SiteId) {
-        self.inner.lock().retain(|o, _| o != origin);
+        self.inner.lock().entries.retain(|&(o, _), _| o != origin);
     }
 
     /// Number of cached replies.
@@ -529,9 +477,6 @@ struct HorizonInner {
     held: BTreeSet<u64>,
     /// Settlements since the last announcement.
     since_announce: u64,
-    /// Masters sent a put whose pinned reply no announcement to them has
-    /// covered yet: each with the highest such put's seq.
-    put_peers: BTreeMap<SiteId, u64>,
 }
 
 impl HorizonInner {
@@ -553,18 +498,18 @@ impl HorizonInner {
 /// therefore never retransmitted again.
 ///
 /// The contiguous settled prefix is the acknowledgement horizon; it is
-/// announced to servers every [`ANNOUNCE_EVERY`] settlements so they can
-/// prune their reply caches ahead of LRU pressure. Each announcement also
-/// passes a gate, asked outside the tracker's lock and after the prefix it
-/// would announce is fixed: while the gate is closed the announcement stays
-/// due, and the next [`settle`](HorizonTracker::settle) or
-/// [`offer`](HorizonTracker::offer) that finds it open sends it.
+/// announced, to the peer of the call that made it due, every
+/// [`ANNOUNCE_EVERY`] settlements so the peer can prune its reply cache
+/// ahead of LRU pressure and drop the put records the horizon covers. Each
+/// announcement also passes a gate, asked outside the tracker's lock and
+/// after the prefix it would announce is fixed: while the gate is closed
+/// the announcement stays due, and the next
+/// [`settle`](HorizonTracker::settle) or [`offer`](HorizonTracker::offer)
+/// that finds it open sends it.
 ///
-/// An announcement goes to the peer of the call that made it due, and to
-/// every master that [`record_put`](HorizonTracker::record_put) named and
-/// no earlier announcement covered ([`also_tell`](HorizonTracker::also_tell)):
-/// those hold the client's put replies pinned ([`ReplyCache`]), and only a
-/// horizon they hear unpins them.
+/// The announced prefix never passes a `held` seq
+/// ([`restore`](HorizonTracker::restore)): a master drops a put record its
+/// origin's horizon covers, and a held put will still be replayed.
 #[derive(Debug, Default)]
 pub struct HorizonTracker {
     inner: Mutex<HorizonInner>,
@@ -613,25 +558,6 @@ impl HorizonTracker {
             self.inner.lock().since_announce = 0;
             horizon
         })
-    }
-
-    /// Notes that the put `seq` was sent to `peer`, which keeps its reply
-    /// pinned until it hears a horizon at or above `seq`.
-    pub fn record_put(&self, peer: SiteId, seq: u64) {
-        let mut inner = self.inner.lock();
-        let latest = inner.put_peers.entry(peer).or_default();
-        *latest = (*latest).max(seq);
-    }
-
-    /// The masters besides `to` that must hear the announcement of
-    /// `horizon`: every one [`record_put`](HorizonTracker::record_put)
-    /// named that no earlier announcement covered. Forgets those, `to`
-    /// among them, whose latest put `horizon` now covers.
-    pub fn also_tell(&self, to: SiteId, horizon: u64) -> Vec<SiteId> {
-        let mut inner = self.inner.lock();
-        let others = inner.put_peers.keys().copied().filter(|&peer| peer != to).collect();
-        inner.put_peers.retain(|_, &mut seq| seq > horizon);
-        others
     }
 
     /// The current contiguous settled prefix.
@@ -855,96 +781,35 @@ mod tests {
         }
     }
 
+    /// A put's reply takes its LRU turn like any other: capacity + 1 later
+    /// replies push it out. A replay after that is the master object's
+    /// record's to answer (`obiwan-core`), not the cache's.
     #[test]
-    fn a_put_reply_survives_capacity_plus_one_later_replies() {
+    fn a_put_reply_is_an_ordinary_lru_entry() {
         let capacity = 8;
         let cache = ReplyCache::new(capacity);
         let put = RequestId::new(s(1), 1);
-        let reply = Message::PutReply {
+        let reply = obiwan_wire::Message::PutReply {
             request: put,
             result: Ok(vec![]),
         }
         .encode();
         assert!(matches!(cache.begin(put, 0), Admit::Execute));
         cache.complete(put, Some(reply.clone()));
-        for seq in 1..=capacity as u64 + 1 {
-            answer(&cache, RequestId::new(s(2), seq), b"r");
-        }
-        // The put is the oldest entry, yet the unpinned ones went first.
-        assert_eq!(cache.len(), capacity + 1);
-        assert_eq!(cached(&cache, put), Some(reply.clone()));
-        assert!(cached(&cache, RequestId::new(s(2), 1)).is_none());
-        // Only its origin's horizon, or its origin's leave, drops it.
-        cache.ack_horizon(s(2), u64::MAX);
-        assert_eq!(cached(&cache, put), Some(reply.clone()));
-        cache.ack_horizon(s(1), 1);
-        assert!(cached(&cache, put).is_none());
-        let again = RequestId::new(s(1), 2);
-        assert!(matches!(cache.begin(again, 0), Admit::Execute));
-        cache.complete(again, Some(reply));
-        cache.retire_peer(s(1));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn pinned_replies_never_take_the_unpinned_slots() {
-        let capacity = 8;
-        let cache = ReplyCache::new(capacity);
-        let invoke = RequestId::new(s(2), 1);
-        answer(&cache, invoke, b"r");
-        // An origin whose horizon never moves: three times the bound of
-        // pinned replies.
-        let puts = 3 * capacity as u64;
-        for seq in 1..=puts {
-            let put = RequestId::new(s(1), seq);
-            let reply = Message::PutReply {
-                request: put,
-                result: Ok(vec![]),
-            };
-            assert!(matches!(cache.begin(put, 0), Admit::Execute));
-            cache.complete(put, Some(reply.encode()));
-        }
-        // The oldest pinned replies went, the invoke's reply stayed.
-        assert_eq!(cache.len(), capacity + 1);
-        assert!(cached(&cache, RequestId::new(s(1), 1)).is_none());
-        assert!(cached(&cache, RequestId::new(s(1), puts)).is_some());
-        assert_eq!(cached(&cache, invoke), Some(Bytes::from_static(b"r")));
-        // Unpinned replies keep a whole LRU window beside the pinned ones.
-        for seq in 2..=capacity as u64 {
-            answer(&cache, RequestId::new(s(2), seq), b"r");
-        }
-        assert_eq!(cache.len(), 2 * capacity);
-        assert!(cached(&cache, invoke).is_some());
-        answer(&cache, RequestId::new(s(2), 100), b"r");
-        assert_eq!(cache.len(), 2 * capacity);
-        assert!(cached(&cache, RequestId::new(s(1), puts)).is_some());
-        // Pruning keeps the count of pinned replies right.
-        cache.ack_horizon(s(1), puts);
         for seq in 1..=capacity as u64 {
-            let put = RequestId::new(s(3), seq);
-            let reply = Message::PutReply {
-                request: put,
-                result: Ok(vec![]),
-            };
-            assert!(matches!(cache.begin(put, 0), Admit::Execute));
-            cache.complete(put, Some(reply.encode()));
+            answer(&cache, RequestId::new(s(2), seq), b"r");
         }
-        assert_eq!(cache.len(), 2 * capacity);
-        assert!(cached(&cache, RequestId::new(s(3), 1)).is_some());
-    }
-
-    #[test]
-    fn every_master_holding_a_pinned_put_reply_hears_horizons_until_one_covers_it() {
-        let tracker = HorizonTracker::new();
-        tracker.record_put(s(2), 5);
-        tracker.record_put(s(3), 9);
-        tracker.record_put(s(2), 3);
-        // Announced to s(4): both masters hear it, and it covers s(2)'s put.
-        assert_eq!(tracker.also_tell(s(4), 6), vec![s(2), s(3)]);
-        // s(3) is told directly, not twice; the horizon does not cover it.
-        assert!(tracker.also_tell(s(3), 8).is_empty());
-        assert_eq!(tracker.also_tell(s(4), 9), vec![s(3)]);
-        assert!(tracker.also_tell(s(4), 10).is_empty());
+        assert_eq!(cache.len(), capacity);
+        assert!(cached(&cache, put).is_none(), "the oldest reply went first");
+        assert!(cached(&cache, RequestId::new(s(2), 1)).is_some());
+        // Its origin's horizon or leave drops one before LRU pressure does.
+        answer(&cache, RequestId::new(s(1), 2), b"r");
+        cache.ack_horizon(s(1), 2);
+        assert!(cached(&cache, RequestId::new(s(1), 2)).is_none());
+        answer(&cache, RequestId::new(s(1), 3), b"r");
+        cache.retire_peer(s(1));
+        assert!(cached(&cache, RequestId::new(s(1), 3)).is_none());
+        assert_eq!(cache.len(), capacity - 1);
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl RmiServer {
             }
             Message::PutRequest { request, entries } => Message::PutReply {
                 request,
-                result: self.service.put(from, entries),
+                result: self.service.put(from, request, entries),
             },
             Message::NameRequest { request, op } => Message::NameReply {
                 request,
@@ -220,14 +220,15 @@ impl RmiServer {
                 request,
                 root,
                 entries,
+                applied,
             } => Message::HandoffAck {
                 request,
-                result: self.service.handoff(from, root, entries),
+                result: self.service.handoff(from, root, entries, applied),
             },
             Message::Leave { site } => {
-                // Only a site's own leave drops its cached replies, pinned
-                // puts included: a relayed notice must not strip another
-                // site's exactly-once guarantee.
+                // Only a site's own leave drops its cached replies: a
+                // relayed notice must not strip another site's exactly-once
+                // guarantee.
                 if site == from {
                     self.replies.retire_peer(site);
                 }
@@ -359,6 +360,7 @@ impl MessageHandler for RmiServer {
         match Message::decode(&frame) {
             Ok(Message::AckHorizon { up_to }) => {
                 self.replies.ack_horizon(from, up_to);
+                self.service.ack_horizon(from, up_to);
                 None
             }
             Ok(msg) => {
@@ -570,14 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn only_a_sites_own_leave_drops_its_pinned_put_reply() {
+    fn only_a_sites_own_leave_drops_its_cached_replies() {
         let s = server();
-        let put = Message::PutRequest {
-            request: rid(),
-            entries: Vec::new(),
-        }
-        .encode();
-        s.handle(SiteId::new(1), put).unwrap();
+        s.handle(SiteId::new(1), invoke_frame(1)).unwrap();
         assert_eq!(s.replies().len(), 1);
         let leave = Message::Leave {
             site: SiteId::new(1),
@@ -731,6 +728,7 @@ mod tests {
                     request: hid,
                     root: oid(),
                     entries: Vec::new(),
+                    applied: Vec::new(),
                 }
                 .encode(),
             )

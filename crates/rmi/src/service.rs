@@ -1,7 +1,7 @@
 //! The skeleton-side dispatch interface.
 
-use obiwan_util::{ObiError, ObjId, Result, SiteId};
-use obiwan_wire::{JoinInfo, NameOp, ObiValue, ReplicaState, WireMode, WrittenBatch};
+use obiwan_util::{ObiError, ObjId, RequestId, Result, SiteId};
+use obiwan_wire::{AppliedPut, JoinInfo, NameOp, ObiValue, ReplicaState, WireMode, WrittenBatch};
 
 /// What a site must implement to receive OBIWAN traffic.
 ///
@@ -41,9 +41,15 @@ pub trait RmiService: Send + Sync {
     }
 
     /// `IProvideRemote::put` — apply replica state back onto masters,
-    /// returning the accepted `(object, new_version)` pairs.
-    fn put(&self, from: SiteId, entries: Vec<ReplicaState>) -> Result<Vec<(ObjId, u64)>> {
-        let _ = from;
+    /// returning the accepted `(object, new_version)` pairs. `request`
+    /// lets the service recognise a replay.
+    fn put(
+        &self,
+        from: SiteId,
+        request: RequestId,
+        entries: Vec<ReplicaState>,
+    ) -> Result<Vec<(ObjId, u64)>> {
+        let _ = (from, request);
         match entries.first() {
             Some(e) => Err(ObiError::NoSuchObject(e.id)),
             None => Ok(Vec::new()),
@@ -86,11 +92,18 @@ pub trait RmiService: Send + Sync {
     }
 
     /// Mastership handoff: `from` (the outgoing master) installs `entries`
-    /// — the closure rooted at `root` — and asks this site to take over as
-    /// master. Returns the root's version as installed. Sites that host no
-    /// object space cannot accept mastership.
-    fn handoff(&self, from: SiteId, root: ObjId, entries: Vec<ReplicaState>) -> Result<u64> {
-        let _ = (from, entries);
+    /// — the closure rooted at `root` — with the records of the puts
+    /// `applied` to them, and asks this site to take over as master.
+    /// Returns the root's version as installed. Sites that host no object
+    /// space cannot accept mastership.
+    fn handoff(
+        &self,
+        from: SiteId,
+        root: ObjId,
+        entries: Vec<ReplicaState>,
+        applied: Vec<AppliedPut>,
+    ) -> Result<u64> {
+        let _ = (from, entries, applied);
         Err(ObiError::NoSuchObject(root))
     }
 
@@ -99,6 +112,12 @@ pub trait RmiService: Send + Sync {
     /// which may be `site` itself or the admission authority.
     fn leave_notice(&self, from: SiteId, site: SiteId) {
         let _ = (from, site);
+    }
+
+    /// One-way `AckHorizon`: `from` will never resend a request up to
+    /// `up_to`.
+    fn ack_horizon(&self, from: SiteId, up_to: u64) {
+        let _ = (from, up_to);
     }
 }
 
@@ -123,7 +142,7 @@ mod tests {
             s.get_many(from, &[obj], WireMode::Transitive, usize::MAX),
             Err(ObiError::NoSuchObject(_))
         ));
-        assert_eq!(s.put(from, vec![]).unwrap(), vec![]);
+        assert_eq!(s.put(from, RequestId::new(from, 1), vec![]).unwrap(), vec![]);
         assert!(matches!(
             s.name_op(from, NameOp::List),
             Err(ObiError::NameNotBound(_))
@@ -134,13 +153,14 @@ mod tests {
         ));
         assert!(matches!(s.join(from), Err(ObiError::BadArguments(_))));
         assert!(matches!(
-            s.handoff(from, obj, vec![]),
+            s.handoff(from, obj, vec![], vec![]),
             Err(ObiError::NoSuchObject(_))
         ));
         // One-way defaults are no-ops.
         s.invalidate(from, vec![obj]);
         s.update_push(from, vec![]);
         s.leave_notice(from, SiteId::new(9));
+        s.ack_horizon(from, 9);
     }
 
     #[test]

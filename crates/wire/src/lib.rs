@@ -50,6 +50,6 @@ pub use codec::{Decoder, Encoder};
 pub use crc::crc32;
 pub use field::Field;
 pub use message::{
-    FrontierEdge, JoinInfo, Message, NameOp, ReplicaBatch, ReplicaState, WireMode,
+    AppliedPut, FrontierEdge, JoinInfo, Message, NameOp, ReplicaBatch, ReplicaState, WireMode,
 };
 pub use value::ObiValue;

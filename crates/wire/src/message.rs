@@ -96,6 +96,20 @@ pub struct JoinInfo {
     pub names: Vec<(String, ObjId)>,
 }
 
+/// The latest put one origin applied to a master object, as a handoff
+/// carries it to the successor, which answers a replay with `version`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AppliedPut {
+    /// The master object the put was applied to.
+    pub object: ObjId,
+    /// The site that sent the put (its request id's origin).
+    pub origin: SiteId,
+    /// The put's request sequence number.
+    pub seq: u64,
+    /// The master version the put produced.
+    pub version: u64,
+}
+
 /// A name-server operation (the paper's registration of `AProxyIn` in a name
 /// server, §2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,11 +256,13 @@ pub enum Message {
     },
     /// Membership: the sender transfers mastership of `root` (and every
     /// reachable master listed in `entries`) to the receiver, which
-    /// installs them as masters and becomes the new proxy-in host.
+    /// installs them as masters (with their put records, `applied`) and
+    /// becomes the new proxy-in host.
     HandoffRequest {
         request: RequestId,
         root: ObjId,
         entries: Vec<ReplicaState>,
+        applied: Vec<AppliedPut>,
     },
     /// Number of masters installed (or failure) answering a
     /// [`Message::HandoffRequest`].
@@ -263,8 +279,6 @@ pub enum Message {
 pub(crate) const MSG_GET_REP: u8 = 4;
 pub(crate) const MSG_GET_MANY_REP: u8 = 16;
 pub(crate) const MSG_GET_MANY_CHUNK: u8 = 19;
-/// The tag [`Message::is_put_reply`] reads.
-const MSG_PUT_REP: u8 = 6;
 
 crate::wire_layout! {
     enum WireMode {
@@ -276,6 +290,7 @@ crate::wire_layout! {
     struct FrontierEdge { target, class as ClassName }
     struct ReplicaBatch { root, replicas, frontier, cluster }
     struct JoinInfo { peers, names }
+    struct AppliedPut { object, origin, seq, version }
     enum NameOp {
         Bind = 0 { name, target },
         Lookup = 1 { name },
@@ -288,7 +303,7 @@ crate::wire_layout! {
         GetRequest = 3 { request, target, mode },
         GetReply = MSG_GET_REP { request, result },
         PutRequest = 5 { request, entries },
-        PutReply = MSG_PUT_REP { request, result },
+        PutReply = 6 { request, result },
         NameRequest = 7 { request, op },
         NameReply = 8 { request, result },
         Subscribe = 9 { request, object, push },
@@ -305,7 +320,7 @@ crate::wire_layout! {
         GetManyDone = 20 { request, total_chunks, result },
         JoinRequest = 21 { request },
         JoinAck = 22 { request, result },
-        HandoffRequest = 23 { request, root, entries },
+        HandoffRequest = 23 { request, root, entries, applied },
         HandoffAck = 24 { request, result },
         Leave = 25 { site },
     }
@@ -417,12 +432,6 @@ impl Message {
             | Message::AckHorizon { .. }
             | Message::Leave { .. } => None,
         }
-    }
-
-    /// True when `frame` is an encoded [`Message::PutReply`], read off its
-    /// tag without decoding the rest.
-    pub fn is_put_reply(frame: &[u8]) -> bool {
-        frame.first() == Some(&MSG_PUT_REP)
     }
 
     /// True for messages that expect a reply.
@@ -643,11 +652,18 @@ mod tests {
                 request: rid(11),
                 root: oid(1),
                 entries: vec![sample_state(1), sample_state(2)],
+                applied: vec![AppliedPut {
+                    object: oid(1),
+                    origin: SiteId::new(3),
+                    seq: 40,
+                    version: 7,
+                }],
             },
             Message::HandoffRequest {
                 request: rid(11),
                 root: oid(1),
                 entries: vec![],
+                applied: vec![],
             },
             Message::HandoffAck {
                 request: rid(11),
@@ -745,6 +761,7 @@ mod tests {
             request: rid(11),
             root: oid(1),
             entries: vec![],
+            applied: vec![],
         };
         assert!(handoff.is_request());
         assert_eq!(handoff.request_id(), Some(rid(11)));
@@ -757,30 +774,6 @@ mod tests {
         let leave = Message::Leave { site: SiteId::new(3) };
         assert!(!leave.is_request());
         assert_eq!(leave.request_id(), None);
-    }
-
-    #[test]
-    fn only_an_encoded_put_reply_reads_as_one() {
-        for result in [Ok(vec![(oid(1), 2)]), Err(ObiError::NoSuchObject(oid(1)))] {
-            assert!(Message::is_put_reply(
-                &Message::PutReply {
-                    request: rid(1),
-                    result
-                }
-                .encode()
-            ));
-        }
-        let put = Message::PutRequest {
-            request: rid(1),
-            entries: vec![sample_state(1)],
-        };
-        let invoke = Message::InvokeReply {
-            request: rid(1),
-            result: Ok(ObiValue::Null),
-        };
-        for other in [put.encode(), invoke.encode(), Bytes::new()] {
-            assert!(!Message::is_put_reply(&other));
-        }
     }
 
     /// Error tag 13 belonged to a variant nothing ever constructed; it was

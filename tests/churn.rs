@@ -12,7 +12,8 @@
 //!   master version advances by exactly one per acknowledged put,
 //!   through redirects and retries alike;
 //! * departed peers stop consuming connectivity state (breaker slots,
-//!   probe budget) at every site that hears the leave.
+//!   probe budget) at every site that hears the leave, and stop being sent
+//!   consistency notices.
 
 use obiwan::core::demo::Counter;
 use obiwan::core::{
@@ -101,6 +102,38 @@ fn graceful_leave_retires_the_peer_everywhere() {
     let s3 = world.add_site("late");
     assert_eq!(world.site(s3).join().unwrap().peers, vec![s1]);
     assert_eq!(world.site(s1).breaker_state(s2), BreakerState::Closed);
+
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// A subscriber that leaves is sent nothing more: its `Leave` ends its
+/// subscriptions at the master, whose next writes push to no one. (The
+/// site stays registered with the transport, which would not count a send
+/// to a site it no longer knows.)
+#[test]
+fn a_subscriber_that_leaves_is_sent_no_more_notices() {
+    let mut world = ObiWorld::loopback();
+    let c = world.add_site("subscriber");
+    let p = world.add_site("master");
+    let ctr = world.site(p).create(Counter::new(0));
+    world.site(p).export(ctr, "ctr").unwrap();
+    let remote = world.site(c).lookup("ctr").unwrap();
+    let local = world
+        .site(c)
+        .get(&remote, ReplicationMode::incremental(1))
+        .unwrap();
+    world.site(c).subscribe(local, true).unwrap();
+    world.site(c).leave(&[p]);
+    world.pump();
+
+    let sent = || world.transport().metrics().snapshot().messages_sent;
+    let before = sent();
+    for _ in 0..10 {
+        world.site(p).invoke(ctr, "incr", ObiValue::Null).unwrap();
+    }
+    world.pump();
+    assert_eq!(sent() - before, 0, "the master still pushes to a site that left");
 
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();

@@ -19,11 +19,12 @@
 //! `history` is every state the WAL passed through. Frame boundaries
 //! are read with the WAL's own framing (`wal::frame_ends`).
 
-use obiwan::core::demo::Counter;
+use obiwan::core::demo::{Counter, LinkedItem};
 use obiwan::core::{ObiValue, ObiWorld, ObjRef, ReplicationMode, RetryPolicy};
 use obiwan::mobility::session::{DisconnectedSession, ReintegrationReport};
 use obiwan::net::LinkModel;
 use obiwan::rmi::fault::ANNOUNCE_EVERY;
+use obiwan::rmi::ReplyCache;
 use obiwan::store::{
     Durable, DurableOptions, Killed, MemStorage, RecoveredState, Storage, SEQ_EPOCH_SKIP, WAL_FILE,
 };
@@ -339,6 +340,59 @@ fn a_power_loss_never_replays_a_put_whose_reply_was_pruned() {
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }
 
+/// One lost put reply, then capacity + 1 other puts to the same master
+/// (which push the reply out of its reply cache), then a power loss: the
+/// restart keeps only the synced log, so the lost put and the puts whose
+/// confirmations were not yet synced are all replayed. Each is applied
+/// once: the master objects' records answer the replays.
+#[test]
+fn a_put_replayed_after_a_power_loss_and_capacity_plus_one_other_puts_applies_once() {
+    let mut rig = build();
+    let (client, server) = (rig.client, rig.server);
+    let mut next = None;
+    let mut nodes: Vec<ObjRef> = (0..=ReplyCache::DEFAULT_CAPACITY)
+        .map(|i| {
+            let mut item = LinkedItem::new(i as i64, format!("n{i}"));
+            item.set_next(next);
+            let node = rig.world.site(server).create(item);
+            next = Some(node);
+            node
+        })
+        .collect();
+    nodes.reverse();
+    rig.world.site(server).export(nodes[0], "list").unwrap();
+
+    // The put reaches the master and is applied; its reply never returns.
+    let process = rig.world.site(client);
+    process.invoke(rig.replica, "incr", ObiValue::Null).unwrap();
+    rig.world.transport().partition_oneway(server, client);
+    assert!(process.put(rig.replica).unwrap_err().is_connectivity());
+    rig.world.transport().heal_oneway(server, client);
+    let remote = process.lookup("list").unwrap();
+    process.get(&remote, ReplicationMode::transitive()).unwrap();
+    for &node in &nodes {
+        process.invoke(node, "set_value", ObiValue::I64(-1)).unwrap();
+    }
+    assert!(process.put_many(&nodes).iter().all(|(_, put)| put.is_ok()));
+
+    let synced = rig.storage.synced_len(WAL_FILE);
+    let recovered = restart(&mut rig.world, client, &rig.storage, synced);
+    assert!(recovered.pending_puts.contains_key(&rig.replica.id()));
+    rig.world.site(client).put_all_dirty().unwrap();
+    assert_eq!(
+        rig.world.site(server).meta_of(rig.master).unwrap().version,
+        2,
+        "the master applied the put twice"
+    );
+    assert_eq!(rig.master_value(), 1);
+    for &node in &nodes {
+        let master = rig.world.site(server).meta_of(node).unwrap();
+        assert_eq!(master.version, 2, "{node:?} was applied twice");
+    }
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
 /// A put whose reply is lost leaves its intent pending with the seq spent
 /// at the master. If the replica is mutated again before the retry, the
 /// retry must NOT reuse that seq — the master's reply cache would serve
@@ -612,9 +666,9 @@ fn demands_count_toward_the_client_state_checkpoint() {
 /// Below a restarted client's counter every seq is spent except its pending
 /// put intents, so once the new life's puts settle, its horizon must pass
 /// the epoch skip: a horizon stuck below the skip stops the master from
-/// ever pruning the client's put replies again, and put replies are the
-/// ones its reply cache never evicts. A pending intent still holds the
-/// announced horizon below its own seq until its replay settles.
+/// ever pruning the client's replies and put records again. A pending
+/// intent still holds the announced horizon below its own seq until its
+/// replay settles, so the master keeps the record that answers the replay.
 #[test]
 fn a_restarted_client_horizon_passes_the_seq_skip_but_not_a_pending_put() {
     let mut rig = build();
@@ -656,6 +710,12 @@ fn a_restarted_client_horizon_passes_the_seq_skip_but_not_a_pending_put() {
     for _ in 0..2 * ANNOUNCE_EVERY {
         process.invoke(replica, "incr", ObiValue::Null).unwrap();
         process.put(replica).unwrap();
+    }
+    // More replies than the master's reply cache holds: the pending put's
+    // cached reply goes, and only the counter's record of it, kept because
+    // no horizon it heard covers the put, stops a second apply.
+    for _ in 0..=ReplyCache::DEFAULT_CAPACITY {
+        process.invoke_rmi(&remote, "read", ObiValue::Null).unwrap();
     }
     assert_eq!(process.put(rig.replica).unwrap(), 2);
     assert_eq!(

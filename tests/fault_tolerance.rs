@@ -10,9 +10,13 @@
 //!   and recover after the link heals and the cooldown admits a probe.
 //! * `get_many` demand under loss installs each batch exactly once, with
 //!   replica versions monotone across refreshes.
-//! * A put whose reply was lost keeps its cached reply at the master while
-//!   its origin is away, however many other sites' replies pass through
-//!   the cache meanwhile, so the replay is answered without re-executing.
+//! * A put whose reply was lost is applied once when its origin replays
+//!   it, however many other replies and puts (its own, another origin's)
+//!   pass through the master meanwhile, and across a handoff of the
+//!   object: the master object records the latest put each origin applied
+//!   to it, and the handoff carries the record.
+//! * Those records stay bounded: an origin's entries go once its horizon
+//!   covers them, or when it leaves.
 
 use obiwan::core::demo::{Counter, LinkedItem};
 use obiwan::core::{
@@ -371,6 +375,180 @@ fn a_put_reply_outlives_reply_cache_pressure_while_its_origin_is_away() {
         ObiValue::I64(1)
     );
     assert!(!world.site(m).meta_of(local).unwrap().dirty);
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// More put replies than a master's reply cache holds.
+const PAST_THE_CACHE: usize = ReplyCache::DEFAULT_CAPACITY + 1;
+
+/// Gives `site` a fresh `MemStorage` log, so a put whose reply is lost
+/// keeps its intent and is replayed under the same request id.
+fn attach_log(world: &ObiWorld, site: SiteId) {
+    let (durable, recovered) =
+        Durable::open(Arc::new(MemStorage::new()), DurableOptions::default()).unwrap();
+    assert!(recovered.is_empty());
+    world.site(site).attach_durability(durable);
+}
+
+/// `site` replicates the provider's "ctr0" and puts an increment of it
+/// across a one-way partition from `master_site`: the master applies the
+/// put (version 2) and its reply never returns. Returns the replica.
+fn lose_a_put_reply(world: &ObiWorld, site: SiteId, master_site: SiteId, master: ObjRef) -> ObjRef {
+    let remote = world.site(site).lookup("ctr0").unwrap();
+    let local = world
+        .site(site)
+        .get(&remote, ReplicationMode::incremental(1))
+        .unwrap();
+    world.site(site).invoke(local, "incr", ObiValue::Null).unwrap();
+    world.transport().partition_oneway(master_site, site);
+    let err = world.site(site).put(local).unwrap_err();
+    assert!(err.is_connectivity(), "{err:?}");
+    world.transport().heal_oneway(master_site, site);
+    assert_eq!(world.site(master_site).meta_of(master).unwrap().version, 2);
+    local
+}
+
+/// `site` replicates the provider's list (`nodes`, exported as "head") and
+/// writes every node back, one put each.
+fn put_the_list(world: &ObiWorld, site: SiteId, nodes: &[ObjRef]) {
+    let process = world.site(site);
+    let remote = process.lookup("head").unwrap();
+    process.get(&remote, ReplicationMode::transitive()).unwrap();
+    for &node in nodes {
+        process.invoke(node, "set_value", ObiValue::I64(7)).unwrap();
+    }
+    let outcomes = process.put_many(nodes);
+    assert_eq!(outcomes.len(), nodes.len());
+    assert!(outcomes.iter().all(|(_, put)| put.is_ok()), "a list put failed");
+}
+
+/// The replay of `local`'s lost put: applied once, so the master is still
+/// at version 2 and the replay is answered with it.
+fn replay_applies_once(world: &ObiWorld, site: SiteId, local: ObjRef, master_site: SiteId, master: ObjRef) {
+    let acked = world.site(site).put(local);
+    assert_eq!(
+        world.site(master_site).meta_of(master).unwrap().version,
+        2,
+        "the master applied the put twice"
+    );
+    assert_eq!(acked.unwrap(), 2);
+    assert_eq!(
+        world.site(master_site).invoke(master, "read", ObiValue::Null).unwrap(),
+        ObiValue::I64(1)
+    );
+    assert!(!world.site(site).meta_of(local).unwrap().dirty);
+}
+
+/// One lost put reply, then capacity + 1 other puts from the same client to
+/// the same master, which push the reply out of the master's reply cache:
+/// the replay is answered from the master object's record of that put.
+#[test]
+fn a_put_replayed_after_capacity_plus_one_other_puts_applies_once() {
+    let mut world = ObiWorld::loopback();
+    let m = world.add_site("mobile");
+    let p = world.add_site("provider");
+    attach_log(&world, m);
+    let (nodes, ctrs) = export_graph(&world, p, PAST_THE_CACHE, 1);
+    let local = lose_a_put_reply(&world, m, p, ctrs[0]);
+    put_the_list(&world, m, &nodes);
+    replay_applies_once(&world, m, local, p, ctrs[0]);
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// A fix on the client side alone cannot pass this: A's put reply at M is
+/// lost, and A stays away. B's acknowledgement horizon is frozen by a put
+/// pending to M2, which it cannot reach; B then puts capacity + 1 objects
+/// to M. A's replay is answered from M's record all the same.
+#[test]
+fn a_put_replayed_after_another_origin_floods_the_master_applies_once() {
+    let mut world = ObiWorld::loopback();
+    let a = world.add_site("a");
+    let b = world.add_site("b");
+    let m = world.add_site("m");
+    let m2 = world.add_site("m2");
+    attach_log(&world, a);
+    attach_log(&world, b);
+    let (nodes, ctrs) = export_graph(&world, m, PAST_THE_CACHE, 1);
+    let far = world.site(m2).create(Counter::new(0));
+    world.site(m2).export(far, "far").unwrap();
+
+    let local = lose_a_put_reply(&world, a, m, ctrs[0]);
+    // B's put to M2 never arrives: its intent stays pending, and every seq
+    // B issues after it stays above B's announced horizon.
+    let remote = world.site(b).lookup("far").unwrap();
+    let pending = world
+        .site(b)
+        .get(&remote, ReplicationMode::incremental(1))
+        .unwrap();
+    world.site(b).invoke(pending, "incr", ObiValue::Null).unwrap();
+    world.transport().partition_oneway(b, m2);
+    assert!(world.site(b).put(pending).unwrap_err().is_connectivity());
+    put_the_list(&world, b, &nodes);
+
+    replay_applies_once(&world, a, local, m, ctrs[0]);
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// A put is applied at A and its reply is lost; the client's later puts
+/// push the reply out of A's cache. A hands the counter off to B and
+/// leaves. The replay reaches A, is redirected, and goes to B under the
+/// same request id: B holds the counter's record, which the handoff
+/// carried, and answers without applying the put again.
+#[test]
+fn a_put_replayed_across_a_handoff_applies_once_at_the_successor() {
+    let mut world = ObiWorld::loopback();
+    let c = world.add_site("client");
+    let a = world.add_site("a");
+    let b = world.add_site("b");
+    attach_log(&world, c);
+    let (nodes, ctrs) = export_graph(&world, a, PAST_THE_CACHE, 1);
+    let local = lose_a_put_reply(&world, c, a, ctrs[0]);
+    put_the_list(&world, c, &nodes);
+
+    assert_eq!(world.site(a).handoff(ctrs[0], b).unwrap(), 2);
+    world.site(a).leave(&[b, c]);
+    world.pump();
+
+    replay_applies_once(&world, c, local, b, ctrs[0]);
+    assert_eq!(world.site(c).metrics().snapshot().moved_master_redirects, 1);
+    assert_eq!(
+        world.site(c).meta_of(local).unwrap().kind,
+        obiwan::core::ReplicaKind::Replica { provider: b }
+    );
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+/// Origins that never come back and never send `Leave` leave no more than
+/// one round's entries behind: each round is a fresh site writing the same
+/// objects back, and it settles enough further calls for its horizon to
+/// reach the master, so the next round's puts drop its entries.
+#[test]
+fn put_records_stay_bounded_when_origins_never_leave() {
+    const ROUNDS: usize = 40;
+    const OBJECTS: usize = 100;
+    let mut world = ObiWorld::loopback();
+    let p = world.add_site("master");
+    let (nodes, _) = export_graph(&world, p, OBJECTS, 0);
+    let mut entries = Vec::new();
+    let mut origin = p;
+    for round in 0..ROUNDS {
+        origin = world.add_site(&format!("origin{round}"));
+        put_the_list(&world, origin, &nodes);
+        for _ in 0..ANNOUNCE_EVERY {
+            world.site(origin).ping(p).unwrap();
+        }
+        entries.push(world.site(p).applied_puts_by_origin().values().sum::<usize>());
+    }
+    assert_eq!(entries[3], OBJECTS);
+    assert_eq!(entries[ROUNDS - 1], entries[3], "{entries:?}");
+    world.site(origin).leave(&[p]);
+    world.pump();
+    assert_eq!(world.site(p).applied_puts_by_origin().get(&origin), None);
+    assert!(world.site(p).applied_puts_by_origin().is_empty());
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }

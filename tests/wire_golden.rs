@@ -19,7 +19,8 @@ use bytes::Bytes;
 use obiwan::store::WalRecord;
 use obiwan::util::{ClusterId, ObiError, ObjId, RequestId, SiteId};
 use obiwan::wire::{
-    FrontierEdge, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode,
+    AppliedPut, FrontierEdge, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState,
+    WireMode,
 };
 use std::fmt::Debug;
 
@@ -349,8 +350,18 @@ fn messages() -> Vec<(&'static str, Message, &'static str)> {
         ),
         (
             "HandoffRequest",
-            Message::HandoffRequest { request, root: oid(0), entries: vec![state(0)] },
-            "17ffffffff0f9bffffffffffffffff01ffffffff0fffffffffffffffffff0101ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a0",
+            Message::HandoffRequest {
+                request,
+                root: oid(0),
+                entries: vec![state(0)],
+                applied: vec![AppliedPut {
+                    object: oid(1),
+                    origin: SiteId::new(u32::MAX - 1),
+                    seq: u64::MAX - 400,
+                    version: u64::MAX - 500,
+                }],
+            },
+            "17ffffffff0f9bffffffffffffffff01ffffffff0fffffffffffffffffff0101ffffffff0fffffffffffffffffff01054e6f6465b7feffffffffffffff0103a0a0a001ffffffff0ffeffffffffffffffff01feffffff0feffcffffffffffffff018bfcffffffffffffff01",
         ),
         (
             "HandoffAck Ok",

@@ -11,8 +11,8 @@ use bytes::Bytes;
 use obiwan::store::WalRecord;
 use obiwan::util::{ClusterId, ObiError, ObjId, RequestId, SiteId};
 use obiwan::wire::{
-    BatchWriter, Decoder, Encoder, Field, FrontierEdge, JoinInfo, Message, NameOp, ObiValue,
-    ReplicaBatch, ReplicaState, WireMode,
+    AppliedPut, BatchWriter, Decoder, Encoder, Field, FrontierEdge, JoinInfo, Message, NameOp,
+    ObiValue, ReplicaBatch, ReplicaState, WireMode,
 };
 use proptest::prelude::*;
 
@@ -153,6 +153,14 @@ fn arb_join_info() -> impl Strategy<Value = JoinInfo> {
         .prop_map(|(peers, names)| JoinInfo { peers, names })
 }
 
+fn arb_applied() -> impl Strategy<Value = Vec<AppliedPut>> {
+    let put = (arb_obj_id(), arb_site(), any::<u64>(), any::<u64>());
+    proptest::collection::vec(
+        put.prop_map(|(object, origin, seq, version)| AppliedPut { object, origin, seq, version }),
+        0..4,
+    )
+}
+
 fn arb_states() -> impl Strategy<Value = Vec<ReplicaState>> {
     proptest::collection::vec(arb_replica_state(), 0..5)
 }
@@ -221,8 +229,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
         rid().prop_map(|request| Message::JoinRequest { request }),
         (rid(), arb_result(arb_join_info()))
             .prop_map(|(request, result)| Message::JoinAck { request, result }),
-        (rid(), arb_obj_id(), arb_states())
-            .prop_map(|(request, root, entries)| Message::HandoffRequest { request, root, entries }),
+        (rid(), arb_obj_id(), arb_states(), arb_applied()).prop_map(
+            |(request, root, entries, applied)| Message::HandoffRequest { request, root, entries, applied }
+        ),
         (rid(), arb_result(any::<u64>()))
             .prop_map(|(request, result)| Message::HandoffAck { request, result }),
         arb_site().prop_map(|site| Message::Leave { site }),
@@ -454,6 +463,7 @@ fn frames_with_first_class(class: &[u8]) -> Vec<Vec<u8>> {
     handoff.put_obj_id(ObjId::new(SITE, 1));
     handoff.put_varint(1);
     raw_entry(&mut handoff, class);
+    handoff.put_varint(0);
     let mut chunk = head(19);
     chunk.put_request_id(REQUEST);
     chunk.put_varint(1);
@@ -513,7 +523,7 @@ fn mixed_class_lists_roundtrip_through_messages_and_the_batch_writer() {
         Message::GetManyReply { request: REQUEST, result: Ok(batch.clone()) },
         Message::PutRequest { request: REQUEST, entries: entries.clone() },
         Message::UpdatePush { entries: entries.clone() },
-        Message::HandoffRequest { request: REQUEST, root: batch.root, entries },
+        Message::HandoffRequest { request: REQUEST, root: batch.root, entries, applied: vec![] },
     ] {
         assert_eq!(Message::decode(&m.encode()).unwrap(), m);
     }

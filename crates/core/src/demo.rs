@@ -366,8 +366,9 @@ mod tests {
             obiwan_util::SiteId::new(1),
             2,
         ))));
-        let state = item.state();
-        let back = LinkedItem::decode_state(&state).unwrap();
+        let mut enc = crate::Encoder::new();
+        item.encode_state(&mut enc);
+        let back = LinkedItem::decode_from(&mut crate::Decoder::new(&enc.finish())).unwrap();
         assert_eq!(back, item);
         assert_eq!(back.refs().len(), 1);
     }

@@ -103,16 +103,4 @@ pub trait DecodableObject: Sized {
     /// class's field count, a field is mis-shaped, or the input is
     /// malformed or cut short.
     fn decode_from(dec: &mut Decoder<'_>) -> Result<Self>;
-
-    /// Restores an instance from the value tree [`ObiObject::state`]
-    /// returns.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_from`](DecodableObject::decode_from).
-    fn decode_state(state: &ObiValue) -> Result<Self> {
-        let mut enc = Encoder::new();
-        enc.put_value(state);
-        Self::decode_from(&mut Decoder::new(&enc.finish()))
-    }
 }

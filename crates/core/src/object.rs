@@ -122,19 +122,6 @@ impl ClassRegistry {
         self.classes.read().contains_key(class)
     }
 
-    /// Materializes an object of `class` from the value tree `state` (what
-    /// [`ObiObject::state`] returns).
-    ///
-    /// # Errors
-    ///
-    /// [`ObiError::Decode`] when the class is unknown or the state does not
-    /// match the class's fields.
-    pub fn decode(&self, class: &str, state: &ObiValue) -> Result<Box<dyn ObiObject>> {
-        let mut enc = Encoder::new();
-        enc.put_value(state);
-        self.decode_exact(class, &enc.finish())
-    }
-
     /// Materializes an object of `class` from its encoded state (what
     /// [`ObiObject::encode_state`] writes), which it must consume exactly.
     ///
@@ -185,7 +172,9 @@ mod tests {
         assert!(!reg.knows("Nope"));
 
         let item = LinkedItem::new(7, "x");
-        let decoded = reg.decode("LinkedItem", &item.state()).unwrap();
+        let mut enc = Encoder::new();
+        item.encode_state(&mut enc);
+        let decoded = reg.decode_exact("LinkedItem", &enc.finish()).unwrap();
         assert_eq!(decoded.class_name(), "LinkedItem");
         assert_eq!(decoded.state(), item.state());
     }
@@ -193,7 +182,7 @@ mod tests {
     #[test]
     fn unknown_class_is_a_decode_error() {
         let reg = ClassRegistry::new();
-        let err = match reg.decode("Ghost", &ObiValue::Null) {
+        let err = match reg.decode_exact("Ghost", &[0]) {
             Err(e) => e,
             Ok(_) => panic!("decoded an unknown class"),
         };

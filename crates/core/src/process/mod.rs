@@ -407,6 +407,15 @@ impl ObiProcess {
         self.shared.durable.get()
     }
 
+    /// Sends `to` the reply-horizon announcement the durability log's gate
+    /// held back, if one is due and every put confirmation is now durable.
+    /// A write-back whose last sync is its caller's (a reintegration's
+    /// closing commit) calls this after that sync, so the master can prune
+    /// the put records the horizon covers.
+    pub fn offer_horizon(&self, to: SiteId) {
+        self.shared.client.offer_horizon(to);
+    }
+
     /// Reinstalls state recovered from a durability log after a restart:
     /// dirty replicas go back into the space (still dirty, awaiting
     /// reintegration), and the RMI client's request counter and reply

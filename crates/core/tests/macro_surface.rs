@@ -96,8 +96,7 @@ fn sample_kitchen() -> Kitchen {
 #[test]
 fn every_field_type_roundtrips_through_state() {
     let k = sample_kitchen();
-    let state = k.state();
-    let back = Kitchen::decode_state(&state).unwrap();
+    let back = decode_tree(&k.state()).unwrap();
     assert_eq!(back, k);
 }
 
@@ -116,7 +115,7 @@ fn registry_decode_through_generated_hook() {
     assert!(reg.knows(Kitchen::CLASS));
     assert_eq!(Kitchen::CLASS, "Kitchen");
     let k = sample_kitchen();
-    let decoded = reg.decode("Kitchen", &k.state()).unwrap();
+    let decoded = reg.decode_exact("Kitchen", &encoded(&k)).unwrap();
     assert_eq!(decoded.state(), k.state());
 }
 
@@ -128,11 +127,11 @@ fn decode_rejects_missing_and_mistyped_fields() {
         panic!()
     };
     let count = fields.remove(1);
-    assert!(Kitchen::decode_state(&ObiValue::List(fields.clone())).is_err());
+    assert!(decode_tree(&ObiValue::List(fields.clone())).is_err());
     // Mistype one field.
     fields.insert(1, count);
     fields[0] = ObiValue::Str("true".into());
-    assert!(Kitchen::decode_state(&ObiValue::List(fields)).is_err());
+    assert!(decode_tree(&ObiValue::List(fields)).is_err());
 }
 
 #[test]
@@ -209,7 +208,7 @@ fn generated_classes_coexist_with_demo_classes_in_one_registry() {
     assert_eq!(reg.len(), 8);
     // And a demo class still works.
     let c = Counter::new(2);
-    assert_eq!(reg.decode("Counter", &c.state()).unwrap().state(), c.state());
+    assert_eq!(reg.decode_exact("Counter", &encoded(&c)).unwrap().state(), c.state());
 }
 
 #[test]
@@ -385,7 +384,6 @@ where
     assert_eq!(&T::decode_from(&mut dec).unwrap(), o);
     assert!(dec.is_exhausted());
     assert_eq!(o.state(), tree);
-    assert_eq!(&T::decode_state(&tree).unwrap(), o);
     assert_eq!(o.payload_size(), bytes.len());
 }
 
@@ -434,15 +432,9 @@ proptest! {
     }
 }
 
-/// Decodes `tree`'s bytes with the typed decoder, and checks the
-/// value-tree adapter agrees.
+/// Decodes `tree`'s bytes with the typed decoder.
 fn decode_tree(tree: &ObiValue) -> obiwan_core::Result<Kitchen> {
-    let typed = Kitchen::decode_from(&mut Decoder::new(&put_value(tree)));
-    assert_eq!(
-        typed.as_ref().map_err(ObiError::to_string),
-        Kitchen::decode_state(tree).as_ref().map_err(ObiError::to_string)
-    );
-    typed
+    Kitchen::decode_from(&mut Decoder::new(&put_value(tree)))
 }
 
 #[test]
@@ -484,7 +476,6 @@ fn decode_from_rejects_a_state_that_is_not_a_list() {
     let keyed = ObiValue::Map(vec![("x".into(), ObiValue::I64(1))]);
     let err = Inert::decode_from(&mut Decoder::new(&put_value(&keyed))).unwrap_err();
     assert_eq!(err, ObiError::Decode("expected list, got map".into()));
-    assert!(Inert::decode_state(&keyed).is_err());
     assert!(matches!(decode_tree(&ObiValue::I64(1)), Err(ObiError::Decode(_))));
 }
 

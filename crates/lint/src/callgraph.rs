@@ -175,7 +175,7 @@ pub fn filter_targets(
         // call, which resolution cannot follow anyway). Letting it match
         // *methods* is what used to fuse the workspace into one component:
         // every `drop(g)` resolved to every `Drop::drop` impl, every
-        // fn-pointer invocation named `decode` to `ClassRegistry::decode`.
+        // fn-pointer invocation named `decode` to `Message::decode`.
         Qualifier::None => targets
             .iter()
             .copied()

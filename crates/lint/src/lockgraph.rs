@@ -163,8 +163,8 @@ pub(crate) struct Hold<'a> {
 ///   breaker lock before the block runs;
 /// * `expire` — token index past which the entry is gone. A
 ///   non-guard-returning callee's locks are released when the call returns,
-///   i.e. at its closing `)`: in `self.registry.decode(x).and(create(y))`,
-///   `decode`'s internal read lock is not held during `create`. Such an
+///   i.e. at its closing `)`: in `self.registry.decode_exact(x).and(create(y))`,
+///   `decode_exact`'s internal read lock is not held during `create`. Such an
 ///   entry is *lent*: it only matters inside a closure argument.
 #[derive(Clone, Copy)]
 struct Temp {

@@ -1362,7 +1362,10 @@ fn diagnostics_render_as_file_line_rule() {
 /// and a directory with no workspace above it finds none.
 #[test]
 fn the_default_root_is_the_workspace_above_the_running_package() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // The run-time variable, as `default_root` reads it: a checkout that
+    // reuses another checkout's `target/` runs a binary whose compile-time
+    // path names the other checkout.
+    let manifest = PathBuf::from(std::env::var_os("CARGO_MANIFEST_DIR").unwrap());
     let workspace = manifest.parent().and_then(Path::parent).unwrap();
     assert_eq!(workspace_above(workspace).as_deref(), Some(workspace));
     assert_eq!(workspace_above(&manifest.join("src")).as_deref(), Some(workspace));

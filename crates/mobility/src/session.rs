@@ -6,7 +6,7 @@
 //! that offline work and drives the write-back when connectivity returns,
 //! reporting a per-object [`ReintegrationOutcome`].
 
-use obiwan_core::{ObiProcess, ObiValue, ObjRef};
+use obiwan_core::{ObiProcess, ObiValue, ObjRef, ReplicaKind};
 use obiwan_store::RecoveredState;
 use obiwan_util::trace;
 use obiwan_util::{ObiError, ObjId, Result};
@@ -208,14 +208,29 @@ impl DisconnectedSession {
         };
         pass.set_value(report.pushed() as u64);
         if let Some(durable) = process.durability() {
-            if report.is_clean() {
+            let synced = if report.is_clean() {
                 // Everything pushed — in this pass, or before a crash that
                 // the session was resumed after: the op log and pending-put
                 // markers are spent. Fold the WAL down so a later crash
                 // replays only live state.
-                let _ = durable.reset_session();
+                durable.reset_session()
             } else {
-                let _ = durable.commit();
+                durable.commit()
+            };
+            // No later group's sync follows the last group's confirmations:
+            // this one made them durable, so the horizon covering them can
+            // go to that group's master, which then prunes their records.
+            let last_master = report.outcomes.iter().rev().find_map(|(id, outcome)| {
+                let meta = process.meta_of(ObjRef::new(*id))?;
+                match (outcome, meta.kind) {
+                    (ReintegrationOutcome::Pushed(_), ReplicaKind::Replica { provider }) => {
+                        Some(provider)
+                    }
+                    _ => None,
+                }
+            });
+            if let (Ok(()), Some(master)) = (synced, last_master) {
+                process.offer_horizon(master);
             }
         }
         report
@@ -659,6 +674,53 @@ mod tests {
             Durable::open(mem as Arc<dyn Storage>, DurableOptions::default()).unwrap();
         assert_eq!(recovered.dirty.len(), 2);
         assert_eq!(recovered.ops.len(), 1);
+    }
+
+    /// A durable reintegration's last group of puts is confirmed by the
+    /// sync that ends the pass, and only then may the master hear the
+    /// horizon covering it. Once it has, the next writer's puts prune
+    /// every record the reintegrating site left.
+    #[test]
+    fn a_durable_reintegration_leaves_no_put_records_at_the_master() {
+        let mut world = ObiWorld::loopback();
+        let a = world.add_site("laptop");
+        let master_site = world.add_site("server");
+        let b = world.add_site("desktop");
+        let masters: Vec<ObjRef> = (0..100)
+            .map(|_| world.site(master_site).create(Counter::new(0)))
+            .collect();
+        let fetch = |site: SiteId| -> Vec<ObjRef> {
+            masters
+                .iter()
+                .map(|&m| {
+                    let remote = world.site(master_site).export_anonymous(m).unwrap();
+                    world
+                        .site(site)
+                        .get(&remote, ReplicationMode::incremental(1))
+                        .unwrap()
+                })
+                .collect()
+        };
+        let on_a = fetch(a);
+        attach_log(&world, a);
+        world.disconnect(a);
+        let mut session = DisconnectedSession::new();
+        for &replica in &on_a {
+            session.invoke(world.site(a), replica, "incr", ObiValue::Null).unwrap();
+        }
+        world.reconnect(a);
+        // Two groups of puts: 64, then 36.
+        let report = session.reintegrate(world.site(a));
+        assert!(report.is_clean());
+        assert_eq!(report.pushed(), 100);
+
+        for replica in fetch(b) {
+            world.site(b).invoke(replica, "incr", ObiValue::Null).unwrap();
+            world.site(b).put(replica).unwrap();
+        }
+        let records = world.site(master_site).applied_puts_by_origin();
+        assert_eq!(records.get(&a), None, "{records:?}");
+        assert_eq!(records.get(&b), Some(&100));
     }
 
     #[test]

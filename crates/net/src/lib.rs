@@ -14,11 +14,11 @@
 //!   to: synchronous `call` (request/response) and `cast` (one-way).
 //! * [`sim`] — [`SimTransport`], a deterministic single-process transport
 //!   that charges network physics to a virtual [`Clock`](obiwan_util::Clock).
-//! * [`mem`] — [`MemTransport`], a threaded in-memory transport
-//!   (crossbeam channels, one receiver thread per site) for live multi-site
-//!   runs under real concurrency.
 //! * [`tcp`] — [`TcpTransport`], real loopback TCP sockets with a
-//!   per-destination connection pool: the genuinely distributed substrate.
+//!   per-destination connection pool: the genuinely distributed substrate,
+//!   and the one transport whose sites run under real concurrency.
+//! * [`mem`] — [`MemTransport`], the name the perf harness gives an ideal
+//!   [`SimTransport`] (instant, loss-free links, a clock nothing reads).
 //!
 //! # Examples
 //!

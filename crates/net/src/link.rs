@@ -1,10 +1,6 @@
-//! Link models, the network topology, and the one link leg every
-//! in-process transport sends its frames across.
+//! Link models and the network topology.
 
-use crate::transport::Served;
-use bytes::Bytes;
-use obiwan_util::sync::{Mutex, RwLock};
-use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
+use obiwan_util::{DetRng, SiteId};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -287,122 +283,6 @@ impl Topology {
             }
         }
     }
-}
-
-/// Which leg of an exchange a frame rides; selects the fault lotteries
-/// drawn for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Leg {
-    /// A request or one-way frame.
-    Request,
-    /// The (terminal) reply frame of a call.
-    Reply,
-    /// One intermediate chunk frame of a streamed reply.
-    Chunk,
-}
-
-/// How one delivered frame arrives: `dup` twice (only a request leg draws
-/// that lottery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Arrival {
-    pub(crate) dup: bool,
-}
-
-/// How a transport passes a leg's modeled delay.
-pub(crate) enum Pace {
-    /// Charged to a virtual clock.
-    /// Handlers run on the caller's stack, where a request can arrive
-    /// twice: request legs draw the duplicate lottery.
-    Virtual(Clock),
-    /// Not passed at all: frames move as fast as the threads do. A request
-    /// is queued to its receiver thread exactly once, so no duplicate
-    /// lottery is drawn for it.
-    Real,
-}
-
-/// The modeled network under an in-process transport: its links, the
-/// fault-lottery stream, and the counters every leg feeds.
-pub(crate) struct LinkLayer {
-    pub(crate) topology: RwLock<Topology>,
-    pub(crate) rng: Mutex<DetRng>,
-    pub(crate) metrics: Metrics,
-    pace: Pace,
-}
-
-impl LinkLayer {
-    pub(crate) fn new(topology: Topology, seed: u64, pace: Pace) -> Self {
-        LinkLayer {
-            topology: RwLock::new(topology),
-            rng: Mutex::new(DetRng::new(seed)),
-            metrics: Metrics::new(),
-            pace,
-        }
-    }
-
-    /// Sends one frame of `bytes` across `from -> to`: topology check,
-    /// transfer time and fault lottery (drawn in a fixed order, so seeded
-    /// runs replay), metrics.
-    pub(crate) fn traverse(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        bytes: usize,
-        leg: Leg,
-    ) -> Result<Arrival> {
-        let (delay, lost, dup) = {
-            let topology = self.topology.read();
-            if !topology.is_up(from, to) {
-                return Err(ObiError::Disconnected { from, to });
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.rng.lock();
-            let delay = link.transfer_time(bytes, &mut rng);
-            let (lost, dup) = match leg {
-                Leg::Request => (
-                    link.drops(&mut rng),
-                    matches!(self.pace, Pace::Virtual(_)) && link.duplicates(&mut rng),
-                ),
-                Leg::Reply => (link.drops(&mut rng) || link.drops_reply(&mut rng), false),
-                Leg::Chunk => (link.drops(&mut rng) || link.drops_chunk(&mut rng), false),
-            };
-            (delay, lost, dup)
-        };
-        if let Pace::Virtual(clock) = &self.pace {
-            clock.charge(delay);
-        }
-        self.metrics.incr_messages_sent();
-        self.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            return Err(ObiError::MessageLost { from, to });
-        }
-        self.metrics.incr_messages_received();
-        self.metrics.add_bytes_received(bytes as u64);
-        Ok(Arrival { dup })
-    }
-}
-
-/// Delivers what the handler at `to` [`Served`] to its caller across the
-/// modeled reply link, `cross(bytes, leg)` sending each frame. Every chunk
-/// draws its own [`Leg::Chunk`] lottery and either reaches `on_frame`, once
-/// and in sink order, or is lost (a hole for the terminal frame to reveal).
-/// The terminal then crosses as [`Leg::Reply`] and is returned; a handler
-/// that produced none is an [`ObiError::Internal`].
-pub(crate) fn deliver_reply(
-    Served { chunks, reply }: Served,
-    to: SiteId,
-    on_frame: &mut dyn FnMut(Bytes),
-    mut cross: impl FnMut(usize, Leg) -> Result<Arrival>,
-) -> Result<Bytes> {
-    for chunk in chunks {
-        if cross(chunk.len(), Leg::Chunk).is_ok() {
-            on_frame(chunk);
-        }
-    }
-    let reply = reply.ok_or_else(|| {
-        ObiError::Internal(format!("site {to} produced no reply to a request"))
-    })?;
-    cross(reply.len(), Leg::Reply)?;
-    Ok(reply)
 }
 
 #[cfg(test)]

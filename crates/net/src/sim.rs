@@ -6,8 +6,8 @@
 //! fixed seed, runs are fully deterministic — which is what the figure
 //! harness and the property tests rely on.
 
-use crate::link::{deliver_reply, Arrival, Leg, LinkLayer, Pace, Topology};
-use crate::transport::{serve, MessageHandler, Transport};
+use crate::link::Topology;
+use crate::transport::{serve, MessageHandler, Served, Transport};
 use bytes::Bytes;
 use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
 use obiwan_util::sync::{Mutex, RwLock};
@@ -31,7 +31,6 @@ pub struct SimTransport {
 }
 
 struct SimInner {
-    clock: Clock,
     links: LinkLayer,
     handlers: RwLock<HashMap<SiteId, Arc<dyn MessageHandler>>>,
     /// Scheduled connectivity changes, kept sorted by due time.
@@ -60,7 +59,7 @@ impl std::fmt::Debug for SimTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimTransport")
             .field("sites", &self.inner.handlers.read().len())
-            .field("virtual_nanos", &self.inner.clock.virtual_nanos())
+            .field("virtual_nanos", &self.inner.links.clock.virtual_nanos())
             .finish()
     }
 }
@@ -75,8 +74,7 @@ impl SimTransport {
     pub fn with_topology(clock: Clock, topology: Topology) -> Self {
         SimTransport {
             inner: Arc::new(SimInner {
-                links: LinkLayer::new(topology, DEFAULT_SEED, Pace::Virtual(clock.clone())),
-                clock,
+                links: LinkLayer::new(topology, DEFAULT_SEED, clock),
                 handlers: RwLock::new(HashMap::new()),
                 schedule: Mutex::new(Vec::new()),
                 held: Mutex::new(VecDeque::new()),
@@ -91,7 +89,7 @@ impl SimTransport {
 
     /// The shared clock network time is charged to.
     pub fn clock(&self) -> &Clock {
-        &self.inner.clock
+        &self.inner.links.clock
     }
 
     /// Transport-level metrics (messages/bytes sent and received).
@@ -170,7 +168,7 @@ impl SimTransport {
 
     /// Applies every scheduled change whose time has come.
     fn apply_due_changes(&self) {
-        let now = self.inner.clock.virtual_nanos();
+        let now = self.inner.links.clock.virtual_nanos();
         loop {
             let change = {
                 let mut schedule = self.inner.schedule.lock();
@@ -208,8 +206,12 @@ impl SimTransport {
     }
 
     /// One call, streamed or not: the request leg, the handler run to
-    /// completion on the caller's stack, then its reply delivered across
-    /// the reply link, each chunk with its own fault lottery.
+    /// completion on the caller's stack, then what it served delivered
+    /// across the reply link. Every chunk draws its own [`Leg::Chunk`]
+    /// lottery and either reaches `on_frame`, once and in sink order, or is
+    /// lost (a hole for the terminal frame to reveal). The terminal then
+    /// crosses as [`Leg::Reply`] and is returned; a handler that produced
+    /// none is an [`ObiError::Internal`].
     fn exchange(
         &self,
         from: SiteId,
@@ -218,7 +220,7 @@ impl SimTransport {
         stream: bool,
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
-        let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
+        let mut span = obiwan_util::trace::span(self.clock(), "net.call").with_site(from);
         span.set_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
         if self.traverse(from, to, frame.len(), Leg::Request)?.dup {
@@ -229,10 +231,16 @@ impl SimTransport {
             // being modeled.
             let _ = serve(&*handler, from, frame.clone(), stream);
         }
-        let served = serve(&*handler, from, frame, stream);
-        let reply = deliver_reply(served, to, on_frame, |bytes, leg| {
-            self.traverse(to, from, bytes, leg)
+        let Served { chunks, reply } = serve(&*handler, from, frame, stream);
+        for chunk in chunks {
+            if self.traverse(to, from, chunk.len(), Leg::Chunk).is_ok() {
+                on_frame(chunk);
+            }
+        }
+        let reply = reply.ok_or_else(|| {
+            ObiError::Internal(format!("site {to} produced no reply to a request"))
         })?;
+        self.traverse(to, from, reply.len(), Leg::Reply)?;
         self.flush_reordered();
         Ok(reply)
     }
@@ -271,7 +279,7 @@ impl Transport for SimTransport {
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
-        let _span = obiwan_util::trace::span(&self.inner.clock, "net.cast")
+        let _span = obiwan_util::trace::span(self.clock(), "net.cast")
             .with_site(from)
             .with_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
@@ -300,6 +308,76 @@ impl Transport for SimTransport {
         self.apply_due_changes();
         self.inner.handlers.read().contains_key(&to)
             && self.inner.links.topology.read().is_up(from, to)
+    }
+}
+
+/// Which leg of an exchange a frame rides; selects the fault lotteries
+/// drawn for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// A request or one-way frame.
+    Request,
+    /// The (terminal) reply frame of a call.
+    Reply,
+    /// One intermediate chunk frame of a streamed reply.
+    Chunk,
+}
+
+/// How one delivered frame arrives: `dup` twice (only a request leg draws
+/// that lottery).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Arrival {
+    dup: bool,
+}
+
+/// The modeled network under the transport: its links, the fault-lottery
+/// stream, the clock each leg's delay is charged to, and the counters
+/// every leg feeds.
+struct LinkLayer {
+    topology: RwLock<Topology>,
+    rng: Mutex<DetRng>,
+    metrics: Metrics,
+    clock: Clock,
+}
+
+impl LinkLayer {
+    fn new(topology: Topology, seed: u64, clock: Clock) -> Self {
+        LinkLayer {
+            topology: RwLock::new(topology),
+            rng: Mutex::new(DetRng::new(seed)),
+            metrics: Metrics::new(),
+            clock,
+        }
+    }
+
+    /// Sends one frame of `bytes` across `from -> to`: topology check,
+    /// transfer time and fault lottery (drawn in a fixed order, so seeded
+    /// runs replay), clock charge, metrics.
+    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, leg: Leg) -> Result<Arrival> {
+        let (delay, lost, dup) = {
+            let topology = self.topology.read();
+            if !topology.is_up(from, to) {
+                return Err(ObiError::Disconnected { from, to });
+            }
+            let link = topology.link(from, to);
+            let mut rng = self.rng.lock();
+            let delay = link.transfer_time(bytes, &mut rng);
+            let (lost, dup) = match leg {
+                Leg::Request => (link.drops(&mut rng), link.duplicates(&mut rng)),
+                Leg::Reply => (link.drops(&mut rng) || link.drops_reply(&mut rng), false),
+                Leg::Chunk => (link.drops(&mut rng) || link.drops_chunk(&mut rng), false),
+            };
+            (delay, lost, dup)
+        };
+        self.clock.charge(delay);
+        self.metrics.incr_messages_sent();
+        self.metrics.add_bytes_sent(bytes as u64);
+        if lost {
+            return Err(ObiError::MessageLost { from, to });
+        }
+        self.metrics.incr_messages_received();
+        self.metrics.add_bytes_received(bytes as u64);
+        Ok(Arrival { dup })
     }
 }
 

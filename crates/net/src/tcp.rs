@@ -1,8 +1,8 @@
 //! TCP transport: real sockets.
 //!
 //! [`TcpTransport`] carries OBIWAN frames over TCP, making the middleware
-//! genuinely network-distributed (the simulated and in-memory transports
-//! never leave the process). Each registered site binds a listener on
+//! genuinely network-distributed (the simulated transport never leaves
+//! the process). Each registered site binds a listener on
 //! `127.0.0.1` (an OS-assigned port by default); outgoing calls use a small
 //! per-destination connection pool, one exclusive connection per in-flight
 //! request, so correlation is positional and the protocol stays simple.

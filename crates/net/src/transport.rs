@@ -7,8 +7,8 @@ use std::sync::Arc;
 /// A per-site message handler: the upper layer's dispatch entry point.
 ///
 /// For request frames the handler returns `Some(reply)`; for one-way frames
-/// it returns `None`. Handlers must be `Send + Sync` because the threaded
-/// transport invokes them from receiver threads.
+/// it returns `None`. Handlers must be `Send + Sync` because the TCP
+/// transport invokes them from its connection threads.
 pub trait MessageHandler: Send + Sync {
     /// Handles a frame arriving from `from`, optionally producing a reply.
     fn handle(&self, from: SiteId, frame: Bytes) -> Option<Bytes>;
@@ -47,11 +47,12 @@ where
 
 /// A bidirectional message transport between sites.
 ///
-/// The three implementations are [`SimTransport`](crate::SimTransport)
-/// (deterministic virtual time), [`MemTransport`](crate::MemTransport)
-/// (real threads) and [`TcpTransport`](crate::TcpTransport) (real
-/// sockets). Upper layers are written against this trait so every protocol
-/// runs identically on all three.
+/// The two implementations are [`SimTransport`](crate::SimTransport)
+/// (deterministic virtual time, handlers on the caller's stack) and
+/// [`TcpTransport`](crate::TcpTransport) (real sockets and threads);
+/// [`MemTransport`](crate::MemTransport) is an ideal `SimTransport` under
+/// another name. Upper layers are written against this trait so every
+/// protocol runs identically on both.
 pub trait Transport: Send + Sync {
     /// Registers the handler receiving frames addressed to `site`.
     ///

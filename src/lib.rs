@@ -12,8 +12,8 @@
 //! * [`rmi`] — the RMI substitute: name server, remote references,
 //!   request/response invocation.
 //! * [`net`] — the network substrate: link models, a deterministic simulated
-//!   transport with virtual time (plus scripted connectivity schedules), a
-//!   threaded in-memory transport, and real loopback TCP sockets.
+//!   transport with virtual time (plus scripted connectivity schedules) and
+//!   real loopback TCP sockets.
 //! * [`wire`] — the binary serialization layer (Java-serialization stand-in).
 //! * [`consistency`] — pluggable consistency policies (the paper's "hooks"):
 //!   last-writer-wins, first-writer-wins, read-only, and client-side

@@ -2,7 +2,7 @@
 //! process lock while the demand RPC is in flight, so unrelated local
 //! invocations proceed instead of queueing behind the network.
 //!
-//! The test wraps the threaded transport in a gate that blocks the first
+//! The test wraps the TCP transport in a gate that blocks the first
 //! demand (`GetRequest`/`GetManyRequest`) frame from a chosen site until
 //! released, then proves another thread completes an LMI on a local
 //! object *while* the faulting thread is parked inside the RPC.
@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use obiwan::core::demo::{register_all, Counter, LinkedItem};
 use obiwan::core::{ClassRegistry, ObiProcess, ObiValue, ReplicationMode};
-use obiwan::net::{MemTransport, MessageHandler, Transport};
+use obiwan::net::{MessageHandler, TcpTransport, Transport};
 use obiwan::rmi::{NameServer, NameServerService, RmiServer};
 use obiwan::util::{Clock, ClockMode, CostModel, Result, SiteId};
 use obiwan::wire::Message;
@@ -25,7 +25,7 @@ const WATCHDOG: Duration = Duration::from_secs(10);
 /// A transport decorator that parks the first demand call from
 /// `gated_from` (once armed) until [`GatedTransport::release`].
 struct GatedTransport {
-    inner: Arc<MemTransport>,
+    inner: Arc<TcpTransport>,
     gated_from: SiteId,
     armed: AtomicBool,
     entered: Mutex<Option<mpsc::Sender<()>>>,
@@ -33,7 +33,7 @@ struct GatedTransport {
 }
 
 impl GatedTransport {
-    fn new(inner: Arc<MemTransport>, gated_from: SiteId) -> GatedTransport {
+    fn new(inner: Arc<TcpTransport>, gated_from: SiteId) -> GatedTransport {
         GatedTransport {
             inner,
             gated_from,
@@ -116,15 +116,15 @@ impl Transport for GatedTransport {
 }
 
 struct Rig {
-    mem: Arc<MemTransport>,
+    tcp: Arc<TcpTransport>,
     gate: Arc<GatedTransport>,
     processes: Vec<ObiProcess>,
 }
 
 impl Rig {
     fn new(sites: u32, gated_from: SiteId) -> Rig {
-        let mem = Arc::new(MemTransport::new());
-        let gate = Arc::new(GatedTransport::new(mem.clone(), gated_from));
+        let tcp = Arc::new(TcpTransport::new());
+        let gate = Arc::new(GatedTransport::new(tcp.clone(), gated_from));
         let clock = Clock::new(ClockMode::Hybrid);
         let registry = ClassRegistry::new();
         register_all(&registry);
@@ -149,7 +149,7 @@ impl Rig {
             processes.push(p);
         }
         Rig {
-            mem,
+            tcp,
             gate,
             processes,
         }
@@ -162,7 +162,7 @@ impl Rig {
 
 impl Drop for Rig {
     fn drop(&mut self) {
-        self.mem.shutdown();
+        self.tcp.shutdown();
     }
 }
 

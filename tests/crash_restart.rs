@@ -880,9 +880,8 @@ fn every_crash_offset_recovers_a_journal_that_accounts_for_its_state() {
             match recovered.dirty.get(&replica.id()) {
                 Some((provider, state)) => {
                     assert_eq!(*provider, trio.server);
-                    let value = Decoder::new(&state.state).take_value().unwrap();
                     assert_eq!(
-                        Counter::decode_state(&value).unwrap().count,
+                        Counter::decode_from(&mut Decoder::new(&state.state)).unwrap().count,
                         expected[i],
                         "state {n}: counter {i}'s recovered state and journal disagree"
                     );
